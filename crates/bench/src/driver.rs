@@ -20,8 +20,7 @@
 //! * [`run_suite`] — selection (`--experiment`, `--filter`), scheduling,
 //!   rendering, and the `BENCH_results.json` / `results/*.json` records.
 //!
-//! The eight legacy binaries are thin shims over [`shim_main`]; the `suite`
-//! binary exposes the full CLI.
+//! The `suite` binary exposes the CLI.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -3302,54 +3301,6 @@ pub fn run_suite(opts: &Options) -> Result<SuiteResult, String> {
         memo_hits: memo.hits,
         wall_ms: started.elapsed().as_secs_f64() * 1e3,
     })
-}
-
-/// Entry point for the legacy per-experiment binaries: run one experiment at
-/// the full tier, print its text, and exit non-zero on any failure.
-///
-/// Bare arguments and the legacy `--fig N` / `--app NAME` flags become
-/// section filters, so e.g. `fig01_08 --fig 3` still prints only Figure 3.
-pub fn shim_main(experiment: &'static str) -> ! {
-    let mut section_filters = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--fig" => {
-                let n = args.next().unwrap_or_default();
-                section_filters.push(format!("fig{n}"));
-            }
-            "--app" => section_filters.push(args.next().unwrap_or_default()),
-            other => section_filters.push(other.trim_start_matches('-').to_string()),
-        }
-    }
-    let opts = Options {
-        tier: Tier::Full,
-        jobs: 0,
-        experiments: vec![experiment.to_string()],
-        section_filters,
-        ..Default::default()
-    };
-    match run_suite(&opts) {
-        Ok(suite) => {
-            for e in &suite.experiments {
-                print!("{}", e.text);
-            }
-            if suite.ok() {
-                std::process::exit(0);
-            }
-            for k in suite.failed_runs() {
-                eprintln!("failed run: {k}");
-            }
-            for s in suite.failed_sections() {
-                eprintln!("failed section: {s}");
-            }
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -31,10 +31,6 @@ pub struct CrashPoint {
 /// fixed by `seed` alone.
 #[derive(Debug, Clone, Default)]
 pub struct ChannelFaults {
-    /// Transmit every Nth cross-node message twice (0 = never). Kept from
-    /// the pre-hardening runtime: a counter-based duplicate independent of
-    /// the seeded plan.
-    pub duplicate_every: u64,
     /// Seed fixing the entire drop/dup/delay schedule.
     pub seed: u64,
     /// Probability a transmitted copy is dropped (repaired by
@@ -161,6 +157,22 @@ pub struct LinkFaults {
     pub delays: u64,
     /// Copies delivered directly (no fault).
     pub delivered: u64,
+}
+
+impl LinkFaults {
+    /// Counts one transmitted copy that drew `fate` (a duplicate is also
+    /// delivered).
+    pub(crate) fn record(&mut self, fate: LinkFate) {
+        match fate {
+            LinkFate::Deliver => self.delivered += 1,
+            LinkFate::Duplicate => {
+                self.delivered += 1;
+                self.dups += 1;
+            }
+            LinkFate::Drop => self.drops += 1,
+            LinkFate::Delay => self.delays += 1,
+        }
+    }
 }
 
 /// What the fault plan actually did during a run, aggregated and per link.

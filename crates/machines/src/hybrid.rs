@@ -10,12 +10,14 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use tmk_core::{Action, Config, Envelope, Msg, Node, NodeId, Traffic};
+use tmk_core::{Action, NodeId};
 use tmk_mem::{BusParams, CacheParams, SnoopBus};
-use tmk_net::{NetParams, PointToPointNet, SoftwareOverhead};
+use tmk_net::{NetParams, SoftwareOverhead};
 use tmk_parmacs::{InitWriter, System};
 use tmk_sim::{Ctx, Cycle, Op};
 use tmk_trace::{Category, Event, EventKind, Sink, Track};
+
+use crate::fabric::{settle, DsmProtocol, Fabric};
 
 /// Parameters of the hybrid machine.
 #[derive(Debug, Clone)]
@@ -67,15 +69,13 @@ impl HsParams {
     }
 }
 
-/// Shared machine state.
+/// Shared machine state: the inter-node fabric (one DSM instance per
+/// node), each node's snooping bus, and the node-local lock and barrier
+/// tables that let co-resident processors act as one.
 pub struct HsMachine {
-    pub(crate) dsm: Vec<Node>,
+    pub(crate) fabric: Fabric,
     buses: Vec<SnoopBus>,
-    net: PointToPointNet,
     pub(crate) params: HsParams,
-    pub(crate) traffic: Traffic,
-    pub(crate) mark: (Cycle, Traffic),
-    header_bytes: usize,
     /// Application-level lock state: which processor holds each lock, and
     /// the co-resident processors queued behind it.
     lock_holder: HashMap<usize, usize>,
@@ -87,32 +87,22 @@ pub struct HsMachine {
     /// Per-barrier, per-node arrival counts and blocked processors.
     barrier_count: HashMap<usize, Vec<usize>>,
     barrier_waiters: HashMap<usize, Vec<usize>>,
-    /// Trace sink for protocol instants (node tracks); disabled by default.
-    sink: Sink,
 }
 
 impl HsMachine {
-    /// Builds the machine with a `segment_bytes` shared segment.
+    /// Builds the machine with a `segment_bytes` shared segment. The
+    /// hybrid always runs LRC between nodes (`tuning.protocol` is ignored).
     pub fn new(params: HsParams, segment_bytes: usize, tuning: &crate::DsmTuning) -> Self {
-        let page_size = tuning.page_size.unwrap_or(params.page_size);
-        let pages = segment_bytes.div_ceil(page_size);
-        let mut cfg = Config::new(params.nodes)
-            .page_size(page_size)
-            .segment_pages(pages);
-        if tuning.eager_all {
-            cfg = cfg.eager_release_all();
-        }
-        for &l in &tuning.eager_locks {
-            cfg = cfg.eager_release_lock(l);
-        }
-        if let Some(t) = tuning.gc {
-            cfg = cfg.gc(t);
-        }
-        let header_bytes = cfg.header_bytes;
         HsMachine {
-            dsm: (0..params.nodes)
-                .map(|i| Node::new(i, cfg.clone()))
-                .collect(),
+            fabric: Fabric::new(
+                params.nodes,
+                params.net,
+                params.so,
+                params.page_size,
+                DsmProtocol::Lrc,
+                segment_bytes,
+                tuning,
+            ),
             buses: (0..params.nodes)
                 .map(|node| {
                     let mut bus = SnoopBus::new(params.per_node, params.cache, params.bus);
@@ -131,16 +121,11 @@ impl HsMachine {
                     bus
                 })
                 .collect(),
-            net: PointToPointNet::new(params.nodes, params.net),
-            traffic: Traffic::default(),
-            mark: (0, Traffic::default()),
-            header_bytes,
             lock_holder: HashMap::new(),
             lock_local_q: HashMap::new(),
             lock_dsm_pending: HashSet::new(),
             barrier_count: HashMap::new(),
             barrier_waiters: HashMap::new(),
-            sink: Sink::default(),
             params,
         }
     }
@@ -152,8 +137,7 @@ impl HsMachine {
         for (node, b) in self.buses.iter_mut().enumerate() {
             b.set_tracer(sink.clone(), node as u32);
         }
-        self.net.set_sink(sink.clone());
-        self.sink = sink;
+        self.fabric.set_tracer(sink);
     }
 
     fn node_of(&self, proc: usize) -> NodeId {
@@ -162,10 +146,6 @@ impl HsMachine {
 
     fn cpu_of(&self, proc: usize) -> usize {
         proc % self.params.per_node
-    }
-
-    fn page_size(&self) -> usize {
-        self.dsm[0].config().page_size
     }
 
     /// Bus-level charge for an access by `proc` within its node.
@@ -187,7 +167,7 @@ impl HsMachine {
     /// arrived; the paper assumes intra-node cache/TLB coherence handles
     /// this — we model it as invalidations).
     fn purge_page(&mut self, node: NodeId, page: usize) {
-        let ps = self.page_size();
+        let ps = self.fabric.page_size;
         let block = self.params.cache.block;
         let first = page * ps / block;
         let last = ((page + 1) * ps - 1) / block;
@@ -201,171 +181,9 @@ impl HsMachine {
     }
 }
 
-/// Routed cascade between DSM nodes (mirrors `dsm::route_timed`, but the
-/// initiator is a *node*, and completions wake whole waiter sets).
-struct Routed {
-    actions: Vec<(NodeId, Action, Cycle)>,
-    charges: Vec<(NodeId, Cycle)>,
-    initiator_busy_until: Cycle,
-}
-
-fn route_timed(m: &mut HsMachine, me_node: NodeId, t0: Cycle, sends: Vec<Envelope>) -> Routed {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    let mut heap: BinaryHeap<Reverse<(Cycle, u64)>> = BinaryHeap::new();
-    let mut inflight: HashMap<u64, Envelope> = HashMap::new();
-    let mut seq: u64 = 0;
-    let mut avail: HashMap<NodeId, Cycle> = HashMap::new();
-    avail.insert(me_node, t0);
-    let mut out = Routed {
-        actions: Vec::new(),
-        charges: Vec::new(),
-        initiator_busy_until: t0,
-    };
-
-    #[allow(clippy::too_many_arguments)]
-    fn enqueue(
-        m: &mut HsMachine,
-        avail: &mut HashMap<NodeId, Cycle>,
-        heap: &mut std::collections::BinaryHeap<std::cmp::Reverse<(Cycle, u64)>>,
-        inflight: &mut HashMap<u64, Envelope>,
-        seq: &mut u64,
-        charges: &mut Vec<(NodeId, Cycle)>,
-        t0: Cycle,
-        env: Envelope,
-    ) {
-        let from = env.from;
-        let to = env.to;
-        let t_out = *avail.entry(from).or_insert(t0);
-        let deliver_at = if from == to {
-            t_out
-        } else {
-            let body = env.msg.body_bytes().total();
-            let send_c = m.params.so.send_cycles(body);
-            let recv_c = m.params.so.recv_cycles(body);
-            charges.push((from, send_c));
-            charges.push((to, recv_c));
-            avail.insert(from, t_out + send_c);
-            let wire = m.header_bytes + body;
-            m.traffic.record(&env, m.header_bytes);
-            m.sink.emit(Event {
-                track: Track::Node(from as u32),
-                at: t_out + send_c,
-                dur: 0,
-                kind: EventKind::MsgSend {
-                    to: to as u32,
-                    class: env.msg.class().bit(),
-                    bytes: wire as u64,
-                },
-            });
-            if let Msg::LockForward { lock, .. } = &env.msg {
-                m.sink.emit(Event {
-                    track: Track::Node(from as u32),
-                    at: t_out + send_c,
-                    dur: 0,
-                    kind: EventKind::LockForward { lock: *lock as u64 },
-                });
-            }
-            let arrive = m.net.transfer(from, to, wire, t_out + send_c);
-            arrive + recv_c
-        };
-        heap.push(std::cmp::Reverse((deliver_at, *seq)));
-        inflight.insert(*seq, env);
-        *seq += 1;
-    }
-
-    for env in sends {
-        enqueue(
-            m,
-            &mut avail,
-            &mut heap,
-            &mut inflight,
-            &mut seq,
-            &mut out.charges,
-            t0,
-            env,
-        );
-    }
-
-    while let Some(Reverse((t, s))) = heap.pop() {
-        let env = inflight.remove(&s).expect("in-flight message");
-        let to = env.to;
-        let begin = t.max(avail.get(&to).copied().unwrap_or(0));
-        let arrived = (m.sink.enabled() && env.from != to).then(|| EventKind::MsgArrive {
-            from: env.from as u32,
-            class: env.msg.class().bit(),
-            bytes: (m.header_bytes + env.msg.body_bytes().total()) as u64,
-        });
-        let before = *m.dsm[to].stats();
-        let handled = m.dsm[to].handle(env);
-        let after = m.dsm[to].stats();
-        let created = after.diffs_created - before.diffs_created;
-        let twinned = after.twins_created - before.twins_created;
-        let retired = after.gc_intervals_retired - before.gc_intervals_retired;
-        let freed = after.gc_diff_bytes_retired - before.gc_diff_bytes_retired;
-        if m.sink.enabled() {
-            let node = Track::Node(to as u32);
-            let instant = |kind| Event { track: node, at: begin, dur: 0, kind };
-            if let Some(kind) = arrived {
-                m.sink.emit(instant(kind));
-            }
-            if twinned > 0 {
-                m.sink.emit(instant(EventKind::TwinCreate { count: twinned }));
-            }
-            if created > 0 {
-                m.sink.emit(instant(EventKind::DiffMake {
-                    count: created,
-                    bytes: after.diff_bytes_created - before.diff_bytes_created,
-                }));
-            }
-            let applied = after.diffs_applied - before.diffs_applied;
-            if applied > 0 {
-                m.sink.emit(instant(EventKind::DiffApply { count: applied }));
-            }
-            let notices = after.notices_received - before.notices_received;
-            if notices > 0 {
-                m.sink.emit(instant(EventKind::WriteNotice { count: notices }));
-            }
-            if retired > 0 {
-                m.sink.emit(instant(EventKind::GcRetire {
-                    intervals: retired,
-                    bytes: freed,
-                }));
-            }
-        }
-        let service = created * m.params.so.diff_cycles(m.page_size())
-            + twinned * (m.page_size() / 4) as u64
-            + crate::dsm::gc_service_cycles(retired, freed);
-        if service > 0 {
-            out.charges.push((to, service));
-        }
-        let ready = begin + service;
-        avail.insert(to, ready);
-        for a in handled.actions {
-            out.actions.push((to, a, ready));
-        }
-        for next in handled.sends {
-            enqueue(
-                m,
-                &mut avail,
-                &mut heap,
-                &mut inflight,
-                &mut seq,
-                &mut out.charges,
-                t0,
-                next,
-            );
-        }
-    }
-
-    out.initiator_busy_until = avail.get(&me_node).copied().unwrap_or(t0);
-    out
-}
-
 impl InitWriter for HsMachine {
     fn write_init(&mut self, addr: usize, bytes: &[u8]) {
-        self.dsm[0].master_write(addr, bytes);
+        self.fabric.nodes[0].master_write(addr, bytes);
     }
 }
 
@@ -380,82 +198,35 @@ impl<'a, 'e> HsSys<'a, 'e> {
         HsSys { ctx }
     }
 
-    /// Applies a cascade: node charges become stolen cycles on the node's
-    /// first processor (an approximation of per-node protocol processing),
-    /// remote completions wake their waiter sets, and this processor
-    /// advances to its own completion time (if any).
-    fn settle(
-        &self,
-        op: &mut Op<'_, HsMachine>,
-        me_proc: usize,
-        me_node: NodeId,
-        routed: Routed,
-        local_done: Cycle,
-        wait: Category,
-    ) -> Vec<(Action, Cycle)> {
-        let per_node = op.machine().params.per_node;
-        let mut mine = Vec::new();
-        let mut me_extra: Cycle = 0;
-        for (node, c) in routed.charges {
-            if node == me_node {
-                me_extra += c;
-            } else {
-                // Protocol processing steals time from the node's cpu 0.
-                op.charge_remote(node * per_node, c);
-            }
-        }
-        let mut me_target = routed.initiator_busy_until.max(op.now() + me_extra);
-        for (node, action, t) in routed.actions {
-            if node == me_node {
-                me_target = me_target.max(t);
-            }
-            // Completions for other nodes are returned too: the caller
-            // knows which blocked processors they unblock.
-            mine.push((action, t));
-        }
-        let now = op.now();
-        if me_target > now {
-            // Split for the trace ledger: local pre-work plus this node's
-            // send/recv/service charges are protocol time, the rest is
-            // waiting (see `dsm::settle`).
-            let total = me_target - now;
-            let proto = (local_done.saturating_sub(now) + me_extra).min(total);
-            op.advance_as(Category::Protocol, proto);
-            op.advance_as(wait, total - proto);
-        }
-        let _ = me_proc;
-        mine
-    }
-
     fn access(&self, addr: usize, len: usize, write: bool, mut data: AccessData<'_>) {
         let me = self.ctx.id();
         loop {
             let done = self.ctx.sync(|op| {
                 // Resolve faults and perform the access in one operation
-                // (see `dsm::DsmSys::access` for the livelock rationale).
+                // (see `DsmSys::access` for the livelock rationale).
                 loop {
                     let now = op.now();
                     let m = op.machine();
                     let nd = m.node_of(me);
-                    let bad = m.dsm[nd].pages_in(addr, len).find(|&p| {
+                    let bad = m.fabric.nodes[nd].pages_in(addr, len).find(|&p| {
                         if write {
-                            !m.dsm[nd].page_writable(p)
+                            !m.fabric.nodes[nd].page_writable(p)
                         } else {
-                            !m.dsm[nd].page_valid(p)
+                            !m.fabric.nodes[nd].page_valid(p)
                         }
                     });
                     match bad {
                         None => {
                             let done = m.charge_bus(me, addr, len, write, now);
                             match &mut data {
-                                AccessData::Read(buf) => m.dsm[nd].read_into(addr, buf),
-                                AccessData::Write(bytes) => m.dsm[nd].write_from(addr, bytes),
+                                AccessData::Read(buf) => m.fabric.nodes[nd].read_into(addr, buf),
+                                AccessData::Write(bytes) => m.fabric.nodes[nd].write_from(addr, bytes),
                             }
                             op.advance_as(Category::MemStall, done - now);
                             return true;
                         }
                         Some(page) => {
-                            m.sink.emit(Event {
+                            m.fabric.sink.emit(Event {
                                 track: Track::Cpu(me as u32),
                                 at: now,
                                 dur: 0,
@@ -465,23 +236,21 @@ impl<'a, 'e> HsSys<'a, 'e> {
                                 },
                             });
                             let handler = m.params.so.handler;
-                            let twins_before = m.dsm[nd].stats().twins_created;
-                            let start = m.dsm[nd].fault(page, write);
+                            let twins_before = m.fabric.nodes[nd].stats().twins_created;
+                            let start = m.fabric.nodes[nd].fault(page, write);
                             let mut t = now + handler;
-                            if m.dsm[nd].stats().twins_created > twins_before {
-                                t += (m.page_size() / 4) as Cycle;
+                            if m.fabric.nodes[nd].stats().twins_created > twins_before {
+                                t += (m.fabric.page_size / 4) as Cycle;
                             }
                             if start.ready {
                                 op.advance_as(Category::Protocol, t - now);
                             } else {
-                                let routed = route_timed(m, nd, t, start.sends);
-                                op.machine().purge_page(nd, page);
-                                let mine =
-                                    self.settle(op, me, nd, routed, t, Category::Network);
-                                if !mine
-                                    .iter()
-                                    .any(|(a, _)| *a == Action::PageReady(page))
-                                {
+                                let routed = m.fabric.route_timed(nd, t, start.sends);
+                                m.purge_page(nd, page);
+                                let per_node = m.params.per_node;
+                                let done =
+                                    settle(op, nd, per_node, routed, t, Category::Network);
+                                if !done.iter().any(|(_, a, _)| *a == Action::PageReady(page)) {
                                     return false;
                                 }
                             }
@@ -552,6 +321,7 @@ impl System for HsSys<'_, '_> {
             let got = self.ctx.sync(|op| {
                 let now = op.now();
                 let nd = op.machine().node_of(me);
+                let per_node = op.machine().params.per_node;
                 // Handed to us directly (local pass or remote grant)?
                 if op.machine().lock_holder.get(&lock) == Some(&me) {
                     return true;
@@ -570,12 +340,12 @@ impl System for HsSys<'_, '_> {
                             .entry(lock)
                             .or_default()
                             .push_back(me);
-                        op.block();
+                        op.block_on(format!("lock {lock} grant"));
                         false
                     }
                     _ => {
                         // No processor holds it: bring the token here.
-                        let start = op.machine().dsm[nd].acquire(lock);
+                        let start = op.machine().fabric.nodes[nd].acquire(lock);
                         match start {
                             tmk_core::StartAcquire::Granted => {
                                 let c = op.machine().params.lock_local_cost;
@@ -584,12 +354,12 @@ impl System for HsSys<'_, '_> {
                                 true
                             }
                             tmk_core::StartAcquire::Wait(sends) => {
-                                let routed = route_timed(op.machine(), nd, now, sends);
-                                let mine = self
-                                    .settle(op, me, nd, routed, now, Category::SyncIdle);
-                                let granted = mine.iter().any(|(a, _)| {
-                                    *a == Action::LockGranted(lock)
-                                });
+                                let routed = op.machine().fabric.route_timed(nd, now, sends);
+                                let done =
+                                    settle(op, nd, per_node, routed, now, Category::SyncIdle);
+                                let granted = done
+                                    .iter()
+                                    .any(|(_, a, _)| *a == Action::LockGranted(lock));
                                 if granted {
                                     op.machine().lock_holder.insert(lock, me);
                                     true
@@ -600,7 +370,7 @@ impl System for HsSys<'_, '_> {
                                         .entry(lock)
                                         .or_default()
                                         .push_back(me);
-                                    op.block();
+                                    op.block_on(format!("lock {lock} grant"));
                                     false
                                 }
                             }
@@ -641,22 +411,15 @@ impl System for HsSys<'_, '_> {
 
             // Otherwise release at the DSM level; a queued remote node gets
             // the token, and one of its waiters the lock.
-            let sends = op.machine().dsm[nd].release(lock);
-            let routed = route_timed(op.machine(), nd, now + 2, sends);
-            let mine = self.settle(op, me, nd, routed, now + 2, Category::Network);
-            for (action, t) in mine {
+            let sends = op.machine().fabric.nodes[nd].release(lock);
+            let routed = op.machine().fabric.route_timed(nd, now + 2, sends);
+            let done = settle(op, nd, per_node, routed, now + 2, Category::Network);
+            for (granted_node, action, t) in done {
                 if let Action::LockGranted(l) = action {
                     debug_assert_eq!(l, lock);
-                    // The grant landed on some node; find a waiter there.
-                    let granted_node = {
-                        let m = op.machine();
-                        (0..m.params.nodes)
-                            .find(|&q| m.dsm[q].holds(lock))
-                            .expect("grant landed somewhere")
-                    };
+                    // The grant landed on `granted_node`; find a waiter there.
                     let next = {
                         let m = op.machine();
-                        let per_node = m.params.per_node;
                         let q = m.lock_local_q.entry(lock).or_default();
                         let pos = q.iter().position(|&p| p / per_node == granted_node);
                         pos.map(|i| q.remove(i).expect("position exists"))
@@ -694,7 +457,7 @@ impl System for HsSys<'_, '_> {
                 counts[nd] += 1;
                 counts[nd] == per_node
             };
-            op.machine().sink.emit(Event {
+            op.machine().fabric.sink.emit(Event {
                 track: Track::Cpu(me as u32),
                 at: now,
                 dur: 0,
@@ -709,21 +472,21 @@ impl System for HsSys<'_, '_> {
                     .entry(barrier)
                     .or_default()
                     .push(me);
-                op.block();
+                op.block_on(format!("barrier {barrier} release"));
                 return;
             }
             // Last processor on the node: node-level DSM arrival.
             let t = now + local_cost;
             let (ready, sends) = {
                 let m = op.machine();
-                let before = *m.dsm[nd].stats();
-                let start = m.dsm[nd].barrier_arrive(barrier);
-                let after = *m.dsm[nd].stats();
+                let before = *m.fabric.nodes[nd].stats();
+                let start = m.fabric.nodes[nd].barrier_arrive(barrier);
+                let after = *m.fabric.nodes[nd].stats();
                 // Diff/GC service is charged via settle's initiator time;
                 // trace the collection for visibility.
                 let retired = after.gc_intervals_retired - before.gc_intervals_retired;
                 if retired > 0 {
-                    m.sink.emit(Event {
+                    m.fabric.sink.emit(Event {
                         track: Track::Node(nd as u32),
                         at: t,
                         dur: 0,
@@ -736,25 +499,23 @@ impl System for HsSys<'_, '_> {
                 }
                 (start.ready, start.sends)
             };
-            let routed = route_timed(op.machine(), nd, t, sends);
-            let mine = self.settle(op, me, nd, routed, t, Category::SyncIdle);
-            let mut my_done: Option<Cycle> = None;
-            for (action, at) in mine {
-                if let Action::BarrierDone(b) = action {
-                    debug_assert_eq!(b, barrier);
-                    // Which node finished? Find by checking who emitted it:
-                    // actions from settle() tagged for me_node come from our
-                    // own arrival; others were recorded with their node in
-                    // route_timed — but settle flattened that. Wake every
-                    // node's waiters whose DSM barrier completed: the
-                    // departure reached all nodes in this cascade.
-                    my_done = Some(my_done.map_or(at, |v: Cycle| v.max(at)));
-                }
+            let m = op.machine();
+            let mut routed = m.fabric.route_timed(nd, t, sends);
+            if ready {
+                // The manager was the last arriver: it departed inside
+                // `barrier_arrive`, so the checkpoint cut is taken here.
+                m.fabric.take_checkpoint(nd, t, &mut routed.charges);
             }
-            if ready || my_done.is_some() {
-                // The barrier completed globally within this cascade: wake
-                // all waiters on every node at their nodes' times.
-                let t_done = my_done.unwrap_or(op.now());
+            let done = settle(op, nd, per_node, routed, t, Category::SyncIdle);
+            // The departure reaches every node within this cascade; all
+            // waiters leave together, when the last node's release lands.
+            let all_done = done
+                .iter()
+                .filter(|(_, a, _)| *a == Action::BarrierDone(barrier))
+                .map(|&(.., at)| at)
+                .max();
+            if ready || all_done.is_some() {
+                let t_done = all_done.unwrap_or(op.now());
                 for q in 0..nodes {
                     self.wake_barrier_waiters(op, barrier, q, t_done, me);
                 }
@@ -764,7 +525,7 @@ impl System for HsSys<'_, '_> {
                     .entry(barrier)
                     .or_default()
                     .push(me);
-                op.block();
+                op.block_on(format!("barrier {barrier} release"));
             }
         });
     }
@@ -776,22 +537,16 @@ impl System for HsSys<'_, '_> {
     fn mark(&self) {
         self.ctx.sync(|op| {
             let now = op.now();
-            let m = op.machine();
-            m.mark = (now, m.traffic);
+            op.machine().fabric.mark(now);
         });
     }
 }
 
 impl HsMachine {
-    /// Finishing report pieces specific to this machine.
+    /// Finishing report: the fabric's half plus this machine's buses.
     pub(crate) fn fill_report(&self, report: &mut crate::RunReport) {
         report.clock_hz = self.params.clock_hz;
-        report.traffic = self.traffic;
-        report.mark_cycles = self.mark.0;
-        report.mark_traffic = self.mark.1;
-        for n in &self.dsm {
-            report.dsm.merge(n.stats());
-        }
+        self.fabric.fill_report(report);
         let mut bus = tmk_mem::BusStats::default();
         for b in &self.buses {
             let s = b.stats();

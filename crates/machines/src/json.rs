@@ -145,11 +145,10 @@ impl Json {
     /// Parses a complete JSON document (used by round-trip tests; numbers
     /// parse to `Int`/`UInt` when they have no fraction or exponent).
     pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let value = parse_value(text, &mut pos)?;
+        skip_ws(text.as_bytes(), &mut pos);
+        if pos != text.len() {
             return Err(format!("trailing input at byte {pos}"));
         }
         Ok(value)
@@ -218,14 +217,15 @@ fn expect(bytes: &[u8], pos: &mut usize, token: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(text: &str, pos: &mut usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
         Some(b't') => expect(bytes, pos, "true").map(|()| Json::Bool(true)),
         Some(b'f') => expect(bytes, pos, "false").map(|()| Json::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
+        Some(b'"') => parse_string(text, pos).map(Json::Str),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -235,7 +235,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(text, pos)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -257,10 +257,10 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, ":")?;
-                pairs.push((key, parse_value(bytes, pos)?));
+                pairs.push((key, parse_value(text, pos)?));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -276,11 +276,13 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, "\"")?;
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    expect(text.as_bytes(), pos, "\"")?;
     let mut out = String::new();
     loop {
-        let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
+        // `pos` only ever advances by whole characters, so this slices the
+        // document in O(1) instead of re-validating the rest of it.
+        let rest = &text[*pos..];
         let mut chars = rest.char_indices();
         match chars.next() {
             None => return Err("unterminated string".to_string()),
@@ -419,5 +421,16 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("\"abc").is_err());
+    }
+
+    #[test]
+    fn multibyte_strings_with_escapes_roundtrip() {
+        let s = "µs → \"naïve\"\\\n\t\u{1}日本語 😀";
+        let j = Json::obj().set("k→y", s).set("after", 7u64);
+        assert_eq!(Json::parse(&j.render()).unwrap(), j);
+        assert_eq!(Json::parse("\"\\u00b5\\/\\b\\f\"").unwrap(), Json::from("µ/\u{8}\u{c}"));
+        for bad in ["\"é", "\"é\\", "\"\\u00", "\"\\ud800\"", "\"\\x\"", "\"\\u00é0\""] {
+            assert!(Json::parse(bad).is_err(), "{bad}");
+        }
     }
 }

@@ -15,13 +15,15 @@
 //! the paper.
 
 mod dsm;
+mod fabric;
 mod hw;
 mod hybrid;
 pub mod json;
 mod report;
 mod run;
 
-pub use dsm::{DsmMachine, DsmParams, DsmProtocol, DsmSys};
+pub use dsm::{DsmMachine, DsmParams, DsmSys};
+pub use fabric::DsmProtocol;
 pub use hw::{HwKind, HwMachine, HwParams};
 pub use hybrid::{HsMachine, HsParams};
 pub use json::Json;

@@ -8,10 +8,11 @@ use parking_lot::Mutex;
 
 use tmk_net::SoftwareOverhead;
 use tmk_parmacs::{Alloc, InitWriter, System};
-use tmk_sim::{AnyEngine, EngineKind};
+use tmk_sim::{AnyEngine, Ctx, Cycle, EngineKind};
 use tmk_trace::{Sink, TraceBuf};
 
 use crate::dsm::{DsmMachine, DsmParams, DsmSys};
+use crate::fabric::DsmProtocol;
 use crate::hw::{HwMachine, HwParams, HwSys};
 use crate::hybrid::{HsMachine, HsParams, HsSys};
 use crate::{Outcome, RunReport};
@@ -63,6 +64,8 @@ pub fn set_op_trace(on: bool) {
 }
 
 /// DSM knobs shared by the software and hybrid platforms, for ablations.
+/// Except for `protocol`, every field means the same on both: they
+/// configure the inter-node fabric the two machines share.
 #[derive(Debug, Clone, Default)]
 pub struct DsmTuning {
     /// Overrides the platform's page size.
@@ -72,13 +75,13 @@ pub struct DsmTuning {
     /// Every lock releases eagerly.
     pub eager_all: bool,
     /// Which protocol the AS cluster runs (the hybrid always runs LRC).
-    pub protocol: crate::dsm::DsmProtocol,
-    /// Seeded network fault injection on the AS cluster's links
-    /// (drop/duplicate/delay, plus scheduled node crashes); `None` = a
-    /// perfect network. On the hybrid the plan's drop rate is reused as
-    /// each node's flaky-bus strike rate (struck transactions retry:
-    /// masked by hardware, costing only time); its inter-node traffic
-    /// stays fault-free.
+    pub protocol: DsmProtocol,
+    /// Seeded fault injection on the links between nodes
+    /// (drop/duplicate/delay, plus scheduled node crashes — on the hybrid
+    /// a crash entry's `node` is an SMP node); `None` = a perfect network.
+    /// On the hybrid the plan additionally seeds each node's flaky bus,
+    /// with the drop rate as the strike rate (struck transactions retry:
+    /// masked by hardware, costing only time).
     pub faults: Option<tmk_net::FaultPlan>,
     /// Arms the end-to-end retransmission layer (per-message sequence
     /// numbers, piggybacked acks, timeout + exponential backoff,
@@ -87,15 +90,15 @@ pub struct DsmTuning {
     pub reliability: Option<tmk_core::RetransmitPolicy>,
     /// Aborts the run with a per-processor diagnostic dump once any
     /// simulated clock passes this budget (livelock guard).
-    pub watchdog_budget: Option<tmk_sim::Cycle>,
+    pub watchdog_budget: Option<Cycle>,
     /// Barrier-time consistency-metadata garbage collection: nodes whose
     /// interval/diff footprint reaches this many bytes request a collection
     /// at the next barrier. `None` disables GC and its memory ledger;
     /// `Some(u64::MAX)` keeps the ledger without ever collecting
     /// (the measurement baseline for GC ablations).
     pub gc: Option<u64>,
-    /// Arms barrier-epoch checkpointing on the AS cluster: every barrier
-    /// release at its manager records a consistent cut, the prerequisite
+    /// Arms barrier-epoch checkpointing: every barrier release at its
+    /// manager node records a consistent cut, the prerequisite
     /// for surviving a crash schedule in [`tmk_net::FaultPlan::crashes`].
     /// Checkpoint copies and crash recovery cost simulated time (the copy
     /// work lands with the barrier episode, recovery in its own ledger
@@ -199,7 +202,7 @@ impl Platform {
                 let ids: Vec<String> = tuning.eager_locks.iter().map(|l| l.to_string()).collect();
                 s.push_str(&format!("/el{}", ids.join(",")));
             }
-            if matches!(tuning.protocol, crate::dsm::DsmProtocol::Ivy) {
+            if matches!(tuning.protocol, DsmProtocol::Ivy) {
                 s.push_str("/ivy");
             }
             if let Some(f) = &tuning.faults {
@@ -391,25 +394,27 @@ where
     let p = plan(&mut alloc);
     let buf = trace.map(|cap| Arc::new(TraceBuf::new(platform.procs(), cap)));
 
+    let procs = platform.procs();
+    let hw = |params: HwParams, faults: &Option<tmk_net::FaultPlan>, init: FI, body: FB| {
+        let mut machine = HwMachine::new(params, segment_bytes);
+        if let Some(f) = faults {
+            machine.set_fabric_faults(tmk_mem::FabricFaults::new(f.seed, f.drop));
+        }
+        init(&p, &mut machine);
+        let hooks = Hooks {
+            set_tracer: HwMachine::set_tracer,
+            fill_report: HwMachine::fill_report,
+            diagnostics: None,
+            budget: None,
+        };
+        run_machine(engine, machine, procs, hooks, buf.clone(), |ctx| {
+            body(&HwSys::new(ctx), &p)
+        })
+    };
     let out = match platform {
-        Platform::Dec => {
-            let mut machine = HwMachine::new(HwParams::dec_5000_240(), segment_bytes);
-            init(&p, &mut machine);
-            run_hw(engine, machine, 1, &p, body, buf.clone())
-        }
-        Platform::Sgi { procs } => {
-            let mut machine = HwMachine::new(HwParams::sgi_4d480(*procs), segment_bytes);
-            init(&p, &mut machine);
-            run_hw(engine, machine, *procs, &p, body, buf.clone())
-        }
-        Platform::Ah { procs, faults } => {
-            let mut machine = HwMachine::new(HwParams::ah(*procs), segment_bytes);
-            if let Some(f) = faults {
-                machine.set_fabric_faults(tmk_mem::FabricFaults::new(f.seed, f.drop));
-            }
-            init(&p, &mut machine);
-            run_hw(engine, machine, *procs, &p, body, buf.clone())
-        }
+        Platform::Dec => hw(HwParams::dec_5000_240(), &None, init, body),
+        Platform::Sgi { procs } => hw(HwParams::sgi_4d480(*procs), &None, init, body),
+        Platform::Ah { procs, faults } => hw(HwParams::ah(*procs), faults, init, body),
         Platform::AsCluster {
             procs,
             part1,
@@ -426,7 +431,15 @@ where
             }
             let mut machine = DsmMachine::new(params, segment_bytes, tuning);
             init(&p, &mut machine);
-            run_dsm(engine, machine, *procs, &p, body, buf.clone())
+            let hooks = Hooks {
+                set_tracer: DsmMachine::set_tracer,
+                fill_report: DsmMachine::fill_report,
+                diagnostics: Some(|m| m.fabric.diagnostics()),
+                budget: tuning.watchdog_budget,
+            };
+            run_machine(engine, machine, *procs, hooks, buf.clone(), |ctx| {
+                body(&DsmSys::new(ctx), &p)
+            })
         }
         Platform::Hs {
             nodes,
@@ -438,10 +451,17 @@ where
             if let Some(so) = so {
                 params.so = *so;
             }
-            let procs = params.procs();
             let mut machine = HsMachine::new(params, segment_bytes, tuning);
             init(&p, &mut machine);
-            run_hs(engine, machine, procs, &p, body, buf.clone())
+            let hooks = Hooks {
+                set_tracer: HsMachine::set_tracer,
+                fill_report: HsMachine::fill_report,
+                diagnostics: Some(|m| m.fabric.diagnostics()),
+                budget: tuning.watchdog_budget,
+            };
+            run_machine(engine, machine, procs, hooks, buf.clone(), |ctx| {
+                body(&HsSys::new(ctx), &p)
+            })
         }
     };
     (out, buf)
@@ -472,79 +492,37 @@ fn collect<R>(results: Mutex<Vec<Option<R>>>) -> Vec<R> {
         .collect()
 }
 
-fn run_hw<P, R, FB>(
-    engine: EngineKind,
-    mut machine: HwMachine,
-    procs: usize,
-    p: &P,
-    body: FB,
-    trace: Option<Arc<TraceBuf>>,
-) -> Outcome<R>
-where
-    P: Send + Sync,
-    R: Send,
-    FB: Fn(&dyn System, &P) -> R + Send + Sync,
-{
-    if let Some(buf) = &trace {
-        machine.set_tracer(Sink::new(buf.clone()));
-    }
-    let kind = engine;
-    let mut engine = AnyEngine::new(engine, machine, procs);
-    if OP_TRACE.load(Ordering::Relaxed) {
-        engine = engine.with_op_trace(true);
-    }
-    if let Some(buf) = &trace {
-        engine = engine.with_tracer(buf.clone());
-    }
-    let results: Mutex<Vec<Option<R>>> = Mutex::new((0..procs).map(|_| None).collect());
-    let started = Instant::now();
-    let run = engine.run(|ctx| {
-        let sys = HwSys::new(ctx);
-        let out = body(&sys, p);
-        results.lock()[ctx.id()] = Some(out);
-    });
-    let host_ms = started.elapsed().as_secs_f64() * 1e3;
-    let mut report = RunReport {
-        procs,
-        engine: kind,
-        host_ms,
-        cycles: run.time(),
-        proc_cycles: run.clocks.clone(),
-        ..Default::default()
-    };
-    run.machine.fill_report(&mut report);
-    audit(&report, &trace);
-    Outcome {
-        results: collect(results),
-        report,
-        op_trace: run.op_trace,
-    }
+/// What the run loop needs to know about a platform's machine model.
+struct Hooks<M> {
+    set_tracer: fn(&mut M, Sink),
+    fill_report: fn(&M, &mut RunReport),
+    /// Machine-state renderer for the watchdog's dump.
+    diagnostics: Option<fn(&M) -> String>,
+    /// Per-processor cycle ceiling for the engine's watchdog.
+    budget: Option<Cycle>,
 }
 
-fn run_dsm<P, R, FB>(
-    engine: EngineKind,
-    mut machine: DsmMachine,
+/// Runs `body` on every simulated processor of `machine` and assembles the
+/// audited report. The one run loop behind every platform.
+fn run_machine<M: Send + 'static, R: Send>(
+    kind: EngineKind,
+    mut machine: M,
     procs: usize,
-    p: &P,
-    body: FB,
+    hooks: Hooks<M>,
     trace: Option<Arc<TraceBuf>>,
-) -> Outcome<R>
-where
-    P: Send + Sync,
-    R: Send,
-    FB: Fn(&dyn System, &P) -> R + Send + Sync,
-{
+    body: impl Fn(&Ctx<'_, M>) -> R + Send + Sync,
+) -> Outcome<R> {
     if let Some(buf) = &trace {
-        machine.set_tracer(Sink::new(buf.clone()));
+        (hooks.set_tracer)(&mut machine, Sink::new(buf.clone()));
     }
-    let budget = machine.watchdog_budget;
-    let kind = engine;
-    let mut engine =
-        AnyEngine::new(engine, machine, procs).with_diagnostics(|m: &DsmMachine| m.diagnostics());
+    let mut engine = AnyEngine::new(kind, machine, procs);
+    if let Some(diagnostics) = hooks.diagnostics {
+        engine = engine.with_diagnostics(diagnostics);
+    }
     if OP_TRACE.load(Ordering::Relaxed) {
         engine = engine.with_op_trace(true);
     }
-    if let Some(b) = budget {
+    if let Some(b) = hooks.budget {
         engine = engine.with_cycle_budget(b);
     }
     if let Some(buf) = &trace {
@@ -553,8 +531,7 @@ where
     let results: Mutex<Vec<Option<R>>> = Mutex::new((0..procs).map(|_| None).collect());
     let started = Instant::now();
     let run = engine.run(|ctx| {
-        let sys = DsmSys::new(ctx);
-        let out = body(&sys, p);
+        let out = body(ctx);
         results.lock()[ctx.id()] = Some(out);
     });
     let host_ms = started.elapsed().as_secs_f64() * 1e3;
@@ -566,56 +543,7 @@ where
         proc_cycles: run.clocks.clone(),
         ..Default::default()
     };
-    run.machine.fill_report(&mut report);
-    audit(&report, &trace);
-    Outcome {
-        results: collect(results),
-        report,
-        op_trace: run.op_trace,
-    }
-}
-
-fn run_hs<P, R, FB>(
-    engine: EngineKind,
-    mut machine: HsMachine,
-    procs: usize,
-    p: &P,
-    body: FB,
-    trace: Option<Arc<TraceBuf>>,
-) -> Outcome<R>
-where
-    P: Send + Sync,
-    R: Send,
-    FB: Fn(&dyn System, &P) -> R + Send + Sync,
-{
-    if let Some(buf) = &trace {
-        machine.set_tracer(Sink::new(buf.clone()));
-    }
-    let kind = engine;
-    let mut engine = AnyEngine::new(engine, machine, procs);
-    if OP_TRACE.load(Ordering::Relaxed) {
-        engine = engine.with_op_trace(true);
-    }
-    if let Some(buf) = &trace {
-        engine = engine.with_tracer(buf.clone());
-    }
-    let results: Mutex<Vec<Option<R>>> = Mutex::new((0..procs).map(|_| None).collect());
-    let started = Instant::now();
-    let run = engine.run(|ctx| {
-        let sys = HsSys::new(ctx);
-        let out = body(&sys, p);
-        results.lock()[ctx.id()] = Some(out);
-    });
-    let host_ms = started.elapsed().as_secs_f64() * 1e3;
-    let mut report = RunReport {
-        procs,
-        engine: kind,
-        host_ms,
-        cycles: run.time(),
-        proc_cycles: run.clocks.clone(),
-        ..Default::default()
-    };
-    run.machine.fill_report(&mut report);
+    (hooks.fill_report)(&run.machine, &mut report);
     audit(&report, &trace);
     Outcome {
         results: collect(results),
@@ -656,6 +584,19 @@ pub fn run_workload_traced_with<W: tmk_parmacs::Workload>(
         |sys, plan| w.body(sys, plan),
         trace,
     )
+}
+
+/// Runs `body` on a platform with a bare 64 KB segment the test addresses
+/// directly. Traced, so the run loop's audit also proves the cycle ledger
+/// sums to every processor's clock.
+#[cfg(test)]
+pub(crate) fn run_body<R: Send>(
+    platform: &Platform,
+    body: impl Fn(&dyn System) -> R + Send + Sync,
+) -> (Vec<R>, RunReport) {
+    let run = |sys: &dyn System, _: &()| body(sys);
+    let (out, _) = run_on_traced(platform, 1 << 16, |_| (), |_, _| {}, run, Some(0));
+    (out.results, out.report)
 }
 
 #[cfg(test)]
@@ -783,7 +724,7 @@ mod tests {
             part1: true,
             so: None,
             tuning: DsmTuning {
-                protocol: crate::dsm::DsmProtocol::Ivy,
+                protocol: DsmProtocol::Ivy,
                 ..Default::default()
             },
         };
@@ -865,6 +806,10 @@ mod tests {
         let b_flaky = flaky.1.bus.unwrap();
         assert_eq!(b_clean.retries, 0);
         assert!(b_flaky.retries > 0, "{b_flaky:?}");
+        // The same plan drives the inter-node links, masked by the armed
+        // retransmission layer.
+        assert!(flaky.1.net_faults.drops > 0, "{:?}", flaky.1.net_faults);
+        assert!(flaky.1.reliability.retransmissions > 0);
     }
 
     #[test]

@@ -366,7 +366,6 @@ pub(crate) fn ctx_sync<M, R>(
 mod tests {
     use super::*;
     use crate::testutil::{lock, panic_message, unlock, TestLock};
-    use crate::Engine;
 
     #[test]
     fn single_proc_advances() {

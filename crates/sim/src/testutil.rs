@@ -5,7 +5,7 @@
 
 use std::collections::VecDeque;
 
-use crate::{Ctx, Cycle};
+use crate::Ctx;
 
 /// A tiny spin-free lock implemented with block/wake.
 #[derive(Default)]

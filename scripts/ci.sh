@@ -1,13 +1,14 @@
 #!/bin/sh
-# CI gate: tier-1 verification plus the quick smoke tier of the experiment
-# suite (tiny inputs, 1-4 processors; covers every default experiment's
+# CI gate: tier-1 verification (every crate's tests) plus the quick smoke
+# tier of the experiment suite (tiny inputs, 1-4 processors; covers every default experiment's
 # sections, the scheduler, and the JSON emitters).
 set -eu
 cd "$(dirname "$0")/.."
 
-echo "== tier-1: build + tests =="
-cargo build --release
-cargo test -q
+echo "== tier-1: build + tests (whole workspace, warnings are errors) =="
+export RUSTFLAGS="-D warnings"
+cargo build --release --workspace
+cargo test -q --workspace
 
 echo "== smoke: quick-tier suite =="
 mkdir -p target/smoke

@@ -2,8 +2,9 @@
 //! simulated processor) and the cooperative engine (single-threaded event
 //! loop over stackful coroutines) are two implementations of the same
 //! conservative simulation semantics, and must be byte-for-byte
-//! interchangeable. These tests pin that down on randomized runs — LRC and
-//! IVY, clean and lossy networks, GC on and off — and on the watchdog
+//! interchangeable. These tests pin that down on randomized runs — AS under
+//! LRC and IVY plus the HS hybrid, clean and lossy networks, GC on and off —
+//! and on the watchdog
 //! paths, where even the panic messages must compare equal.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -19,24 +20,43 @@ use tmk::net::FaultPlan;
 use tmk::parmacs::Workload;
 use tmk::sim::EngineKind;
 
-fn dsm_platform(procs: usize, ivy: bool, seed: u64, drop_permille: u32, gc: bool) -> Platform {
-    Platform::AsCluster {
-        procs,
-        part1: false,
-        so: None,
-        tuning: DsmTuning {
-            protocol: if ivy { DsmProtocol::Ivy } else { DsmProtocol::Lrc },
-            faults: (drop_permille > 0)
-                .then(|| FaultPlan::drop_rate(seed, drop_permille as f64 / 1000.0)),
-            reliability: (drop_permille > 0).then(RetransmitPolicy::default),
-            // Safety net far above any legitimate run, in case a random
-            // configuration ever livelocks retransmission.
-            watchdog_budget: Some(4_000_000_000_000),
-            // Tiny inputs carry little metadata; threshold 1 collects at
-            // every barrier, exercising the GC protocol end to end.
-            gc: gc.then_some(1),
-            ..Default::default()
-        },
+/// An AS cluster of `procs` nodes, or — with `hs` — the HS hybrid as
+/// `procs` nodes of 2 processors (always LRC).
+fn dsm_platform(
+    procs: usize,
+    ivy: bool,
+    hs: bool,
+    seed: u64,
+    drop_permille: u32,
+    gc: bool,
+) -> Platform {
+    let tuning = DsmTuning {
+        protocol: if ivy && !hs { DsmProtocol::Ivy } else { DsmProtocol::Lrc },
+        faults: (drop_permille > 0)
+            .then(|| FaultPlan::drop_rate(seed, drop_permille as f64 / 1000.0)),
+        reliability: (drop_permille > 0).then(RetransmitPolicy::default),
+        // Safety net far above any legitimate run, in case a random
+        // configuration ever livelocks retransmission.
+        watchdog_budget: Some(4_000_000_000_000),
+        // Tiny inputs carry little metadata; threshold 1 collects at
+        // every barrier, exercising the GC protocol end to end.
+        gc: gc.then_some(1),
+        ..Default::default()
+    };
+    if hs {
+        Platform::Hs {
+            nodes: procs,
+            per_node: 2,
+            so: None,
+            tuning,
+        }
+    } else {
+        Platform::AsCluster {
+            procs,
+            part1: false,
+            so: None,
+            tuning,
+        }
     }
 }
 
@@ -60,20 +80,21 @@ fn fingerprint<W: Workload>(kind: EngineKind, p: &Platform, w: &W) -> String {
 
 proptest! {
     // Each case simulates the same (tiny) run once per engine; a handful of
-    // cases covers LRC/IVY x clean/lossy x GC on/off x 2-4 processors.
-    #![proptest_config(ProptestConfig::with_cases(10))]
+    // cases covers AS-LRC/AS-IVY/HS x clean/lossy x GC on/off x 2-4 nodes.
+    #![proptest_config(ProptestConfig::with_cases(14))]
 
     #[test]
     fn engines_agree_on_random_dsm_runs(
         procs in 2usize..5,
         ivy in any::<bool>(),
+        hs in any::<bool>(),
         seed in any::<u64>(),
         drop_permille in 0u32..31,
         gc in any::<bool>(),
         use_tsp in any::<bool>(),
     ) {
         set_op_trace(true);
-        let p = dsm_platform(procs, ivy, seed, drop_permille, gc);
+        let p = dsm_platform(procs, ivy, hs, seed, drop_permille, gc);
         let (threaded, coop) = if use_tsp {
             let w = tsp::Tsp::new(8);
             (fingerprint(EngineKind::Threaded, &p, &w), fingerprint(EngineKind::Coop, &p, &w))
@@ -102,28 +123,44 @@ fn verdict<W: Workload + std::panic::RefUnwindSafe>(
         .expect("watchdog panics carry a message")
 }
 
+/// AS-`nodes` and HS `nodes`x2 under the same tuning: the watchdog paths
+/// below must behave alike on both machines.
+fn both_machines(nodes: usize, tuning: DsmTuning) -> [Platform; 2] {
+    [
+        Platform::AsCluster {
+            procs: nodes,
+            part1: false,
+            so: None,
+            tuning: tuning.clone(),
+        },
+        Platform::Hs {
+            nodes,
+            per_node: 2,
+            so: None,
+            tuning,
+        },
+    ]
+}
+
 #[test]
 fn budget_watchdog_verdicts_match_across_engines() {
     // A budget far below any real finishing time: the watchdog fires
     // mid-run and dumps every processor's state plus machine diagnostics.
-    let p = Platform::AsCluster {
-        procs: 3,
-        part1: false,
-        so: None,
-        tuning: DsmTuning {
-            watchdog_budget: Some(10_000),
-            ..Default::default()
-        },
+    let tuning = DsmTuning {
+        watchdog_budget: Some(10_000),
+        ..Default::default()
     };
-    let w = sor::Sor::tiny();
-    let threaded = verdict(EngineKind::Threaded, &p, &w);
-    let coop = verdict(EngineKind::Coop, &p, &w);
-    assert!(
-        threaded.contains("passed the cycle budget"),
-        "got: {threaded}"
-    );
-    assert!(threaded.contains("machine diagnostics"), "got: {threaded}");
-    assert_eq!(threaded, coop, "watchdog dumps must be byte-identical");
+    for p in both_machines(3, tuning) {
+        let w = sor::Sor::tiny();
+        let threaded = verdict(EngineKind::Threaded, &p, &w);
+        let coop = verdict(EngineKind::Coop, &p, &w);
+        assert!(
+            threaded.contains("passed the cycle budget"),
+            "got: {threaded}"
+        );
+        assert!(threaded.contains("machine diagnostics"), "got: {threaded}");
+        assert_eq!(threaded, coop, "watchdog dumps must be byte-identical");
+    }
 }
 
 #[test]
@@ -132,22 +169,18 @@ fn deadlock_verdicts_match_across_engines() {
     // remote acquire hangs its cascade and the all-blocked detector aborts
     // the run with a dump naming each blocked processor and what it waits
     // on.
-    let p = Platform::AsCluster {
-        procs: 2,
-        part1: false,
-        so: None,
-        tuning: DsmTuning {
-            faults: Some(
-                FaultPlan::drop_rate(7, 1.0)
-                    .with_class_mask(tmk::dsm::MsgClass::SyncLock.bit()),
-            ),
-            ..Default::default()
-        },
+    let tuning = DsmTuning {
+        faults: Some(
+            FaultPlan::drop_rate(7, 1.0).with_class_mask(tmk::dsm::MsgClass::SyncLock.bit()),
+        ),
+        ..Default::default()
     };
-    let w = tsp::Tsp::new(8);
-    let threaded = verdict(EngineKind::Threaded, &p, &w);
-    let coop = verdict(EngineKind::Coop, &p, &w);
-    assert!(threaded.contains("simulation deadlock"), "got: {threaded}");
-    assert!(threaded.contains("blocked"), "got: {threaded}");
-    assert_eq!(threaded, coop, "deadlock dumps must be byte-identical");
+    for p in both_machines(2, tuning) {
+        let w = tsp::Tsp::new(8);
+        let threaded = verdict(EngineKind::Threaded, &p, &w);
+        let coop = verdict(EngineKind::Coop, &p, &w);
+        assert!(threaded.contains("simulation deadlock"), "got: {threaded}");
+        assert!(threaded.contains("blocked"), "got: {threaded}");
+        assert_eq!(threaded, coop, "deadlock dumps must be byte-identical");
+    }
 }

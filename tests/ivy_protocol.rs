@@ -5,7 +5,6 @@
 
 use tmk::apps::{sor, tsp, water};
 use tmk::machines::{run_workload, DsmProtocol, DsmTuning, Platform};
-use tmk::parmacs::Workload;
 
 fn ivy(procs: usize) -> Platform {
     Platform::AsCluster {

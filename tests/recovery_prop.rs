@@ -1,6 +1,6 @@
 //! Property tests for crash-fault recovery: a single node crash scheduled at
-//! *any* cycle — under LRC or IVY, on a clean or lossy network, permanent or
-//! transient — must leave the application results byte-identical to the
+//! *any* cycle — on the AS cluster under LRC or IVY or on the HS hybrid, on a
+//! clean or lossy network, permanent or transient — must leave the application results byte-identical to the
 //! crash-free run once barrier-epoch checkpointing and the retransmission
 //! layer are armed, and every cycle the recovery charges must land in the
 //! ledger without breaking the exact sum-to-clock invariant.
@@ -29,9 +29,26 @@ fn snappy() -> RetransmitPolicy {
     }
 }
 
+/// Which machine a case runs on: an AS cluster of `procs` uniprocessor
+/// nodes under either protocol, or the HS hybrid (always LRC) as 4 nodes of
+/// 2 processors.
+#[derive(Debug, Clone, Copy)]
+enum Machine {
+    As { procs: usize, ivy: bool },
+    Hs,
+}
+
+impl Machine {
+    fn nodes(self) -> usize {
+        match self {
+            Machine::As { procs, .. } => procs,
+            Machine::Hs => 4,
+        }
+    }
+}
+
 fn platform(
-    procs: usize,
-    ivy: bool,
+    machine: Machine,
     seed: u64,
     drop_permille: u32,
     crash: Option<(usize, u64, Option<u64>)>,
@@ -40,33 +57,42 @@ fn platform(
     if let Some((node, at, restart)) = crash {
         plan = plan.with_crash(node, at, restart);
     }
-    Platform::AsCluster {
-        procs,
-        part1: false,
-        so: None,
-        tuning: DsmTuning {
-            protocol: if ivy { DsmProtocol::Ivy } else { DsmProtocol::Lrc },
-            faults: Some(plan),
-            reliability: Some(snappy()),
-            checkpoints: crash.is_some(),
-            // Safety net far above any legitimate run, in case a random
-            // configuration ever livelocks retransmission or recovery.
-            watchdog_budget: Some(4_000_000_000_000),
-            ..Default::default()
+    let ivy = matches!(machine, Machine::As { ivy: true, .. });
+    let tuning = DsmTuning {
+        protocol: if ivy { DsmProtocol::Ivy } else { DsmProtocol::Lrc },
+        faults: Some(plan),
+        reliability: Some(snappy()),
+        checkpoints: crash.is_some(),
+        // Safety net far above any legitimate run, in case a random
+        // configuration ever livelocks retransmission or recovery.
+        watchdog_budget: Some(4_000_000_000_000),
+        ..Default::default()
+    };
+    match machine {
+        Machine::As { procs, .. } => Platform::AsCluster {
+            procs,
+            part1: false,
+            so: None,
+            tuning,
+        },
+        Machine::Hs => Platform::Hs {
+            nodes: 4,
+            per_node: 2,
+            so: None,
+            tuning,
         },
     }
 }
 
 fn check_one<W: Workload>(
-    procs: usize,
-    ivy: bool,
+    machine: Machine,
     seed: u64,
     drop_permille: u32,
     crash: (usize, u64, Option<u64>),
     w: &W,
 ) -> Result<(), TestCaseError> {
-    let base = run_workload(&platform(procs, ivy, seed, drop_permille, None), w);
-    let p = platform(procs, ivy, seed, drop_permille, Some(crash));
+    let base = run_workload(&platform(machine, seed, drop_permille, None), w);
+    let p = platform(machine, seed, drop_permille, Some(crash));
     let (run, buf) = run_workload_traced(&p, w, Some(0));
     let buf = buf.expect("tracing armed");
 
@@ -109,14 +135,16 @@ fn check_one<W: Workload>(
 
 proptest! {
     // Each case simulates three full (tiny) parallel runs; a handful of
-    // cases already covers LRC/IVY x clean/lossy x permanent/transient x
-    // crash cycles from the first page fetch to past the natural end.
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    // cases already covers AS-LRC/AS-IVY/HS x clean/lossy x permanent/
+    // transient x crash cycles from the first page fetch to past the
+    // natural end.
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
     fn single_crash_at_any_cycle_recovers_byte_identically(
         procs in 2usize..5,
         ivy in any::<bool>(),
+        hs in any::<bool>(),
         seed in any::<u64>(),
         drop_permille in 0u32..16,
         node in 0usize..4,
@@ -127,11 +155,12 @@ proptest! {
         // 0 encodes a permanent crash; otherwise a transient outage shorter
         // than the detection window, masked by retransmission alone.
         let restart = (restart > 0).then_some(restart * 60_000);
-        let crash = (node % procs, crash_at, restart);
+        let machine = if hs { Machine::Hs } else { Machine::As { procs, ivy } };
+        let crash = (node % machine.nodes(), crash_at, restart);
         if use_tsp {
-            check_one(procs, ivy, seed, drop_permille, crash, &tsp::Tsp::new(8))?;
+            check_one(machine, seed, drop_permille, crash, &tsp::Tsp::new(8))?;
         } else {
-            check_one(procs, ivy, seed, drop_permille, crash, &sor::Sor::tiny())?;
+            check_one(machine, seed, drop_permille, crash, &sor::Sor::tiny())?;
         }
     }
 }
