@@ -10,6 +10,22 @@
 
 use crate::WORD;
 
+/// Bytes compared at once while skipping unchanged regions (a whole number
+/// of words, so a scan that starts word-aligned stays word-aligned).
+const CHUNK: usize = 4 * WORD;
+
+/// Length of the longest common whole-word prefix of two equally long,
+/// whole-word buffers.
+fn equal_prefix(a: &[u8], b: &[u8]) -> usize {
+    let (a_chunks, b_chunks) = (a.as_chunks::<CHUNK>().0, b.as_chunks::<CHUNK>().0);
+    let same = a_chunks.iter().zip(b_chunks).take_while(|(x, y)| x == y);
+    let mut at = CHUNK * same.count();
+    while at < a.len() && a[at..at + WORD] == b[at..at + WORD] {
+        at += WORD;
+    }
+    at
+}
+
 /// One contiguous run of modified bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Run {
@@ -28,32 +44,33 @@ pub struct Diff {
 impl Diff {
     /// Computes the word-granular diff turning `twin` into `current`.
     ///
+    /// Equal regions are skipped a [`CHUNK`] at a time; only around a
+    /// mismatch does the scan drop to words, so a mostly-unchanged page
+    /// costs about a sixteenth of the word compares.
+    ///
     /// # Panics
     ///
     /// Panics if the buffers differ in length or are not whole words.
     pub fn compute(twin: &[u8], current: &[u8]) -> Diff {
         assert_eq!(twin.len(), current.len(), "twin/page length mismatch");
         assert_eq!(twin.len() % WORD, 0, "page must be whole words");
-        let words = twin.len() / WORD;
+        let len = twin.len();
+        let differs = |at: usize| twin[at..at + WORD] != current[at..at + WORD];
         let mut runs = Vec::new();
-        let mut w = 0;
-        while w < words {
-            let at = w * WORD;
-            if twin[at..at + WORD] != current[at..at + WORD] {
-                let start = w;
-                while w < words && {
-                    let a = w * WORD;
-                    twin[a..a + WORD] != current[a..a + WORD]
-                } {
-                    w += 1;
-                }
-                runs.push(Run {
-                    offset: (start * WORD) as u32,
-                    bytes: current[start * WORD..w * WORD].to_vec(),
-                });
-            } else {
-                w += 1;
+        let mut at = 0;
+        loop {
+            at += equal_prefix(&twin[at..], &current[at..]);
+            if at == len {
+                break;
             }
+            let start = at;
+            while at < len && differs(at) {
+                at += WORD;
+            }
+            runs.push(Run {
+                offset: start as u32,
+                bytes: current[start..at].to_vec(),
+            });
         }
         Diff { runs }
     }
@@ -116,6 +133,91 @@ impl Diff {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The word-at-a-time scan [`Diff::compute`] replaced, kept as the
+    /// reference the chunked scan must match run for run.
+    fn compute_by_words(twin: &[u8], current: &[u8]) -> Diff {
+        let words = twin.len() / WORD;
+        let mut runs = Vec::new();
+        let mut w = 0;
+        while w < words {
+            let at = w * WORD;
+            if twin[at..at + WORD] != current[at..at + WORD] {
+                let start = w;
+                while w < words && {
+                    let a = w * WORD;
+                    twin[a..a + WORD] != current[a..a + WORD]
+                } {
+                    w += 1;
+                }
+                runs.push(Run {
+                    offset: (start * WORD) as u32,
+                    bytes: current[start * WORD..w * WORD].to_vec(),
+                });
+            } else {
+                w += 1;
+            }
+        }
+        Diff { runs }
+    }
+
+    /// A page of `words` words with the given word ranges rewritten.
+    fn rewritten(words: usize, ranges: &[(usize, usize)]) -> (Vec<u8>, Vec<u8>) {
+        let twin: Vec<u8> = (0..words * WORD).map(|i| (i * 7 + 1) as u8).collect();
+        let mut cur = twin.clone();
+        for &(start, len) in ranges {
+            for b in &mut cur[start * WORD..(start + len).min(words) * WORD] {
+                *b = !*b;
+            }
+        }
+        (twin, cur)
+    }
+
+    #[test]
+    fn chunked_scan_matches_word_scan_at_every_chunk_offset() {
+        for words in [1, 3, 4, 5, 256, 1024] {
+            // All equal, all different.
+            let (twin, cur) = rewritten(words, &[]);
+            assert_eq!(Diff::compute(&twin, &cur), compute_by_words(&twin, &cur));
+            assert!(Diff::compute(&twin, &cur).is_empty());
+            let (twin, cur) = rewritten(words, &[(0, words)]);
+            assert_eq!(Diff::compute(&twin, &cur), compute_by_words(&twin, &cur));
+            assert_eq!(Diff::compute(&twin, &cur).run_count(), 1);
+            // A single word at each position of the first, a middle and the
+            // last chunk; runs of every short length straddling boundaries.
+            let near = |w: usize| w < 12 || w + 12 >= words || w.abs_diff(words / 2) < 6;
+            for w in (0..words).filter(|&w| near(w)) {
+                for len in 1..=9 {
+                    let (twin, cur) = rewritten(words, &[(w, len)]);
+                    let d = Diff::compute(&twin, &cur);
+                    let by_words = compute_by_words(&twin, &cur);
+                    assert_eq!(d, by_words, "{words} words, {len} at {w}");
+                    assert_eq!(d.run_count(), 1);
+                    assert_eq!(d.data_bytes(), len.min(words - w) * WORD);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        /// Arbitrary run layouts on 1 KiB and 4 KiB pages.
+        #[test]
+        fn chunked_scan_matches_word_scan(
+            big in any::<bool>(),
+            ranges in proptest::collection::vec((0usize..1024, 1usize..40), 0..24),
+        ) {
+            let words = if big { 1024 } else { 256 };
+            let ranges: Vec<_> = ranges.into_iter().map(|(s, l)| (s % words, l)).collect();
+            let (twin, cur) = rewritten(words, &ranges);
+            let d = Diff::compute(&twin, &cur);
+            prop_assert_eq!(&d, &compute_by_words(&twin, &cur));
+            let mut page = twin.clone();
+            d.apply(&mut page);
+            prop_assert_eq!(page, cur);
+        }
+    }
 
     fn page(words: &[u32]) -> Vec<u8> {
         words.iter().flat_map(|w| w.to_le_bytes()).collect()

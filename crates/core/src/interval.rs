@@ -7,12 +7,26 @@
 //! has learned about, from any node, until barrier-time garbage collection
 //! retires the prefix every node's vector time dominates.
 
+use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
+
 use crate::{NodeId, PageId, Seq, VTime};
 
 /// An interval as transmitted on the wire (inside lock grants and barrier
-/// messages).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IntervalMsg {
+/// messages) and as held in every node's [`IntervalStore`].
+///
+/// A cheap handle to one immutable [`IntervalData`] built when the interval
+/// closes: the host keeps a single record per interval however many stores
+/// and in-flight messages name it. The *simulated* nodes each hold their own
+/// copy, which is what [`wire_bytes`](Self::wire_bytes) and the
+/// store's byte accounting keep charging.
+#[derive(Clone, PartialEq, Eq)]
+pub struct IntervalMsg(Arc<IntervalData>);
+
+/// The contents of an [`IntervalMsg`].
+#[derive(PartialEq, Eq)]
+pub struct IntervalData {
     /// The node that executed the interval.
     pub node: NodeId,
     /// Its 1-based sequence number within that node.
@@ -34,13 +48,18 @@ impl IntervalMsg {
     pub fn new(node: NodeId, seq: Seq, vt: VTime, mut pages: Vec<PageId>) -> Self {
         pages.sort_unstable();
         let runs = count_runs(&pages);
-        IntervalMsg {
+        IntervalMsg(Arc::new(IntervalData {
             node,
             seq,
             vt,
             pages,
             runs,
-        }
+        }))
+    }
+
+    /// Whether two handles name the same host allocation.
+    pub fn ptr_eq(a: &IntervalMsg, b: &IntervalMsg) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
     }
 
     /// Wire size: ids + vector time + run-length-encoded write notices
@@ -53,6 +72,28 @@ impl IntervalMsg {
     /// Number of maximal runs of consecutive page ids (cached).
     pub fn notice_runs(&self) -> usize {
         self.runs
+    }
+}
+
+impl Deref for IntervalMsg {
+    type Target = IntervalData;
+
+    fn deref(&self) -> &IntervalData {
+        &self.0
+    }
+}
+
+/// Prints the record's fields directly, so message dumps do not grow a
+/// wrapper layer.
+impl fmt::Debug for IntervalMsg {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("IntervalMsg")
+            .field("node", &self.node)
+            .field("seq", &self.seq)
+            .field("vt", &self.vt)
+            .field("pages", &self.pages)
+            .field("runs", &self.runs)
+            .finish()
     }
 }
 
@@ -69,16 +110,8 @@ fn count_runs(sorted: &[PageId]) -> usize {
     runs
 }
 
-/// One node's record of a (possibly remote) interval.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IntervalRec {
-    /// Closing vector time.
-    pub vt: VTime,
-    /// Pages dirtied (ascending; inserted from sorted wire messages).
-    pub pages: Vec<PageId>,
-}
-
-fn rec_bytes(rec: &IntervalRec) -> usize {
+/// Modelled resident size of one node's copy of an interval record.
+fn rec_bytes(rec: &IntervalData) -> usize {
     16 + rec.vt.wire_bytes() + rec.pages.len() * 8
 }
 
@@ -92,12 +125,14 @@ fn rec_bytes(rec: &IntervalRec) -> usize {
 /// advances the floor at barrier-time GC.
 #[derive(Debug, Clone, Default)]
 pub struct IntervalStore {
-    by_node: Vec<Vec<IntervalRec>>,
+    by_node: Vec<Vec<IntervalMsg>>,
     /// Per creator: highest retired sequence (records `<= retired[q]` are
     /// gone; lookups below the floor return `None`).
     retired: Vec<Seq>,
-    /// Approximate resident bytes of the live records, maintained
-    /// incrementally for the memory ledger and the GC trigger.
+    /// Approximate resident bytes of the live records as the simulated node
+    /// holds them (its own full copy of each, although the host shares
+    /// them), maintained incrementally for the memory ledger and the GC
+    /// trigger.
     bytes: usize,
 }
 
@@ -122,7 +157,7 @@ impl IntervalStore {
     }
 
     /// Looks up interval `(node, seq)`. Returns `None` below the GC floor.
-    pub fn get(&self, node: NodeId, seq: Seq) -> Option<&IntervalRec> {
+    pub fn get(&self, node: NodeId, seq: Seq) -> Option<&IntervalMsg> {
         debug_assert!(seq >= 1);
         if seq <= self.retired[node] {
             return None;
@@ -151,20 +186,22 @@ impl IntervalStore {
             have,
             msg.seq
         );
-        let rec = IntervalRec {
-            vt: msg.vt.clone(),
-            pages: msg.pages.clone(),
-        };
-        self.bytes += rec_bytes(&rec);
-        self.by_node[msg.node].push(rec);
+        self.push(msg);
     }
 
     /// Records an interval this node itself just closed.
-    pub fn record_own(&mut self, node: NodeId, seq: Seq, vt: VTime, pages: Vec<PageId>) {
-        assert_eq!(seq, self.frontier(node) + 1, "own interval out of order");
-        let rec = IntervalRec { vt, pages };
-        self.bytes += rec_bytes(&rec);
-        self.by_node[node].push(rec);
+    pub fn record_own(&mut self, msg: &IntervalMsg) {
+        assert_eq!(
+            msg.seq,
+            self.frontier(msg.node) + 1,
+            "own interval out of order"
+        );
+        self.push(msg);
+    }
+
+    fn push(&mut self, msg: &IntervalMsg) {
+        self.bytes += rec_bytes(msg);
+        self.by_node[msg.node].push(msg.clone());
     }
 
     /// All intervals covered by `upto` but not by `from`, as wire messages —
@@ -176,9 +213,9 @@ impl IntervalStore {
         for q in 0..self.by_node.len() {
             let lo = from.get(q).max(self.retired[q]);
             let hi = upto.get(q).min(self.frontier(q));
-            for seq in (lo + 1)..=hi {
-                let rec = &self.by_node[q][(seq - self.retired[q]) as usize - 1];
-                out.push(IntervalMsg::new(q, seq, rec.vt.clone(), rec.pages.clone()));
+            if lo < hi {
+                let base = self.retired[q];
+                out.extend_from_slice(&self.by_node[q][(lo - base) as usize..(hi - base) as usize]);
             }
         }
         out
@@ -262,6 +299,74 @@ mod tests {
         let got = s.between(&from, &upto);
         let keys: Vec<_> = got.iter().map(|m| (m.node, m.seq)).collect();
         assert_eq!(keys, vec![(0, 2), (1, 1)]);
+    }
+
+    /// The host keeps one record per interval: what `between` hands out is
+    /// the allocation that went in, not a rebuilt copy.
+    #[test]
+    fn between_hands_back_the_inserted_allocation() {
+        let mut s = IntervalStore::new(2);
+        let own = msg(0, 1, 2, &[1]);
+        let theirs = msg(1, 1, 2, &[9]);
+        s.record_own(&own);
+        s.insert(&theirs);
+        let mut upto = VTime::zero(2);
+        upto.set(0, 1);
+        upto.set(1, 1);
+        let got = s.between(&VTime::zero(2), &upto);
+        assert_eq!(got.len(), 2);
+        assert!(IntervalMsg::ptr_eq(&got[0], &own));
+        assert!(IntervalMsg::ptr_eq(&got[1], &theirs));
+        assert!(IntervalMsg::ptr_eq(s.get(1, 1).unwrap(), &theirs));
+        // An equal but separately built message is a different allocation.
+        assert_eq!(got[0], msg(0, 1, 2, &[1]));
+        assert!(!IntervalMsg::ptr_eq(&got[0], &msg(0, 1, 2, &[1])));
+    }
+
+    /// Sharing the host allocation must not change what a simulated node is
+    /// charged: every live record costs its full modelled size, per store.
+    #[test]
+    fn approx_bytes_charges_every_store_the_full_record() {
+        let n = 4;
+        let modelled = |m: &IntervalMsg| 16 + n * std::mem::size_of::<Seq>() + m.pages.len() * 8;
+        let msgs = [
+            msg(0, 1, n, &[1, 2, 3]),
+            msg(0, 2, n, &[]),
+            msg(2, 1, n, &[7, 9]),
+            msg(0, 3, n, &[4]),
+            msg(2, 2, n, &[5, 6, 7, 8]),
+        ];
+        let (mut a, mut b) = (IntervalStore::new(n), IntervalStore::new(n));
+        let mut expect = 0;
+        for m in &msgs {
+            a.insert(m);
+            b.insert(m); // a second store sharing the same records
+            a.insert(m); // re-delivery is free
+            expect += modelled(m);
+            assert_eq!(a.approx_bytes(), expect);
+            assert_eq!(b.approx_bytes(), expect);
+        }
+        let mut floor = VTime::zero(n);
+        floor.set(0, 2);
+        floor.set(2, 1);
+        let (records, freed) = a.retire_below(&floor);
+        assert_eq!(records, 3);
+        let gone: usize = msgs[..3].iter().map(modelled).sum();
+        assert_eq!(freed as usize, gone);
+        assert_eq!(a.approx_bytes(), expect - gone);
+        assert_eq!(b.approx_bytes(), expect, "the other store keeps its copies");
+        let next = msg(0, 4, n, &[1]);
+        a.insert(&next);
+        assert_eq!(a.approx_bytes(), expect - gone + modelled(&next));
+    }
+
+    #[test]
+    fn debug_prints_the_record_without_a_wrapper() {
+        let text = format!("{:?}", msg(1, 2, 2, &[4, 5]));
+        assert_eq!(
+            text,
+            "IntervalMsg { node: 1, seq: 2, vt: VTime[0, 2], pages: [4, 5], runs: 1 }"
+        );
     }
 
     #[test]

@@ -76,7 +76,7 @@ mod vt;
 
 pub use cluster::{Cluster, RecoverySummary, Traffic};
 pub use diff::Diff;
-pub use interval::{IntervalMsg, IntervalStore};
+pub use interval::{IntervalData, IntervalMsg, IntervalStore};
 pub use msg::{Action, BodyBytes, Envelope, Msg, MsgClass};
 pub use ivy::IvyNode;
 pub use node::{FaultStart, Handled, Node, NodeCheckpoint, StartAcquire};

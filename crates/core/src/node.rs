@@ -6,7 +6,7 @@
 //! transport and timing (see [`crate::Cluster`], [`crate::runtime`], and the
 //! machine models in `tmk-machines`).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use crate::interval::IntervalMsg;
 use crate::page::{FetchState, PageMeta};
@@ -204,7 +204,7 @@ impl Node {
     pub fn new(id: NodeId, cfg: Config) -> Node {
         assert!(id < cfg.nodes);
         let n = cfg.nodes;
-        let pages = (0..cfg.segment_pages).map(|_| PageMeta::new(n)).collect();
+        let pages = vec![PageMeta::default(); cfg.segment_pages];
         Node {
             id,
             vt: VTime::zero(n),
@@ -254,18 +254,27 @@ impl Node {
     }
 
     /// A one-line diagnostic summary of a page's protocol state
-    /// (valid/twin/dirty flags, applied versions, pending notices,
-    /// materialized diff sequences, undiffed intervals).
+    /// (valid/twin/dirty flags, applied versions and pending notices of the
+    /// writers the page knows, materialized diff sequences, undiffed
+    /// intervals).
     pub fn page_debug(&self, page: PageId) -> String {
         let p = &self.pages[page];
+        let applied: BTreeMap<NodeId, Seq> =
+            p.writers().iter().map(|w| (w.node, w.applied)).collect();
+        let pending: BTreeMap<NodeId, &[Seq]> = p
+            .writers()
+            .iter()
+            .filter(|w| !w.pending.is_empty())
+            .map(|w| (w.node, w.pending.as_slice()))
+            .collect();
         format!(
             "valid={} data={} twin={} open_dirty={} applied={:?} pending={:?} diffs={:?} undiffed={:?}",
             p.is_valid(),
             p.data.is_some(),
             p.twin.is_some(),
             p.open_dirty,
-            p.applied,
-            p.pending,
+            applied,
+            pending,
             p.my_diffs
                 .iter()
                 .map(|(s, d)| (*s, d.data_bytes()))
@@ -542,12 +551,7 @@ impl Node {
         let me = self.id;
         let p = &self.pages[page];
         let need_base = p.data.is_none();
-        let mut reqs: Vec<(NodeId, Seq, Seq)> = Vec::new();
-        for q in 0..self.cfg.nodes {
-            if let Some(&last) = p.pending[q].last() {
-                reqs.push((q, p.applied[q], last));
-            }
-        }
+        let reqs: Vec<(NodeId, Seq, Seq)> = p.fetch_requests().collect();
         if need_base {
             sends.push(Envelope {
                 from: me,
@@ -613,7 +617,7 @@ impl Node {
         causal_sort(&mut diffs);
         for (q, seq, _vt, diff) in diffs {
             let p = &mut self.pages[page];
-            if seq <= p.applied[q] {
+            if seq <= p.applied(q) {
                 continue; // subsumed by the base copy
             }
             let data = p.data.as_mut().expect("base present before diffs");
@@ -677,12 +681,10 @@ impl Node {
             p.mark_applied(self.id, seq);
         }
         self.stats.intervals_closed += 1;
-        // Build the message first: its constructor sorts the notices, so the
-        // store records them sorted too and later reconstructions
-        // ([`IntervalStore::between`]) produce identical wire messages.
+        // The one record of this interval: the store and every grant,
+        // departure and update that carries it share this allocation.
         let msg = IntervalMsg::new(self.id, seq, self.vt.clone(), pages);
-        self.store
-            .record_own(self.id, seq, msg.vt.clone(), msg.pages.clone());
+        self.store.record_own(&msg);
         self.ledger_note();
         Some(msg)
     }
@@ -888,17 +890,10 @@ impl Node {
     }
 
     fn own_intervals_since(&self, from: Seq) -> Vec<IntervalMsg> {
-        let mut out = Vec::new();
-        for seq in (from + 1)..=self.vt.get(self.id) {
-            let rec = self.store.get(self.id, seq).expect("own interval recorded");
-            out.push(IntervalMsg::new(
-                self.id,
-                seq,
-                rec.vt.clone(),
-                rec.pages.clone(),
-            ));
-        }
-        out
+        let own = |seq| self.store.get(self.id, seq).expect("own interval recorded");
+        ((from + 1)..=self.vt.get(self.id))
+            .map(|seq| own(seq).clone())
+            .collect()
     }
 
     /// Records an arrival at the manager; true when all nodes have arrived.
@@ -999,7 +994,7 @@ impl Node {
         }
         let mut validating = 0;
         for page in 0..self.cfg.segment_pages {
-            if self.pages[page].pending.iter().all(Vec::is_empty) {
+            if !self.pages[page].has_pending() {
                 continue;
             }
             // A never-touched origin page still starts from the zero base.
@@ -1068,19 +1063,16 @@ impl Node {
             // A copy still awaiting retired diffs can never be brought
             // current: drop it, so the next fault fetches a whole page from
             // the validated origin.
-            if p.pending.iter().any(|v| !v.is_empty()) {
+            if p.has_pending() {
                 debug_assert_ne!(me, ORIGIN, "origin pages are validated before GC");
                 debug_assert!(p
-                    .pending
+                    .writers()
                     .iter()
-                    .enumerate()
-                    .all(|(q, v)| v.iter().all(|&s| s <= gc.floor.get(q))));
+                    .all(|w| w.pending.iter().all(|&s| s <= gc.floor.get(w.node))));
                 if p.data.take().is_some() {
                     self.stats.gc_pages_dropped += 1;
                 }
-                for v in &mut p.pending {
-                    v.clear();
-                }
+                p.clear_pending();
             }
         }
         self.ledger_note();
@@ -1281,7 +1273,7 @@ impl Node {
             .as_ref()
             .expect("page request sent to a node without a copy")
             .to_vec();
-        let version = p.applied.clone();
+        let version = p.version(self.cfg.nodes);
         Handled {
             sends: vec![Envelope {
                 from: self.id,
@@ -1402,14 +1394,13 @@ impl Node {
         }
         for (page, diff) in diffs {
             let p = &mut self.pages[page];
-            let in_order = p.applied[writer] + 1 == seq && p.pending[writer].is_empty();
+            let in_order = p.applied(writer) + 1 == seq;
             let causally_ready = interval
                 .vt
                 .iter()
-                .all(|(q, s)| q == writer || p.applied[q] >= s);
-            let pending_clear = p.pending.iter().all(Vec::is_empty);
+                .all(|(q, s)| q == writer || p.applied(q) >= s);
             let fetching = p.fetch.is_some();
-            if p.data.is_some() && in_order && causally_ready && pending_clear && !fetching {
+            if p.is_valid() && in_order && causally_ready && !fetching {
                 let data = p.data.as_mut().expect("checked above");
                 diff.apply(data);
                 if let Some(twin) = p.twin.as_mut() {

@@ -2,7 +2,24 @@
 
 use crate::{Diff, NodeId, Seq};
 
+/// What a node knows about one remote (or its own) writer of one page.
+#[derive(Debug, Clone)]
+pub(crate) struct Writer {
+    pub node: NodeId,
+    /// The highest interval sequence of `node` whose modifications are
+    /// reflected in the page's `data`.
+    pub applied: Seq,
+    /// Pending write-notice sequences (ascending, all above `applied`):
+    /// intervals known to have dirtied this page whose diffs are not yet
+    /// applied locally.
+    pub pending: Vec<Seq>,
+}
+
 /// A node's view of one shared page.
+///
+/// Writer state is sparse: only writers this node has heard of for this
+/// page have an entry, so the footprint follows actual sharing rather than
+/// cluster size, and a fresh page owns no heap allocation.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PageMeta {
     /// Local copy of the page, if the node ever fetched or originated one.
@@ -10,13 +27,12 @@ pub(crate) struct PageMeta {
     /// Twin taken at the first write of the current interval; present iff
     /// the page is dirty in the open interval.
     pub twin: Option<Box<[u8]>>,
-    /// Per writer node: the highest interval sequence whose modifications
-    /// are reflected in `data`.
-    pub applied: Vec<Seq>,
-    /// Per writer node: pending write-notice sequences (ascending), i.e.
-    /// intervals known to have dirtied this page whose diffs are not yet
-    /// applied locally. Non-empty ⇒ the local copy is invalid.
-    pub pending: Vec<Vec<Seq>>,
+    /// Known writers, ascending by node. A writer without an entry has
+    /// `applied == 0` and no pending notices.
+    writers: Vec<Writer>,
+    /// Total pending notices over all writers (`Σ pending.len()`), so
+    /// validity is O(1). Non-zero ⇒ the local copy is invalid.
+    npending: usize,
     /// Diffs this node itself materialized for the page, keyed by its own
     /// interval sequence (ascending). Kept for serving remote requests.
     /// Each diff is *cumulative*: it covers every own interval after the
@@ -50,44 +66,105 @@ pub(crate) struct FetchState {
 }
 
 impl PageMeta {
-    pub fn new(n: usize) -> Self {
-        PageMeta {
-            data: None,
-            twin: None,
-            applied: vec![0; n],
-            pending: vec![Vec::new(); n],
-            my_diffs: Vec::new(),
-            undiffed: Vec::new(),
-            open_dirty: false,
-            fetch: None,
-        }
-    }
-
     /// A copy is present and no write notices are unapplied.
     pub fn is_valid(&self) -> bool {
-        self.data.is_some() && self.pending.iter().all(Vec::is_empty)
+        self.data.is_some() && self.npending == 0
+    }
+
+    /// Any write notice is unapplied.
+    pub fn has_pending(&self) -> bool {
+        self.npending != 0
+    }
+
+    /// The writers this page knows about, ascending by node.
+    pub fn writers(&self) -> &[Writer] {
+        &self.writers
+    }
+
+    fn find(&self, writer: NodeId) -> Result<usize, usize> {
+        self.writers.binary_search_by_key(&writer, |w| w.node)
+    }
+
+    /// The highest interval of `writer` reflected in the local copy.
+    pub fn applied(&self, writer: NodeId) -> Seq {
+        self.find(writer).map_or(0, |i| self.writers[i].applied)
+    }
+
+    /// The applied-version vector as it travels in a page reply: one entry
+    /// per node of the cluster.
+    pub fn version(&self, nodes: usize) -> Vec<Seq> {
+        let mut version = vec![0; nodes];
+        for w in &self.writers {
+            version[w.node] = w.applied;
+        }
+        version
+    }
+
+    /// The diff ranges a fetch must ask for, ascending by writer:
+    /// `(writer, applied, last pending)`.
+    pub fn fetch_requests(&self) -> impl Iterator<Item = (NodeId, Seq, Seq)> + '_ {
+        self.writers
+            .iter()
+            .filter_map(|w| w.pending.last().map(|&last| (w.node, w.applied, last)))
+    }
+
+    /// The entry for `writer`, created (nothing applied, nothing pending)
+    /// if this page had not heard of it.
+    fn entry(writers: &mut Vec<Writer>, writer: NodeId) -> &mut Writer {
+        let i = match writers.binary_search_by_key(&writer, |w| w.node) {
+            Ok(i) => i,
+            Err(i) => {
+                let fresh = Writer {
+                    node: writer,
+                    applied: 0,
+                    pending: Vec::new(),
+                };
+                writers.insert(i, fresh);
+                i
+            }
+        };
+        &mut writers[i]
     }
 
     /// Registers a write notice `(writer, seq)` unless already applied or
     /// already pending. Notices may arrive out of order (eager-release
     /// updates race with lock grants), so insertion keeps the queue sorted.
     pub fn add_notice(&mut self, writer: NodeId, seq: Seq) {
-        if seq <= self.applied[writer] {
+        if seq == 0 {
+            return; // nothing is ever "not yet applied" at sequence zero
+        }
+        let w = Self::entry(&mut self.writers, writer);
+        if seq <= w.applied {
             return;
         }
-        let q = &mut self.pending[writer];
-        if let Err(pos) = q.binary_search(&seq) {
-            q.insert(pos, seq);
+        if let Err(pos) = w.pending.binary_search(&seq) {
+            w.pending.insert(pos, seq);
+            self.npending += 1;
         }
     }
 
     /// Marks everything up to `seq` from `writer` as applied, dropping the
     /// corresponding pending notices.
     pub fn mark_applied(&mut self, writer: NodeId, seq: Seq) {
-        if seq > self.applied[writer] {
-            self.applied[writer] = seq;
+        if seq == 0 {
+            return; // a dense version vector's zeros name no writer
         }
-        self.pending[writer].retain(|&s| s > self.applied[writer]);
+        let w = Self::entry(&mut self.writers, writer);
+        if seq <= w.applied {
+            return;
+        }
+        w.applied = seq;
+        let before = w.pending.len();
+        w.pending.retain(|&s| s > seq);
+        self.npending -= before - w.pending.len();
+    }
+
+    /// Forgets every pending notice (their intervals were retired by GC).
+    pub fn clear_pending(&mut self) {
+        for w in &mut self.writers {
+            w.pending.clear();
+        }
+        self.npending = 0;
     }
 
     /// The materialized diffs needed to cover own intervals in `(from, to]`.
@@ -113,10 +190,169 @@ impl PageMeta {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn pending(p: &PageMeta, writer: NodeId) -> &[Seq] {
+        p.find(writer).map_or(&[], |i| &p.writers[i].pending)
+    }
+
+    /// The dense representation this module replaced, kept as the reference
+    /// model: one `applied` entry and one `pending` queue per node of the
+    /// cluster, validity by scanning every queue.
+    struct DenseModel {
+        has_data: bool,
+        applied: Vec<Seq>,
+        pending: Vec<Vec<Seq>>,
+    }
+
+    impl DenseModel {
+        fn new(n: usize) -> Self {
+            DenseModel {
+                has_data: false,
+                applied: vec![0; n],
+                pending: vec![Vec::new(); n],
+            }
+        }
+
+        fn is_valid(&self) -> bool {
+            self.has_data && self.pending.iter().all(Vec::is_empty)
+        }
+
+        fn add_notice(&mut self, writer: NodeId, seq: Seq) {
+            if seq <= self.applied[writer] {
+                return;
+            }
+            let q = &mut self.pending[writer];
+            if let Err(pos) = q.binary_search(&seq) {
+                q.insert(pos, seq);
+            }
+        }
+
+        fn mark_applied(&mut self, writer: NodeId, seq: Seq) {
+            if seq > self.applied[writer] {
+                self.applied[writer] = seq;
+            }
+            self.pending[writer].retain(|&s| s > self.applied[writer]);
+        }
+
+        fn clear_pending(&mut self) {
+            for v in &mut self.pending {
+                v.clear();
+            }
+        }
+
+        fn fetch_requests(&self) -> Vec<(NodeId, Seq, Seq)> {
+            let mut reqs = Vec::new();
+            for q in 0..self.applied.len() {
+                if let Some(&last) = self.pending[q].last() {
+                    reqs.push((q, self.applied[q], last));
+                }
+            }
+            reqs
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        Notice(NodeId, Seq),
+        Applied(NodeId, Seq),
+        /// A page reply's dense version vector, applied entry by entry.
+        Base(Vec<Seq>),
+        GotData,
+        Clear,
+    }
+
+    const NODES: usize = 128;
+
+    /// Few distinct writers and a narrow sequence range, so duplicates,
+    /// out-of-order arrivals and `seq == 0` all occur often; writer ids
+    /// still span the whole 128-node cluster.
+    fn step_strategy() -> impl Strategy<Value = Step> {
+        let writer = prop_oneof![0usize..4, 0usize..NODES, Just(NODES - 1)];
+        let writer2 = prop_oneof![0usize..4, 0usize..NODES, Just(NODES - 1)];
+        prop_oneof![
+            (writer, 0u32..12).prop_map(|(w, s)| Step::Notice(w, s)),
+            (writer2, 0u32..12).prop_map(|(w, s)| Step::Applied(w, s)),
+            proptest::collection::vec((0usize..NODES, 0u32..12), 0..6).prop_map(|hits| {
+                let mut v = vec![0; NODES];
+                for (w, s) in hits {
+                    v[w] = s;
+                }
+                Step::Base(v)
+            }),
+            Just(Step::GotData),
+            Just(Step::Clear),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// The sparse page agrees with the dense model after every step.
+        #[test]
+        fn sparse_matches_dense_model(
+            steps in proptest::collection::vec(step_strategy(), 1..80)
+        ) {
+            let mut p = PageMeta::default();
+            let mut m = DenseModel::new(NODES);
+            for step in &steps {
+                match step {
+                    Step::Notice(w, s) => {
+                        p.add_notice(*w, *s);
+                        m.add_notice(*w, *s);
+                    }
+                    Step::Applied(w, s) => {
+                        p.mark_applied(*w, *s);
+                        m.mark_applied(*w, *s);
+                    }
+                    Step::Base(version) => {
+                        for (q, &s) in version.iter().enumerate() {
+                            p.mark_applied(q, s);
+                            m.mark_applied(q, s);
+                        }
+                    }
+                    Step::GotData => {
+                        p.data = Some(vec![0u8; 4].into_boxed_slice());
+                        m.has_data = true;
+                    }
+                    Step::Clear => {
+                        p.clear_pending();
+                        m.clear_pending();
+                    }
+                }
+                prop_assert_eq!(p.is_valid(), m.is_valid(), "after {:?}", step);
+                prop_assert_eq!(p.has_pending(), m.pending.iter().any(|v| !v.is_empty()));
+                for q in 0..NODES {
+                    prop_assert_eq!(p.applied(q), m.applied[q], "applied[{}] after {:?}", q, step);
+                    prop_assert_eq!(pending(&p, q), m.pending[q].as_slice(), "pending[{}] after {:?}", q, step);
+                }
+                prop_assert_eq!(p.version(NODES), m.applied.clone());
+                prop_assert_eq!(p.fetch_requests().collect::<Vec<_>>(), m.fetch_requests());
+                prop_assert_eq!(
+                    p.npending,
+                    p.writers.iter().map(|w| w.pending.len()).sum::<usize>()
+                );
+                prop_assert!(p.writers.windows(2).all(|w| w[0].node < w[1].node));
+            }
+        }
+    }
+
+    #[test]
+    fn fresh_page_owns_no_heap() {
+        let p = PageMeta::default();
+        assert_eq!(p.writers.capacity(), 0);
+        assert_eq!(p.my_diffs.capacity(), 0);
+        assert_eq!(p.undiffed.capacity(), 0);
+        assert!(p.data.is_none() && p.twin.is_none() && p.fetch.is_none());
+        // Neither a zero version entry nor a stale notice creates a writer.
+        let mut p = p;
+        p.mark_applied(7, 0);
+        p.add_notice(7, 0);
+        assert_eq!(p.writers.capacity(), 0);
+    }
 
     #[test]
     fn validity_requires_data_and_no_pending() {
-        let mut p = PageMeta::new(2);
+        let mut p = PageMeta::default();
         assert!(!p.is_valid());
         p.data = Some(vec![0u8; 16].into_boxed_slice());
         assert!(p.is_valid());
@@ -128,20 +364,20 @@ mod tests {
 
     #[test]
     fn notices_dedup_and_skip_applied() {
-        let mut p = PageMeta::new(2);
+        let mut p = PageMeta::default();
         p.mark_applied(1, 3);
         p.add_notice(1, 2); // already applied
-        assert!(p.pending[1].is_empty());
+        assert!(pending(&p, 1).is_empty());
         p.add_notice(1, 4);
         p.add_notice(1, 4); // duplicate
-        assert_eq!(p.pending[1], vec![4]);
+        assert_eq!(pending(&p, 1), [4]);
         p.add_notice(1, 5);
-        assert_eq!(p.pending[1], vec![4, 5]);
+        assert_eq!(pending(&p, 1), [4, 5]);
     }
 
     #[test]
     fn diff_range_query_covers_folded_intervals() {
-        let mut p = PageMeta::new(1);
+        let mut p = PageMeta::default();
         p.my_diffs.push((1, Diff::default()));
         p.my_diffs.push((4, Diff::default()));
         p.my_diffs.push((7, Diff::default()));
@@ -157,10 +393,10 @@ mod tests {
 
     #[test]
     fn out_of_order_notices_stay_sorted() {
-        let mut p = PageMeta::new(2);
+        let mut p = PageMeta::default();
         p.add_notice(1, 5);
         p.add_notice(1, 3);
         p.add_notice(1, 5);
-        assert_eq!(p.pending[1], vec![3, 5]);
+        assert_eq!(pending(&p, 1), [3, 5]);
     }
 }

@@ -661,3 +661,61 @@ fn duplicate_interval_delivery_is_idempotent() {
         "re-delivered interval must not double-apply its notices"
     );
 }
+
+/// One host record per interval: the allocation `close_interval` makes is
+/// the one a lock grant carries, the one the grantee stores, and the one it
+/// passes onward and reports at its next barrier — never a rebuilt copy.
+#[test]
+fn interval_record_survives_a_lock_grant_round_trip_uncopied() {
+    let cfg = Config::new(3).page_size(256).segment_pages(4);
+    let mut n0 = Node::new(0, cfg.clone());
+    let mut n1 = Node::new(1, cfg);
+
+    // Node 0 (manager of lock 0, origin of every page) writes under the lock.
+    assert_eq!(n0.acquire(0), StartAcquire::Granted);
+    assert!(n0.fault(0, true).ready);
+    n0.write_from(0, &[1, 2, 3, 4]);
+    assert!(n0.release(0).is_empty());
+
+    // Node 1's request makes node 0 close the interval and grant.
+    let StartAcquire::Wait(mut req) = n1.acquire(0) else {
+        panic!("remote acquire must wait");
+    };
+    let grant = n0.handle(req.pop().unwrap()).sends.pop().unwrap();
+    let Msg::LockGrant { intervals, .. } = &grant.msg else {
+        panic!("expected a grant, got {grant:?}");
+    };
+    assert_eq!(intervals.len(), 1);
+    let made = intervals[0].clone();
+    assert_eq!((made.node, made.seq), (0, 1));
+    assert_eq!(made.pages, vec![0]);
+
+    // Node 0 reports the same allocation at its next barrier.
+    let arrive = n0.barrier_arrive(1).sends.pop().unwrap();
+    let Msg::BarrierArrive { intervals, .. } = &arrive.msg else {
+        panic!("expected an arrival, got {arrive:?}");
+    };
+    assert!(IntervalMsg::ptr_eq(&intervals[0], &made));
+
+    // Node 1 integrates it, then grants onward to node 2: same allocation.
+    assert_eq!(n1.handle(grant).actions, vec![Action::LockGranted(0)]);
+    assert!(n1.release(0).is_empty());
+    let onward = n1
+        .handle(Envelope {
+            from: 0,
+            to: 1,
+            msg: Msg::LockForward {
+                lock: 0,
+                requester: 2,
+                vt: VTime::zero(3),
+            },
+        })
+        .sends
+        .pop()
+        .unwrap();
+    let Msg::LockGrant { intervals, .. } = &onward.msg else {
+        panic!("expected a grant, got {onward:?}");
+    };
+    assert_eq!(intervals.len(), 1);
+    assert!(IntervalMsg::ptr_eq(&intervals[0], &made));
+}

@@ -10,6 +10,15 @@ export RUSTFLAGS="-D warnings"
 cargo build --release --workspace
 cargo test -q --workspace
 
+echo "== benches + benchmark: compile the criterion benches, run the benchmark package's own checks =="
+# Nothing else builds `crates/bench/benches/*` or tests `benchmark/` (its own
+# workspace, invisible to the root build), so both could rot against the
+# crate APIs they call.
+cargo bench --no-run --offline -p tmk-bench
+(cd benchmark && cargo test -q --offline)
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke \
+    > target/benchmark-smoke.txt
+
 echo "== smoke: quick-tier suite =="
 mkdir -p target/smoke
 ./target/release/suite --quick --jobs "${JOBS:-$(nproc 2>/dev/null || echo 1)}" \

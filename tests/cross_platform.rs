@@ -4,8 +4,8 @@
 //! checksums (tolerating float reassociation across band partitionings).
 
 use tmk::apps::{ilink, sor, tsp, water};
-use tmk::machines::{run_workload, Platform};
-use tmk::parmacs::Workload;
+use tmk::machines::{run_on, run_workload, Platform};
+use tmk::parmacs::{SharedSlice, Workload};
 
 fn platforms(procs: usize) -> Vec<Platform> {
     vec![
@@ -35,12 +35,48 @@ fn sor_agrees_everywhere() {
     let cfg = sor::Sor::tiny();
     let reference = total(&Platform::Dec, &cfg);
     assert!(reference.is_finite());
-    for p in platforms(8) {
+    // Wide clusters ride along: more nodes than rows, so most bands are
+    // empty and every barrier is a 64- or 128-way all-to-all.
+    let wide = [Platform::as_sim(64), Platform::as_sim(128)];
+    for p in platforms(8).into_iter().chain(wide) {
         let v = total(&p, &cfg);
         // Red-black SOR is partition-independent: results are equal up to
         // the final summation order.
-        assert_close(v, reference, p.name());
+        assert_close(v, reference, &format!("{} x{}", p.name(), p.procs()));
     }
+}
+
+#[test]
+fn lock_counter_agrees_from_8_to_64_nodes() {
+    // One lock-protected counter: every increment travels with the token,
+    // so the final count divided by the cluster size is the same everywhere.
+    const ROUNDS: u64 = 3;
+    let per_proc = |procs: usize| {
+        let out = run_on(
+            &Platform::as_sim(procs),
+            1 << 14,
+            |alloc| alloc.slice::<u64>(1),
+            |_, _| {},
+            |sys, counter: &SharedSlice<u64>| {
+                for _ in 0..ROUNDS {
+                    sys.lock(3);
+                    let v = counter.get(sys, 0);
+                    counter.set(sys, 0, v + 1);
+                    sys.unlock(3);
+                }
+                sys.barrier(0);
+                counter.get(sys, 0)
+            },
+        );
+        assert!(out.report.traffic.lock_msgs > 0, "token must cross nodes");
+        let first = out.results[0];
+        let agree = out.results.iter().all(|&v| v == first);
+        assert!(agree, "AS-{procs} processors disagree");
+        first as f64 / procs as f64
+    };
+    let reference = per_proc(8);
+    assert_close(reference, ROUNDS as f64, "AS-8 lock counter");
+    assert_close(per_proc(64), reference, "AS-64 lock counter");
 }
 
 #[test]
