@@ -536,7 +536,7 @@ impl Node {
             want_write: write,
             gc: false,
         };
-        self.pages[page].fetch = Some(fetch);
+        self.pages[page].fetch = Some(Box::new(fetch));
         let sends = self.issue_fetch_requests(page);
         debug_assert!(!sends.is_empty(), "invalid page must need something");
         FaultStart {
@@ -1000,13 +1000,13 @@ impl Node {
             // A never-touched origin page still starts from the zero base.
             self.origin_page_data(page);
             debug_assert!(self.pages[page].fetch.is_none(), "GC with a fault in flight");
-            self.pages[page].fetch = Some(FetchState {
+            self.pages[page].fetch = Some(Box::new(FetchState {
                 outstanding: 0,
                 base: None,
                 diffs: Vec::new(),
                 want_write: false,
                 gc: true,
-            });
+            }));
             let reqs = self.issue_fetch_requests(page);
             debug_assert!(!reqs.is_empty(), "pending page must need diffs");
             sends.extend(reqs);

@@ -44,8 +44,10 @@ pub(crate) struct PageMeta {
     pub undiffed: Vec<Seq>,
     /// The page has been written in the currently open interval.
     pub open_dirty: bool,
-    /// In-flight fault, if any.
-    pub fetch: Option<FetchState>,
+    /// In-flight fault, if any. Boxed: a node has one `PageMeta` per page
+    /// of the segment and at most a few fetches in flight, so the state
+    /// lives on the heap only while a fetch does.
+    pub fetch: Option<Box<FetchState>>,
 }
 
 /// Progress of an outstanding page fetch.
@@ -119,6 +121,13 @@ impl PageMeta {
                     applied: 0,
                     pending: Vec::new(),
                 };
+                if writers.is_empty() {
+                    // Most pages only ever hear of one writer, and every
+                    // node holds an entry for every page of every band it
+                    // was told about: `Vec`'s first growth would reserve
+                    // four.
+                    writers.reserve_exact(1);
+                }
                 writers.insert(i, fresh);
                 i
             }

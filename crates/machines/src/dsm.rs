@@ -12,7 +12,7 @@
 //! resulting completion times drive processor clocks and wakeups.
 
 use tmk_core::{Action, NodeId};
-use tmk_mem::{CacheParams, DirectCache, Probe};
+use tmk_mem::{CacheParams, DirectCache};
 use tmk_net::{NetParams, SoftwareOverhead};
 use tmk_parmacs::{InitWriter, System};
 use tmk_sim::{Ctx, Cycle, Op};
@@ -111,35 +111,9 @@ impl DsmMachine {
     /// arrived outside the cache).
     fn purge_page(&mut self, node: NodeId, page: usize) {
         let ps = self.fabric.page_size;
-        let block = self.params.cache.block;
-        let first = page * ps / block;
-        let last = ((page + 1) * ps - 1) / block;
-        for line in first..=last {
-            self.caches[node].invalidate(line as u64);
+        for line in self.params.cache.lines_of(page * ps, ps) {
+            self.caches[node].invalidate(line);
         }
-    }
-
-    /// Charges processor-cache costs for an access; returns completion time.
-    fn charge_cache(&mut self, node: NodeId, addr: usize, len: usize, write: bool, t: Cycle) -> Cycle {
-        let mut t = t;
-        let lat = self.params.memory_latency;
-        let c = &mut self.caches[node];
-        for line in c.params().lines_of(addr, len) {
-            if write {
-                // Write-through with a write buffer.
-                c.probe(line, false);
-                t += 1;
-            } else {
-                match c.probe(line, false) {
-                    Probe::Hit => t += 1,
-                    _ => {
-                        c.fill(line, tmk_mem::LineState::Shared);
-                        t += 1 + lat;
-                    }
-                }
-            }
-        }
-        t
     }
 }
 
@@ -201,7 +175,8 @@ impl<'a, 'e> DsmSys<'a, 'e> {
                     });
                     match bad {
                         None => {
-                            let done = m.charge_cache(me, addr, len, write, now);
+                            let lat = m.params.memory_latency;
+                            let done = m.caches[me].charge_range(addr, len, write, lat, now);
                             match &mut data {
                                 AccessData::Read(buf) => m.fabric.nodes[me].read_into(addr, buf),
                                 AccessData::Write(bytes) => m.fabric.nodes[me].write_from(addr, bytes),

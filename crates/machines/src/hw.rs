@@ -12,7 +12,8 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 
 use tmk_mem::{
-    BusParams, CacheParams, DirectCache, Directory, DirectoryParams, LineState, Probe, SnoopBus,
+    set_bits, BusParams, CacheParams, DirectCache, Directory, DirectoryParams, LineState, Probe,
+    SnoopBus,
 };
 use tmk_parmacs::{InitWriter, System};
 use tmk_sim::{Ctx, Cycle};
@@ -167,7 +168,7 @@ impl HwMachine {
                 Fabric::Bus(SnoopBus::new(params.procs, *secondary, *bus))
             }
             HwKind::Directory { cache, dir } => {
-                Fabric::Dir(Directory::new(params.procs, *cache, *dir))
+                Fabric::Dir(Directory::new(params.procs, *cache, *dir).with_memory(segment_bytes))
             }
         };
         let primary = match params.primary {
@@ -207,83 +208,35 @@ impl HwMachine {
         }
     }
 
-    /// The block size at the coherent level.
-    fn block(&self) -> usize {
-        match &self.fabric {
-            Fabric::Uni { .. } => self.params.primary.expect("uni has primary").block,
-            Fabric::Bus(b) => b.block(),
-            Fabric::Dir(d) => d.block(),
-        }
-    }
-
     /// Charges the memory-system cost of `proc` touching `[addr, addr+len)`
     /// starting at `now`; returns the completion time.
     fn charge_access(&mut self, proc: usize, addr: usize, len: usize, write: bool, now: Cycle) -> Cycle {
-        let mut t = now;
-        let block = self.block();
-        let first = addr / block;
-        let last = if len == 0 { first } else { (addr + len - 1) / block };
-        for line in first..=last {
-            let line = line as u64;
-            t = self.charge_line(proc, line, write, t);
-        }
-        t
-    }
-
-    fn charge_line(&mut self, proc: usize, line: u64, write: bool, t: Cycle) -> Cycle {
         match &mut self.fabric {
             Fabric::Uni { latency } => {
-                let lat = *latency;
-                let c = &mut self.primary[proc];
-                if write {
-                    // Write-through with a write buffer: one cycle, and the
-                    // line is updated if present (no write-allocate).
-                    c.probe(line, false);
-                    t + 1
-                } else {
-                    match c.probe(line, false) {
-                        Probe::Hit => t + 1,
-                        _ => {
-                            c.fill(line, LineState::Shared);
-                            t + 1 + lat
-                        }
-                    }
-                }
+                self.primary[proc].charge_range(addr, len, write, *latency, now)
             }
+            Fabric::Dir(dir) => dir.charge_range(proc, addr, len, write, now),
             Fabric::Bus(bus) => {
-                if write {
+                let next_hit = self.params.primary_next_hit.max(1);
+                let primary = &mut self.primary;
+                bus.cache_params().lines_of(addr, len).fold(now, |t, line| {
                     // Every write reaches the secondary (write-through
-                    // primary); ownership is established there.
-                    let r = bus.access(proc, line, true, t);
-                    for (q, l) in r.invalidated {
-                        self.primary[q].invalidate(l);
+                    // primary), where ownership is established; a read
+                    // only when it misses in the primary.
+                    if !write && primary[proc].probe(line, false) == Probe::Hit {
+                        return t + 1;
                     }
-                    if r.hit {
-                        t + 1 // absorbed by the write buffer
+                    let r = bus.access(proc, line, write, t);
+                    for q in set_bits(r.invalidated) {
+                        primary[q].invalidate(line);
+                    }
+                    if write {
+                        r.done + 1 // a hit is absorbed by the write buffer
                     } else {
-                        r.done + 1
+                        primary[proc].fill(line, LineState::Shared);
+                        r.done + next_hit
                     }
-                } else {
-                    match self.primary[proc].probe(line, false) {
-                        Probe::Hit => t + 1,
-                        _ => {
-                            let r = bus.access(proc, line, false, t);
-                            for (q, l) in r.invalidated {
-                                self.primary[q].invalidate(l);
-                            }
-                            self.primary[proc].fill(line, LineState::Shared);
-                            r.done + self.params.primary_next_hit.max(1)
-                        }
-                    }
-                }
-            }
-            Fabric::Dir(dir) => {
-                let r = dir.access(proc, line, write, t);
-                if r.hit {
-                    t + 1
-                } else {
-                    r.done + 1
-                }
+                })
             }
         }
     }
@@ -448,24 +401,20 @@ impl HwMachine {
             report.cache.evictions += s.evictions;
             report.cache.dirty_evictions += s.dirty_evictions;
         }
-        match &self.fabric {
-            Fabric::Uni { .. } => {}
+        let coherent = match &self.fabric {
+            Fabric::Uni { .. } => &[],
             Fabric::Bus(b) => {
                 report.bus = Some(b.stats());
-                for p in 0..self.params.procs {
-                    let s = b.cache_stats(p);
-                    report.cache.hits += s.hits;
-                    report.cache.misses += s.misses;
-                }
+                b.caches()
             }
             Fabric::Dir(d) => {
                 report.directory = Some(d.stats());
-                for p in 0..self.params.procs {
-                    let s = d.cache_stats(p);
-                    report.cache.hits += s.hits;
-                    report.cache.misses += s.misses;
-                }
+                d.caches()
             }
+        };
+        for c in coherent {
+            report.cache.hits += c.stats().hits;
+            report.cache.misses += c.stats().misses;
         }
     }
 }

@@ -144,39 +144,14 @@ impl HsMachine {
         proc / self.params.per_node
     }
 
-    fn cpu_of(&self, proc: usize) -> usize {
-        proc % self.params.per_node
-    }
-
-    /// Bus-level charge for an access by `proc` within its node.
-    fn charge_bus(&mut self, proc: usize, addr: usize, len: usize, write: bool, t: Cycle) -> Cycle {
-        let node = self.node_of(proc);
-        let cpu = self.cpu_of(proc);
-        let mut t = t;
-        let block = self.params.cache.block;
-        let first = addr / block;
-        let last = if len == 0 { first } else { (addr + len - 1) / block };
-        for line in first..=last {
-            let r = self.buses[node].access(cpu, line as u64, write, t);
-            t = if r.hit { t + 1 } else { r.done + 1 };
-        }
-        t
-    }
-
     /// Purges a page's lines from every cache of `node` (fresh DSM data
     /// arrived; the paper assumes intra-node cache/TLB coherence handles
-    /// this — we model it as invalidations).
+    /// this — we model it as invalidations, whose re-fill cost shows up as
+    /// later misses).
     fn purge_page(&mut self, node: NodeId, page: usize) {
         let ps = self.fabric.page_size;
-        let block = self.params.cache.block;
-        let first = page * ps / block;
-        let last = ((page + 1) * ps - 1) / block;
-        for cpu in 0..self.params.per_node {
-            for line in first..=last {
-                // Re-fill cost shows up as later misses; state change only.
-                let _ = cpu;
-                self.buses[node].purge_line(line as u64);
-            }
+        for line in self.params.cache.lines_of(page * ps, ps) {
+            self.buses[node].purge_line(line);
         }
     }
 }
@@ -217,7 +192,8 @@ impl<'a, 'e> HsSys<'a, 'e> {
                     });
                     match bad {
                         None => {
-                            let done = m.charge_bus(me, addr, len, write, now);
+                            let cpu = me % m.params.per_node;
+                            let done = m.buses[nd].charge_range(cpu, addr, len, write, now);
                             match &mut data {
                                 AccessData::Read(buf) => m.fabric.nodes[nd].read_into(addr, buf),
                                 AccessData::Write(bytes) => m.fabric.nodes[nd].write_from(addr, bytes),
@@ -560,13 +536,9 @@ impl HsMachine {
             bus.retries += s.retries;
         }
         report.bus = Some(bus);
-        for (node, b) in self.buses.iter().enumerate() {
-            let _ = node;
-            for cpu in 0..self.params.per_node {
-                let s = b.cache_stats(cpu);
-                report.cache.hits += s.hits;
-                report.cache.misses += s.misses;
-            }
+        for c in self.buses.iter().flat_map(|b| b.caches()) {
+            report.cache.hits += c.stats().hits;
+            report.cache.misses += c.stats().misses;
         }
     }
 }

@@ -1,5 +1,9 @@
 //! Direct-mapped cache tag/state arrays.
 
+use std::ops::Range;
+
+use tmk_sim::Cycle;
+
 use crate::LineAddr;
 
 /// Geometry of a cache.
@@ -27,20 +31,16 @@ impl CacheParams {
         self.size / self.block
     }
 
-    /// The line address containing a byte address.
+    /// The line address containing a byte address (`block` is a power of
+    /// two, so this is a shift).
     pub fn line_of(&self, addr: usize) -> LineAddr {
-        (addr / self.block) as LineAddr
+        (addr >> self.block.trailing_zeros()) as LineAddr
     }
 
-    /// Iterates the line addresses touched by `len` bytes at `addr`.
-    pub fn lines_of(&self, addr: usize, len: usize) -> impl Iterator<Item = LineAddr> {
-        let first = addr / self.block;
-        let last = if len == 0 {
-            first
-        } else {
-            (addr + len - 1) / self.block
-        };
-        (first..=last).map(|l| l as LineAddr)
+    /// The line addresses touched by `len` bytes at `addr` (one line when
+    /// `len == 0`).
+    pub fn lines_of(&self, addr: usize, len: usize) -> Range<LineAddr> {
+        self.line_of(addr)..self.line_of(addr + len.max(1) - 1) + 1
     }
 }
 
@@ -77,9 +77,31 @@ pub struct CacheStats {
 #[derive(Debug, Clone)]
 pub struct DirectCache {
     params: CacheParams,
-    tags: Vec<Option<LineAddr>>,
-    states: Vec<LineState>,
+    /// One word per set: the resident line's address above its
+    /// [`LineState`] in the low [`STATE_BITS`]. A set is empty when that
+    /// state is `Invalid`, as in the all-zero word it starts with.
+    sets: Vec<u64>,
+    /// `sets.len() - 1`; the set count is a power of two.
+    mask: usize,
     stats: CacheStats,
+}
+
+const STATE_BITS: u32 = 2;
+/// Indexed by discriminant.
+const STATES: [LineState; 4] = [
+    LineState::Invalid,
+    LineState::Shared,
+    LineState::Exclusive,
+    LineState::Modified,
+];
+
+fn pack(line: LineAddr, state: LineState) -> u64 {
+    debug_assert!(line >> (64 - STATE_BITS) == 0, "line address overflows the tag word");
+    line << STATE_BITS | state as u64
+}
+
+fn unpack(word: u64) -> (LineAddr, LineState) {
+    (word >> STATE_BITS, STATES[(word & ((1 << STATE_BITS) - 1)) as usize])
 }
 
 /// Result of a [`DirectCache::probe`].
@@ -95,12 +117,17 @@ pub enum Probe {
 
 impl DirectCache {
     /// An empty cache with the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the set count and the block size are powers of two.
     pub fn new(params: CacheParams) -> Self {
         let sets = params.sets();
+        assert!(sets.is_power_of_two() && params.block.is_power_of_two());
         DirectCache {
             params,
-            tags: vec![None; sets],
-            states: vec![LineState::Invalid; sets],
+            sets: vec![0; sets],
+            mask: sets - 1,
             stats: CacheStats::default(),
         }
     }
@@ -116,16 +143,14 @@ impl DirectCache {
     }
 
     fn set_of(&self, line: LineAddr) -> usize {
-        (line as usize) % self.params.sets()
+        line as usize & self.mask
     }
 
-    /// The current state of `line`, if present.
+    /// The current state of `line` (`Invalid` if absent).
     pub fn state_of(&self, line: LineAddr) -> LineState {
-        let s = self.set_of(line);
-        if self.tags[s] == Some(line) {
-            self.states[s]
-        } else {
-            LineState::Invalid
+        match unpack(self.sets[self.set_of(line)]) {
+            (resident, state) if resident == line => state,
+            _ => LineState::Invalid,
         }
     }
 
@@ -142,15 +167,13 @@ impl DirectCache {
                 self.stats.upgrades += 1;
                 Probe::UpgradeMiss
             }
-            LineState::Modified | LineState::Exclusive if write => {
-                self.stats.hits += 1;
-                // A write to an Exclusive line silently becomes Modified.
-                let s = self.set_of(line);
-                self.states[s] = LineState::Modified;
-                Probe::Hit
-            }
             _ => {
                 self.stats.hits += 1;
+                if write {
+                    // A write to an Exclusive line silently becomes Modified.
+                    let s = self.set_of(line);
+                    self.sets[s] = pack(line, LineState::Modified);
+                }
                 Probe::Hit
             }
         }
@@ -161,35 +184,52 @@ impl DirectCache {
     pub fn fill(&mut self, line: LineAddr, state: LineState) -> Option<(LineAddr, LineState)> {
         debug_assert_ne!(state, LineState::Invalid);
         let s = self.set_of(line);
-        let victim = match self.tags[s] {
-            Some(old) if old != line => {
-                self.stats.evictions += 1;
-                if self.states[s] == LineState::Modified {
-                    self.stats.dirty_evictions += 1;
-                }
-                Some((old, self.states[s]))
-            }
-            _ => None,
-        };
-        self.tags[s] = Some(line);
-        self.states[s] = state;
-        victim
+        let (old, vstate) = unpack(self.sets[s]);
+        self.sets[s] = pack(line, state);
+        if vstate == LineState::Invalid || old == line {
+            return None;
+        }
+        self.stats.evictions += 1;
+        if vstate == LineState::Modified {
+            self.stats.dirty_evictions += 1;
+        }
+        Some((old, vstate))
     }
 
     /// Changes the state of a present line (no-op if absent).
     pub fn set_state(&mut self, line: LineAddr, state: LineState) {
-        let s = self.set_of(line);
-        if self.tags[s] == Some(line) {
-            if state == LineState::Invalid {
-                self.tags[s] = None;
-            }
-            self.states[s] = state;
+        if self.state_of(line) != LineState::Invalid {
+            let s = self.set_of(line);
+            self.sets[s] = pack(line, state);
         }
     }
 
     /// Removes a line (snoop invalidation).
     pub fn invalidate(&mut self, line: LineAddr) {
         self.set_state(line, LineState::Invalid);
+    }
+
+    /// Charges `len` bytes at `addr` against this cache as a write-through
+    /// primary with a write buffer in front of private memory: a read hit
+    /// costs one cycle, a read miss fills the line and adds
+    /// `memory_latency`, a write costs one cycle and updates the line if
+    /// present (no write-allocate). Returns the completion time.
+    pub fn charge_range(
+        &mut self,
+        addr: usize,
+        len: usize,
+        write: bool,
+        memory_latency: Cycle,
+        now: Cycle,
+    ) -> Cycle {
+        self.params.lines_of(addr, len).fold(now, |t, line| {
+            if self.probe(line, false) == Probe::Hit || write {
+                t + 1
+            } else {
+                self.fill(line, LineState::Shared);
+                t + 1 + memory_latency
+            }
+        })
     }
 }
 

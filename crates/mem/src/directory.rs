@@ -7,13 +7,11 @@
 //! contention", so latencies here are fixed bands — local miss, remote
 //! clean miss, remote dirty (three-hop) miss — rather than occupancy-based.
 
-use std::collections::HashMap;
-
 use tmk_sim::Cycle;
 use tmk_trace::{Event, EventKind, Sink, Track};
 
 use crate::cache::{DirectCache, LineState, Probe};
-use crate::{CacheParams, CacheStats, LineAddr};
+use crate::{CacheParams, LineAddr};
 
 /// Latency bands in processor cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,30 +60,37 @@ pub struct DirectoryStats {
     pub retries: u64,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Entry {
-    /// Node holding the line dirty, if any.
-    owner: Option<usize>,
-    /// Bitmask of nodes holding clean copies.
-    sharers: u64,
+/// One line's directory state, `(sharers, owner)`: the bitmask of nodes
+/// holding clean copies, and the node holding the line dirty *plus one* (0
+/// when memory is up to date). An owned line has no sharers. A tuple of
+/// primitives, so `vec![UNCACHED; n]` is a zeroed allocation that the OS
+/// backs only as lines are touched.
+type Entry = (u64, u8);
+
+const UNCACHED: Entry = (0, 0);
+
+fn owned_by(node: usize) -> Entry {
+    (0, node as u8 + 1)
 }
 
 /// Outcome of one directory-coherent access.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DirAccess {
     /// Completion time.
     pub done: Cycle,
     /// Whether it hit locally.
     pub hit: bool,
-    /// `(node, line)` pairs invalidated in other caches.
-    pub invalidated: Vec<(usize, LineAddr)>,
+    /// Bitmask of the nodes whose copy of the line was invalidated.
+    pub invalidated: u64,
 }
 
 /// The directory state plus all nodes' caches.
 #[derive(Debug, Clone)]
 pub struct Directory {
     caches: Vec<DirectCache>,
-    entries: HashMap<LineAddr, Entry>,
+    /// Indexed by line address; lines past the end are uncached.
+    entries: Vec<Entry>,
+    cache: CacheParams,
     params: DirectoryParams,
     stats: DirectoryStats,
     faults: Option<crate::FabricFaults>,
@@ -102,12 +107,22 @@ impl Directory {
         assert!(nodes <= 64, "full-map bitmask supports up to 64 nodes");
         Directory {
             caches: (0..nodes).map(|_| DirectCache::new(cache)).collect(),
-            entries: HashMap::new(),
+            entries: Vec::new(),
+            cache,
             params,
             stats: DirectoryStats::default(),
             faults: None,
             sink: Sink::default(),
         }
+    }
+
+    /// Sizes a new directory for a memory of `bytes` bytes up front. A hint:
+    /// the directory otherwise grows to the highest line accessed.
+    pub fn with_memory(mut self, bytes: usize) -> Self {
+        if self.entries.is_empty() {
+            self.entries = vec![UNCACHED; bytes.div_ceil(self.cache.block)];
+        }
+        self
     }
 
     /// Arms transaction-level fault injection on the interconnect: each
@@ -134,16 +149,6 @@ impl Directory {
         });
     }
 
-    /// Number of nodes.
-    pub fn nodes(&self) -> usize {
-        self.caches.len()
-    }
-
-    /// Block size of the caches.
-    pub fn block(&self) -> usize {
-        self.caches[0].params().block
-    }
-
     /// The home node of a line (address-interleaved).
     pub fn home_of(&self, line: LineAddr) -> usize {
         (line as usize) % self.caches.len()
@@ -154,9 +159,25 @@ impl Directory {
         self.stats
     }
 
-    /// Cache counters for one node.
-    pub fn cache_stats(&self, node: usize) -> CacheStats {
-        self.caches[node].stats()
+    /// The nodes' caches, by node.
+    pub fn caches(&self) -> &[DirectCache] {
+        &self.caches
+    }
+
+    fn entry(&mut self, line: LineAddr) -> &mut Entry {
+        let i = line as usize;
+        if i >= self.entries.len() {
+            self.entries.resize(i + 1, UNCACHED);
+        }
+        &mut self.entries[i]
+    }
+
+    /// Charges `node` touching `len` bytes at `addr` from `now`: one
+    /// coherent access per line, each taking one cycle once it is done (a
+    /// hit is done at once). Returns the completion time.
+    pub fn charge_range(&mut self, node: usize, addr: usize, len: usize, write: bool, now: Cycle) -> Cycle {
+        let lines = self.cache.lines_of(addr, len);
+        lines.fold(now, |t, line| self.access(node, line, write, t).done + 1)
     }
 
     /// Performs a coherent access by `node` to `line` at `now`.
@@ -166,23 +187,19 @@ impl Directory {
                 // A silent E→M transition must reach the directory owner
                 // field so later requests take the dirty path.
                 if write {
-                    let e = self.entries.entry(line).or_default();
-                    e.owner = Some(node);
-                    e.sharers = 0;
+                    *self.entry(line) = owned_by(node);
                 }
                 DirAccess {
                     done: now,
                     hit: true,
-                    invalidated: Vec::new(),
+                    invalidated: 0,
                 }
             }
             Probe::UpgradeMiss => {
                 self.stats.upgrades += 1;
                 self.trace_txn(true, now, self.params.upgrade);
                 let invalidated = self.invalidate_sharers(line, node);
-                let e = self.entries.entry(line).or_default();
-                e.owner = Some(node);
-                e.sharers = 0;
+                *self.entry(line) = owned_by(node);
                 self.caches[node].set_state(line, LineState::Modified);
                 DirAccess {
                     done: now + self.params.upgrade,
@@ -196,18 +213,18 @@ impl Directory {
 
     fn miss(&mut self, node: usize, line: LineAddr, write: bool, now: Cycle) -> DirAccess {
         let home = self.home_of(line);
-        let entry = self.entries.get(&line).copied().unwrap_or_default();
+        let (sharers, owner) = *self.entry(line);
 
-        let mut invalidated = Vec::new();
-        let mut latency = match entry.owner {
+        let mut invalidated = 0;
+        let mut latency = match (owner as usize).checked_sub(1) {
             Some(owner) if owner != node => {
                 // Three-hop: fetch from the dirty owner.
                 self.stats.remote_dirty_misses += 1;
-                self.stats.remote_bytes += 2 * self.block() as u64;
+                self.stats.remote_bytes += 2 * self.cache.block as u64;
                 if write {
                     self.caches[owner].invalidate(line);
                     self.stats.invalidations += 1;
-                    invalidated.push((owner, line));
+                    invalidated = 1 << owner;
                 } else {
                     self.caches[owner].set_state(line, LineState::Shared);
                 }
@@ -218,10 +235,8 @@ impl Directory {
                     invalidated = self.invalidate_sharers(line, node);
                 } else {
                     // A second reader downgrades any Exclusive holder.
-                    for q in 0..self.caches.len() {
-                        if entry.sharers & (1 << q) != 0
-                            && self.caches[q].state_of(line) == LineState::Exclusive
-                        {
+                    for q in crate::set_bits(sharers) {
+                        if self.caches[q].state_of(line) == LineState::Exclusive {
                             self.caches[q].set_state(line, LineState::Shared);
                         }
                     }
@@ -231,35 +246,25 @@ impl Directory {
                     self.params.local
                 } else {
                     self.stats.remote_clean_misses += 1;
-                    self.stats.remote_bytes += self.block() as u64;
+                    self.stats.remote_bytes += self.cache.block as u64;
                     self.params.remote_clean
                 }
             }
         };
 
-        // Update the directory entry and fill the cache.
+        // Update the directory entry and fill the cache. A former owner was
+        // downgraded to a sharer above.
         let new_entry = if write {
-            Entry {
-                owner: Some(node),
-                sharers: 0,
-            }
+            owned_by(node)
         } else {
-            let mut sharers = entry.sharers;
-            if let Some(owner) = entry.owner {
-                sharers |= 1 << owner; // downgraded to a sharer above
-            }
-            sharers |= 1 << node;
-            Entry {
-                owner: None,
-                sharers,
-            }
+            let former = if owner == 0 { 0 } else { 1 << (owner - 1) };
+            (sharers | former | 1 << node, 0)
         };
-        let lonely = !write && new_entry.sharers.count_ones() == 1;
-        self.entries.insert(line, new_entry);
+        *self.entry(line) = new_entry;
 
         let fill_state = if write {
             LineState::Modified
-        } else if lonely {
+        } else if new_entry.0.count_ones() == 1 {
             LineState::Exclusive
         } else {
             LineState::Shared
@@ -284,32 +289,25 @@ impl Directory {
         }
     }
 
-    fn invalidate_sharers(&mut self, line: LineAddr, except: usize) -> Vec<(usize, LineAddr)> {
-        let Some(e) = self.entries.get_mut(&line) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        let sharers = e.sharers;
-        e.sharers = 0;
-        for q in 0..self.caches.len() {
-            if q != except && sharers & (1 << q) != 0 {
-                self.caches[q].invalidate(line);
-                self.stats.invalidations += 1;
-                out.push((q, line));
-            }
+    /// Invalidates every sharer of `line` but `except`; returns their mask.
+    fn invalidate_sharers(&mut self, line: LineAddr, except: usize) -> u64 {
+        let others = std::mem::take(&mut self.entry(line).0) & !(1 << except);
+        for q in crate::set_bits(others) {
+            self.caches[q].invalidate(line);
         }
-        out
+        self.stats.invalidations += u64::from(others.count_ones());
+        others
     }
 
     /// An eviction silently leaves the sharer set / owner field; writebacks
     /// of dirty victims clear ownership.
     fn drop_from_entry(&mut self, line: LineAddr, node: usize, state: LineState) {
-        if let Some(e) = self.entries.get_mut(&line) {
-            e.sharers &= !(1 << node);
-            if state == LineState::Modified && e.owner == Some(node) {
-                e.owner = None;
-                self.stats.remote_bytes += self.block() as u64;
-            }
+        let block = self.cache.block as u64;
+        let e = self.entry(line);
+        e.0 &= !(1 << node);
+        if state == LineState::Modified && e.1 as usize == node + 1 {
+            e.1 = 0;
+            self.stats.remote_bytes += block;
         }
     }
 }
@@ -349,7 +347,7 @@ mod tests {
         // Former owner downgraded to sharer, so a write by it upgrades.
         let r = d.access(1, 0, true, 2000);
         assert!(!r.hit);
-        assert!(r.invalidated.contains(&(2, 0)));
+        assert_eq!(r.invalidated, 1 << 2);
     }
 
     #[test]
@@ -359,9 +357,7 @@ mod tests {
         d.access(1, 5, false, 0);
         d.access(2, 5, false, 0);
         let r = d.access(3, 5, true, 100);
-        let mut inv = r.invalidated;
-        inv.sort();
-        assert_eq!(inv, vec![(0, 5), (1, 5), (2, 5)]);
+        assert_eq!(r.invalidated, 0b0111);
     }
 
     #[test]

@@ -25,3 +25,13 @@ pub use snoop::{BusParams, BusStats, SnoopAccess, SnoopBus};
 
 /// A cache-line address (byte address divided by the block size).
 pub type LineAddr = u64;
+
+/// The positions of the set bits of `mask`, ascending — the processors named
+/// by a sharer set or by an access's `invalidated` mask.
+pub fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let q = (mask != 0).then(|| mask.trailing_zeros() as usize);
+        mask &= mask.wrapping_sub(1);
+        q
+    })
+}

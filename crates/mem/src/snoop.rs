@@ -10,7 +10,7 @@ use tmk_sim::Cycle;
 use tmk_trace::{Event, EventKind, Sink, Track};
 
 use crate::cache::{DirectCache, LineState, Probe};
-use crate::{CacheParams, CacheStats, LineAddr};
+use crate::{CacheParams, LineAddr};
 
 /// Latency/occupancy parameters of the bus, in processor cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,21 +76,23 @@ pub struct BusStats {
 }
 
 /// Outcome of one coherent access.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SnoopAccess {
     /// Cycle at which the access completes.
     pub done: Cycle,
     /// Whether it hit in the local cache (no bus transaction).
     pub hit: bool,
-    /// `(processor, line)` pairs invalidated in *other* caches — the
-    /// machine layer uses these to keep primary caches in sync.
-    pub invalidated: Vec<(usize, LineAddr)>,
+    /// Bitmask of the *other* processors whose copy of the line was
+    /// invalidated — the machine layer uses it to keep primary caches in
+    /// sync.
+    pub invalidated: u64,
 }
 
 /// The shared bus plus the per-processor caches snooping it.
 #[derive(Debug, Clone)]
 pub struct SnoopBus {
     caches: Vec<DirectCache>,
+    cache: CacheParams,
     params: BusParams,
     free_at: Cycle,
     stats: BusStats,
@@ -101,9 +103,15 @@ pub struct SnoopBus {
 
 impl SnoopBus {
     /// A bus with `procs` caches of geometry `cache`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `procs > 64` (invalidation sets are 64-bit masks).
     pub fn new(procs: usize, cache: CacheParams, params: BusParams) -> Self {
+        assert!(procs <= 64, "invalidation bitmask supports up to 64 processors");
         SnoopBus {
             caches: (0..procs).map(|_| DirectCache::new(cache)).collect(),
+            cache,
             params,
             free_at: 0,
             stats: BusStats::default(),
@@ -138,9 +146,9 @@ impl SnoopBus {
         });
     }
 
-    /// The block size of the attached caches.
-    pub fn block(&self) -> usize {
-        self.caches[0].params().block
+    /// The geometry of the attached caches.
+    pub fn cache_params(&self) -> CacheParams {
+        self.cache
     }
 
     /// Bus counters.
@@ -148,9 +156,17 @@ impl SnoopBus {
         self.stats
     }
 
-    /// Cache counters for one processor.
-    pub fn cache_stats(&self, proc: usize) -> CacheStats {
-        self.caches[proc].stats()
+    /// The processors' caches, by processor.
+    pub fn caches(&self) -> &[DirectCache] {
+        &self.caches
+    }
+
+    /// Charges `proc` touching `len` bytes at `addr` from `now`: one
+    /// coherent access per line, each taking one cycle once it is done (a
+    /// hit is done at once). Returns the completion time.
+    pub fn charge_range(&mut self, proc: usize, addr: usize, len: usize, write: bool, now: Cycle) -> Cycle {
+        let lines = self.cache.lines_of(addr, len);
+        lines.fold(now, |t, line| self.access(proc, line, write, t).done + 1)
     }
 
     /// Performs a coherent access by `proc` to `line` at time `now`.
@@ -159,7 +175,7 @@ impl SnoopBus {
             Probe::Hit => SnoopAccess {
                 done: now,
                 hit: true,
-                invalidated: Vec::new(),
+                invalidated: 0,
             },
             Probe::UpgradeMiss => {
                 let start = self.grab_bus(now, self.params.transaction);
@@ -180,30 +196,30 @@ impl SnoopBus {
         let p = self.params;
         let mut occupancy = p.transaction + p.block_transfer;
 
-        // Snoop: does any other cache hold the line?
-        let holder = (0..self.caches.len())
-            .filter(|&q| q != proc)
-            .find(|&q| self.caches[q].state_of(line) != LineState::Invalid);
+        // Snoop: does any other cache hold the line? (The requester's own
+        // probe just missed, so the first holder found is another cache.)
+        let holder = self
+            .caches
+            .iter()
+            .map(|c| c.state_of(line))
+            .find(|&s| s != LineState::Invalid);
 
         let mut latency = p.transaction + p.block_transfer;
-        let mut invalidated = Vec::new();
+        let mut invalidated = 0;
         match holder {
-            Some(q) => {
+            Some(state) => {
                 latency += p.cache_to_cache;
                 self.stats.cache_supplies += 1;
-                let was_dirty = self.caches[q].state_of(line) == LineState::Modified;
                 if write {
-                    invalidated.extend(self.invalidate_others(proc, line));
+                    invalidated = self.invalidate_others(proc, line);
                 } else {
                     // Illinois: supplier (and everyone else) downgrades to
                     // Shared; a dirty supplier writes memory back too.
                     for c in &mut self.caches {
-                        if c.state_of(line) != LineState::Invalid {
-                            c.set_state(line, LineState::Shared);
-                        }
+                        c.set_state(line, LineState::Shared);
                     }
                 }
-                if was_dirty {
+                if state == LineState::Modified {
                     self.stats.writebacks += 1;
                     occupancy += p.block_transfer;
                 }
@@ -225,10 +241,10 @@ impl SnoopBus {
             if vstate == LineState::Modified {
                 self.stats.writebacks += 1;
                 occupancy += p.block_transfer;
-                self.stats.data_bytes += self.block() as u64;
+                self.stats.data_bytes += self.cache.block as u64;
             }
         }
-        self.stats.data_bytes += self.block() as u64;
+        self.stats.data_bytes += self.cache.block as u64;
 
         if let Some(f) = &mut self.faults {
             if f.strike() {
@@ -249,20 +265,22 @@ impl SnoopBus {
         }
     }
 
-    fn invalidate_others(&mut self, proc: usize, line: LineAddr) -> Vec<(usize, LineAddr)> {
-        let mut out = Vec::new();
-        for q in 0..self.caches.len() {
-            if q != proc && self.caches[q].state_of(line) != LineState::Invalid {
-                if self.caches[q].state_of(line) == LineState::Modified {
+    /// Invalidates `line` in every cache but `proc`'s; returns their mask.
+    fn invalidate_others(&mut self, proc: usize, line: LineAddr) -> u64 {
+        let mut mask = 0;
+        for (q, c) in self.caches.iter_mut().enumerate() {
+            let state = c.state_of(line);
+            if q != proc && state != LineState::Invalid {
+                if state == LineState::Modified {
                     self.stats.writebacks += 1;
-                    self.stats.data_bytes += self.block() as u64;
+                    self.stats.data_bytes += self.cache.block as u64;
                 }
-                self.caches[q].invalidate(line);
+                c.invalidate(line);
                 self.stats.invalidations += 1;
-                out.push((q, line));
+                mask |= 1 << q;
             }
         }
-        out
+        mask
     }
 
     /// Drops `line` from every cache without a bus transaction — used by
@@ -319,7 +337,7 @@ mod tests {
         // Both now Shared: a write by proc 0 needs an upgrade.
         let r2 = b.access(0, 5, true, r.done);
         assert!(!r2.hit);
-        assert_eq!(r2.invalidated, vec![(1, 5)]);
+        assert_eq!(r2.invalidated, 1 << 1);
     }
 
     #[test]
@@ -328,9 +346,7 @@ mod tests {
         b.access(0, 7, false, 0);
         b.access(1, 7, false, 100);
         let r = b.access(2, 7, true, 200);
-        let mut inv = r.invalidated.clone();
-        inv.sort();
-        assert_eq!(inv, vec![(0, 7), (1, 7)]);
+        assert_eq!(r.invalidated, 0b011);
         assert!(b.stats().invalidations >= 2);
     }
 

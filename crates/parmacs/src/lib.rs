@@ -94,7 +94,25 @@ pub trait InitExt: InitWriter {
 impl<W: InitWriter + ?Sized> InitExt for W {}
 
 /// Fixed-size little-endian scalars storable in shared memory.
-pub trait Scalar: Copy {
+///
+/// Sealed: the ten primitive numeric types are the only implementors, so a
+/// `[T]` can be handed to a machine as the bytes it already is (every bit
+/// pattern of each is a valid value, and none has padding).
+///
+/// ```compile_fail,E0277
+/// #[derive(Clone, Copy)]
+/// struct Mine(u32);
+/// impl tmk_parmacs::Scalar for Mine {
+///     const BYTES: usize = 4;
+///     fn to_le(self, out: &mut [u8]) {
+///         out.copy_from_slice(&self.0.to_le_bytes());
+///     }
+///     fn from_le(inp: &[u8]) -> Self {
+///         Mine(u32::from_le_bytes(inp.try_into().unwrap()))
+///     }
+/// }
+/// ```
+pub trait Scalar: Copy + sealed::Sealed {
     /// Encoded size in bytes (at most 16).
     const BYTES: usize;
     /// Serializes into `out` (`out.len() == Self::BYTES`).
@@ -103,8 +121,13 @@ pub trait Scalar: Copy {
     fn from_le(inp: &[u8]) -> Self;
 }
 
+mod sealed {
+    pub trait Sealed {}
+}
+
 macro_rules! impl_scalar {
     ($($t:ty),*) => {$(
+        impl sealed::Sealed for $t {}
         impl Scalar for $t {
             const BYTES: usize = std::mem::size_of::<$t>();
             fn to_le(self, out: &mut [u8]) {
@@ -118,6 +141,58 @@ macro_rules! impl_scalar {
 }
 
 impl_scalar!(u8, u16, u32, u64, i8, i16, i32, i64, f32, f64);
+
+/// Runs `f` on the shared-memory (little-endian) encoding of `vals`.
+fn with_le_bytes<T: Scalar, R>(vals: &[T], f: impl FnOnce(&[u8]) -> R) -> R {
+    #[cfg(target_endian = "little")]
+    {
+        // SAFETY: `Scalar` is sealed to the primitive numeric types, which
+        // have no padding, so all `size_of_val(vals)` bytes behind the
+        // pointer are initialized; `u8` has alignment 1; the shared borrow
+        // of `vals` outlives the view. On a little-endian target the bytes
+        // in memory are each element's `to_le` encoding, in order.
+        f(unsafe { std::slice::from_raw_parts(vals.as_ptr().cast(), std::mem::size_of_val(vals)) })
+    }
+    #[cfg(target_endian = "big")]
+    f(&encode(vals))
+}
+
+/// Lets `fill` write the shared-memory (little-endian) encoding of `out`.
+fn fill_from_le_bytes<T: Scalar>(out: &mut [T], fill: impl FnOnce(&mut [u8])) {
+    #[cfg(target_endian = "little")]
+    {
+        // SAFETY: as in `with_le_bytes`, and additionally every bit pattern
+        // is a valid value of each sealed primitive, so `fill` may store any
+        // bytes; the exclusive borrow of `out` outlives the view.
+        fill(unsafe {
+            std::slice::from_raw_parts_mut(out.as_mut_ptr().cast(), std::mem::size_of_val(out))
+        })
+    }
+    #[cfg(target_endian = "big")]
+    {
+        let mut bytes = vec![0u8; out.len() * T::BYTES];
+        fill(&mut bytes);
+        decode(&bytes, out);
+    }
+}
+
+/// The per-element codec: what a big-endian host runs, and the reference
+/// the tests hold the byte view to.
+#[cfg(any(target_endian = "big", test))]
+fn encode<T: Scalar>(vals: &[T]) -> Vec<u8> {
+    let mut bytes = vec![0u8; vals.len() * T::BYTES];
+    for (chunk, v) in bytes.chunks_exact_mut(T::BYTES).zip(vals) {
+        v.to_le(chunk);
+    }
+    bytes
+}
+
+#[cfg(any(target_endian = "big", test))]
+fn decode<T: Scalar>(bytes: &[u8], out: &mut [T]) {
+    for (chunk, slot) in bytes.chunks_exact(T::BYTES).zip(out) {
+        *slot = T::from_le(chunk);
+    }
+}
 
 /// A typed view of a shared-memory array.
 #[derive(Debug)]
@@ -180,34 +255,24 @@ impl<T: Scalar> SharedSlice<T> {
         sys.write(self.addr_of(i), v)
     }
 
-    /// Reads `out.len()` elements starting at `i` in one ranged access.
+    /// Reads `out.len()` elements starting at `i` in one ranged access,
+    /// straight into `out`.
     pub fn read_range<S: System + ?Sized>(&self, sys: &S, i: usize, out: &mut [T]) {
         assert!(i + out.len() <= self.len);
-        let mut bytes = vec![0u8; out.len() * T::BYTES];
-        sys.read_bytes(self.addr + i * T::BYTES, &mut bytes);
-        for (k, slot) in out.iter_mut().enumerate() {
-            *slot = T::from_le(&bytes[k * T::BYTES..(k + 1) * T::BYTES]);
-        }
+        fill_from_le_bytes(out, |bytes| sys.read_bytes(self.addr + i * T::BYTES, bytes));
     }
 
-    /// Writes `vals` starting at `i` in one ranged access.
+    /// Writes `vals` starting at `i` in one ranged access, straight out of
+    /// `vals`.
     pub fn write_range<S: System + ?Sized>(&self, sys: &S, i: usize, vals: &[T]) {
         assert!(i + vals.len() <= self.len);
-        let mut bytes = vec![0u8; vals.len() * T::BYTES];
-        for (k, v) in vals.iter().enumerate() {
-            v.to_le(&mut bytes[k * T::BYTES..(k + 1) * T::BYTES]);
-        }
-        sys.write_bytes(self.addr + i * T::BYTES, &bytes);
+        with_le_bytes(vals, |bytes| sys.write_bytes(self.addr + i * T::BYTES, bytes));
     }
 
     /// Initializes elements `[i, i+vals.len())` on the master.
     pub fn init_range<W: InitWriter + ?Sized>(&self, w: &mut W, i: usize, vals: &[T]) {
         assert!(i + vals.len() <= self.len);
-        let mut bytes = vec![0u8; vals.len() * T::BYTES];
-        for (k, v) in vals.iter().enumerate() {
-            v.to_le(&mut bytes[k * T::BYTES..(k + 1) * T::BYTES]);
-        }
-        w.write_init(self.addr + i * T::BYTES, &bytes);
+        with_le_bytes(vals, |bytes| w.write_init(self.addr + i * T::BYTES, bytes));
     }
 }
 
@@ -364,6 +429,53 @@ mod tests {
         assert_eq!(out, [1.0, 2.0, 3.0]);
         assert_eq!(s.get(&sys, 3), 2.0);
         assert_eq!(s.addr_of(2), 32);
+    }
+
+    /// Ranged accesses against per-element `get`/`set` and the byte view
+    /// against the per-element codec, at an odd byte address, for lengths
+    /// 0, 1 and `vals.len()`.
+    fn check_ranges<T: Scalar + PartialEq + std::fmt::Debug>(vals: &[T]) {
+        for n in [0, 1, vals.len()] {
+            let vals = &vals[..n];
+            let slice: SharedSlice<T> = SharedSlice::new(3, n + 2);
+            with_le_bytes(vals, |bytes| assert_eq!(bytes, encode(vals)));
+
+            let written = SequentialSystem::new(256);
+            slice.write_range(&written, 1, vals);
+            let mut inited = SequentialSystem::new(256);
+            slice.init_range(&mut inited, 1, vals);
+            let by_element = SequentialSystem::new(256);
+            for (k, &v) in vals.iter().enumerate() {
+                slice.set(&by_element, 1 + k, v);
+            }
+            assert_eq!(*written.mem.borrow(), *by_element.mem.borrow());
+            assert_eq!(*inited.mem.borrow(), *by_element.mem.borrow());
+
+            let mut out = vec![T::from_le(&[0x5a; 16][..T::BYTES]); n];
+            slice.read_range(&by_element, 1, &mut out);
+            for (k, v) in out.iter().enumerate() {
+                assert_eq!(*v, slice.get(&by_element, 1 + k));
+            }
+            // Bit-exact, which `==` on floats is not (-0.0 == 0.0).
+            assert_eq!(encode(&out), encode(vals));
+            out.fill(T::from_le(&[0x5a; 16][..T::BYTES]));
+            decode(&encode(vals), &mut out);
+            assert_eq!(encode(&out), encode(vals));
+        }
+    }
+
+    #[test]
+    fn ranges_match_per_element_access_for_every_scalar() {
+        check_ranges::<u8>(&[0, 1, 0x80, 0xff]);
+        check_ranges::<u16>(&[0, 1, 0x8001, 0xfffe]);
+        check_ranges::<u32>(&[0, 1, 0x8000_0001, 0xdead_beef]);
+        check_ranges::<u64>(&[0, 1, 0x8000_0000_0000_0001, 0x0123_4567_89ab_cdef]);
+        check_ranges::<i8>(&[0, -1, i8::MIN, i8::MAX]);
+        check_ranges::<i16>(&[0, -1, i16::MIN, 0x1234]);
+        check_ranges::<i32>(&[0, -1, i32::MIN, 0x1234_5678]);
+        check_ranges::<i64>(&[0, -1, i64::MIN, 0x0123_4567_89ab_cdef]);
+        check_ranges::<f32>(&[0.0, -0.0, 1.5, f32::MIN_POSITIVE, f32::INFINITY]);
+        check_ranges::<f64>(&[0.0, -0.0, 1.5, f64::MIN_POSITIVE, f64::NEG_INFINITY]);
     }
 
     #[test]

@@ -182,3 +182,71 @@ fn treadmarks_overhead_on_one_processor_is_negligible() {
         "1-proc TreadMarks / DEC cycle ratio {ratio}"
     );
 }
+
+/// A run's memory-system counters as plain arrays, in field order:
+/// `CacheStats`, then `BusStats`, then `DirectoryStats`.
+type Counters = ([u64; 5], Option<[u64; 8]>, Option<[u64; 7]>);
+
+fn counters<W: Workload>(platform: &Platform, w: &W) -> Counters {
+    let r = run_workload(platform, w).report;
+    let c = r.cache;
+    (
+        [c.hits, c.misses, c.upgrades, c.evictions, c.dirty_evictions],
+        r.bus.map(|b| {
+            [
+                b.transactions,
+                b.busy_cycles,
+                b.cache_supplies,
+                b.memory_supplies,
+                b.invalidations,
+                b.writebacks,
+                b.data_bytes,
+                b.retries,
+            ]
+        }),
+        r.directory.map(|d| {
+            [
+                d.local_misses,
+                d.remote_clean_misses,
+                d.remote_dirty_misses,
+                d.upgrades,
+                d.invalidations,
+                d.remote_bytes,
+                d.retries,
+            ]
+        }),
+    )
+}
+
+#[test]
+fn memory_system_counters_are_pinned() {
+    // Recorded at commit 677a9c4, before the memory-system models changed
+    // representation: a rewrite of `tmk-mem` may not move one of these.
+    let hw = [
+        Platform::Dec,
+        Platform::Sgi { procs: 4 },
+        Platform::ah(4),
+        Platform::ah(64),
+        Platform::hs_sim(2, 2),
+    ];
+    let sor_expect: [Counters; 5] = [
+        ([2808, 96, 0, 0, 0], None, None),
+        ([2436, 576, 0, 0, 0], Some([468, 8424, 192, 96, 180, 180, 9216, 0]), None),
+        ([1218, 144, 0, 0, 0], None, Some([15, 39, 90, 90, 90, 14016, 0])),
+        ([380, 720, 0, 0, 0], None, Some([1, 411, 308, 352, 672, 65728, 0])),
+        ([896, 524, 0, 0, 0], Some([556, 3336, 64, 460, 32, 32, 33536, 0]), None),
+    ];
+    let water_expect: [Counters; 5] = [
+        ([4590, 90, 0, 0, 0], None, None),
+        ([3083, 1710, 0, 0, 0], Some([1597, 28842, 807, 54, 788, 760, 27936, 0]), None),
+        ([2384, 796, 0, 0, 0], None, Some([14, 46, 736, 720, 757, 97152, 0])),
+        ([594, 2338, 0, 0, 0], None, Some([41, 750, 1547, 968, 2265, 246016, 0])),
+        ([2872, 933, 0, 0, 0], Some([1028, 6164, 124, 809, 104, 103, 60288, 0]), None),
+    ];
+    let water_cfg = water::Water::tiny(water::WaterMode::Original);
+    for (i, p) in hw.iter().enumerate() {
+        let what = format!("{} x{}", p.name(), p.procs());
+        assert_eq!(counters(p, &sor::Sor::tiny()), sor_expect[i], "sor on {what}");
+        assert_eq!(counters(p, &water_cfg), water_expect[i], "water on {what}");
+    }
+}
