@@ -12,9 +12,7 @@
 //!
 //! which fans independent (platform, workload) runs across host cores,
 //! memoizes repeated baselines, and can emit `results/*.json` plus
-//! `BENCH_results.json`. The historical per-experiment binaries (`table1`,
-//! `table2`, `fig01_08`, `fig09_11`, `fig12_13`, `fig14_16`, `ablations`,
-//! `calibrate`) remain as thin shims over the same registry.
+//! `BENCH_results.json`. `suite` is the only binary.
 
 pub mod driver;
 

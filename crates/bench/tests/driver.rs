@@ -1,11 +1,12 @@
 //! Integration tests for the unified experiment driver: memoization,
-//! worker-count-independent results, failed-job isolation, and the JSON
-//! records it emits.
+//! results independent of worker count and engine, an engine that travels
+//! with each call, failed-job isolation, and the JSON records it emits.
 
 use tmk_bench::driver::{
     run_jobs, run_suite, sim_record, JobRequest, Options, SuiteResult, Tier, WorkloadSpec,
 };
-use tmk_machines::{Json, Platform};
+use tmk_machines::{Json, Platform, RunOpts};
+use tmk_sim::EngineKind;
 
 fn quick_opts(jobs: usize) -> Options {
     Options {
@@ -35,7 +36,7 @@ fn baseline_runs_are_memoized() {
     let b = JobRequest::new(Platform::treadmarks(2), WorkloadSpec::SorTiny);
     // Three identical DEC baselines plus one distinct run: 4 requests must
     // execute only 2 simulations.
-    let memo = run_jobs(&[a.clone(), a.clone(), b.clone(), a.clone()], 2);
+    let memo = run_jobs(&[a.clone(), a.clone(), b.clone(), a.clone()], 2, &RunOpts::default());
     assert_eq!(memo.hits, 2);
     assert_eq!(memo.unique_runs(), 2);
     assert!(memo.get(&a).unwrap().data.is_ok());
@@ -46,37 +47,81 @@ fn baseline_runs_are_memoized() {
 fn panicking_job_fails_alone() {
     let probe = JobRequest::new(Platform::Dec, WorkloadSpec::PanicProbe);
     let good = JobRequest::new(Platform::Dec, WorkloadSpec::SorTiny);
-    let memo = run_jobs(&[probe.clone(), good.clone()], 2);
+    let memo = run_jobs(&[probe.clone(), good.clone()], 2, &RunOpts::default());
     let failed = memo.get(&probe).unwrap();
     let err = failed.data.as_ref().unwrap_err();
     assert!(err.contains("deliberate panic probe"), "got: {err}");
     assert!(memo.get(&good).unwrap().data.is_ok(), "bystander job died");
 }
 
+/// Every run of `suite` reports the engine it was asked to run on. Without
+/// this, a comparison across engines can pass by running one engine twice.
+fn assert_ran_on(suite: &SuiteResult, engine: EngineKind) {
+    for r in &suite.runs {
+        let ran_on = r.data.as_ref().expect("quick tier has no failing runs");
+        assert_eq!(ran_on.report.engine, engine, "run '{}'", r.key);
+    }
+}
+
 #[test]
 fn suite_results_do_not_depend_on_worker_count() {
     let serial = run_suite(&quick_opts(1)).unwrap();
-    let parallel = run_suite(&quick_opts(8)).unwrap();
-    assert!(serial.ok(), "failed: {:?}", serial.failed_sections());
-    assert!(parallel.ok(), "failed: {:?}", parallel.failed_sections());
-
-    // Identical rendered text...
     let texts = |s: &SuiteResult| {
         s.experiments
             .iter()
             .map(|e| (e.id, e.text.clone()))
             .collect::<Vec<_>>()
     };
-    assert_eq!(texts(&serial), texts(&parallel));
-    // ...and byte-identical simulated records for every run.
-    let (s_recs, p_recs) = (simulated_records(&serial), simulated_records(&parallel));
-    let s_keys: Vec<&str> = s_recs.iter().map(|(k, _)| k.as_str()).collect();
-    let p_keys: Vec<&str> = p_recs.iter().map(|(k, _)| k.as_str()).collect();
-    assert_eq!(s_keys, p_keys);
-    for ((key, a), (_, b)) in s_recs.iter().zip(&p_recs) {
-        assert_eq!(a, b, "run '{key}' differs between 1 and 8 workers");
-    }
+    assert!(serial.ok(), "failed: {:?}", serial.failed_sections());
+    assert_ran_on(&serial, EngineKind::Coop);
     assert!(serial.memo_hits > 0, "quick tier shares baselines");
+
+    let threaded = Options {
+        engine: EngineKind::Threaded,
+        ..quick_opts(2)
+    };
+    for (what, opts) in [("8 workers", quick_opts(8)), ("the oracle engine", threaded)] {
+        let other = run_suite(&opts).unwrap();
+        assert!(other.ok(), "failed: {:?}", other.failed_sections());
+        assert_ran_on(&other, opts.engine);
+        // Identical rendered text...
+        assert_eq!(texts(&serial), texts(&other), "text differs on {what}");
+        // ...and byte-identical simulated records for every run.
+        let (s_recs, o_recs) = (simulated_records(&serial), simulated_records(&other));
+        assert_eq!(s_recs.len(), o_recs.len(), "run lists differ on {what}");
+        for ((s_key, a), (o_key, b)) in s_recs.iter().zip(&o_recs) {
+            assert_eq!(s_key, o_key, "run lists differ on {what}");
+            assert_eq!(a, b, "run '{s_key}' differs between 1 coop worker and {what}");
+        }
+    }
+}
+
+#[test]
+fn the_engine_travels_with_the_call() {
+    // Two suites at once in one process, one per engine: each must run every
+    // simulation on the engine *it* asked for. The barrier makes both calls
+    // start together, so a process-wide engine setting would be overwritten
+    // by one of them before the other's runs begin.
+    let start = std::sync::Barrier::new(2);
+    let run = |engine: EngineKind| {
+        let opts = Options {
+            tier: Tier::Quick,
+            jobs: 2,
+            experiments: vec!["table1".into()],
+            engine,
+            ..Default::default()
+        };
+        start.wait();
+        run_suite(&opts).unwrap()
+    };
+    let (threaded, coop) = std::thread::scope(|s| {
+        let threaded = s.spawn(|| run(EngineKind::Threaded));
+        let coop = s.spawn(|| run(EngineKind::Coop));
+        (threaded.join().unwrap(), coop.join().unwrap())
+    });
+    assert_ran_on(&threaded, EngineKind::Threaded);
+    assert_ran_on(&coop, EngineKind::Coop);
+    assert_eq!(simulated_records(&threaded), simulated_records(&coop));
 }
 
 #[test]
@@ -118,7 +163,7 @@ fn section_filters_select_single_figures() {
         tier: Tier::Quick,
         jobs: 2,
         experiments: vec!["fig01_08".into()],
-        section_filters: vec!["fig3".into()],
+        filters: vec!["fig01_08/fig3".into()],
         ..Default::default()
     })
     .unwrap();
@@ -166,30 +211,4 @@ fn service_experiment_recovers_and_sheds_loudly() {
         .filter(|r| r.get("report").and_then(|rep| rep.get("service")).is_some())
         .count();
     assert_eq!(with_service, runs.len(), "every service run reports tenants");
-}
-
-#[test]
-fn engine_bench_quick_has_parity_on_every_run() {
-    let bench = tmk_bench::driver::run_engine_bench(Tier::Quick, 2);
-    assert!(!bench.rows.is_empty());
-    assert_eq!(
-        bench.mismatches(),
-        Vec::<&str>::new(),
-        "threaded and coop engines disagreed"
-    );
-    assert!(
-        bench.excluded.contains(&"scaling256"),
-        "the 256-node experiment must not run on the threaded engine"
-    );
-    assert!(
-        bench.excluded.contains(&"service"),
-        "the real-thread service must not enter the engine comparison"
-    );
-    let j = Json::parse(&bench.to_json().render_pretty(2)).unwrap();
-    assert_eq!(
-        j.get("schema").and_then(Json::as_str),
-        Some("tmk-engine-bench/1")
-    );
-    assert_eq!(j.get("parity_ok"), Some(&Json::Bool(true)));
-    assert!(bench.render_text().contains("parity: all"));
 }

@@ -18,7 +18,7 @@ use tmk_parmacs::{InitWriter, System};
 use tmk_sim::{Ctx, Cycle, Op};
 use tmk_trace::{Category, Event, EventKind, Sink, Track};
 
-use crate::fabric::{gc_service_cycles, settle, Fabric, Routed};
+use crate::fabric::{access, gc_service_cycles, settle, AccessData, Fabric, NodeMachine, Routed};
 
 /// Parameters of a software-DSM cluster.
 #[derive(Debug, Clone)]
@@ -106,14 +106,31 @@ impl DsmMachine {
     pub fn set_tracer(&mut self, sink: Sink) {
         self.fabric.set_tracer(sink);
     }
+}
 
-    /// Drops a page's lines from a node's processor cache (fresh remote data
-    /// arrived outside the cache).
+impl NodeMachine for DsmMachine {
+    fn fabric(&mut self) -> &mut Fabric {
+        &mut self.fabric
+    }
+
+    fn per_node(&self) -> usize {
+        1
+    }
+
+    fn charge(&mut self, proc: usize, addr: usize, len: usize, write: bool, now: Cycle) -> Cycle {
+        self.caches[proc].charge_range(addr, len, write, self.params.memory_latency, now)
+    }
+
     fn purge_page(&mut self, node: NodeId, page: usize) {
         let ps = self.fabric.page_size;
         for line in self.params.cache.lines_of(page * ps, ps) {
             self.caches[node].invalidate(line);
         }
+    }
+
+    /// A node *is* a processor here.
+    fn completed_elsewhere(op: &mut Op<'_, Self>, node: NodeId, at: Cycle) {
+        op.wake_at(node, at);
     }
 }
 
@@ -154,86 +171,6 @@ impl<'a, 'e> DsmSys<'a, 'e> {
     pub fn new(ctx: &'a Ctx<'e, DsmMachine>) -> Self {
         DsmSys { ctx }
     }
-
-    fn access(&self, addr: usize, len: usize, write: bool, mut data: AccessData<'_>) {
-        let me = self.ctx.id();
-        loop {
-            let done = self.ctx.sync(|op| {
-                // Resolve faults and, once every page is usable, perform the
-                // access *within the same operation* — otherwise another
-                // node could steal a just-fetched page before we touch it
-                // (a livelock under single-writer protocols like IVY).
-                loop {
-                    let now = op.now();
-                    let m = op.machine();
-                    let bad = m.fabric.nodes[me].pages_in(addr, len).find(|&p| {
-                        if write {
-                            !m.fabric.nodes[me].page_writable(p)
-                        } else {
-                            !m.fabric.nodes[me].page_valid(p)
-                        }
-                    });
-                    match bad {
-                        None => {
-                            let lat = m.params.memory_latency;
-                            let done = m.caches[me].charge_range(addr, len, write, lat, now);
-                            match &mut data {
-                                AccessData::Read(buf) => m.fabric.nodes[me].read_into(addr, buf),
-                                AccessData::Write(bytes) => m.fabric.nodes[me].write_from(addr, bytes),
-                            }
-                            op.advance_as(Category::MemStall, done - now);
-                            return true;
-                        }
-                        Some(page) => {
-                            // Page fault: handler dispatch, then the protocol.
-                            m.fabric.sink.emit(Event {
-                                track: Track::Cpu(me as u32),
-                                at: now,
-                                dur: 0,
-                                kind: EventKind::PageFault {
-                                    page: page as u64,
-                                    write,
-                                },
-                            });
-                            let handler = m.params.so.handler;
-                            let twins_before = m.fabric.nodes[me].stats().twins_created;
-                            let start = m.fabric.nodes[me].fault(page, write);
-                            let mut t = now + handler;
-                            if m.fabric.nodes[me].stats().twins_created > twins_before {
-                                // Twinning copies the page.
-                                t += (m.fabric.page_size / 4) as Cycle;
-                            }
-                            if start.ready {
-                                op.advance_as(Category::Protocol, t - now);
-                            } else {
-                                let routed = m.fabric.route_timed(me, t, start.sends);
-                                op.machine().purge_page(me, page);
-                                let mine = finish_cascade(op, me, routed, t, Category::Network);
-                                if !mine
-                                    .iter()
-                                    .any(|(a, _)| *a == Action::PageReady(page))
-                                {
-                                    // Should not happen (cascades complete
-                                    // synchronously); re-enter via the outer
-                                    // loop defensively.
-                                    return false;
-                                }
-                            }
-                            // Loop: recheck remaining pages in this op.
-                        }
-                    }
-                }
-            });
-            if done {
-                return;
-            }
-        }
-    }
-}
-
-enum AccessData<'b> {
-    Read(&'b mut [u8]),
-    Write(&'b [u8]),
 }
 
 impl System for DsmSys<'_, '_> {
@@ -246,11 +183,11 @@ impl System for DsmSys<'_, '_> {
     }
 
     fn read_bytes(&self, addr: usize, buf: &mut [u8]) {
-        self.access(addr, buf.len(), false, AccessData::Read(buf));
+        access(self.ctx, addr, buf.len(), false, AccessData::Read(buf));
     }
 
     fn write_bytes(&self, addr: usize, data: &[u8]) {
-        self.access(addr, data.len(), true, AccessData::Write(data));
+        access(self.ctx, addr, data.len(), true, AccessData::Write(data));
     }
 
     fn lock(&self, lock: usize) {

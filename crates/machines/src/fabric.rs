@@ -9,7 +9,9 @@
 //! ([`Fabric::route_timed`]) that times a protocol cascade hop by hop. A
 //! machine adds only what sits *inside* a node (a processor cache on AS;
 //! a snooping bus plus node-local lock and barrier tables on HS) and tells
-//! [`settle`] which processor a node's protocol work steals cycles from.
+//! [`settle`] which processor a node's protocol work steals cycles from; the
+//! one page-access path, [`access`], reaches that inside through the
+//! [`NodeMachine`] hook.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -19,7 +21,7 @@ use tmk_core::{
     Traffic,
 };
 use tmk_net::{Fate, LossyNet, NetParams, PointToPointNet, SoftwareOverhead};
-use tmk_sim::{Cycle, Op};
+use tmk_sim::{Ctx, Cycle, Op};
 use tmk_trace::{Category, Event, EventKind, Sink, Track};
 
 /// Which page-based DSM protocol the software cluster runs.
@@ -857,6 +859,121 @@ pub(crate) fn settle<M>(
         op.advance_as(wait, total - proto - rec);
     }
     routed.actions
+}
+
+/// What [`access`] needs from a machine built on the fabric: how many
+/// processors share a DSM node, and the memory system inside one.
+pub(crate) trait NodeMachine: Sized {
+    fn fabric(&mut self) -> &mut Fabric;
+
+    /// Processors per DSM node; processor `p` lives on node `p / per_node`.
+    fn per_node(&self) -> usize;
+
+    /// Charges processor `proc`'s cache hierarchy for an access to resident
+    /// pages starting at `now`; returns its completion time.
+    fn charge(&mut self, proc: usize, addr: usize, len: usize, write: bool, now: Cycle) -> Cycle;
+
+    /// Drops a page's lines from `node`'s processor cache(s): fresh remote
+    /// data arrived outside them.
+    fn purge_page(&mut self, node: NodeId, page: usize);
+
+    /// A fault cascade completed an action on `node`, not the faulting one,
+    /// at `at`: unblock whichever processor was waiting for it.
+    fn completed_elsewhere(op: &mut Op<'_, Self>, node: NodeId, at: Cycle);
+}
+
+/// The bytes a shared access moves.
+pub(crate) enum AccessData<'b> {
+    Read(&'b mut [u8]),
+    Write(&'b [u8]),
+}
+
+/// One shared-memory access by the calling processor: page faults on its
+/// node are resolved through the fabric, then the node's memory system is
+/// charged and the bytes move.
+pub(crate) fn access<M: NodeMachine>(
+    ctx: &Ctx<'_, M>,
+    addr: usize,
+    len: usize,
+    write: bool,
+    mut data: AccessData<'_>,
+) {
+    let me = ctx.id();
+    loop {
+        let done = ctx.sync(|op| {
+            // Resolve faults and, once every page is usable, perform the
+            // access *within the same operation* — otherwise another
+            // node could steal a just-fetched page before we touch it
+            // (a livelock under single-writer protocols like IVY).
+            loop {
+                let now = op.now();
+                let m = op.machine();
+                let per_node = m.per_node();
+                let nd = me / per_node;
+                let node = &m.fabric().nodes[nd];
+                let bad = node.pages_in(addr, len).find(|&p| {
+                    if write {
+                        !node.page_writable(p)
+                    } else {
+                        !node.page_valid(p)
+                    }
+                });
+                let Some(page) = bad else {
+                    let done = m.charge(me, addr, len, write, now);
+                    let node = &mut m.fabric().nodes[nd];
+                    match &mut data {
+                        AccessData::Read(buf) => node.read_into(addr, buf),
+                        AccessData::Write(bytes) => node.write_from(addr, bytes),
+                    }
+                    op.advance_as(Category::MemStall, done - now);
+                    return true;
+                };
+                // Page fault: handler dispatch, then the protocol.
+                let f = m.fabric();
+                f.sink.emit(Event {
+                    track: Track::Cpu(me as u32),
+                    at: now,
+                    dur: 0,
+                    kind: EventKind::PageFault {
+                        page: page as u64,
+                        write,
+                    },
+                });
+                let twins_before = f.nodes[nd].stats().twins_created;
+                let start = f.nodes[nd].fault(page, write);
+                let mut t = now + f.so.handler;
+                if f.nodes[nd].stats().twins_created > twins_before {
+                    // Twinning copies the page.
+                    t += (f.page_size / 4) as Cycle;
+                }
+                if start.ready {
+                    op.advance_as(Category::Protocol, t - now);
+                } else {
+                    let routed = f.route_timed(nd, t, start.sends);
+                    m.purge_page(nd, page);
+                    let mut ready = false;
+                    for (node, action, at) in settle(op, nd, per_node, routed, t, Category::Network)
+                    {
+                        if node != nd {
+                            M::completed_elsewhere(op, node, at);
+                        } else if action == Action::PageReady(page) {
+                            ready = true;
+                        }
+                    }
+                    if !ready {
+                        // Should not happen (cascades complete
+                        // synchronously); re-enter via the outer loop
+                        // defensively.
+                        return false;
+                    }
+                }
+                // Loop: recheck remaining pages in this op.
+            }
+        });
+        if done {
+            return;
+        }
+    }
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@ use tmk_parmacs::{InitWriter, System};
 use tmk_sim::{Ctx, Cycle, Op};
 use tmk_trace::{Category, Event, EventKind, Sink, Track};
 
-use crate::fabric::{settle, DsmProtocol, Fabric};
+use crate::fabric::{access, settle, AccessData, DsmProtocol, Fabric, NodeMachine};
 
 /// Parameters of the hybrid machine.
 #[derive(Debug, Clone)]
@@ -143,17 +143,36 @@ impl HsMachine {
     fn node_of(&self, proc: usize) -> NodeId {
         proc / self.params.per_node
     }
+}
 
-    /// Purges a page's lines from every cache of `node` (fresh DSM data
-    /// arrived; the paper assumes intra-node cache/TLB coherence handles
-    /// this — we model it as invalidations, whose re-fill cost shows up as
-    /// later misses).
+impl NodeMachine for HsMachine {
+    fn fabric(&mut self) -> &mut Fabric {
+        &mut self.fabric
+    }
+
+    fn per_node(&self) -> usize {
+        self.params.per_node
+    }
+
+    fn charge(&mut self, proc: usize, addr: usize, len: usize, write: bool, now: Cycle) -> Cycle {
+        let per_node = self.params.per_node;
+        self.buses[proc / per_node].charge_range(proc % per_node, addr, len, write, now)
+    }
+
+    /// Purges the page from every cache of `node`: the paper assumes
+    /// intra-node cache/TLB coherence handles fresh DSM data — we model it
+    /// as invalidations, whose re-fill cost shows up as later misses.
     fn purge_page(&mut self, node: NodeId, page: usize) {
         let ps = self.fabric.page_size;
         for line in self.params.cache.lines_of(page * ps, ps) {
             self.buses[node].purge_line(line);
         }
     }
+
+    /// Nothing to wake: processors here block only in `lock` and `barrier`,
+    /// and are woken through the node-local tables by the `unlock` or
+    /// `barrier` cascade that carries their grant.
+    fn completed_elsewhere(_: &mut Op<'_, Self>, _: NodeId, _: Cycle) {}
 }
 
 impl InitWriter for HsMachine {
@@ -171,73 +190,6 @@ impl<'a, 'e> HsSys<'a, 'e> {
     /// Wraps an engine context.
     pub fn new(ctx: &'a Ctx<'e, HsMachine>) -> Self {
         HsSys { ctx }
-    }
-
-    fn access(&self, addr: usize, len: usize, write: bool, mut data: AccessData<'_>) {
-        let me = self.ctx.id();
-        loop {
-            let done = self.ctx.sync(|op| {
-                // Resolve faults and perform the access in one operation
-                // (see `DsmSys::access` for the livelock rationale).
-                loop {
-                    let now = op.now();
-                    let m = op.machine();
-                    let nd = m.node_of(me);
-                    let bad = m.fabric.nodes[nd].pages_in(addr, len).find(|&p| {
-                        if write {
-                            !m.fabric.nodes[nd].page_writable(p)
-                        } else {
-                            !m.fabric.nodes[nd].page_valid(p)
-                        }
-                    });
-                    match bad {
-                        None => {
-                            let cpu = me % m.params.per_node;
-                            let done = m.buses[nd].charge_range(cpu, addr, len, write, now);
-                            match &mut data {
-                                AccessData::Read(buf) => m.fabric.nodes[nd].read_into(addr, buf),
-                                AccessData::Write(bytes) => m.fabric.nodes[nd].write_from(addr, bytes),
-                            }
-                            op.advance_as(Category::MemStall, done - now);
-                            return true;
-                        }
-                        Some(page) => {
-                            m.fabric.sink.emit(Event {
-                                track: Track::Cpu(me as u32),
-                                at: now,
-                                dur: 0,
-                                kind: EventKind::PageFault {
-                                    page: page as u64,
-                                    write,
-                                },
-                            });
-                            let handler = m.params.so.handler;
-                            let twins_before = m.fabric.nodes[nd].stats().twins_created;
-                            let start = m.fabric.nodes[nd].fault(page, write);
-                            let mut t = now + handler;
-                            if m.fabric.nodes[nd].stats().twins_created > twins_before {
-                                t += (m.fabric.page_size / 4) as Cycle;
-                            }
-                            if start.ready {
-                                op.advance_as(Category::Protocol, t - now);
-                            } else {
-                                let routed = m.fabric.route_timed(nd, t, start.sends);
-                                m.purge_page(nd, page);
-                                let per_node = m.params.per_node;
-                                let done =
-                                    settle(op, nd, per_node, routed, t, Category::Network);
-                                if !done.iter().any(|(_, a, _)| *a == Action::PageReady(page)) {
-                                    return false;
-                                }
-                            }
-                        }
-                    }
-                }
-            });
-            if done {
-                return;
-            }
-        }
     }
 
     /// Wakes every processor of `node` blocked on `barrier`, at time `t`.
@@ -269,11 +221,6 @@ impl<'a, 'e> HsSys<'a, 'e> {
     }
 }
 
-enum AccessData<'b> {
-    Read(&'b mut [u8]),
-    Write(&'b [u8]),
-}
-
 impl System for HsSys<'_, '_> {
     fn nprocs(&self) -> usize {
         self.ctx.nprocs()
@@ -284,11 +231,11 @@ impl System for HsSys<'_, '_> {
     }
 
     fn read_bytes(&self, addr: usize, buf: &mut [u8]) {
-        self.access(addr, buf.len(), false, AccessData::Read(buf));
+        access(self.ctx, addr, buf.len(), false, AccessData::Read(buf));
     }
 
     fn write_bytes(&self, addr: usize, data: &[u8]) {
-        self.access(addr, data.len(), true, AccessData::Write(data));
+        access(self.ctx, addr, data.len(), true, AccessData::Write(data));
     }
 
     fn lock(&self, lock: usize) {

@@ -15,8 +15,8 @@ pub struct Outcome<R> {
     /// The measurements.
     pub report: RunReport,
     /// The engine's op trace — `(processor, clock)` at each sync-op start,
-    /// in execution order — when armed via `suite --op-trace` /
-    /// `TMK_ENGINE_TRACE`. Empty otherwise.
+    /// in execution order — when [`RunOpts::op_trace`](crate::RunOpts)
+    /// armed it (`suite --op-trace`). Empty otherwise.
     pub op_trace: Vec<(usize, Cycle)>,
 }
 

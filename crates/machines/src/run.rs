@@ -1,6 +1,5 @@
 //! One entry point to run an application on any of the five platforms.
 
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -17,50 +16,22 @@ use crate::hw::{HwMachine, HwParams, HwSys};
 use crate::hybrid::{HsMachine, HsParams, HsSys};
 use crate::{Outcome, RunReport};
 
-/// Which execution backend the `run_*` entry points use when the caller
-/// does not pick one explicitly: 0 = threaded, 1 = coop, 2 = unset (read
-/// the `TMK_ENGINE` environment variable on first use, default coop).
-static ENGINE_KIND: AtomicU8 = AtomicU8::new(2);
-
-/// Arms the engine op trace on every run (the `suite --op-trace` flag; the
-/// `TMK_ENGINE_TRACE` environment variable remains a fallback, read by the
-/// engines themselves).
-static OP_TRACE: AtomicBool = AtomicBool::new(false);
-
-/// The process-wide default execution backend for [`run_on`] and friends.
-///
-/// Resolution order: [`set_engine_kind`] if called, else the `TMK_ENGINE`
-/// environment variable (`threaded` | `coop`), else [`EngineKind::Coop`].
-/// The choice never affects simulated results — only host-side execution —
-/// so it deliberately does not contribute to [`Platform::key`].
-pub fn engine_kind() -> EngineKind {
-    match ENGINE_KIND.load(Ordering::Relaxed) {
-        0 => EngineKind::Threaded,
-        1 => EngineKind::Coop,
-        _ => {
-            let kind = std::env::var("TMK_ENGINE")
-                .ok()
-                .and_then(|s| EngineKind::parse(&s))
-                .unwrap_or_default();
-            set_engine_kind(kind);
-            kind
-        }
-    }
-}
-
-/// Overrides the process-wide default backend (see [`engine_kind`]).
-pub fn set_engine_kind(kind: EngineKind) {
-    let v = match kind {
-        EngineKind::Threaded => 0,
-        EngineKind::Coop => 1,
-    };
-    ENGINE_KIND.store(v, Ordering::Relaxed);
-}
-
-/// Arms (or disarms) the engine op trace for every subsequent run; traced
-/// ops come back in [`Outcome::op_trace`].
-pub fn set_op_trace(on: bool) {
-    OP_TRACE.store(on, Ordering::Relaxed);
+/// How a run executes, as opposed to what it simulates. None of these
+/// affect simulated results — only host-side execution and what is recorded
+/// — so none contribute to [`Platform::key`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RunOpts {
+    /// Execution backend; results are byte-identical across backends, only
+    /// `Outcome::report::{engine, host_ms}` differ.
+    pub engine: EngineKind,
+    /// Per-processor event-ring capacity: `Some(cap)` arms a [`TraceBuf`]
+    /// whose per-category cycle ledger and Chrome-trace events are returned
+    /// alongside the outcome (`Some(0)` keeps the ledger but records no
+    /// events). `None` runs untraced — the zero-cost default — and returns
+    /// no buffer. A traced run is cycle-identical to an untraced one.
+    pub trace: Option<usize>,
+    /// Record the engine op trace into [`Outcome::op_trace`].
+    pub op_trace: bool,
 }
 
 /// DSM knobs shared by the software and hybrid platforms, for ablations.
@@ -342,46 +313,26 @@ where
     FI: FnOnce(&P, &mut dyn InitWriter),
     FB: Fn(&dyn System, &P) -> R + Send + Sync,
 {
-    run_on_traced(platform, segment_bytes, plan, init, body, None).0
+    run_on_with(
+        platform,
+        segment_bytes,
+        plan,
+        init,
+        body,
+        &RunOpts::default(),
+    )
+    .0
 }
 
-/// [`run_on`] with event tracing and time attribution.
-///
-/// `trace` is the per-processor event-ring capacity: `Some(cap)` arms a
-/// [`TraceBuf`] whose per-category cycle ledger and Chrome-trace events are
-/// returned alongside the outcome (`Some(0)` keeps the ledger but records
-/// no events). `None` runs untraced — the zero-cost default — and returns
-/// no buffer. Tracing never alters simulated timing: a traced run is
-/// cycle-identical to an untraced one.
-pub fn run_on_traced<P, R, FP, FI, FB>(
+/// [`run_on`] with the execution spelled out (see [`RunOpts`]); also returns
+/// the trace buffer when `opts.trace` armed one.
+pub fn run_on_with<P, R, FP, FI, FB>(
     platform: &Platform,
     segment_bytes: usize,
     plan: FP,
     init: FI,
     body: FB,
-    trace: Option<usize>,
-) -> (Outcome<R>, Option<Arc<TraceBuf>>)
-where
-    P: Send + Sync,
-    R: Send,
-    FP: FnOnce(&mut Alloc) -> P,
-    FI: FnOnce(&P, &mut dyn InitWriter),
-    FB: Fn(&dyn System, &P) -> R + Send + Sync,
-{
-    run_on_traced_with(engine_kind(), platform, segment_bytes, plan, init, body, trace)
-}
-
-/// [`run_on_traced`] on an explicitly chosen execution backend, bypassing
-/// the process-wide default. Results are byte-identical across backends;
-/// only `Outcome::report::{engine, host_ms}` differ.
-pub fn run_on_traced_with<P, R, FP, FI, FB>(
-    engine: EngineKind,
-    platform: &Platform,
-    segment_bytes: usize,
-    plan: FP,
-    init: FI,
-    body: FB,
-    trace: Option<usize>,
+    opts: &RunOpts,
 ) -> (Outcome<R>, Option<Arc<TraceBuf>>)
 where
     P: Send + Sync,
@@ -392,7 +343,9 @@ where
 {
     let mut alloc = Alloc::new(segment_bytes);
     let p = plan(&mut alloc);
-    let buf = trace.map(|cap| Arc::new(TraceBuf::new(platform.procs(), cap)));
+    let buf = opts
+        .trace
+        .map(|cap| Arc::new(TraceBuf::new(platform.procs(), cap)));
 
     let procs = platform.procs();
     let hw = |params: HwParams, faults: &Option<tmk_net::FaultPlan>, init: FI, body: FB| {
@@ -407,7 +360,7 @@ where
             diagnostics: None,
             budget: None,
         };
-        run_machine(engine, machine, procs, hooks, buf.clone(), |ctx| {
+        run_machine(opts, machine, procs, hooks, buf.clone(), |ctx| {
             body(&HwSys::new(ctx), &p)
         })
     };
@@ -437,7 +390,7 @@ where
                 diagnostics: Some(|m| m.fabric.diagnostics()),
                 budget: tuning.watchdog_budget,
             };
-            run_machine(engine, machine, *procs, hooks, buf.clone(), |ctx| {
+            run_machine(opts, machine, *procs, hooks, buf.clone(), |ctx| {
                 body(&DsmSys::new(ctx), &p)
             })
         }
@@ -459,7 +412,7 @@ where
                 diagnostics: Some(|m| m.fabric.diagnostics()),
                 budget: tuning.watchdog_budget,
             };
-            run_machine(engine, machine, procs, hooks, buf.clone(), |ctx| {
+            run_machine(opts, machine, procs, hooks, buf.clone(), |ctx| {
                 body(&HsSys::new(ctx), &p)
             })
         }
@@ -505,7 +458,7 @@ struct Hooks<M> {
 /// Runs `body` on every simulated processor of `machine` and assembles the
 /// audited report. The one run loop behind every platform.
 fn run_machine<M: Send + 'static, R: Send>(
-    kind: EngineKind,
+    opts: &RunOpts,
     mut machine: M,
     procs: usize,
     hooks: Hooks<M>,
@@ -515,11 +468,11 @@ fn run_machine<M: Send + 'static, R: Send>(
     if let Some(buf) = &trace {
         (hooks.set_tracer)(&mut machine, Sink::new(buf.clone()));
     }
-    let mut engine = AnyEngine::new(kind, machine, procs);
+    let mut engine = AnyEngine::new(opts.engine, machine, procs);
     if let Some(diagnostics) = hooks.diagnostics {
         engine = engine.with_diagnostics(diagnostics);
     }
-    if OP_TRACE.load(Ordering::Relaxed) {
+    if opts.op_trace {
         engine = engine.with_op_trace(true);
     }
     if let Some(b) = hooks.budget {
@@ -537,7 +490,7 @@ fn run_machine<M: Send + 'static, R: Send>(
     let host_ms = started.elapsed().as_secs_f64() * 1e3;
     let mut report = RunReport {
         procs,
-        engine: kind,
+        engine: opts.engine,
         host_ms,
         cycles: run.time(),
         proc_cycles: run.clocks.clone(),
@@ -555,35 +508,52 @@ fn run_machine<M: Send + 'static, R: Send>(
 /// Runs a [`Workload`](tmk_parmacs::Workload) on a platform, returning the
 /// per-processor checksums plus the measurement report.
 pub fn run_workload<W: tmk_parmacs::Workload>(platform: &Platform, w: &W) -> Outcome<f64> {
-    run_workload_traced(platform, w, None).0
+    run_workload_with(platform, w, &RunOpts::default()).0
 }
 
-/// [`run_workload`] with tracing (see [`run_on_traced`]).
+/// [`run_workload`] with tracing (see [`RunOpts::trace`]).
 pub fn run_workload_traced<W: tmk_parmacs::Workload>(
     platform: &Platform,
     w: &W,
     trace: Option<usize>,
 ) -> (Outcome<f64>, Option<Arc<TraceBuf>>) {
-    run_workload_traced_with(engine_kind(), platform, w, trace)
+    let opts = RunOpts {
+        trace,
+        ..Default::default()
+    };
+    run_workload_with(platform, w, &opts)
 }
 
-/// [`run_workload_traced`] on an explicitly chosen execution backend (see
-/// [`run_on_traced_with`]).
+/// [`run_workload`] with the execution spelled out (see [`run_on_with`]).
+pub fn run_workload_with<W: tmk_parmacs::Workload>(
+    platform: &Platform,
+    w: &W,
+    opts: &RunOpts,
+) -> (Outcome<f64>, Option<Arc<TraceBuf>>) {
+    run_on_with(
+        platform,
+        w.segment_bytes(),
+        |alloc| w.plan(alloc),
+        |plan, writer| w.init(plan, writer),
+        |sys, plan| w.body(sys, plan),
+        opts,
+    )
+}
+
+/// [`run_workload_with`] in the argument order the `benchmark/` harness
+/// calls.
 pub fn run_workload_traced_with<W: tmk_parmacs::Workload>(
     engine: EngineKind,
     platform: &Platform,
     w: &W,
     trace: Option<usize>,
 ) -> (Outcome<f64>, Option<Arc<TraceBuf>>) {
-    run_on_traced_with(
+    let opts = RunOpts {
         engine,
-        platform,
-        w.segment_bytes(),
-        |alloc| w.plan(alloc),
-        |plan, writer| w.init(plan, writer),
-        |sys, plan| w.body(sys, plan),
         trace,
-    )
+        op_trace: false,
+    };
+    run_workload_with(platform, w, &opts)
 }
 
 /// Runs `body` on a platform with a bare 64 KB segment the test addresses
@@ -595,7 +565,11 @@ pub(crate) fn run_body<R: Send>(
     body: impl Fn(&dyn System) -> R + Send + Sync,
 ) -> (Vec<R>, RunReport) {
     let run = |sys: &dyn System, _: &()| body(sys);
-    let (out, _) = run_on_traced(platform, 1 << 16, |_| (), |_, _| {}, run, Some(0));
+    let opts = RunOpts {
+        trace: Some(0),
+        ..Default::default()
+    };
+    let (out, _) = run_on_with(platform, 1 << 16, |_| (), |_, _| {}, run, &opts);
     (out.results, out.report)
 }
 

@@ -40,18 +40,13 @@ use crate::engine::{
 };
 use crate::Cycle;
 
-/// Default coroutine stack size; override with the `TMK_CORO_STACK`
-/// environment variable (bytes) or [`CoopEngine::with_stack_bytes`].
+/// Default coroutine stack size; override with
+/// [`CoopEngine::with_stack_bytes`].
 ///
 /// 2 MiB matches the default OS thread stack the threaded engine runs
 /// bodies on. Stacks are lazily committed heap allocations, so a 256-node
 /// run reserves address space, not resident memory.
-fn default_stack_bytes() -> usize {
-    std::env::var("TMK_CORO_STACK")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2 * 1024 * 1024)
-}
+const DEFAULT_STACK_BYTES: usize = 2 * 1024 * 1024;
 
 /// The single-threaded cooperative engine. Drop-in alternative to
 /// [`Engine`](crate::Engine): same constructor shape, same builders, same
@@ -119,7 +114,7 @@ impl<M> CoopEngine<M> {
             },
             diag: None,
             nprocs,
-            stack_bytes: default_stack_bytes(),
+            stack_bytes: DEFAULT_STACK_BYTES,
         }
     }
 

@@ -96,8 +96,8 @@ pub struct RunResult<M> {
     pub machine: M,
     /// Final per-processor clocks, in cycles.
     pub clocks: Vec<Cycle>,
-    /// `(pid, clock)` at each sync-op start, when the `TMK_ENGINE_TRACE`
-    /// environment variable was set at engine creation (else empty).
+    /// `(pid, clock)` at each sync-op start, when
+    /// [`Engine::with_op_trace`] armed it (else empty).
     pub op_trace: Vec<(usize, Cycle)>,
 }
 
@@ -167,7 +167,7 @@ pub(crate) struct Sched {
 impl Sched {
     pub(crate) fn new(n: usize) -> Self {
         Sched {
-            trace: std::env::var_os("TMK_ENGINE_TRACE").map(|_| Vec::new()),
+            trace: None,
             clocks: vec![0; n],
             stolen: vec![0; n],
             status: vec![Status::Ready; n],
@@ -304,8 +304,8 @@ impl<M: Send> Engine<M> {
         self
     }
 
-    /// Forces the per-op `(pid, clock)` trace ([`RunResult::op_trace`]) on
-    /// or off, overriding the `TMK_ENGINE_TRACE` environment fallback.
+    /// Turns the per-op `(pid, clock)` trace ([`RunResult::op_trace`]) on
+    /// or off; it is off unless armed here.
     pub fn with_op_trace(mut self, on: bool) -> Self {
         let inner = Arc::get_mut(&mut self.inner).expect("configured before run");
         inner.state.get_mut().sched.trace = on.then(Vec::new);

@@ -10,60 +10,37 @@ export RUSTFLAGS="-D warnings"
 cargo build --release --workspace
 cargo test -q --workspace
 
-echo "== benches + benchmark: compile the criterion benches, run the benchmark package's own checks =="
-# Nothing else builds `crates/bench/benches/*` or tests `benchmark/` (its own
-# workspace, invisible to the root build), so both could rot against the
-# crate APIs they call.
-cargo bench --no-run --offline -p tmk-bench
+echo "== benchmark: the benchmark package's own checks =="
+# Nothing else tests `benchmark/` (its own workspace, invisible to the root
+# build), so it could rot against the crate APIs it calls.
 (cd benchmark && cargo test -q --offline)
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke \
     > target/benchmark-smoke.txt
 
-echo "== smoke: quick-tier suite =="
+echo "== smoke: quick-tier suite (bounded by a host timeout) =="
+# Every default experiment's renderer runs here and exits nonzero on any
+# violated check: chaos (outputs invariant under loss), recovery (crashed
+# runs reproduce the crash-free checksums, permanent crashes roll back,
+# transient outages are masked by retransmission alone), service (every
+# tenant byte-identical to its fault-free solo baseline, overload sheds
+# loudly) and scaling (GC-on stays result-identical and below the GC-free
+# high-water marks). The watchdog aborts a hung simulation from inside, but
+# a regression in the watchdog itself would hang CI; the host-side timeout
+# is the backstop.
 mkdir -p target/smoke
-./target/release/suite --quick --jobs "${JOBS:-$(nproc 2>/dev/null || echo 1)}" \
+timeout "${CHAOS_TIMEOUT:-600}" \
+    ./target/release/suite --quick --jobs "${JOBS:-$(nproc 2>/dev/null || echo 1)}" \
     --json --out target/smoke --bench-json target/smoke/BENCH_results.json \
     > target/smoke/suite.txt
-
-echo "== chaos: fault-injection smoke (bounded by a host timeout) =="
-# The watchdog aborts a hung simulation from inside, but a regression in the
-# watchdog itself would hang CI; the host-side timeout is the backstop.
-timeout "${CHAOS_TIMEOUT:-600}" \
-    ./target/release/suite --experiment chaos --quick \
-    --json --out target/smoke > target/smoke/chaos.txt
-
-echo "== recovery: node-crash smoke (byte-identity asserted by the renderer) =="
-# The experiment's renderer fails (nonzero exit) unless every crashed run
-# reproduces the crash-free checksums, permanent crashes roll back, and
-# transient outages are masked by retransmission alone; the grep below
-# additionally pins that the quick tier actually exercised a rollback.
-timeout "${CHAOS_TIMEOUT:-600}" \
-    ./target/release/suite --experiment recovery --quick \
-    --json --out target/smoke > target/smoke/recovery.txt
+# The greps pin that the quick tier actually exercised a rollback in the
+# simulator and a *real* one on the runtime, and that baseline offered load
+# was never shed.
 grep -q "rollbacks=1" target/smoke/recovery.txt \
     || { echo "recovery smoke saw no rollback"; exit 1; }
-
-echo "== service: multi-tenant DSM service on the real-thread runtime =="
-# The renderer fails unless every tenant stays byte-identical to its
-# fault-free solo baseline under drops, delays and a scheduled node crash,
-# and unless overload sheds loudly. The greps pin that the quick tier
-# exercised a *real* runtime rollback and that baseline offered load was
-# never shed.
-timeout "${CHAOS_TIMEOUT:-600}" \
-    ./target/release/suite --experiment service --quick \
-    --json --out target/smoke > target/smoke/service.txt
 grep -q "rollbacks=1" target/smoke/service.txt \
     || { echo "service smoke saw no live-cluster rollback"; exit 1; }
 grep -q "shed=0" target/smoke/service.txt \
     || { echo "service smoke lost the zero-shed baseline"; exit 1; }
-
-echo "== scaling: barrier-time GC memory bound =="
-# The experiment's renderer fails (nonzero exit) unless GC-on runs stay
-# result-identical to GC-free and hold the diff-cache and interval-store
-# high-water marks strictly below the uncollected baseline.
-timeout "${CHAOS_TIMEOUT:-600}" \
-    ./target/release/suite --experiment scaling --quick \
-    --json --out target/smoke > target/smoke/scaling.txt
 
 echo "== engines: quick tier under both backends must agree byte-for-byte =="
 # The threaded and cooperative engines implement the same conservative
@@ -104,11 +81,6 @@ for f in target/smoke/trace-threaded/*.trace.json; do
         "target/smoke/trace-coop/$(basename "$f")" | grep -q "no divergence"
 done
 
-echo "== engines: host-wall sanity (coop at least as fast as threaded) =="
-timeout "${CHAOS_TIMEOUT:-900}" \
-    ./target/release/suite engine-bench --quick --require-speedup 1.0 \
-    > target/smoke/engine_bench.txt
-
 echo "== trace: breakdown decomposition + trace determinism =="
 # Two traced quick-tier runs must record byte-identical Chrome traces; the
 # suite validates each document against its JSON parser before writing.
@@ -141,5 +113,8 @@ for t in table1 table2; do
     diff target/records/new.stripped target/records/committed.stripped \
         || { echo "$t.json differs from results/"; exit 1; }
 done
+
+echo "== size: non-test Rust lines per crate, release suite binary =="
+sh scripts/loc.sh
 
 echo "ci: all checks passed"

@@ -13,9 +13,7 @@ use proptest::prelude::*;
 
 use tmk::apps::{sor, tsp};
 use tmk::dsm::RetransmitPolicy;
-use tmk::machines::{
-    run_workload_traced_with, set_op_trace, DsmProtocol, DsmTuning, Platform,
-};
+use tmk::machines::{run_workload_with, DsmProtocol, DsmTuning, Platform, RunOpts};
 use tmk::net::FaultPlan;
 use tmk::parmacs::Workload;
 use tmk::sim::EngineKind;
@@ -64,8 +62,14 @@ fn dsm_platform(
 /// the report JSON with the host-side fields (`engine`, `host_ms`)
 /// normalized away, the per-processor checksums, the engine op trace, and
 /// the six-category attribution ledger.
-fn fingerprint<W: Workload>(kind: EngineKind, p: &Platform, w: &W) -> String {
-    let (out, buf) = run_workload_traced_with(kind, p, w, Some(0));
+fn fingerprint<W: Workload>(engine: EngineKind, p: &Platform, w: &W) -> String {
+    let opts = RunOpts {
+        engine,
+        trace: Some(0),
+        op_trace: true,
+    };
+    let (out, buf) = run_workload_with(p, w, &opts);
+    assert!(!out.op_trace.is_empty(), "op trace armed");
     let mut report = out.report.clone();
     report.engine = EngineKind::default();
     report.host_ms = 0.0;
@@ -93,7 +97,6 @@ proptest! {
         gc in any::<bool>(),
         use_tsp in any::<bool>(),
     ) {
-        set_op_trace(true);
         let p = dsm_platform(procs, ivy, hs, seed, drop_permille, gc);
         let (threaded, coop) = if use_tsp {
             let w = tsp::Tsp::new(8);
@@ -108,13 +111,15 @@ proptest! {
 
 /// The panic message a run dies with on the given engine.
 fn verdict<W: Workload + std::panic::RefUnwindSafe>(
-    kind: EngineKind,
+    engine: EngineKind,
     p: &Platform,
     w: &W,
 ) -> String {
-    let r = catch_unwind(AssertUnwindSafe(|| {
-        run_workload_traced_with(kind, p, w, None)
-    }));
+    let opts = RunOpts {
+        engine,
+        ..Default::default()
+    };
+    let r = catch_unwind(AssertUnwindSafe(|| run_workload_with(p, w, &opts)));
     let payload = r.expect_err("the run must abort");
     payload
         .downcast_ref::<String>()
