@@ -336,17 +336,12 @@ impl Cluster {
         let ckpt = self.ckpt.as_ref().unwrap_or_else(|| {
             panic!("node {crashed} crashed with no checkpoint armed: unrecoverable")
         });
-        // Tokens whose position the rollback forgets: any token away from
-        // its manager (including everything the crashed node held) must be
-        // re-minted; a token already at its manager re-bootstraps as-is.
-        let mut regenerated = 0u64;
-        for (id, node) in self.nodes.iter().enumerate() {
-            for lock in node.token_holdings() {
-                if self.cfg.lock_manager(lock) != id || id == crashed {
-                    regenerated += 1;
-                }
-            }
-        }
+        let regenerated = self
+            .nodes
+            .iter()
+            .enumerate()
+            .map(|(id, node)| node.forgotten_tokens(id == crashed))
+            .sum();
         let pages_restored = ckpt[crashed].pages_resident();
         for (node, ck) in self.nodes.iter_mut().zip(ckpt.iter()) {
             node.restore(ck);
@@ -611,7 +606,7 @@ mod tests {
         c.lock(3, 2);
         c.write_u64(3, addr, 77);
         c.unlock(3, 2); // token stays cached at node 3
-        assert!(c.node(3).token_holdings().contains(&2));
+        assert_eq!(c.node(3).forgotten_tokens(false), 1);
         let summary = c.crash_recover(3);
         assert!(
             summary.tokens_regenerated >= 1,

@@ -81,7 +81,7 @@ pub use msg::{Action, BodyBytes, Envelope, Msg, MsgClass};
 pub use ivy::IvyNode;
 pub use node::{FaultStart, Handled, Node, NodeCheckpoint, StartAcquire};
 pub use reliable::{
-    AdaptiveRto, ChaosPlan, ChaosRouter, PacketId, RelStats, Reliability, RetransmitPolicy,
+    AdaptiveRto, ChaosRouter, PacketId, RelStats, Reliability, RetransmitPolicy, Timeout,
 };
 pub use stats::NodeStats;
 pub use vt::VTime;

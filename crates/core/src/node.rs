@@ -362,16 +362,16 @@ impl Node {
         self.ledger_note();
     }
 
-    /// Locks whose token currently sits on this node.
-    pub fn token_holdings(&self) -> Vec<LockId> {
-        let mut out: Vec<LockId> = self
-            .locks
+    /// Lock tokens on this node that a crash recovery must re-mint at their
+    /// managers: every token resting away from its manager (after a
+    /// rollback, survivor metadata alone no longer proves where it is) and,
+    /// when this node is the one that `crashed`, everything it held. A
+    /// token already at its manager re-bootstraps as-is.
+    pub fn forgotten_tokens(&self, crashed: bool) -> u64 {
+        self.locks
             .iter()
-            .filter(|(_, v)| v.have_token)
-            .map(|(&l, _)| l)
-            .collect();
-        out.sort_unstable();
-        out
+            .filter(|(&l, v)| v.have_token && (crashed || self.cfg.lock_manager(l) != self.id))
+            .count() as u64
     }
 
     /// Pages with a resident local copy (valid or awaiting notices).

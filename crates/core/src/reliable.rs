@@ -6,34 +6,35 @@
 //! This module is the reproduction's version of that machinery, written
 //! sans-io like the protocol itself:
 //!
-//! * [`Reliability`] owns per-(src, dst) sequence numbers, the receiver's
-//!   duplicate-suppression windows, and the sender's in-flight set. Routers
-//!   (the timed router in `tmk-machines`, the synchronous [`ChaosRouter`]
-//!   here, the real-thread `runtime`) call [`register`], [`accept`],
-//!   [`acked`] and [`bump_retry`] at the appropriate points; the protocol
-//!   state machines never see a duplicate or a gap.
-//! * [`RetransmitPolicy`] is the timeout / exponential-backoff / max-retry
-//!   knob set.
-//! * [`ChaosRouter`] is a synchronous router (like [`crate::Cluster`]'s)
-//!   that injects seeded drops, duplicates and delays on every hop and
-//!   repairs them through `Reliability` — the harness the protocol
-//!   proptests run under.
+//! * [`Reliability`] is the only holder of per-packet state. It owns the
+//!   [`RetransmitPolicy`], the per-(src, dst) sequence numbers, the
+//!   receiver's duplicate-suppression windows, the RTT estimators, and one
+//!   flight per unacked packet: the envelope to re-send, its retry count,
+//!   send time and armed deadline, and the sender's opaque stamp. Times are
+//!   `u64`s in the caller's unit (cycles, or host microseconds since start).
+//! * Three routers drive it and differ only in *when* they ask. Each calls
+//!   [`send`] when a packet first leaves and [`delivered`] when a copy
+//!   arrives (delivery doubles as the piggybacked ack, so a timer only ever
+//!   fires for a packet that was lost or is still queued). The timed router
+//!   in `tmk-machines` puts the deadline [`send`] returns in its event queue
+//!   and calls [`timeout`] when it comes up; the real-thread `runtime`'s
+//!   ticker calls [`timeout`] for every packet [`overdue`] at the host
+//!   clock; the clockless [`ChaosRouter`] here — the harness the protocol
+//!   proptests run under — expires everything still in flight once its
+//!   queue drains. What [`Timeout::Exhausted`] means is the driver's
+//!   decision. The protocol state machines never see a duplicate or a gap.
 //!
-//! Acks are piggybacked: in the synchronous and timed routers, delivery is
-//! observed by the router itself (the reply path confirms receipt), so a
-//! delivered packet is acked immediately and a retransmit timer only fires
-//! for packets that were genuinely lost.
-//!
-//! [`register`]: Reliability::register
-//! [`accept`]: Reliability::accept
-//! [`acked`]: Reliability::acked
-//! [`bump_retry`]: Reliability::bump_retry
+//! [`send`]: Reliability::send
+//! [`delivered`]: Reliability::delivered
+//! [`timeout`]: Reliability::timeout
+//! [`overdue`]: Reliability::overdue
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 
+use crate::runtime_faults::{fate, ChannelFaults, LinkFate};
 use crate::{Action, Envelope, Handled, NodeId};
 
 /// Identifies one reliably-sent packet: `(src, dst, seq)`.
@@ -52,8 +53,7 @@ pub struct RetransmitPolicy {
     /// dead and aborts.
     pub max_retries: u32,
     /// RFC 6298-style RTT estimation: when set, the RTO tracks the
-    /// measured per-link round trip instead of the fixed `timeout` (see
-    /// [`Reliability::rto`]).
+    /// measured per-link round trip instead of the fixed `timeout`.
     pub adaptive: Option<AdaptiveRto>,
 }
 
@@ -89,11 +89,16 @@ impl Default for RetransmitPolicy {
 }
 
 impl RetransmitPolicy {
-    /// The timeout armed after `attempt` retransmissions (attempt 0 = the
-    /// original send), saturating rather than overflowing.
+    /// `base` backed off for `attempt` retransmissions, saturating rather
+    /// than overflowing.
+    fn backed_off(&self, base: u64, attempt: u32) -> u64 {
+        base.saturating_mul((self.backoff.max(1) as u64).saturating_pow(attempt.min(32)))
+    }
+
+    /// The fixed policy's timeout after `attempt` retransmissions (attempt
+    /// 0 = the original send).
     pub fn timeout_for(&self, attempt: u32) -> u64 {
-        self.timeout
-            .saturating_mul((self.backoff.max(1) as u64).saturating_pow(attempt.min(32)))
+        self.backed_off(self.timeout, attempt)
     }
 
     /// Enables RFC 6298-style RTT estimation with the given RTO bounds.
@@ -157,12 +162,19 @@ impl Seen {
 }
 
 /// One unacked packet's sender-side state.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 struct Flight {
+    /// The envelope to put back on the wire when the timer fires.
+    env: Envelope,
+    /// The sender's opaque tag, handed back with every re-send (the
+    /// runtime's cluster generation; 0 in the simulators).
+    stamp: u64,
     /// Retransmissions performed so far.
     retries: u32,
-    /// Departure cycle of the original send (0 in clockless routers).
+    /// Time of the original send.
     sent_at: u64,
+    /// When the armed retransmit timer expires.
+    deadline: u64,
 }
 
 /// Integer RFC 6298 estimator state for one directed link.
@@ -172,134 +184,127 @@ struct RttEst {
     rttvar: u64,
 }
 
-/// Sequence numbers, duplicate suppression and in-flight tracking for a
+/// What a retransmit timer found when it fired (see
+/// [`Reliability::timeout`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Timeout {
+    /// The packet was acked (or abandoned) in the meantime: nothing to do.
+    Stale,
+    /// Retransmission number `attempt` (1 = the first) is due: put `env`
+    /// back on the wire, with the `stamp` its sender gave
+    /// [`Reliability::send`]. The timer is re-armed for `deadline`: `now`
+    /// plus the RTO after `attempt` retransmissions.
+    Resend {
+        env: Envelope,
+        stamp: u64,
+        attempt: u32,
+        deadline: u64,
+    },
+    /// As [`Timeout::Resend`], but `attempt` is past the policy's
+    /// `max_retries`. The expiry is counted and the timer re-armed like any
+    /// other; whether to re-send regardless, declare the peer dead or abort
+    /// is the driver's decision. `fresh_deadline` is `now` plus the RTO of a
+    /// first send: what to arm instead when the driver forgives the packet
+    /// ([`Reliability::forgive_retries`]) and re-sends it on a fresh
+    /// allowance.
+    Exhausted {
+        env: Envelope,
+        stamp: u64,
+        attempt: u32,
+        deadline: u64,
+        fresh_deadline: u64,
+    },
+}
+
+/// Sequence numbers, duplicate suppression and retransmit flights for a
 /// whole cluster's traffic (the routers are centralized, so one instance
 /// covers every (src, dst) pair).
 #[derive(Debug, Default)]
 pub struct Reliability {
+    policy: RetransmitPolicy,
     next_seq: HashMap<(NodeId, NodeId), u64>,
     seen: HashMap<(NodeId, NodeId), Seen>,
     in_flight: HashMap<PacketId, Flight>,
-    /// Per-directed-link RTT estimators, fed by [`acked_at`].
+    /// Per-directed-link RTT estimators, fed by [`delivered`] under an
+    /// adaptive policy.
     ///
-    /// [`acked_at`]: Reliability::acked_at
+    /// [`delivered`]: Reliability::delivered
     rtt: HashMap<(NodeId, NodeId), RttEst>,
     stats: RelStats,
 }
 
 impl Reliability {
-    /// A fresh instance (all sequences at zero).
-    pub fn new() -> Self {
-        Self::default()
+    /// A fresh instance (all sequences at zero) retransmitting per
+    /// `policy`.
+    pub fn new(policy: RetransmitPolicy) -> Self {
+        Reliability {
+            policy,
+            ..Default::default()
+        }
     }
 
-    /// Assigns the next sequence number on `env`'s (src, dst) pair and
-    /// tracks the packet as in flight.
+    /// Assigns the next sequence number on `env`'s (src, dst) pair, keeps
+    /// a copy of `env` (and the caller's `stamp`) for retransmission, and
+    /// arms the first timer; returns the packet's id and that deadline.
     ///
     /// # Panics
     ///
     /// Panics on a loopback envelope — local delivery bypasses the network
     /// and needs no reliability.
-    pub fn register(&mut self, env: &Envelope) -> PacketId {
-        self.register_at(env, 0)
-    }
-
-    /// [`register`](Self::register) with a departure time, so a later
-    /// [`acked_at`](Self::acked_at) can feed the RTT estimator.
-    pub fn register_at(&mut self, env: &Envelope, depart: u64) -> PacketId {
+    pub fn send(&mut self, env: &Envelope, now: u64, stamp: u64) -> (PacketId, u64) {
         assert_ne!(env.from, env.to, "loopback envelopes are not registered");
         let seq = self.next_seq.entry((env.from, env.to)).or_insert(0);
         *seq += 1;
         let pid = (env.from, env.to, *seq);
+        let deadline = now.saturating_add(self.rto(env.from, env.to, 0));
         self.in_flight.insert(
             pid,
             Flight {
+                env: env.clone(),
+                stamp,
                 retries: 0,
-                sent_at: depart,
+                sent_at: now,
+                deadline,
             },
         );
         self.stats.data_msgs += 1;
-        pid
+        (pid, deadline)
     }
 
-    /// Records the (piggybacked) ack for `pid`, removing it from the
-    /// in-flight set. Idempotent: late acks for already-acked packets are
-    /// ignored. Takes no RTT sample (clockless routers).
-    pub fn acked(&mut self, pid: PacketId) {
-        if self.in_flight.remove(&pid).is_some() {
+    /// A copy of `pid` reached its destination at `now`. Delivery is the
+    /// (piggybacked) ack: the flight and its timer are gone, idempotently.
+    /// Returns `true` exactly once per packet; later copies return `false`
+    /// and are counted as suppressed.
+    ///
+    /// Under an adaptive policy the first ack feeds the link's RFC 6298
+    /// estimator — unless the packet was ever retransmitted (Karn's
+    /// algorithm: the ack would be ambiguous between copies).
+    pub fn delivered(&mut self, pid: PacketId, now: u64) -> bool {
+        let (src, dst, seq) = pid;
+        if let Some(flight) = self.in_flight.remove(&pid) {
             self.stats.acks += 1;
-        }
-    }
-
-    /// [`acked`](Self::acked) with the delivery time: feeds the RFC 6298
-    /// estimator for the packet's link. Per Karn's algorithm the sample is
-    /// discarded when the packet was ever retransmitted (the ack would be
-    /// ambiguous between copies).
-    pub fn acked_at(&mut self, pid: PacketId, now: u64) {
-        let Some(flight) = self.in_flight.remove(&pid) else {
-            return;
-        };
-        self.stats.acks += 1;
-        if flight.retries == 0 && now > flight.sent_at {
-            let r = now - flight.sent_at;
-            let link = (pid.0, pid.1);
-            match self.rtt.get_mut(&link) {
-                None => {
-                    // First sample: SRTT = R, RTTVAR = R/2.
-                    self.rtt.insert(
-                        link,
-                        RttEst {
-                            srtt: r,
-                            rttvar: r / 2,
-                        },
-                    );
-                }
-                Some(est) => {
-                    // Integer forms of RTTVAR = 3/4·RTTVAR + 1/4·|SRTT−R|
-                    // and SRTT = 7/8·SRTT + 1/8·R.
-                    est.rttvar = (3 * est.rttvar + est.srtt.abs_diff(r)) / 4;
-                    est.srtt = (7 * est.srtt + r) / 8;
+            if self.policy.adaptive.is_some() && flight.retries == 0 && now > flight.sent_at {
+                let r = now - flight.sent_at;
+                match self.rtt.get_mut(&(src, dst)) {
+                    None => {
+                        // First sample: SRTT = R, RTTVAR = R/2.
+                        self.rtt.insert(
+                            (src, dst),
+                            RttEst {
+                                srtt: r,
+                                rttvar: r / 2,
+                            },
+                        );
+                    }
+                    Some(est) => {
+                        // Integer forms of RTTVAR = 3/4·RTTVAR + 1/4·|SRTT−R|
+                        // and SRTT = 7/8·SRTT + 1/8·R.
+                        est.rttvar = (3 * est.rttvar + est.srtt.abs_diff(r)) / 4;
+                        est.srtt = (7 * est.srtt + r) / 8;
+                    }
                 }
             }
         }
-    }
-
-    /// The retransmit timeout to arm for a packet on `src → dst` after
-    /// `attempt` retransmissions. With no adaptive config this is exactly
-    /// [`RetransmitPolicy::timeout_for`] (fixed-policy runs stay
-    /// cycle-identical to the pre-adaptive code); with one, the RFC 6298
-    /// estimate `SRTT + 4·RTTVAR` (the fixed `timeout` until the first
-    /// sample), clamped to the configured bounds, backed off per attempt
-    /// and capped at the ceiling.
-    pub fn rto(&self, policy: &RetransmitPolicy, src: NodeId, dst: NodeId, attempt: u32) -> u64 {
-        let Some(adaptive) = policy.adaptive else {
-            return policy.timeout_for(attempt);
-        };
-        let base = match self.rtt.get(&(src, dst)) {
-            Some(est) => est.srtt.saturating_add(4 * est.rttvar.max(1)),
-            None => policy.timeout,
-        };
-        let clamped = base.clamp(adaptive.floor, adaptive.ceiling);
-        clamped
-            .saturating_mul((policy.backoff.max(1) as u64).saturating_pow(attempt.min(32)))
-            .min(adaptive.ceiling)
-    }
-
-    /// Counts a spurious retransmission (the router observed the timer
-    /// firing for a packet whose original copy was still in flight).
-    pub fn note_spurious(&mut self) {
-        self.stats.spurious += 1;
-    }
-
-    /// Whether `pid` is still awaiting its ack.
-    pub fn is_in_flight(&self, pid: PacketId) -> bool {
-        self.in_flight.contains_key(&pid)
-    }
-
-    /// Receiver-side duplicate check: `true` exactly once per `pid`; later
-    /// copies return `false` and are counted as suppressed.
-    pub fn accept(&mut self, pid: PacketId) -> bool {
-        let (src, dst, seq) = pid;
         let fresh = self.seen.entry((src, dst)).or_default().insert(seq);
         if !fresh {
             self.stats.dup_suppressed += 1;
@@ -307,22 +312,80 @@ impl Reliability {
         fresh
     }
 
-    /// Records a retransmit-timer expiry for a still-unacked `pid`;
-    /// returns the new retry count.
+    /// The retransmit timeout for a packet on `src → dst` after `attempt`
+    /// retransmissions. With no adaptive config this is exactly
+    /// [`RetransmitPolicy::timeout_for`]; with one, the RFC 6298 estimate
+    /// `SRTT + 4·RTTVAR` (the fixed `timeout` until the first sample),
+    /// clamped to the configured bounds, backed off per attempt and capped
+    /// at the ceiling.
+    fn rto(&self, src: NodeId, dst: NodeId, attempt: u32) -> u64 {
+        let Some(adaptive) = self.policy.adaptive else {
+            return self.policy.timeout_for(attempt);
+        };
+        let base = match self.rtt.get(&(src, dst)) {
+            Some(est) => est.srtt.saturating_add(4 * est.rttvar.max(1)),
+            None => self.policy.timeout,
+        };
+        self.policy
+            .backed_off(base.clamp(adaptive.floor, adaptive.ceiling), attempt)
+            .min(adaptive.ceiling)
+    }
+
+    /// `pid`'s retransmit timer fired at `now`. If the packet is still
+    /// unacked the expiry is counted, its retry count goes up by one and
+    /// the timer is re-armed at `now` plus the backed-off RTO.
     ///
-    /// # Panics
-    ///
-    /// Panics if `pid` is not in flight (the router must cancel timers for
-    /// acked packets, or check [`is_in_flight`](Self::is_in_flight) first).
-    pub fn bump_retry(&mut self, pid: PacketId) -> u32 {
-        let flight = self
-            .in_flight
-            .get_mut(&pid)
-            .expect("retransmit timer fired for a packet not in flight");
-        flight.retries += 1;
+    /// A driver whose copy leaves later than `now` (a busy sender) owns
+    /// that shift: the interval `deadline - now` is what to add to the
+    /// departure.
+    pub fn timeout(&mut self, pid: PacketId, now: u64) -> Timeout {
+        let Some(attempt) = self.in_flight.get(&pid).map(|f| f.retries + 1) else {
+            return Timeout::Stale;
+        };
+        let (src, dst, _) = pid;
+        let deadline = now.saturating_add(self.rto(src, dst, attempt));
+        let flight = self.in_flight.get_mut(&pid).expect("looked up above");
+        flight.retries = attempt;
+        flight.deadline = deadline;
+        let (env, stamp) = (flight.env.clone(), flight.stamp);
         self.stats.timeouts += 1;
         self.stats.retransmissions += 1;
-        flight.retries
+        if attempt > self.policy.max_retries {
+            Timeout::Exhausted {
+                env,
+                stamp,
+                attempt,
+                deadline,
+                fresh_deadline: now.saturating_add(self.rto(src, dst, 0)),
+            }
+        } else {
+            Timeout::Resend {
+                env,
+                stamp,
+                attempt,
+                deadline,
+            }
+        }
+    }
+
+    /// Every packet whose armed deadline is at or before `now`, earliest
+    /// deadline first (ties by id) — an order that does not depend on the
+    /// order the packets were sent in or on hashing.
+    pub fn overdue(&self, now: u64) -> Vec<PacketId> {
+        let mut due: Vec<(u64, PacketId)> = self
+            .in_flight
+            .iter()
+            .filter(|(_, f)| f.deadline <= now)
+            .map(|(&pid, f)| (f.deadline, pid))
+            .collect();
+        due.sort_unstable();
+        due.into_iter().map(|(_, pid)| pid).collect()
+    }
+
+    /// Counts a spurious retransmission (the router observed the timer
+    /// firing for a packet whose original copy was still in flight).
+    pub fn note_spurious(&mut self) {
+        self.stats.spurious += 1;
     }
 
     /// Resets the retry count of every in-flight packet to or from `node`,
@@ -343,13 +406,16 @@ impl Reliability {
     /// Drops every in-flight packet without acking it, returning how many
     /// were abandoned. Crash recovery uses this when the whole cluster
     /// rolls back to a checkpoint: the pre-rollback packets will never be
-    /// acked (their state is gone on both ends), and replay re-registers
-    /// everything it sends. Receiver windows are *not* reset — sequence
-    /// numbers keep climbing, so a late duplicate of an abandoned packet
-    /// is still suppressed.
+    /// acked (their state is gone on both ends), and replay sends afresh
+    /// everything it needs. Receiver windows are *not* reset — sequence
+    /// numbers keep climbing — and each abandoned sequence number is marked
+    /// seen, so the window closes over it and a late copy is suppressed
+    /// whether or not an earlier one had arrived.
     pub fn abandon_in_flight(&mut self) -> usize {
         let n = self.in_flight.len();
-        self.in_flight.clear();
+        for ((src, dst, seq), _) in self.in_flight.drain() {
+            self.seen.entry((src, dst)).or_default().insert(seq);
+        }
         n
     }
 
@@ -364,82 +430,49 @@ impl Reliability {
     }
 }
 
-/// A seeded schedule of drop/duplicate/delay faults for the synchronous
-/// [`ChaosRouter`] (rates are independent per-hop probabilities; `delay`
-/// reorders the message behind everything currently queued).
-#[derive(Debug, Clone, Copy)]
-pub struct ChaosPlan {
-    /// Seed for the fault schedule.
-    pub seed: u64,
-    /// Probability a hop is dropped.
-    pub drop: f64,
-    /// Probability a hop is delivered twice.
-    pub dup: f64,
-    /// Probability a hop is pushed to the back of the queue (reordering).
-    pub delay: f64,
-}
-
-enum HopFate {
-    Deliver,
-    Drop,
-    Duplicate,
-    Delay,
-}
-
 /// A synchronous envelope router with seeded fault injection repaired by
 /// the reliability layer: the faulty, retransmitting analogue of
 /// [`crate::Cluster`]'s internal router, generic over the protocol (LRC
 /// [`crate::Node`] or [`crate::IvyNode`]) via the `deliver` callback.
 ///
-/// Timeouts are virtual: when the delivery queue drains and lost packets
+/// Rates are independent per-hop probabilities rolled in hop order from
+/// `SmallRng::seed_from_u64(plan.seed)`; a delayed hop goes behind
+/// everything currently queued (the plan's `delay_us` means nothing here).
+///
+/// Timeouts are virtual: when the delivery queue drains and unacked packets
 /// remain, every retransmit timer is deemed expired and the packets are
 /// re-sent (subject to the fault schedule again) — the synchronous router
 /// has no clock, but the order of events matches the timed router's
 /// "timeout strictly after every in-queue delivery" guarantee.
 pub struct ChaosRouter {
-    plan: ChaosPlan,
+    plan: ChannelFaults,
     rng: SmallRng,
-    policy: RetransmitPolicy,
     rel: Reliability,
 }
 
 impl ChaosRouter {
-    /// A router applying `plan` under `policy`.
-    pub fn new(plan: ChaosPlan, policy: RetransmitPolicy) -> Self {
+    /// A router applying `plan`'s link faults under `policy`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plan` schedules crashes: a synchronous cascade has no
+    /// epochs or operations for a [`CrashPoint`](crate::runtime::CrashPoint)
+    /// to name.
+    pub fn new(plan: &ChannelFaults, policy: RetransmitPolicy) -> Self {
+        assert!(
+            plan.crashes.is_empty(),
+            "ChaosRouter injects link faults only, not crashes"
+        );
         ChaosRouter {
-            plan,
+            plan: plan.clone(),
             rng: SmallRng::seed_from_u64(plan.seed),
-            policy,
-            rel: Reliability::new(),
+            rel: Reliability::new(policy),
         }
     }
 
     /// The reliability layer (stats, in-flight set).
     pub fn rel(&self) -> &Reliability {
         &self.rel
-    }
-
-    fn roll(&mut self) -> HopFate {
-        let band = |p: f64| -> u64 {
-            if p >= 1.0 {
-                u64::MAX
-            } else {
-                (p.max(0.0) * (u64::MAX as f64)) as u64
-            }
-        };
-        let roll = self.rng.next_u64();
-        let d = band(self.plan.drop);
-        let du = d.saturating_add(band(self.plan.dup));
-        let de = du.saturating_add(band(self.plan.delay));
-        if roll < d {
-            HopFate::Drop
-        } else if roll < du {
-            HopFate::Duplicate
-        } else if roll < de {
-            HopFate::Delay
-        } else {
-            HopFate::Deliver
-        }
     }
 
     /// Routes `sends` (and everything they trigger) to quiescence,
@@ -457,12 +490,9 @@ impl ChaosRouter {
         // (envelope, packet id, rolled): `rolled` marks copies already past
         // fault injection (the late half of a duplicate, a delayed hop).
         let mut q: VecDeque<(Envelope, Option<PacketId>, bool)> = VecDeque::new();
-        let mut lost: Vec<(Envelope, PacketId)> = Vec::new();
         let mut actions = Vec::new();
-        let enqueue = |rel: &mut Reliability,
-                           q: &mut VecDeque<(Envelope, Option<PacketId>, bool)>,
-                           env: Envelope| {
-            let pid = (env.from != env.to).then(|| rel.register(&env));
+        let enqueue = |rel: &mut Reliability, q: &mut VecDeque<_>, env: Envelope| {
+            let pid = (env.from != env.to).then(|| rel.send(&env, 0, 0).0);
             q.push_back((env, pid, false));
         };
         for env in sends {
@@ -470,36 +500,27 @@ impl ChaosRouter {
         }
         loop {
             while let Some((env, pid, rolled)) = q.pop_front() {
-                let Some(pid) = pid else {
-                    // Loopback: no wire, no faults, no reliability.
-                    let to = env.to;
-                    let h = deliver(env);
-                    for s in h.sends {
-                        enqueue(&mut self.rel, &mut q, s);
+                // Loopback (no id): no wire, no faults, no reliability.
+                if let Some(pid) = pid {
+                    if !rolled {
+                        let p = &self.plan;
+                        match fate(p.drop, p.dup, p.delay, self.rng.next_u64()) {
+                            // The flight stays armed in the layer.
+                            LinkFate::Drop => continue,
+                            LinkFate::Duplicate => {
+                                q.push_back((env.clone(), Some(pid), true));
+                            }
+                            LinkFate::Delay => {
+                                q.push_back((env, Some(pid), true));
+                                continue;
+                            }
+                            LinkFate::Deliver => {}
+                        }
                     }
-                    actions.extend(h.actions.into_iter().map(|a| (to, a)));
-                    continue;
-                };
-                if !rolled {
-                    match self.roll() {
-                        HopFate::Drop => {
-                            lost.push((env, pid));
-                            continue;
-                        }
-                        HopFate::Duplicate => {
-                            q.push_back((env.clone(), Some(pid), true));
-                        }
-                        HopFate::Delay => {
-                            q.push_back((env, Some(pid), true));
-                            continue;
-                        }
-                        HopFate::Deliver => {}
+                    // Delivered: ack rides the (synchronous) reply path.
+                    if !self.rel.delivered(pid, 0) {
+                        continue; // duplicate suppressed
                     }
-                }
-                // Delivered: ack rides the (synchronous) reply path.
-                self.rel.acked(pid);
-                if !self.rel.accept(pid) {
-                    continue; // duplicate suppressed
                 }
                 let to = env.to;
                 let h = deliver(env);
@@ -508,21 +529,23 @@ impl ChaosRouter {
                 }
                 actions.extend(h.actions.into_iter().map(|a| (to, a)));
             }
+            // Queue drained: every outstanding retransmit timer expires.
+            let lost = self.rel.overdue(u64::MAX);
             if lost.is_empty() {
                 break;
             }
-            // Queue drained: every outstanding retransmit timer expires.
-            for (env, pid) in std::mem::take(&mut lost) {
-                let retries = self.rel.bump_retry(pid);
-                assert!(
-                    retries <= self.policy.max_retries,
-                    "reliability gave up: {} -> {} seq {} after {} retransmissions",
-                    pid.0,
-                    pid.1,
-                    pid.2,
-                    retries - 1,
-                );
-                q.push_back((env, Some(pid), false));
+            for pid in lost {
+                match self.rel.timeout(pid, 0) {
+                    Timeout::Resend { env, .. } => q.push_back((env, Some(pid), false)),
+                    Timeout::Exhausted { attempt, .. } => panic!(
+                        "reliability gave up: {} -> {} seq {} after {} retransmissions",
+                        pid.0,
+                        pid.1,
+                        pid.2,
+                        attempt - 1,
+                    ),
+                    Timeout::Stale => unreachable!("overdue packets are in flight"),
+                }
             }
         }
         actions
@@ -541,80 +564,210 @@ mod tests {
         }
     }
 
+    fn fixed(timeout: u64, max_retries: u32) -> RetransmitPolicy {
+        RetransmitPolicy {
+            timeout,
+            backoff: 2,
+            max_retries,
+            adaptive: None,
+        }
+    }
+
+    /// Fires `pid`'s timer at time 0 and returns the attempt it reports.
+    fn expire(rel: &mut Reliability, pid: PacketId) -> u32 {
+        match rel.timeout(pid, 0) {
+            Timeout::Resend { attempt, .. } | Timeout::Exhausted { attempt, .. } => attempt,
+            Timeout::Stale => panic!("{pid:?} is not in flight"),
+        }
+    }
+
     #[test]
     fn sequences_are_per_pair_and_monotonic() {
-        let mut rel = Reliability::new();
-        assert_eq!(rel.register(&env(0, 1)), (0, 1, 1));
-        assert_eq!(rel.register(&env(0, 1)), (0, 1, 2));
-        assert_eq!(rel.register(&env(1, 0)), (1, 0, 1));
-        assert_eq!(rel.register(&env(0, 2)), (0, 2, 1));
+        let mut rel = Reliability::new(RetransmitPolicy::default());
+        assert_eq!(rel.send(&env(0, 1), 0, 0).0, (0, 1, 1));
+        assert_eq!(rel.send(&env(0, 1), 0, 0).0, (0, 1, 2));
+        assert_eq!(rel.send(&env(1, 0), 0, 0).0, (1, 0, 1));
+        assert_eq!(rel.send(&env(0, 2), 0, 0).0, (0, 2, 1));
         assert_eq!(rel.in_flight_len(), 4);
     }
 
     #[test]
     fn duplicates_are_suppressed_in_and_out_of_order() {
-        let mut rel = Reliability::new();
-        assert!(rel.accept((0, 1, 2))); // out of order: fine
-        assert!(rel.accept((0, 1, 1)));
-        assert!(!rel.accept((0, 1, 1)), "replay below the window");
-        assert!(!rel.accept((0, 1, 2)), "replay inside the sparse set");
-        assert!(rel.accept((0, 1, 3)));
+        let mut rel = Reliability::new(RetransmitPolicy::default());
+        assert!(rel.delivered((0, 1, 2), 0)); // out of order: fine
+        assert!(rel.delivered((0, 1, 1), 0));
+        assert!(!rel.delivered((0, 1, 1), 0), "replay below the window");
+        assert!(!rel.delivered((0, 1, 2), 0), "replay inside the sparse set");
+        assert!(rel.delivered((0, 1, 3), 0));
         assert_eq!(rel.stats().dup_suppressed, 2);
     }
 
     #[test]
     fn acks_drain_the_in_flight_set_idempotently() {
-        let mut rel = Reliability::new();
-        let pid = rel.register(&env(2, 3));
-        assert!(rel.is_in_flight(pid));
-        rel.acked(pid);
-        rel.acked(pid);
+        let mut rel = Reliability::new(RetransmitPolicy::default());
+        let (pid, _) = rel.send(&env(2, 3), 0, 0);
+        assert_eq!(rel.in_flight_len(), 1);
+        assert!(rel.delivered(pid, 0));
+        assert!(!rel.delivered(pid, 0));
         assert_eq!(rel.in_flight_len(), 0);
         assert_eq!(rel.stats().acks, 1);
     }
 
     #[test]
+    fn timeout_after_delivered_is_stale() {
+        let mut rel = Reliability::new(RetransmitPolicy::default());
+        let (pid, deadline) = rel.send(&env(0, 1), 0, 0);
+        assert!(rel.delivered(pid, 10));
+        assert_eq!(rel.timeout(pid, deadline), Timeout::Stale);
+        assert!(
+            rel.overdue(u64::MAX).is_empty(),
+            "the ack cancelled the timer"
+        );
+        assert_eq!(rel.stats().timeouts, 0);
+    }
+
+    #[test]
+    fn resend_carries_the_attempt_and_its_backed_off_deadline() {
+        let mut rel = Reliability::new(fixed(10, 4));
+        let (pid, deadline) = rel.send(&env(0, 1), 100, 7);
+        assert_eq!(deadline, 110);
+        for (n, now) in [(1u32, 110u64), (2, 500), (3, 501)] {
+            assert_eq!(
+                rel.timeout(pid, now),
+                Timeout::Resend {
+                    env: env(0, 1),
+                    stamp: 7,
+                    attempt: n,
+                    deadline: now + 10 * 2u64.pow(n),
+                }
+            );
+        }
+        assert_eq!(rel.stats().retransmissions, 3);
+        assert_eq!(rel.stats().timeouts, 3);
+
+        // Adaptive: the deadline follows the link's estimate, not `timeout`.
+        let mut rel = Reliability::new(fixed(10_000, 4).with_adaptive(100, 10_000));
+        let (first, _) = rel.send(&env(0, 1), 0, 0);
+        assert!(rel.delivered(first, 800)); // SRTT=800, RTTVAR=400 → RTO=2400
+        let (pid, deadline) = rel.send(&env(0, 1), 1_000, 0);
+        assert_eq!(deadline, 1_000 + 2_400);
+        match rel.timeout(pid, 5_000) {
+            Timeout::Resend {
+                attempt, deadline, ..
+            } => assert_eq!((attempt, deadline), (1, 5_000 + 4_800)),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn exhausted_after_exactly_max_retries() {
+        let mut rel = Reliability::new(fixed(10, 3));
+        let (pid, _) = rel.send(&env(0, 1), 0, 0);
+        for n in 1..=3 {
+            assert!(matches!(rel.timeout(pid, 0), Timeout::Resend { attempt, .. } if attempt == n));
+        }
+        assert_eq!(
+            rel.timeout(pid, 1_000),
+            Timeout::Exhausted {
+                env: env(0, 1),
+                stamp: 0,
+                attempt: 4,
+                deadline: 1_000 + 160,
+                fresh_deadline: 1_000 + 10,
+            }
+        );
+        assert_eq!(rel.in_flight_len(), 1, "giving up is the driver's call");
+    }
+
+    #[test]
+    fn overdue_order_is_independent_of_send_order() {
+        // The same three flights, armed in two different orders.
+        let links = [(0, 1), (2, 1), (1, 0)];
+        let mut a = Reliability::new(fixed(10, 4));
+        let mut b = Reliability::new(fixed(10, 4));
+        for &(s, d) in &links {
+            a.send(&env(s, d), 0, 0);
+        }
+        for &(s, d) in links.iter().rev() {
+            b.send(&env(s, d), 0, 0);
+        }
+        for rel in [&mut a, &mut b] {
+            // Back (2, 1) off once: its deadline moves from 10 to 25.
+            let fired = rel.timeout((2, 1, 1), 5);
+            assert!(matches!(fired, Timeout::Resend { deadline: 25, .. }));
+        }
+        assert!(a.overdue(9).is_empty());
+        assert_eq!(a.overdue(10), [(0, 1, 1), (1, 0, 1)]);
+        assert_eq!(a.overdue(25), [(0, 1, 1), (1, 0, 1), (2, 1, 1)]);
+        for now in [9, 10, 25, u64::MAX] {
+            assert_eq!(a.overdue(now), b.overdue(now));
+        }
+    }
+
+    #[test]
     fn forgive_retries_resets_only_the_dead_nodes_links() {
-        let mut rel = Reliability::new();
-        let to_dead = rel.register(&env(0, 2));
-        let from_dead = rel.register(&env(2, 1));
-        let unrelated = rel.register(&env(0, 1));
+        let mut rel = Reliability::new(RetransmitPolicy::default());
+        let (to_dead, _) = rel.send(&env(0, 2), 0, 0);
+        let (from_dead, _) = rel.send(&env(2, 1), 0, 0);
+        let (unrelated, _) = rel.send(&env(0, 1), 0, 0);
         for _ in 0..3 {
-            rel.bump_retry(to_dead);
-            rel.bump_retry(from_dead);
-            rel.bump_retry(unrelated);
+            expire(&mut rel, to_dead);
+            expire(&mut rel, from_dead);
+            expire(&mut rel, unrelated);
         }
         assert_eq!(rel.forgive_retries(2), 2);
-        assert_eq!(rel.bump_retry(to_dead), 1, "count restarted");
-        assert_eq!(rel.bump_retry(from_dead), 1, "count restarted");
-        assert_eq!(rel.bump_retry(unrelated), 4, "untouched link kept its count");
+        assert_eq!(expire(&mut rel, to_dead), 1, "count restarted");
+        assert_eq!(expire(&mut rel, from_dead), 1, "count restarted");
+        assert_eq!(
+            expire(&mut rel, unrelated),
+            4,
+            "untouched link kept its count"
+        );
     }
 
     #[test]
     fn abandon_clears_flights_but_keeps_receiver_windows() {
-        let mut rel = Reliability::new();
-        let a = rel.register(&env(0, 1));
-        let b = rel.register(&env(1, 2));
-        assert!(rel.accept(a));
+        let mut rel = Reliability::new(RetransmitPolicy::default());
+        let (a, _) = rel.send(&env(0, 1), 0, 0);
+        let (b, deadline) = rel.send(&env(1, 2), 0, 0);
         assert_eq!(rel.abandon_in_flight(), 2);
         assert_eq!(rel.in_flight_len(), 0);
-        assert!(!rel.is_in_flight(b));
+        assert_eq!(rel.timeout(b, deadline), Timeout::Stale);
         // No acks were granted for the abandoned packets...
         assert_eq!(rel.stats().acks, 0);
-        // ...and the receive window survives: a late dup is still caught.
-        assert!(!rel.accept(a), "post-abandon replay must be suppressed");
-        // Fresh registration continues the per-link sequence.
-        assert_eq!(rel.register(&env(0, 1)), (0, 1, 2));
+        // ...and the receive windows survive: a late copy is still caught.
+        assert!(
+            !rel.delivered(a, 0),
+            "post-abandon replay must be suppressed"
+        );
+        // A fresh send continues the per-link sequence.
+        assert_eq!(rel.send(&env(0, 1), 0, 0).0, (0, 1, 2));
+    }
+
+    #[test]
+    fn abandoned_undelivered_packet_leaves_no_hole_in_the_window() {
+        // What a runtime rollback does to everything addressed to the
+        // crashed node: the packet is abandoned before any copy arrived.
+        let mut rel = Reliability::new(RetransmitPolicy::default());
+        let (lost, _) = rel.send(&env(0, 1), 0, 0);
+        assert_eq!(rel.abandon_in_flight(), 1);
+        for _ in 0..1_000 {
+            let (pid, _) = rel.send(&env(0, 1), 0, 0);
+            assert!(rel.delivered(pid, 0));
+        }
+        let window = &rel.seen[&(0, 1)];
+        assert_eq!(
+            window.contiguous, 1_001,
+            "the window closed over the abandoned id"
+        );
+        assert!(window.sparse.is_empty());
+        assert!(!rel.delivered(lost, 0), "a late copy is suppressed");
+        assert_eq!(rel.stats().dup_suppressed, 1);
     }
 
     #[test]
     fn backoff_is_exponential_and_saturating() {
-        let p = RetransmitPolicy {
-            timeout: 10,
-            backoff: 2,
-            max_retries: 4,
-            adaptive: None,
-        };
+        let p = fixed(10, 4);
         assert_eq!(p.timeout_for(0), 10);
         assert_eq!(p.timeout_for(1), 20);
         assert_eq!(p.timeout_for(3), 80);
@@ -629,56 +782,45 @@ mod tests {
 
     #[test]
     fn fixed_policy_rto_matches_timeout_for_exactly() {
-        let rel = Reliability::new();
         let p = RetransmitPolicy::default();
+        let rel = Reliability::new(p);
         for attempt in 0..8 {
-            assert_eq!(rel.rto(&p, 0, 1, attempt), p.timeout_for(attempt));
+            assert_eq!(rel.rto(0, 1, attempt), p.timeout_for(attempt));
         }
     }
 
     #[test]
     fn adaptive_rto_tracks_samples_and_respects_bounds() {
-        let mut rel = Reliability::new();
-        let p = RetransmitPolicy::default().with_adaptive(1_000, 1_000_000);
+        let mut rel = Reliability::new(RetransmitPolicy::default().with_adaptive(1_000, 1_000_000));
         // No sample yet: conservative fixed timeout, clamped to ceiling.
-        assert_eq!(rel.rto(&p, 0, 1, 0), 1_000_000);
+        assert_eq!(rel.rto(0, 1, 0), 1_000_000);
         // One 8000-cycle sample: SRTT=8000, RTTVAR=4000 → RTO=24000.
-        let pid = rel.register_at(&env(0, 1), 100);
-        rel.acked_at(pid, 8_100);
-        assert_eq!(rel.rto(&p, 0, 1, 0), 8_000 + 4 * 4_000);
+        let (pid, _) = rel.send(&env(0, 1), 100, 0);
+        rel.delivered(pid, 8_100);
+        assert_eq!(rel.rto(0, 1, 0), 8_000 + 4 * 4_000);
         // Backoff doubles per attempt but never passes the ceiling.
-        assert_eq!(rel.rto(&p, 0, 1, 1), 48_000);
-        assert_eq!(rel.rto(&p, 0, 1, 20), 1_000_000);
+        assert_eq!(rel.rto(0, 1, 1), 48_000);
+        assert_eq!(rel.rto(0, 1, 20), 1_000_000);
         // A second identical sample shrinks the variance term.
-        let pid = rel.register_at(&env(0, 1), 10_000);
-        rel.acked_at(pid, 18_000);
-        assert!(rel.rto(&p, 0, 1, 0) < 24_000);
+        let (pid, _) = rel.send(&env(0, 1), 10_000, 0);
+        rel.delivered(pid, 18_000);
+        assert!(rel.rto(0, 1, 0) < 24_000);
         // Other links are unaffected (per-link estimators).
-        assert_eq!(rel.rto(&p, 1, 0, 0), 1_000_000);
+        assert_eq!(rel.rto(1, 0, 0), 1_000_000);
         // The floor binds when the estimate collapses.
-        let tight = RetransmitPolicy::default().with_adaptive(500_000, 1_000_000);
-        assert_eq!(rel.rto(&tight, 0, 1, 0), 500_000);
+        rel.policy = RetransmitPolicy::default().with_adaptive(500_000, 1_000_000);
+        assert_eq!(rel.rto(0, 1, 0), 500_000);
     }
 
     #[test]
     fn karn_discards_samples_from_retransmitted_packets() {
-        let mut rel = Reliability::new();
-        let p = RetransmitPolicy::default().with_adaptive(1_000, 1_000_000);
-        let pid = rel.register_at(&env(0, 1), 0);
-        rel.bump_retry(pid);
-        rel.acked_at(pid, 5_000); // ambiguous ack: no sample
-        assert_eq!(rel.rto(&p, 0, 1, 0), 1_000_000, "estimator still cold");
+        let mut rel = Reliability::new(RetransmitPolicy::default().with_adaptive(1_000, 1_000_000));
+        let (pid, _) = rel.send(&env(0, 1), 0, 0);
+        expire(&mut rel, pid);
+        rel.delivered(pid, 5_000); // ambiguous ack: no sample
+        assert_eq!(rel.rto(0, 1, 0), 1_000_000, "estimator still cold");
         assert_eq!(rel.stats().acks, 1);
         rel.note_spurious();
         assert_eq!(rel.stats().spurious, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "not in flight")]
-    fn retry_of_acked_packet_is_a_router_bug() {
-        let mut rel = Reliability::new();
-        let pid = rel.register(&env(0, 1));
-        rel.acked(pid);
-        rel.bump_retry(pid);
     }
 }

@@ -50,7 +50,7 @@
 //! assert_eq!(sums.iter().sum::<u64>(), (0..32).sum());
 //! ```
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -60,7 +60,7 @@ use crossbeam::channel::{unbounded, Sender};
 use parking_lot::{Condvar, Mutex};
 
 use crate::cluster::Traffic;
-use crate::reliable::{PacketId, RelStats, Reliability, RetransmitPolicy};
+use crate::reliable::{PacketId, RelStats, Reliability, RetransmitPolicy, Timeout};
 use crate::runtime_faults::{roll_fate, LinkFate};
 use crate::{
     Action, BarrierId, Config, Envelope, LockId, Node, NodeCheckpoint, NodeId, NodeStats,
@@ -87,22 +87,6 @@ struct NodeCell {
 struct NodeInner {
     node: Node,
     completions: Vec<Action>,
-}
-
-/// Sender-side retransmission state of one unacked packet.
-struct RtFlight {
-    env: Envelope,
-    gen: u64,
-    attempt: u32,
-    deadline: Instant,
-}
-
-/// Reliability bookkeeping behind one lock: the sans-io layer plus the
-/// runtime's host-time flight table (kept in lockstep so an ack always
-/// cancels the matching retransmit timer).
-struct RelState {
-    rel: Reliability,
-    flights: HashMap<PacketId, RtFlight>,
 }
 
 /// A delayed copy held by the fault plan until `due`.
@@ -159,10 +143,12 @@ struct Shared {
     traffic: Mutex<Traffic>,
     header_bytes: usize,
     /// Sequence numbers, duplicate suppression and retransmit flights on
-    /// the channel path.
-    rel: Mutex<RelState>,
+    /// the channel path, in microseconds since `t0`; each flight is stamped
+    /// with the generation its packet was sent under.
+    rel: Mutex<Reliability>,
     faults: ChannelFaults,
-    policy: RetransmitPolicy,
+    /// How often the ticker looks for overdue packets and ripe delays.
+    tick: Duration,
     /// First fatal error: any node/service-thread panic poisons the whole
     /// cluster so blocked peers abort instead of waiting forever.
     poison: Mutex<Option<String>>,
@@ -226,21 +212,8 @@ impl Shared {
                 continue;
             }
             self.traffic.lock().record(&env, self.header_bytes);
-            let pid = {
-                let mut st = self.rel.lock();
-                let pid = st.rel.register(&env);
-                st.flights.insert(
-                    pid,
-                    RtFlight {
-                        env: env.clone(),
-                        gen,
-                        attempt: 0,
-                        deadline: Instant::now()
-                            + Duration::from_micros(self.policy.timeout_for(0)),
-                    },
-                );
-                pid
-            };
+            let now_us = self.now_us();
+            let (pid, _) = self.rel.lock().send(&env, now_us, gen);
             self.launch(env, pid, gen, 0);
         }
     }
@@ -387,17 +360,10 @@ impl Shared {
         let crashed = std::mem::take(&mut st.crashed);
         let ckpt = self.ckpt.lock();
         let (ck_epoch, snaps) = ckpt.as_ref().expect("recovery requires an armed checkpoint");
-        // Tokens whose position the rollback forgets: any token away from
-        // its manager (including everything a crashed node held) must be
-        // re-minted; a token already at its manager re-bootstraps as-is.
         let mut regen = 0u64;
         for (id, cell) in self.cells.iter().enumerate() {
             let mut inner = cell.inner.lock();
-            for lock in inner.node.token_holdings() {
-                if inner.node.config().lock_manager(lock) != id || crashed.contains(&id) {
-                    regen += 1;
-                }
-            }
+            regen += inner.node.forgotten_tokens(crashed.contains(&id));
             inner.node.restore(&snaps[id]);
             inner.completions.clear();
         }
@@ -408,9 +374,8 @@ impl Shared {
         {
             // Under the rel lock so the ticker cannot suspect a stale
             // flight of an already-revived node.
-            let mut rl = self.rel.lock();
-            rl.flights.clear();
-            rl.rel.abandon_in_flight();
+            let mut rel = self.rel.lock();
+            rel.abandon_in_flight();
             for &c in &crashed {
                 self.down[c].store(false, Ordering::SeqCst);
             }
@@ -492,10 +457,9 @@ impl Shared {
     }
 
     /// The retransmission / delay ticker: releases matured delayed copies
-    /// and re-sends overdue unacked packets with exponential backoff;
-    /// exhaustion against a down peer is the failure detector.
+    /// and re-sends overdue unacked packets; exhaustion against a down peer
+    /// is the failure detector.
     fn ticker(&self) {
-        let tick = Duration::from_micros((self.policy.timeout / 4).clamp(100, 1_000));
         loop {
             if self.stop_ticker.load(Ordering::Acquire) {
                 return;
@@ -512,46 +476,39 @@ impl Shared {
                 let _ = self.senders[d.env.to].send(Wire::Env(d.env, Some(d.pid), d.gen));
             }
             let mut resend: Vec<(Envelope, PacketId, u64, u32)> = Vec::new();
-            let mut dead: Vec<NodeId> = Vec::new();
             {
-                let mut st = self.rel.lock();
-                let RelState { rel, flights } = &mut *st;
-                for (pid, fl) in flights.iter_mut() {
-                    if fl.deadline > now {
-                        continue;
-                    }
-                    let down_peer = self.is_down(pid.0) || self.is_down(pid.1);
-                    if fl.attempt >= self.policy.max_retries {
-                        if down_peer {
-                            // Exhausted against a dead peer: suspect it and
-                            // park the flight until recovery clears it.
-                            dead.push(if self.is_down(pid.1) { pid.1 } else { pid.0 });
-                            fl.deadline = now + Duration::from_secs(3600);
-                        } else {
-                            // A live peer this slow means the host is
-                            // overloaded, not dead — in-process channels
-                            // lose nothing, so keep nudging at the ceiling.
-                            fl.deadline = now
-                                + Duration::from_micros(
-                                    self.policy.timeout_for(self.policy.max_retries),
-                                );
+                let now_us = self.now_us();
+                let mut rel = self.rel.lock();
+                for pid in rel.overdue(now_us) {
+                    let fired = rel.timeout(pid, now_us);
+                    if matches!(fired, Timeout::Exhausted { .. }) {
+                        // Only a peer that is actually down is given up for
+                        // dead: a live one this slow means the host is
+                        // overloaded (in-process channels lose nothing), so
+                        // it is nudged again. Suspicion is raised under the
+                        // rel lock: recovery abandons flights and clears
+                        // down flags atomically with respect to this scan,
+                        // so a stale flight can never re-suspect a revived
+                        // node.
+                        if let Some(dead) = [pid.1, pid.0].into_iter().find(|&n| self.is_down(n)) {
+                            self.suspect(dead);
                         }
-                        continue;
                     }
-                    fl.attempt += 1;
-                    rel.bump_retry(*pid);
-                    fl.deadline =
-                        now + Duration::from_micros(self.policy.timeout_for(fl.attempt));
-                    resend.push((fl.env.clone(), *pid, fl.gen, fl.attempt));
-                }
-                // Suspicion is raised under the rel lock: recovery clears
-                // flights and down flags atomically with respect to this
-                // scan, so a stale flight can never re-suspect a revived
-                // node.
-                dead.sort_unstable();
-                dead.dedup();
-                for d in dead {
-                    self.suspect(d);
+                    if let Timeout::Resend {
+                        env,
+                        stamp,
+                        attempt,
+                        ..
+                    }
+                    | Timeout::Exhausted {
+                        env,
+                        stamp,
+                        attempt,
+                        ..
+                    } = fired
+                    {
+                        resend.push((env, pid, stamp, attempt));
+                    }
                 }
             }
             for (env, pid, gen, attempt) in resend {
@@ -561,7 +518,7 @@ impl Shared {
                 }
                 self.launch(env, pid, gen, attempt);
             }
-            std::thread::sleep(tick);
+            std::thread::sleep(self.tick);
         }
     }
 }
@@ -1128,12 +1085,9 @@ where
         senders,
         traffic: Mutex::new(Traffic::default()),
         header_bytes,
-        rel: Mutex::new(RelState {
-            rel: Reliability::new(),
-            flights: HashMap::new(),
-        }),
+        rel: Mutex::new(Reliability::new(opts.policy)),
         faults: opts.faults,
-        policy: opts.policy,
+        tick: Duration::from_micros((opts.policy.timeout / 4).clamp(100, 1_000)),
         poison: Mutex::new(None),
         armed,
         grace: Duration::from_millis(opts.grace_ms),
@@ -1181,13 +1135,11 @@ where
                         Wire::Stop => return,
                     };
                     if let Some(pid) = pid {
-                        let mut st = shared.rel.lock();
                         // Delivery confirms receipt (the ack rides the
                         // reply) and cancels the retransmit timer;
                         // duplicates never reach the handler.
-                        st.rel.acked(pid);
-                        st.flights.remove(&pid);
-                        if !st.rel.accept(pid) {
+                        let now_us = shared.now_us();
+                        if !shared.rel.lock().delivered(pid, now_us) {
                             continue;
                         }
                     }
@@ -1274,7 +1226,7 @@ where
     }
 
     let traffic = *shared.traffic.lock();
-    let reliability = *shared.rel.lock().rel.stats();
+    let reliability = *shared.rel.lock().stats();
     let mut stats = NodeStats::default();
     for cell in &shared.cells {
         stats.merge(cell.inner.lock().node.stats());

@@ -1,12 +1,15 @@
-//! Fault injection and recovery bookkeeping for the real-thread runtime.
+//! `tmk-core`'s fault plan, and the runtime's recovery bookkeeping.
 //!
-//! The runtime's crossbeam channels never lose messages, so faults are
-//! introduced at the transmit hook: a seeded plan of per-link drops,
-//! duplicates and delays (mirroring `tmk_net::FaultPlan` semantics), plus
-//! scheduled node crashes at `(node, epoch, op)` points. A packet's fate is
-//! a pure function of `(seed, src, dst, seq, attempt)`, so the schedule is
-//! independent of thread interleaving: the same seed replays the same fault
-//! pattern on real threads no matter how the OS schedules them.
+//! [`ChannelFaults`] is the one fault plan in this crate — seeded per-link
+//! drop / duplicate / delay rates plus node crashes scheduled at
+//! `(node, epoch, op)` points — and [`fate`] the one place a rate becomes a
+//! verdict. Two drivers draw the roll it judges. The real-thread runtime,
+//! whose crossbeam channels never lose messages, injects faults at its
+//! transmit hook from a pure hash of `(seed, src, dst, seq, attempt)`
+//! ([`roll_fate`]): the same seed replays the same fault pattern no matter
+//! how the OS schedules the threads. The synchronous
+//! [`ChaosRouter`](crate::ChaosRouter) draws from a seeded sequential stream.
+//! (The simulated machines' plan, in cycles, is `tmk_net::FaultPlan`.)
 
 use crate::NodeId;
 
@@ -25,10 +28,10 @@ pub struct CrashPoint {
     pub op: u64,
 }
 
-/// Deterministic channel-level fault injection for the real-thread
-/// runtime. Rates are independent per-packet probabilities; the fate of
-/// the `seq`-th packet on each link (and of each retransmitted copy) is
-/// fixed by `seed` alone.
+/// Deterministic channel-level fault injection. Rates are independent
+/// per-copy probabilities; on the real-thread runtime the fate of the
+/// `seq`-th packet on each link (and of each retransmitted copy) is fixed
+/// by `seed` alone.
 #[derive(Debug, Clone, Default)]
 pub struct ChannelFaults {
     /// Seed fixing the entire drop/dup/delay schedule.
@@ -109,6 +112,33 @@ pub(crate) fn splitmix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// Splits the `u64` range into `[drop | dup | delay | deliver]` bands as wide
+/// as the three probabilities and returns the one `roll` lands in. A
+/// probability of 1.0 or more takes everything that is left; zero, negative
+/// and NaN ones take nothing; bands that sum past 1.0 saturate instead of
+/// wrapping, so the earlier band wins.
+pub(crate) fn fate(drop: f64, dup: f64, delay: f64, roll: u64) -> LinkFate {
+    let band = |p: f64| -> u64 {
+        if p >= 1.0 {
+            u64::MAX
+        } else {
+            (p.max(0.0) * (u64::MAX as f64)) as u64
+        }
+    };
+    let d = band(drop);
+    let du = d.saturating_add(band(dup));
+    let de = du.saturating_add(band(delay));
+    if roll < d {
+        LinkFate::Drop
+    } else if roll < du {
+        LinkFate::Duplicate
+    } else if roll < de {
+        LinkFate::Delay
+    } else {
+        LinkFate::Deliver
+    }
+}
+
 /// Rolls the fate of attempt `attempt` of packet `(src, dst, seq)`: a pure
 /// hash of the plan seed and the packet's identity, so the schedule
 /// replays bit-exactly regardless of thread interleaving.
@@ -124,25 +154,7 @@ pub(crate) fn roll_fate(
     for v in [src as u64, dst as u64, seq, attempt as u64] {
         x = splitmix(x ^ v);
     }
-    let band = |p: f64| -> u64 {
-        if p >= 1.0 {
-            u64::MAX
-        } else {
-            (p.max(0.0) * (u64::MAX as f64)) as u64
-        }
-    };
-    let d = band(f.drop);
-    let du = d.saturating_add(band(f.dup));
-    let de = du.saturating_add(band(f.delay));
-    if x < d {
-        LinkFate::Drop
-    } else if x < du {
-        LinkFate::Duplicate
-    } else if x < de {
-        LinkFate::Delay
-    } else {
-        LinkFate::Deliver
-    }
+    fate(f.drop, f.dup, f.delay, x)
 }
 
 /// Per-link fault counters (keyed by `(src, dst)` in
@@ -288,6 +300,46 @@ mod tests {
             roll_fate(&f, (0, 1, s), 0) == roll_fate(&f, (1, 0, s), 0)
         });
         assert!(!all_same, "links must not share one fate stream");
+    }
+
+    /// The band arithmetic's edge cases. `tmk-net` keeps its own copy of
+    /// the arithmetic (no crate edge joins the two yet) and asserts this
+    /// same table against `LossyNet::fate`.
+    #[test]
+    fn fate_bands_saturate_and_have_exact_edges() {
+        use LinkFate::*;
+        const HALF: u64 = 1 << 63; // band(0.5), exactly
+        const QUARTER: u64 = 1 << 62;
+        let table: [(f64, f64, f64, u64, LinkFate); 16] = [
+            // p = 1.0 always hits, even on the last roll but one.
+            (1.0, 0.0, 0.0, 0, Drop),
+            (1.0, 0.0, 0.0, u64::MAX - 1, Drop),
+            (0.0, 1.0, 0.0, u64::MAX - 1, Duplicate),
+            // p <= 0 and NaN never hit, even on roll 0.
+            (0.0, 0.0, 0.0, 0, Deliver),
+            (-1.0, 0.0, 0.0, 0, Deliver),
+            (f64::NAN, f64::NAN, f64::NAN, 0, Deliver),
+            (f64::NAN, 1.0, 0.0, 0, Duplicate),
+            // Bands summing past 1.0 saturate: the earlier band keeps its
+            // width and the later ones get what is left, never a wrap.
+            (0.5, 1.0, 1.0, HALF - 1, Drop),
+            (0.5, 1.0, 1.0, HALF, Duplicate),
+            (0.5, 1.0, 1.0, u64::MAX - 1, Duplicate),
+            (1.0, 1.0, 1.0, u64::MAX - 1, Drop),
+            // Exact edges: a band of width w covers rolls [start, start + w).
+            (0.5, 0.25, 0.0, HALF - 1, Drop),
+            (0.5, 0.25, 0.0, HALF, Duplicate),
+            (0.5, 0.25, 0.0, HALF + QUARTER - 1, Duplicate),
+            (0.5, 0.25, 0.0, HALF + QUARTER, Deliver),
+            (0.0, 0.0, 0.25, QUARTER - 1, Delay),
+        ];
+        for (drop, dup, delay, roll, want) in table {
+            assert_eq!(
+                fate(drop, dup, delay, roll),
+                want,
+                "drop={drop} dup={dup} delay={delay} roll={roll}"
+            );
+        }
     }
 
     #[test]

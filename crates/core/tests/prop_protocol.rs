@@ -2,9 +2,10 @@
 
 use proptest::prelude::*;
 
+use tmk_core::runtime::ChannelFaults;
 use tmk_core::{
-    Action, ChaosPlan, ChaosRouter, Cluster, Config, Diff, Envelope, FaultStart, Handled,
-    IntervalMsg, IvyNode, Msg, Node, RetransmitPolicy, StartAcquire, VTime, WORD,
+    Action, ChaosRouter, Cluster, Config, Diff, Envelope, FaultStart, Handled, IntervalMsg,
+    IvyNode, Msg, Node, RetransmitPolicy, StartAcquire, VTime, WORD,
 };
 
 // ---------------------------------------------------------------------
@@ -197,16 +198,16 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(4, 8), 1..40),
         plan in chaos_plan_strategy(),
     ) {
-        let clean = ChaosPlan { seed: plan.seed, drop: 0.0, dup: 0.0, delay: 0.0 };
+        let clean = ChannelFaults::seeded(plan.seed);
         let cfg = || Config::new(4).page_size(256).segment_pages(8);
         let a = run_chaos_program(
             (0..4).map(|i| Node::new(i, cfg())).collect(),
-            clean,
+            &clean,
             &ops,
         );
         let b = run_chaos_program(
             (0..4).map(|i| Node::new(i, cfg())).collect(),
-            plan,
+            &plan,
             &ops,
         );
         prop_assert_eq!(a, b, "injected faults changed the LRC outcome ({:?})", plan);
@@ -218,16 +219,16 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(3, 6), 1..30),
         plan in chaos_plan_strategy(),
     ) {
-        let clean = ChaosPlan { seed: plan.seed, drop: 0.0, dup: 0.0, delay: 0.0 };
+        let clean = ChannelFaults::seeded(plan.seed);
         let cfg = || Config::new(3).page_size(256).segment_pages(8);
         let a = run_chaos_program(
             (0..3).map(|i| IvyNode::new(i, cfg())).collect(),
-            clean,
+            &clean,
             &ops,
         );
         let b = run_chaos_program(
             (0..3).map(|i| IvyNode::new(i, cfg())).collect(),
-            plan,
+            &plan,
             &ops,
         );
         prop_assert_eq!(a, b, "injected faults changed the IVY outcome ({:?})", plan);
@@ -352,7 +353,7 @@ struct ChaosCluster<N> {
 }
 
 impl<N: Proto> ChaosCluster<N> {
-    fn new(nodes: Vec<N>, plan: ChaosPlan) -> Self {
+    fn new(nodes: Vec<N>, plan: &ChannelFaults) -> Self {
         ChaosCluster {
             nodes,
             router: ChaosRouter::new(plan, RetransmitPolicy::default()),
@@ -433,22 +434,20 @@ impl<N: Proto> ChaosCluster<N> {
     }
 }
 
-fn chaos_plan_strategy() -> impl Strategy<Value = ChaosPlan> {
+fn chaos_plan_strategy() -> impl Strategy<Value = ChannelFaults> {
     // The vendored proptest has no f64 range strategy; draw permille values.
     (any::<u64>(), 0u32..300, 0u32..200, 0u32..200).prop_map(|(seed, drop, dup, delay)| {
-        ChaosPlan {
-            seed,
-            drop: f64::from(drop) / 1000.0,
-            dup: f64::from(dup) / 1000.0,
-            delay: f64::from(delay) / 1000.0,
-        }
+        ChannelFaults::seeded(seed)
+            .drop_rate(f64::from(drop) / 1000.0)
+            .dup_rate(f64::from(dup) / 1000.0)
+            .delay_rate(f64::from(delay) / 1000.0, 0)
     })
 }
 
 /// Runs the shared random program on a chaos cluster and returns the final
 /// shared-memory image as observed by every node (slot values then each
 /// node's private region), so two runs can be compared verbatim.
-fn run_chaos_program<N: Proto>(nodes: Vec<N>, plan: ChaosPlan, ops: &[Op]) -> Vec<u64> {
+fn run_chaos_program<N: Proto>(nodes: Vec<N>, plan: &ChannelFaults, ops: &[Op]) -> Vec<u64> {
     let n = nodes.len();
     let slots = 8usize;
     let base = 0usize;
@@ -508,13 +507,13 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(4, 8), 1..40),
         plan in chaos_plan_strategy(),
     ) {
-        let clean = ChaosPlan { seed: plan.seed, drop: 0.0, dup: 0.0, delay: 0.0 };
+        let clean = ChannelFaults::seeded(plan.seed);
         let nogc = || Config::new(4).page_size(256).segment_pages(8);
         let gc = || nogc().gc(0);
-        let a = run_chaos_program((0..4).map(|i| Node::new(i, nogc())).collect(), clean, &ops);
-        let b = run_chaos_program((0..4).map(|i| Node::new(i, gc())).collect(), clean, &ops);
+        let a = run_chaos_program((0..4).map(|i| Node::new(i, nogc())).collect(), &clean, &ops);
+        let b = run_chaos_program((0..4).map(|i| Node::new(i, gc())).collect(), &clean, &ops);
         prop_assert_eq!(&a, &b, "GC changed the program outcome");
-        let c = run_chaos_program((0..4).map(|i| Node::new(i, gc())).collect(), plan, &ops);
+        let c = run_chaos_program((0..4).map(|i| Node::new(i, gc())).collect(), &plan, &ops);
         prop_assert_eq!(&a, &c, "GC + injected faults changed the outcome ({:?})", plan);
     }
 
@@ -524,11 +523,11 @@ proptest! {
     fn eager_gc_matches_gc_free(
         ops in proptest::collection::vec(op_strategy(3, 8), 1..30),
     ) {
-        let clean = ChaosPlan { seed: 7, drop: 0.0, dup: 0.0, delay: 0.0 };
+        let clean = ChannelFaults::seeded(7);
         let nogc = || Config::new(3).page_size(256).segment_pages(8).eager_release_all();
         let gc = || nogc().gc(0);
-        let a = run_chaos_program((0..3).map(|i| Node::new(i, nogc())).collect(), clean, &ops);
-        let b = run_chaos_program((0..3).map(|i| Node::new(i, gc())).collect(), clean, &ops);
+        let a = run_chaos_program((0..3).map(|i| Node::new(i, nogc())).collect(), &clean, &ops);
+        let b = run_chaos_program((0..3).map(|i| Node::new(i, gc())).collect(), &clean, &ops);
         prop_assert_eq!(a, b, "GC changed the eager-release outcome");
     }
 }

@@ -17,8 +17,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
 use tmk_core::{
-    Action, Config, Envelope, IvyNode, Msg, Node, NodeId, PacketId, Reliability, RetransmitPolicy,
-    Traffic,
+    Action, Config, Envelope, IvyNode, Msg, Node, NodeId, PacketId, Reliability, Timeout, Traffic,
 };
 use tmk_net::{Fate, LossyNet, NetParams, PointToPointNet, SoftwareOverhead};
 use tmk_sim::{Ctx, Cycle, Op};
@@ -139,8 +138,6 @@ pub(crate) struct Fabric {
     /// End-to-end reliability layer (`None` = raw datagrams: a dropped
     /// message is lost forever and the watchdog is the only way out).
     rel: Option<Reliability>,
-    /// Timeout/backoff knobs used when `rel` is armed.
-    policy: RetransmitPolicy,
     /// Whether barrier-epoch checkpointing is armed (the prerequisite for
     /// surviving a scheduled node crash).
     checkpoints: bool,
@@ -192,8 +189,7 @@ impl Fabric {
             page_size,
             traffic: Traffic::default(),
             mark: (0, Traffic::default()),
-            rel: tuning.reliability.map(|_| Reliability::new()),
-            policy: tuning.reliability.unwrap_or_default(),
+            rel: tuning.reliability.map(Reliability::new),
             checkpoints: tuning.checkpoints,
             crash: CrashState {
                 recovered: tuning
@@ -247,28 +243,17 @@ impl Fabric {
     }
 
     /// Lock state a crash of `crashed` forces recovery to re-mint at the
-    /// managers. For the token-forwarding LRC protocol that is every token
-    /// resting away from its manager (survivor metadata alone no longer
-    /// proves where it is) plus anything cached on the dead node itself;
-    /// for IVY's centralized directory it is the entries the dead node
-    /// managed.
+    /// managers: the tokens each LRC node forgets
+    /// ([`Node::forgotten_tokens`]); for IVY's centralized directory, the
+    /// entries the dead node managed.
     fn tokens_to_regen(&self, crashed: NodeId) -> u64 {
         self.nodes
             .iter()
             .enumerate()
             .map(|(id, n)| match n {
-                ProtoNode::Lrc(n) => n
-                    .token_holdings()
-                    .into_iter()
-                    .filter(|&l| n.config().lock_manager(l) != id || id == crashed)
-                    .count() as u64,
-                ProtoNode::Ivy(n) => {
-                    if id == crashed {
-                        n.managed_locks()
-                    } else {
-                        0
-                    }
-                }
+                ProtoNode::Lrc(n) => n.forgotten_tokens(id == crashed),
+                ProtoNode::Ivy(n) if id == crashed => n.managed_locks(),
+                ProtoNode::Ivy(_) => 0,
             })
             .sum()
     }
@@ -427,7 +412,7 @@ impl Fabric {
         }
         while let Some((t, ev)) = c.queue.pop() {
             match ev {
-                Ev::Retry(env, pid) => c.retry(t, env, pid),
+                Ev::Retry(pid) => c.retry(t, pid),
                 Ev::Deliver(env, pid) => c.deliver(t, env, pid),
             }
         }
@@ -532,8 +517,9 @@ enum Ev {
     /// A message copy arriving at its destination (reliability id attached
     /// when the packet is tracked).
     Deliver(Envelope, Option<PacketId>),
-    /// A sender-side retransmission timer for an unacked packet.
-    Retry(Envelope, PacketId),
+    /// A sender-side retransmission timer for a tracked packet (its
+    /// envelope waits in the reliability layer's flight).
+    Retry(PacketId),
 }
 
 /// A cascade's pending events, popped in `(time, issue order)` order.
@@ -580,9 +566,9 @@ impl Cascade<'_> {
 
     /// One transmission attempt: charges the sender, reserves the wire,
     /// rolls the fault fate, and schedules arrivals plus (when tracked) the
-    /// retransmission timer. `retrans_of` carries the packet id and retry
-    /// count when this is a re-send of an already-registered packet.
-    fn send_one(&mut self, env: Envelope, retrans_of: Option<(PacketId, u32)>) {
+    /// retransmission timer. `retrans_of` carries the packet id and the
+    /// timeout to arm when this is a re-send of a packet already in flight.
+    fn send_one(&mut self, env: Envelope, retrans_of: Option<(PacketId, Cycle)>) {
         let f = &mut *self.f;
         let from = env.from;
         let to = env.to;
@@ -624,15 +610,16 @@ impl Cascade<'_> {
                 });
             }
         }
-        let (pid, attempt) = match retrans_of {
-            Some((pid, attempt)) => (Some(pid), attempt),
-            None => (f.rel.as_mut().map(|r| r.register_at(&env, depart)), 0),
+        // The timer runs from the copy's departure, not from when the
+        // previous one expired.
+        let tracked = match retrans_of {
+            Some((pid, rto)) => Some((pid, depart + rto)),
+            None => f.rel.as_mut().map(|r| r.send(&env, depart, 0)),
         };
-        if let Some(pid) = pid {
-            let rel = f.rel.as_ref().expect("tracked packet implies reliability");
-            let expire = depart + rel.rto(&f.policy, from, to, attempt);
-            self.queue.push(expire, Ev::Retry(env.clone(), pid));
+        if let Some((pid, expire)) = tracked {
+            self.queue.push(expire, Ev::Retry(pid));
         }
+        let pid = tracked.map(|(pid, _)| pid);
         if from_down || to_down {
             // The copy never arrives: a dead sender transmits nothing; a
             // live sender's copy still occupies the wire into the dead
@@ -666,20 +653,32 @@ impl Cascade<'_> {
     }
 
     /// A retransmission timer fired at `t` for packet `pid`.
-    fn retry(&mut self, t: Cycle, env: Envelope, pid: PacketId) {
-        if !self.f.rel.as_ref().is_some_and(|r| r.is_in_flight(pid)) {
-            return; // acked in the meantime: stale timer
-        }
-        let queued = self.pending.get(&pid).copied().unwrap_or(0) > 0;
+    fn retry(&mut self, t: Cycle, pid: PacketId) {
         let rel = self.f.rel.as_mut().expect("tracked packet");
+        let (env, attempt, deadline, exhausted) = match rel.timeout(pid, t) {
+            Timeout::Stale => return, // acked in the meantime
+            Timeout::Resend {
+                env,
+                attempt,
+                deadline,
+                ..
+            } => (env, attempt, deadline, None),
+            Timeout::Exhausted {
+                env,
+                attempt,
+                deadline,
+                fresh_deadline,
+                ..
+            } => (env, attempt, deadline, Some(fresh_deadline)),
+        };
+        let queued = self.pending.get(&pid).copied().unwrap_or(0) > 0;
         if queued {
             // A copy is still queued for delivery: the RTO fired early
             // (queueing, not loss) and this re-send is spurious — the
             // receiver will suppress the duplicate.
             rel.note_spurious();
         }
-        let retries = rel.bump_retry(pid);
-        if retries > self.f.policy.max_retries {
+        if let Some(fresh_deadline) = exhausted {
             // Exhaustion: the failure detector just found a crashed peer, or
             // the link is genuinely broken — unless copies are still queued
             // for delivery (post-recovery wire congestion outlasting the
@@ -699,25 +698,30 @@ impl Cascade<'_> {
                         r
                     }
                 };
+                // Recovery forgave the packet: it goes out again on a fresh
+                // allowance once the cluster is back.
                 self.busy_until(env.from, t_rec);
-                self.send_one(env, Some((pid, 0)));
+                self.send_one(env, Some((pid, fresh_deadline - t)));
                 return;
             }
             assert!(
                 queued,
                 "reliability gave up: {} -> {} seq {} still unacked after {} retransmissions",
-                pid.0, pid.1, pid.2, self.f.policy.max_retries,
+                pid.0,
+                pid.1,
+                pid.2,
+                attempt - 1,
             );
         }
         self.f.sink.emit(Event {
             track: Track::Node(env.from as u32),
             at: t,
             dur: 0,
-            kind: EventKind::Retransmit { attempt: retries },
+            kind: EventKind::Retransmit { attempt },
         });
         // The sender is free no earlier than the timer expiry.
         self.busy_until(env.from, t);
-        self.send_one(env, Some((pid, retries)));
+        self.send_one(env, Some((pid, deadline - t)));
     }
 
     /// A message copy reaches its destination's handler at `t`.
@@ -726,10 +730,11 @@ impl Cascade<'_> {
             if let Some(c) = self.pending.get_mut(&pid) {
                 *c -= 1;
             }
+            // Delivery doubles as the piggybacked ack; duplicates are
+            // suppressed before the handler.
             let rel = self.f.rel.as_mut().expect("tracked packet");
-            rel.acked_at(pid, t); // delivery doubles as the piggybacked ack
-            if !rel.accept(pid) {
-                return; // duplicate suppressed before the handler
+            if !rel.delivered(pid, t) {
+                return;
             }
         }
         let f = &mut *self.f;

@@ -181,22 +181,6 @@ impl Platform {
                     "/fs{}d{}u{}y{}c{}m{:02x}",
                     f.seed, f.drop, f.dup, f.delay, f.delay_cycles, f.class_mask
                 ));
-                if !f.only_links.is_empty() {
-                    let ls: Vec<String> = f
-                        .only_links
-                        .iter()
-                        .map(|(a, b)| format!("{a}-{b}"))
-                        .collect();
-                    s.push_str(&format!("l{}", ls.join(",")));
-                }
-                if !f.link_scales.is_empty() {
-                    let ls: Vec<String> = f
-                        .link_scales
-                        .iter()
-                        .map(|(a, b, x)| format!("{a}-{b}*{x}"))
-                        .collect();
-                    s.push_str(&format!("s{}", ls.join(",")));
-                }
                 if !f.crashes.is_empty() {
                     let cs: Vec<String> = f
                         .crashes

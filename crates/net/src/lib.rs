@@ -306,10 +306,9 @@ impl Crash {
 /// order from `SmallRng::seed_from_u64(seed)`, so a plan replays
 /// bit-exactly: the same seed and the same traffic produce the same drops.
 /// Faults can be restricted to a subset of message classes (`class_mask`, a
-/// bitmask the protocol layer derives from its `MsgClass`) and to specific
-/// directed links (`only_links`); per-link rate scaling comes from
-/// `link_scales`. Node crashes ride in the same plan as an explicit
-/// schedule ([`Crash`]) rather than a probability.
+/// bitmask the protocol layer derives from its `MsgClass`). Node crashes
+/// ride in the same plan as an explicit schedule ([`Crash`]) rather than a
+/// probability.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed for the fault schedule.
@@ -325,11 +324,6 @@ pub struct FaultPlan {
     /// Bitmask of fault-eligible message classes (bit n = class n);
     /// `ALL_CLASSES` faults everything.
     pub class_mask: u8,
-    /// When non-empty, only these directed `(from, to)` links are faulty.
-    pub only_links: Vec<(usize, usize)>,
-    /// Per-link rate multipliers `(from, to, scale)`; links not listed use
-    /// the base rates.
-    pub link_scales: Vec<(usize, usize, f64)>,
     /// Scheduled node crashes, applied on top of the probabilistic faults.
     pub crashes: Vec<Crash>,
 }
@@ -348,8 +342,6 @@ impl FaultPlan {
             delay: 0.0,
             delay_cycles: 0,
             class_mask: ALL_CLASSES,
-            only_links: Vec::new(),
-            link_scales: Vec::new(),
             crashes: Vec::new(),
         }
     }
@@ -391,12 +383,6 @@ impl FaultPlan {
         self
     }
 
-    /// Restricts faults to the directed links listed.
-    pub fn with_only_links(mut self, links: Vec<(usize, usize)>) -> Self {
-        self.only_links = links;
-        self
-    }
-
     /// Whether the plan can affect any message at all.
     pub fn is_active(&self) -> bool {
         self.drop > 0.0 || self.dup > 0.0 || self.delay > 0.0 || !self.crashes.is_empty()
@@ -407,16 +393,31 @@ impl FaultPlan {
         self.crashes.iter().find(|c| c.node == node)
     }
 
-    fn scale(&self, from: usize, to: usize) -> f64 {
-        self.link_scales
-            .iter()
-            .find(|&&(f, t, _)| f == from && t == to)
-            .map_or(1.0, |&(_, _, s)| s)
-    }
-
-    fn applies(&self, from: usize, to: usize, class_bit: u8) -> bool {
-        (self.class_mask & class_bit) != 0
-            && (self.only_links.is_empty() || self.only_links.contains(&(from, to)))
+    /// The `[drop | dup | delay | deliver]` band `roll` lands in: the `u64`
+    /// range split as wide as the three probabilities, `p >= 1.0` taking
+    /// all that is left, `p <= 0` and NaN nothing, a sum past 1.0
+    /// saturating rather than wrapping. (`tmk_core::runtime_faults::fate`
+    /// is the same arithmetic; see the boundary-table test.)
+    fn verdict(&self, roll: u64) -> Fate {
+        let band = |p: f64| -> u64 {
+            if p >= 1.0 {
+                u64::MAX
+            } else {
+                (p.max(0.0) * (u64::MAX as f64)) as u64
+            }
+        };
+        let d = band(self.drop);
+        let du = d.saturating_add(band(self.dup));
+        let de = du.saturating_add(band(self.delay));
+        if roll < d {
+            Fate::Drop
+        } else if roll < du {
+            Fate::Duplicate
+        } else if roll < de {
+            Fate::Delay(self.delay_cycles)
+        } else {
+            Fate::Deliver
+        }
     }
 }
 
@@ -471,48 +472,30 @@ impl LossyNet {
         }
     }
 
-    /// Decides what happens to a message on link `from → to` whose class
-    /// bit is `class_bit`. Consumes randomness only for fault-eligible
-    /// messages, in call order — the caller must consult fates in a
-    /// deterministic order for schedules to replay.
-    pub fn fate(&mut self, from: usize, to: usize, class_bit: u8) -> Fate {
+    /// Decides what happens to a message whose class bit is `class_bit`
+    /// (the link it travels, `_from → _to`, selects nothing: rates are
+    /// cluster-wide). Consumes randomness only for fault-eligible messages,
+    /// in call order — the caller must consult fates in a deterministic
+    /// order for schedules to replay.
+    pub fn fate(&mut self, _from: usize, _to: usize, class_bit: u8) -> Fate {
         let Some(plan) = &self.plan else {
             return Fate::Deliver;
         };
-        if !plan.applies(from, to, class_bit) {
+        if plan.class_mask & class_bit == 0 {
             return Fate::Deliver;
         }
-        let scale = plan.scale(from, to);
         let rng = self.rng.as_mut().expect("faulty net has an rng");
         self.stats.decisions += 1;
-        // One u64 draw per eligible message, partitioned into [drop | dup |
-        // delay | deliver] bands: cheap, deterministic, and exactly one
-        // stream position per message regardless of outcome.
-        let roll = rng.next_u64();
-        let band = |p: f64| -> u64 {
-            let p = (p * scale).clamp(0.0, 1.0);
-            // 2^64 * p, saturating: p == 1.0 maps to u64::MAX (always hit).
-            if p >= 1.0 {
-                u64::MAX
-            } else {
-                (p * (u64::MAX as f64)) as u64
-            }
-        };
-        let d = band(plan.drop);
-        let du = d.saturating_add(band(plan.dup));
-        let de = du.saturating_add(band(plan.delay));
-        if roll < d {
-            self.stats.drops += 1;
-            Fate::Drop
-        } else if roll < du {
-            self.stats.dups += 1;
-            Fate::Duplicate
-        } else if roll < de {
-            self.stats.delays += 1;
-            Fate::Delay(self.plan.as_ref().expect("plan").delay_cycles)
-        } else {
-            Fate::Deliver
+        // One u64 draw per eligible message: cheap, deterministic, and
+        // exactly one stream position per message regardless of outcome.
+        let fate = plan.verdict(rng.next_u64());
+        match fate {
+            Fate::Drop => self.stats.drops += 1,
+            Fate::Duplicate => self.stats.dups += 1,
+            Fate::Delay(_) => self.stats.delays += 1,
+            Fate::Deliver => {}
         }
+        fate
     }
 
     /// Schedules a transfer on the inner network (see
@@ -704,17 +687,74 @@ mod tests {
 
     #[test]
     fn class_mask_and_link_filter_gate_faults() {
-        let plan = FaultPlan::drop_rate(3, 1.0)
-            .with_class_mask(0b0010)
-            .with_only_links(vec![(0, 1)]);
+        let plan = FaultPlan::drop_rate(3, 1.0).with_class_mask(0b0010);
         let mut lossy = LossyNet::faulty(PointToPointNet::new(3, NetParams::atm_100mhz()), plan);
         // Wrong class bit: untouched.
         assert_eq!(lossy.fate(0, 1, 0b0001), Fate::Deliver);
-        // Wrong link: untouched.
-        assert_eq!(lossy.fate(1, 0, 0b0010), Fate::Deliver);
-        // Matching class and link: dropped.
+        // Matching class: dropped.
         assert_eq!(lossy.fate(0, 1, 0b0010), Fate::Drop);
-        assert_eq!(lossy.fault_stats().decisions, 1, "filtered fates draw nothing");
+        assert_eq!(
+            lossy.fault_stats().decisions,
+            1,
+            "filtered fates draw nothing"
+        );
+    }
+
+    /// `tmk_core::runtime_faults::fate`'s boundary table, row for row: the
+    /// two crates keep separate copies of the band arithmetic (no crate
+    /// edge joins them yet), and this is what stops them drifting apart.
+    #[test]
+    fn fate_bands_saturate_and_have_exact_edges() {
+        use Fate::{Deliver, Drop, Duplicate};
+        const HALF: u64 = 1 << 63; // band(0.5), exactly
+        const QUARTER: u64 = 1 << 62;
+        let delay = Fate::Delay(50);
+        let table: [(f64, f64, f64, u64, Fate); 16] = [
+            // p = 1.0 always hits, even on the last roll but one.
+            (1.0, 0.0, 0.0, 0, Drop),
+            (1.0, 0.0, 0.0, u64::MAX - 1, Drop),
+            (0.0, 1.0, 0.0, u64::MAX - 1, Duplicate),
+            // p <= 0 and NaN never hit, even on roll 0.
+            (0.0, 0.0, 0.0, 0, Deliver),
+            (-1.0, 0.0, 0.0, 0, Deliver),
+            (f64::NAN, f64::NAN, f64::NAN, 0, Deliver),
+            (f64::NAN, 1.0, 0.0, 0, Duplicate),
+            // Bands summing past 1.0 saturate: the earlier band keeps its
+            // width and the later ones get what is left, never a wrap.
+            (0.5, 1.0, 1.0, HALF - 1, Drop),
+            (0.5, 1.0, 1.0, HALF, Duplicate),
+            (0.5, 1.0, 1.0, u64::MAX - 1, Duplicate),
+            (1.0, 1.0, 1.0, u64::MAX - 1, Drop),
+            // Exact edges: a band of width w covers rolls [start, start + w).
+            (0.5, 0.25, 0.0, HALF - 1, Drop),
+            (0.5, 0.25, 0.0, HALF, Duplicate),
+            (0.5, 0.25, 0.0, HALF + QUARTER - 1, Duplicate),
+            (0.5, 0.25, 0.0, HALF + QUARTER, Deliver),
+            (0.0, 0.0, 0.25, QUARTER - 1, delay),
+        ];
+        for (drop, dup, delay, roll, want) in table {
+            let plan = FaultPlan::drop_rate(0, drop)
+                .with_dup(dup)
+                .with_delay(delay, 50);
+            assert_eq!(
+                plan.verdict(roll),
+                want,
+                "drop={drop} dup={dup} delay={delay} roll={roll}"
+            );
+        }
+        // `LossyNet::fate` is that verdict on the next draw of the seeded
+        // stream, for every class when the mask is `ALL_CLASSES`.
+        let plan = FaultPlan::drop_rate(7, 0.3)
+            .with_dup(0.2)
+            .with_delay(0.1, 50);
+        let mut rolls = SmallRng::seed_from_u64(plan.seed);
+        let mut lossy = LossyNet::faulty(
+            PointToPointNet::new(2, NetParams::atm_100mhz()),
+            plan.clone(),
+        );
+        for _ in 0..200 {
+            assert_eq!(lossy.fate(0, 1, ALL_CLASSES), plan.verdict(rolls.next_u64()));
+        }
     }
 
     #[test]

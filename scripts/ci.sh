@@ -98,14 +98,16 @@ for f in target/smoke/trace-a/*.trace.json; do
         "target/smoke/trace-b/$(basename "$f")" | grep -q "no divergence"
 done
 
-echo "== records: full-size table1 + table2 must reproduce the committed results/ =="
+echo "== records: full-size table1 + table2 + service must reproduce the committed results/ =="
 # Every check above compares two builds of today's code with each other. This
 # one compares today's code with the records in the tree: a changed cache,
-# bus, directory or cycle count in a full-size run fails here.
+# bus, directory or cycle count in a full-size run fails here, and `service`
+# is the one record the real-thread runtime and its host-time retransmission
+# driver produce.
 rm -rf target/records
-./target/release/suite --experiment table1 --experiment table2 --jobs 1 \
-    --json --out target/records > /dev/null
-for t in table1 table2; do
+./target/release/suite --experiment table1 --experiment table2 --experiment service \
+    --jobs 1 --json --out target/records > /dev/null
+for t in table1 table2 service; do
     diff "target/records/$t.txt" "results/$t.txt" \
         || { echo "$t.txt differs from results/"; exit 1; }
     grep -v "$strip" "target/records/$t.json" > target/records/new.stripped
