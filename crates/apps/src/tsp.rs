@@ -21,6 +21,9 @@ const QUEUE_LOCK: usize = 0;
 /// The paper's eager-release ablation targets this lock.
 pub const BOUND_LOCK: usize = 1;
 
+/// The largest instance: the search keeps the unvisited set in a `u32` mask.
+const MAX_CITIES: usize = 32;
+
 /// The TSP workload.
 #[derive(Debug, Clone)]
 pub struct Tsp {
@@ -37,7 +40,15 @@ pub struct Tsp {
 
 impl Tsp {
     /// A TSP instance with `cities` cities (deterministic coordinates).
+    ///
+    /// # Panics
+    ///
+    /// Panics above 32 cities (the search keeps the unvisited set in a `u32`).
     pub fn new(cities: usize) -> Self {
+        assert!(
+            cities <= MAX_CITIES,
+            "at most {MAX_CITIES} cities, got {cities}"
+        );
         Tsp {
             cities,
             seed: 0x5eed_7590 + cities as u64,
@@ -195,8 +206,7 @@ impl Workload for Tsp {
         // reads, then local).
         let mut dist = vec![0u32; n * n];
         plan.dist.read_range(sys, 0, &mut dist);
-        let d = |a: usize, b: usize| dist[a * n + b];
-        let min_out = Self::min_out(&dist, n);
+        let mut search = Search::new(n, dist);
 
         let mut entry = vec![0u32; plan.entry_words];
         loop {
@@ -225,7 +235,7 @@ impl Workload for Tsp {
                 continue;
             }
 
-            self.expand(sys, plan, &entry, &d, &min_out);
+            self.expand(sys, plan, &entry, &mut search);
 
             sys.lock(QUEUE_LOCK);
             let a = plan.active.get(sys, 0);
@@ -237,13 +247,25 @@ impl Workload for Tsp {
     }
 }
 
-impl Tsp {
-    /// Expands one partial tour: pushes shallow children back to the queue,
-    /// solves deep ones locally, updating the shared bound.
+/// One process's private search state: the instance's constants plus the
+/// buffers [`Tsp::expand`] reuses from call to call.
+struct Search {
+    n: usize,
+    /// Distance matrix, row-major.
+    dist: Vec<u32>,
     /// Cheapest outgoing edge per city (for the admissible lower bound:
     /// every remaining city must be left exactly once).
-    fn min_out(dist: &[u32], n: usize) -> Vec<u32> {
-        (0..n)
+    min_out: Vec<u32>,
+    /// Surviving children of the tour being expanded: `(cost, city)`.
+    children: Vec<(u32, u32)>,
+    /// The queue entry being built for one child.
+    child: Vec<u32>,
+}
+
+impl Search {
+    fn new(n: usize, dist: Vec<u32>) -> Search {
+        assert!(n <= MAX_CITIES, "at most {MAX_CITIES} cities, got {n}");
+        let min_out = (0..n)
             .map(|i| {
                 (0..n)
                     .filter(|&j| j != i)
@@ -251,75 +273,100 @@ impl Tsp {
                     .min()
                     .unwrap_or(0)
             })
-            .collect()
-    }
-
-    /// Admissible completion bound: tour cost so far plus the cheapest way
-    /// to leave the current city and every unvisited city.
-    fn lower_bound(cost: u32, at: usize, visited: &[bool], min_out: &[u32]) -> u32 {
-        let mut lb = cost + min_out[at];
-        for (u, &v) in visited.iter().enumerate() {
-            if !v {
-                lb += min_out[u];
-            }
+            .collect();
+        Search {
+            n,
+            dist,
+            min_out,
+            children: Vec::new(),
+            child: Vec::new(),
         }
-        lb
     }
 
-    fn expand(
-        &self,
-        sys: &dyn System,
-        plan: &TspPlan,
-        entry: &[u32],
-        d: &dyn Fn(usize, usize) -> u32,
-        min_out: &[u32],
-    ) {
+    /// The unvisited mask and its `min_out` sum for a tour through `path`.
+    fn remaining(&self, path: &[u32]) -> (u32, u32) {
+        let mut unvisited = ((1u64 << self.n) - 1) as u32;
+        for &c in path {
+            unvisited &= !(1 << c);
+        }
+        let rem = set_bits(unvisited).map(|u| self.min_out[u]).sum();
+        (unvisited, rem)
+    }
+
+    /// Depth-first branch and bound below a tour that ends in `at` after
+    /// `cost`, with the cities in `unvisited` still to go. `rem` is the sum
+    /// of `min_out` over `unvisited`, which makes the admissible completion
+    /// bound of every child `next` — its cost plus the cheapest way to leave
+    /// it and every city unvisited after it — the same `cost + dist[at][next]
+    /// + rem`: one add per edge instead of a scan of all cities.
+    fn dfs(&self, at: usize, unvisited: u32, cost: u32, rem: u32, best: &mut u32, nodes: &mut u64) {
+        *nodes += 1;
+        let row = &self.dist[at * self.n..(at + 1) * self.n];
+        if unvisited == 0 {
+            *best = (*best).min(cost + row[0]);
+            return;
+        }
+        for next in set_bits(unvisited) {
+            let c2 = cost + row[next];
+            if c2 + rem >= *best {
+                continue; // prune
+            }
+            let rest = unvisited & !(1 << next);
+            self.dfs(next, rest, c2, rem - self.min_out[next], best, nodes);
+        }
+    }
+}
+
+/// The set bits of `mask`, ascending.
+fn set_bits(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let bit = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            bit
+        })
+    })
+}
+
+impl Tsp {
+    /// Expands one partial tour: pushes shallow children back to the queue,
+    /// solves deep ones locally, updating the shared bound.
+    fn expand(&self, sys: &dyn System, plan: &TspPlan, entry: &[u32], s: &mut Search) {
         let n = self.cities;
         let cost = entry[0];
         let len = entry[1] as usize;
-        let path: Vec<usize> = entry[2..2 + len].iter().map(|&c| c as usize).collect();
-        let mut visited = vec![false; n];
-        for &c in &path {
-            visited[c] = true;
-        }
+        let path = &entry[2..2 + len];
+        let at = path[len - 1] as usize;
+        let (unvisited, rem) = s.remaining(path);
 
         // Unsynchronized bound read: may be stale under LRC.
         let bound = plan.bound.get(sys, 0);
 
         if len < self.queue_depth {
-            let mut children = Vec::new();
-            let at = path[len - 1];
-            for next in 1..n {
-                if visited[next] {
-                    continue;
+            s.children.clear();
+            for next in set_bits(unvisited) {
+                let c2 = cost + s.dist[at * n + next];
+                if c2 + rem < bound {
+                    s.children.push((c2, next as u32));
                 }
-                let c2 = cost + d(at, next);
-                visited[next] = true;
-                let lb = Self::lower_bound(c2, next, &visited, min_out);
-                visited[next] = false;
-                if lb >= bound {
-                    continue; // prune
-                }
-                let mut e = vec![0u32; plan.entry_words];
-                e[0] = c2;
-                e[1] = (len + 1) as u32;
-                for (i, &c) in path.iter().enumerate() {
-                    e[2 + i] = c as u32;
-                }
-                e[2 + len] = next as u32;
-                children.push(e);
             }
             sys.compute(n as u64 * self.cycles_per_node);
             // Push the most promising child last (the queue is a stack):
             // workers then explore cheapest-first, tightening the bound as
             // quickly as the sequential depth-first order does.
-            children.sort_by_key(|e| std::cmp::Reverse(e[0]));
-            if !children.is_empty() {
+            s.children.sort_by_key(|&(c2, _)| std::cmp::Reverse(c2));
+            if !s.children.is_empty() {
                 sys.lock(QUEUE_LOCK);
                 let mut qlen = plan.queue_len.get(sys, 0) as usize;
-                for e in &children {
+                for &(c2, next) in &s.children {
                     assert!(qlen < plan.capacity, "tour queue overflow");
-                    plan.queue.write_range(sys, qlen * plan.entry_words, e);
+                    s.child.clear();
+                    s.child.extend_from_slice(&[c2, (len + 1) as u32]);
+                    s.child.extend_from_slice(path);
+                    s.child.push(next);
+                    s.child.resize(plan.entry_words, 0);
+                    plan.queue
+                        .write_range(sys, qlen * plan.entry_words, &s.child);
                     qlen += 1;
                 }
                 plan.queue_len.set(sys, 0, qlen as u32);
@@ -329,17 +376,7 @@ impl Tsp {
             // Solve the rest locally with depth-first branch and bound.
             let mut best = bound;
             let mut nodes = 0u64;
-            let mut path = path;
-            Self::dfs(
-                &mut path,
-                &mut visited,
-                cost,
-                &mut best,
-                &mut nodes,
-                n,
-                d,
-                min_out,
-            );
+            s.dfs(at, unvisited, cost, rem, &mut best, &mut nodes);
             sys.compute(nodes * self.cycles_per_node);
             if best < bound {
                 // Synchronized update (check again under the lock).
@@ -353,8 +390,38 @@ impl Tsp {
         }
     }
 
+    /// Sequential optimum (exhaustive branch-and-bound), for validation.
+    pub fn optimal(&self) -> u32 {
+        let dist = self.distances().into_iter().flatten().collect();
+        let s = Search::new(self.cities, dist);
+        let (unvisited, rem) = s.remaining(&[0]);
+        let mut best = self.greedy_bound();
+        s.dfs(0, unvisited, 0, rem, &mut best, &mut 0);
+        best
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use tmk_parmacs::SequentialSystem;
+
+    /// The completion bound [`Search::dfs`] replaced: a scan of every city
+    /// per candidate edge. Kept, with [`reference_dfs`], as the model the
+    /// incremental kernel must match node for node.
+    fn lower_bound(cost: u32, at: usize, visited: &[bool], min_out: &[u32]) -> u32 {
+        let mut lb = cost + min_out[at];
+        for (u, &v) in visited.iter().enumerate() {
+            if !v {
+                lb += min_out[u];
+            }
+        }
+        lb
+    }
+
     #[allow(clippy::too_many_arguments)]
-    fn dfs(
+    fn reference_dfs(
         path: &mut Vec<usize>,
         visited: &mut [bool],
         cost: u32,
@@ -379,48 +446,92 @@ impl Tsp {
             }
             let c2 = cost + d(at, next);
             visited[next] = true;
-            let lb = Self::lower_bound(c2, next, visited, min_out);
+            let lb = lower_bound(c2, next, visited, min_out);
             if lb >= *best {
                 visited[next] = false;
                 continue;
             }
             path.push(next);
-            Self::dfs(path, visited, c2, best, nodes, n, d, min_out);
+            reference_dfs(path, visited, c2, best, nodes, n, d, min_out);
             path.pop();
             visited[next] = false;
         }
     }
 
-    /// Sequential optimum (exhaustive branch-and-bound), for validation.
-    pub fn optimal(&self) -> u32 {
-        let dvec = self.distances();
-        let n = self.cities;
-        let flat: Vec<u32> = dvec.iter().flatten().copied().collect();
-        let min_out = Self::min_out(&flat, n);
-        let d = move |a: usize, b: usize| dvec[a][b];
-        let mut best = self.greedy_bound();
-        let mut visited = vec![false; n];
-        visited[0] = true;
-        let mut path = vec![0usize];
-        let mut nodes = 0u64;
-        Self::dfs(
-            &mut path,
-            &mut visited,
-            0,
-            &mut best,
-            &mut nodes,
-            n,
-            &d,
-            &min_out,
-        );
-        best
+    fn search(cfg: &Tsp) -> Search {
+        Search::new(cfg.cities, cfg.distances().into_iter().flatten().collect())
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use tmk_parmacs::SequentialSystem;
+    /// The rewrite rests on this: with `next` just marked visited, the old
+    /// bound `c2 + min_out[next] + Σ min_out over the still-unvisited` is
+    /// `c2` plus the sum over everything unvisited *before* the step — a
+    /// constant of the parent.
+    #[test]
+    fn bound_of_a_child_is_its_cost_plus_the_parents_remaining_sum() {
+        let s = search(&Tsp::new(9));
+        for path in [
+            vec![0u32],
+            vec![0, 4],
+            vec![0, 7, 2, 5],
+            vec![0, 1, 2, 3, 4, 5, 6, 7],
+        ] {
+            let (unvisited, rem) = s.remaining(&path);
+            let mut visited: Vec<bool> = (0..s.n).map(|c| unvisited & (1 << c) == 0).collect();
+            for next in set_bits(unvisited) {
+                visited[next] = true;
+                for c2 in [0, 1, 977] {
+                    assert_eq!(lower_bound(c2, next, &visited, &s.min_out), c2 + rem);
+                }
+                visited[next] = false;
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// From any partial tour and any starting bound, the mask kernel and
+        /// the reference explore the same number of nodes to the same best.
+        #[test]
+        fn mask_kernel_matches_the_reference_kernel(
+            cities in 5usize..14,
+            seed in any::<u64>(),
+            picks in proptest::collection::vec(any::<u32>(), 0..4),
+            slack in 0u32..1000,
+        ) {
+            let cfg = Tsp { seed, ..Tsp::new(cities) };
+            let s = search(&cfg);
+            let n = cities;
+            // A valid partial tour of 1..=4 cities starting at city 0.
+            let mut path = vec![0usize];
+            for p in picks {
+                let free: Vec<usize> = (1..n).filter(|c| !path.contains(c)).collect();
+                path.push(free[p as usize % free.len()]);
+            }
+            let cost: u32 = path.windows(2).map(|w| s.dist[w[0] * n + w[1]]).sum();
+            // A starting bound anywhere in [optimal, 2 * greedy].
+            let (lo, hi) = (cfg.optimal(), 2 * cfg.greedy_bound());
+            let start = lo + (hi - lo) * slack / 999;
+
+            let (mut best, mut nodes) = (start, 0u64);
+            let path32: Vec<u32> = path.iter().map(|&c| c as u32).collect();
+            let (unvisited, rem) = s.remaining(&path32);
+            s.dfs(*path.last().unwrap(), unvisited, cost, rem, &mut best, &mut nodes);
+
+            let (mut ref_best, mut ref_nodes) = (start, 0u64);
+            let mut visited: Vec<bool> = (0..n).map(|c| path.contains(&c)).collect();
+            let d = |a: usize, b: usize| s.dist[a * n + b];
+            reference_dfs(
+                &mut path, &mut visited, cost, &mut ref_best, &mut ref_nodes, n, &d, &s.min_out,
+            );
+            prop_assert_eq!((best, nodes), (ref_best, ref_nodes));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 32 cities")]
+    fn more_cities_than_mask_bits_are_refused() {
+        Tsp::new(33);
+    }
 
     fn solve_seq(cfg: &Tsp) -> f64 {
         let mut sys = SequentialSystem::new(cfg.segment_bytes());
@@ -432,7 +543,7 @@ mod tests {
 
     #[test]
     fn workload_finds_the_optimum() {
-        for cities in [8, 10, 11] {
+        for cities in [8, 10, 11, 12, 13] {
             let cfg = Tsp::new(cities);
             assert_eq!(solve_seq(&cfg), f64::from(cfg.optimal()), "{cities} cities");
         }

@@ -2,15 +2,18 @@
 //! experiments from the declarative registry, fanning independent simulations
 //! across host cores, and optionally emits JSON records alongside the text.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
 use tmk_bench::driver::{registry, run_suite, Options, Tier};
+use tmk_machines::Json;
 use tmk_sim::EngineKind;
 
 const USAGE: &str = "\
 usage: suite [OPTIONS]
        suite trace-diff A.json B.json
+       suite bench-diff OLD.json NEW.json
 
   --experiment ID   run only this experiment (repeatable; default: all
                     default-tier experiments — everything but `calibrate`)
@@ -37,6 +40,12 @@ usage: suite [OPTIONS]
 
   trace-diff A B    compare two recorded traces; prints `no divergence`
                     or the first event where the executions differ
+  bench-diff OLD NEW
+                    compare the host time of two `--json` records (two
+                    BENCH_results.json, or one experiment's record from two
+                    builds) per application family, with the ten largest
+                    movers; exits 1 if a run present in both differs in
+                    status, cycles, checksum or traffic
 ";
 
 /// Memo keys carry '/' and '|'; flatten them for filenames.
@@ -46,6 +55,13 @@ fn file_stem(key: &str) -> String {
         .collect()
 }
 
+fn read_or_exit(path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("cannot read {path}: {e}");
+        std::process::exit(2);
+    })
+}
+
 /// `suite trace-diff a.json b.json`: structural comparison of two recorded
 /// traces, for checking that two runs executed identically.
 fn trace_diff(paths: &[String]) -> ! {
@@ -53,13 +69,7 @@ fn trace_diff(paths: &[String]) -> ! {
         eprintln!("trace-diff wants exactly two trace files\n{USAGE}");
         std::process::exit(2);
     };
-    let read = |p: &String| {
-        std::fs::read_to_string(p).unwrap_or_else(|e| {
-            eprintln!("cannot read {p}: {e}");
-            std::process::exit(2);
-        })
-    };
-    let (ta, tb) = (read(a), read(b));
+    let (ta, tb) = (read_or_exit(a), read_or_exit(b));
     match tmk_trace::first_divergence(&ta, &tb) {
         None => {
             println!("no divergence: {a} and {b} record identical executions");
@@ -74,10 +84,80 @@ fn trace_diff(paths: &[String]) -> ! {
     }
 }
 
+/// `suite bench-diff old.json new.json`: where host time moved between two
+/// records of the same runs, and whether they still are the same runs.
+fn bench_diff(paths: &[String]) -> ! {
+    let [old, new] = paths else {
+        eprintln!("bench-diff wants exactly two record files\n{USAGE}");
+        std::process::exit(2);
+    };
+    let runs = |path: &String| -> Vec<Json> {
+        let doc = Json::parse(&read_or_exit(path)).unwrap_or_else(|e| {
+            eprintln!("{path}: {e}");
+            std::process::exit(2);
+        });
+        let fields = if let Json::Obj(fields) = doc { fields } else { Vec::new() };
+        match fields.into_iter().find(|(k, _)| k == "runs") {
+            Some((_, Json::Arr(runs))) => runs,
+            _ => {
+                eprintln!("{path}: no `runs` array (not a suite --json record)");
+                std::process::exit(2);
+            }
+        }
+    };
+    let (old_runs, new_runs) = (runs(old), runs(new));
+    let text = |r: &Json, field: &str| r.get(field).and_then(Json::as_str).unwrap_or("?").to_string();
+    let host_ms = |r: &Json| r.get("host_ms").and_then(Json::as_f64).unwrap_or(0.0);
+    let by_key: BTreeMap<String, &Json> = new_runs.iter().map(|r| (text(r, "key"), r)).collect();
+
+    // Per family: runs, old ms, new ms. Per run: |delta|, key, old ms, new ms.
+    let mut families: BTreeMap<String, (usize, f64, f64)> = BTreeMap::new();
+    let mut movers: Vec<(f64, String, f64, f64)> = Vec::new();
+    let mut differing: Vec<String> = Vec::new();
+    for o in &old_runs {
+        let key = text(o, "key");
+        let Some(n) = by_key.get(&key) else { continue };
+        let (was, is) = (host_ms(o), host_ms(n));
+        let family = families.entry(text(o, "workload")).or_default();
+        *family = (family.0 + 1, family.1 + was, family.2 + is);
+        movers.push(((is - was).abs(), key.clone(), was, is));
+        let (o_rep, n_rep) = (o.get("report"), n.get("report"));
+        let same = ["status", "checksum"].iter().all(|f| o.get(f) == n.get(f))
+            && ["cycles", "traffic", "window_traffic"]
+                .iter()
+                .all(|f| o_rep.and_then(|r| r.get(f)) == n_rep.and_then(|r| r.get(f)));
+        if !same {
+            differing.push(key);
+        }
+    }
+    let row = |name: &str, runs: usize, was: f64, is: f64| {
+        println!("{name:<44} {runs:>5} {was:>12.1} {is:>12.1} {:>7.3}", is / was);
+    };
+    println!("{:<44} {:>5} {:>12} {:>12} {:>7}", "host_ms", "runs", "old", "new", "new/old");
+    let mut total = (0, 0.0, 0.0);
+    for (name, &(runs, was, is)) in &families {
+        row(name, runs, was, is);
+        total = (total.0 + runs, total.1 + was, total.2 + is);
+    }
+    row("total (runs in both)", total.0, total.1, total.2);
+    println!("only in old: {}, only in new: {}", old_runs.len() - total.0, new_runs.len() - total.0);
+    movers.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
+    println!("\nlargest movers:");
+    for (_, key, was, is) in movers.iter().take(10) {
+        row(key, 1, *was, *is);
+    }
+    for key in &differing {
+        println!("DIFFERS in status, cycles, checksum or traffic: {key}");
+    }
+    std::process::exit(if differing.is_empty() { 0 } else { 1 });
+}
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("trace-diff") {
-        trace_diff(&argv[1..]);
+    match argv.first().map(String::as_str) {
+        Some("trace-diff") => trace_diff(&argv[1..]),
+        Some("bench-diff") => bench_diff(&argv[1..]),
+        _ => {}
     }
 
     let mut opts = Options::default();

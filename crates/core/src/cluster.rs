@@ -401,6 +401,56 @@ mod tests {
         c.unlock(0, 1);
     }
 
+    /// However long a page's history, serving its diffs hands out the
+    /// cached buffers themselves — exactly the ones the scan from the start
+    /// of the history would have picked.
+    #[test]
+    fn served_diffs_are_the_servers_cached_allocations() {
+        use crate::page::linear_diffs_between;
+        use crate::Msg;
+
+        let mut c = cluster(2);
+        let addr = c.alloc(8, 8);
+        let page = c.config().page_of(addr);
+        c.lock(0, 0);
+        c.write_u64(0, addr, 1);
+        c.unlock(0, 0);
+        for handoff in 1..=3000u64 {
+            let me = (handoff % 2) as usize;
+            c.lock(me, 0);
+            if [1, 1500, 3000].contains(&handoff) {
+                // Take the fault by hand to see each request and its reply.
+                let start = c.nodes[me].fault(page, false);
+                assert!(!start.ready);
+                let mut served = 0;
+                for req in start.sends {
+                    let (server, msg) = (req.to, req.msg.clone());
+                    let reply = c.nodes[server].handle(req).sends.remove(0);
+                    if let (Msg::DiffReq { from, to, .. }, Msg::DiffReply { diffs, .. }) =
+                        (msg, &reply.msg)
+                    {
+                        let cached = c.nodes[server].cached_diffs(page);
+                        let seqs: Vec<_> = diffs.iter().map(|(s, _, _)| *s).collect();
+                        assert_eq!(seqs, linear_diffs_between(cached, from, to));
+                        for (s, _, d) in diffs {
+                            let (_, kept) = cached.iter().find(|(c, _)| c == s).expect("cached");
+                            assert!(d.shares_buffer_with(kept), "diff @{s} was copied");
+                        }
+                        served += diffs.len();
+                    }
+                    c.nodes[me].handle(reply);
+                }
+                assert!(served > 0, "hand-off {handoff} fetched no diff");
+            }
+            let v = c.read_u64(me, addr);
+            c.write_u64(me, addr, v + 1);
+            c.unlock(me, 0);
+        }
+        assert_eq!(c.read_u64(0, addr), 3001);
+        let cached = c.node(0).cached_diffs(page).len() + c.node(1).cached_diffs(page).len();
+        assert!(cached >= 3000, "the history must be long: {cached} diffs");
+    }
+
     #[test]
     fn reacquire_by_same_node_is_local() {
         let mut c = cluster(2);

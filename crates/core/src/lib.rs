@@ -62,6 +62,7 @@
 
 mod cluster;
 mod diff;
+mod hash;
 mod interval;
 pub mod ivy;
 mod msg;
@@ -76,6 +77,7 @@ mod vt;
 
 pub use cluster::{Cluster, RecoverySummary, Traffic};
 pub use diff::Diff;
+pub use hash::{IntHasher, IntMap};
 pub use interval::{IntervalData, IntervalMsg, IntervalStore};
 pub use msg::{Action, BodyBytes, Envelope, Msg, MsgClass};
 pub use ivy::IvyNode;

@@ -6,12 +6,12 @@
 //! transport and timing (see [`crate::Cluster`], [`crate::runtime`], and the
 //! machine models in `tmk-machines`).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use crate::interval::IntervalMsg;
 use crate::page::{FetchState, PageMeta};
 use crate::{
-    Action, BarrierId, Config, Diff, Envelope, IntervalStore, LockId, Msg, NodeId, NodeStats,
+    Action, BarrierId, Config, Diff, Envelope, IntMap, IntervalStore, LockId, Msg, NodeId, NodeStats,
     PageId, ReleaseMode, Seq, SharedAddr, VTime,
 };
 
@@ -122,10 +122,10 @@ pub struct Node {
     pages: Vec<PageMeta>,
     /// Pages with twins in the currently open interval.
     dirty: Vec<PageId>,
-    locks: HashMap<LockId, LockView>,
+    locks: IntMap<LockId, LockView>,
     /// Manager-side distributed queue tails: last requester per lock.
-    mgr_last: HashMap<LockId, NodeId>,
-    barriers: HashMap<BarrierId, BarrierState>,
+    mgr_last: IntMap<LockId, NodeId>,
+    barriers: IntMap<BarrierId, BarrierState>,
     /// Own interval sequence already reported to barrier managers.
     last_reported: Seq,
     /// In-progress barrier-time garbage collection, if any.
@@ -211,9 +211,9 @@ impl Node {
             store: IntervalStore::new(n),
             pages,
             dirty: Vec::new(),
-            locks: HashMap::new(),
-            mgr_last: HashMap::new(),
-            barriers: HashMap::new(),
+            locks: IntMap::default(),
+            mgr_last: IntMap::default(),
+            barriers: IntMap::default(),
             last_reported: 0,
             gc: None,
             pending_gc_done: None,
@@ -372,6 +372,12 @@ impl Node {
             .iter()
             .filter(|(&l, v)| v.have_token && (crashed || self.cfg.lock_manager(l) != self.id))
             .count() as u64
+    }
+
+    /// The diffs this node has materialized and still caches for `page`.
+    #[cfg(test)]
+    pub(crate) fn cached_diffs(&self, page: PageId) -> &[(Seq, Diff)] {
+        &self.pages[page].my_diffs
     }
 
     /// Pages with a resident local copy (valid or awaiting notices).
@@ -783,6 +789,11 @@ impl Node {
         self.stats.diffs_created += 1;
         self.stats.diff_bytes_created += diff.data_bytes() as u64;
         self.cached_diff_bytes += diff.wire_bytes() as u64;
+        // `my_diffs_between` binary-searches on this.
+        assert!(
+            p.my_diffs.last().is_none_or(|(last, _)| *last < seq),
+            "diffs of page {page} must be cached in ascending interval order"
+        );
         p.my_diffs.push((seq, diff));
         p.undiffed.clear();
         self.ledger_note();
@@ -1313,15 +1324,10 @@ impl Node {
         self.materialize_diffs(page, lo, hi);
         let diffs = self.pages[page]
             .my_diffs_between(lo, hi)
-            .into_iter()
+            .iter()
             .map(|(s, d)| {
-                let vt = self
-                    .store
-                    .get(self.id, s)
-                    .expect("own interval recorded")
-                    .vt
-                    .clone();
-                (s, vt, d)
+                let own = self.store.get(self.id, *s).expect("own interval recorded");
+                (*s, own.vt.clone(), d.clone())
             })
             .collect();
         // A request served while a collection is in flight is the origin
@@ -1414,5 +1420,55 @@ impl Node {
             }
         }
         Handled::default()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The lock and barrier tables hash with a fixed function, so nothing a
+    /// node reports may depend on the order their entries went in.
+    #[test]
+    fn reports_do_not_depend_on_map_insertion_order() {
+        let build = |locks: &[LockId], barriers: &[BarrierId]| {
+            let mut node = Node::new(0, Config::new(4).segment_pages(4));
+            for &lock in locks {
+                // Locks 0, 4, 8, ... are managed here and granted at once.
+                if node.acquire(lock) == StartAcquire::Granted && lock % 8 == 0 {
+                    node.release(lock);
+                }
+            }
+            for &barrier in barriers {
+                node.handle(Envelope {
+                    from: 1 + barrier % 3,
+                    to: 0,
+                    msg: Msg::BarrierArrive {
+                        barrier,
+                        vt: VTime::zero(4),
+                        intervals: Vec::new(),
+                        gc_wanted: false,
+                    },
+                });
+            }
+            (
+                node.sync_debug(),
+                node.forgotten_tokens(false),
+                node.forgotten_tokens(true),
+                format!("{:?}", node.checkpoint()),
+            )
+        };
+        let locks: Vec<LockId> = (0..40).collect();
+        let barriers: Vec<BarrierId> = (0..24).step_by(4).collect();
+        let forward = build(&locks, &barriers);
+        let (mut rl, mut rb) = (locks.clone(), barriers.clone());
+        rl.reverse();
+        rb.reverse();
+        assert_eq!(forward, build(&rl, &rb));
+        // An interleaving that grows the tables at different moments.
+        let (evens, odds): (Vec<LockId>, Vec<LockId>) = locks.iter().partition(|&&l| l % 2 == 0);
+        assert_eq!(forward, build(&[odds, evens].concat(), &rb));
+        assert!(forward.0.contains("lock 4: token here, held=true"), "{}", forward.0);
+        assert_eq!((forward.1, forward.2), (0, 10));
     }
 }

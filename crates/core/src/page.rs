@@ -179,21 +179,33 @@ impl PageMeta {
     /// The materialized diffs needed to cover own intervals in `(from, to]`.
     ///
     /// Diffs are cumulative between twin points, so an interval may be
-    /// covered by a diff with a *later* sequence number; the scan therefore
+    /// covered by a diff with a *later* sequence number; the range therefore
     /// includes every diff after `from` up to and including the first one
-    /// whose sequence reaches `to`.
-    pub fn my_diffs_between(&self, from: Seq, to: Seq) -> Vec<(Seq, Diff)> {
-        let mut out = Vec::new();
-        for (s, d) in &self.my_diffs {
-            if *s > from {
-                out.push((*s, d.clone()));
-                if *s >= to {
-                    break;
-                }
+    /// whose sequence reaches `to`. `my_diffs` is seq-ascending, so both ends
+    /// are binary searches: the cost does not grow with how many diffs the
+    /// node has made for the page.
+    pub fn my_diffs_between(&self, from: Seq, to: Seq) -> &[(Seq, Diff)] {
+        let start = self.my_diffs.partition_point(|(s, _)| *s <= from);
+        let after = &self.my_diffs[start..];
+        let below = after.partition_point(|(s, _)| *s < to);
+        &after[..after.len().min(below + 1)]
+    }
+}
+
+/// The scan from index 0 that [`PageMeta::my_diffs_between`] replaced, kept
+/// as the reference: the sequences it would have served for `(from, to]`.
+#[cfg(test)]
+pub(crate) fn linear_diffs_between(my_diffs: &[(Seq, Diff)], from: Seq, to: Seq) -> Vec<Seq> {
+    let mut out = Vec::new();
+    for (s, _) in my_diffs {
+        if *s > from {
+            out.push(*s);
+            if *s >= to {
+                break;
             }
         }
-        out
     }
+    out
 }
 
 #[cfg(test)]
@@ -342,6 +354,27 @@ mod tests {
                 );
                 prop_assert!(p.writers.windows(2).all(|w| w[0].node < w[1].node));
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// The binary-searched range is the linear scan's, for bounds
+        /// before, between, on and beyond the cached sequences (and none).
+        #[test]
+        fn diff_range_matches_the_linear_scan(
+            gaps in proptest::collection::vec(1u32..4, 0..12),
+            from in 0u32..40,
+            to in 0u32..40,
+        ) {
+            let mut p = PageMeta::default();
+            let mut seq = 0;
+            for gap in gaps {
+                seq += gap;
+                p.my_diffs.push((seq, Diff::default()));
+            }
+            let got: Vec<Seq> = p.my_diffs_between(from, to).iter().map(|(s, _)| *s).collect();
+            prop_assert_eq!(got, linear_diffs_between(&p.my_diffs, from, to));
         }
     }
 

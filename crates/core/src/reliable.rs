@@ -29,13 +29,13 @@
 //! [`timeout`]: Reliability::timeout
 //! [`overdue`]: Reliability::overdue
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 
 use crate::runtime_faults::{fate, ChannelFaults, LinkFate};
-use crate::{Action, Envelope, Handled, NodeId};
+use crate::{Action, Envelope, Handled, IntMap, NodeId};
 
 /// Identifies one reliably-sent packet: `(src, dst, seq)`.
 pub type PacketId = (NodeId, NodeId, u64);
@@ -222,14 +222,14 @@ pub enum Timeout {
 #[derive(Debug, Default)]
 pub struct Reliability {
     policy: RetransmitPolicy,
-    next_seq: HashMap<(NodeId, NodeId), u64>,
-    seen: HashMap<(NodeId, NodeId), Seen>,
-    in_flight: HashMap<PacketId, Flight>,
+    next_seq: IntMap<(NodeId, NodeId), u64>,
+    seen: IntMap<(NodeId, NodeId), Seen>,
+    in_flight: IntMap<PacketId, Flight>,
     /// Per-directed-link RTT estimators, fed by [`delivered`] under an
     /// adaptive policy.
     ///
     /// [`delivered`]: Reliability::delivered
-    rtt: HashMap<(NodeId, NodeId), RttEst>,
+    rtt: IntMap<(NodeId, NodeId), RttEst>,
     stats: RelStats,
 }
 

@@ -13,11 +13,12 @@
 //! one page-access path, [`access`], reaches that inside through the
 //! [`NodeMachine`] hook.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use tmk_core::{
-    Action, Config, Envelope, IvyNode, Msg, Node, NodeId, PacketId, Reliability, Timeout, Traffic,
+    Action, Config, Envelope, IntMap, IvyNode, Msg, Node, NodeId, PacketId, Reliability, Timeout,
+    Traffic,
 };
 use tmk_net::{Fate, LossyNet, NetParams, PointToPointNet, SoftwareOverhead};
 use tmk_sim::{Ctx, Cycle, Op};
@@ -144,6 +145,10 @@ pub(crate) struct Fabric {
     crash: CrashState,
     /// Trace sink for protocol instants (node tracks); disabled by default.
     pub(crate) sink: Sink,
+    /// The router's per-cascade working state, empty between cascades: a
+    /// cascade takes it, and hands it back reset, so routing a message
+    /// allocates nothing once the buffers have grown.
+    scratch: Scratch,
 }
 
 impl Fabric {
@@ -202,6 +207,10 @@ impl Fabric {
                 stats: crate::RecoveryStats::default(),
             },
             sink: Sink::default(),
+            scratch: Scratch {
+                avail: vec![0; nodes],
+                ..Scratch::default()
+            },
         }
     }
 
@@ -395,11 +404,9 @@ impl Fabric {
     /// the run.
     pub(crate) fn route_timed(&mut self, me: NodeId, t0: Cycle, sends: Vec<Envelope>) -> Routed {
         let mut c = Cascade {
+            s: std::mem::take(&mut self.scratch),
             f: self,
             t0,
-            queue: EventQueue::default(),
-            avail: HashMap::from([(me, t0)]),
-            pending: HashMap::new(),
             out: Routed {
                 actions: Vec::new(),
                 charges: Vec::new(),
@@ -410,7 +417,7 @@ impl Fabric {
         for env in sends {
             c.send_one(env, None);
         }
-        while let Some((t, ev)) = c.queue.pop() {
+        while let Some((t, ev)) = c.s.queue.pop() {
             match ev {
                 Ev::Retry(pid) => c.retry(t, pid),
                 Ev::Deliver(env, pid) => c.deliver(t, env, pid),
@@ -423,7 +430,9 @@ impl Fabric {
                 "cascade quiesced with unacked packets in flight"
             );
         }
-        c.out.initiator_busy_until = c.avail.get(&me).copied().unwrap_or(t0);
+        c.out.initiator_busy_until = c.avail(me);
+        c.s.reset();
+        c.f.scratch = c.s;
         c.out
     }
 
@@ -525,21 +534,81 @@ enum Ev {
 /// A cascade's pending events, popped in `(time, issue order)` order.
 #[derive(Default)]
 struct EventQueue {
-    heap: BinaryHeap<Reverse<(Cycle, u64)>>,
-    events: HashMap<u64, Ev>,
+    heap: BinaryHeap<Scheduled>,
     seq: u64,
 }
 
+/// An event in the queue. Ordered by `(at, seq)` alone, earliest first; the
+/// sequence number is unique, so the event itself never breaks a tie.
+struct Scheduled {
+    at: Cycle,
+    seq: u64,
+    ev: Ev,
+}
+
+impl Ord for Scheduled {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reversed: `BinaryHeap` pops its greatest.
+        (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
+}
+
+impl PartialOrd for Scheduled {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Scheduled {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Scheduled {}
+
 impl EventQueue {
     fn push(&mut self, at: Cycle, ev: Ev) {
-        self.heap.push(Reverse((at, self.seq)));
-        self.events.insert(self.seq, ev);
+        let seq = self.seq;
         self.seq += 1;
+        self.heap.push(Scheduled { at, seq, ev });
     }
 
     fn pop(&mut self) -> Option<(Cycle, Ev)> {
-        let Reverse((t, s)) = self.heap.pop()?;
-        Some((t, self.events.remove(&s).expect("scheduled event")))
+        self.heap.pop().map(|s| (s.at, s.ev))
+    }
+}
+
+/// What a cascade keeps while it runs (see [`Fabric::scratch`]).
+#[derive(Default)]
+struct Scratch {
+    queue: EventQueue,
+    /// When each node is next free to send or serve, indexed by node; 0 for
+    /// a node the cascade has not touched, which is free from its start.
+    avail: Vec<Cycle>,
+    /// The nodes whose `avail` entry is set.
+    touched: Vec<NodeId>,
+    /// Copies of each tracked packet currently scheduled for delivery: a
+    /// retransmit timer that fires while one is pending is *spurious* (the
+    /// RTO undershot the queueing round trip, not a loss). Only populated
+    /// under a reliability layer.
+    pending: IntMap<PacketId, usize>,
+}
+
+impl Scratch {
+    /// Back to the between-cascades state (the queue has drained itself).
+    fn reset(&mut self) {
+        for node in self.touched.drain(..) {
+            self.avail[node] = 0;
+        }
+        self.pending.clear();
+    }
+
+    fn set_avail(&mut self, node: NodeId, t: Cycle) {
+        if self.avail[node] == 0 {
+            self.touched.push(node);
+        }
+        self.avail[node] = t;
     }
 }
 
@@ -547,21 +616,20 @@ impl EventQueue {
 struct Cascade<'f> {
     f: &'f mut Fabric,
     t0: Cycle,
-    queue: EventQueue,
-    /// When each node touched so far is next free to send or serve.
-    avail: HashMap<NodeId, Cycle>,
-    /// Copies of each tracked packet currently scheduled for delivery: a
-    /// retransmit timer that fires while one is pending is *spurious* (the
-    /// RTO undershot the queueing round trip, not a loss).
-    pending: HashMap<PacketId, usize>,
+    s: Scratch,
     out: Routed,
 }
 
 impl Cascade<'_> {
+    /// When `node` is next free to send or serve.
+    fn avail(&self, node: NodeId) -> Cycle {
+        // Every time a cascade sets is at or after its start.
+        self.s.avail[node].max(self.t0)
+    }
+
     /// Holds `node`'s next send back to no earlier than `t`.
     fn busy_until(&mut self, node: NodeId, t: Cycle) {
-        let a = self.avail.entry(node).or_insert(self.t0);
-        *a = (*a).max(t);
+        self.s.set_avail(node, self.avail(node).max(t));
     }
 
     /// One transmission attempt: charges the sender, reserves the wire,
@@ -569,15 +637,15 @@ impl Cascade<'_> {
     /// retransmission timer. `retrans_of` carries the packet id and the
     /// timeout to arm when this is a re-send of a packet already in flight.
     fn send_one(&mut self, env: Envelope, retrans_of: Option<(PacketId, Cycle)>) {
-        let f = &mut *self.f;
         let from = env.from;
         let to = env.to;
-        let t_out = *self.avail.entry(from).or_insert(self.t0);
+        let t_out = self.avail(from);
         if from == to {
             // Self-sends take the loopback path: no wire, no loss.
-            self.queue.push(t_out, Ev::Deliver(env, None));
+            self.s.queue.push(t_out, Ev::Deliver(env, None));
             return;
         }
+        let f = &mut *self.f;
         let body = env.msg.body_bytes().total();
         let send_c = f.so.send_cycles(body);
         let recv_c = f.so.recv_cycles(body);
@@ -589,7 +657,7 @@ impl Cascade<'_> {
         let to_down = f.down_at(to, depart);
         if !from_down {
             self.out.charges.push((from, send_c));
-            self.avail.insert(from, depart);
+            self.s.set_avail(from, depart);
             f.traffic.record(&env, f.header_bytes);
             f.sink.emit(Event {
                 track: Track::Node(from as u32),
@@ -617,7 +685,7 @@ impl Cascade<'_> {
             None => f.rel.as_mut().map(|r| r.send(&env, depart, 0)),
         };
         if let Some((pid, expire)) = tracked {
-            self.queue.push(expire, Ev::Retry(pid));
+            self.s.queue.push(expire, Ev::Retry(pid));
         }
         let pid = tracked.map(|(pid, _)| pid);
         if from_down || to_down {
@@ -642,12 +710,14 @@ impl Cascade<'_> {
             Fate::Duplicate => (Some(arrive), Some(f.net.transfer(from, to, wire, depart))),
             Fate::Delay(extra) => (Some(arrive + extra), None),
         };
-        for arrive in [first, second].into_iter().flatten() {
+        // The envelope moves into its one arrival; only a duplicated copy
+        // is a second envelope.
+        let second = second.map(|at| (at, env.clone()));
+        for (arrive, env) in first.map(|at| (at, env)).into_iter().chain(second) {
             self.out.charges.push((to, recv_c));
-            self.queue
-                .push(arrive + recv_c, Ev::Deliver(env.clone(), pid));
+            self.s.queue.push(arrive + recv_c, Ev::Deliver(env, pid));
             if let Some(pid) = pid {
-                *self.pending.entry(pid).or_insert(0) += 1;
+                *self.s.pending.entry(pid).or_insert(0) += 1;
             }
         }
     }
@@ -671,7 +741,7 @@ impl Cascade<'_> {
                 ..
             } => (env, attempt, deadline, Some(fresh_deadline)),
         };
-        let queued = self.pending.get(&pid).copied().unwrap_or(0) > 0;
+        let queued = self.s.pending.get(&pid).copied().unwrap_or(0) > 0;
         if queued {
             // A copy is still queued for delivery: the RTO fired early
             // (queueing, not loss) and this re-send is spurious — the
@@ -727,7 +797,7 @@ impl Cascade<'_> {
     /// A message copy reaches its destination's handler at `t`.
     fn deliver(&mut self, t: Cycle, env: Envelope, pid: Option<PacketId>) {
         if let Some(pid) = pid {
-            if let Some(c) = self.pending.get_mut(&pid) {
+            if let Some(c) = self.s.pending.get_mut(&pid) {
                 *c -= 1;
             }
             // Delivery doubles as the piggybacked ack; duplicates are
@@ -737,9 +807,9 @@ impl Cascade<'_> {
                 return;
             }
         }
-        let f = &mut *self.f;
         let to = env.to;
-        let begin = t.max(self.avail.get(&to).copied().unwrap_or(0));
+        let begin = t.max(self.avail(to));
+        let f = &mut *self.f;
         let arrived = (f.sink.enabled() && env.from != to).then(|| EventKind::MsgArrive {
             from: env.from as u32,
             class: env.msg.class().bit(),
@@ -797,7 +867,7 @@ impl Cascade<'_> {
             self.out.charges.push((to, service));
         }
         let ready = begin + service;
-        self.avail.insert(to, ready);
+        self.s.set_avail(to, ready);
         for a in handled.actions {
             // A barrier release at its manager is the checkpoint cut: every
             // node has arrived, so all interval state is closed — the same
