@@ -8,7 +8,6 @@ use std::io::Write as _;
 use std::path::Path;
 use tmk_bench::driver::{registry, run_suite, Options, Tier};
 use tmk_machines::Json;
-use tmk_sim::EngineKind;
 
 const USAGE: &str = "\
 usage: suite [OPTIONS]
@@ -21,10 +20,6 @@ usage: suite [OPTIONS]
                     contains SUBSTR (repeatable)
   --jobs N          worker threads (default: one per host core)
   --quick           CI smoke tier: tiny inputs, 1-4 processors
-  --engine KIND     execution backend: `coop` (single-threaded event loop,
-                    the default) or `threaded` (one OS thread per simulated
-                    processor, the oracle); simulated results are
-                    byte-identical, so the same run on both is a parity check
   --json            also write results/<experiment>.{txt,json} and
                     BENCH_results.json
   --out DIR         output directory for --json text/records (default: results)
@@ -185,13 +180,6 @@ fn main() {
                 });
             }
             "--quick" => opts.tier = Tier::Quick,
-            "--engine" => {
-                let v = value("--engine");
-                opts.engine = EngineKind::parse(&v).unwrap_or_else(|| {
-                    eprintln!("--engine wants `threaded` or `coop`, got '{v}'");
-                    std::process::exit(2);
-                });
-            }
             "--json" => emit_json = true,
             "--out" => out_dir = value("--out"),
             "--bench-json" => bench_json = Some(value("--bench-json")),

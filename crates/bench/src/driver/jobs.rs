@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use tmk_machines::{Platform, RunOpts, RunReport};
-use tmk_sim::{Cycle, EngineKind};
+use tmk_sim::Cycle;
 use tmk_trace::NCAT;
 
 use super::workload::WorkloadSpec;
@@ -139,14 +139,13 @@ impl MemoTable {
 
 /// The simulated (host-independent) portion of one run record: the full
 /// report plus checksums, op trace and attribution ledger, with the
-/// host-side `engine` and `host_ms` fields normalized away. Byte-equal
-/// strings mean two runs simulated identically — the parity predicate of
-/// the driver tests (across worker counts and across engines).
+/// host-side `host_ms` field normalized away. Byte-equal strings mean two
+/// runs simulated identically — the parity predicate of the driver tests
+/// (across worker counts).
 pub fn sim_record(r: &JobResult) -> String {
     match &r.data {
         Ok(d) => {
             let mut report = d.report.clone();
-            report.engine = EngineKind::default();
             report.host_ms = 0.0;
             let mut s = format!(
                 "{}|checksums={:?}|ops={:?}",

@@ -12,7 +12,7 @@
 //!   baselines (the DEC uniprocessor time appears in Table 1 and all eight
 //!   of Figures 1–8) simulate **once** and memoize.
 //! * [`run_jobs`] — fans unique jobs across `jobs` crossbeam scoped worker
-//!   threads on the engine its [`RunOpts`] names; each job runs under
+//!   threads, executed as its [`RunOpts`] says; each job runs under
 //!   `catch_unwind` so a panicking simulation becomes a failed record, not
 //!   a dead sweep, and records host wall time.
 //! * [`Section::plan`] — how a section is declared: it plans its runs on a
@@ -102,7 +102,7 @@ pub struct Options {
     /// Directory for Chrome trace-event JSON files; also switches traced
     /// runs from ledger-only to full event recording.
     pub trace_dir: Option<String>,
-    /// Execution backend every simulation runs on (`suite --engine`).
+    /// Kept for `benchmark/`, which sets it; goes in the next `[benchmark]` PR.
     pub engine: EngineKind,
     /// Directory for engine op-trace text files (`suite --op-trace`); also
     /// arms op tracing on every run.
@@ -144,8 +144,6 @@ pub struct SuiteResult {
     pub tier: Tier,
     /// Worker threads used.
     pub jobs: usize,
-    /// Execution backend the simulations ran on.
-    pub engine: EngineKind,
     /// Rendered experiments in registry order.
     pub experiments: Vec<ExperimentOutcome>,
     /// Every unique run, sorted by memo key.
@@ -192,7 +190,7 @@ impl SuiteResult {
             .set("schema", "tmk-bench/1")
             .set("tier", self.tier.as_str())
             .set("jobs", self.jobs)
-            .set("engine", self.engine.as_str())
+            .set("engine", "coop")
             .set("host_parallelism", host)
             .set(
                 "experiments",
@@ -362,7 +360,6 @@ pub fn run_suite(opts: &Options) -> Result<SuiteResult, String> {
     let total_requests = requests.len();
     let jobs = resolve_jobs(opts.jobs);
     let run_opts = RunOpts {
-        engine: opts.engine,
         // Event rings are only worth their memory when someone will read
         // the events; without --trace the ledger alone is kept.
         trace: opts.trace_dir.is_some().then_some(1 << 16),
@@ -408,7 +405,6 @@ pub fn run_suite(opts: &Options) -> Result<SuiteResult, String> {
     Ok(SuiteResult {
         tier: opts.tier,
         jobs,
-        engine: opts.engine,
         experiments,
         runs: memo.sorted_runs().into_iter().cloned().collect(),
         requests: total_requests,

@@ -213,8 +213,8 @@ pub(super) fn scaling(tier: Tier) -> Experiment {
 }
 
 /// Large-cluster scaling: SOR and TSP on the AS and HS designs out to 256
-/// nodes — machine sizes the per-processor-thread engine could not touch,
-/// practical on the cooperative event loop. Extends the Figure 9/10 curves
+/// nodes — one host thread and 256 pooled coroutine stacks on the engine's
+/// event loop, not 256 OS threads. Extends the Figure 9/10 curves
 /// (whose 64-processor points memoize with this experiment's smallest size).
 pub(super) fn scaling256(tier: Tier) -> Experiment {
     // Matched (AS nodes, HS nodes × per_node) sizes; speedup base = AS-1.

@@ -351,7 +351,6 @@ fn run_service(spec: &ServiceSpec, opts: &RunOpts) -> (Outcome<f64>, Option<Arc<
     let run = RunReport {
         procs: spec.nodes,
         clock_hz: 1_000_000,
-        engine: opts.engine,
         host_ms,
         cycles: report.makespan_us,
         proc_cycles: vec![report.makespan_us; spec.nodes],

@@ -1,12 +1,11 @@
 //! Integration tests for the unified experiment driver: memoization,
-//! results independent of worker count and engine, an engine that travels
-//! with each call, failed-job isolation, and the JSON records it emits.
+//! results independent of worker count, failed-job isolation, and the JSON
+//! records it emits.
 
 use tmk_bench::driver::{
     run_jobs, run_suite, sim_record, JobRequest, Options, SuiteResult, Tier, WorkloadSpec,
 };
 use tmk_machines::{Json, Platform, RunOpts};
-use tmk_sim::EngineKind;
 
 fn quick_opts(jobs: usize) -> Options {
     Options {
@@ -17,8 +16,8 @@ fn quick_opts(jobs: usize) -> Options {
 }
 
 /// The per-run records of a suite keyed by memo key, with the host-dependent
-/// `host_ms`/`engine` fields normalized away so runs can be compared across
-/// worker counts (and engines).
+/// `host_ms` field normalized away so runs can be compared across worker
+/// counts.
 fn simulated_records(suite: &SuiteResult) -> Vec<(String, String)> {
     suite
         .runs
@@ -54,74 +53,29 @@ fn panicking_job_fails_alone() {
     assert!(memo.get(&good).unwrap().data.is_ok(), "bystander job died");
 }
 
-/// Every run of `suite` reports the engine it was asked to run on. Without
-/// this, a comparison across engines can pass by running one engine twice.
-fn assert_ran_on(suite: &SuiteResult, engine: EngineKind) {
-    for r in &suite.runs {
-        let ran_on = r.data.as_ref().expect("quick tier has no failing runs");
-        assert_eq!(ran_on.report.engine, engine, "run '{}'", r.key);
-    }
-}
-
 #[test]
 fn suite_results_do_not_depend_on_worker_count() {
     let serial = run_suite(&quick_opts(1)).unwrap();
+    let parallel = run_suite(&quick_opts(8)).unwrap();
+    for s in [&serial, &parallel] {
+        assert!(s.ok(), "failed: {:?}", s.failed_sections());
+    }
+    assert!(serial.memo_hits > 0, "quick tier shares baselines");
+    // Identical rendered text...
     let texts = |s: &SuiteResult| {
         s.experiments
             .iter()
             .map(|e| (e.id, e.text.clone()))
             .collect::<Vec<_>>()
     };
-    assert!(serial.ok(), "failed: {:?}", serial.failed_sections());
-    assert_ran_on(&serial, EngineKind::Coop);
-    assert!(serial.memo_hits > 0, "quick tier shares baselines");
-
-    let threaded = Options {
-        engine: EngineKind::Threaded,
-        ..quick_opts(2)
-    };
-    for (what, opts) in [("8 workers", quick_opts(8)), ("the oracle engine", threaded)] {
-        let other = run_suite(&opts).unwrap();
-        assert!(other.ok(), "failed: {:?}", other.failed_sections());
-        assert_ran_on(&other, opts.engine);
-        // Identical rendered text...
-        assert_eq!(texts(&serial), texts(&other), "text differs on {what}");
-        // ...and byte-identical simulated records for every run.
-        let (s_recs, o_recs) = (simulated_records(&serial), simulated_records(&other));
-        assert_eq!(s_recs.len(), o_recs.len(), "run lists differ on {what}");
-        for ((s_key, a), (o_key, b)) in s_recs.iter().zip(&o_recs) {
-            assert_eq!(s_key, o_key, "run lists differ on {what}");
-            assert_eq!(a, b, "run '{s_key}' differs between 1 coop worker and {what}");
-        }
+    assert_eq!(texts(&serial), texts(&parallel));
+    // ...and byte-identical simulated records for every run.
+    let (s_recs, p_recs) = (simulated_records(&serial), simulated_records(&parallel));
+    assert_eq!(s_recs.len(), p_recs.len(), "run lists differ");
+    for ((s_key, a), (p_key, b)) in s_recs.iter().zip(&p_recs) {
+        assert_eq!(s_key, p_key, "run lists differ");
+        assert_eq!(a, b, "run '{s_key}' differs between 1 and 8 workers");
     }
-}
-
-#[test]
-fn the_engine_travels_with_the_call() {
-    // Two suites at once in one process, one per engine: each must run every
-    // simulation on the engine *it* asked for. The barrier makes both calls
-    // start together, so a process-wide engine setting would be overwritten
-    // by one of them before the other's runs begin.
-    let start = std::sync::Barrier::new(2);
-    let run = |engine: EngineKind| {
-        let opts = Options {
-            tier: Tier::Quick,
-            jobs: 2,
-            experiments: vec!["table1".into()],
-            engine,
-            ..Default::default()
-        };
-        start.wait();
-        run_suite(&opts).unwrap()
-    };
-    let (threaded, coop) = std::thread::scope(|s| {
-        let threaded = s.spawn(|| run(EngineKind::Threaded));
-        let coop = s.spawn(|| run(EngineKind::Coop));
-        (threaded.join().unwrap(), coop.join().unwrap())
-    });
-    assert_ran_on(&threaded, EngineKind::Threaded);
-    assert_ran_on(&coop, EngineKind::Coop);
-    assert_eq!(simulated_records(&threaded), simulated_records(&coop));
 }
 
 #[test]

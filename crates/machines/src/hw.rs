@@ -422,7 +422,7 @@ impl HwMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tmk_sim::Engine;
+    use tmk_sim::CoopEngine;
 
     fn run_on<R: Send>(
         params: HwParams,
@@ -431,7 +431,7 @@ mod tests {
     ) -> (Vec<R>, HwMachine, Vec<Cycle>) {
         let procs = params.procs;
         let machine = HwMachine::new(params, seg);
-        let engine = Engine::new(machine, procs);
+        let engine = CoopEngine::new(machine, procs);
         let results: parking_lot::Mutex<Vec<Option<R>>> =
             parking_lot::Mutex::new((0..procs).map(|_| None).collect());
         let r = engine.run(|ctx| {

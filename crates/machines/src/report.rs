@@ -27,9 +27,6 @@ pub struct RunReport {
     pub procs: usize,
     /// Processor clock, Hz (turns cycles into seconds).
     pub clock_hz: u64,
-    /// Which execution backend produced the run. Simulated measurements are
-    /// byte-identical across backends; recorded for engine benchmarking.
-    pub engine: tmk_sim::EngineKind,
     /// Host wall-clock time spent inside the engine, in milliseconds.
     pub host_ms: f64,
     /// Execution time in cycles (slowest processor).
@@ -127,7 +124,8 @@ impl RunReport {
         let mut j = Json::obj()
             .set("procs", self.procs)
             .set("clock_hz", self.clock_hz)
-            .set("engine", self.engine.as_str())
+            // The one engine, named so committed records stay byte-identical.
+            .set("engine", "coop")
             .set("host_ms", self.host_ms)
             .set("cycles", self.cycles)
             .set("mark_cycles", self.mark_cycles)

@@ -7,7 +7,7 @@ use parking_lot::Mutex;
 
 use tmk_net::SoftwareOverhead;
 use tmk_parmacs::{Alloc, InitWriter, System};
-use tmk_sim::{AnyEngine, Ctx, Cycle, EngineKind};
+use tmk_sim::{CoopEngine, Ctx, Cycle, EngineKind};
 use tmk_trace::{Sink, TraceBuf};
 
 use crate::dsm::{DsmMachine, DsmParams, DsmSys};
@@ -21,9 +21,6 @@ use crate::{Outcome, RunReport};
 /// — so none contribute to [`Platform::key`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunOpts {
-    /// Execution backend; results are byte-identical across backends, only
-    /// `Outcome::report::{engine, host_ms}` differ.
-    pub engine: EngineKind,
     /// Per-processor event-ring capacity: `Some(cap)` arms a [`TraceBuf`]
     /// whose per-category cycle ledger and Chrome-trace events are returned
     /// alongside the outcome (`Some(0)` keeps the ledger but records no
@@ -452,7 +449,7 @@ fn run_machine<M: Send + 'static, R: Send>(
     if let Some(buf) = &trace {
         (hooks.set_tracer)(&mut machine, Sink::new(buf.clone()));
     }
-    let mut engine = AnyEngine::new(opts.engine, machine, procs);
+    let mut engine = CoopEngine::new(machine, procs);
     if let Some(diagnostics) = hooks.diagnostics {
         engine = engine.with_diagnostics(diagnostics);
     }
@@ -474,7 +471,6 @@ fn run_machine<M: Send + 'static, R: Send>(
     let host_ms = started.elapsed().as_secs_f64() * 1e3;
     let mut report = RunReport {
         procs,
-        engine: opts.engine,
         host_ms,
         cycles: run.time(),
         proc_cycles: run.clocks.clone(),
@@ -527,13 +523,13 @@ pub fn run_workload_with<W: tmk_parmacs::Workload>(
 /// [`run_workload_with`] in the argument order the `benchmark/` harness
 /// calls.
 pub fn run_workload_traced_with<W: tmk_parmacs::Workload>(
-    engine: EngineKind,
+    // Kept for `benchmark/`, which passes it; goes in the next `[benchmark]` PR.
+    _engine: EngineKind,
     platform: &Platform,
     w: &W,
     trace: Option<usize>,
 ) -> (Outcome<f64>, Option<Arc<TraceBuf>>) {
     let opts = RunOpts {
-        engine,
         trace,
         op_trace: false,
     };

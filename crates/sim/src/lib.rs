@@ -7,22 +7,12 @@
 //! happen inside [`Ctx::sync`], which serializes processors in
 //! simulated-time order: the runnable processor with the smallest local
 //! clock always executes its operation first (ties broken by processor id),
-//! so every run is fully deterministic.
+//! so every run is fully deterministic and the op-start clocks of a run
+//! never decrease.
 //!
-//! Two interchangeable execution backends implement that model:
-//!
-//! * [`CoopEngine`] (the default throughout the workspace) drives all
-//!   processors as resumable stackful coroutines from a single-threaded
-//!   event loop — one host core, zero synchronization, practical at 256+
-//!   simulated nodes.
-//! * [`Engine`] (the original) runs one OS thread per simulated processor,
-//!   parked on condition variables. It is kept as an independent
-//!   implementation of the same semantics so cross-engine byte-equality is
-//!   testable, not assumed.
-//!
-//! [`AnyEngine`] and [`EngineKind`] select between them at run time. Both
-//! produce byte-identical [`RunResult`]s, op traces and attribution ledgers
-//! for the same machine and body.
+//! [`CoopEngine`] drives all processors as resumable stackful coroutines
+//! from a single-threaded event loop — one host core, zero synchronization,
+//! practical at 256+ simulated nodes.
 //!
 //! This is the same conservative execution-driven methodology the ISCA'94
 //! case study used (Covington et al.'s Rice simulator); see `DESIGN.md` at
@@ -49,16 +39,8 @@
 //! ```
 
 mod coop;
-mod engine;
-pub mod stats;
-#[cfg(test)]
-pub(crate) mod testutil;
 
-pub use coop::CoopEngine;
-pub use engine::{Ctx, Engine, Op, RunResult};
-
-use std::sync::Arc;
-use tmk_trace::TraceBuf;
+pub use coop::{CoopEngine, Ctx, Op, RunResult};
 
 /// Simulated time, measured in processor clock cycles.
 ///
@@ -67,108 +49,17 @@ use tmk_trace::TraceBuf;
 /// the 40 MHz experimental platforms, 10 ns for the 100 MHz simulated ones).
 pub type Cycle = u64;
 
-/// Which execution backend to run a simulation on. Results are
-/// byte-identical either way; only host-side behavior differs.
+/// Kept for `benchmark/`, which names it; goes in the next `[benchmark]` PR.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum EngineKind {
-    /// One OS thread per simulated processor (the original backend).
-    Threaded,
-    /// Single-threaded event loop over stackful coroutines (the default:
-    /// ~an order of magnitude faster and practical at 256+ nodes).
+    /// The only engine, [`CoopEngine`].
     #[default]
     Coop,
 }
 
 impl EngineKind {
-    pub const ALL: [EngineKind; 2] = [EngineKind::Threaded, EngineKind::Coop];
-
+    /// `"coop"`, the `engine` value every JSON record carries.
     pub fn as_str(self) -> &'static str {
-        match self {
-            EngineKind::Threaded => "threaded",
-            EngineKind::Coop => "coop",
-        }
-    }
-
-    /// Parses `"threaded"` / `"coop"` (as accepted by `suite --engine`).
-    pub fn parse(s: &str) -> Option<EngineKind> {
-        match s {
-            "threaded" => Some(EngineKind::Threaded),
-            "coop" => Some(EngineKind::Coop),
-            _ => None,
-        }
-    }
-}
-
-/// An engine of either kind, chosen at run time ([`EngineKind`]), with the
-/// builder surface both backends share.
-pub enum AnyEngine<M> {
-    Threaded(Engine<M>),
-    Coop(CoopEngine<M>),
-}
-
-impl<M: Send> AnyEngine<M> {
-    /// Creates an engine of `kind` simulating `nprocs` processors.
-    pub fn new(kind: EngineKind, machine: M, nprocs: usize) -> Self {
-        match kind {
-            EngineKind::Threaded => AnyEngine::Threaded(Engine::new(machine, nprocs)),
-            EngineKind::Coop => AnyEngine::Coop(CoopEngine::new(machine, nprocs)),
-        }
-    }
-
-    pub fn kind(&self) -> EngineKind {
-        match self {
-            AnyEngine::Threaded(_) => EngineKind::Threaded,
-            AnyEngine::Coop(_) => EngineKind::Coop,
-        }
-    }
-
-    pub fn nprocs(&self) -> usize {
-        match self {
-            AnyEngine::Threaded(e) => e.nprocs(),
-            AnyEngine::Coop(e) => e.nprocs(),
-        }
-    }
-
-    /// See [`Engine::with_cycle_budget`].
-    pub fn with_cycle_budget(self, budget: Cycle) -> Self {
-        match self {
-            AnyEngine::Threaded(e) => AnyEngine::Threaded(e.with_cycle_budget(budget)),
-            AnyEngine::Coop(e) => AnyEngine::Coop(e.with_cycle_budget(budget)),
-        }
-    }
-
-    /// See [`Engine::with_tracer`].
-    pub fn with_tracer(self, buf: Arc<TraceBuf>) -> Self {
-        match self {
-            AnyEngine::Threaded(e) => AnyEngine::Threaded(e.with_tracer(buf)),
-            AnyEngine::Coop(e) => AnyEngine::Coop(e.with_tracer(buf)),
-        }
-    }
-
-    /// See [`Engine::with_diagnostics`].
-    pub fn with_diagnostics(self, f: impl Fn(&M) -> String + Send + Sync + 'static) -> Self {
-        match self {
-            AnyEngine::Threaded(e) => AnyEngine::Threaded(e.with_diagnostics(f)),
-            AnyEngine::Coop(e) => AnyEngine::Coop(e.with_diagnostics(f)),
-        }
-    }
-
-    /// See [`Engine::with_op_trace`].
-    pub fn with_op_trace(self, on: bool) -> Self {
-        match self {
-            AnyEngine::Threaded(e) => AnyEngine::Threaded(e.with_op_trace(on)),
-            AnyEngine::Coop(e) => AnyEngine::Coop(e.with_op_trace(on)),
-        }
-    }
-
-    /// See [`Engine::run`].
-    pub fn run<F>(self, body: F) -> RunResult<M>
-    where
-        F: Fn(&Ctx<'_, M>) + Send + Sync,
-    {
-        match self {
-            AnyEngine::Threaded(e) => e.run(body),
-            AnyEngine::Coop(e) => e.run(body),
-        }
+        "coop"
     }
 }

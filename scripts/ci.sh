@@ -42,45 +42,6 @@ grep -q "rollbacks=1" target/smoke/service.txt \
 grep -q "shed=0" target/smoke/service.txt \
     || { echo "service smoke lost the zero-shed baseline"; exit 1; }
 
-echo "== engines: quick tier under both backends must agree byte-for-byte =="
-# The threaded and cooperative engines implement the same conservative
-# simulation semantics; any divergence in rendered text or simulated JSON
-# (host-side fields aside) is a correctness bug, not a tolerance.
-rm -rf target/smoke/eng-threaded target/smoke/eng-coop
-timeout "${CHAOS_TIMEOUT:-600}" \
-    ./target/release/suite --quick --engine threaded \
-    --json --out target/smoke/eng-threaded \
-    --bench-json target/smoke/eng-threaded/BENCH_results.json \
-    > target/smoke/eng-threaded.txt
-timeout "${CHAOS_TIMEOUT:-600}" \
-    ./target/release/suite --quick --engine coop \
-    --json --out target/smoke/eng-coop \
-    --bench-json target/smoke/eng-coop/BENCH_results.json \
-    > target/smoke/eng-coop.txt
-diff target/smoke/eng-threaded.txt target/smoke/eng-coop.txt
-# Strip the deliberately host-dependent fields before comparing records.
-strip='"host_ms"\|"engine"\|"wall_ms"\|"total_host_ms"'
-for f in target/smoke/eng-threaded/*.json; do
-    base="$(basename "$f")"
-    grep -v "$strip" "$f" > target/smoke/eng-a.stripped
-    grep -v "$strip" "target/smoke/eng-coop/$base" > target/smoke/eng-b.stripped
-    diff target/smoke/eng-a.stripped target/smoke/eng-b.stripped \
-        || { echo "engines diverge in $base"; exit 1; }
-done
-
-echo "== engines: breakdown traces identical across backends =="
-rm -rf target/smoke/trace-threaded target/smoke/trace-coop
-timeout "${CHAOS_TIMEOUT:-600}" \
-    ./target/release/suite --experiment breakdown --quick --engine threaded \
-    --trace target/smoke/trace-threaded > /dev/null
-timeout "${CHAOS_TIMEOUT:-600}" \
-    ./target/release/suite --experiment breakdown --quick --engine coop \
-    --trace target/smoke/trace-coop > /dev/null
-for f in target/smoke/trace-threaded/*.trace.json; do
-    ./target/release/suite trace-diff "$f" \
-        "target/smoke/trace-coop/$(basename "$f")" | grep -q "no divergence"
-done
-
 echo "== trace: breakdown decomposition + trace determinism =="
 # Two traced quick-tier runs must record byte-identical Chrome traces; the
 # suite validates each document against its JSON parser before writing.
@@ -88,7 +49,8 @@ rm -rf target/smoke/trace-a target/smoke/trace-b
 timeout "${CHAOS_TIMEOUT:-600}" \
     ./target/release/suite --experiment breakdown --quick \
     --trace target/smoke/trace-a \
-    --json --out target/smoke > target/smoke/breakdown.txt
+    --json --out target/smoke --bench-json target/smoke/breakdown-bench.json \
+    > target/smoke/breakdown.txt
 timeout "${CHAOS_TIMEOUT:-600}" \
     ./target/release/suite --experiment breakdown --quick \
     --trace target/smoke/trace-b > /dev/null
@@ -96,6 +58,42 @@ for f in target/smoke/trace-a/*.trace.json; do
     [ -s "$f" ] || { echo "empty trace: $f"; exit 1; }
     ./target/release/suite trace-diff "$f" \
         "target/smoke/trace-b/$(basename "$f")" | grep -q "no divergence"
+done
+
+echo "== coro-threads: every suspension point on a second context switch =="
+# `vendor/coro` has two context-switch implementations: x86-64 assembly (the
+# default) and, under `--cfg tmk_coro_threads`, one parked OS thread per
+# coroutine with a mutex/condvar handoff. Built on the second, the engine's
+# every suspension point (turn waits, blocked waits, forced unwinds) runs on
+# an independent implementation: the workspace tests must pass, and the quick
+# tier must match the default build in text, simulated JSON and traces.
+threads_flags="-D warnings --cfg tmk_coro_threads"
+RUSTFLAGS="$threads_flags" CARGO_TARGET_DIR=target/coro-threads cargo test -q --workspace
+RUSTFLAGS="$threads_flags" CARGO_TARGET_DIR=target/coro-threads \
+    cargo build --release -p tmk-bench --bin suite
+threads=target/coro-threads/release/suite
+rm -rf target/smoke/threads target/smoke/trace-threads
+timeout "${CHAOS_TIMEOUT:-600}" \
+    "$threads" --quick --jobs "${JOBS:-$(nproc 2>/dev/null || echo 1)}" \
+    --json --out target/smoke/threads \
+    --bench-json target/smoke/threads/BENCH_results.json \
+    > target/smoke/threads.txt
+diff target/smoke/suite.txt target/smoke/threads.txt
+# Strip the deliberately host-dependent fields before comparing records.
+strip='"host_ms"\|"engine"\|"wall_ms"\|"total_host_ms"'
+for f in target/smoke/threads/*.json; do
+    base="$(basename "$f")"
+    grep -v "$strip" "target/smoke/$base" > target/smoke/asm.stripped
+    grep -v "$strip" "$f" > target/smoke/threads.stripped
+    diff target/smoke/asm.stripped target/smoke/threads.stripped \
+        || { echo "coro-threads build diverges in $base"; exit 1; }
+done
+timeout "${CHAOS_TIMEOUT:-600}" \
+    "$threads" --experiment breakdown --quick \
+    --trace target/smoke/trace-threads > /dev/null
+for f in target/smoke/trace-a/*.trace.json; do
+    ./target/release/suite trace-diff "$f" \
+        "target/smoke/trace-threads/$(basename "$f")" | grep -q "no divergence"
 done
 
 echo "== records: the whole full tier must reproduce every committed results/ record =="

@@ -1,11 +1,9 @@
-//! Cross-engine equivalence: the threaded engine (one OS thread per
-//! simulated processor) and the cooperative engine (single-threaded event
-//! loop over stackful coroutines) are two implementations of the same
-//! conservative simulation semantics, and must be byte-for-byte
-//! interchangeable. These tests pin that down on randomized runs — AS under
-//! LRC and IVY plus the HS hybrid, clean and lossy networks, GC on and off —
-//! and on the watchdog
-//! paths, where even the panic messages must compare equal.
+//! Conservative causality and reproducibility of the engine on randomized
+//! runs — AS under LRC and IVY plus the HS hybrid, clean and lossy networks,
+//! GC on and off. The engine always runs the Ready processor with the
+//! minimum clock next, so the op-start clocks of a run must never decrease;
+//! and a run must be a pure function of its inputs, down to the watchdog
+//! verdicts a dying run panics with.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -16,7 +14,6 @@ use tmk::dsm::RetransmitPolicy;
 use tmk::machines::{run_workload_with, DsmProtocol, DsmTuning, Platform, RunOpts};
 use tmk::net::FaultPlan;
 use tmk::parmacs::Workload;
-use tmk::sim::EngineKind;
 
 /// An AS cluster of `procs` nodes, or — with `hs` — the HS hybrid as
 /// `procs` nodes of 2 processors (always LRC).
@@ -58,20 +55,28 @@ fn dsm_platform(
     }
 }
 
-/// Everything one engine produced for a run, flattened for comparison:
-/// the report JSON with the host-side fields (`engine`, `host_ms`)
-/// normalized away, the per-processor checksums, the engine op trace, and
-/// the six-category attribution ledger.
-fn fingerprint<W: Workload>(engine: EngineKind, p: &Platform, w: &W) -> String {
+/// Everything a run produced, flattened for comparison: the report JSON
+/// with the host-side `host_ms` normalized away, the per-processor
+/// checksums, the engine op trace, and the attribution ledger. Asserts the
+/// op trace's start clocks never decrease.
+fn fingerprint<W: Workload>(p: &Platform, w: &W) -> String {
     let opts = RunOpts {
-        engine,
         trace: Some(0),
         op_trace: true,
     };
     let (out, buf) = run_workload_with(p, w, &opts);
     assert!(!out.op_trace.is_empty(), "op trace armed");
+    if let Some(i) = out.op_trace.windows(2).position(|o| o[1].1 < o[0].1) {
+        panic!(
+            "{}: op {} starts at {:?}, before op {} at {:?}",
+            p.key(),
+            i + 1,
+            out.op_trace[i + 1],
+            i,
+            out.op_trace[i]
+        );
+    }
     let mut report = out.report.clone();
-    report.engine = EngineKind::default();
     report.host_ms = 0.0;
     format!(
         "report={}\nchecksums={:?}\nops={:?}\nbreakdown={:?}",
@@ -83,12 +88,12 @@ fn fingerprint<W: Workload>(engine: EngineKind, p: &Platform, w: &W) -> String {
 }
 
 proptest! {
-    // Each case simulates the same (tiny) run once per engine; a handful of
-    // cases covers AS-LRC/AS-IVY/HS x clean/lossy x GC on/off x 2-4 nodes.
+    // Each case simulates the same (tiny) run twice; a handful of cases
+    // covers AS-LRC/AS-IVY/HS x clean/lossy x GC on/off x 2-4 nodes.
     #![proptest_config(ProptestConfig::with_cases(14))]
 
     #[test]
-    fn engines_agree_on_random_dsm_runs(
+    fn random_dsm_runs_are_causal_and_reproducible(
         procs in 2usize..5,
         ivy in any::<bool>(),
         hs in any::<bool>(),
@@ -98,28 +103,22 @@ proptest! {
         use_tsp in any::<bool>(),
     ) {
         let p = dsm_platform(procs, ivy, hs, seed, drop_permille, gc);
-        let (threaded, coop) = if use_tsp {
+        let (a, b) = if use_tsp {
             let w = tsp::Tsp::new(8);
-            (fingerprint(EngineKind::Threaded, &p, &w), fingerprint(EngineKind::Coop, &p, &w))
+            (fingerprint(&p, &w), fingerprint(&p, &w))
         } else {
             let w = sor::Sor::tiny();
-            (fingerprint(EngineKind::Threaded, &p, &w), fingerprint(EngineKind::Coop, &p, &w))
+            (fingerprint(&p, &w), fingerprint(&p, &w))
         };
-        prop_assert_eq!(&threaded, &coop, "{}: engines diverge", p.key());
+        prop_assert_eq!(&a, &b, "{}: two runs diverge", p.key());
     }
 }
 
-/// The panic message a run dies with on the given engine.
-fn verdict<W: Workload + std::panic::RefUnwindSafe>(
-    engine: EngineKind,
-    p: &Platform,
-    w: &W,
-) -> String {
-    let opts = RunOpts {
-        engine,
-        ..Default::default()
-    };
-    let r = catch_unwind(AssertUnwindSafe(|| run_workload_with(p, w, &opts)));
+/// The panic message a run dies with.
+fn verdict<W: Workload + std::panic::RefUnwindSafe>(p: &Platform, w: &W) -> String {
+    let r = catch_unwind(AssertUnwindSafe(|| {
+        run_workload_with(p, w, &RunOpts::default())
+    }));
     let payload = r.expect_err("the run must abort");
     payload
         .downcast_ref::<String>()
@@ -148,7 +147,7 @@ fn both_machines(nodes: usize, tuning: DsmTuning) -> [Platform; 2] {
 }
 
 #[test]
-fn budget_watchdog_verdicts_match_across_engines() {
+fn budget_watchdog_verdicts_are_reproducible() {
     // A budget far below any real finishing time: the watchdog fires
     // mid-run and dumps every processor's state plus machine diagnostics.
     let tuning = DsmTuning {
@@ -157,19 +156,19 @@ fn budget_watchdog_verdicts_match_across_engines() {
     };
     for p in both_machines(3, tuning) {
         let w = sor::Sor::tiny();
-        let threaded = verdict(EngineKind::Threaded, &p, &w);
-        let coop = verdict(EngineKind::Coop, &p, &w);
-        assert!(
-            threaded.contains("passed the cycle budget"),
-            "got: {threaded}"
+        let first = verdict(&p, &w);
+        assert!(first.contains("passed the cycle budget"), "got: {first}");
+        assert!(first.contains("machine diagnostics"), "got: {first}");
+        assert_eq!(
+            first,
+            verdict(&p, &w),
+            "watchdog dumps must be byte-identical"
         );
-        assert!(threaded.contains("machine diagnostics"), "got: {threaded}");
-        assert_eq!(threaded, coop, "watchdog dumps must be byte-identical");
     }
 }
 
 #[test]
-fn deadlock_verdicts_match_across_engines() {
+fn deadlock_verdicts_are_reproducible() {
     // Every lock-class message dropped, no retransmission: the first
     // remote acquire hangs its cascade and the all-blocked detector aborts
     // the run with a dump naming each blocked processor and what it waits
@@ -182,10 +181,13 @@ fn deadlock_verdicts_match_across_engines() {
     };
     for p in both_machines(2, tuning) {
         let w = tsp::Tsp::new(8);
-        let threaded = verdict(EngineKind::Threaded, &p, &w);
-        let coop = verdict(EngineKind::Coop, &p, &w);
-        assert!(threaded.contains("simulation deadlock"), "got: {threaded}");
-        assert!(threaded.contains("blocked"), "got: {threaded}");
-        assert_eq!(threaded, coop, "deadlock dumps must be byte-identical");
+        let first = verdict(&p, &w);
+        assert!(first.contains("simulation deadlock"), "got: {first}");
+        assert!(first.contains("blocked"), "got: {first}");
+        assert_eq!(
+            first,
+            verdict(&p, &w),
+            "deadlock dumps must be byte-identical"
+        );
     }
 }
