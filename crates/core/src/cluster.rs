@@ -1,13 +1,15 @@
-//! A synchronous, single-threaded cluster: the simplest way to drive the
-//! protocol. Used by tests, by correctness oracles, and as the reference
-//! router semantics for the timed simulation in `tmk-machines`.
+//! A synchronous, single-threaded cluster: the one synchronous driver of
+//! either protocol. Tests, correctness oracles and the per-layer probes run
+//! on it; with its fault stage armed it is the clockless, lossy harness the
+//! protocol properties use.
 
 use std::collections::VecDeque;
 
 use crate::node::NodeCheckpoint;
+use crate::runtime_faults::{roll_fate, ChannelFaults, LinkFate};
 use crate::{
-    Action, BarrierId, Config, Envelope, LockId, MsgClass, Node, NodeId, NodeStats,
-    SharedAddr, StartAcquire,
+    Action, BarrierId, Config, DsmProtocol, Envelope, LockId, MsgClass, NodeId, NodeStats,
+    ProtoNode, Reliability, RetransmitPolicy, SharedAddr, StartAcquire, Timeout,
 };
 
 /// What a [`Cluster::crash_recover`] rollback did.
@@ -114,7 +116,8 @@ impl Traffic {
     }
 }
 
-/// A whole DSM cluster driven synchronously from one thread.
+/// A whole DSM cluster driven synchronously from one thread, running either
+/// protocol ([`Cluster::with_protocol`]).
 ///
 /// Every operation routes all induced protocol messages to quiescence before
 /// returning, so data-plane calls ([`read`](Self::read),
@@ -125,27 +128,50 @@ impl Traffic {
 #[derive(Debug)]
 pub struct Cluster {
     cfg: Config,
-    nodes: Vec<Node>,
+    nodes: Vec<ProtoNode>,
     traffic: Traffic,
     alloc_next: SharedAddr,
-    /// Barrier completions observed, for callers that track them.
-    done_barriers: Vec<(NodeId, BarrierId)>,
+    /// The optional fault stage of [`route`](Self::route): link faults
+    /// drawn from the plan, repaired by the reliability layer.
+    faults: Option<(ChannelFaults, Reliability)>,
     /// Last barrier-consistent checkpoint, one snapshot per node.
     ckpt: Option<Vec<NodeCheckpoint>>,
 }
 
 impl Cluster {
-    /// Builds an `n`-node cluster from a configuration.
+    /// Builds a fault-free TreadMarks (LRC) cluster from a configuration.
     pub fn new(cfg: Config) -> Cluster {
-        let nodes = (0..cfg.nodes).map(|i| Node::new(i, cfg.clone())).collect();
+        Cluster::with_protocol(cfg, DsmProtocol::Lrc)
+    }
+
+    /// Builds a fault-free cluster running `protocol`.
+    pub fn with_protocol(cfg: Config, protocol: DsmProtocol) -> Cluster {
         Cluster {
-            nodes,
+            nodes: (0..cfg.nodes)
+                .map(|i| ProtoNode::new(protocol, i, cfg.clone()))
+                .collect(),
             traffic: Traffic::default(),
             alloc_next: 0,
-            done_barriers: Vec::new(),
+            faults: None,
             ckpt: None,
             cfg,
         }
+    }
+
+    /// Arms [`route`](Self::route)'s fault stage: each cross-node copy's
+    /// fate is drawn from `plan`'s drop / duplicate / delay rates as a pure
+    /// function of the packet's identity, and a [`Reliability`] layer under
+    /// `policy` repairs the losses. A delayed copy goes behind everything
+    /// queued; once the queue drains, every armed timer expires (after every
+    /// in-queue delivery, as in the timed router, but without a clock).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plan` schedules crashes, which a cascade has no point for.
+    pub fn with_faults(mut self, plan: &ChannelFaults, policy: RetransmitPolicy) -> Cluster {
+        assert!(plan.crashes.is_empty(), "link faults only, no crashes");
+        self.faults = Some((plan.clone(), Reliability::new(policy)));
+        self
     }
 
     /// The configuration.
@@ -154,11 +180,12 @@ impl Cluster {
     }
 
     /// Immutable access to a node.
-    pub fn node(&self, id: NodeId) -> &Node {
+    pub fn node(&self, id: NodeId) -> &ProtoNode {
         &self.nodes[id]
     }
 
-    /// Message traffic so far.
+    /// Message traffic so far: every copy a sender put on the wire,
+    /// retransmissions included.
     pub fn traffic(&self) -> Traffic {
         self.traffic
     }
@@ -197,23 +224,74 @@ impl Cluster {
     }
 
     /// Routes envelopes until quiescence, returning completed actions as
-    /// `(node, action)` pairs in delivery order.
-    pub fn route(&mut self, sends: Vec<Envelope>) -> Vec<(NodeId, Action)> {
-        let mut queue: VecDeque<Envelope> = sends.into();
+    /// `(node, action)` pairs in delivery order. Without a fault stage
+    /// every envelope is delivered once, first in first out.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fault stage's reliability layer gives a packet up.
+    pub fn route(&mut self, mut sends: Vec<Envelope>) -> Vec<(NodeId, Action)> {
+        // Each queued copy carries, under a fault stage, its packet id and
+        // transmission attempt (0 = the original send), and whether its fate
+        // is already drawn: the late half of a duplicate, a delayed copy.
+        let mut queue = VecDeque::new();
         let mut done = Vec::new();
-        while let Some(env) = queue.pop_front() {
-            if env.from != env.to {
-                self.traffic.record(&env, self.cfg.header_bytes);
+        loop {
+            for env in sends.drain(..) {
+                let wire = env.from != env.to;
+                if wire {
+                    self.traffic.record(&env, self.cfg.header_bytes);
+                }
+                let tracked = match &mut self.faults {
+                    Some((_, rel)) if wire => Some((rel.send(&env, 0, 0).0, 0)),
+                    _ => None,
+                };
+                queue.push_back((env, tracked, false));
+            }
+            let Some((env, tracked, rolled)) = queue.pop_front() else {
+                // Drained: every retransmit timer still armed expires.
+                let Some((_, rel)) = &mut self.faults else {
+                    break;
+                };
+                let lost = rel.overdue(u64::MAX);
+                if lost.is_empty() {
+                    break;
+                }
+                for pid in lost {
+                    let (env, attempt) = match rel.timeout(pid, 0) {
+                        Timeout::Resend { env, attempt, .. } => (env, attempt),
+                        Timeout::Exhausted { attempt, .. } => {
+                            panic!("reliability gave up on {pid:?} at retransmission {attempt}")
+                        }
+                        Timeout::Stale => unreachable!("overdue packets are in flight"),
+                    };
+                    self.traffic.record(&env, self.cfg.header_bytes);
+                    queue.push_back((env, Some((pid, attempt)), false));
+                }
+                continue;
+            };
+            if let (Some((plan, rel)), Some((pid, attempt))) = (&mut self.faults, tracked) {
+                if !rolled {
+                    match roll_fate(plan, pid, attempt) {
+                        // The flight stays armed in the layer.
+                        LinkFate::Drop => continue,
+                        LinkFate::Duplicate => queue.push_back((env.clone(), tracked, true)),
+                        LinkFate::Delay => {
+                            queue.push_back((env, tracked, true));
+                            continue;
+                        }
+                        LinkFate::Deliver => {}
+                    }
+                }
+                // Delivery is the ack; a duplicate stops here.
+                if !rel.delivered(pid, 0) {
+                    continue;
+                }
             }
             let to = env.to;
             let handled = self.nodes[to].handle(env);
-            queue.extend(handled.sends);
+            sends = handled.sends;
             done.extend(handled.actions.into_iter().map(|a| (to, a)));
-        }
-        for &(node, action) in &done {
-            if let Action::BarrierDone(b) = action {
-                self.done_barriers.push((node, b));
-            }
         }
         done
     }
@@ -288,10 +366,19 @@ impl Cluster {
     /// Arrives at `barrier` on `node`; returns `true` when this arrival
     /// completed the barrier for everyone.
     pub fn arrive(&mut self, node: NodeId, barrier: BarrierId) -> bool {
+        !self.arrive_completing(node, barrier).is_empty()
+    }
+
+    /// [`arrive`](Self::arrive), returning the nodes this arrival completed
+    /// the barrier on, in delivery order: empty unless it was the last.
+    pub(crate) fn arrive_completing(&mut self, node: NodeId, barrier: BarrierId) -> Vec<NodeId> {
         let start = self.nodes[node].barrier_arrive(barrier);
-        let before = self.done_barriers.len();
-        self.route(start.sends);
-        start.ready || self.done_barriers.len() > before
+        let done = self.route(start.sends);
+        let departed = done
+            .into_iter()
+            .filter_map(|(q, a)| (a == Action::BarrierDone(barrier)).then_some(q));
+        let at_once = start.ready.then_some(node);
+        at_once.into_iter().chain(departed).collect()
     }
 
     /// Runs a full barrier episode by arriving on every node in id order.
@@ -305,20 +392,21 @@ impl Cluster {
     }
 
     // ------------------------------------------------------------------
-    // Crash recovery: barrier-consistent checkpoint / rollback
+    // Crash recovery: barrier-consistent checkpoint / rollback (LRC only)
     // ------------------------------------------------------------------
 
     /// Snapshots every node's DSM state. Call right after a completed
     /// barrier: the barrier's departure vector time is a consistent global
     /// cut (the same state barrier-time GC keys off), so the set of
     /// per-node snapshots is a recoverable cluster state.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an IVY cluster ([`ProtoNode::lrc`]): an IVY node has no
+    /// snapshot (the timed fabric's IVY recovery is a charge model, not a
+    /// rollback).
     pub fn checkpoint(&mut self) {
-        self.ckpt = Some(self.nodes.iter().map(Node::checkpoint).collect());
-    }
-
-    /// Whether a checkpoint is armed.
-    pub fn has_checkpoint(&self) -> bool {
-        self.ckpt.is_some()
+        self.ckpt = Some(self.nodes.iter().map(|n| n.lrc().checkpoint()).collect());
     }
 
     /// Recovers from the loss of `crashed`: rolls *every* node back to the
@@ -331,7 +419,8 @@ impl Cluster {
     ///
     /// # Panics
     ///
-    /// Panics if no checkpoint was taken — an unrecoverable crash.
+    /// Panics if no checkpoint was taken — an unrecoverable crash, and
+    /// always the case on an IVY cluster (see [`checkpoint`](Self::checkpoint)).
     pub fn crash_recover(&mut self, crashed: NodeId) -> RecoverySummary {
         let ckpt = self.ckpt.as_ref().unwrap_or_else(|| {
             panic!("node {crashed} crashed with no checkpoint armed: unrecoverable")
@@ -344,7 +433,9 @@ impl Cluster {
             .sum();
         let pages_restored = ckpt[crashed].pages_resident();
         for (node, ck) in self.nodes.iter_mut().zip(ckpt.iter()) {
-            node.restore(ck);
+            if let ProtoNode::Lrc(node) = node {
+                node.restore(ck);
+            }
         }
         RecoverySummary {
             tokens_regenerated: regenerated,
@@ -429,7 +520,7 @@ mod tests {
                     if let (Msg::DiffReq { from, to, .. }, Msg::DiffReply { diffs, .. }) =
                         (msg, &reply.msg)
                     {
-                        let cached = c.nodes[server].cached_diffs(page);
+                        let cached = c.node(server).lrc().cached_diffs(page);
                         let seqs: Vec<_> = diffs.iter().map(|(s, _, _)| *s).collect();
                         assert_eq!(seqs, linear_diffs_between(cached, from, to));
                         for (s, _, d) in diffs {
@@ -447,7 +538,8 @@ mod tests {
             c.unlock(me, 0);
         }
         assert_eq!(c.read_u64(0, addr), 3001);
-        let cached = c.node(0).cached_diffs(page).len() + c.node(1).cached_diffs(page).len();
+        let cached =
+            c.node(0).lrc().cached_diffs(page).len() + c.node(1).lrc().cached_diffs(page).len();
         assert!(cached >= 3000, "the history must be long: {cached} diffs");
     }
 
@@ -700,6 +792,104 @@ mod tests {
         let mut c = cluster(2);
         c.barrier(0);
         let _ = c.crash_recover(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "LRC-only")]
+    fn ivy_cluster_has_no_checkpoint() {
+        let cfg = Config::new(2).segment_pages(8).page_size(256);
+        Cluster::with_protocol(cfg, DsmProtocol::Ivy).checkpoint();
+    }
+
+    #[test]
+    fn arrive_reports_exactly_the_completing_arrival() {
+        for protocol in [DsmProtocol::Lrc, DsmProtocol::Ivy] {
+            let cfg = Config::new(3).segment_pages(8).page_size(256);
+            let mut c = Cluster::with_protocol(cfg, protocol);
+            // Rotate the order so the manager (node 0) arrives first, last,
+            // then in the middle. Only the last arrival completes the
+            // barrier, and it completes it on every node exactly once.
+            for episode in 0..4 {
+                let mut done: Vec<Vec<NodeId>> = (0..3)
+                    .map(|i| c.arrive_completing((i + episode) % 3, 0))
+                    .collect();
+                done[2].sort_unstable();
+                let want = [vec![], vec![], vec![0, 1, 2]];
+                assert_eq!(done, want, "{protocol:?} episode {episode}");
+            }
+        }
+    }
+
+    /// Every cascade's actions, in order.
+    type Log = Vec<Vec<(NodeId, Action)>>;
+
+    /// Drives a lock/write/barrier program one protocol step at a time and
+    /// returns every cascade's actions, the traffic and every node's final
+    /// view of the written slots.
+    fn logged_run(mut c: Cluster) -> (Log, Traffic, Vec<u64>) {
+        let n = c.config().nodes;
+        let addr = c.alloc(n * 8, 8);
+        let page = c.config().page_of(addr);
+        let mut log = Vec::new();
+        for round in 0..3u64 {
+            for node in 0..n {
+                if let StartAcquire::Wait(sends) = c.nodes[node].acquire(0) {
+                    log.push(c.route(sends));
+                }
+                if !c.nodes[node].page_writable(page) {
+                    let sends = c.nodes[node].fault(page, true).sends;
+                    log.push(c.route(sends));
+                }
+                c.nodes[node].write_from(addr + node * 8, &(round + 1).to_le_bytes());
+                let sends = c.nodes[node].release(0);
+                log.push(c.route(sends));
+            }
+            for node in 0..n {
+                let sends = c.nodes[node].barrier_arrive(0).sends;
+                log.push(c.route(sends));
+            }
+        }
+        let mut image = Vec::new();
+        for node in 0..n {
+            for q in 0..n {
+                image.push(c.read_u64(node, addr + q * 8));
+            }
+        }
+        (log, c.traffic(), image)
+    }
+
+    #[test]
+    fn a_plan_with_zero_rates_is_inert() {
+        for protocol in [DsmProtocol::Lrc, DsmProtocol::Ivy] {
+            let cfg = Config::new(3).segment_pages(8).page_size(256);
+            let plain = logged_run(Cluster::with_protocol(cfg.clone(), protocol));
+            let armed = Cluster::with_protocol(cfg, protocol)
+                .with_faults(&ChannelFaults::seeded(42), RetransmitPolicy::default());
+            assert_eq!(plain, logged_run(armed), "{protocol:?}");
+            assert!(plain.0.iter().any(|step| !step.is_empty()));
+            assert_eq!(plain.2, vec![3; 9]);
+        }
+    }
+
+    #[test]
+    fn a_lossy_plan_costs_retransmissions_not_results() {
+        for protocol in [DsmProtocol::Lrc, DsmProtocol::Ivy] {
+            let cfg = Config::new(3).segment_pages(8).page_size(256);
+            let plain = logged_run(Cluster::with_protocol(cfg.clone(), protocol));
+            let plan = ChannelFaults::seeded(7)
+                .drop_rate(0.3)
+                .dup_rate(0.1)
+                .delay_rate(0.1, 0);
+            let lossy = logged_run(
+                Cluster::with_protocol(cfg, protocol)
+                    .with_faults(&plan, RetransmitPolicy::default()),
+            );
+            assert_eq!(plain.2, lossy.2, "{protocol:?}: same final memory");
+            assert!(
+                lossy.1.total_msgs() > plain.1.total_msgs(),
+                "{protocol:?}: dropped copies are sent again"
+            );
+        }
     }
 
     #[test]

@@ -61,7 +61,7 @@ impl Default for Diff {
 impl Diff {
     /// Computes the word-granular diff turning `twin` into `current`.
     ///
-    /// Equal regions are skipped a [`CHUNK`] at a time; only around a
+    /// Equal regions are skipped four words at a time; only around a
     /// mismatch does the scan drop to words, so a mostly-unchanged page
     /// costs about a sixteenth of the word compares.
     ///

@@ -106,11 +106,15 @@ impl IvyNode {
         self.held.contains(&lock)
     }
 
-    /// Number of lock-directory entries this node manages. Crash recovery
-    /// re-mints each of them when the node dies (IVY's lock state is
-    /// centralized at the manager, so losing the manager loses them all).
-    pub fn managed_locks(&self) -> u64 {
-        self.locks.len() as u64
+    /// Lock state a crash recovery must re-mint: if this node `crashed`,
+    /// every lock-directory entry it manages (IVY centralizes lock state at
+    /// the manager); nothing otherwise. Cf. [`crate::Node::forgotten_tokens`].
+    pub fn forgotten_tokens(&self, crashed: bool) -> u64 {
+        if crashed {
+            self.locks.len() as u64
+        } else {
+            0
+        }
     }
 
     /// Pages with a resident copy on this node (what a post-crash restore
@@ -621,152 +625,94 @@ impl IvyNode {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{Cluster, Config, DsmProtocol};
 
-    /// A minimal synchronous router for IVY nodes.
-    struct Net {
-        nodes: Vec<IvyNode>,
-        msgs: u64,
-    }
-
-    impl Net {
-        fn new(n: usize) -> Net {
-            let cfg = Config::new(n).page_size(256).segment_pages(4);
-            Net {
-                nodes: (0..n).map(|i| IvyNode::new(i, cfg.clone())).collect(),
-                msgs: 0,
-            }
-        }
-
-        fn route(&mut self, sends: Vec<Envelope>) -> Vec<(NodeId, Action)> {
-            let mut q: std::collections::VecDeque<Envelope> = sends.into();
-            let mut done = Vec::new();
-            while let Some(env) = q.pop_front() {
-                if env.from != env.to {
-                    self.msgs += 1;
-                }
-                let to = env.to;
-                let h = self.nodes[to].handle(env);
-                q.extend(h.sends);
-                done.extend(h.actions.into_iter().map(|a| (to, a)));
-            }
-            done
-        }
-
-        fn read_u64(&mut self, node: usize, addr: usize) -> u64 {
-            let page = addr / 256;
-            if !self.nodes[node].page_valid(page) {
-                let f = self.nodes[node].fault(page, false);
-                let done = self.route(f.sends);
-                assert!(f.ready || done.contains(&(node, Action::PageReady(page))));
-            }
-            let mut b = [0u8; 8];
-            self.nodes[node].read_into(addr, &mut b);
-            u64::from_le_bytes(b)
-        }
-
-        fn write_u64(&mut self, node: usize, addr: usize, v: u64) {
-            let page = addr / 256;
-            if !self.nodes[node].page_writable(page) {
-                let f = self.nodes[node].fault(page, true);
-                let done = self.route(f.sends);
-                assert!(f.ready || done.contains(&(node, Action::PageReady(page))));
-            }
-            self.nodes[node].write_from(addr, &v.to_le_bytes());
-        }
+    fn cluster(n: usize) -> Cluster {
+        let cfg = Config::new(n).page_size(256).segment_pages(4);
+        Cluster::with_protocol(cfg, DsmProtocol::Ivy)
     }
 
     #[test]
     fn reads_are_always_fresh_sequential_consistency() {
-        let mut net = Net::new(3);
-        net.write_u64(0, 0, 7);
-        assert_eq!(net.read_u64(1, 0), 7);
+        let mut c = cluster(3);
+        c.write_u64(0, 0, 7);
+        assert_eq!(c.read_u64(1, 0), 7);
         // No synchronization needed: the write invalidated nothing yet,
         // but node 2's fresh fetch must still see the latest value.
-        net.write_u64(2, 0, 9);
-        assert_eq!(net.read_u64(0, 0), 9, "invalidation keeps reads fresh");
-        assert_eq!(net.read_u64(1, 0), 9);
+        c.write_u64(2, 0, 9);
+        assert_eq!(c.read_u64(0, 0), 9, "invalidation keeps reads fresh");
+        assert_eq!(c.read_u64(1, 0), 9);
     }
 
     #[test]
     fn write_invalidates_all_read_copies() {
-        let mut net = Net::new(4);
-        net.write_u64(0, 0, 1);
+        let mut c = cluster(4);
+        c.write_u64(0, 0, 1);
         for q in 1..4 {
-            assert_eq!(net.read_u64(q, 0), 1);
+            assert_eq!(c.read_u64(q, 0), 1);
         }
-        net.write_u64(3, 0, 2);
+        c.write_u64(3, 0, 2);
         for q in 0..3 {
-            assert!(!net.nodes[q].page_valid(0), "copy at {q} must die");
+            assert!(!c.node(q).page_valid(0), "copy at {q} must die");
         }
-        assert_eq!(net.read_u64(1, 0), 2);
+        assert_eq!(c.read_u64(1, 0), 2);
     }
 
     #[test]
     fn false_sharing_ping_pongs_whole_pages() {
         // Two nodes write different words of one page: each write transfers
         // ownership (the pathology LRC's multiple-writer protocol avoids).
-        let mut net = Net::new(2);
-        let before = net.msgs;
+        let mut c = cluster(2);
         for i in 0..4 {
-            net.write_u64(0, 0, i);
-            net.write_u64(1, 8, i);
+            c.write_u64(0, 0, i);
+            c.write_u64(1, 8, i);
         }
-        let transfer_msgs = net.msgs - before;
+        let transfer_msgs = c.traffic().total_msgs();
         // Every write after the first moves the whole page: request + send
         // (the forward hop is local when the manager owns it).
         assert!(
             transfer_msgs >= 14,
             "expected heavy ping-pong, saw {transfer_msgs} messages"
         );
-        assert_eq!(net.read_u64(0, 0), 3);
-        assert_eq!(net.read_u64(0, 8), 3);
+        assert_eq!(c.read_u64(0, 0), 3);
+        assert_eq!(c.read_u64(0, 8), 3);
     }
 
     #[test]
     fn write_upgrade_of_own_read_copy_moves_no_data() {
-        let mut net = Net::new(2);
-        net.write_u64(1, 0, 5);
-        assert_eq!(net.read_u64(1, 0), 5);
+        let mut c = cluster(2);
+        c.write_u64(1, 0, 5);
+        assert_eq!(c.read_u64(1, 0), 5);
         // Node 1 owns the page with Read after... it owns Write already.
         // Downgrade by letting node 0 read, then upgrade node 1 again.
-        assert_eq!(net.read_u64(0, 0), 5);
-        net.write_u64(1, 0, 6);
-        assert_eq!(net.read_u64(0, 0), 6);
+        assert_eq!(c.read_u64(0, 0), 5);
+        c.write_u64(1, 0, 6);
+        assert_eq!(c.read_u64(0, 0), 6);
     }
 
     #[test]
     fn locks_are_fifo_through_the_manager() {
-        let mut net = Net::new(3);
-        // Lock 1's manager is node 1.
-        assert!(matches!(
-            net.nodes[1].acquire(1),
-            StartAcquire::Granted
-        ));
-        let w = match net.nodes[2].acquire(1) {
-            StartAcquire::Wait(sends) => sends,
-            StartAcquire::Granted => panic!("lock is held"),
-        };
-        let done = net.route(w);
-        assert!(done.is_empty(), "queued behind the holder");
-        let sends = net.nodes[1].release(1);
-        let done = net.route(sends);
-        assert!(done.contains(&(2, Action::LockGranted(1))));
-        assert!(net.nodes[2].holds(1));
+        let mut c = cluster(3);
+        // Lock 1's manager is node 1: it takes the free lock locally.
+        assert!(c.try_lock(1, 1));
+        assert!(!c.try_lock(2, 1), "queued behind the holder");
+        assert!(!c.try_lock(0, 1), "queued behind node 2");
+        c.unlock(1, 1);
+        assert!(c.node(2).holds(1) && !c.node(0).holds(1));
+        c.unlock(2, 1);
+        assert!(c.node(0).holds(1));
     }
 
     #[test]
     fn barrier_completes_for_everyone() {
-        let mut net = Net::new(3);
+        let mut c = cluster(3);
         // Barrier 0's manager is node 0.
-        let f0 = net.nodes[0].barrier_arrive(0);
-        assert!(!f0.ready);
-        let f1 = net.nodes[1].barrier_arrive(0);
-        net.route(f1.sends);
-        let f2 = net.nodes[2].barrier_arrive(0);
-        let done = net.route(f2.sends);
-        assert!(done.contains(&(0, Action::BarrierDone(0))));
-        assert!(done.contains(&(1, Action::BarrierDone(0))));
-        assert!(done.contains(&(2, Action::BarrierDone(0))));
+        assert!(c.arrive_completing(0, 0).is_empty());
+        assert!(c.arrive_completing(1, 0).is_empty());
+        // The last arrival completes it at the manager and, by departure,
+        // at both other nodes.
+        assert_eq!(c.arrive_completing(2, 0), [0, 1, 2]);
+        // Two arrivals in, one departure out to each other node.
+        assert_eq!(c.traffic().barrier_msgs, 4);
     }
 }

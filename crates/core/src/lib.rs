@@ -22,7 +22,7 @@
 //! * under the real multi-threaded in-process runtime in [`runtime`]
 //!   (messages routed through channels between OS threads), and
 //! * directly in unit and property tests via the synchronous [`Cluster`]
-//!   router.
+//!   router, which runs either protocol ([`DsmProtocol`]).
 //!
 //! # Consistency model
 //!
@@ -68,6 +68,7 @@ pub mod ivy;
 mod msg;
 mod node;
 mod page;
+mod proto;
 pub mod reliable;
 pub mod runtime;
 mod runtime_faults;
@@ -82,9 +83,8 @@ pub use interval::{IntervalData, IntervalMsg, IntervalStore};
 pub use msg::{Action, BodyBytes, Envelope, Msg, MsgClass};
 pub use ivy::IvyNode;
 pub use node::{FaultStart, Handled, Node, NodeCheckpoint, StartAcquire};
-pub use reliable::{
-    AdaptiveRto, ChaosRouter, PacketId, RelStats, Reliability, RetransmitPolicy, Timeout,
-};
+pub use proto::{DsmProtocol, ProtoNode};
+pub use reliable::{AdaptiveRto, PacketId, RelStats, Reliability, RetransmitPolicy, Timeout};
 pub use stats::NodeStats;
 pub use vt::VTime;
 

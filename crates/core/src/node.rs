@@ -6,8 +6,6 @@
 //! transport and timing (see [`crate::Cluster`], [`crate::runtime`], and the
 //! machine models in `tmk-machines`).
 
-use std::collections::BTreeMap;
-
 use crate::interval::IntervalMsg;
 use crate::page::{FetchState, PageMeta};
 use crate::{
@@ -101,14 +99,6 @@ impl NodeCheckpoint {
     /// node must re-materialize from stable storage).
     pub fn pages_resident(&self) -> u64 {
         self.pages.iter().filter(|p| p.data.is_some()).count() as u64
-    }
-
-    /// Approximate snapshot footprint in bytes (page copies + metadata),
-    /// for charging checkpoint cost.
-    pub fn approx_bytes(&self, page_size: usize) -> u64 {
-        self.pages_resident() * page_size as u64
-            + self.store.approx_bytes() as u64
-            + self.cached_diff_bytes
     }
 }
 
@@ -246,41 +236,6 @@ impl Node {
     /// Whether this node currently holds `lock`.
     pub fn holds(&self, lock: LockId) -> bool {
         self.locks.get(&lock).is_some_and(|v| v.held)
-    }
-
-    /// Whether a fault on `page` is still waiting for replies.
-    pub fn page_fetch_in_progress(&self, page: PageId) -> bool {
-        self.pages[page].fetch.is_some()
-    }
-
-    /// A one-line diagnostic summary of a page's protocol state
-    /// (valid/twin/dirty flags, applied versions and pending notices of the
-    /// writers the page knows, materialized diff sequences, undiffed
-    /// intervals).
-    pub fn page_debug(&self, page: PageId) -> String {
-        let p = &self.pages[page];
-        let applied: BTreeMap<NodeId, Seq> =
-            p.writers().iter().map(|w| (w.node, w.applied)).collect();
-        let pending: BTreeMap<NodeId, &[Seq]> = p
-            .writers()
-            .iter()
-            .filter(|w| !w.pending.is_empty())
-            .map(|w| (w.node, w.pending.as_slice()))
-            .collect();
-        format!(
-            "valid={} data={} twin={} open_dirty={} applied={:?} pending={:?} diffs={:?} undiffed={:?}",
-            p.is_valid(),
-            p.data.is_some(),
-            p.twin.is_some(),
-            p.open_dirty,
-            applied,
-            pending,
-            p.my_diffs
-                .iter()
-                .map(|(s, d)| (*s, d.data_bytes()))
-                .collect::<Vec<_>>(),
-            p.undiffed,
-        )
     }
 
     /// A diagnostic summary of this node's synchronization state: which

@@ -19,23 +19,20 @@
 //!   in `tmk-machines` puts the deadline [`send`] returns in its event queue
 //!   and calls [`timeout`] when it comes up; the real-thread `runtime`'s
 //!   ticker calls [`timeout`] for every packet [`overdue`] at the host
-//!   clock; the clockless [`ChaosRouter`] here — the harness the protocol
-//!   proptests run under — expires everything still in flight once its
-//!   queue drains. What [`Timeout::Exhausted`] means is the driver's
-//!   decision. The protocol state machines never see a duplicate or a gap.
+//!   clock; the clockless fault stage of [`Cluster`](crate::Cluster) — the
+//!   harness the protocol proptests run under — expires everything still in
+//!   flight once its queue drains. What [`Timeout::Exhausted`] means is the
+//!   driver's decision. The protocol state machines never see a duplicate or
+//!   a gap.
 //!
 //! [`send`]: Reliability::send
 //! [`delivered`]: Reliability::delivered
 //! [`timeout`]: Reliability::timeout
 //! [`overdue`]: Reliability::overdue
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 
-use rand::rngs::SmallRng;
-use rand::{RngCore, SeedableRng};
-
-use crate::runtime_faults::{fate, ChannelFaults, LinkFate};
-use crate::{Action, Envelope, Handled, IntMap, NodeId};
+use crate::{Envelope, IntMap, NodeId};
 
 /// Identifies one reliably-sent packet: `(src, dst, seq)`.
 pub type PacketId = (NodeId, NodeId, u64);
@@ -427,128 +424,6 @@ impl Reliability {
     /// The layer's counters.
     pub fn stats(&self) -> &RelStats {
         &self.stats
-    }
-}
-
-/// A synchronous envelope router with seeded fault injection repaired by
-/// the reliability layer: the faulty, retransmitting analogue of
-/// [`crate::Cluster`]'s internal router, generic over the protocol (LRC
-/// [`crate::Node`] or [`crate::IvyNode`]) via the `deliver` callback.
-///
-/// Rates are independent per-hop probabilities rolled in hop order from
-/// `SmallRng::seed_from_u64(plan.seed)`; a delayed hop goes behind
-/// everything currently queued (the plan's `delay_us` means nothing here).
-///
-/// Timeouts are virtual: when the delivery queue drains and unacked packets
-/// remain, every retransmit timer is deemed expired and the packets are
-/// re-sent (subject to the fault schedule again) — the synchronous router
-/// has no clock, but the order of events matches the timed router's
-/// "timeout strictly after every in-queue delivery" guarantee.
-pub struct ChaosRouter {
-    plan: ChannelFaults,
-    rng: SmallRng,
-    rel: Reliability,
-}
-
-impl ChaosRouter {
-    /// A router applying `plan`'s link faults under `policy`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `plan` schedules crashes: a synchronous cascade has no
-    /// epochs or operations for a [`CrashPoint`](crate::runtime::CrashPoint)
-    /// to name.
-    pub fn new(plan: &ChannelFaults, policy: RetransmitPolicy) -> Self {
-        assert!(
-            plan.crashes.is_empty(),
-            "ChaosRouter injects link faults only, not crashes"
-        );
-        ChaosRouter {
-            plan: plan.clone(),
-            rng: SmallRng::seed_from_u64(plan.seed),
-            rel: Reliability::new(policy),
-        }
-    }
-
-    /// The reliability layer (stats, in-flight set).
-    pub fn rel(&self) -> &Reliability {
-        &self.rel
-    }
-
-    /// Routes `sends` (and everything they trigger) to quiescence,
-    /// retransmitting losses until every packet is acked; returns the
-    /// completion actions in delivery order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a packet exceeds the policy's `max_retries`.
-    pub fn route(
-        &mut self,
-        sends: Vec<Envelope>,
-        deliver: &mut dyn FnMut(Envelope) -> Handled,
-    ) -> Vec<(NodeId, Action)> {
-        // (envelope, packet id, rolled): `rolled` marks copies already past
-        // fault injection (the late half of a duplicate, a delayed hop).
-        let mut q: VecDeque<(Envelope, Option<PacketId>, bool)> = VecDeque::new();
-        let mut actions = Vec::new();
-        let enqueue = |rel: &mut Reliability, q: &mut VecDeque<_>, env: Envelope| {
-            let pid = (env.from != env.to).then(|| rel.send(&env, 0, 0).0);
-            q.push_back((env, pid, false));
-        };
-        for env in sends {
-            enqueue(&mut self.rel, &mut q, env);
-        }
-        loop {
-            while let Some((env, pid, rolled)) = q.pop_front() {
-                // Loopback (no id): no wire, no faults, no reliability.
-                if let Some(pid) = pid {
-                    if !rolled {
-                        let p = &self.plan;
-                        match fate(p.drop, p.dup, p.delay, self.rng.next_u64()) {
-                            // The flight stays armed in the layer.
-                            LinkFate::Drop => continue,
-                            LinkFate::Duplicate => {
-                                q.push_back((env.clone(), Some(pid), true));
-                            }
-                            LinkFate::Delay => {
-                                q.push_back((env, Some(pid), true));
-                                continue;
-                            }
-                            LinkFate::Deliver => {}
-                        }
-                    }
-                    // Delivered: ack rides the (synchronous) reply path.
-                    if !self.rel.delivered(pid, 0) {
-                        continue; // duplicate suppressed
-                    }
-                }
-                let to = env.to;
-                let h = deliver(env);
-                for s in h.sends {
-                    enqueue(&mut self.rel, &mut q, s);
-                }
-                actions.extend(h.actions.into_iter().map(|a| (to, a)));
-            }
-            // Queue drained: every outstanding retransmit timer expires.
-            let lost = self.rel.overdue(u64::MAX);
-            if lost.is_empty() {
-                break;
-            }
-            for pid in lost {
-                match self.rel.timeout(pid, 0) {
-                    Timeout::Resend { env, .. } => q.push_back((env, Some(pid), false)),
-                    Timeout::Exhausted { attempt, .. } => panic!(
-                        "reliability gave up: {} -> {} seq {} after {} retransmissions",
-                        pid.0,
-                        pid.1,
-                        pid.2,
-                        attempt - 1,
-                    ),
-                    Timeout::Stale => unreachable!("overdue packets are in flight"),
-                }
-            }
-        }
-        actions
     }
 }
 

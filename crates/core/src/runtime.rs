@@ -577,11 +577,6 @@ impl Master<'_> {
     pub fn write_u64(&mut self, addr: SharedAddr, v: u64) {
         self.write(addr, &v.to_le_bytes());
     }
-
-    /// Writes an initial `f64`.
-    pub fn write_f64(&mut self, addr: SharedAddr, v: f64) {
-        self.write(addr, &v.to_le_bytes());
-    }
 }
 
 /// The per-node application handle.
@@ -739,18 +734,6 @@ impl DsmNode {
 
     /// Writes a little-endian `u64`.
     pub fn write_u64(&self, addr: SharedAddr, v: u64) {
-        self.write_bytes(addr, &v.to_le_bytes());
-    }
-
-    /// Reads an `f64`.
-    pub fn read_f64(&self, addr: SharedAddr) -> f64 {
-        let mut b = [0u8; 8];
-        self.read_bytes(addr, &mut b);
-        f64::from_le_bytes(b)
-    }
-
-    /// Writes an `f64`.
-    pub fn write_f64(&self, addr: SharedAddr, v: f64) {
         self.write_bytes(addr, &v.to_le_bytes());
     }
 

@@ -3,13 +3,12 @@
 //! [`ChannelFaults`] is the one fault plan in this crate — seeded per-link
 //! drop / duplicate / delay rates plus node crashes scheduled at
 //! `(node, epoch, op)` points — and [`fate`] the one place a rate becomes a
-//! verdict. Two drivers draw the roll it judges. The real-thread runtime,
-//! whose crossbeam channels never lose messages, injects faults at its
-//! transmit hook from a pure hash of `(seed, src, dst, seq, attempt)`
-//! ([`roll_fate`]): the same seed replays the same fault pattern no matter
-//! how the OS schedules the threads. The synchronous
-//! [`ChaosRouter`](crate::ChaosRouter) draws from a seeded sequential stream.
-//! (The simulated machines' plan, in cycles, is `tmk_net::FaultPlan`.)
+//! verdict. Its two drivers — the real-thread runtime's transmit hook and
+//! the synchronous [`Cluster`](crate::Cluster)'s fault stage — roll each
+//! copy's fate from a pure hash of `(seed, src, dst, seq, attempt)`
+//! ([`roll_fate`]), so a seed fixes every packet's fate however threads are
+//! scheduled or deliveries ordered. (The simulated machines' plan, in
+//! cycles, is `tmk_net::FaultPlan`.)
 
 use crate::NodeId;
 
@@ -29,9 +28,8 @@ pub struct CrashPoint {
 }
 
 /// Deterministic channel-level fault injection. Rates are independent
-/// per-copy probabilities; on the real-thread runtime the fate of the
-/// `seq`-th packet on each link (and of each retransmitted copy) is fixed
-/// by `seed` alone.
+/// per-copy probabilities; the fate of the `seq`-th packet on each link
+/// (and of each retransmitted copy) is fixed by `seed` alone.
 #[derive(Debug, Clone, Default)]
 pub struct ChannelFaults {
     /// Seed fixing the entire drop/dup/delay schedule.

@@ -17,93 +17,12 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use tmk_core::{
-    Action, Config, Envelope, IntMap, IvyNode, Msg, Node, NodeId, PacketId, Reliability, Timeout,
-    Traffic,
+    Action, Config, DsmProtocol, Envelope, IntMap, Msg, NodeId, PacketId, ProtoNode, Reliability,
+    Timeout, Traffic,
 };
 use tmk_net::{Fate, LossyNet, NetParams, PointToPointNet, SoftwareOverhead};
 use tmk_sim::{Ctx, Cycle, Op};
 use tmk_trace::{Category, Event, EventKind, Sink, Track};
-
-/// Which page-based DSM protocol the software cluster runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DsmProtocol {
-    /// TreadMarks lazy release consistency (the paper's protocol).
-    #[default]
-    Lrc,
-    /// IVY-style sequential consistency (Li & Hudak): the single-writer
-    /// write-invalidate baseline, for the LRC-vs-SC ablation.
-    Ivy,
-}
-
-/// One protocol instance, either flavor, with a uniform surface for the
-/// machine layer.
-#[derive(Debug)]
-pub enum ProtoNode {
-    /// A TreadMarks node.
-    Lrc(Node),
-    /// An IVY node.
-    Ivy(IvyNode),
-}
-
-macro_rules! delegate {
-    ($self:ident, $node:pat => $body:expr) => {
-        match $self {
-            ProtoNode::Lrc($node) => $body,
-            ProtoNode::Ivy($node) => $body,
-        }
-    };
-}
-
-impl ProtoNode {
-    pub(crate) fn config(&self) -> &Config {
-        delegate!(self, n => n.config())
-    }
-    pub(crate) fn stats(&self) -> &tmk_core::NodeStats {
-        delegate!(self, n => n.stats())
-    }
-    pub(crate) fn holds(&self, lock: usize) -> bool {
-        delegate!(self, n => n.holds(lock))
-    }
-    pub(crate) fn pages_in(&self, addr: usize, len: usize) -> std::ops::Range<usize> {
-        delegate!(self, n => n.pages_in(addr, len))
-    }
-    pub(crate) fn page_valid(&self, page: usize) -> bool {
-        delegate!(self, n => n.page_valid(page))
-    }
-    pub(crate) fn page_writable(&self, page: usize) -> bool {
-        delegate!(self, n => n.page_writable(page))
-    }
-    pub(crate) fn fault(&mut self, page: usize, write: bool) -> tmk_core::FaultStart {
-        delegate!(self, n => n.fault(page, write))
-    }
-    pub(crate) fn acquire(&mut self, lock: usize) -> tmk_core::StartAcquire {
-        delegate!(self, n => n.acquire(lock))
-    }
-    pub(crate) fn release(&mut self, lock: usize) -> Vec<Envelope> {
-        delegate!(self, n => n.release(lock))
-    }
-    pub(crate) fn barrier_arrive(&mut self, b: usize) -> tmk_core::FaultStart {
-        delegate!(self, n => n.barrier_arrive(b))
-    }
-    pub(crate) fn handle(&mut self, env: Envelope) -> tmk_core::Handled {
-        delegate!(self, n => n.handle(env))
-    }
-    pub(crate) fn read_into(&mut self, addr: usize, buf: &mut [u8]) {
-        delegate!(self, n => n.read_into(addr, buf))
-    }
-    pub(crate) fn write_from(&mut self, addr: usize, bytes: &[u8]) {
-        delegate!(self, n => n.write_from(addr, bytes))
-    }
-    pub(crate) fn master_write(&mut self, addr: usize, bytes: &[u8]) {
-        delegate!(self, n => n.master_write(addr, bytes))
-    }
-    pub(crate) fn sync_debug(&self) -> String {
-        delegate!(self, n => n.sync_debug())
-    }
-    pub(crate) fn pages_resident(&self) -> u64 {
-        delegate!(self, n => n.pages_resident())
-    }
-}
 
 /// Runtime state of the node-crash fault model: which scheduled crashes
 /// recovery has repaired, the last barrier-consistent checkpoint cut, and
@@ -181,10 +100,7 @@ impl Fabric {
         Fabric {
             header_bytes: cfg.header_bytes,
             nodes: (0..nodes)
-                .map(|i| match protocol {
-                    DsmProtocol::Lrc => ProtoNode::Lrc(Node::new(i, cfg.clone())),
-                    DsmProtocol::Ivy => ProtoNode::Ivy(IvyNode::new(i, cfg.clone())),
-                })
+                .map(|i| ProtoNode::new(protocol, i, cfg.clone()))
                 .collect(),
             net: match &tuning.faults {
                 Some(plan) => LossyNet::faulty(wire, plan.clone()),
@@ -249,22 +165,6 @@ impl Fabric {
             .filter(|(c, _)| c.node == node && c.down_at(t))
             .filter_map(|(_, rec)| *rec)
             .max()
-    }
-
-    /// Lock state a crash of `crashed` forces recovery to re-mint at the
-    /// managers: the tokens each LRC node forgets
-    /// ([`Node::forgotten_tokens`]); for IVY's centralized directory, the
-    /// entries the dead node managed.
-    fn tokens_to_regen(&self, crashed: NodeId) -> u64 {
-        self.nodes
-            .iter()
-            .enumerate()
-            .map(|(id, n)| match n {
-                ProtoNode::Lrc(n) => n.forgotten_tokens(id == crashed),
-                ProtoNode::Ivy(n) if id == crashed => n.managed_locks(),
-                ProtoNode::Ivy(_) => 0,
-            })
-            .sum()
     }
 
     /// Records a barrier-consistent checkpoint cut at `t`, taken by the
@@ -349,7 +249,12 @@ impl Fabric {
         let pages = self.crash.ckpt_pages[dead];
         let refetch = pages * (so.send_cycles(8) + so.recv_cycles(ps));
         // Lock tokens re-minted at their managers, one exchange each.
-        let tokens = self.tokens_to_regen(dead);
+        let tokens: u64 = self
+            .nodes
+            .iter()
+            .enumerate()
+            .map(|(id, n)| n.forgotten_tokens(id == dead))
+            .sum();
         let regen = tokens * (so.send_cycles(16) + so.recv_cycles(16));
         // Deterministic replay of everything executed since the cut.
         let replay = t.saturating_sub(ckpt_at);

@@ -10,14 +10,14 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use tmk_core::{Action, NodeId};
+use tmk_core::{Action, DsmProtocol, NodeId};
 use tmk_mem::{BusParams, CacheParams, SnoopBus};
 use tmk_net::{NetParams, SoftwareOverhead};
 use tmk_parmacs::{InitWriter, System};
 use tmk_sim::{Ctx, Cycle, Op};
 use tmk_trace::{Category, Event, EventKind, Sink, Track};
 
-use crate::fabric::{access, settle, AccessData, DsmProtocol, Fabric, NodeMachine};
+use crate::fabric::{access, settle, AccessData, Fabric, NodeMachine};
 
 /// Parameters of the hybrid machine.
 #[derive(Debug, Clone)]

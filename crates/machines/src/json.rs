@@ -385,6 +385,9 @@ impl From<Vec<Json>> for Json {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+    use proptest::TestRng;
+
     use super::*;
 
     #[test]
@@ -431,6 +434,96 @@ mod tests {
         assert_eq!(Json::parse("\"\\u00b5\\/\\b\\f\"").unwrap(), Json::from("µ/\u{8}\u{c}"));
         for bad in ["\"é", "\"é\\", "\"\\u00", "\"\\ud800\"", "\"\\x\"", "\"\\u00é0\""] {
             assert!(Json::parse(bad).is_err(), "{bad}");
+        }
+    }
+
+    /// Random JSON trees nesting arrays and objects up to `depth` levels:
+    /// strings with escapes, control characters and multi-byte UTF-8,
+    /// integer edge values and finite floats (the vendored proptest has no
+    /// recursive combinator).
+    struct Tree {
+        depth: u32,
+    }
+
+    impl Strategy for Tree {
+        type Value = Json;
+        fn generate(&self, rng: &mut TestRng) -> Json {
+            tree(rng, self.depth)
+        }
+    }
+
+    fn tree(rng: &mut TestRng, depth: u32) -> Json {
+        let edge = rng.below(4) == 0;
+        match rng.below(if depth == 0 { 6 } else { 8 }) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.below(2) == 1),
+            // Mostly negative, so that most trees are canonical.
+            2 if edge => Json::Int([i64::MIN, -1, 0, i64::MAX][rng.below(4) as usize]),
+            2 => Json::Int(rng.next_u64() as i64 | i64::MIN),
+            3 if edge => Json::UInt([0, 1 << 53, (1 << 53) + 1, u64::MAX][rng.below(4) as usize]),
+            3 => Json::UInt(rng.next_u64()),
+            4 => Json::Num(float(rng)),
+            5 => Json::Str(string(rng)),
+            6 => Json::Arr((0..rng.below(4)).map(|_| tree(rng, depth - 1)).collect()),
+            _ => Json::Obj(
+                (0..rng.below(4))
+                    .map(|_| (string(rng), tree(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    fn float(rng: &mut TestRng) -> f64 {
+        loop {
+            let v = match rng.below(3) {
+                0 => f64::from_bits(rng.next_u64()),
+                // Short binary fractions, integral values among them.
+                1 => (rng.next_u64() as i64 >> 40) as f64 / 8.0,
+                _ => [-0.0, 5e-324, f64::MIN_POSITIVE, f64::MAX, f64::MIN][rng.below(5) as usize],
+            };
+            if v.is_finite() {
+                return v;
+            }
+        }
+    }
+
+    fn string(rng: &mut TestRng) -> String {
+        (0..rng.below(8))
+            .map(|_| match rng.below(4) {
+                0 => char::from(b' ' + rng.below(95) as u8),
+                1 => char::from(rng.below(0x20) as u8),
+                2 => ['"', '\\', '/', '\u{7f}', 'é', '→', '日', '😀'][rng.below(8) as usize],
+                _ => char::from_u32(rng.below(0x11_0000) as u32).unwrap_or('\u{fffd}'),
+            })
+            .collect()
+    }
+
+    /// Whether `x` parses back as itself: the parser reads every
+    /// non-negative integer as `UInt`.
+    fn canonical(x: &Json) -> bool {
+        match x {
+            Json::Int(v) => *v < 0,
+            Json::Arr(items) => items.iter().all(canonical),
+            Json::Obj(pairs) => pairs.iter().all(|(_, v)| canonical(v)),
+            _ => true,
+        }
+    }
+
+    proptest! {
+        /// `parse` inverts both renderings: the parsed tree renders back to
+        /// the same text, and is the tree itself when that is canonical.
+        #[test]
+        fn parse_inverts_render(x in Tree { depth: 3 }) {
+            let compact = x.render();
+            let pretty = x.render_pretty(1);
+            let from_compact = Json::parse(&compact).map_err(TestCaseError)?;
+            let from_pretty = Json::parse(&pretty).map_err(TestCaseError)?;
+            prop_assert_eq!(from_compact.render(), compact);
+            prop_assert_eq!(from_pretty.render_pretty(1), pretty);
+            if canonical(&x) {
+                prop_assert_eq!(&from_compact, &x);
+                prop_assert_eq!(&from_pretty, &x);
+            }
         }
     }
 }

@@ -23,7 +23,6 @@ mod report;
 mod run;
 
 pub use dsm::{DsmMachine, DsmParams, DsmSys};
-pub use fabric::DsmProtocol;
 pub use hw::{HwKind, HwMachine, HwParams};
 pub use hybrid::{HsMachine, HsParams};
 pub use json::Json;
@@ -32,3 +31,4 @@ pub use run::{
     run_on, run_on_with, run_workload, run_workload_traced, run_workload_traced_with,
     run_workload_with, DsmTuning, Platform, RunOpts,
 };
+pub use tmk_core::{DsmProtocol, ProtoNode};

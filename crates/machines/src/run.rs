@@ -5,13 +5,13 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
+use tmk_core::DsmProtocol;
 use tmk_net::SoftwareOverhead;
 use tmk_parmacs::{Alloc, InitWriter, System};
 use tmk_sim::{CoopEngine, Ctx, Cycle, EngineKind};
 use tmk_trace::{Sink, TraceBuf};
 
 use crate::dsm::{DsmMachine, DsmParams, DsmSys};
-use crate::fabric::DsmProtocol;
 use crate::hw::{HwMachine, HwParams, HwSys};
 use crate::hybrid::{HsMachine, HsParams, HsSys};
 use crate::{Outcome, RunReport};

@@ -574,12 +574,6 @@ impl<M> Op<'_, M> {
         &self.state.sched.tracer
     }
 
-    /// Effective clock of an arbitrary processor (for latency computations
-    /// that depend on when a remote node can service a request).
-    pub fn clock_of(&self, pid: usize) -> Cycle {
-        self.state.sched.eff_clock(pid)
-    }
-
     /// Charges `cycles` of request-servicing overhead to a remote processor.
     ///
     /// The cycles are folded into `pid`'s clock at its next scheduling point

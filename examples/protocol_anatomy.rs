@@ -25,7 +25,7 @@ fn main() {
     c.lock(1, 7);
     c.write_u64(1, x, 42);
     c.unlock(1, 7);
-    println!("   node 1 vt = {:?}", c.node(1).vt());
+    println!("   node 1 vt = {:?}", c.node(1).lrc().vt());
     println!("   node 1 created a twin and will diff page 0 lazily");
 
     println!("\n== node 2 reads x WITHOUT acquiring: stale is legal");
@@ -35,7 +35,7 @@ fn main() {
 
     println!("\n== node 2 acquires lock 7: write notices arrive");
     c.lock(2, 7);
-    println!("   node 2 vt = {:?}", c.node(2).vt());
+    println!("   node 2 vt = {:?}", c.node(2).lrc().vt());
     println!(
         "   page 0 valid at node 2 before access? {}",
         c.node(2).page_valid(0)

@@ -9,6 +9,8 @@ echo "== tier-1: build + tests (whole workspace, warnings are errors) =="
 export RUSTFLAGS="-D warnings"
 cargo build --release --workspace
 cargo test -q --workspace
+# Rustdoc too: a stale intra-doc link (an item renamed or deleted) fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== benchmark: the benchmark package's own checks =="
 # Nothing else tests `benchmark/` (its own workspace, invisible to the root
