@@ -521,10 +521,11 @@ mod tests {
                         (msg, &reply.msg)
                     {
                         let cached = c.node(server).lrc().cached_diffs(page);
-                        let seqs: Vec<_> = diffs.iter().map(|(s, _, _)| *s).collect();
+                        let seqs: Vec<_> = diffs.iter().map(|(iv, _)| iv.seq).collect();
                         assert_eq!(seqs, linear_diffs_between(cached, from, to));
-                        for (s, _, d) in diffs {
-                            let (_, kept) = cached.iter().find(|(c, _)| c == s).expect("cached");
+                        for (iv, d) in diffs {
+                            let s = iv.seq;
+                            let (_, kept) = cached.iter().find(|(c, _)| *c == s).expect("cached");
                             assert!(d.shares_buffer_with(kept), "diff @{s} was copied");
                         }
                         served += diffs.len();

@@ -69,12 +69,22 @@ impl Diff {
     ///
     /// Panics if the buffers differ in length or are not whole words.
     pub fn compute(twin: &[u8], current: &[u8]) -> Diff {
+        Diff::compute_with(&mut Vec::new(), twin, current)
+    }
+
+    /// [`compute`](Self::compute), encoding into `scratch` (whose contents
+    /// are discarded) so that a caller making many diffs reuses one
+    /// page-sized buffer: the diff itself is then one allocation of exactly
+    /// its wire size.
+    pub fn compute_with(scratch: &mut Vec<u8>, twin: &[u8], current: &[u8]) -> Diff {
         assert_eq!(twin.len(), current.len(), "twin/page length mismatch");
         assert_eq!(twin.len() % WORD, 0, "page must be whole words");
         let len = twin.len();
         let differs = |at: usize| twin[at..at + WORD] != current[at..at + WORD];
         // Room for the common worst case, a fully rewritten page, up front.
-        let mut wire = Vec::with_capacity(COUNT + RUN_HEADER + len);
+        let wire = scratch;
+        wire.clear();
+        wire.reserve(COUNT + RUN_HEADER + len);
         wire.extend_from_slice(&[0; COUNT]);
         let mut runs = 0u32;
         let mut at = 0;
@@ -93,7 +103,9 @@ impl Diff {
             runs += 1;
         }
         wire[..COUNT].copy_from_slice(&runs.to_le_bytes());
-        Diff { wire: wire.into() }
+        Diff {
+            wire: Arc::from(&wire[..]),
+        }
     }
 
     /// The runs, ascending by offset: `(byte offset, replacement bytes)`.
@@ -137,23 +149,6 @@ impl Diff {
     /// plus a run count.
     pub fn wire_bytes(&self) -> usize {
         self.wire.len()
-    }
-
-    /// Does any run of `self` overlap any run of `other` (a write-write
-    /// race between concurrent intervals)?
-    pub fn overlaps(&self, other: &Diff) -> bool {
-        // Runs are sorted by offset by construction; merge-scan.
-        let (mut mine, mut theirs) = (self.runs().peekable(), other.runs().peekable());
-        while let (Some(&(a, a_bytes)), Some(&(b, b_bytes))) = (mine.peek(), theirs.peek()) {
-            if a + a_bytes.len() <= b {
-                mine.next();
-            } else if b + b_bytes.len() <= a {
-                theirs.next();
-            } else {
-                return true;
-            }
-        }
-        false
     }
 
     /// Whether `self` and `other` are the same allocation: one was cloned
@@ -226,24 +221,6 @@ mod tests {
 
         fn wire_bytes(&self) -> usize {
             4 + self.runs.len() * 8 + self.data_bytes()
-        }
-
-        fn overlaps(&self, other: &RunsModel) -> bool {
-            let (mut i, mut j) = (0, 0);
-            while i < self.runs.len() && j < other.runs.len() {
-                let a = &self.runs[i];
-                let b = &other.runs[j];
-                let a_end = a.offset as usize + a.bytes.len();
-                let b_end = b.offset as usize + b.bytes.len();
-                if a_end <= b.offset as usize {
-                    i += 1;
-                } else if b_end <= a.offset as usize {
-                    j += 1;
-                } else {
-                    return true;
-                }
-            }
-            false
         }
     }
 
@@ -334,7 +311,12 @@ mod tests {
             };
             let (twin, a) = rewritten(words, &clip(mine));
             let (_, b) = rewritten(words, &clip(theirs));
-            let (da, db) = (Diff::compute(&twin, &a), Diff::compute(&twin, &b));
+            // One scratch buffer, left dirty by each diff, serves the next.
+            let mut scratch = vec![0xA5; 3];
+            let da = Diff::compute_with(&mut scratch, &twin, &a);
+            let db = Diff::compute_with(&mut scratch, &twin, &b);
+            prop_assert_eq!(&da, &Diff::compute(&twin, &a));
+            prop_assert_eq!(&db, &Diff::compute(&twin, &b));
             let (ma, mb) = (RunsModel::compute(&twin, &a), RunsModel::compute(&twin, &b));
             for (d, m, cur) in [(&da, &ma, &a), (&db, &mb, &b)] {
                 prop_assert_eq!(d.run_count(), m.runs.len());
@@ -348,8 +330,6 @@ mod tests {
                 prop_assert_eq!(&model_page, cur);
                 prop_assert!(d.shares_buffer_with(&d.clone()));
             }
-            prop_assert_eq!(da.overlaps(&db), ma.overlaps(&mb));
-            prop_assert_eq!(db.overlaps(&da), mb.overlaps(&ma));
         }
     }
 
@@ -389,22 +369,6 @@ mod tests {
     }
 
     #[test]
-    fn overlap_detection() {
-        let base = page(&[0; 8]);
-        let mut a = base.clone();
-        a[4..8].copy_from_slice(&7u32.to_le_bytes());
-        let mut b = base.clone();
-        b[4..8].copy_from_slice(&9u32.to_le_bytes());
-        let mut c = base.clone();
-        c[12..16].copy_from_slice(&3u32.to_le_bytes());
-        let da = Diff::compute(&base, &a);
-        let db = Diff::compute(&base, &b);
-        let dc = Diff::compute(&base, &c);
-        assert!(da.overlaps(&db));
-        assert!(!da.overlaps(&dc));
-    }
-
-    #[test]
     fn wire_size_accounts_headers() {
         let twin = page(&[0; 4]);
         let cur = page(&[1, 0, 1, 0]);
@@ -412,39 +376,12 @@ mod tests {
         assert_eq!(d.wire_bytes(), 4 + 2 * 8 + 2 * WORD);
     }
 
-    /// Boundary audit: runs that touch without sharing a word are not a
-    /// write-write race. `[4, 12)` ends exactly where `[12, 16)` begins.
+    /// Boundary audit: the empty diff costs exactly its run-count header
+    /// on the wire.
     #[test]
-    fn touching_runs_do_not_overlap() {
-        let base = page(&[0; 8]);
-        let mut a = base.clone();
-        a[4..12].copy_from_slice(&page(&[7, 7]));
-        let mut b = base.clone();
-        b[12..16].copy_from_slice(&9u32.to_le_bytes());
-        let da = Diff::compute(&base, &a);
-        let db = Diff::compute(&base, &b);
-        assert!(!da.overlaps(&db), "touching runs are not overlapping");
-        assert!(!db.overlaps(&da), "overlap must be symmetric");
-        // Shift b's run one word left so the ranges share word 2: overlap.
-        let mut c = base.clone();
-        c[8..12].copy_from_slice(&9u32.to_le_bytes());
-        let dc = Diff::compute(&base, &c);
-        assert!(da.overlaps(&dc));
-        assert!(dc.overlaps(&da));
-    }
-
-    /// Boundary audit: the empty diff overlaps nothing (including itself)
-    /// and costs exactly its run-count header on the wire.
-    #[test]
-    fn empty_diff_overlaps_nothing_and_has_header_only_wire_size() {
+    fn empty_diff_has_header_only_wire_size() {
         let a = page(&[1, 2, 3, 4]);
         let empty = Diff::compute(&a, &a);
-        let mut b = a.clone();
-        b[0..4].copy_from_slice(&9u32.to_le_bytes());
-        let full = Diff::compute(&a, &b);
-        assert!(!empty.overlaps(&empty));
-        assert!(!empty.overlaps(&full));
-        assert!(!full.overlaps(&empty));
         assert_eq!(empty.wire_bytes(), 4);
         assert_eq!(empty.run_count(), 0);
     }

@@ -45,7 +45,12 @@ pub struct IntervalData {
 impl IntervalMsg {
     /// Builds an interval message, sorting the write notices and counting
     /// their consecutive runs once.
+    ///
+    /// `vt` must be the interval's causal history, stamped with its own
+    /// position (`vt.get(node) == seq`): ordering fetched diffs relies on
+    /// it.
     pub fn new(node: NodeId, seq: Seq, vt: VTime, mut pages: Vec<PageId>) -> Self {
+        debug_assert_eq!(vt.get(node), seq, "vt names its own seq");
         pages.sort_unstable();
         let runs = count_runs(&pages);
         IntervalMsg(Arc::new(IntervalData {
@@ -240,6 +245,11 @@ impl IntervalStore {
         }
         self.bytes -= freed as usize;
         (records, freed)
+    }
+
+    /// Every live (unretired) interval, by creator then sequence.
+    pub fn iter(&self) -> impl Iterator<Item = &IntervalMsg> {
+        self.by_node.iter().flatten()
     }
 
     /// Total number of live (unretired) intervals.

@@ -170,11 +170,13 @@ pub enum Msg {
     DiffReply {
         /// The page.
         page: PageId,
-        /// `(interval seq, closing vector time, diff)` triples in ascending
-        /// seq order. The vector time travels with the diff so the
-        /// requester can apply concurrent writers' diffs in
-        /// happened-before order even before it has the interval records.
-        diffs: Vec<(Seq, VTime, Diff)>,
+        /// `(interval, diff)` pairs in ascending interval order. The
+        /// interval's sequence and closing vector time travel with the diff
+        /// so the requester can apply concurrent writers' diffs in
+        /// happened-before order even before it has the interval records;
+        /// on the wire that is the vector time alone (the host shares the
+        /// sender's record rather than copying it).
+        diffs: Vec<(IntervalMsg, Diff)>,
     },
     /// Eager-release broadcast: the releaser's just-closed interval together
     /// with its diffs, applied immediately by every receiver.
@@ -289,8 +291,8 @@ impl Msg {
                 consistency: 0,
             },
             Msg::DiffReply { diffs, .. } => BodyBytes {
-                miss: diffs.iter().map(|(_, _, d)| d.wire_bytes() + 4).sum(),
-                consistency: diffs.iter().map(|(_, vt, _)| vt.wire_bytes()).sum(),
+                miss: diffs.iter().map(|(_, d)| d.wire_bytes() + 4).sum(),
+                consistency: diffs.iter().map(|(iv, _)| iv.vt.wire_bytes()).sum(),
             },
             Msg::Update { interval, diffs } => BodyBytes {
                 miss: diffs.iter().map(|(_, d)| d.wire_bytes() + 4).sum(),

@@ -126,66 +126,55 @@ pub struct Node {
     /// Wire bytes of diffs currently cached in `pages[*].my_diffs`
     /// (maintained incrementally; part of the GC trigger and the ledger).
     cached_diff_bytes: u64,
+    /// Encoding buffer every diff this node makes is built in before it is
+    /// copied out at its exact size.
+    diff_scratch: Vec<u8>,
     stats: NodeStats,
 }
 
-/// Orders fetched diffs by the happened-before-1 partial order of their
-/// creating intervals — same-creator diffs by sequence (program order),
-/// cross-creator by the vector times carried with the diffs, concurrent
-/// ones deterministically by `(node, seq)` — so overlapping writes resolve
-/// causally on every node.
+/// The order in which to apply a fetch's diffs: the happened-before-1
+/// partial order of their creating intervals — same-creator diffs by
+/// sequence (program order), cross-creator by causality, concurrent ones
+/// deterministically by `(node, seq)` — so overlapping writes resolve
+/// causally on every node. Sorts `diffs` by `(node, seq)` and returns
+/// indices into it.
 ///
-/// Within one creator the input is already seq-ascending, so only the
-/// per-creator *heads* can be minimal: selection is O(k · nodes) vector
-/// comparisons instead of O(k²).
-fn causal_sort(diffs: &mut Vec<(NodeId, Seq, VTime, Diff)>) {
-    if diffs.len() <= 1 {
-        return;
-    }
-    // Split into per-creator queues, each kept seq-ascending.
-    let mut by_node: Vec<(NodeId, std::collections::VecDeque<(Seq, VTime, Diff)>)> = Vec::new();
-    for (n, s, vt, d) in diffs.drain(..) {
-        match by_node.iter_mut().find(|(q, _)| *q == n) {
-            Some((_, v)) => v.push_back((s, vt, d)),
-            None => {
-                let mut v = std::collections::VecDeque::new();
-                v.push_back((s, vt, d));
-                by_node.push((n, v));
-            }
+/// An interval's vector time is its causal history, with
+/// `vt[node] == seq` (asserted by [`IntervalMsg::new`]), so interval `a`
+/// happened before a different creator's `b` iff `b.vt` covers `(a.node,
+/// a.seq)`: one comparison instead of a walk over every node. Only each
+/// creator's first unapplied diff can be minimal, so a pick tests heads
+/// against heads.
+fn causal_order(diffs: &mut [(IntervalMsg, Diff)]) -> Vec<usize> {
+    diffs.sort_by_key(|(iv, _)| (iv.node, iv.seq));
+    // One `[next, end)` range per creator: its diffs not yet ordered.
+    let mut runs: Vec<(usize, usize)> = Vec::new();
+    for (i, (iv, _)) in diffs.iter().enumerate() {
+        match runs.last_mut() {
+            Some((_, end)) if diffs[*end - 1].0.node == iv.node => *end = i + 1,
+            _ => runs.push((i, i + 1)),
         }
     }
-    for (_, v) in &mut by_node {
-        v.make_contiguous().sort_by_key(|(s, _, _)| *s);
+    if runs.len() <= 1 {
+        return (0..diffs.len()).collect();
     }
-    by_node.sort_by_key(|(n, _)| *n);
-
-    let mut out: Vec<(NodeId, Seq, VTime, Diff)> = Vec::new();
-    loop {
-        // Among the heads, pick the smallest (node, seq) not
-        // happened-after any other head.
-        let mut pick: Option<usize> = None;
-        for i in 0..by_node.len() {
-            let Some((_, vi, _)) = by_node[i].1.front() else {
-                continue;
-            };
-            let minimal = by_node.iter().enumerate().all(|(j, (_, q))| {
-                if i == j {
-                    return true;
-                }
-                q.front().is_none_or(|(_, vj, _)| !vj.lt(vi))
-            });
-            if minimal {
-                pick = Some(i);
-                break; // by_node is node-sorted: first minimal = smallest id
-            }
-        }
-        let Some(i) = pick else { break };
-        let node = by_node[i].0;
-        let (s, vt, d) = by_node[i].1.pop_front().expect("head exists");
-        out.push((node, s, vt, d));
+    let head = |&(next, end): &(usize, usize)| (next < end).then(|| &diffs[next].0);
+    let mut order = Vec::with_capacity(diffs.len());
+    while order.len() < diffs.len() {
+        // The first head (smallest node) that no other head happened before.
+        let pick = runs
+            .iter()
+            .position(|r| {
+                head(r).is_some_and(|b| {
+                    let after = |a: &IntervalMsg| a.node != b.node && b.vt.covers(a.node, a.seq);
+                    !runs.iter().filter_map(head).any(after)
+                })
+            })
+            .expect("happened-before-1 is acyclic");
+        order.push(runs[pick].0);
+        runs[pick].0 += 1;
     }
-    debug_assert!(by_node.iter().all(|(_, q)| q.is_empty()));
-    *diffs = out;
+    order
 }
 
 impl Node {
@@ -208,6 +197,7 @@ impl Node {
             gc: None,
             pending_gc_done: None,
             cached_diff_bytes: 0,
+            diff_scratch: Vec::new(),
             stats: NodeStats::default(),
             cfg,
         }
@@ -226,6 +216,11 @@ impl Node {
     /// Current vector time.
     pub fn vt(&self) -> &VTime {
         &self.vt
+    }
+
+    /// Every interval record this node holds.
+    pub fn intervals(&self) -> &IntervalStore {
+        &self.store
     }
 
     /// Protocol statistics accumulated so far.
@@ -575,8 +570,9 @@ impl Node {
                 p.mark_applied(q, seq);
             }
         }
-        causal_sort(&mut diffs);
-        for (q, seq, _vt, diff) in diffs {
+        for i in causal_order(&mut diffs) {
+            let (iv, diff) = &diffs[i];
+            let (q, seq) = (iv.node, iv.seq);
             let p = &mut self.pages[page];
             if seq <= p.applied(q) {
                 continue; // subsumed by the base copy
@@ -740,7 +736,7 @@ impl Node {
             p.twin.take().expect("undiffed page keeps its twin")
         };
         let data = p.data.as_ref().expect("dirty page has data");
-        let diff = Diff::compute(&twin, data);
+        let diff = Diff::compute_with(&mut self.diff_scratch, &twin, data);
         self.stats.diffs_created += 1;
         self.stats.diff_bytes_created += diff.data_bytes() as u64;
         self.cached_diff_bytes += diff.wire_bytes() as u64;
@@ -1034,7 +1030,7 @@ impl Node {
                 debug_assert!(p
                     .writers()
                     .iter()
-                    .all(|w| w.pending.iter().all(|&s| s <= gc.floor.get(w.node))));
+                    .all(|w| w.notice <= w.applied.max(gc.floor.get(w.node))));
                 if p.data.take().is_some() {
                     self.stats.gc_pages_dropped += 1;
                 }
@@ -1282,7 +1278,7 @@ impl Node {
             .iter()
             .map(|(s, d)| {
                 let own = self.store.get(self.id, *s).expect("own interval recorded");
-                (*s, own.vt.clone(), d.clone())
+                (own.clone(), d.clone())
             })
             .collect();
         // A request served while a collection is in flight is the origin
@@ -1323,16 +1319,15 @@ impl Node {
         &mut self,
         page: PageId,
         from: NodeId,
-        diffs: Vec<(Seq, VTime, Diff)>,
+        diffs: Vec<(IntervalMsg, Diff)>,
     ) -> Handled {
         {
             let fetch = self.pages[page]
                 .fetch
                 .as_mut()
                 .expect("unsolicited diff reply");
-            fetch
-                .diffs
-                .extend(diffs.into_iter().map(|(s, vt, d)| (from, s, vt, d)));
+            debug_assert!(diffs.iter().all(|(iv, _)| iv.node == from));
+            fetch.diffs.extend(diffs);
             fetch.outstanding -= 1;
         }
         self.try_complete_fetch(page)
@@ -1381,6 +1376,97 @@ impl Node {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The selection [`causal_order`] replaced, kept as the reference: per-creator
+    /// queues, and a head is minimal unless another head's whole vector time is
+    /// strictly below its own. Returns the `(node, seq)` order it applies.
+    fn causal_order_by_vectors(diffs: &[(IntervalMsg, Diff)]) -> Vec<(NodeId, Seq)> {
+        use std::collections::VecDeque;
+        let mut by_node: Vec<(NodeId, VecDeque<(Seq, VTime)>)> = Vec::new();
+        for (iv, _) in diffs {
+            let item = (iv.seq, iv.vt.clone());
+            match by_node.iter_mut().find(|(q, _)| *q == iv.node) {
+                Some((_, v)) => v.push_back(item),
+                None => by_node.push((iv.node, VecDeque::from([item]))),
+            }
+        }
+        for (_, v) in &mut by_node {
+            v.make_contiguous().sort_by_key(|(s, _)| *s);
+        }
+        by_node.sort_by_key(|(n, _)| *n);
+        let lt = |a: &VTime, b: &VTime| a.le(b) && a != b;
+        let mut out = Vec::new();
+        loop {
+            let mut pick: Option<usize> = None;
+            for i in 0..by_node.len() {
+                let Some((_, vi)) = by_node[i].1.front() else {
+                    continue;
+                };
+                let minimal = by_node.iter().enumerate().all(|(j, (_, q))| {
+                    i == j || q.front().is_none_or(|(_, vj)| !lt(vj, vi))
+                });
+                if minimal {
+                    pick = Some(i);
+                    break;
+                }
+            }
+            let Some(i) = pick else { break };
+            let (s, _) = by_node[i].1.pop_front().expect("head exists");
+            out.push((by_node[i].0, s));
+        }
+        out
+    }
+
+    /// Every interval closed by a random history of `nodes` nodes that close
+    /// intervals and pass their vector times on (`(a, b)` steps: node `a`
+    /// closes an interval, then node `b` learns everything `a` knows) —
+    /// exactly how a lock grant or barrier moves causality.
+    fn causal_history(nodes: usize, steps: &[(usize, usize)]) -> Vec<IntervalMsg> {
+        let mut vts = vec![VTime::zero(nodes); nodes];
+        let mut out = Vec::new();
+        for &(a, b) in steps {
+            let (a, b) = (a % nodes, b % nodes);
+            let seq = vts[a].get(a) + 1;
+            vts[a].set(a, seq);
+            out.push(IntervalMsg::new(a, seq, vts[a].clone(), Vec::new()));
+            let known = vts[a].clone();
+            vts[b].merge(&known);
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// The one-entry happened-before test orders a fetch's diffs exactly
+        /// as the whole-vector comparison did, for any subset of a causal
+        /// history arriving in any order.
+        #[test]
+        fn causal_order_matches_the_vector_comparison(
+            nodes in 2usize..6,
+            steps in proptest::collection::vec((0usize..6, 0usize..6), 1..40),
+            picks in proptest::collection::vec(any::<bool>(), 40),
+            rotate in 0usize..40,
+        ) {
+            let history = causal_history(nodes, &steps);
+            let mut diffs: Vec<(IntervalMsg, Diff)> = history
+                .into_iter()
+                .zip(&picks)
+                .filter(|(_, &keep)| keep)
+                .map(|(iv, _)| (iv, Diff::default()))
+                .collect();
+            if !diffs.is_empty() {
+                let by = rotate % diffs.len();
+                diffs.rotate_left(by);
+                diffs.reverse();
+            }
+            let want = causal_order_by_vectors(&diffs);
+            let order = causal_order(&mut diffs);
+            let got: Vec<(NodeId, Seq)> =
+                order.iter().map(|&i| (diffs[i].0.node, diffs[i].0.seq)).collect();
+            prop_assert_eq!(got, want);
+        }
+    }
 
     /// The lock and barrier tables hash with a fixed function, so nothing a
     /// node reports may depend on the order their entries went in.

@@ -1,6 +1,6 @@
 //! Per-node, per-page protocol state.
 
-use crate::{Diff, NodeId, Seq};
+use crate::{Diff, IntervalMsg, NodeId, Seq};
 
 /// What a node knows about one remote (or its own) writer of one page.
 #[derive(Debug, Clone)]
@@ -9,10 +9,19 @@ pub(crate) struct Writer {
     /// The highest interval sequence of `node` whose modifications are
     /// reflected in the page's `data`.
     pub applied: Seq,
-    /// Pending write-notice sequences (ascending, all above `applied`):
-    /// intervals known to have dirtied this page whose diffs are not yet
-    /// applied locally.
-    pub pending: Vec<Seq>,
+    /// The highest interval sequence of `node` known to have dirtied this
+    /// page. Notices above `applied` are pending: the copy is stale for
+    /// this writer iff `notice > applied`, and a fetch asks for
+    /// `(applied, notice]`. Every reader of the pending notices needs only
+    /// that test or that last sequence, so no queue of them is kept.
+    pub notice: Seq,
+}
+
+impl Writer {
+    /// Some notice of this writer is not yet applied.
+    fn pending(&self) -> bool {
+        self.notice > self.applied
+    }
 }
 
 /// A node's view of one shared page.
@@ -30,7 +39,7 @@ pub(crate) struct PageMeta {
     /// Known writers, ascending by node. A writer without an entry has
     /// `applied == 0` and no pending notices.
     writers: Vec<Writer>,
-    /// Total pending notices over all writers (`Σ pending.len()`), so
+    /// Writers with a pending notice (`#{w : w.notice > w.applied}`), so
     /// validity is O(1). Non-zero ⇒ the local copy is invalid.
     npending: usize,
     /// Diffs this node itself materialized for the page, keyed by its own
@@ -57,8 +66,9 @@ pub(crate) struct FetchState {
     pub outstanding: usize,
     /// Full-page copy received, with the provider's applied-version vector.
     pub base: Option<(Vec<u8>, Vec<Seq>)>,
-    /// Diffs received so far: `(writer, seq, closing vt, diff)`.
-    pub diffs: Vec<(NodeId, Seq, crate::VTime, Diff)>,
+    /// Diffs received so far, each with the writer's record of the
+    /// interval it belongs to (the host's one shared copy).
+    pub diffs: Vec<(IntervalMsg, Diff)>,
     /// Whether the faulting access was a write (twin needed on completion).
     pub want_write: bool,
     /// This is a GC validation fetch by the origin: no processor is blocked
@@ -103,11 +113,12 @@ impl PageMeta {
     }
 
     /// The diff ranges a fetch must ask for, ascending by writer:
-    /// `(writer, applied, last pending)`.
+    /// `(writer, applied, last notice)`.
     pub fn fetch_requests(&self) -> impl Iterator<Item = (NodeId, Seq, Seq)> + '_ {
         self.writers
             .iter()
-            .filter_map(|w| w.pending.last().map(|&last| (w.node, w.applied, last)))
+            .filter(|w| w.pending())
+            .map(|w| (w.node, w.applied, w.notice))
     }
 
     /// The entry for `writer`, created (nothing applied, nothing pending)
@@ -119,7 +130,7 @@ impl PageMeta {
                 let fresh = Writer {
                     node: writer,
                     applied: 0,
-                    pending: Vec::new(),
+                    notice: 0,
                 };
                 if writers.is_empty() {
                     // Most pages only ever hear of one writer, and every
@@ -135,9 +146,9 @@ impl PageMeta {
         &mut writers[i]
     }
 
-    /// Registers a write notice `(writer, seq)` unless already applied or
-    /// already pending. Notices may arrive out of order (eager-release
-    /// updates race with lock grants), so insertion keeps the queue sorted.
+    /// Registers a write notice `(writer, seq)` unless already applied.
+    /// Notices may arrive out of order (eager-release updates race with
+    /// lock grants) and twice; only the highest one is kept.
     pub fn add_notice(&mut self, writer: NodeId, seq: Seq) {
         if seq == 0 {
             return; // nothing is ever "not yet applied" at sequence zero
@@ -146,14 +157,14 @@ impl PageMeta {
         if seq <= w.applied {
             return;
         }
-        if let Err(pos) = w.pending.binary_search(&seq) {
-            w.pending.insert(pos, seq);
+        if !w.pending() {
             self.npending += 1;
         }
+        w.notice = w.notice.max(seq);
     }
 
-    /// Marks everything up to `seq` from `writer` as applied, dropping the
-    /// corresponding pending notices.
+    /// Marks everything up to `seq` from `writer` as applied, settling the
+    /// notices it covers.
     pub fn mark_applied(&mut self, writer: NodeId, seq: Seq) {
         if seq == 0 {
             return; // a dense version vector's zeros name no writer
@@ -162,16 +173,17 @@ impl PageMeta {
         if seq <= w.applied {
             return;
         }
+        let was = w.pending();
         w.applied = seq;
-        let before = w.pending.len();
-        w.pending.retain(|&s| s > seq);
-        self.npending -= before - w.pending.len();
+        if was && !w.pending() {
+            self.npending -= 1;
+        }
     }
 
     /// Forgets every pending notice (their intervals were retired by GC).
     pub fn clear_pending(&mut self) {
         for w in &mut self.writers {
-            w.pending.clear();
+            w.notice = w.notice.min(w.applied);
         }
         self.npending = 0;
     }
@@ -213,13 +225,16 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn pending(p: &PageMeta, writer: NodeId) -> &[Seq] {
-        p.find(writer).map_or(&[], |i| &p.writers[i].pending)
+    /// The last pending notice of `writer`, if it has one.
+    fn pending(p: &PageMeta, writer: NodeId) -> Option<Seq> {
+        let w = &p.writers[p.find(writer).ok()?];
+        w.pending().then_some(w.notice)
     }
 
     /// The dense representation this module replaced, kept as the reference
-    /// model: one `applied` entry and one `pending` queue per node of the
-    /// cluster, validity by scanning every queue.
+    /// model: one `applied` entry and one sorted queue of pending notice
+    /// sequences per node of the cluster, validity by scanning every queue.
+    /// The sparse page keeps only each queue's last element.
     struct DenseModel {
         has_data: bool,
         applied: Vec<Seq>,
@@ -344,14 +359,12 @@ mod tests {
                 prop_assert_eq!(p.has_pending(), m.pending.iter().any(|v| !v.is_empty()));
                 for q in 0..NODES {
                     prop_assert_eq!(p.applied(q), m.applied[q], "applied[{}] after {:?}", q, step);
-                    prop_assert_eq!(pending(&p, q), m.pending[q].as_slice(), "pending[{}] after {:?}", q, step);
+                    let last = m.pending[q].last().copied();
+                    prop_assert_eq!(pending(&p, q), last, "pending[{}] after {:?}", q, step);
                 }
                 prop_assert_eq!(p.version(NODES), m.applied.clone());
                 prop_assert_eq!(p.fetch_requests().collect::<Vec<_>>(), m.fetch_requests());
-                prop_assert_eq!(
-                    p.npending,
-                    p.writers.iter().map(|w| w.pending.len()).sum::<usize>()
-                );
+                prop_assert_eq!(p.npending, p.writers.iter().filter(|w| w.pending()).count());
                 prop_assert!(p.writers.windows(2).all(|w| w[0].node < w[1].node));
             }
         }
@@ -409,12 +422,13 @@ mod tests {
         let mut p = PageMeta::default();
         p.mark_applied(1, 3);
         p.add_notice(1, 2); // already applied
-        assert!(pending(&p, 1).is_empty());
+        assert_eq!(pending(&p, 1), None);
         p.add_notice(1, 4);
         p.add_notice(1, 4); // duplicate
-        assert_eq!(pending(&p, 1), [4]);
+        assert_eq!((pending(&p, 1), p.npending), (Some(4), 1));
         p.add_notice(1, 5);
-        assert_eq!(pending(&p, 1), [4, 5]);
+        assert_eq!((pending(&p, 1), p.npending), (Some(5), 1));
+        assert_eq!(p.fetch_requests().collect::<Vec<_>>(), [(1, 3, 5)]);
     }
 
     #[test]
@@ -439,6 +453,11 @@ mod tests {
         p.add_notice(1, 5);
         p.add_notice(1, 3);
         p.add_notice(1, 5);
-        assert_eq!(pending(&p, 1), [3, 5]);
+        assert_eq!(pending(&p, 1), Some(5));
+        // Applying the earlier notice leaves the later one pending.
+        p.mark_applied(1, 3);
+        assert_eq!((pending(&p, 1), p.npending), (Some(5), 1));
+        p.mark_applied(1, 5);
+        assert_eq!((pending(&p, 1), p.npending), (None, 0));
     }
 }

@@ -59,16 +59,6 @@ impl VTime {
         self.0.iter().zip(&other.0).all(|(a, b)| a <= b)
     }
 
-    /// Strictly-less in the partial order.
-    pub fn lt(&self, other: &VTime) -> bool {
-        self.le(other) && self != other
-    }
-
-    /// True when neither dominates the other.
-    pub fn concurrent(&self, other: &VTime) -> bool {
-        !self.le(other) && !other.le(self)
-    }
-
     /// Wire size in bytes (one [`Seq`] per node).
     pub fn wire_bytes(&self) -> usize {
         self.0.len() * std::mem::size_of::<Seq>()
@@ -117,11 +107,10 @@ mod tests {
         let mut a = VTime::zero(2);
         let mut b = VTime::zero(2);
         assert!(a.le(&b) && b.le(&a));
-        assert!(!a.lt(&b));
         b.set(0, 1);
-        assert!(a.lt(&b));
+        assert!(a.le(&b) && !b.le(&a));
         a.set(1, 1);
-        assert!(a.concurrent(&b));
+        assert!(!a.le(&b) && !b.le(&a), "concurrent");
         let mut c = b.clone();
         c.merge(&a);
         assert!(a.le(&c) && b.le(&c));

@@ -91,15 +91,15 @@ proptest! {
         prop_assert_eq!(&again, &ab);
     }
 
-    /// Partial-order sanity: `le` is reflexive and antisymmetric, and
-    /// `concurrent` matches its definition.
+    /// Partial-order sanity: `le` is reflexive and antisymmetric, and agrees
+    /// with the element-wise definition (so two times may be concurrent).
     #[test]
     fn vtime_partial_order_laws(a in vt_strategy(6), b in vt_strategy(6)) {
         prop_assert!(a.le(&a));
         if a.le(&b) && b.le(&a) {
             prop_assert_eq!(&a, &b);
         }
-        prop_assert_eq!(a.concurrent(&b), !a.le(&b) && !b.le(&a));
+        prop_assert_eq!(a.le(&b), (0..6).all(|q| a.get(q) <= b.get(q)));
     }
 }
 
@@ -165,7 +165,16 @@ fn small(nodes: usize) -> Config {
 /// Runs `ops` on `c`, checking every locked read — and, after a final
 /// barrier, every node's view of every slot — against a sequential model of
 /// the same program. Two runs that both pass end with the same memory.
-fn run_program(mut c: Cluster, ops: &[Op]) -> Result<(), TestCaseError> {
+fn run_program(c: Cluster, ops: &[Op]) -> Result<(), TestCaseError> {
+    run_program_checked(c, ops, |_| Ok(()))
+}
+
+/// [`run_program`], also calling `check` on the cluster after every step.
+fn run_program_checked(
+    mut c: Cluster,
+    ops: &[Op],
+    check: impl Fn(&Cluster) -> Result<(), TestCaseError>,
+) -> Result<(), TestCaseError> {
     let n = c.config().nodes;
     let base = c.alloc(SLOTS * 8, 8);
     let own = c.alloc(n * 8, 8);
@@ -192,6 +201,7 @@ fn run_program(mut c: Cluster, ops: &[Op]) -> Result<(), TestCaseError> {
                 owned[node] = u64::from(value);
             }
         }
+        check(&c)?;
     }
     // Publish everything and check the final image on every node.
     c.barrier(1);
@@ -247,6 +257,58 @@ proptest! {
         plan in chaos_plan_strategy(),
     ) {
         run_program(cluster(small(3), DsmProtocol::Ivy, Some(&plan)), &ops)?;
+    }
+}
+
+// ---------------------------------------------------------------------
+// Interval stamps
+// ---------------------------------------------------------------------
+
+/// Every interval record a node holds has the vector-clock shape the
+/// fetch-time causal order relies on: `a` happened before (or is) `b`
+/// exactly when `b`'s vector time covers `a`'s own position.
+fn stamps_are_causal_histories(c: &Cluster) -> Result<(), TestCaseError> {
+    for node in 0..c.config().nodes {
+        let store = c.node(node).lrc().intervals();
+        for a in store.iter() {
+            prop_assert_eq!(a.vt.get(a.node), a.seq, "stamp of ({}, {})", a.node, a.seq);
+            for b in store.iter() {
+                prop_assert_eq!(
+                    a.vt.le(&b.vt),
+                    b.vt.covers(a.node, a.seq),
+                    "node {}: ({}, {}) vs ({}, {})",
+                    node,
+                    a.node,
+                    a.seq,
+                    b.node,
+                    b.seq
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    /// The covers test agrees with the whole-vector comparison over every
+    /// pair of stored intervals, on every node after every step — lazy and
+    /// eager release, with and without barrier-time GC.
+    #[test]
+    fn interval_stamps_order_like_their_vector_times(
+        ops in proptest::collection::vec(op_strategy(4), 1..40),
+        eager in any::<bool>(),
+        gc in any::<bool>(),
+    ) {
+        let mut cfg = small(4);
+        if eager {
+            cfg = cfg.eager_release_all();
+        }
+        if gc {
+            cfg = cfg.gc(0);
+        }
+        let c = cluster(cfg, DsmProtocol::Lrc, None);
+        run_program_checked(c, &ops, stamps_are_causal_histories)?;
     }
 }
 

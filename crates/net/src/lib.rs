@@ -150,15 +150,6 @@ impl NetParams {
             latency: 100,
         }
     }
-
-    /// The Part-2 crossbar (Paragon-like): 200 MB/s point-to-point
-    /// (0.05 cycles/byte) and 100 ns latency.
-    pub fn crossbar_100mhz() -> Self {
-        NetParams {
-            cycles_per_byte: 0.05,
-            latency: 10,
-        }
-    }
 }
 
 /// A point-to-point network of full-duplex host links through a
@@ -383,16 +374,6 @@ impl FaultPlan {
         self
     }
 
-    /// Whether the plan can affect any message at all.
-    pub fn is_active(&self) -> bool {
-        self.drop > 0.0 || self.dup > 0.0 || self.delay > 0.0 || !self.crashes.is_empty()
-    }
-
-    /// The first scheduled crash of `node`, if any.
-    pub fn crash_of(&self, node: usize) -> Option<&Crash> {
-        self.crashes.iter().find(|c| c.node == node)
-    }
-
     /// The `[drop | dup | delay | deliver]` band `roll` lands in: the `u64`
     /// range split as wide as the three probabilities, `p >= 1.0` taking
     /// all that is left, `p <= 0` and NaN nothing, a sum past 1.0
@@ -593,7 +574,11 @@ mod tests {
 
     #[test]
     fn transfers_accumulate_stats() {
-        let mut net = PointToPointNet::new(3, NetParams::crossbar_100mhz());
+        let params = NetParams {
+            cycles_per_byte: 0.05,
+            latency: 10,
+        };
+        let mut net = PointToPointNet::new(3, params);
         for i in 0..5 {
             net.transfer(0, 1, 100 + i, 0);
         }
@@ -621,7 +606,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "loopback")]
     fn loopback_rejected() {
-        let mut net = PointToPointNet::new(2, NetParams::crossbar_100mhz());
+        let params = NetParams {
+            cycles_per_byte: 0.05,
+            latency: 10,
+        };
+        let mut net = PointToPointNet::new(2, params);
         net.transfer(1, 1, 8, 0);
     }
 
@@ -760,17 +749,17 @@ mod tests {
     #[test]
     fn crash_windows_and_activity() {
         let plan = FaultPlan::crash_schedule(11).with_crash(2, 1000, Some(500));
-        assert!(plan.is_active(), "a crash-only plan is active");
-        let c = plan.crash_of(2).unwrap();
+        let [c] = plan.crashes.as_slice() else {
+            panic!("one crash scheduled: {:?}", plan.crashes);
+        };
+        assert_eq!(c.node, 2);
         assert!(!c.down_at(999));
         assert!(c.down_at(1000));
         assert!(c.down_at(1499));
         assert!(!c.down_at(1500), "self-restart ends the window");
-        assert!(plan.crash_of(1).is_none());
 
         let forever = FaultPlan::crash_schedule(11).with_crash(0, 7, None);
-        assert!(forever.crash_of(0).unwrap().down_at(u64::MAX));
-        assert!(!FaultPlan::drop_rate(1, 0.0).is_active());
+        assert!(forever.crashes[0].down_at(u64::MAX));
     }
 
     #[test]
