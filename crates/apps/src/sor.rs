@@ -170,10 +170,11 @@ impl Workload for Sor {
                     plan.grid.read_range(sys, (r - 1) * cols, &mut above);
                     plan.grid.read_range(sys, r * cols, &mut here);
                     plan.grid.read_range(sys, (r + 1) * cols, &mut below);
-                    for c in 1..cols - 1 {
-                        if (r + c) % 2 == color {
-                            here[c] = 0.25 * (above[c] + below[c] + here[c - 1] + here[c + 1]);
-                        }
+                    // Each updated point reads only points of the other
+                    // color, so visiting this color alone does the same
+                    // arithmetic on the same operands.
+                    for c in color_columns(r, cols, color) {
+                        here[c] = 0.25 * (above[c] + below[c] + here[c - 1] + here[c + 1]);
                     }
                     sys.compute(cols as u64 * self.cycles_per_point / 2);
                     // Store the whole row back, changed or not — the
@@ -196,6 +197,12 @@ impl Workload for Sor {
         }
         sum
     }
+}
+
+/// The interior columns `c` of row `r` with `(r + c) % 2 == color`.
+fn color_columns(r: usize, cols: usize, color: usize) -> impl Iterator<Item = usize> {
+    let first = 1 + (r + 1 + color) % 2;
+    (first..cols - 1).step_by(2)
 }
 
 /// Sequential reference: the same computation on a plain array.
@@ -238,6 +245,21 @@ mod tests {
         let v = reference(&cfg);
         assert!(v.is_finite());
         assert_ne!(v, reference(&Sor::tiny()));
+    }
+
+    #[test]
+    fn color_columns_are_the_modulo_filter() {
+        // `reference` runs the same `body`, so only this pins the stride.
+        for cols in [2, 3, 8, 9, 16, 17] {
+            for r in 1..=4 {
+                for color in 0..2 {
+                    let filtered: Vec<usize> =
+                        (1..cols - 1).filter(|c| (r + c) % 2 == color).collect();
+                    let strided: Vec<usize> = color_columns(r, cols, color).collect();
+                    assert_eq!(strided, filtered, "r={r} cols={cols} color={color}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //! driving simulated processors as resumable stackful coroutines.
 //!
 //! [`Sched`] holds the clocks, the stolen-cycle ledger, each processor's
-//! status, the watchdog and the trace sink. The turn rule: the Ready
-//! processor with the minimum effective clock (ties by id) executes the next
-//! sync operation. A processor's coroutine suspends at exactly two points,
-//! both inside [`Ctx::sync`]:
+//! status, the turn tree, the watchdog and the trace sink. The turn rule:
+//! the Ready processor with the minimum effective clock (ties by id)
+//! executes the next sync operation. A processor's coroutine suspends at
+//! exactly two points, both inside [`Ctx::sync`]:
 //!
 //! * while it is not this processor's turn;
 //! * while the processor is blocked awaiting [`Op::wake_at`].
@@ -15,6 +15,19 @@
 //! suspends (local compute needs no global order). One host core therefore
 //! executes any cluster size with no synchronization, which is what makes
 //! 256-node runs practical.
+//!
+//! How a turn is found: the processors waiting for one sit in [`Turns`], a
+//! min-tree keyed by `(effective clock, id)`, whose root is therefore the
+//! scan's answer. The running processor is never in the tree, so the turn
+//! check at the top of [`Ctx::sync`] is one comparison of its own key
+//! against the root, and local compute touches no tree. A processor that
+//! loses the turn inserts its key and suspends; the event loop resumes the
+//! root it takes out; [`Op::wake_at`] inserts the woken processor and
+//! [`Op::charge_remote`] re-keys a waiting target. Each of these costs
+//! O(log n), so a run's host time per operation no longer grows with the
+//! number of processors. In debug builds the event loop checks every pick
+//! against the linear scan over processor states it replaced
+//! (`Sched::min_ready`).
 //!
 //! Because the minimum-clock processor always acts next, the op-start clocks
 //! of a run ([`RunResult::op_trace`]) never decrease: conservative
@@ -120,6 +133,79 @@ enum Status {
     Finished,
 }
 
+/// A processor's place in the turn order: effective clock, then id.
+type Key = (Cycle, usize);
+
+/// The key of a leaf whose processor is not waiting for a turn.
+const ABSENT: Key = (Cycle::MAX, usize::MAX);
+
+/// The processors waiting for a turn: an array min-tree (a tournament tree)
+/// over [`Key`]s, so the lexicographic minimum at the root is the turn
+/// rule's choice — minimum effective clock, ties by id.
+///
+/// Invariant: at every event-loop pick the tree holds exactly the Ready
+/// processors, each keyed by its current effective clock. A leaf is
+/// [`ABSENT`] while its processor runs, is blocked or has finished. Every
+/// change to a waiting processor's effective clock goes through
+/// [`Op::charge_remote`] (which re-keys it) or [`Op::wake_at`] (which
+/// inserts it); the running processor's own clock moves freely because it is
+/// not in the tree until it loses the turn.
+struct Turns {
+    /// `node[1]` is the root, node `i`'s children are `2i` and `2i + 1`,
+    /// and processor `p`'s leaf is `node[leaves + p]`.
+    node: Vec<Key>,
+    leaves: usize,
+}
+
+impl Turns {
+    /// `n` processors, all waiting at clock 0; nothing allocates after this.
+    fn new(n: usize) -> Self {
+        let leaves = n.next_power_of_two();
+        let mut node = vec![ABSENT; 2 * leaves];
+        for p in 0..n {
+            node[leaves + p] = (0, p);
+        }
+        for i in (1..leaves).rev() {
+            node[i] = node[2 * i].min(node[2 * i + 1]);
+        }
+        Turns { node, leaves }
+    }
+
+    /// The smallest waiting key ([`ABSENT`] when nobody waits).
+    fn min(&self) -> Key {
+        self.node[1]
+    }
+
+    fn contains(&self, p: usize) -> bool {
+        self.node[self.leaves + p] != ABSENT
+    }
+
+    /// Sets `p`'s leaf and repairs its ancestors, stopping at the first
+    /// whose value does not change (none above it can change either).
+    fn set(&mut self, p: usize, key: Key) {
+        let mut i = self.leaves + p;
+        self.node[i] = key;
+        while i > 1 {
+            let up = self.node[i].min(self.node[i ^ 1]);
+            i /= 2;
+            if self.node[i] == up {
+                break;
+            }
+            self.node[i] = up;
+        }
+    }
+
+    /// Removes and returns the processor with the smallest key.
+    fn take(&mut self) -> Option<usize> {
+        let (_, p) = self.min();
+        if p == ABSENT.1 {
+            return None;
+        }
+        self.set(p, ABSENT);
+        Some(p)
+    }
+}
+
 struct Sched {
     /// Optional (pid, clock-at-op-start) trace, for debugging determinism.
     trace: Option<Vec<(usize, Cycle)>>,
@@ -128,6 +214,10 @@ struct Sched {
     /// its clock at its next scheduling point.
     stolen: Vec<Cycle>,
     status: Vec<Status>,
+    /// The processors waiting for a turn.
+    turns: Turns,
+    /// Processors whose body has not returned.
+    live: usize,
     /// What each blocked processor is waiting for ([`Op::block_on`]), for
     /// the watchdog dump.
     block_reason: Vec<Option<String>>,
@@ -152,6 +242,8 @@ impl Sched {
             clocks: vec![0; n],
             stolen: vec![0; n],
             status: vec![Status::Ready; n],
+            turns: Turns::new(n),
+            live: n,
             block_reason: vec![None; n],
             budget: None,
             tracer: Sink::default(),
@@ -188,9 +280,25 @@ impl Sched {
         self.stolen[p] = 0;
     }
 
+    /// Whether running processor `p` executes the next sync operation: its
+    /// key is below every waiting processor's.
+    fn has_turn(&self, p: usize) -> bool {
+        (self.eff_clock(p), p) < self.turns.min()
+    }
+
+    /// Puts `p` among the processors waiting for a turn, keyed by its
+    /// effective clock now.
+    fn enqueue(&mut self, p: usize) {
+        self.turns.set(p, (self.eff_clock(p), p));
+    }
+
     /// The processor that should execute the next sync operation: the Ready
     /// processor with the minimum effective clock (ties broken by id).
     /// Returns `None` when no processor is Ready.
+    ///
+    /// The model [`Turns`] is checked against at every event-loop pick; it
+    /// reads processor states only, never the tree.
+    #[cfg(debug_assertions)]
     fn min_ready(&self) -> Option<usize> {
         let mut best: Option<(Cycle, usize)> = None;
         for p in 0..self.clocks.len() {
@@ -202,10 +310,6 @@ impl Sched {
             }
         }
         best.map(|(_, p)| p)
-    }
-
-    fn all_done(&self) -> bool {
-        self.status.iter().all(|&s| s == Status::Finished)
     }
 }
 
@@ -387,11 +491,16 @@ impl<M> CoopEngine<M> {
         let mut first_panic: Option<Box<dyn Any + Send>> = None;
         loop {
             let next = {
-                let st = run.state.borrow();
-                if st.sched.all_done() {
+                let mut st = run.state.borrow_mut();
+                let sched = &mut st.sched;
+                if sched.live == 0 {
                     break;
                 }
-                st.sched.min_ready()
+                let next = sched.turns.take();
+                // The taken processor is still Ready, so the scan sees it.
+                #[cfg(debug_assertions)]
+                assert_eq!(next, sched.min_ready(), "turn tree disagrees with the scan");
+                next
             };
             let Some(p) = next else {
                 // Nobody Ready, somebody Blocked: with every live processor
@@ -401,7 +510,10 @@ impl<M> CoopEngine<M> {
                 break;
             };
             if let coro::Resume::Finished(payload) = coros[p].resume() {
-                run.state.borrow_mut().sched.status[p] = Status::Finished;
+                let mut st = run.state.borrow_mut();
+                let sched = &mut st.sched;
+                sched.status[p] = Status::Finished;
+                sched.live -= 1;
                 if payload.is_some() {
                     first_panic = payload;
                     break;
@@ -418,7 +530,7 @@ impl<M> CoopEngine<M> {
         }
 
         let mut state = run.state.into_inner();
-        debug_assert!(state.sched.all_done());
+        debug_assert!(state.sched.status.iter().all(|&s| s == Status::Finished));
         // A handler may charge a processor after it finished; fold the
         // remainder in so the reported clocks are clocks + stolen.
         for p in 0..nprocs {
@@ -478,12 +590,18 @@ impl<M> Ctx<'_, M> {
     /// closure (the run state is already borrowed).
     pub fn sync<R>(&self, f: impl FnOnce(&mut Op<'_, M>) -> R) -> R {
         let (run, id) = (self.run, self.id);
-        // Wait for our turn. No poison check: the event loop never resumes a
-        // processor after the run died — it force-unwinds it instead.
-        while run.state.borrow().sched.min_ready() != Some(id) {
-            run.suspend(id);
-        }
         let mut guard = run.state.borrow_mut();
+        if !guard.sched.has_turn(id) {
+            // Wait for our turn. The event loop resumes only the processor it
+            // took from the root, so on resume we hold the turn. No poison
+            // check: the event loop never resumes a processor after the run
+            // died — it force-unwinds it instead.
+            guard.sched.enqueue(id);
+            drop(guard);
+            run.suspend(id);
+            guard = run.state.borrow_mut();
+            debug_assert!(guard.sched.has_turn(id));
+        }
         let st = &mut *guard;
         // Stolen cycles fold in here, so the operation starts at the
         // effective clock.
@@ -522,9 +640,10 @@ impl<M> Ctx<'_, M> {
             st.sched.status[id] = Status::Blocked;
             st.sched.block_reason[id] = block_reason;
             drop(guard);
-            while run.state.borrow().sched.status[id] == Status::Blocked {
-                run.suspend(id);
-            }
+            // Only a wakeup makes this processor Ready again, and only a
+            // Ready processor is ever taken from the tree and resumed.
+            run.suspend(id);
+            debug_assert!(run.state.borrow().sched.status[id] == Status::Ready);
         }
         result
     }
@@ -585,7 +704,11 @@ impl<M> Op<'_, M> {
             // attributed as stolen time either way.
             self.advance_as(Category::Stolen, cycles);
         } else {
-            self.state.sched.stolen[pid] += cycles;
+            let sched = &mut self.state.sched;
+            sched.stolen[pid] += cycles;
+            if sched.turns.contains(pid) {
+                sched.enqueue(pid);
+            }
         }
     }
 
@@ -627,6 +750,7 @@ impl<M> Op<'_, M> {
         sched.clocks[pid] = sched.clocks[pid].max(at);
         sched.status[pid] = Status::Ready;
         sched.block_reason[pid] = None;
+        sched.enqueue(pid);
     }
 }
 
@@ -1020,5 +1144,67 @@ mod tests {
         });
         assert_eq!(r.machine.acquisitions.len(), 300);
         assert_eq!(r.clocks.len(), 300);
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        Advance(Cycle),
+        /// Inside an op, charge `.1` cycles to processor `.0 % nprocs`.
+        Charge(usize, Cycle),
+        /// Take the lock, compute `.0` cycles, release it.
+        Locked(Cycle),
+    }
+
+    fn step() -> impl proptest::Strategy<Value = Step> {
+        use proptest::prelude::*;
+        prop_oneof![
+            (0u64..40).prop_map(Step::Advance),
+            (any::<usize>(), 0u64..60).prop_map(|(target, cycles)| Step::Charge(target, cycles)),
+            (0u64..30).prop_map(Step::Locked),
+        ]
+    }
+
+    fn scripted_run(scripts: &[Vec<Step>]) -> RunResult<TestLock> {
+        CoopEngine::new(TestLock::default(), scripts.len())
+            .with_op_trace(true)
+            .with_stack_bytes(64 * 1024)
+            .run(|ctx| {
+                for &s in &scripts[ctx.id()] {
+                    match s {
+                        Step::Advance(c) => ctx.advance(c),
+                        Step::Charge(target, cycles) => ctx.sync(|op| {
+                            op.charge_remote(target % op.nprocs(), cycles);
+                            op.advance(1);
+                        }),
+                        Step::Locked(hold) => {
+                            lock(ctx);
+                            ctx.advance(hold);
+                            unlock(ctx);
+                        }
+                    }
+                }
+            })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+        /// Random scripts on 1–130 processors (leaf counts 1 to 256, mostly
+        /// not filled): every debug-build pick is checked against the scan,
+        /// op-start clocks never decrease, and a rerun is byte-equal.
+        #[test]
+        fn turn_tree_schedules_random_scripts(
+            scripts in proptest::collection::vec(proptest::collection::vec(step(), 0..8), 1..131)
+        ) {
+            let a = scripted_run(&scripts);
+            proptest::prop_assert!(
+                a.op_trace.windows(2).all(|w| w[0].1 <= w[1].1),
+                "op-start clocks decreased"
+            );
+            let b = scripted_run(&scripts);
+            proptest::prop_assert_eq!(
+                (a.machine.acquisitions, a.clocks, a.op_trace),
+                (b.machine.acquisitions, b.clocks, b.op_trace)
+            );
+        }
     }
 }

@@ -44,6 +44,20 @@ grep -q "rollbacks=1" target/smoke/service.txt \
 grep -q "shed=0" target/smoke/service.txt \
     || { echo "service smoke lost the zero-shed baseline"; exit 1; }
 
+echo "== debug: the quick tier with the engine's turn tree checked against the scan =="
+# A debug build's event loop asserts at every pick that the turn tree chose
+# the processor the linear scan over processor states would have; the quick
+# tier must pass those checks and print exactly what the release build did.
+cargo build -p tmk-bench --bin suite
+rm -rf target/smoke/debug
+timeout "${CHAOS_TIMEOUT:-600}" \
+    ./target/debug/suite --quick --jobs "${JOBS:-$(nproc 2>/dev/null || echo 1)}" \
+    --json --out target/smoke/debug \
+    --bench-json target/smoke/debug/BENCH_results.json \
+    > target/smoke/debug.txt
+diff target/smoke/suite.txt target/smoke/debug.txt \
+    || { echo "debug quick tier diverges from the release build"; exit 1; }
+
 echo "== trace: breakdown decomposition + trace determinism =="
 # Two traced quick-tier runs must record byte-identical Chrome traces; the
 # suite validates each document against its JSON parser before writing.

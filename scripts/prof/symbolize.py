@@ -1,14 +1,19 @@
 #!/usr/bin/env python3
 """Turns a prof.<pid>.txt written by sampler.c into a profile.
 
-    python3 scripts/prof/symbolize.py prof.1234.txt [--top 40] [--lines NAME]
+    python3 scripts/prof/symbolize.py prof.1234.txt [--top 40] [--lines NAME] [--callers]
 
 Prints self and inclusive time by function (a function counts once per
 sample however deep it recurses). `--lines NAME` adds a per-source-line view
-of the self samples of every function whose name contains NAME. Symbols come
-from `nm` (`nm -D` for stripped libraries such as libc), source lines from
-`addr2line`; build the profiled binary with frame pointers and debug info
-(`RUSTFLAGS="-C force-frame-pointers=yes"`, `CARGO_PROFILE_RELEASE_DEBUG=1`).
+of the self samples of every function whose name contains NAME, every line
+listed. `--callers` charges each sample whose innermost frame is in a
+stripped library (libc's `memcpy`, `malloc`, ...) to the first frame in the
+profiled binary, by source line. Symbols come from `nm` (`nm -D` for
+stripped libraries such as libc), source lines from `addr2line -i`; a line
+inside an inlined standard-library function (`/rustc/...`) is charged to the
+source line that called it. Build the profiled binary with frame pointers
+and debug info (`RUSTFLAGS="-C force-frame-pointers=yes"`,
+`CARGO_PROFILE_RELEASE_DEBUG=1`).
 """
 
 import argparse
@@ -20,8 +25,30 @@ import subprocess
 HASH = re.compile(r"::h[0-9a-f]{16}$")
 
 
-def run(*cmd):
-    return subprocess.run(cmd, capture_output=True, text=True).stdout
+def run(*cmd, stdin=None):
+    return subprocess.run(cmd, input=stdin, capture_output=True, text=True).stdout
+
+
+def source_lines(path, addrs):
+    """{address: (function, "file:line")} for addresses in one image. Of the
+    inline chain `addr2line -i` reports (innermost first), the first frame
+    outside the standard library's sources is kept."""
+    out = run("addr2line", "-a", "-i", "-f", "-C", "-e", path,
+              stdin="".join(f"{a:#x}\n" for a in addrs))
+    chains, chain = [], None
+    for line in out.splitlines():
+        if re.fullmatch(r"0x[0-9a-f]+", line):
+            chain = []
+            chains.append(chain)
+        elif chain is not None:
+            chain.append(line)
+    where = {}
+    for a, chain in zip(addrs, chains):
+        frames = list(zip(chain[0::2], chain[1::2])) or [("??", "??:0")]
+        own = [f for f in frames if not f[1].startswith("/rustc/")]
+        func, loc = (own or frames)[0]
+        where[a] = (HASH.sub("", func), loc)
+    return where
 
 
 class Image:
@@ -42,6 +69,8 @@ class Image:
                     syms.setdefault(int(f[0], 16), (int(f[1], 16), HASH.sub("", f[3])))
             if syms:
                 break
+        # Only dynamic symbols: internal functions have no name.
+        self.stripped = flags[0] == "-D"
         self.addrs = sorted(syms)
         self.ends = [a + syms[a][0] for a in self.addrs]
         self.names = [syms[a][1] for a in self.addrs]
@@ -78,6 +107,7 @@ def main():
     ap.add_argument("profile")
     ap.add_argument("--top", type=int, default=40)
     ap.add_argument("--lines", metavar="NAME")
+    ap.add_argument("--callers", action="store_true")
     args = ap.parse_args()
     maps, samples = load(args.profile)
     starts = [m[0] for m in maps]
@@ -114,22 +144,41 @@ def main():
     for name, n in self_time.most_common(args.top):
         print(f"{100 * n / total:6.1f}% {100 * inclusive[name] / total:6.1f}%  {name}")
 
-    if args.lines:
+    def by_line(hits):
+        """Sample counts per (function, source line) of (image, vaddr) hits."""
         per_image = collections.defaultdict(collections.Counter)
-        for stack in samples:
-            if args.lines in symbol(stack[0]):
-                hit = locate(stack[0])
-                if hit:
-                    per_image[hit[0].path][hit[1]] += 1
+        for image, va in hits:
+            per_image[image.path][va] += 1
         lines = collections.Counter()
         for path, counts in per_image.items():
-            addrs = list(counts)
-            out = run("addr2line", "-e", path, *(f"{a:#x}" for a in addrs)).splitlines()
-            for a, where in zip(addrs, out):
+            for a, where in source_lines(path, list(counts)).items():
                 lines[where] += counts[a]
+        return lines
+
+    if args.lines:
+        hits = [locate(stack[0]) for stack in samples if args.lines in symbol(stack[0])]
         print(f"\nself samples by line in functions matching {args.lines!r}")
-        for where, n in lines.most_common(args.top):
-            print(f"{100 * n / total:6.1f}%  {where}")
+        for (func, where), n in by_line(filter(None, hits)).most_common():
+            print(f"{100 * n / total:6.1f}%  {where}  {func}")
+
+    if args.callers:
+        # The profiled binary is the lowest file mapping: the executable.
+        binary = maps[0][3] if maps else None
+        hits, unattributed = [], 0
+        for stack in samples:
+            leaf = locate(stack[0])
+            if leaf is None or not leaf[0].stripped:
+                continue
+            caller = next((h for h in map(locate, (a - 1 for a in stack[1:]))
+                           if h and h[0].path == binary), None)
+            if caller:
+                hits.append(caller)
+            else:
+                unattributed += 1
+        print(f"\nsamples in stripped libraries by first caller in {binary}")
+        for (func, where), n in by_line(hits).most_common(args.top):
+            print(f"{100 * n / total:6.1f}%  {where}  {func}")
+        print(f"{100 * unattributed / total:6.1f}%  (no frame in the binary)")
 
 
 if __name__ == "__main__":
