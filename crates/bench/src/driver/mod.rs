@@ -49,6 +49,10 @@ pub use jobs::{
 pub use plan::{Ctx, Experiment, Plan, Run, Section};
 pub use workload::{ServiceSpec, WorkloadSpec};
 
+/// The `schema` of `BENCH_results.json` and every `results/<id>.json`
+/// (DESIGN.md §3).
+const SCHEMA: &str = "tmk-bench/2";
+
 /// Which scale of inputs the registry instantiates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
@@ -187,10 +191,9 @@ impl SuiteResult {
             .map(|n| n.get())
             .unwrap_or(1);
         Json::obj()
-            .set("schema", "tmk-bench/1")
+            .set("schema", SCHEMA)
             .set("tier", self.tier.as_str())
             .set("jobs", self.jobs)
-            .set("engine", "coop")
             .set("host_parallelism", host)
             .set(
                 "experiments",
@@ -233,7 +236,7 @@ impl SuiteResult {
             .collect();
         Some(
             Json::obj()
-                .set("schema", "tmk-bench/1")
+                .set("schema", SCHEMA)
                 .set("experiment", exp.id)
                 .set("tier", self.tier.as_str())
                 .set(
@@ -264,7 +267,7 @@ impl SuiteResult {
 }
 
 fn run_json(r: &JobResult) -> Json {
-    let mut j = Json::obj()
+    let j = Json::obj()
         .set("key", r.key.as_str())
         .set("platform", r.platform.as_str())
         .set("platform_name", r.platform_name)
@@ -274,46 +277,36 @@ fn run_json(r: &JobResult) -> Json {
         .set("status", if r.data.is_ok() { "ok" } else { "failed" })
         .set("host_ms", r.host_ms);
     match &r.data {
-        Ok(d) => {
-            j = j.set("checksum", d.checksums.iter().sum::<f64>());
-            j = j.set("report", d.report.to_json());
-            if let Some(tr) = &d.trace {
-                let mut totals = [0u64; NCAT];
-                for row in &tr.breakdown {
-                    for (t, v) in totals.iter_mut().zip(row) {
-                        *t += *v;
-                    }
-                }
-                // The recovery column (always last) only appears once a
-                // crash plan actually charged it, so crash-free reports —
-                // including every previously published one — keep their
-                // exact shape.
-                let ncols = if totals[Category::Recovery.index()] > 0 {
-                    NCAT
-                } else {
-                    NCAT - 1
-                };
-                let mut b = Json::obj();
-                for (i, cat) in Category::ALL.iter().enumerate().take(ncols) {
-                    b = b.set(cat.name(), totals[i]);
-                }
-                b = b.set(
-                    "per_proc",
-                    Json::Arr(
-                        tr.breakdown
-                            .iter()
-                            .map(|row| {
-                                Json::Arr(row.iter().take(ncols).map(|&v| Json::UInt(v)).collect())
-                            })
-                            .collect(),
-                    ),
-                );
-                j = j.set("breakdown", b);
-            }
-            j
-        }
+        Ok(d) => j
+            .set("checksum", d.checksums.iter().sum::<f64>())
+            .set("report", d.report.to_json())
+            .set("breakdown", d.trace.as_ref().map(breakdown_json)),
         Err(e) => j.set("error", e.as_str()),
     }
+}
+
+/// A traced run's cycle attribution: run totals per category, then
+/// `per_proc` rows of [`NCAT`] columns in [`Category::ALL`] order.
+fn breakdown_json(tr: &TraceData) -> Json {
+    let mut totals = [0u64; NCAT];
+    for row in &tr.breakdown {
+        for (t, v) in totals.iter_mut().zip(row) {
+            *t += *v;
+        }
+    }
+    let b = Category::ALL
+        .iter()
+        .zip(totals)
+        .fold(Json::obj(), |b, (cat, total)| b.set(cat.name(), total));
+    b.set(
+        "per_proc",
+        Json::Arr(
+            tr.breakdown
+                .iter()
+                .map(|row| Json::Arr(row.iter().map(|&v| Json::UInt(v)).collect()))
+                .collect(),
+        ),
+    )
 }
 
 /// Run the selected experiments: expand the registry, schedule every request

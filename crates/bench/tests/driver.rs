@@ -2,6 +2,8 @@
 //! results independent of worker count, failed-job isolation, and the JSON
 //! records it emits.
 
+use std::collections::BTreeMap;
+
 use tmk_bench::driver::{
     run_jobs, run_suite, sim_record, JobRequest, Options, SuiteResult, Tier, WorkloadSpec,
 };
@@ -76,6 +78,42 @@ fn suite_results_do_not_depend_on_worker_count() {
         assert_eq!(s_key, p_key, "run lists differ");
         assert_eq!(a, b, "run '{s_key}' differs between 1 and 8 workers");
     }
+    assert_one_record_shape(&serial.bench_json());
+}
+
+/// The key list of every object in `j`, by path (`run.report.dsm.gc`);
+/// arrays are not entered.
+fn object_shapes<'a>(path: String, j: &'a Json, out: &mut Vec<(String, Vec<&'a str>)>) {
+    if let Json::Obj(pairs) = j {
+        out.push((path.clone(), pairs.iter().map(|(k, _)| k.as_str()).collect()));
+        for (k, v) in pairs {
+            object_shapes(format!("{path}.{k}"), v, out);
+        }
+    }
+}
+
+/// Every run record has one shape, whatever the run was: the same keys, and
+/// each block the same keys wherever it is an object (`bus`, `directory`,
+/// `service` and `breakdown` may be `null`).
+fn assert_one_record_shape(bench: &Json) {
+    let mut seen: BTreeMap<String, Vec<&str>> = BTreeMap::new();
+    for run in bench.get("runs").and_then(Json::as_arr).unwrap() {
+        let key = run.get("key").and_then(Json::as_str).unwrap();
+        let mut shapes = Vec::new();
+        object_shapes("run".into(), run, &mut shapes);
+        for (path, keys) in shapes {
+            let first = seen.entry(path.clone()).or_insert_with(|| keys.clone());
+            assert_eq!(*first, keys, "{key}: `{path}` has other keys");
+        }
+        let rows = run.get("breakdown").and_then(|b| b.get("per_proc"));
+        for row in rows.and_then(Json::as_arr).unwrap_or_default() {
+            assert_eq!(row.as_arr().map(<[Json]>::len), Some(7), "{key}: breakdown row");
+        }
+    }
+    // The quick tier fills in every nullable block somewhere.
+    for path in ["run.breakdown", "run.report.bus", "run.report.directory", "run.report.service"] {
+        assert!(seen.contains_key(path), "no run has a `{path}` object");
+    }
 }
 
 #[test]
@@ -90,7 +128,7 @@ fn bench_json_is_parseable_and_complete() {
     assert!(suite.ok());
 
     let j = Json::parse(&suite.bench_json().render_pretty(2)).unwrap();
-    assert_eq!(j.get("schema").and_then(Json::as_str), Some("tmk-bench/1"));
+    assert_eq!(j.get("schema").and_then(Json::as_str), Some("tmk-bench/2"));
     assert_eq!(j.get("tier").and_then(Json::as_str), Some("quick"));
     let runs = j.get("runs").and_then(Json::as_arr).unwrap();
     assert_eq!(runs.len(), suite.runs.len());
@@ -162,7 +200,7 @@ fn service_experiment_recovers_and_sheds_loudly() {
     let runs = j.get("runs").and_then(Json::as_arr).unwrap();
     let with_service = runs
         .iter()
-        .filter(|r| r.get("report").and_then(|rep| rep.get("service")).is_some())
+        .filter(|r| matches!(r.get("report").unwrap().get("service"), Some(Json::Obj(_))))
         .count();
     assert_eq!(with_service, runs.len(), "every service run reports tenants");
 }

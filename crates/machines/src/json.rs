@@ -382,6 +382,12 @@ impl From<Vec<Json>> for Json {
         Json::Arr(v)
     }
 }
+/// `None` is `null`.
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -83,13 +83,6 @@ pub struct RecoveryStats {
     pub recovery_cycles: u64,
 }
 
-impl RecoveryStats {
-    /// Whether anything happened (drives conditional JSON emission).
-    pub fn any(&self) -> bool {
-        *self != RecoveryStats::default()
-    }
-}
-
 impl RunReport {
     /// Execution time in seconds.
     pub fn seconds(&self) -> f64 {
@@ -119,13 +112,12 @@ impl RunReport {
     }
 
     /// The full report as a JSON object, for `results/*.json` and
-    /// `BENCH_results.json` records.
+    /// `BENCH_results.json` records. Every run writes every block; `bus`,
+    /// `directory` and `service` are `null` on platforms without one.
     pub fn to_json(&self) -> Json {
-        let mut j = Json::obj()
+        Json::obj()
             .set("procs", self.procs)
             .set("clock_hz", self.clock_hz)
-            // The one engine, named so committed records stay byte-identical.
-            .set("engine", "coop")
             .set("host_ms", self.host_ms)
             .set("cycles", self.cycles)
             .set("mark_cycles", self.mark_cycles)
@@ -138,20 +130,16 @@ impl RunReport {
             .set("traffic", traffic_json(&self.traffic))
             .set("window_traffic", traffic_json(&self.window_traffic()))
             .set("dsm", node_stats_json(&self.dsm))
-            .set("reliability", {
-                let mut rel = Json::obj()
+            .set(
+                "reliability",
+                Json::obj()
                     .set("data_msgs", self.reliability.data_msgs)
                     .set("retransmissions", self.reliability.retransmissions)
                     .set("timeouts", self.reliability.timeouts)
                     .set("dup_suppressed", self.reliability.dup_suppressed)
-                    .set("acks", self.reliability.acks);
-                // Only fixed-RTO runs predate this counter; keep their
-                // committed JSON byte-identical by omitting the zero.
-                if self.reliability.spurious > 0 {
-                    rel = rel.set("spurious", self.reliability.spurious);
-                }
-                rel
-            })
+                    .set("acks", self.reliability.acks)
+                    .set("spurious", self.reliability.spurious),
+            )
             .set(
                 "net_faults",
                 Json::obj()
@@ -168,11 +156,8 @@ impl RunReport {
                     .set("upgrades", self.cache.upgrades)
                     .set("evictions", self.cache.evictions)
                     .set("dirty_evictions", self.cache.dirty_evictions),
-            );
-        // The crash/recovery block exists only for runs with crashes or
-        // checkpointing armed; older committed records stay byte-identical.
-        if self.recovery.any() {
-            j = j.set(
+            )
+            .set(
                 "recovery",
                 Json::obj()
                     .set("checkpoints", self.recovery.checkpoints)
@@ -182,85 +167,67 @@ impl RunReport {
                     .set("tokens_regenerated", self.recovery.tokens_regenerated)
                     .set("pages_refetched", self.recovery.pages_refetched)
                     .set("recovery_cycles", self.recovery.recovery_cycles),
-            );
-        }
-        // The service block exists only for real-thread service runs; every
-        // simulated record keeps its exact committed shape.
-        if let Some(s) = &self.service {
-            j = j.set(
-                "service",
-                Json::obj()
-                    .set("epochs", s.epochs)
-                    .set("makespan_us", s.makespan_us)
-                    .set("total_shed", s.total_shed)
-                    .set("lock_counter", s.lock_counter)
-                    .set("checkpoints", s.checkpoints)
-                    .set("crashes", s.crashes)
-                    .set("suspected", s.suspected)
-                    .set("rollbacks", s.rollbacks)
-                    .set(
-                        "tenants",
-                        Json::Arr(
-                            s.tenants
-                                .iter()
-                                .map(|t| {
-                                    Json::obj()
-                                        .set("tenant", t.tenant)
-                                        .set("offered", t.offered)
-                                        .set("completed", t.completed)
-                                        .set("shed", t.shed)
-                                        .set("throughput_rps", t.throughput_rps)
-                                        .set("p50_us", t.p50_us)
-                                        .set("p99_us", t.p99_us)
-                                        .set("checksum", t.checksum)
-                                })
-                                .collect(),
-                        ),
-                    ),
-            );
-        }
-        j = j.set(
-            "bus",
-            match &self.bus {
-                None => Json::Null,
-                Some(b) => {
-                    let mut bus = Json::obj()
+            )
+            .set("service", self.service.as_ref().map(service_json))
+            .set(
+                "bus",
+                self.bus.as_ref().map(|b| {
+                    Json::obj()
                         .set("transactions", b.transactions)
                         .set("busy_cycles", b.busy_cycles)
                         .set("cache_supplies", b.cache_supplies)
                         .set("memory_supplies", b.memory_supplies)
                         .set("invalidations", b.invalidations)
                         .set("writebacks", b.writebacks)
-                        .set("data_bytes", b.data_bytes);
-                    // Only fault-injected runs retry; keep clean records
-                    // byte-identical by omitting the zero.
-                    if b.retries > 0 {
-                        bus = bus.set("retries", b.retries);
-                    }
-                    bus
-                }
-            },
-        );
-        j.set(
-            "directory",
-            match &self.directory {
-                None => Json::Null,
-                Some(d) => {
-                    let mut dir = Json::obj()
+                        .set("data_bytes", b.data_bytes)
+                        .set("retries", b.retries)
+                }),
+            )
+            .set(
+                "directory",
+                self.directory.as_ref().map(|d| {
+                    Json::obj()
                         .set("local_misses", d.local_misses)
                         .set("remote_clean_misses", d.remote_clean_misses)
                         .set("remote_dirty_misses", d.remote_dirty_misses)
                         .set("upgrades", d.upgrades)
                         .set("invalidations", d.invalidations)
-                        .set("remote_bytes", d.remote_bytes);
-                    if d.retries > 0 {
-                        dir = dir.set("retries", d.retries);
-                    }
-                    dir
-                }
-            },
-        )
+                        .set("remote_bytes", d.remote_bytes)
+                        .set("retries", d.retries)
+                }),
+            )
     }
+}
+
+fn service_json(s: &tmk_core::service::ServiceReport) -> Json {
+    Json::obj()
+        .set("epochs", s.epochs)
+        .set("makespan_us", s.makespan_us)
+        .set("total_shed", s.total_shed)
+        .set("lock_counter", s.lock_counter)
+        .set("checkpoints", s.checkpoints)
+        .set("crashes", s.crashes)
+        .set("suspected", s.suspected)
+        .set("rollbacks", s.rollbacks)
+        .set(
+            "tenants",
+            Json::Arr(
+                s.tenants
+                    .iter()
+                    .map(|t| {
+                        Json::obj()
+                            .set("tenant", t.tenant)
+                            .set("offered", t.offered)
+                            .set("completed", t.completed)
+                            .set("shed", t.shed)
+                            .set("throughput_rps", t.throughput_rps)
+                            .set("p50_us", t.p50_us)
+                            .set("p99_us", t.p99_us)
+                            .set("checksum", t.checksum)
+                    })
+                    .collect(),
+            ),
+        )
 }
 
 fn traffic_json(t: &Traffic) -> Json {
@@ -277,7 +244,7 @@ fn traffic_json(t: &Traffic) -> Json {
 }
 
 fn node_stats_json(s: &NodeStats) -> Json {
-    let mut j = Json::obj()
+    Json::obj()
         .set("local_lock_acquires", s.local_lock_acquires)
         .set("remote_lock_acquires", s.remote_lock_acquires)
         .set("lock_releases", s.lock_releases)
@@ -291,12 +258,8 @@ fn node_stats_json(s: &NodeStats) -> Json {
         .set("diff_bytes_created", s.diff_bytes_created)
         .set("twins_created", s.twins_created)
         .set("intervals_closed", s.intervals_closed)
-        .set("notices_received", s.notices_received);
-    // The GC ledger exists only when `Config::gc` is armed; runs without
-    // it predate the collector, so keep their committed JSON byte-identical
-    // by omitting the all-zero block.
-    if s.gc_collections > 0 || s.live_intervals_hw > 0 {
-        j = j.set(
+        .set("notices_received", s.notices_received)
+        .set(
             "gc",
             Json::obj()
                 .set("collections", s.gc_collections)
@@ -311,9 +274,7 @@ fn node_stats_json(s: &NodeStats) -> Json {
                 .set("live_intervals_hw", s.live_intervals_hw)
                 .set("live_interval_bytes_hw", s.live_interval_bytes_hw)
                 .set("cached_diff_bytes_hw", s.cached_diff_bytes_hw),
-        );
-    }
-    j
+        )
 }
 
 #[cfg(test)]
@@ -351,7 +312,20 @@ mod tests {
         assert_eq!(j.get("sim_seconds").and_then(Json::as_f64), Some(5.0));
         let t = j.get("traffic").expect("traffic object");
         assert_eq!(t.get("total_msgs").and_then(Json::as_u64), Some(3));
-        assert_eq!(j.get("bus"), Some(&Json::Null));
+        // Every block is written even when it is all zero or absent.
+        let Some(Json::Obj(recovery)) = j.get("recovery") else {
+            panic!("no recovery block");
+        };
+        assert_eq!(recovery.len(), 7);
+        assert!(recovery.iter().all(|(_, v)| v.as_u64() == Some(0)));
+        let gc = j.get("dsm").and_then(|d| d.get("gc")).expect("dsm.gc block");
+        assert_eq!(gc.get("collections").and_then(Json::as_u64), Some(0));
+        let spurious = j.get("reliability").and_then(|rel| rel.get("spurious"));
+        assert_eq!(spurious.and_then(Json::as_u64), Some(0));
+        for block in ["bus", "directory", "service"] {
+            assert_eq!(j.get(block), Some(&Json::Null), "{block}");
+        }
+        assert_eq!(j.get("engine"), None);
         // The record round-trips through the hand-rolled renderer/parser.
         assert_eq!(Json::parse(&j.render()).unwrap(), j);
     }

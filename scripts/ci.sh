@@ -96,7 +96,7 @@ timeout "${CHAOS_TIMEOUT:-600}" \
     > target/smoke/threads.txt
 diff target/smoke/suite.txt target/smoke/threads.txt
 # Strip the deliberately host-dependent fields before comparing records.
-strip='"host_ms"\|"engine"\|"wall_ms"\|"total_host_ms"'
+strip='"host_ms"\|"wall_ms"\|"total_host_ms"'
 for f in target/smoke/threads/*.json; do
     base="$(basename "$f")"
     grep -v "$strip" "target/smoke/$base" > target/smoke/asm.stripped
@@ -122,7 +122,8 @@ echo "== records: the whole full tier must reproduce every committed results/ re
 # is bounded by the host timeout, like the smoke stages.
 rm -rf target/records
 timeout "${RECORDS_TIMEOUT:-900}" \
-    ./target/release/suite --jobs 1 --json --out target/records > /dev/null
+    ./target/release/suite --jobs 1 --json --out target/records \
+    --bench-json target/records/BENCH_results.json > /dev/null
 for committed in results/*.txt; do
     t="$(basename "$committed" .txt)"
     diff "target/records/$t.txt" "results/$t.txt" \
@@ -132,6 +133,13 @@ for committed in results/*.txt; do
     diff target/records/new.stripped target/records/committed.stripped \
         || { echo "$t.json differs from results/"; exit 1; }
 done
+# The committed suite summary must list exactly today's runs, each with the
+# status, checksum, cycles and traffic it has now (host times may move).
+./target/release/suite bench-diff BENCH_results.json target/records/BENCH_results.json \
+    > target/records/bench-diff.txt \
+    || { cat target/records/bench-diff.txt; echo "BENCH_results.json differs from the tree"; exit 1; }
+grep -qx "only in old: 0, only in new: 0" target/records/bench-diff.txt \
+    || { cat target/records/bench-diff.txt; echo "BENCH_results.json lists other runs"; exit 1; }
 
 echo "== size: non-test Rust lines per crate, release suite binary =="
 sh scripts/loc.sh
