@@ -139,6 +139,8 @@ pub struct IntervalStore {
     /// them), maintained incrementally for the memory ledger and the GC
     /// trigger.
     bytes: usize,
+    /// Live records across all creators, maintained with `bytes`.
+    live: usize,
 }
 
 impl IntervalStore {
@@ -148,6 +150,7 @@ impl IntervalStore {
             by_node: vec![Vec::new(); n],
             retired: vec![0; n],
             bytes: 0,
+            live: 0,
         }
     }
 
@@ -206,6 +209,7 @@ impl IntervalStore {
 
     fn push(&mut self, msg: &IntervalMsg) {
         self.bytes += rec_bytes(msg);
+        self.live += 1;
         self.by_node[msg.node].push(msg.clone());
     }
 
@@ -244,6 +248,7 @@ impl IntervalStore {
             self.retired[q] += cut as Seq;
         }
         self.bytes -= freed as usize;
+        self.live -= records as usize;
         (records, freed)
     }
 
@@ -254,7 +259,7 @@ impl IntervalStore {
 
     /// Total number of live (unretired) intervals.
     pub fn len(&self) -> usize {
-        self.by_node.iter().map(Vec::len).sum()
+        self.live
     }
 
     /// Approximate resident bytes of the live interval records.
@@ -271,6 +276,11 @@ impl IntervalStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The live count as the sum over creators it replaced.
+    fn summed_len(s: &IntervalStore) -> usize {
+        s.by_node.iter().map(Vec::len).sum()
+    }
 
     fn msg(node: NodeId, seq: Seq, n: usize, pages: &[PageId]) -> IntervalMsg {
         let mut vt = VTime::zero(n);
@@ -355,6 +365,7 @@ mod tests {
             expect += modelled(m);
             assert_eq!(a.approx_bytes(), expect);
             assert_eq!(b.approx_bytes(), expect);
+            assert_eq!((a.len(), b.len()), (summed_len(&a), summed_len(&b)));
         }
         let mut floor = VTime::zero(n);
         floor.set(0, 2);
@@ -365,9 +376,11 @@ mod tests {
         assert_eq!(freed as usize, gone);
         assert_eq!(a.approx_bytes(), expect - gone);
         assert_eq!(b.approx_bytes(), expect, "the other store keeps its copies");
+        assert_eq!((a.len(), b.len()), (2, 5));
         let next = msg(0, 4, n, &[1]);
         a.insert(&next);
         assert_eq!(a.approx_bytes(), expect - gone + modelled(&next));
+        assert_eq!(a.len(), summed_len(&a));
     }
 
     #[test]
@@ -437,7 +450,7 @@ mod tests {
         }
         s.insert(&msg(1, 1, 2, &[9]));
         let before = s.approx_bytes();
-        assert_eq!(s.len(), 5);
+        assert_eq!((s.len(), summed_len(&s)), (5, 5));
 
         let mut floor = VTime::zero(2);
         floor.set(0, 2);
@@ -452,7 +465,7 @@ mod tests {
         assert!(s.get(0, 1).is_none());
         assert!(s.get(0, 2).is_none());
         assert_eq!(s.get(0, 3).unwrap().pages, vec![3]);
-        assert_eq!(s.len(), 3);
+        assert_eq!((s.len(), summed_len(&s)), (3, 3));
 
         // between() never resurrects retired intervals even when asked from
         // a stale lower bound.
@@ -469,6 +482,7 @@ mod tests {
         s.insert(&msg(0, 5, 2, &[5]));
         assert_eq!(s.frontier(0), 5);
         assert_eq!(s.get(0, 5).unwrap().pages, vec![5]);
+        assert_eq!((s.len(), summed_len(&s)), (4, 4));
     }
 
     #[test]

@@ -183,12 +183,13 @@ impl Node {
     pub fn new(id: NodeId, cfg: Config) -> Node {
         assert!(id < cfg.nodes);
         let n = cfg.nodes;
-        let pages = vec![PageMeta::default(); cfg.segment_pages];
         Node {
             id,
             vt: VTime::zero(n),
             store: IntervalStore::new(n),
-            pages,
+            pages: std::iter::repeat_with(PageMeta::default)
+                .take(cfg.segment_pages)
+                .collect(),
             dirty: Vec::new(),
             locks: IntMap::default(),
             mgr_last: IntMap::default(),
@@ -279,7 +280,7 @@ impl Node {
         debug_assert!(self.dirty.is_empty(), "checkpoint with an open interval");
         debug_assert!(self.gc.is_none(), "checkpoint during a GC episode");
         debug_assert!(
-            self.pages.iter().all(|p| p.fetch.is_none()),
+            self.pages.iter().all(|p| !p.fetching()),
             "checkpoint with a fetch in flight"
         );
         NodeCheckpoint {
@@ -327,7 +328,7 @@ impl Node {
     /// The diffs this node has materialized and still caches for `page`.
     #[cfg(test)]
     pub(crate) fn cached_diffs(&self, page: PageId) -> &[(Seq, Diff)] {
-        &self.pages[page].my_diffs
+        self.pages[page].my_diffs()
     }
 
     /// Pages with a resident local copy (valid or awaiting notices).
@@ -482,7 +483,7 @@ impl Node {
             };
         }
         assert!(
-            self.pages[page].fetch.is_none(),
+            !self.pages[page].fetching(),
             "concurrent faults on page {page}"
         );
         let fetch = FetchState {
@@ -492,7 +493,7 @@ impl Node {
             want_write: write,
             gc: false,
         };
-        self.pages[page].fetch = Some(Box::new(fetch));
+        self.pages[page].cold_mut().fetch = Some(Box::new(fetch));
         let sends = self.issue_fetch_requests(page);
         debug_assert!(!sends.is_empty(), "invalid page must need something");
         FaultStart {
@@ -525,7 +526,7 @@ impl Node {
             });
             self.stats.diff_requests += 1;
         }
-        let fetch = self.pages[page].fetch.as_mut().expect("fetch in progress");
+        let fetch = self.pages[page].fetch_mut().expect("fetch in progress");
         fetch.outstanding += sends.len();
         sends
     }
@@ -543,9 +544,10 @@ impl Node {
         }
         p.open_dirty = true;
         self.dirty.push(page);
-        if p.twin.is_none() {
+        let cold = p.cold.get_or_insert_default();
+        if cold.twin.is_none() {
             let data = p.data.as_ref().expect("twin of page with data");
-            p.twin = Some(data.clone());
+            cold.twin = Some(data.clone());
             self.stats.twins_created += 1;
         }
     }
@@ -553,7 +555,7 @@ impl Node {
     /// Attempts to finish an outstanding fetch once all replies arrived.
     fn try_complete_fetch(&mut self, page: PageId) -> Handled {
         let mut out = Handled::default();
-        let fetch = self.pages[page].fetch.as_mut().expect("fetch in progress");
+        let fetch = self.pages[page].fetch_mut().expect("fetch in progress");
         if fetch.outstanding > 0 {
             return out;
         }
@@ -579,7 +581,7 @@ impl Node {
             }
             let data = p.data.as_mut().expect("base present before diffs");
             diff.apply(data);
-            if let Some(twin) = p.twin.as_mut() {
+            if let Some(twin) = p.twin_mut() {
                 diff.apply(twin);
             }
             p.mark_applied(q, seq);
@@ -587,7 +589,7 @@ impl Node {
         }
 
         if self.pages[page].is_valid() {
-            self.pages[page].fetch = None;
+            self.pages[page].cold_mut().fetch = None;
             if was_gc {
                 // A GC validation fetch: no processor is blocked on it. When
                 // the last one lands, the origin collects and releases the
@@ -632,9 +634,11 @@ impl Node {
             // at the first remote request (or never, for pages nobody
             // reads — the common case for a partitioned interior).
             let p = &mut self.pages[page];
-            debug_assert!(p.open_dirty && p.twin.is_some());
+            debug_assert!(p.open_dirty);
             p.open_dirty = false;
-            p.undiffed.push(seq);
+            let cold = p.cold_mut();
+            debug_assert!(cold.twin.is_some());
+            cold.undiffed.push(seq);
             p.mark_applied(self.id, seq);
         }
         self.stats.intervals_closed += 1;
@@ -720,33 +724,35 @@ impl Node {
     /// a diff never carries writes newer than its assigned interval.
     fn materialize_diffs(&mut self, page: PageId, from: Seq, to: Seq) -> bool {
         let p = &mut self.pages[page];
-        let covered = p.undiffed.iter().any(|&s| s > from && s <= to);
+        let Some(cold) = p.cold.as_mut() else {
+            return false;
+        };
+        let covered = cold.undiffed.iter().any(|&s| s > from && s <= to);
         if !covered {
             return false;
         }
-        let seq = *p.undiffed.last().expect("non-empty undiffed");
+        let seq = *cold.undiffed.last().expect("non-empty undiffed");
+        let data = p.data.as_ref().expect("dirty page has data");
         let twin = if p.open_dirty {
             // Re-baseline the twin so the open interval's later writes
             // still diff correctly at its close.
-            let data = p.data.as_ref().expect("dirty page has data");
-            let old = std::mem::replace(p.twin.as_mut().expect("twin live"), data.clone());
+            let old = std::mem::replace(cold.twin.as_mut().expect("twin live"), data.clone());
             self.stats.twins_created += 1;
             old
         } else {
-            p.twin.take().expect("undiffed page keeps its twin")
+            cold.twin.take().expect("undiffed page keeps its twin")
         };
-        let data = p.data.as_ref().expect("dirty page has data");
         let diff = Diff::compute_with(&mut self.diff_scratch, &twin, data);
         self.stats.diffs_created += 1;
         self.stats.diff_bytes_created += diff.data_bytes() as u64;
         self.cached_diff_bytes += diff.wire_bytes() as u64;
         // `my_diffs_between` binary-searches on this.
         assert!(
-            p.my_diffs.last().is_none_or(|(last, _)| *last < seq),
+            cold.my_diffs.last().is_none_or(|(last, _)| *last < seq),
             "diffs of page {page} must be cached in ascending interval order"
         );
-        p.my_diffs.push((seq, diff));
-        p.undiffed.clear();
+        cold.my_diffs.push((seq, diff));
+        cold.undiffed.clear();
         self.ledger_note();
         true
     }
@@ -763,7 +769,7 @@ impl Node {
             .map(|&pg| {
                 self.materialize_diffs(pg, seq - 1, seq);
                 let d = self.pages[pg]
-                    .my_diffs
+                    .my_diffs()
                     .iter()
                     .rev()
                     .find(|(s, _)| *s >= seq)
@@ -961,8 +967,8 @@ impl Node {
             }
             // A never-touched origin page still starts from the zero base.
             self.origin_page_data(page);
-            debug_assert!(self.pages[page].fetch.is_none(), "GC with a fault in flight");
-            self.pages[page].fetch = Some(Box::new(FetchState {
+            debug_assert!(!self.pages[page].fetching(), "GC with a fault in flight");
+            self.pages[page].cold_mut().fetch = Some(Box::new(FetchState {
                 outstanding: 0,
                 base: None,
                 diffs: Vec::new(),
@@ -1008,20 +1014,18 @@ impl Node {
         self.stats.gc_intervals_retired += records;
         for p in &mut self.pages {
             debug_assert!(!p.open_dirty, "GC with an open write interval");
-            debug_assert!(p.fetch.is_none(), "GC with a fetch in flight");
+            debug_assert!(!p.fetching(), "GC with a fetch in flight");
             // Every cached diff describes a now-retired interval: no
-            // correct request can ask for it again.
-            for (s, d) in p.my_diffs.drain(..) {
+            // correct request can ask for it again. Undiffed own intervals
+            // are retired too; with no open writes the twin's only purpose
+            // was to serve them. So the whole cold part goes.
+            for (s, d) in p.cold.take().map(|c| c.my_diffs).unwrap_or_default() {
                 debug_assert!(s <= gc.floor.get(me), "diff above the GC floor");
                 let b = d.wire_bytes() as u64;
                 self.stats.gc_diffs_retired += 1;
                 self.stats.gc_diff_bytes_retired += b;
                 self.cached_diff_bytes -= b;
             }
-            // Undiffed own intervals are retired too; with no open writes
-            // the twin's only purpose was to serve them.
-            p.undiffed.clear();
-            p.twin = None;
             // A copy still awaiting retired diffs can never be brought
             // current: drop it, so the next fault fetches a whole page from
             // the validated origin.
@@ -1030,7 +1034,7 @@ impl Node {
                 debug_assert!(p
                     .writers()
                     .iter()
-                    .all(|w| w.notice <= w.applied.max(gc.floor.get(w.node))));
+                    .all(|w| w.notice <= w.applied.max(gc.floor.get(w.node as NodeId))));
                 if p.data.take().is_some() {
                     self.stats.gc_pages_dropped += 1;
                 }
@@ -1253,8 +1257,7 @@ impl Node {
     fn on_page_reply(&mut self, page: PageId, data: Vec<u8>, version: Vec<Seq>) -> Handled {
         {
             let fetch = self.pages[page]
-                .fetch
-                .as_mut()
+                .fetch_mut()
                 .expect("unsolicited page reply");
             debug_assert!(fetch.base.is_none());
             fetch.base = Some((data, version));
@@ -1286,10 +1289,10 @@ impl Node {
         // about to be retired cluster-wide — caching it until `GcDone`
         // would spike the very footprint the collector exists to bound, so
         // retire it on the spot.
-        if let Some(floor) = self.gc.as_ref().map(|g| g.floor.get(self.id)) {
-            let p = &mut self.pages[page];
+        let floor = self.gc.as_ref().map(|g| g.floor.get(self.id));
+        if let (Some(floor), Some(cold)) = (floor, self.pages[page].cold.as_mut()) {
             let (mut retired, mut freed) = (0u64, 0u64);
-            p.my_diffs.retain(|(s, d)| {
+            cold.my_diffs.retain(|(s, d)| {
                 if *s <= floor {
                     retired += 1;
                     freed += d.wire_bytes() as u64;
@@ -1323,8 +1326,7 @@ impl Node {
     ) -> Handled {
         {
             let fetch = self.pages[page]
-                .fetch
-                .as_mut()
+                .fetch_mut()
                 .expect("unsolicited diff reply");
             debug_assert!(diffs.iter().all(|(iv, _)| iv.node == from));
             fetch.diffs.extend(diffs);
@@ -1355,11 +1357,11 @@ impl Node {
                 .vt
                 .iter()
                 .all(|(q, s)| q == writer || p.applied(q) >= s);
-            let fetching = p.fetch.is_some();
+            let fetching = p.fetching();
             if p.is_valid() && in_order && causally_ready && !fetching {
                 let data = p.data.as_mut().expect("checked above");
                 diff.apply(data);
-                if let Some(twin) = p.twin.as_mut() {
+                if let Some(twin) = p.twin_mut() {
                     diff.apply(twin);
                 }
                 p.mark_applied(writer, seq);

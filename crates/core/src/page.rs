@@ -3,9 +3,10 @@
 use crate::{Diff, IntervalMsg, NodeId, Seq};
 
 /// What a node knows about one remote (or its own) writer of one page.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Writer {
-    pub node: NodeId,
+    /// The writing node. A `u32` so the entry is 12 bytes.
+    pub node: u32,
     /// The highest interval sequence of `node` whose modifications are
     /// reflected in the page's `data`.
     pub applied: Seq,
@@ -24,24 +25,94 @@ impl Writer {
     }
 }
 
-/// A node's view of one shared page.
+/// A page's known writers, ascending by node. Most pages only ever hear of
+/// one writer, and every node holds an entry for every page of every band
+/// it was told about, so that one lives inline; only a shared page pays
+/// for a heap slice.
+#[derive(Debug, Clone, Default)]
+enum Writers {
+    #[default]
+    Empty,
+    One(Writer),
+    Many(Box<[Writer]>),
+}
+
+impl Writers {
+    fn as_slice(&self) -> &[Writer] {
+        match self {
+            Writers::Empty => &[],
+            Writers::One(w) => std::slice::from_ref(w),
+            Writers::Many(ws) => ws,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [Writer] {
+        match self {
+            Writers::Empty => &mut [],
+            Writers::One(w) => std::slice::from_mut(w),
+            Writers::Many(ws) => ws,
+        }
+    }
+
+    /// The entry for `node`, created (nothing applied, nothing pending) if
+    /// this page had not heard of it.
+    fn entry(&mut self, node: NodeId) -> &mut Writer {
+        let node = node as u32;
+        let i = match self.as_slice().binary_search_by_key(&node, |w| w.node) {
+            Ok(i) => i,
+            Err(i) => {
+                let fresh = Writer {
+                    node,
+                    applied: 0,
+                    notice: 0,
+                };
+                *self = match std::mem::take(self) {
+                    Writers::Empty => Writers::One(fresh),
+                    old => {
+                        let (below, above) = old.as_slice().split_at(i);
+                        Writers::Many([below, &[fresh][..], above].concat().into_boxed_slice())
+                    }
+                };
+                i
+            }
+        };
+        &mut self.as_mut_slice()[i]
+    }
+}
+
+/// A node's view of one shared page: one host cache line.
 ///
 /// Writer state is sparse: only writers this node has heard of for this
 /// page have an entry, so the footprint follows actual sharing rather than
-/// cluster size, and a fresh page owns no heap allocation.
+/// cluster size. A fresh page, and one that only ever hears of a single
+/// writer, owns no heap allocation: everything a read, a write or a write
+/// notice touches is inline, and the state only a page this node writes or
+/// fetches needs is behind one box.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PageMeta {
     /// Local copy of the page, if the node ever fetched or originated one.
     pub data: Option<Box<[u8]>>,
+    /// Known writers, ascending by node. A writer without an entry has
+    /// `applied == 0` and no pending notices.
+    writers: Writers,
+    /// Writers with a pending notice (`#{w : w.notice > w.applied}`), so
+    /// validity is O(1). Non-zero ⇒ the local copy is invalid.
+    npending: u32,
+    /// The page has been written in the currently open interval.
+    pub open_dirty: bool,
+    /// Twins, cached diffs and fetch progress, allocated the first time the
+    /// page needs one of them.
+    pub cold: Option<Box<PageCold>>,
+}
+
+const _: () = assert!(size_of::<PageMeta>() <= 64);
+
+/// The part of a [`PageMeta`] only a page this node writes or fetches uses.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PageCold {
     /// Twin taken at the first write of the current interval; present iff
     /// the page is dirty in the open interval.
     pub twin: Option<Box<[u8]>>,
-    /// Known writers, ascending by node. A writer without an entry has
-    /// `applied == 0` and no pending notices.
-    writers: Vec<Writer>,
-    /// Writers with a pending notice (`#{w : w.notice > w.applied}`), so
-    /// validity is O(1). Non-zero ⇒ the local copy is invalid.
-    npending: usize,
     /// Diffs this node itself materialized for the page, keyed by its own
     /// interval sequence (ascending). Kept for serving remote requests.
     /// Each diff is *cumulative*: it covers every own interval after the
@@ -51,11 +122,8 @@ pub(crate) struct PageMeta {
     /// Own closed intervals whose modifications still live only in the
     /// twin-vs-data delta (no diff materialized yet), ascending.
     pub undiffed: Vec<Seq>,
-    /// The page has been written in the currently open interval.
-    pub open_dirty: bool,
-    /// In-flight fault, if any. Boxed: a node has one `PageMeta` per page
-    /// of the segment and at most a few fetches in flight, so the state
-    /// lives on the heap only while a fetch does.
+    /// In-flight fault, if any. Boxed: a page's cold part outlives its
+    /// fetches, and the state lives on the heap only while a fetch does.
     pub fetch: Option<Box<FetchState>>,
 }
 
@@ -90,24 +158,47 @@ impl PageMeta {
 
     /// The writers this page knows about, ascending by node.
     pub fn writers(&self) -> &[Writer] {
-        &self.writers
+        self.writers.as_slice()
     }
 
-    fn find(&self, writer: NodeId) -> Result<usize, usize> {
-        self.writers.binary_search_by_key(&writer, |w| w.node)
+    /// The cold part, allocated on first use.
+    pub fn cold_mut(&mut self) -> &mut PageCold {
+        self.cold.get_or_insert_default()
+    }
+
+    /// The twin, if one is live.
+    pub fn twin_mut(&mut self) -> Option<&mut Box<[u8]>> {
+        self.cold.as_mut()?.twin.as_mut()
+    }
+
+    /// The in-flight fetch, if any.
+    pub fn fetch_mut(&mut self) -> Option<&mut FetchState> {
+        self.cold.as_mut()?.fetch.as_deref_mut()
+    }
+
+    /// A fetch is in flight.
+    pub fn fetching(&self) -> bool {
+        self.cold.as_ref().is_some_and(|c| c.fetch.is_some())
+    }
+
+    /// The diffs this node materialized for the page, ascending.
+    pub fn my_diffs(&self) -> &[(Seq, Diff)] {
+        self.cold.as_ref().map_or(&[], |c| &c.my_diffs)
     }
 
     /// The highest interval of `writer` reflected in the local copy.
     pub fn applied(&self, writer: NodeId) -> Seq {
-        self.find(writer).map_or(0, |i| self.writers[i].applied)
+        let ws = self.writers();
+        ws.binary_search_by_key(&(writer as u32), |w| w.node)
+            .map_or(0, |i| ws[i].applied)
     }
 
     /// The applied-version vector as it travels in a page reply: one entry
     /// per node of the cluster.
     pub fn version(&self, nodes: usize) -> Vec<Seq> {
         let mut version = vec![0; nodes];
-        for w in &self.writers {
-            version[w.node] = w.applied;
+        for w in self.writers() {
+            version[w.node as NodeId] = w.applied;
         }
         version
     }
@@ -115,35 +206,10 @@ impl PageMeta {
     /// The diff ranges a fetch must ask for, ascending by writer:
     /// `(writer, applied, last notice)`.
     pub fn fetch_requests(&self) -> impl Iterator<Item = (NodeId, Seq, Seq)> + '_ {
-        self.writers
+        self.writers()
             .iter()
             .filter(|w| w.pending())
-            .map(|w| (w.node, w.applied, w.notice))
-    }
-
-    /// The entry for `writer`, created (nothing applied, nothing pending)
-    /// if this page had not heard of it.
-    fn entry(writers: &mut Vec<Writer>, writer: NodeId) -> &mut Writer {
-        let i = match writers.binary_search_by_key(&writer, |w| w.node) {
-            Ok(i) => i,
-            Err(i) => {
-                let fresh = Writer {
-                    node: writer,
-                    applied: 0,
-                    notice: 0,
-                };
-                if writers.is_empty() {
-                    // Most pages only ever hear of one writer, and every
-                    // node holds an entry for every page of every band it
-                    // was told about: `Vec`'s first growth would reserve
-                    // four.
-                    writers.reserve_exact(1);
-                }
-                writers.insert(i, fresh);
-                i
-            }
-        };
-        &mut writers[i]
+            .map(|w| (w.node as NodeId, w.applied, w.notice))
     }
 
     /// Registers a write notice `(writer, seq)` unless already applied.
@@ -153,7 +219,7 @@ impl PageMeta {
         if seq == 0 {
             return; // nothing is ever "not yet applied" at sequence zero
         }
-        let w = Self::entry(&mut self.writers, writer);
+        let w = self.writers.entry(writer);
         if seq <= w.applied {
             return;
         }
@@ -169,7 +235,7 @@ impl PageMeta {
         if seq == 0 {
             return; // a dense version vector's zeros name no writer
         }
-        let w = Self::entry(&mut self.writers, writer);
+        let w = self.writers.entry(writer);
         if seq <= w.applied {
             return;
         }
@@ -182,7 +248,7 @@ impl PageMeta {
 
     /// Forgets every pending notice (their intervals were retired by GC).
     pub fn clear_pending(&mut self) {
-        for w in &mut self.writers {
+        for w in self.writers.as_mut_slice() {
             w.notice = w.notice.min(w.applied);
         }
         self.npending = 0;
@@ -197,8 +263,9 @@ impl PageMeta {
     /// are binary searches: the cost does not grow with how many diffs the
     /// node has made for the page.
     pub fn my_diffs_between(&self, from: Seq, to: Seq) -> &[(Seq, Diff)] {
-        let start = self.my_diffs.partition_point(|(s, _)| *s <= from);
-        let after = &self.my_diffs[start..];
+        let my_diffs = self.my_diffs();
+        let start = my_diffs.partition_point(|(s, _)| *s <= from);
+        let after = &my_diffs[start..];
         let below = after.partition_point(|(s, _)| *s < to);
         &after[..after.len().min(below + 1)]
     }
@@ -227,7 +294,7 @@ mod tests {
 
     /// The last pending notice of `writer`, if it has one.
     fn pending(p: &PageMeta, writer: NodeId) -> Option<Seq> {
-        let w = &p.writers[p.find(writer).ok()?];
+        let w = p.writers().iter().find(|w| w.node as NodeId == writer)?;
         w.pending().then_some(w.notice)
     }
 
@@ -288,34 +355,47 @@ mod tests {
         }
     }
 
+    /// A step of a page's history. Writers are indices into the case's
+    /// writer pool.
     #[derive(Debug, Clone)]
     enum Step {
-        Notice(NodeId, Seq),
-        Applied(NodeId, Seq),
-        /// A page reply's dense version vector, applied entry by entry.
-        Base(Vec<Seq>),
+        Notice(usize, Seq),
+        Applied(usize, Seq),
+        /// A page reply's version vector: dense, applied entry by entry.
+        Base(Vec<(usize, Seq)>),
         GotData,
         Clear,
     }
 
     const NODES: usize = 128;
+    /// Water's pages average 5.7 writers; SOR's have one.
+    const MAX_WRITERS: usize = 6;
 
-    /// Few distinct writers and a narrow sequence range, so duplicates,
-    /// out-of-order arrivals and `seq == 0` all occur often; writer ids
-    /// still span the whole 128-node cluster.
+    /// Up to six distinct writers spanning the whole 128-node cluster, in
+    /// the order they first reach the page: ascending, descending (each new
+    /// writer lands below the ones already known) or random.
+    fn writer_pool() -> impl Strategy<Value = Vec<NodeId>> {
+        let nodes = proptest::collection::vec(0..NODES, 1..MAX_WRITERS + 1);
+        (nodes, 0..3u8, any::<u64>()).prop_map(|(mut pool, arrival, key)| {
+            pool.sort_unstable();
+            pool.dedup();
+            match arrival {
+                0 => {}
+                1 => pool.reverse(),
+                _ => pool.sort_by_key(|&q| (q as u64 ^ key).wrapping_mul(key | 1)),
+            }
+            pool
+        })
+    }
+
+    /// A narrow sequence range, so duplicates, out-of-order arrivals and
+    /// `seq == 0` all occur often.
     fn step_strategy() -> impl Strategy<Value = Step> {
-        let writer = prop_oneof![0usize..4, 0usize..NODES, Just(NODES - 1)];
-        let writer2 = prop_oneof![0usize..4, 0usize..NODES, Just(NODES - 1)];
+        let writer = 0..MAX_WRITERS;
         prop_oneof![
-            (writer, 0u32..12).prop_map(|(w, s)| Step::Notice(w, s)),
-            (writer2, 0u32..12).prop_map(|(w, s)| Step::Applied(w, s)),
-            proptest::collection::vec((0usize..NODES, 0u32..12), 0..6).prop_map(|hits| {
-                let mut v = vec![0; NODES];
-                for (w, s) in hits {
-                    v[w] = s;
-                }
-                Step::Base(v)
-            }),
+            (writer.clone(), 0u32..12).prop_map(|(k, s)| Step::Notice(k, s)),
+            (writer.clone(), 0u32..12).prop_map(|(k, s)| Step::Applied(k, s)),
+            proptest::collection::vec((writer, 0u32..12), 0..6).prop_map(Step::Base),
             Just(Step::GotData),
             Just(Step::Clear),
         ]
@@ -323,24 +403,36 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
-        /// The sparse page agrees with the dense model after every step.
+        /// The sparse page agrees with the dense model after every step,
+        /// whichever order its writers first arrive in.
         #[test]
         fn sparse_matches_dense_model(
+            pool in writer_pool(),
+            intro in proptest::collection::vec((any::<bool>(), 1u32..12), MAX_WRITERS),
             steps in proptest::collection::vec(step_strategy(), 1..80)
         ) {
             let mut p = PageMeta::default();
             let mut m = DenseModel::new(NODES);
-            for step in &steps {
-                match step {
-                    Step::Notice(w, s) => {
-                        p.add_notice(*w, *s);
-                        m.add_notice(*w, *s);
+            let node = |k: usize| pool[k % pool.len()];
+            // Every pool writer reaches the page once, in pool order.
+            let intro = intro.iter().enumerate().take(pool.len()).map(|(k, &(notice, s))| {
+                if notice { Step::Notice(k, s) } else { Step::Applied(k, s) }
+            });
+            for step in intro.chain(steps) {
+                match &step {
+                    Step::Notice(k, s) => {
+                        p.add_notice(node(*k), *s);
+                        m.add_notice(node(*k), *s);
                     }
-                    Step::Applied(w, s) => {
-                        p.mark_applied(*w, *s);
-                        m.mark_applied(*w, *s);
+                    Step::Applied(k, s) => {
+                        p.mark_applied(node(*k), *s);
+                        m.mark_applied(node(*k), *s);
                     }
-                    Step::Base(version) => {
+                    Step::Base(hits) => {
+                        let mut version = vec![0; NODES];
+                        for &(k, s) in hits {
+                            version[node(k)] = s;
+                        }
                         for (q, &s) in version.iter().enumerate() {
                             p.mark_applied(q, s);
                             m.mark_applied(q, s);
@@ -364,8 +456,12 @@ mod tests {
                 }
                 prop_assert_eq!(p.version(NODES), m.applied.clone());
                 prop_assert_eq!(p.fetch_requests().collect::<Vec<_>>(), m.fetch_requests());
-                prop_assert_eq!(p.npending, p.writers.iter().filter(|w| w.pending()).count());
-                prop_assert!(p.writers.windows(2).all(|w| w[0].node < w[1].node));
+                let ws = p.writers();
+                prop_assert_eq!(p.npending as usize, ws.iter().filter(|w| w.pending()).count());
+                prop_assert!(ws.windows(2).all(|w| w[0].node < w[1].node), "{:?}", ws);
+                // A lone writer is inline; only a second one moves to the heap.
+                prop_assert_eq!(matches!(p.writers, Writers::One(_)), ws.len() == 1);
+                prop_assert!(p.cold.is_none(), "notices never allocate the cold part");
             }
         }
     }
@@ -384,25 +480,30 @@ mod tests {
             let mut seq = 0;
             for gap in gaps {
                 seq += gap;
-                p.my_diffs.push((seq, Diff::default()));
+                p.cold_mut().my_diffs.push((seq, Diff::default()));
             }
             let got: Vec<Seq> = p.my_diffs_between(from, to).iter().map(|(s, _)| *s).collect();
-            prop_assert_eq!(got, linear_diffs_between(&p.my_diffs, from, to));
+            prop_assert_eq!(got, linear_diffs_between(p.my_diffs(), from, to));
         }
     }
 
     #[test]
     fn fresh_page_owns_no_heap() {
-        let p = PageMeta::default();
-        assert_eq!(p.writers.capacity(), 0);
-        assert_eq!(p.my_diffs.capacity(), 0);
-        assert_eq!(p.undiffed.capacity(), 0);
-        assert!(p.data.is_none() && p.twin.is_none() && p.fetch.is_none());
+        let mut p = PageMeta::default();
+        assert!(matches!(p.writers, Writers::Empty));
+        assert!(p.data.is_none() && p.cold.is_none());
         // Neither a zero version entry nor a stale notice creates a writer.
-        let mut p = p;
         p.mark_applied(7, 0);
         p.add_notice(7, 0);
-        assert_eq!(p.writers.capacity(), 0);
+        assert!(matches!(p.writers, Writers::Empty));
+        // One writer's notices and applied versions stay inline.
+        p.add_notice(7, 3);
+        p.mark_applied(7, 2);
+        p.add_notice(7, 4);
+        p.mark_applied(7, 4);
+        assert!(matches!(p.writers, Writers::One(w) if (w.node, w.applied, w.notice) == (7, 4, 4)));
+        assert!(p.data.is_none() && p.cold.is_none());
+        assert!(!p.has_pending());
     }
 
     #[test]
@@ -434,9 +535,10 @@ mod tests {
     #[test]
     fn diff_range_query_covers_folded_intervals() {
         let mut p = PageMeta::default();
-        p.my_diffs.push((1, Diff::default()));
-        p.my_diffs.push((4, Diff::default()));
-        p.my_diffs.push((7, Diff::default()));
+        let cold = p.cold_mut();
+        cold.my_diffs.push((1, Diff::default()));
+        cold.my_diffs.push((4, Diff::default()));
+        cold.my_diffs.push((7, Diff::default()));
         // Interval 2 and 3's mods are folded into the cumulative diff @4.
         let got = p.my_diffs_between(1, 3);
         let seqs: Vec<Seq> = got.iter().map(|(s, _)| *s).collect();

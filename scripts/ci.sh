@@ -76,6 +76,20 @@ for f in target/smoke/trace-a/*.trace.json; do
         "target/smoke/trace-b/$(basename "$f")" | grep -q "no divergence"
 done
 
+echo "== prof: the LD_PRELOAD sampler and its symbolizer =="
+# `scripts/prof/` is the line-level profiler (DESIGN §2 "Method"). The
+# sampler must build warning-free, record samples of one experiment, and the
+# symbolizer must turn them into a profile: a compiler warning, a Python
+# error or an empty profile fails. Full-size `table1` is about 3 s of CPU;
+# its quick tier is a few milliseconds, below the sampling period.
+rm -rf target/prof
+mkdir -p target/prof
+cc -O2 -Wall -Werror -shared -fPIC -o target/prof/sampler.so scripts/prof/sampler.c
+(cd target/prof && LD_PRELOAD="$PWD/sampler.so" ../release/suite --experiment table1 --jobs 1 > table1.txt)
+python3 scripts/prof/symbolize.py target/prof/prof.*.txt --top 10 --callers > target/prof/profile.txt
+samples="$(sed -n '1s/ samples$//p' target/prof/profile.txt)"
+[ "${samples:-0}" -gt 0 ] || { echo "the sampler recorded no samples"; exit 1; }
+
 echo "== coro-threads: every suspension point on a second context switch =="
 # `vendor/coro` has two context-switch implementations: x86-64 assembly (the
 # default) and, under `--cfg tmk_coro_threads`, one parked OS thread per

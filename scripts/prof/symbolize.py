@@ -8,7 +8,9 @@ sample however deep it recurses). `--lines NAME` adds a per-source-line view
 of the self samples of every function whose name contains NAME, every line
 listed. `--callers` charges each sample whose innermost frame is in a
 stripped library (libc's `memcpy`, `malloc`, ...) to the first frame in the
-profiled binary, by source line. Symbols come from `nm` (`nm -D` for
+profiled binary, by source line; when the frame-pointer walk found none, to
+the first word the sampler's stack scan found (`~` in the profile) that
+maps to a source line of the repo. Symbols come from `nm` (`nm -D` for
 stripped libraries such as libc), source lines from `addr2line -i`; a line
 inside an inlined standard-library function (`/rustc/...`) is charged to the
 source line that called it. Build the profiled binary with frame pointers
@@ -97,7 +99,10 @@ def load(path):
                 lo, hi = (int(x, 16) for x in f[1].split("-"))
                 maps.append((lo, hi, int(f[3], 16), f[6]))
         elif line.strip():
-            samples.append([int(x, 16) for x in line.split()])
+            words = line.split()
+            walked = [int(x, 16) for x in words if not x.startswith("~")]
+            scanned = [int(x[1:], 16) for x in words if x.startswith("~")]
+            samples.append((walked, scanned))
     maps.sort()
     return maps, samples
 
@@ -133,7 +138,7 @@ def main():
         return cache[addr]
 
     self_time, inclusive = collections.Counter(), collections.Counter()
-    for stack in samples:
+    for stack, _ in samples:
         # Return addresses point after the call: look up the call itself.
         names = [symbol(stack[0])] + [symbol(a - 1) for a in stack[1:]]
         self_time[names[0]] += 1
@@ -156,7 +161,7 @@ def main():
         return lines
 
     if args.lines:
-        hits = [locate(stack[0]) for stack in samples if args.lines in symbol(stack[0])]
+        hits = [locate(stack[0]) for stack, _ in samples if args.lines in symbol(stack[0])]
         print(f"\nself samples by line in functions matching {args.lines!r}")
         for (func, where), n in by_line(filter(None, hits)).most_common():
             print(f"{100 * n / total:6.1f}%  {where}  {func}")
@@ -164,18 +169,37 @@ def main():
     if args.callers:
         # The profiled binary is the lowest file mapping: the executable.
         binary = maps[0][3] if maps else None
-        hits, unattributed = [], 0
-        for stack in samples:
+        hits, guesses, unattributed = [], [], 0
+        in_binary = lambda addrs: [h for h in map(locate, (a - 1 for a in addrs))
+                                   if h and h[0].path == binary]
+        for stack, scanned in samples:
             leaf = locate(stack[0])
             if leaf is None or not leaf[0].stripped:
                 continue
-            caller = next((h for h in map(locate, (a - 1 for a in stack[1:]))
-                           if h and h[0].path == binary), None)
-            if caller:
-                hits.append(caller)
+            walked = in_binary(stack[1:])
+            if walked:
+                hits.append(walked[0])
+            elif words := in_binary(scanned):
+                guesses.append(words)
             else:
                 unattributed += 1
-        print(f"\nsamples in stripped libraries by first caller in {binary}")
+        # A scanned word may be a stale return address or a code pointer in
+        # data: take the first one that resolves to a repo source line.
+        vas = collections.defaultdict(set)
+        for image, va in (h for words in guesses for h in words):
+            vas[image].add(va)
+        loc_of = {(image, va): loc for image, group in vas.items()
+                 for va, (_, loc) in source_lines(image.path, sorted(group)).items()}
+        by_scan = 0
+        for words in guesses:
+            pick = next((h for h in words if not loc_of[h].startswith(("/rustc/", "??"))), None)
+            if pick:
+                hits.append(pick)
+                by_scan += 1
+            else:
+                unattributed += 1
+        print(f"\nsamples in stripped libraries by first caller in {binary}"
+              f" ({100 * by_scan / total:.1f}% of all samples found by the stack scan)")
         for (func, where), n in by_line(hits).most_common(args.top):
             print(f"{100 * n / total:6.1f}%  {where}  {func}")
         print(f"{100 * unattributed / total:6.1f}%  (no frame in the binary)")
