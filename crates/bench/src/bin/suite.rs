@@ -46,7 +46,13 @@ usage: suite [OPTIONS]
 /// Memo keys carry '/' and '|'; flatten them for filenames.
 fn file_stem(key: &str) -> String {
     key.chars()
-        .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '.' { c } else { '_' })
+        .map(|c| {
+            if c.is_ascii_alphanumeric() || c == '-' || c == '.' {
+                c
+            } else {
+                '_'
+            }
+        })
         .collect()
 }
 
@@ -91,7 +97,11 @@ fn bench_diff(paths: &[String]) -> ! {
             eprintln!("{path}: {e}");
             std::process::exit(2);
         });
-        let fields = if let Json::Obj(fields) = doc { fields } else { Vec::new() };
+        let fields = if let Json::Obj(fields) = doc {
+            fields
+        } else {
+            Vec::new()
+        };
         match fields.into_iter().find(|(k, _)| k == "runs") {
             Some((_, Json::Arr(runs))) => runs,
             _ => {
@@ -101,7 +111,12 @@ fn bench_diff(paths: &[String]) -> ! {
         }
     };
     let (old_runs, new_runs) = (runs(old), runs(new));
-    let text = |r: &Json, field: &str| r.get(field).and_then(Json::as_str).unwrap_or("?").to_string();
+    let text = |r: &Json, field: &str| {
+        r.get(field)
+            .and_then(Json::as_str)
+            .unwrap_or("?")
+            .to_string()
+    };
     let host_ms = |r: &Json| r.get("host_ms").and_then(Json::as_f64).unwrap_or(0.0);
     let by_key: BTreeMap<String, &Json> = new_runs.iter().map(|r| (text(r, "key"), r)).collect();
 
@@ -126,16 +141,26 @@ fn bench_diff(paths: &[String]) -> ! {
         }
     }
     let row = |name: &str, runs: usize, was: f64, is: f64| {
-        println!("{name:<44} {runs:>5} {was:>12.1} {is:>12.1} {:>7.3}", is / was);
+        println!(
+            "{name:<44} {runs:>5} {was:>12.1} {is:>12.1} {:>7.3}",
+            is / was
+        );
     };
-    println!("{:<44} {:>5} {:>12} {:>12} {:>7}", "host_ms", "runs", "old", "new", "new/old");
+    println!(
+        "{:<44} {:>5} {:>12} {:>12} {:>7}",
+        "host_ms", "runs", "old", "new", "new/old"
+    );
     let mut total = (0, 0.0, 0.0);
     for (name, &(runs, was, is)) in &families {
         row(name, runs, was, is);
         total = (total.0 + runs, total.1 + was, total.2 + is);
     }
     row("total (runs in both)", total.0, total.1, total.2);
-    println!("only in old: {}, only in new: {}", old_runs.len() - total.0, new_runs.len() - total.0);
+    println!(
+        "only in old: {}, only in new: {}",
+        old_runs.len() - total.0,
+        new_runs.len() - total.0
+    );
     movers.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
     println!("\nlargest movers:");
     for (_, key, was, is) in movers.iter().take(10) {
@@ -290,8 +315,12 @@ fn main() {
         // Without an explicit path the summary lands next to the per-
         // experiment records, so smoke runs with `--out target/...` can
         // never clobber the committed top-level BENCH_results.json.
-        let bench_json = bench_json
-            .unwrap_or_else(|| Path::new(&out_dir).join("BENCH_results.json").display().to_string());
+        let bench_json = bench_json.unwrap_or_else(|| {
+            Path::new(&out_dir)
+                .join("BENCH_results.json")
+                .display()
+                .to_string()
+        });
         if let Err(e) = std::fs::write(&bench_json, suite.bench_json().render_pretty(2)) {
             eprintln!("cannot write {bench_json}: {e}");
             std::process::exit(2);

@@ -25,7 +25,11 @@ fn simulated_records(suite: &SuiteResult) -> Vec<(String, String)> {
         .runs
         .iter()
         .map(|r| {
-            assert!(r.data.is_ok(), "quick tier has no failing runs: {:?}", r.data);
+            assert!(
+                r.data.is_ok(),
+                "quick tier has no failing runs: {:?}",
+                r.data
+            );
             (r.key.clone(), sim_record(r))
         })
         .collect()
@@ -37,7 +41,11 @@ fn baseline_runs_are_memoized() {
     let b = JobRequest::new(Platform::treadmarks(2), WorkloadSpec::SorTiny);
     // Three identical DEC baselines plus one distinct run: 4 requests must
     // execute only 2 simulations.
-    let memo = run_jobs(&[a.clone(), a.clone(), b.clone(), a.clone()], 2, &RunOpts::default());
+    let memo = run_jobs(
+        &[a.clone(), a.clone(), b.clone(), a.clone()],
+        2,
+        &RunOpts::default(),
+    );
     assert_eq!(memo.hits, 2);
     assert_eq!(memo.unique_runs(), 2);
     assert!(memo.get(&a).unwrap().data.is_ok());
@@ -85,7 +93,10 @@ fn suite_results_do_not_depend_on_worker_count() {
 /// arrays are not entered.
 fn object_shapes<'a>(path: String, j: &'a Json, out: &mut Vec<(String, Vec<&'a str>)>) {
     if let Json::Obj(pairs) = j {
-        out.push((path.clone(), pairs.iter().map(|(k, _)| k.as_str()).collect()));
+        out.push((
+            path.clone(),
+            pairs.iter().map(|(k, _)| k.as_str()).collect(),
+        ));
         for (k, v) in pairs {
             object_shapes(format!("{path}.{k}"), v, out);
         }
@@ -107,11 +118,20 @@ fn assert_one_record_shape(bench: &Json) {
         }
         let rows = run.get("breakdown").and_then(|b| b.get("per_proc"));
         for row in rows.and_then(Json::as_arr).unwrap_or_default() {
-            assert_eq!(row.as_arr().map(<[Json]>::len), Some(7), "{key}: breakdown row");
+            assert_eq!(
+                row.as_arr().map(<[Json]>::len),
+                Some(7),
+                "{key}: breakdown row"
+            );
         }
     }
     // The quick tier fills in every nullable block somewhere.
-    for path in ["run.breakdown", "run.report.bus", "run.report.directory", "run.report.service"] {
+    for path in [
+        "run.breakdown",
+        "run.report.bus",
+        "run.report.directory",
+        "run.report.service",
+    ] {
         assert!(seen.contains_key(path), "no run has a `{path}` object");
     }
 }
@@ -142,10 +162,7 @@ fn bench_json_is_parseable_and_complete() {
 
     let exp = suite.experiment_json("table1").unwrap();
     let exp = Json::parse(&exp.render()).unwrap();
-    assert_eq!(
-        exp.get("experiment").and_then(Json::as_str),
-        Some("table1")
-    );
+    assert_eq!(exp.get("experiment").and_then(Json::as_str), Some("table1"));
     assert!(suite.experiment_json("no-such-experiment").is_none());
 }
 
@@ -189,11 +206,17 @@ fn service_experiment_recovers_and_sheds_loudly() {
     assert!(suite.ok(), "failed: {:?}", suite.failed_sections());
     let text = &suite.experiments[0].text;
     // A scheduled crash really rolled the live cluster back...
-    assert!(text.contains("rollbacks=1"), "no rollback reported:\n{text}");
+    assert!(
+        text.contains("rollbacks=1"),
+        "no rollback reported:\n{text}"
+    );
     // ...baseline offered load was never shed...
     assert!(text.contains("shed=0"), "baseline shed is missing:\n{text}");
     // ...and overload shedding is loud, not silent.
-    assert!(text.contains("total shed="), "overload shed not reported:\n{text}");
+    assert!(
+        text.contains("total shed="),
+        "overload shed not reported:\n{text}"
+    );
 
     // Service runs carry their per-tenant block in the JSON records.
     let j = Json::parse(&suite.bench_json().render_pretty(2)).unwrap();
@@ -202,5 +225,9 @@ fn service_experiment_recovers_and_sheds_loudly() {
         .iter()
         .filter(|r| matches!(r.get("report").unwrap().get("service"), Some(Json::Obj(_))))
         .count();
-    assert_eq!(with_service, runs.len(), "every service run reports tenants");
+    assert_eq!(
+        with_service,
+        runs.len(),
+        "every service run reports tenants"
+    );
 }

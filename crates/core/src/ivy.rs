@@ -133,11 +133,12 @@ impl IvyNode {
         locks.sort_by_key(|(l, _)| **l);
         for (l, d) in locks {
             if d.holder.is_some() || !d.queue.is_empty() {
-                let holder = d
-                    .holder
-                    .map_or("none".to_string(), |h| format!("node {h}"));
+                let holder = d.holder.map_or("none".to_string(), |h| format!("node {h}"));
                 let q: Vec<String> = d.queue.iter().map(|n| n.to_string()).collect();
-                parts.push(format!("lock {l}: holder {holder}, queue [{}]", q.join(", ")));
+                parts.push(format!(
+                    "lock {l}: holder {holder}, queue [{}]",
+                    q.join(", ")
+                ));
             }
         }
         if !self.held.is_empty() {
@@ -194,7 +195,11 @@ impl IvyNode {
     pub fn pages_in(&self, addr: SharedAddr, len: usize) -> std::ops::Range<PageId> {
         let ps = self.cfg.page_size;
         let first = addr / ps;
-        let last = if len == 0 { first } else { (addr + len - 1) / ps };
+        let last = if len == 0 {
+            first
+        } else {
+            (addr + len - 1) / ps
+        };
         first..last + 1
     }
 
@@ -586,7 +591,11 @@ impl IvyNode {
 
     fn on_send(&mut self, page: PageId, data: Vec<u8>, exclusive: bool) -> Handled {
         self.data[page] = Some(data.into_boxed_slice());
-        self.access[page] = if exclusive { Access::Write } else { Access::Read };
+        self.access[page] = if exclusive {
+            Access::Write
+        } else {
+            Access::Read
+        };
         Handled {
             sends: Vec::new(),
             actions: vec![Action::PageReady(page)],

@@ -100,7 +100,10 @@ impl RetransmitPolicy {
 
     /// Enables RFC 6298-style RTT estimation with the given RTO bounds.
     pub fn with_adaptive(mut self, floor: u64, ceiling: u64) -> Self {
-        assert!(floor > 0 && floor <= ceiling, "floor must be in (0, ceiling]");
+        assert!(
+            floor > 0 && floor <= ceiling,
+            "floor must be in (0, ceiling]"
+        );
         self.adaptive = Some(AdaptiveRto { floor, ceiling });
         self
     }

@@ -359,7 +359,9 @@ impl Shared {
         self.gen.fetch_add(1, Ordering::SeqCst);
         let crashed = std::mem::take(&mut st.crashed);
         let ckpt = self.ckpt.lock();
-        let (ck_epoch, snaps) = ckpt.as_ref().expect("recovery requires an armed checkpoint");
+        let (ck_epoch, snaps) = ckpt
+            .as_ref()
+            .expect("recovery requires an armed checkpoint");
         let mut regen = 0u64;
         for (id, cell) in self.cells.iter().enumerate() {
             let mut inner = cell.inner.lock();
@@ -431,22 +433,22 @@ impl Shared {
             }
             return st.verdict.expect("verdict set").1;
         }
-        let verdict = if !st.crashed.is_empty() || rolled_back || self.rollback.load(Ordering::Acquire)
-        {
-            Verdict::Replay(self.recover(&mut st))
-        } else if st.done == n {
-            Verdict::Finish
-        } else if st.done > 0 {
-            self.poison(format!(
-                "epoch bodies disagree: {} of {n} nodes finished at epoch {}",
-                st.done, st.epoch
-            ));
-            Verdict::Abort
-        } else {
-            self.take_checkpoint(st.epoch + 1);
-            st.epoch += 1;
-            Verdict::Proceed(st.epoch)
-        };
+        let verdict =
+            if !st.crashed.is_empty() || rolled_back || self.rollback.load(Ordering::Acquire) {
+                Verdict::Replay(self.recover(&mut st))
+            } else if st.done == n {
+                Verdict::Finish
+            } else if st.done > 0 {
+                self.poison(format!(
+                    "epoch bodies disagree: {} of {n} nodes finished at epoch {}",
+                    st.done, st.epoch
+                ));
+                Verdict::Abort
+            } else {
+                self.take_checkpoint(st.epoch + 1);
+                st.epoch += 1;
+                Verdict::Proceed(st.epoch)
+            };
         st.arrived = 0;
         st.done = 0;
         st.crashed.clear();
@@ -623,8 +625,10 @@ impl DsmNode {
                 if sh.armed {
                     panic!("{CRASH_MARK}");
                 }
-                let msg =
-                    format!("node {} crashed with no checkpoint armed: unrecoverable", self.id);
+                let msg = format!(
+                    "node {} crashed with no checkpoint armed: unrecoverable",
+                    self.id
+                );
                 sh.poison(msg.clone());
                 panic!("{TEARDOWN}{msg}");
             }
@@ -1422,7 +1426,9 @@ mod tests {
         // spurious retransmissions (timing-dependent attempts) out. Drop
         // determinism is covered by the pure-hash fate tests and the repair
         // test below.
-        let faults = ChannelFaults::seeded(5).dup_rate(0.10).delay_rate(0.10, 200);
+        let faults = ChannelFaults::seeded(5)
+            .dup_rate(0.10)
+            .delay_rate(0.10, 200);
         let opts = RunOpts {
             faults: faults.clone(),
             policy: RetransmitPolicy {
@@ -1434,9 +1440,13 @@ mod tests {
             grace_ms: 50,
         };
         let run = || {
-            engine(small(4), opts.clone(), false, |_| (), |node, _, ()| {
-                EpochStep::Done(publish_sum(node, 4))
-            })
+            engine(
+                small(4),
+                opts.clone(),
+                false,
+                |_| (),
+                |node, _, ()| EpochStep::Done(publish_sum(node, 4)),
+            )
         };
         let a = run();
         let b = run();
@@ -1448,7 +1458,10 @@ mod tests {
                 for seq in 1..=seen.delivered + seen.drops + seen.delays {
                     want.record(roll_fate(&faults, (src, dst, seq), 0));
                 }
-                assert_eq!(seen, want, "link {src}->{dst} strayed from its seeded schedule");
+                assert_eq!(
+                    seen, want,
+                    "link {src}->{dst} strayed from its seeded schedule"
+                );
             }
         }
         assert!(
@@ -1466,7 +1479,9 @@ mod tests {
             |_| (),
             |node, ()| publish_sum(node, 4),
         );
-        let expect: u64 = (0..4u64).map(|r| (0..4).map(|q| r * 1000 + q).sum::<u64>()).sum();
+        let expect: u64 = (0..4u64)
+            .map(|r| (0..4).map(|q| r * 1000 + q).sum::<u64>())
+            .sum();
         assert!(out.results.into_iter().all(|v| v == expect));
         assert!(out.faults.drops > 0, "the seed must drop something");
         assert!(

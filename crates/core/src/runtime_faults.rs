@@ -294,9 +294,8 @@ mod tests {
             }
         }
         // Different links / attempts see independent streams.
-        let all_same = (0..50u64).all(|s| {
-            roll_fate(&f, (0, 1, s), 0) == roll_fate(&f, (1, 0, s), 0)
-        });
+        let all_same =
+            (0..50u64).all(|s| roll_fate(&f, (0, 1, s), 0) == roll_fate(&f, (1, 0, s), 0));
         assert!(!all_same, "links must not share one fate stream");
     }
 

@@ -205,8 +205,9 @@ fn plan(cfg: &ServiceConfig) -> Plan {
         sched[t].offered = streams[i].len() as u64;
     }
     let mut cursors = vec![0usize; active.len()];
-    let mut queues: Vec<std::collections::VecDeque<Req>> =
-        (0..active.len()).map(|_| std::collections::VecDeque::new()).collect();
+    let mut queues: Vec<std::collections::VecDeque<Req>> = (0..active.len())
+        .map(|_| std::collections::VecDeque::new())
+        .collect();
     let mut batches = Vec::new();
     let mut w = 0u64;
     loop {

@@ -208,10 +208,7 @@ impl System for DsmSys<'_, '_> {
                     tmk_core::StartAcquire::Wait(sends) => {
                         let routed = op.machine().fabric.route_timed(me, now, sends);
                         let mine = finish_cascade(op, me, routed, now, Category::SyncIdle);
-                        if mine
-                            .iter()
-                            .any(|(a, _)| *a == Action::LockGranted(lock))
-                        {
+                        if mine.iter().any(|(a, _)| *a == Action::LockGranted(lock)) {
                             true
                         } else {
                             op.block_on(format!("lock {lock} grant"));

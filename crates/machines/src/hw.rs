@@ -210,7 +210,14 @@ impl HwMachine {
 
     /// Charges the memory-system cost of `proc` touching `[addr, addr+len)`
     /// starting at `now`; returns the completion time.
-    fn charge_access(&mut self, proc: usize, addr: usize, len: usize, write: bool, now: Cycle) -> Cycle {
+    fn charge_access(
+        &mut self,
+        proc: usize,
+        addr: usize,
+        len: usize,
+        write: bool,
+        now: Cycle,
+    ) -> Cycle {
         match &mut self.fabric {
             Fabric::Uni { latency } => {
                 self.primary[proc].charge_range(addr, len, write, *latency, now)
@@ -439,7 +446,11 @@ mod tests {
             let out = body(&sys);
             results.lock()[ctx.id()] = Some(out);
         });
-        let results = results.into_inner().into_iter().map(|o| o.unwrap()).collect();
+        let results = results
+            .into_inner()
+            .into_iter()
+            .map(|o| o.unwrap())
+            .collect();
         (results, r.machine, r.clocks)
     }
 

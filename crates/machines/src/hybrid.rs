@@ -249,11 +249,9 @@ impl System for HsSys<'_, '_> {
                 if op.machine().lock_holder.get(&lock) == Some(&me) {
                     return true;
                 }
-                let pending_here =
-                    op.machine().lock_dsm_pending.contains(&(lock, nd));
+                let pending_here = op.machine().lock_dsm_pending.contains(&(lock, nd));
                 let held_by = op.machine().lock_holder.get(&lock).copied();
-                let holder_here =
-                    held_by.is_some_and(|p| op.machine().node_of(p) == nd);
+                let holder_here = held_by.is_some_and(|p| op.machine().node_of(p) == nd);
                 match held_by {
                     _ if pending_here || holder_here => {
                         // The token is at (or already headed to) our node:
@@ -280,9 +278,8 @@ impl System for HsSys<'_, '_> {
                                 let routed = op.machine().fabric.route_timed(nd, now, sends);
                                 let done =
                                     settle(op, nd, per_node, routed, now, Category::SyncIdle);
-                                let granted = done
-                                    .iter()
-                                    .any(|(_, a, _)| *a == Action::LockGranted(lock));
+                                let granted =
+                                    done.iter().any(|(_, a, _)| *a == Action::LockGranted(lock));
                                 if granted {
                                     op.machine().lock_holder.insert(lock, me);
                                     true
@@ -415,8 +412,7 @@ impl System for HsSys<'_, '_> {
                         dur: 0,
                         kind: EventKind::GcRetire {
                             intervals: retired,
-                            bytes: after.gc_diff_bytes_retired
-                                - before.gc_diff_bytes_retired,
+                            bytes: after.gc_diff_bytes_retired - before.gc_diff_bytes_retired,
                         },
                     });
                 }

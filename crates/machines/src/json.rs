@@ -399,10 +399,7 @@ mod tests {
     #[test]
     fn renders_escapes() {
         let j = Json::obj().set("k\"ey", "line\n\ttab\\\u{1}");
-        assert_eq!(
-            j.render(),
-            "{\"k\\\"ey\":\"line\\n\\ttab\\\\\\u0001\"}"
-        );
+        assert_eq!(j.render(), "{\"k\\\"ey\":\"line\\n\\ttab\\\\\\u0001\"}");
     }
 
     #[test]
@@ -437,8 +434,18 @@ mod tests {
         let s = "µs → \"naïve\"\\\n\t\u{1}日本語 😀";
         let j = Json::obj().set("k→y", s).set("after", 7u64);
         assert_eq!(Json::parse(&j.render()).unwrap(), j);
-        assert_eq!(Json::parse("\"\\u00b5\\/\\b\\f\"").unwrap(), Json::from("µ/\u{8}\u{c}"));
-        for bad in ["\"é", "\"é\\", "\"\\u00", "\"\\ud800\"", "\"\\x\"", "\"\\u00é0\""] {
+        assert_eq!(
+            Json::parse("\"\\u00b5\\/\\b\\f\"").unwrap(),
+            Json::from("µ/\u{8}\u{c}")
+        );
+        for bad in [
+            "\"é",
+            "\"é\\",
+            "\"\\u00",
+            "\"\\ud800\"",
+            "\"\\x\"",
+            "\"\\u00é0\"",
+        ] {
             assert!(Json::parse(bad).is_err(), "{bad}");
         }
     }

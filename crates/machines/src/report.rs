@@ -318,7 +318,10 @@ mod tests {
         };
         assert_eq!(recovery.len(), 7);
         assert!(recovery.iter().all(|(_, v)| v.as_u64() == Some(0)));
-        let gc = j.get("dsm").and_then(|d| d.get("gc")).expect("dsm.gc block");
+        let gc = j
+            .get("dsm")
+            .and_then(|d| d.get("gc"))
+            .expect("dsm.gc block");
         assert_eq!(gc.get("collections").and_then(Json::as_u64), Some(0));
         let spurious = j.get("reliability").and_then(|rel| rel.get("spurious"));
         assert_eq!(spurious.and_then(Json::as_u64), Some(0));

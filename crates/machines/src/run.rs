@@ -699,9 +699,7 @@ mod tests {
             part1: false,
             so: None,
             tuning: DsmTuning {
-                faults: Some(
-                    tmk_net::FaultPlan::crash_schedule(5).with_crash(3, 100_000, None),
-                ),
+                faults: Some(tmk_net::FaultPlan::crash_schedule(5).with_crash(3, 100_000, None)),
                 checkpoints: true,
                 ..Default::default()
             },
@@ -712,9 +710,11 @@ mod tests {
             part1: false,
             so: None,
             tuning: DsmTuning {
-                faults: Some(
-                    tmk_net::FaultPlan::crash_schedule(5).with_crash(3, 100_000, Some(50_000)),
-                ),
+                faults: Some(tmk_net::FaultPlan::crash_schedule(5).with_crash(
+                    3,
+                    100_000,
+                    Some(50_000),
+                )),
                 ..Default::default()
             },
         };

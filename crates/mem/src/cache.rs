@@ -96,12 +96,18 @@ const STATES: [LineState; 4] = [
 ];
 
 fn pack(line: LineAddr, state: LineState) -> u64 {
-    debug_assert!(line >> (64 - STATE_BITS) == 0, "line address overflows the tag word");
+    debug_assert!(
+        line >> (64 - STATE_BITS) == 0,
+        "line address overflows the tag word"
+    );
     line << STATE_BITS | state as u64
 }
 
 fn unpack(word: u64) -> (LineAddr, LineState) {
-    (word >> STATE_BITS, STATES[(word & ((1 << STATE_BITS) - 1)) as usize])
+    (
+        word >> STATE_BITS,
+        STATES[(word & ((1 << STATE_BITS) - 1)) as usize],
+    )
 }
 
 /// Result of a [`DirectCache::probe`].

@@ -175,7 +175,14 @@ impl Directory {
     /// Charges `node` touching `len` bytes at `addr` from `now`: one
     /// coherent access per line, each taking one cycle once it is done (a
     /// hit is done at once). Returns the completion time.
-    pub fn charge_range(&mut self, node: usize, addr: usize, len: usize, write: bool, now: Cycle) -> Cycle {
+    pub fn charge_range(
+        &mut self,
+        node: usize,
+        addr: usize,
+        len: usize,
+        write: bool,
+        now: Cycle,
+    ) -> Cycle {
         let lines = self.cache.lines_of(addr, len);
         lines.fold(now, |t, line| self.access(node, line, write, t).done + 1)
     }
@@ -317,11 +324,7 @@ mod tests {
     use super::*;
 
     fn dir(nodes: usize) -> Directory {
-        Directory::new(
-            nodes,
-            CacheParams::new(1024, 64),
-            DirectoryParams::isca94(),
-        )
+        Directory::new(nodes, CacheParams::new(1024, 64), DirectoryParams::isca94())
     }
 
     #[test]

@@ -39,7 +39,10 @@ impl FabricFaults {
     /// be retried. Exactly one draw per call, so arming other fault models
     /// never perturbs this stream.
     pub fn strike(&mut self) -> bool {
-        let u = splitmix64(self.seed.wrapping_add(self.draws.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+        let u = splitmix64(
+            self.seed
+                .wrapping_add(self.draws.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+        );
         self.draws += 1;
         // 53-bit uniform in [0, 1).
         let x = (u >> 11) as f64 / (1u64 << 53) as f64;

@@ -108,7 +108,10 @@ impl SnoopBus {
     ///
     /// Panics if `procs > 64` (invalidation sets are 64-bit masks).
     pub fn new(procs: usize, cache: CacheParams, params: BusParams) -> Self {
-        assert!(procs <= 64, "invalidation bitmask supports up to 64 processors");
+        assert!(
+            procs <= 64,
+            "invalidation bitmask supports up to 64 processors"
+        );
         SnoopBus {
             caches: (0..procs).map(|_| DirectCache::new(cache)).collect(),
             cache,
@@ -164,7 +167,14 @@ impl SnoopBus {
     /// Charges `proc` touching `len` bytes at `addr` from `now`: one
     /// coherent access per line, each taking one cycle once it is done (a
     /// hit is done at once). Returns the completion time.
-    pub fn charge_range(&mut self, proc: usize, addr: usize, len: usize, write: bool, now: Cycle) -> Cycle {
+    pub fn charge_range(
+        &mut self,
+        proc: usize,
+        addr: usize,
+        len: usize,
+        write: bool,
+        now: Cycle,
+    ) -> Cycle {
         let lines = self.cache.lines_of(addr, len);
         lines.fold(now, |t, line| self.access(proc, line, write, t).done + 1)
     }

@@ -110,7 +110,14 @@ mod model {
 
         /// `HwMachine::charge_line`'s `Uni` arm (and `DsmMachine::charge_cache`)
         /// under `HwMachine::charge_access`'s line loop.
-        pub fn charge_range(&mut self, addr: usize, len: usize, write: bool, lat: Cycle, now: Cycle) -> Cycle {
+        pub fn charge_range(
+            &mut self,
+            addr: usize,
+            len: usize,
+            write: bool,
+            lat: Cycle,
+            now: Cycle,
+        ) -> Cycle {
             let mut t = now;
             for line in lines(self.params.block, addr, len) {
                 if write {
@@ -133,7 +140,11 @@ mod model {
     /// `HwMachine::charge_access`'s line arithmetic.
     pub fn lines(block: usize, addr: usize, len: usize) -> impl Iterator<Item = LineAddr> {
         let first = addr / block;
-        let last = if len == 0 { first } else { (addr + len - 1) / block };
+        let last = if len == 0 {
+            first
+        } else {
+            (addr + len - 1) / block
+        };
         (first..=last).map(|l| l as LineAddr)
     }
 
@@ -160,7 +171,13 @@ mod model {
     }
 
     impl Dir {
-        pub fn new(nodes: usize, cache: CacheParams, params: DirectoryParams, faults: FabricFaults, sink: Sink) -> Self {
+        pub fn new(
+            nodes: usize,
+            cache: CacheParams,
+            params: DirectoryParams,
+            faults: FabricFaults,
+            sink: Sink,
+        ) -> Self {
             Dir {
                 caches: (0..nodes).map(|_| Cache::new(cache)).collect(),
                 entries: HashMap::new(),
@@ -333,7 +350,14 @@ mod model {
     }
 
     impl Bus {
-        pub fn new(procs: usize, cache: CacheParams, params: BusParams, faults: FabricFaults, sink: Sink, track: u32) -> Self {
+        pub fn new(
+            procs: usize,
+            cache: CacheParams,
+            params: BusParams,
+            faults: FabricFaults,
+            sink: Sink,
+            track: u32,
+        ) -> Self {
             Bus {
                 caches: (0..procs).map(|_| Cache::new(cache)).collect(),
                 params,
@@ -487,7 +511,10 @@ type Step = ((usize, usize, usize), (bool, u64, bool));
 
 fn steps() -> impl Strategy<Value = Vec<Step>> {
     // (Nested: the proptest shim composes tuples of at most five.)
-    let step = ((0..64usize, 0..SPAN, 0..4 * BLOCK), (any::<bool>(), 0..60u64, any::<bool>()));
+    let step = (
+        (0..64usize, 0..SPAN, 0..4 * BLOCK),
+        (any::<bool>(), 0..60u64, any::<bool>()),
+    );
     proptest::collection::vec(step, 1..250)
 }
 
@@ -507,7 +534,10 @@ fn mask_of(pairs: &[(usize, LineAddr)], line: LineAddr) -> u64 {
     assert!(pairs.iter().all(|&(_, l)| l == line));
     assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0));
     let mask = pairs.iter().fold(0, |m, &(q, _)| m | 1 << q);
-    assert_eq!(set_bits(mask).collect::<Vec<_>>(), pairs.iter().map(|p| p.0).collect::<Vec<_>>());
+    assert_eq!(
+        set_bits(mask).collect::<Vec<_>>(),
+        pairs.iter().map(|p| p.0).collect::<Vec<_>>()
+    );
     mask
 }
 
@@ -517,7 +547,13 @@ fn same_caches(model: &[model::Cache], real: &[DirectCache]) -> Result<(), TestC
         prop_assert_eq!(m.stats, r.stats(), "cache {} counters", q);
         // Past the accessed span too: lines that alias into the same sets.
         for line in 0..(2 * SPAN / BLOCK) as LineAddr {
-            prop_assert_eq!(m.state_of(line), r.state_of(line), "cache {} line {}", q, line);
+            prop_assert_eq!(
+                m.state_of(line),
+                r.state_of(line),
+                "cache {} line {}",
+                q,
+                line
+            );
         }
     }
     Ok(())

@@ -634,8 +634,13 @@ mod tests {
 
     #[test]
     fn fault_plan_replays_bit_exactly() {
-        let plan = FaultPlan::drop_rate(7, 0.3).with_dup(0.2).with_delay(0.1, 50);
-        let mut a = LossyNet::faulty(PointToPointNet::new(4, NetParams::atm_100mhz()), plan.clone());
+        let plan = FaultPlan::drop_rate(7, 0.3)
+            .with_dup(0.2)
+            .with_delay(0.1, 50);
+        let mut a = LossyNet::faulty(
+            PointToPointNet::new(4, NetParams::atm_100mhz()),
+            plan.clone(),
+        );
         let mut b = LossyNet::faulty(PointToPointNet::new(4, NetParams::atm_100mhz()), plan);
         let fates_a: Vec<Fate> = (0..500).map(|i| a.fate(i % 4, (i + 1) % 4, 1)).collect();
         let fates_b: Vec<Fate> = (0..500).map(|i| b.fate(i % 4, (i + 1) % 4, 1)).collect();
@@ -742,7 +747,10 @@ mod tests {
             plan.clone(),
         );
         for _ in 0..200 {
-            assert_eq!(lossy.fate(0, 1, ALL_CLASSES), plan.verdict(rolls.next_u64()));
+            assert_eq!(
+                lossy.fate(0, 1, ALL_CLASSES),
+                plan.verdict(rolls.next_u64())
+            );
         }
     }
 

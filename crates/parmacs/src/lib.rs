@@ -151,7 +151,11 @@ fn with_le_bytes<T: Scalar, R>(vals: &[T], f: impl FnOnce(&[u8]) -> R) -> R {
         // pointer are initialized; `u8` has alignment 1; the shared borrow
         // of `vals` outlives the view. On a little-endian target the bytes
         // in memory are each element's `to_le` encoding, in order.
-        f(unsafe { std::slice::from_raw_parts(vals.as_ptr().cast(), std::mem::size_of_val(vals)) })
+        f(
+            unsafe {
+                std::slice::from_raw_parts(vals.as_ptr().cast(), std::mem::size_of_val(vals))
+            },
+        )
     }
     #[cfg(target_endian = "big")]
     f(&encode(vals))
@@ -266,7 +270,9 @@ impl<T: Scalar> SharedSlice<T> {
     /// `vals`.
     pub fn write_range<S: System + ?Sized>(&self, sys: &S, i: usize, vals: &[T]) {
         assert!(i + vals.len() <= self.len);
-        with_le_bytes(vals, |bytes| sys.write_bytes(self.addr + i * T::BYTES, bytes));
+        with_le_bytes(vals, |bytes| {
+            sys.write_bytes(self.addr + i * T::BYTES, bytes)
+        });
     }
 
     /// Initializes elements `[i, i+vals.len())` on the master.

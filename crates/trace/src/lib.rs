@@ -360,7 +360,10 @@ impl EventKind {
                 let _ = write!(out, ",\"args\":{{\"attempt\":{attempt}}}");
             }
             EventKind::MsgSend { to, class, bytes } => {
-                let _ = write!(out, ",\"args\":{{\"to\":{to},\"class\":{class},\"bytes\":{bytes}}}");
+                let _ = write!(
+                    out,
+                    ",\"args\":{{\"to\":{to},\"class\":{class},\"bytes\":{bytes}}}"
+                );
             }
             EventKind::MsgArrive { from, class, bytes } => {
                 let _ = write!(

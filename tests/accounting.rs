@@ -126,10 +126,7 @@ fn reduced_overheads_never_slow_a_dsm_app_down() {
 #[test]
 fn clock_rates_match_the_platform_era() {
     let w = sor::Sor::tiny();
-    assert_eq!(
-        run_workload(&Platform::Dec, &w).report.clock_hz,
-        40_000_000
-    );
+    assert_eq!(run_workload(&Platform::Dec, &w).report.clock_hz, 40_000_000);
     assert_eq!(
         run_workload(&Platform::as_sim(2), &w).report.clock_hz,
         100_000_000

@@ -8,9 +8,7 @@ use proptest::prelude::*;
 
 use tmk::apps::{sor, tsp};
 use tmk::dsm::RetransmitPolicy;
-use tmk::machines::{
-    run_workload, run_workload_traced, DsmProtocol, DsmTuning, Platform,
-};
+use tmk::machines::{run_workload, run_workload_traced, DsmProtocol, DsmTuning, Platform};
 use tmk::net::FaultPlan;
 use tmk::parmacs::Workload;
 
@@ -20,7 +18,11 @@ fn dsm_platform(procs: usize, ivy: bool, seed: u64, drop_permille: u32) -> Platf
         part1: false,
         so: None,
         tuning: DsmTuning {
-            protocol: if ivy { DsmProtocol::Ivy } else { DsmProtocol::Lrc },
+            protocol: if ivy {
+                DsmProtocol::Ivy
+            } else {
+                DsmProtocol::Lrc
+            },
             faults: (drop_permille > 0)
                 .then(|| FaultPlan::drop_rate(seed, drop_permille as f64 / 1000.0)),
             reliability: (drop_permille > 0).then(RetransmitPolicy::default),

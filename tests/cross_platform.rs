@@ -9,7 +9,9 @@ use tmk::parmacs::{SharedSlice, Workload};
 
 fn platforms(procs: usize) -> Vec<Platform> {
     vec![
-        Platform::Sgi { procs: procs.min(8) },
+        Platform::Sgi {
+            procs: procs.min(8),
+        },
         Platform::treadmarks(procs.min(8)),
         Platform::as_sim(procs),
         Platform::ah(procs),
@@ -24,10 +26,7 @@ fn total<W: Workload>(platform: &Platform, w: &W) -> f64 {
 
 fn assert_close(a: f64, b: f64, what: &str) {
     let tol = 1e-9 * a.abs().max(b.abs()).max(1.0);
-    assert!(
-        (a - b).abs() <= tol,
-        "{what}: {a} vs {b} (tolerance {tol})"
-    );
+    assert!((a - b).abs() <= tol, "{what}: {a} vs {b} (tolerance {tol})");
 }
 
 #[test]
@@ -231,22 +230,58 @@ fn memory_system_counters_are_pinned() {
     ];
     let sor_expect: [Counters; 5] = [
         ([2808, 96, 0, 0, 0], None, None),
-        ([2436, 576, 0, 0, 0], Some([468, 8424, 192, 96, 180, 180, 9216, 0]), None),
-        ([1218, 144, 0, 0, 0], None, Some([15, 39, 90, 90, 90, 14016, 0])),
-        ([380, 720, 0, 0, 0], None, Some([1, 411, 308, 352, 672, 65728, 0])),
-        ([896, 524, 0, 0, 0], Some([556, 3336, 64, 460, 32, 32, 33536, 0]), None),
+        (
+            [2436, 576, 0, 0, 0],
+            Some([468, 8424, 192, 96, 180, 180, 9216, 0]),
+            None,
+        ),
+        (
+            [1218, 144, 0, 0, 0],
+            None,
+            Some([15, 39, 90, 90, 90, 14016, 0]),
+        ),
+        (
+            [380, 720, 0, 0, 0],
+            None,
+            Some([1, 411, 308, 352, 672, 65728, 0]),
+        ),
+        (
+            [896, 524, 0, 0, 0],
+            Some([556, 3336, 64, 460, 32, 32, 33536, 0]),
+            None,
+        ),
     ];
     let water_expect: [Counters; 5] = [
         ([4590, 90, 0, 0, 0], None, None),
-        ([3083, 1710, 0, 0, 0], Some([1597, 28842, 807, 54, 788, 760, 27936, 0]), None),
-        ([2384, 796, 0, 0, 0], None, Some([14, 46, 736, 720, 757, 97152, 0])),
-        ([594, 2338, 0, 0, 0], None, Some([41, 750, 1547, 968, 2265, 246016, 0])),
-        ([2872, 933, 0, 0, 0], Some([1028, 6164, 124, 809, 104, 103, 60288, 0]), None),
+        (
+            [3083, 1710, 0, 0, 0],
+            Some([1597, 28842, 807, 54, 788, 760, 27936, 0]),
+            None,
+        ),
+        (
+            [2384, 796, 0, 0, 0],
+            None,
+            Some([14, 46, 736, 720, 757, 97152, 0]),
+        ),
+        (
+            [594, 2338, 0, 0, 0],
+            None,
+            Some([41, 750, 1547, 968, 2265, 246016, 0]),
+        ),
+        (
+            [2872, 933, 0, 0, 0],
+            Some([1028, 6164, 124, 809, 104, 103, 60288, 0]),
+            None,
+        ),
     ];
     let water_cfg = water::Water::tiny(water::WaterMode::Original);
     for (i, p) in hw.iter().enumerate() {
         let what = format!("{} x{}", p.name(), p.procs());
-        assert_eq!(counters(p, &sor::Sor::tiny()), sor_expect[i], "sor on {what}");
+        assert_eq!(
+            counters(p, &sor::Sor::tiny()),
+            sor_expect[i],
+            "sor on {what}"
+        );
         assert_eq!(counters(p, &water_cfg), water_expect[i], "water on {what}");
     }
 }

@@ -93,7 +93,11 @@ fn tracing_never_alters_the_simulation() {
     // A traced run must report exactly what the untraced run reports —
     // the tracer observes the clock, it never moves it.
     let w = tsp::Tsp::new(8);
-    for p in [Platform::treadmarks(4), Platform::hs_sim(2, 2), Platform::Sgi { procs: 4 }] {
+    for p in [
+        Platform::treadmarks(4),
+        Platform::hs_sim(2, 2),
+        Platform::Sgi { procs: 4 },
+    ] {
         let plain = run_workload(&p, &w);
         let (traced, buf) = run_workload_traced(&p, &w, Some(1 << 16));
         // Normalize the host-side wall time: it is the one field allowed

@@ -26,7 +26,11 @@ fn dsm_platform(
     gc: bool,
 ) -> Platform {
     let tuning = DsmTuning {
-        protocol: if ivy && !hs { DsmProtocol::Ivy } else { DsmProtocol::Lrc },
+        protocol: if ivy && !hs {
+            DsmProtocol::Ivy
+        } else {
+            DsmProtocol::Lrc
+        },
         faults: (drop_permille > 0)
             .then(|| FaultPlan::drop_rate(seed, drop_permille as f64 / 1000.0)),
         reliability: (drop_permille > 0).then(RetransmitPolicy::default),

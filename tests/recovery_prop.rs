@@ -11,9 +11,7 @@ use proptest::prelude::*;
 
 use tmk::apps::{sor, tsp};
 use tmk::dsm::RetransmitPolicy;
-use tmk::machines::{
-    run_workload, run_workload_traced, DsmProtocol, DsmTuning, Platform,
-};
+use tmk::machines::{run_workload, run_workload_traced, DsmProtocol, DsmTuning, Platform};
 use tmk::net::FaultPlan;
 use tmk::parmacs::Workload;
 
@@ -59,7 +57,11 @@ fn platform(
     }
     let ivy = matches!(machine, Machine::As { ivy: true, .. });
     let tuning = DsmTuning {
-        protocol: if ivy { DsmProtocol::Ivy } else { DsmProtocol::Lrc },
+        protocol: if ivy {
+            DsmProtocol::Ivy
+        } else {
+            DsmProtocol::Lrc
+        },
         faults: Some(plan),
         reliability: Some(snappy()),
         checkpoints: crash.is_some(),
