@@ -40,15 +40,12 @@ impl VTime {
         self.0[q] = seq;
     }
 
-    /// Does this time cover interval `seq` of node `q`?
-    pub fn covers(&self, q: NodeId, seq: Seq) -> bool {
-        self.0[q] >= seq
-    }
-
-    /// Element-wise maximum (join in the lattice of vector times).
-    pub fn merge(&mut self, other: &VTime) {
-        debug_assert_eq!(self.0.len(), other.0.len());
-        for (a, b) in self.0.iter_mut().zip(&other.0) {
+    /// Element-wise maximum (join in the lattice of vector times) with
+    /// another time's counts: a [`VTime`] or an interval record's slice.
+    pub fn merge(&mut self, other: &(impl AsRef<[Seq]> + ?Sized)) {
+        let other = other.as_ref();
+        debug_assert_eq!(self.0.len(), other.len());
+        for (a, b) in self.0.iter_mut().zip(other) {
             *a = (*a).max(*b);
         }
     }
@@ -70,6 +67,12 @@ impl VTime {
     }
 }
 
+impl AsRef<[Seq]> for VTime {
+    fn as_ref(&self) -> &[Seq] {
+        &self.0
+    }
+}
+
 impl fmt::Debug for VTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "VTime{:?}", self.0)
@@ -83,8 +86,7 @@ mod tests {
     #[test]
     fn zero_covers_nothing() {
         let vt = VTime::zero(3);
-        assert!(!vt.covers(0, 1));
-        assert!(vt.covers(0, 0));
+        assert!((0..3).all(|q| vt.get(q) == 0));
         assert_eq!(vt.len(), 3);
     }
 

@@ -5,6 +5,9 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+echo "== fmt: the workspace and its path dependencies are rustfmt-clean =="
+cargo fmt --all --check
+
 echo "== tier-1: build + tests (whole workspace, warnings are errors) =="
 export RUSTFLAGS="-D warnings"
 cargo build --release --workspace
