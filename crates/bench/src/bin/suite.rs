@@ -26,8 +26,9 @@ usage: suite [OPTIONS]
   --bench-json PATH path of the suite summary (default: DIR/BENCH_results.json
                     under --out)
   --trace DIR       record Chrome trace-event JSON for traced runs (the
-                    `breakdown` experiment) into DIR; load the files in
-                    Perfetto or chrome://tracing
+                    `breakdown` experiment) and the `service` runs' recovery
+                    events into DIR; load the files in Perfetto or
+                    chrome://tracing
   --op-trace DIR    record the engine op trace — one `pid clock` line per
                     sync operation — into DIR/<run>.ops.txt
   --list            list experiments and sections, then exit

@@ -176,8 +176,12 @@ fn execute(req: &JobRequest, opts: &RunOpts) -> JobResult {
     let (workload, params) = req.workload.describe();
     let start = Instant::now();
     let ring_cap = opts.trace.unwrap_or(0);
+    // A service run has no simulated cycles to attribute, only the
+    // runtime's recovery events: it records them whenever events are
+    // recorded at all (`--trace`), and its ledger rows stay zero.
+    let service = matches!(req.workload, WorkloadSpec::Service(_));
     let opts = RunOpts {
-        trace: req.traced.then_some(ring_cap),
+        trace: (req.traced || service && ring_cap > 0).then_some(ring_cap),
         ..*opts
     };
     let outcome = catch_unwind(AssertUnwindSafe(|| req.workload.run(&req.platform, &opts)));

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use tmk_apps::{ilink, sor, tsp, water};
 use tmk_machines::{run_workload_with, Outcome, Platform, RunOpts, RunReport};
 use tmk_parmacs::Workload;
-use tmk_trace::TraceBuf;
+use tmk_trace::{Sink, TraceBuf};
 
 /// A declarative workload identity: which application on which input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -293,55 +293,18 @@ pub(super) fn water(modified: bool, tiny: bool) -> WorkloadSpec {
 /// it is deterministic, so service runs memoize and cross-check like any
 /// simulated workload.
 fn run_service(spec: &ServiceSpec, opts: &RunOpts) -> (Outcome<f64>, Option<Arc<TraceBuf>>) {
-    use tmk_core::runtime::RecoveryEvent;
-    use tmk_trace::{Event, EventKind, Track};
-
+    let buf = opts
+        .trace
+        .map(|cap| Arc::new(TraceBuf::new(spec.nodes, cap)));
+    let run_opts = tmk_core::runtime::RunOpts {
+        faults: spec.faults(),
+        trace: buf.clone().map(Sink::new).unwrap_or_default(),
+        ..Default::default()
+    };
     let started = std::time::Instant::now();
-    let out = tmk_core::service::run_service(&spec.config(), spec.faults());
+    let out = tmk_core::service::run_service(&spec.config(), run_opts);
     let host_ms = started.elapsed().as_secs_f64() * 1e3;
     let report = out.report;
-    let rec = out.recovery;
-
-    let buf = opts.trace.map(|cap| {
-        let b = TraceBuf::new(spec.nodes, cap);
-        for ev in &rec.events {
-            let (track, at, kind) = match *ev {
-                RecoveryEvent::NodeCrash { node, at_us, .. } => (
-                    Track::Node(node as u32),
-                    at_us,
-                    EventKind::NodeCrash { node: node as u32 },
-                ),
-                RecoveryEvent::NodeSuspected { node, at_us } => (
-                    Track::Node(node as u32),
-                    at_us,
-                    EventKind::NodeSuspected { node: node as u32 },
-                ),
-                RecoveryEvent::CheckpointTake { pages, at_us, .. } => {
-                    (Track::Node(0), at_us, EventKind::CheckpointTake { pages })
-                }
-                RecoveryEvent::Rollback {
-                    node, pages, at_us, ..
-                } => (
-                    Track::Node(node as u32),
-                    at_us,
-                    EventKind::Rollback {
-                        node: node as u32,
-                        pages,
-                    },
-                ),
-                RecoveryEvent::TokenRegen { count, at_us } => {
-                    (Track::Node(0), at_us, EventKind::TokenRegen { count })
-                }
-            };
-            b.emit(Event {
-                track,
-                at,
-                dur: 0,
-                kind,
-            });
-        }
-        Arc::new(b)
-    });
 
     let results: Vec<f64> = report
         .tenants
@@ -354,10 +317,10 @@ fn run_service(spec: &ServiceSpec, opts: &RunOpts) -> (Outcome<f64>, Option<Arc<
         host_ms,
         cycles: report.makespan_us,
         proc_cycles: vec![report.makespan_us; spec.nodes],
-        // Only the timing-independent counters go in the record: severed /
-        // regenerated-token / restored-page counts depend on what happened
-        // to be in flight at crash time, and service records must be
-        // byte-identical run to run.
+        // The record takes the service report's timing-independent
+        // counters, not `out.recovery`: its severed-message, token and page
+        // counts depend on what was in flight at crash time, and service
+        // records must be byte-identical run to run.
         recovery: tmk_machines::RecoveryStats {
             checkpoints: report.checkpoints,
             suspected: report.suspected,

@@ -9,19 +9,8 @@ use crate::node::NodeCheckpoint;
 use crate::runtime_faults::{roll_fate, ChannelFaults, LinkFate};
 use crate::{
     Action, BarrierId, Config, DsmProtocol, Envelope, LockId, MsgClass, NodeId, NodeStats,
-    ProtoNode, Reliability, RetransmitPolicy, SharedAddr, StartAcquire, Timeout,
+    ProtoNode, RecoveryStats, Reliability, RetransmitPolicy, SharedAddr, StartAcquire, Timeout,
 };
-
-/// What a [`Cluster::crash_recover`] rollback did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RecoverySummary {
-    /// Lock tokens re-minted at their managers because their pre-crash
-    /// position (away from the manager, or on the crashed node) was lost
-    /// with the rollback.
-    pub tokens_regenerated: u64,
-    /// Page copies the crashed node re-materialized from its checkpoint.
-    pub pages_restored: u64,
-}
 
 /// Aggregate message/byte counters, split the way the paper's Figures 12–13
 /// split them.
@@ -421,25 +410,27 @@ impl Cluster {
     ///
     /// Panics if no checkpoint was taken — an unrecoverable crash, and
     /// always the case on an IVY cluster (see [`checkpoint`](Self::checkpoint)).
-    pub fn crash_recover(&mut self, crashed: NodeId) -> RecoverySummary {
+    pub fn crash_recover(&mut self, crashed: NodeId) -> RecoveryStats {
         let ckpt = self.ckpt.as_ref().unwrap_or_else(|| {
             panic!("node {crashed} crashed with no checkpoint armed: unrecoverable")
         });
-        let regenerated = self
+        let tokens_regenerated = self
             .nodes
             .iter()
             .enumerate()
             .map(|(id, node)| node.forgotten_tokens(id == crashed))
             .sum();
-        let pages_restored = ckpt[crashed].pages_resident();
+        let pages_refetched = ckpt[crashed].pages_resident();
         for (node, ck) in self.nodes.iter_mut().zip(ckpt.iter()) {
             if let ProtoNode::Lrc(node) = node {
                 node.restore(ck);
             }
         }
-        RecoverySummary {
-            tokens_regenerated: regenerated,
-            pages_restored,
+        RecoveryStats {
+            rollbacks: 1,
+            tokens_regenerated,
+            pages_refetched,
+            ..RecoveryStats::default()
         }
     }
 
@@ -731,7 +722,7 @@ mod tests {
         let baseline = run_section(&mut c, addr, 3);
         // "Crash" node 2 after the section: roll back and replay.
         let summary = c.crash_recover(2);
-        assert!(summary.pages_restored > 0, "node 2 cached the page");
+        assert!(summary.pages_refetched > 0, "node 2 cached the page");
         let replayed = run_section(&mut c, addr, 3);
         assert_eq!(baseline, replayed, "replay from the cut is deterministic");
     }

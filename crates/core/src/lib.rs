@@ -76,7 +76,7 @@ pub mod service;
 mod stats;
 mod vt;
 
-pub use cluster::{Cluster, RecoverySummary, Traffic};
+pub use cluster::{Cluster, Traffic};
 pub use diff::Diff;
 pub use hash::{IntHasher, IntMap};
 pub use interval::{IntervalMsg, IntervalStore};
@@ -85,7 +85,7 @@ pub use msg::{Action, BodyBytes, Envelope, Msg, MsgClass};
 pub use node::{FaultStart, Handled, Node, NodeCheckpoint, StartAcquire};
 pub use proto::{DsmProtocol, ProtoNode};
 pub use reliable::{AdaptiveRto, PacketId, RelStats, Reliability, RetransmitPolicy, Timeout};
-pub use stats::NodeStats;
+pub use stats::{NodeStats, RecoveryStats};
 pub use vt::VTime;
 
 /// Identifies a node (a machine in the cluster; one protocol instance).

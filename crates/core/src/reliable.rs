@@ -142,7 +142,7 @@ impl RelStats {
 /// Receiver-side duplicate-suppression window for one (src, dst) pair:
 /// every seq `<= contiguous` has been delivered, plus the sparse set of
 /// out-of-order arrivals above it.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct Seen {
     contiguous: u64,
     sparse: BTreeSet<u64>,
@@ -162,7 +162,7 @@ impl Seen {
 }
 
 /// One unacked packet's sender-side state.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Flight {
     /// The envelope to put back on the wire when the timer fires.
     env: Envelope,
@@ -219,7 +219,7 @@ pub enum Timeout {
 /// Sequence numbers, duplicate suppression and retransmit flights for a
 /// whole cluster's traffic (the routers are centralized, so one instance
 /// covers every (src, dst) pair).
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Reliability {
     policy: RetransmitPolicy,
     next_seq: IntMap<(NodeId, NodeId), u64>,
@@ -700,5 +700,236 @@ mod tests {
         assert_eq!(rel.stats().acks, 1);
         rel.note_spurious();
         assert_eq!(rel.stats().spurious, 1);
+    }
+}
+
+/// Exhaustive exploration of [`Reliability`] on one link: every
+/// interleaving of `send`, copy arrival, `timeout` on any live flight,
+/// `abandon_in_flight` and `forgive_retries` for up to three packets at
+/// `max_retries` 2 — the two hooks the crash-recovery drivers call, mixed
+/// with everything the routers do. Stress tests (`prop_protocol.rs`) cover
+/// breadth; this covers every schedule of a small world.
+///
+/// Copies are never dropped explicitly: a copy that a path never delivers
+/// is a dropped one. Each flight times out at most `max_retries + 1` times
+/// per allowance (so it exhausts once), and a path abandons and forgives at
+/// most once each. Under the fixed policy the layer never branches on time,
+/// so states are compared with the clock and deadlines left out.
+#[cfg(test)]
+mod small_world {
+    use std::collections::HashSet;
+
+    use super::*;
+
+    const PACKETS: usize = 3;
+    const MAX_RETRIES: u32 = 2;
+    const LINK: (NodeId, NodeId) = (0, 1);
+
+    #[derive(Clone)]
+    struct World {
+        rel: Reliability,
+        now: u64,
+        sent: usize,
+        /// Copies of packet `seq` still on the wire, at index `seq - 1`.
+        wire: [u32; PACKETS],
+        /// Whether `delivered` has returned `true` for the packet.
+        accepted: [bool; PACKETS],
+        /// Whether the packet's flight was abandoned before an ack.
+        abandoned: [bool; PACKETS],
+        forgave: bool,
+        abandon_used: bool,
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        Send,
+        Arrive(usize),
+        Timeout(usize),
+        Abandon,
+        Forgive,
+    }
+
+    fn pid(seq: usize) -> PacketId {
+        (LINK.0, LINK.1, seq as u64)
+    }
+
+    impl World {
+        fn new() -> World {
+            World {
+                rel: Reliability::new(RetransmitPolicy {
+                    timeout: 10,
+                    backoff: 2,
+                    max_retries: MAX_RETRIES,
+                    adaptive: None,
+                }),
+                now: 0,
+                sent: 0,
+                wire: [0; PACKETS],
+                accepted: [false; PACKETS],
+                abandoned: [false; PACKETS],
+                forgave: false,
+                abandon_used: false,
+            }
+        }
+
+        /// Everything that decides the future, without the clock.
+        fn key(&self) -> Vec<u64> {
+            let mut k = vec![
+                self.sent as u64,
+                self.forgave as u64,
+                self.abandon_used as u64,
+            ];
+            for i in 0..PACKETS {
+                let retries = self
+                    .rel
+                    .in_flight
+                    .get(&pid(i + 1))
+                    .map_or(0, |f| f.retries + 1);
+                k.extend([
+                    self.wire[i] as u64,
+                    self.accepted[i] as u64,
+                    self.abandoned[i] as u64,
+                    retries as u64,
+                ]);
+            }
+            if let Some(seen) = self.rel.seen.get(&LINK) {
+                k.push(seen.contiguous);
+                k.extend(seen.sparse.iter().copied());
+            }
+            k
+        }
+
+        fn steps(&self) -> Vec<Step> {
+            let mut steps = Vec::new();
+            if self.sent < PACKETS {
+                steps.push(Step::Send);
+            }
+            for seq in 1..=self.sent {
+                if self.wire[seq - 1] > 0 {
+                    steps.push(Step::Arrive(seq));
+                }
+                if let Some(f) = self.rel.in_flight.get(&pid(seq)) {
+                    if f.retries <= MAX_RETRIES {
+                        steps.push(Step::Timeout(seq));
+                    }
+                }
+            }
+            let live = !self.rel.in_flight.is_empty();
+            if live && !self.abandon_used {
+                steps.push(Step::Abandon);
+            }
+            if !self.forgave && self.rel.in_flight.values().any(|f| f.retries > 0) {
+                steps.push(Step::Forgive);
+            }
+            steps
+        }
+
+        fn apply(&mut self, step: Step) {
+            match step {
+                Step::Send => {
+                    let (p, deadline) = self.rel.send(&env(), self.now, 0);
+                    self.sent += 1;
+                    assert_eq!(p, pid(self.sent), "sequences are dense");
+                    assert!(deadline > self.now);
+                    self.wire[self.sent - 1] += 1;
+                }
+                Step::Arrive(seq) => {
+                    self.wire[seq - 1] -= 1;
+                    if self.rel.delivered(pid(seq), self.now) {
+                        assert!(!self.accepted[seq - 1], "packet {seq} delivered twice");
+                        assert!(!self.abandoned[seq - 1], "abandoned packet {seq} delivered");
+                        self.accepted[seq - 1] = true;
+                    }
+                }
+                Step::Timeout(seq) => {
+                    let f = &self.rel.in_flight[&pid(seq)];
+                    let (retries, deadline) = (f.retries, f.deadline);
+                    self.now = self.now.max(deadline);
+                    assert!(self.rel.overdue(self.now).contains(&pid(seq)));
+                    match self.rel.timeout(pid(seq), self.now) {
+                        Timeout::Resend { attempt, .. } | Timeout::Exhausted { attempt, .. } => {
+                            assert_eq!(attempt, retries + 1);
+                        }
+                        Timeout::Stale => panic!("live flight {seq} timed out stale"),
+                    }
+                    self.wire[seq - 1] += 1;
+                }
+                Step::Abandon => {
+                    for &(_, _, seq) in self.rel.in_flight.keys() {
+                        self.abandoned[seq as usize - 1] = true;
+                    }
+                    self.rel.abandon_in_flight();
+                    self.abandon_used = true;
+                }
+                Step::Forgive => {
+                    assert!(self.rel.forgive_retries(LINK.1) > 0);
+                    self.forgave = true;
+                }
+            }
+        }
+
+        /// The invariants every reachable state keeps.
+        fn check(&self) {
+            for (&p, f) in &self.rel.in_flight {
+                assert!(f.deadline < u64::MAX, "{p:?} has no finite deadline");
+                assert!(
+                    self.rel.overdue(f.deadline).contains(&p),
+                    "{p:?} never overdue"
+                );
+            }
+            if self.rel.in_flight.is_empty() {
+                let (contiguous, sparse) = self
+                    .rel
+                    .seen
+                    .get(&LINK)
+                    .map_or((0, 0), |s| (s.contiguous, s.sparse.len()));
+                assert_eq!(sparse, 0, "quiescent window has a hole");
+                assert_eq!(
+                    contiguous, self.sent as u64,
+                    "quiescent window misses a packet"
+                );
+            }
+        }
+    }
+
+    fn env() -> Envelope {
+        Envelope {
+            from: LINK.0,
+            to: LINK.1,
+            msg: crate::Msg::PageReq { page: 0 },
+        }
+    }
+
+    #[test]
+    fn every_interleaving_keeps_the_window_exact() {
+        let mut seen = HashSet::new();
+        let mut stack = vec![World::new()];
+        let (mut quiescent, mut exhausted) = (0u64, 0u64);
+        while let Some(world) = stack.pop() {
+            if !seen.insert(world.key()) {
+                continue;
+            }
+            world.check();
+            if world.sent == PACKETS && world.rel.in_flight.is_empty() {
+                quiescent += 1;
+            }
+            for step in world.steps() {
+                let mut next = world.clone();
+                next.apply(step);
+                if matches!(step, Step::Timeout(seq) if next.rel.in_flight[&pid(seq)].retries > MAX_RETRIES)
+                {
+                    exhausted += 1;
+                }
+                stack.push(next);
+            }
+        }
+        println!(
+            "small_world: {} states, {quiescent} quiescent, {exhausted} exhausting timeouts",
+            seen.len()
+        );
+        assert!(
+            quiescent > 0 && exhausted > 0,
+            "the search reached no interesting state"
+        );
     }
 }

@@ -26,6 +26,11 @@
 //!   results are byte-identical to a crash-free run. `poison` teardown
 //!   remains only for unrecoverable states (application panics, crashes
 //!   with no checkpoint armed).
+//! * Recovery is counted in the same [`RecoveryStats`] the simulators
+//!   report, and its `node_crash`, `node_suspected`, `checkpoint_take`,
+//!   `rollback` and `token_regen` events go straight to the `tmk-trace`
+//!   sink in [`RunOpts::trace`], stamped in host microseconds since the run
+//!   started.
 //!
 //! ```
 //! use tmk_core::runtime::{Dsm, DsmConfig};
@@ -58,18 +63,17 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::{Condvar, Mutex};
+use tmk_trace::{Event, EventKind, Sink, Track};
 
 use crate::cluster::Traffic;
 use crate::reliable::{PacketId, RelStats, Reliability, RetransmitPolicy, Timeout};
 use crate::runtime_faults::{roll_fate, LinkFate};
 use crate::{
     Action, BarrierId, Config, Envelope, LockId, Node, NodeCheckpoint, NodeId, NodeStats,
-    SharedAddr, StartAcquire,
+    RecoveryStats, SharedAddr, StartAcquire,
 };
 
-pub use crate::runtime_faults::{
-    ChannelFaults, CrashPoint, FaultSummary, LinkFaults, RecoveryEvent, RunRecovery,
-};
+pub use crate::runtime_faults::{ChannelFaults, CrashPoint, FaultSummary, LinkFaults};
 pub use crate::Config as DsmConfig;
 
 enum Wire {
@@ -174,8 +178,10 @@ struct Shared {
     epochs_now: Vec<AtomicU64>,
     links: Mutex<BTreeMap<(NodeId, NodeId), LinkFaults>>,
     delayed: Mutex<Vec<Delayed>>,
-    recovery: Mutex<RunRecovery>,
+    recovery: Mutex<RecoveryStats>,
     severed: AtomicU64,
+    /// Where the recovery events go, on the `t0` microsecond clock.
+    trace: Sink,
     ckpt: Mutex<Option<(u64, Vec<NodeCheckpoint>)>>,
     fence: Fence,
 }
@@ -183,6 +189,16 @@ struct Shared {
 impl Shared {
     fn now_us(&self) -> u64 {
         self.t0.elapsed().as_micros() as u64
+    }
+
+    /// Logs a recovery instant on `node`'s track at the current time.
+    fn emit(&self, node: NodeId, kind: EventKind) {
+        self.trace.emit(Event {
+            track: Track::Node(node as u32),
+            at: self.now_us(),
+            dur: 0,
+            kind,
+        });
     }
 
     fn is_down(&self, node: NodeId) -> bool {
@@ -281,15 +297,10 @@ impl Shared {
 
     /// Marks `node` dead: its driver unwinds and the wire starts severing
     /// its traffic.
-    fn note_crash(&self, node: NodeId, epoch: u64) {
+    fn note_crash(&self, node: NodeId) {
         self.down[node].store(true, Ordering::SeqCst);
-        let mut rec = self.recovery.lock();
-        rec.crashes += 1;
-        rec.events.push(RecoveryEvent::NodeCrash {
-            node,
-            epoch,
-            at_us: self.now_us(),
-        });
+        self.recovery.lock().crashes += 1;
+        self.emit(node, EventKind::NodeCrash { node: node as u32 });
     }
 
     /// Gives `node` up for dead (once per incident) and raises a rollback.
@@ -297,14 +308,8 @@ impl Shared {
         if !self.armed || self.suspected[node].swap(true, Ordering::SeqCst) {
             return;
         }
-        {
-            let mut rec = self.recovery.lock();
-            rec.suspected += 1;
-            rec.events.push(RecoveryEvent::NodeSuspected {
-                node,
-                at_us: self.now_us(),
-            });
-        }
+        self.recovery.lock().suspected += 1;
+        self.emit(node, EventKind::NodeSuspected { node: node as u32 });
         self.raise_rollback();
     }
 
@@ -334,13 +339,8 @@ impl Shared {
             snaps.push(ck);
         }
         *self.ckpt.lock() = Some((epoch, snaps));
-        let mut rec = self.recovery.lock();
-        rec.checkpoints += 1;
-        rec.events.push(RecoveryEvent::CheckpointTake {
-            epoch,
-            pages,
-            at_us: self.now_us(),
-        });
+        self.recovery.lock().checkpoints += 1;
+        self.emit(0, EventKind::CheckpointTake { pages });
     }
 
     /// Rolls every node back to the last checkpoint (the runtime analogue
@@ -369,10 +369,6 @@ impl Shared {
             inner.node.restore(&snaps[id]);
             inner.completions.clear();
         }
-        let mut pages = 0u64;
-        for &c in &crashed {
-            pages += snaps[c].pages_resident();
-        }
         {
             // Under the rel lock so the ticker cannot suspect a stale
             // flight of an already-revived node.
@@ -386,24 +382,21 @@ impl Shared {
             }
         }
         self.delayed.lock().clear();
+        let mut restored = 0;
+        for &c in &crashed {
+            let pages = snaps[c].pages_resident();
+            restored += pages;
+            let node = c as u32;
+            self.emit(c, EventKind::Rollback { node, pages });
+        }
+        if regen > 0 {
+            self.emit(0, EventKind::TokenRegen { count: regen });
+        }
         {
             let mut rec = self.recovery.lock();
             rec.rollbacks += 1;
             rec.tokens_regenerated += regen;
-            rec.pages_restored += pages;
-            let at_us = self.now_us();
-            for &c in &crashed {
-                rec.events.push(RecoveryEvent::Rollback {
-                    node: c,
-                    to_epoch: *ck_epoch,
-                    pages: snaps[c].pages_resident(),
-                    at_us,
-                });
-            }
-            rec.events.push(RecoveryEvent::TokenRegen {
-                count: regen,
-                at_us,
-            });
+            rec.pages_refetched += restored;
         }
         self.rollback.store(false, Ordering::SeqCst);
         st.epoch = *ck_epoch;
@@ -621,7 +614,7 @@ impl DsmNode {
                 && cp.op == op
                 && !sh.crash_fired[i].swap(true, Ordering::SeqCst)
             {
-                sh.note_crash(self.id, epoch);
+                sh.note_crash(self.id);
                 if sh.armed {
                     panic!("{CRASH_MARK}");
                 }
@@ -769,6 +762,10 @@ pub struct RunOpts {
     /// self-reporting at the fence (covers crashes no retransmission can
     /// discover because no traffic was in flight).
     pub grace_ms: u64,
+    /// Sink for the recovery events (`node_crash`, `node_suspected`,
+    /// `checkpoint_take`, `rollback`, `token_regen`), timestamped in host
+    /// microseconds since the run started; disabled by default.
+    pub trace: Sink,
 }
 
 impl Default for RunOpts {
@@ -785,6 +782,7 @@ impl Default for RunOpts {
                 adaptive: None,
             },
             grace_ms: 50,
+            trace: Sink::default(),
         }
     }
 }
@@ -805,8 +803,8 @@ pub struct RunOutput<R> {
     pub traffic: Traffic,
     /// Reliability-layer counters for the channel path.
     pub reliability: RelStats,
-    /// Crash-recovery counters and event log.
-    pub recovery: RunRecovery,
+    /// Crash-recovery counters.
+    pub recovery: RecoveryStats,
     /// What the fault plan did, aggregated and per link.
     pub faults: FaultSummary,
 }
@@ -1035,9 +1033,6 @@ where
         init(&mut master)
     };
 
-    // The initial checkpoint: cluster start-up is trivially consistent.
-    let ckpt0 = armed.then(|| (0u64, nodes.iter().map(Node::checkpoint).collect::<Vec<_>>()));
-
     let mut senders = Vec::with_capacity(n);
     let mut receivers = Vec::with_capacity(n);
     for _ in 0..n {
@@ -1058,15 +1053,6 @@ where
         })
         .collect();
     let crash_count = opts.faults.crashes.len();
-    let mut recovery0 = RunRecovery::default();
-    if let Some((_, snaps)) = &ckpt0 {
-        recovery0.checkpoints = 1;
-        recovery0.events.push(RecoveryEvent::CheckpointTake {
-            epoch: 0,
-            pages: snaps.iter().map(|s| s.pages_resident()).sum(),
-            at_us: 0,
-        });
-    }
     let shared = Arc::new(Shared {
         cells,
         senders,
@@ -1089,9 +1075,10 @@ where
         epochs_now: (0..n).map(|_| AtomicU64::new(0)).collect(),
         links: Mutex::new(BTreeMap::new()),
         delayed: Mutex::new(Vec::new()),
-        recovery: Mutex::new(recovery0),
+        recovery: Mutex::new(RecoveryStats::default()),
         severed: AtomicU64::new(0),
-        ckpt: Mutex::new(ckpt0),
+        trace: opts.trace,
+        ckpt: Mutex::new(None),
         fence: Fence {
             state: Mutex::new(FenceState {
                 arrived: 0,
@@ -1104,6 +1091,11 @@ where
             cv: Condvar::new(),
         },
     });
+
+    // The initial checkpoint: cluster start-up is trivially consistent.
+    if armed {
+        shared.take_checkpoint(0);
+    }
 
     let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
     std::thread::scope(|scope| {
@@ -1218,8 +1210,8 @@ where
     for cell in &shared.cells {
         stats.merge(cell.inner.lock().node.stats());
     }
-    let mut recovery = std::mem::take(&mut *shared.recovery.lock());
-    recovery.severed = shared.severed.load(Ordering::Relaxed);
+    let mut recovery = *shared.recovery.lock();
+    recovery.messages_severed = shared.severed.load(Ordering::Relaxed);
     let faults = {
         let links = shared.links.lock();
         let per_link: Vec<_> = links.iter().map(|(k, v)| (*k, *v)).collect();
@@ -1437,7 +1429,7 @@ mod tests {
                 max_retries: 8,
                 adaptive: None,
             },
-            grace_ms: 50,
+            ..RunOpts::default()
         };
         let run = || {
             engine(
@@ -1497,7 +1489,11 @@ mod tests {
         assert_eq!(out.reliability.retransmissions, 0);
         assert_eq!(out.reliability.timeouts, 0);
         assert_eq!(out.faults.drops + out.faults.dups + out.faults.delays, 0);
-        assert!(!out.recovery.any(), "plain runs do no recovery work");
+        assert_eq!(
+            out.recovery,
+            RecoveryStats::default(),
+            "plain runs do no recovery work"
+        );
     }
 
     #[test]
@@ -1521,26 +1517,32 @@ mod tests {
         }
     }
 
+    /// Three epochs in which every node bumps its own slot under a lock
+    /// managed by its neighbour (so each token rests away from its manager
+    /// and a rollback must re-mint it), then a fourth that sums all slots.
+    fn three_epochs(node: &DsmNode, epoch: u64, _: &()) -> EpochStep<u64> {
+        if epoch < 3 {
+            let addr = node.id() * 8;
+            node.lock(node.id() + 1);
+            let v = node.read_u64(addr);
+            node.write_u64(addr, v + (epoch + 1) * (node.id() as u64 + 1));
+            node.unlock(node.id() + 1);
+            EpochStep::Continue
+        } else {
+            // Prior epochs all ended at a barrier, so every write is
+            // visible here.
+            EpochStep::Done((0..node.nodes()).map(|q| node.read_u64(q * 8)).sum::<u64>())
+        }
+    }
+
     #[test]
     fn crash_recovery_replays_to_identical_results() {
-        let body = |node: &DsmNode, epoch: u64, _: &()| {
-            if epoch < 3 {
-                let addr = node.id() * 8;
-                let v = node.read_u64(addr);
-                node.write_u64(addr, v + (epoch + 1) * (node.id() as u64 + 1));
-                EpochStep::Continue
-            } else {
-                // Prior epochs all ended at a barrier, so every write is
-                // visible here.
-                EpochStep::Done((0..node.nodes()).map(|q| node.read_u64(q * 8)).sum::<u64>())
-            }
-        };
-        let clean = Dsm::run_epochs(small(3), RunOpts::default(), |_| (), body);
+        let clean = Dsm::run_epochs(small(3), RunOpts::default(), |_| (), three_epochs);
         let opts = RunOpts {
             faults: ChannelFaults::default().crash(1, 1, 1),
             ..RunOpts::default()
         };
-        let crashed = Dsm::run_epochs(small(3), opts, |_| (), body);
+        let crashed = Dsm::run_epochs(small(3), opts, |_| (), three_epochs);
         let expect: u64 = (0..3u64).map(|id| (1 + 2 + 3) * (id + 1)).sum();
         assert!(clean.results.iter().all(|&v| v == expect));
         assert_eq!(clean.results, crashed.results, "recovery must be exact");
@@ -1549,6 +1551,27 @@ mod tests {
         assert!(crashed.recovery.suspected >= 1);
         assert!(crashed.recovery.checkpoints >= clean.recovery.checkpoints);
         assert_eq!(clean.recovery.rollbacks, 0);
+    }
+
+    #[test]
+    fn recovery_events_are_traced_on_the_runtime_clock() {
+        let buf = Arc::new(tmk_trace::TraceBuf::new(3, 1024));
+        let opts = RunOpts {
+            faults: ChannelFaults::default().crash(1, 1, 1),
+            trace: Sink::new(Arc::clone(&buf)),
+            ..RunOpts::default()
+        };
+        let out = Dsm::run_epochs(small(3), opts, |_| (), three_epochs);
+        let trace = buf.chrome_trace();
+        let count = |kind: &str| trace.matches(&format!("{{\"name\":\"{kind}\"")).count() as u64;
+        let rec = out.recovery;
+        assert_eq!(count("node_crash"), rec.crashes, "{trace}");
+        assert_eq!(count("node_suspected"), rec.suspected, "{trace}");
+        assert_eq!(count("checkpoint_take"), rec.checkpoints, "{trace}");
+        assert_eq!(count("rollback"), rec.rollbacks, "{trace}");
+        assert!(rec.tokens_regenerated > 0, "{rec:?}");
+        assert_eq!(count("token_regen"), 1, "{trace}");
+        assert_eq!((rec.crashes, rec.rollbacks), (1, 1));
     }
 
     #[test]

@@ -198,87 +198,6 @@ pub struct FaultSummary {
     pub per_link: Vec<((NodeId, NodeId), LinkFaults)>,
 }
 
-/// Crash-recovery counters and the event log of a run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RunRecovery {
-    /// Epoch checkpoints taken (including the initial one).
-    pub checkpoints: u64,
-    /// Scheduled crashes that fired.
-    pub crashes: u64,
-    /// Messages severed on the wire to or from a down node.
-    pub severed: u64,
-    /// Nodes suspected dead (by retransmission exhaustion or crash-site
-    /// self-report), counted once per incident.
-    pub suspected: u64,
-    /// Cluster-wide rollbacks to the last checkpoint.
-    pub rollbacks: u64,
-    /// Lock tokens re-minted at their managers by rollbacks (the sans-io
-    /// [`Cluster::crash_recover`](crate::Cluster::crash_recover) rule).
-    pub tokens_regenerated: u64,
-    /// Page copies the crashed nodes re-materialized from the checkpoint.
-    pub pages_restored: u64,
-    /// Ordered recovery event log (host-relative microsecond timestamps).
-    pub events: Vec<RecoveryEvent>,
-}
-
-impl RunRecovery {
-    /// Whether anything recovery-related happened at all.
-    pub fn any(&self) -> bool {
-        self.checkpoints > 0 || self.crashes > 0 || self.severed > 0 || self.rollbacks > 0
-    }
-}
-
-/// One entry of the runtime's recovery event log. Mirrors the trace
-/// vocabulary (`node_crash` / `node_suspected` / `checkpoint_take` /
-/// `rollback` / `token_regen`) so callers can re-emit these into a
-/// `tmk-trace` buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecoveryEvent {
-    /// A scheduled crash fired on `node` during `epoch`.
-    NodeCrash {
-        /// Crashed node.
-        node: NodeId,
-        /// Epoch the crash fired in.
-        epoch: u64,
-        /// Host-relative time, microseconds.
-        at_us: u64,
-    },
-    /// `node` was given up for dead.
-    NodeSuspected {
-        /// Suspected node.
-        node: NodeId,
-        /// Host-relative time, microseconds.
-        at_us: u64,
-    },
-    /// A barrier-consistent checkpoint was taken for `epoch`.
-    CheckpointTake {
-        /// First epoch the checkpoint would replay.
-        epoch: u64,
-        /// Resident page copies across the snapshot.
-        pages: u64,
-        /// Host-relative time, microseconds.
-        at_us: u64,
-    },
-    /// The cluster rolled `node` (and everyone else) back to `to_epoch`.
-    Rollback {
-        /// The crashed node the rollback recovers.
-        node: NodeId,
-        /// Epoch execution resumes from.
-        to_epoch: u64,
-        /// Page copies restored on the crashed node.
-        pages: u64,
-        /// Host-relative time, microseconds.
-        at_us: u64,
-    },
-    /// Lock tokens re-minted at their managers after a rollback.
-    TokenRegen {
-        /// Tokens regenerated.
-        count: u64,
-        /// Host-relative time, microseconds.
-        at_us: u64,
-    },
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -28,9 +28,9 @@
 //! and a faulty multi-tenant run, as long as nothing was shed.
 
 use crate::reliable::RelStats;
-use crate::runtime::{ChannelFaults, Dsm, EpochStep, FaultSummary, RunOpts, RunRecovery};
+use crate::runtime::{Dsm, EpochStep, FaultSummary, RunOpts};
 use crate::runtime_faults::splitmix;
-use crate::{Config, NodeId};
+use crate::{Config, NodeId, RecoveryStats};
 
 /// FNV-1a offset basis / prime: the request-application fold and the
 /// checksum fold both use the FNV constants.
@@ -361,8 +361,9 @@ pub struct ServiceReport {
 pub struct ServiceOutcome {
     /// Deterministic per-tenant metrics and recovery counts.
     pub report: ServiceReport,
-    /// Full recovery log (token/page counts depend on host timing).
-    pub recovery: RunRecovery,
+    /// All the runtime's recovery counters (severed-message, token and page
+    /// counts depend on host timing).
+    pub recovery: RecoveryStats,
     /// What the fault plan did on each link.
     pub faults: FaultSummary,
     /// Channel reliability counters (retransmissions depend on host
@@ -373,7 +374,8 @@ pub struct ServiceOutcome {
 /// Runs the service: precomputes the admission schedule, executes the
 /// admitted batches as DSM epochs on a real-thread cluster (crash recovery
 /// armed), and folds per-tenant checksums on node 0 in a final epoch.
-pub fn run_service(cfg: &ServiceConfig, faults: ChannelFaults) -> ServiceOutcome {
+/// `opts` carries the channel fault plan and the recovery-event sink.
+pub fn run_service(cfg: &ServiceConfig, opts: RunOpts) -> ServiceOutcome {
     assert!(cfg.nodes > 0 && cfg.tenants > 0 && cfg.keys_per_tenant > 0);
     assert!(cfg.batch_cap > 0, "a zero-capacity gate admits nothing");
     if let Some(t) = cfg.solo {
@@ -384,10 +386,6 @@ pub fn run_service(cfg: &ServiceConfig, faults: ChannelFaults) -> ServiceOutcome
     let dsm_cfg = Config::new(cfg.nodes)
         .page_size(layout.page_size)
         .segment_pages(layout.segment_pages());
-    let opts = RunOpts {
-        faults,
-        ..RunOpts::default()
-    };
     let fold_epoch = plan.windows_total;
     let plan_ref = &plan;
     let layout_ref = &layout;
@@ -502,6 +500,7 @@ pub fn run_service(cfg: &ServiceConfig, faults: ChannelFaults) -> ServiceOutcome
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::ChannelFaults;
 
     fn small() -> ServiceConfig {
         ServiceConfig {
@@ -522,8 +521,8 @@ mod tests {
     #[test]
     fn report_is_deterministic_across_runs() {
         let cfg = small();
-        let a = run_service(&cfg, ChannelFaults::default());
-        let b = run_service(&cfg, ChannelFaults::default());
+        let a = run_service(&cfg, RunOpts::default());
+        let b = run_service(&cfg, RunOpts::default());
         assert_eq!(a.report, b.report);
         assert!(a.report.lock_counter > 0, "requests were applied");
     }
@@ -531,7 +530,7 @@ mod tests {
     #[test]
     fn solo_baseline_matches_multi_tenant_checksums() {
         let cfg = small();
-        let multi = run_service(&cfg, ChannelFaults::default());
+        let multi = run_service(&cfg, RunOpts::default());
         assert_eq!(multi.report.total_shed, 0, "ample capacity must not shed");
         for t in 0..cfg.tenants {
             let solo = run_service(
@@ -539,7 +538,7 @@ mod tests {
                     solo: Some(t),
                     ..cfg.clone()
                 },
-                ChannelFaults::default(),
+                RunOpts::default(),
             );
             assert_eq!(solo.report.tenants.len(), 1);
             assert_eq!(
@@ -552,13 +551,16 @@ mod tests {
     #[test]
     fn faulty_run_matches_fault_free_results() {
         let cfg = small();
-        let clean = run_service(&cfg, ChannelFaults::default());
+        let clean = run_service(&cfg, RunOpts::default());
         let faulty = run_service(
             &cfg,
-            ChannelFaults::seeded(77)
-                .drop_rate(0.05)
-                .delay_rate(0.05, 300)
-                .crash(1, 1, 1),
+            RunOpts {
+                faults: ChannelFaults::seeded(77)
+                    .drop_rate(0.05)
+                    .delay_rate(0.05, 300)
+                    .crash(1, 1, 1),
+                ..RunOpts::default()
+            },
         );
         assert_eq!(faulty.report.crashes, 1);
         assert_eq!(faulty.report.rollbacks, 1, "one crash, one rollback");
@@ -578,9 +580,9 @@ mod tests {
             batch_cap: 3,
             ..small()
         };
-        let a = run_service(&cfg, ChannelFaults::default());
+        let a = run_service(&cfg, RunOpts::default());
         assert!(a.report.total_shed > 0, "overload must shed");
-        let b = run_service(&cfg, ChannelFaults::default());
+        let b = run_service(&cfg, RunOpts::default());
         assert_eq!(a.report, b.report, "shedding must be deterministic");
         // Degradation is graceful: admitted work still completes exactly.
         let applied: u64 = a.report.tenants.iter().map(|t| t.completed).sum();

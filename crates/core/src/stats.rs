@@ -101,6 +101,37 @@ impl NodeStats {
     }
 }
 
+/// Counters from the node-crash fault model: barrier-epoch checkpoints,
+/// failure detections, and the rollback-recovery work they triggered. The
+/// one recovery vocabulary of every driver: the timed fabric charges the
+/// work, [`Cluster::crash_recover`](crate::Cluster::crash_recover) and the
+/// real-thread [`runtime`](crate::runtime) perform it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RecoveryStats {
+    /// Barrier-consistent checkpoints taken.
+    pub checkpoints: u64,
+    /// Scheduled crashes that fired (counted by the runtime only; not part
+    /// of the `recovery` JSON block).
+    pub crashes: u64,
+    /// Messages severed by crash windows (neither delivered nor counted as
+    /// injected drops).
+    pub messages_severed: u64,
+    /// Nodes declared suspected-dead, once per incident.
+    pub suspected: u64,
+    /// Cluster rollbacks to the last checkpoint cut.
+    pub rollbacks: u64,
+    /// Lock tokens re-minted at their managers during recovery (the
+    /// [`forgotten_tokens`](crate::Node::forgotten_tokens) rule).
+    pub tokens_regenerated: u64,
+    /// Pages the crashed nodes rebuilt from the checkpoint cut: re-fetched
+    /// from survivors in the timed fabric, restored from the snapshot by
+    /// `Cluster` and the runtime.
+    pub pages_refetched: u64,
+    /// Cycles charged to `tmk_trace::Category::Recovery` (timed fabric
+    /// only).
+    pub recovery_cycles: u64,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -26,9 +26,9 @@ pub use dsm::{DsmMachine, DsmParams, DsmSys};
 pub use hw::{HwKind, HwMachine, HwParams};
 pub use hybrid::{HsMachine, HsParams};
 pub use json::Json;
-pub use report::{Outcome, RecoveryStats, RunReport};
+pub use report::{Outcome, RunReport};
 pub use run::{
     run_on, run_on_with, run_workload, run_workload_traced, run_workload_traced_with,
     run_workload_with, DsmTuning, Platform, RunOpts,
 };
-pub use tmk_core::{DsmProtocol, ProtoNode};
+pub use tmk_core::{DsmProtocol, ProtoNode, RecoveryStats};

@@ -1,8 +1,8 @@
 //! Run results and measurement reports.
 
 use crate::json::Json;
-use tmk_core::NodeStats;
 use tmk_core::Traffic;
+use tmk_core::{NodeStats, RecoveryStats};
 use tmk_mem::{BusStats, CacheStats, DirectoryStats};
 use tmk_sim::Cycle;
 
@@ -60,27 +60,6 @@ pub struct RunReport {
     /// real-thread DSM service (`tmk_core::service`). Everything in it is
     /// deterministic (plan-derived virtual time and DSM checksums).
     pub service: Option<tmk_core::service::ServiceReport>,
-}
-
-/// Counters from the node-crash fault model: barrier-epoch checkpoints,
-/// failure detections, and the rollback-recovery work they triggered.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RecoveryStats {
-    /// Barrier-consistent checkpoints taken.
-    pub checkpoints: u64,
-    /// Messages severed by crash windows (neither delivered nor counted as
-    /// injected drops).
-    pub messages_severed: u64,
-    /// Nodes declared suspected-dead by retransmission exhaustion.
-    pub suspected: u64,
-    /// Cluster rollbacks to the last checkpoint cut.
-    pub rollbacks: u64,
-    /// Lock tokens re-minted at their managers during recovery.
-    pub tokens_regenerated: u64,
-    /// Pages the crashed node re-fetched after restoring the cut.
-    pub pages_refetched: u64,
-    /// Cycles charged to [`tmk_trace::Category::Recovery`].
-    pub recovery_cycles: u64,
 }
 
 impl RunReport {

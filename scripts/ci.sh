@@ -78,6 +78,17 @@ for f in target/smoke/trace-a/*.trace.json; do
     ./target/release/suite trace-diff "$f" \
         "target/smoke/trace-b/$(basename "$f")" | grep -q "no divergence"
 done
+# The real-thread runtime writes the same recovery event kinds on a host
+# microsecond clock: the traced quick service sweep, which crashes a node,
+# must record a rollback and a checkpoint. Host-timed, so never diffed.
+rm -rf target/smoke/trace-service
+timeout "${CHAOS_TIMEOUT:-600}" \
+    ./target/release/suite --experiment service --quick \
+    --trace target/smoke/trace-service > /dev/null
+for kind in rollback checkpoint_take; do
+    grep -q "\"$kind\"" target/smoke/trace-service/*.trace.json \
+        || { echo "no $kind event in the service traces"; exit 1; }
+done
 
 echo "== prof: the LD_PRELOAD sampler and its symbolizer =="
 # `scripts/prof/` is the line-level profiler (DESIGN §2 "Method"). The
