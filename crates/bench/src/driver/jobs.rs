@@ -232,13 +232,13 @@ pub fn run_jobs(requests: &[JobRequest], jobs: usize, opts: &RunOpts) -> MemoTab
 
     let jobs = resolve_jobs(jobs).min(unique.len().max(1));
     let next = AtomicUsize::new(0);
-    let (tx, rx) = crossbeam::channel::unbounded();
-    crossbeam::thread::scope(|s| {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::scope(|s| {
         for _ in 0..jobs {
             let tx = tx.clone();
             let next = &next;
             let unique = &unique;
-            s.spawn(move |_| loop {
+            s.spawn(move || loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= unique.len() {
                     break;
@@ -248,14 +248,10 @@ pub fn run_jobs(requests: &[JobRequest], jobs: usize, opts: &RunOpts) -> MemoTab
                 let _ = tx.send(execute(&unique[i], opts));
             });
         }
-    })
-    .expect("worker threads do not panic");
+    });
     drop(tx);
 
-    let mut map = HashMap::new();
-    for result in rx.iter() {
-        map.insert(result.key.clone(), result);
-    }
+    let map = rx.iter().map(|r| (r.key.clone(), r)).collect();
     MemoTable { map, hits }
 }
 

@@ -11,7 +11,7 @@
 //!   [`JobRequest::key`]; equal keys are interchangeable runs, so repeated
 //!   baselines (the DEC uniprocessor time appears in Table 1 and all eight
 //!   of Figures 1–8) simulate **once** and memoize.
-//! * [`run_jobs`] — fans unique jobs across `jobs` crossbeam scoped worker
+//! * [`run_jobs`] — fans unique jobs across `jobs` scoped worker
 //!   threads, executed as its [`RunOpts`] says; each job runs under
 //!   `catch_unwind` so a panicking simulation becomes a failed record, not
 //!   a dead sweep, and records host wall time.

@@ -4,7 +4,7 @@
 //! against a [`DsmNode`] handle, and a *service* thread delivers incoming
 //! protocol messages (TreadMarks serviced requests in signal handlers; a
 //! dedicated thread is the natural Rust equivalent). Messages travel over
-//! crossbeam channels. This runtime is a fully working in-process
+//! std `mpsc` channels. This runtime is a fully working in-process
 //! distributed shared memory: page copies, twins, diffs and write notices
 //! are all real.
 //!
@@ -17,7 +17,8 @@
 //!   and delays at the transmit hook, plus scheduled node crashes.
 //! * A retransmission ticker re-sends unacked packets on a host-time
 //!   [`RetransmitPolicy`] (timeouts in microseconds here) with exponential
-//!   backoff; exhaustion against a dead peer is the failure detector.
+//!   backoff, under any plan that can lose a copy (drops or crashes);
+//!   exhaustion against a dead peer is the failure detector.
 //! * [`Dsm::run_epochs`] structures the application into *epochs* separated
 //!   by barrier-consistent checkpoints. A recoverable crash rolls every
 //!   node back to the last checkpoint (re-minting lock tokens exactly like
@@ -58,11 +59,10 @@
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Sender};
-use parking_lot::{Condvar, Mutex};
 use tmk_trace::{Event, EventKind, Sink, Track};
 
 use crate::cluster::Traffic;
@@ -227,9 +227,9 @@ impl Shared {
                 self.severed.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
-            self.traffic.lock().record(&env, self.header_bytes);
+            guard(&self.traffic).record(&env, self.header_bytes);
             let now_us = self.now_us();
-            let (pid, _) = self.rel.lock().send(&env, now_us, gen);
+            let (pid, _) = guard(&self.rel).send(&env, now_us, gen);
             self.launch(env, pid, gen, 0);
         }
     }
@@ -239,8 +239,7 @@ impl Shared {
     /// retransmission ticker to repair.
     fn launch(&self, env: Envelope, pid: PacketId, gen: u64, attempt: u32) {
         let fate = roll_fate(&self.faults, pid, attempt);
-        self.links
-            .lock()
+        guard(&self.links)
             .entry((env.from, env.to))
             .or_default()
             .record(fate);
@@ -254,7 +253,7 @@ impl Shared {
             }
             LinkFate::Drop => {}
             LinkFate::Delay => {
-                self.delayed.lock().push(Delayed {
+                guard(&self.delayed).push(Delayed {
                     env,
                     pid,
                     gen,
@@ -270,7 +269,7 @@ impl Shared {
     /// prefix so exactly one primary panic surfaces.
     fn poison(&self, msg: String) -> bool {
         let won = {
-            let mut p = self.poison.lock();
+            let mut p = guard(&self.poison);
             if p.is_none() {
                 *p = Some(msg);
                 true
@@ -281,25 +280,25 @@ impl Shared {
         for cell in &self.cells {
             // Taking the cell lock serializes with waiters between their
             // poison check and their condvar wait, so no wakeup is lost.
-            let _guard = cell.inner.lock();
+            let _guard = guard(&cell.inner);
             cell.cv.notify_all();
         }
         {
-            let _guard = self.fence.state.lock();
+            let _guard = guard(&self.fence.state);
             self.fence.cv.notify_all();
         }
         won
     }
 
     fn poison_text(&self) -> Option<String> {
-        self.poison.lock().clone()
+        guard(&self.poison).clone()
     }
 
     /// Marks `node` dead: its driver unwinds and the wire starts severing
     /// its traffic.
     fn note_crash(&self, node: NodeId) {
         self.down[node].store(true, Ordering::SeqCst);
-        self.recovery.lock().crashes += 1;
+        guard(&self.recovery).crashes += 1;
         self.emit(node, EventKind::NodeCrash { node: node as u32 });
     }
 
@@ -308,7 +307,7 @@ impl Shared {
         if !self.armed || self.suspected[node].swap(true, Ordering::SeqCst) {
             return;
         }
-        self.recovery.lock().suspected += 1;
+        guard(&self.recovery).suspected += 1;
         self.emit(node, EventKind::NodeSuspected { node: node as u32 });
         self.raise_rollback();
     }
@@ -321,7 +320,7 @@ impl Shared {
         }
         self.gen.fetch_add(1, Ordering::SeqCst);
         for cell in &self.cells {
-            let _guard = cell.inner.lock();
+            let _guard = guard(&cell.inner);
             cell.cv.notify_all();
         }
     }
@@ -333,13 +332,13 @@ impl Shared {
         let mut snaps = Vec::with_capacity(self.cells.len());
         let mut pages = 0u64;
         for cell in &self.cells {
-            let inner = cell.inner.lock();
+            let inner = guard(&cell.inner);
             let ck = inner.node.checkpoint();
             pages += ck.pages_resident();
             snaps.push(ck);
         }
-        *self.ckpt.lock() = Some((epoch, snaps));
-        self.recovery.lock().checkpoints += 1;
+        *guard(&self.ckpt) = Some((epoch, snaps));
+        guard(&self.recovery).checkpoints += 1;
         self.emit(0, EventKind::CheckpointTake { pages });
     }
 
@@ -358,13 +357,13 @@ impl Shared {
         // stale protocol traffic cannot corrupt restored state.
         self.gen.fetch_add(1, Ordering::SeqCst);
         let crashed = std::mem::take(&mut st.crashed);
-        let ckpt = self.ckpt.lock();
+        let ckpt = guard(&self.ckpt);
         let (ck_epoch, snaps) = ckpt
             .as_ref()
             .expect("recovery requires an armed checkpoint");
         let mut regen = 0u64;
         for (id, cell) in self.cells.iter().enumerate() {
-            let mut inner = cell.inner.lock();
+            let mut inner = guard(&cell.inner);
             regen += inner.node.forgotten_tokens(crashed.contains(&id));
             inner.node.restore(&snaps[id]);
             inner.completions.clear();
@@ -372,7 +371,7 @@ impl Shared {
         {
             // Under the rel lock so the ticker cannot suspect a stale
             // flight of an already-revived node.
-            let mut rel = self.rel.lock();
+            let mut rel = guard(&self.rel);
             rel.abandon_in_flight();
             for &c in &crashed {
                 self.down[c].store(false, Ordering::SeqCst);
@@ -381,7 +380,7 @@ impl Shared {
                 s.store(false, Ordering::SeqCst);
             }
         }
-        self.delayed.lock().clear();
+        guard(&self.delayed).clear();
         let mut restored = 0;
         for &c in &crashed {
             let pages = snaps[c].pages_resident();
@@ -393,7 +392,7 @@ impl Shared {
             self.emit(0, EventKind::TokenRegen { count: regen });
         }
         {
-            let mut rec = self.recovery.lock();
+            let mut rec = guard(&self.recovery);
             rec.rollbacks += 1;
             rec.tokens_regenerated += regen;
             rec.pages_refetched += restored;
@@ -408,7 +407,8 @@ impl Shared {
     /// every body is done), or checkpoints and proceeds.
     fn fence(&self, arrival: Arrival) -> Verdict {
         let n = self.cells.len();
-        let mut st = self.fence.state.lock();
+        let Fence { state, cv } = &self.fence;
+        let mut st = guard(state);
         let round = st.round;
         match arrival {
             Arrival::Completed | Arrival::Rolled => {}
@@ -422,7 +422,7 @@ impl Shared {
                 if let Some(cause) = self.poison_text() {
                     panic!("{TEARDOWN}{cause}");
                 }
-                self.fence.cv.wait(&mut st);
+                st = cv.wait(st).unwrap_or_else(PoisonError::into_inner);
             }
             return st.verdict.expect("verdict set").1;
         }
@@ -447,7 +447,7 @@ impl Shared {
         st.crashed.clear();
         st.round += 1;
         st.verdict = Some((round, verdict));
-        self.fence.cv.notify_all();
+        cv.notify_all();
         verdict
     }
 
@@ -455,13 +455,18 @@ impl Shared {
     /// and re-sends overdue unacked packets; exhaustion against a down peer
     /// is the failure detector.
     fn ticker(&self) {
+        // Only a drop or a crash can lose a copy; duplicates and delays
+        // always deliver. Without either, every flight is acked in time and
+        // a host-time RTO could only fire because the host is busy, so the
+        // overdue scan is skipped.
+        let lossy = self.faults.drop > 0.0 || !self.faults.crashes.is_empty();
         loop {
             if self.stop_ticker.load(Ordering::Acquire) {
                 return;
             }
             let now = Instant::now();
             let due: Vec<Delayed> = {
-                let mut dl = self.delayed.lock();
+                let mut dl = guard(&self.delayed);
                 let (ripe, hold): (Vec<Delayed>, Vec<Delayed>) =
                     dl.drain(..).partition(|d| d.due <= now);
                 *dl = hold;
@@ -471,9 +476,9 @@ impl Shared {
                 let _ = self.senders[d.env.to].send(Wire::Env(d.env, Some(d.pid), d.gen));
             }
             let mut resend: Vec<(Envelope, PacketId, u64, u32)> = Vec::new();
-            {
+            if lossy {
                 let now_us = self.now_us();
-                let mut rel = self.rel.lock();
+                let mut rel = guard(&self.rel);
                 for pid in rel.overdue(now_us) {
                     let fired = rel.timeout(pid, now_us);
                     if matches!(fired, Timeout::Exhausted { .. }) {
@@ -516,6 +521,13 @@ impl Shared {
             std::thread::sleep(self.tick);
         }
     }
+}
+
+/// Locks `m`, ignoring poison. The runtime unwinds through held locks on
+/// purpose (`wait_for` and `fence` panic with the rollback or teardown
+/// marks while they hold one), and every later user must still get in.
+fn guard<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Best-effort text of a panic payload.
@@ -630,7 +642,7 @@ impl DsmNode {
 
     fn wait_for(&self, want: Action) {
         let cell = self.cell();
-        let mut inner = cell.inner.lock();
+        let mut inner = guard(&cell.inner);
         loop {
             if let Some(pos) = inner.completions.iter().position(|a| *a == want) {
                 inner.completions.remove(pos);
@@ -642,7 +654,7 @@ impl DsmNode {
             if self.shared.armed && self.shared.rollback.load(Ordering::Acquire) {
                 panic!("{ROLLBACK_MARK}");
             }
-            cell.cv.wait(&mut inner);
+            inner = cell.cv.wait(inner).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -650,7 +662,7 @@ impl DsmNode {
     pub fn lock(&self, lock: LockId) {
         self.op_tick();
         let sends = {
-            let mut inner = self.cell().inner.lock();
+            let mut inner = guard(&self.cell().inner);
             match inner.node.acquire(lock) {
                 StartAcquire::Granted => return,
                 StartAcquire::Wait(sends) => sends,
@@ -663,14 +675,14 @@ impl DsmNode {
     /// Releases a distributed lock.
     pub fn unlock(&self, lock: LockId) {
         self.op_tick();
-        let sends = self.cell().inner.lock().node.release(lock);
+        let sends = guard(&self.cell().inner).node.release(lock);
         self.shared.transmit(sends);
     }
 
     /// Waits at a barrier until every node arrives.
     pub fn barrier(&self, barrier: BarrierId) {
         self.op_tick();
-        let start = self.cell().inner.lock().node.barrier_arrive(barrier);
+        let start = guard(&self.cell().inner).node.barrier_arrive(barrier);
         self.shared.transmit(start.sends);
         if !start.ready {
             self.wait_for(Action::BarrierDone(barrier));
@@ -694,7 +706,7 @@ impl DsmNode {
         let mut f = Some(f);
         loop {
             let (page, sends) = {
-                let mut inner = self.cell().inner.lock();
+                let mut inner = guard(&self.cell().inner);
                 let bad = inner.node.pages_in(addr, len).find(|&p| {
                     if write {
                         !inner.node.page_writable(p)
@@ -736,7 +748,7 @@ impl DsmNode {
 
     /// This node's protocol statistics so far.
     pub fn stats(&self) -> NodeStats {
-        *self.cell().inner.lock().node.stats()
+        *guard(&self.cell().inner).node.stats()
     }
 }
 
@@ -772,9 +784,9 @@ impl Default for RunOpts {
     fn default() -> Self {
         RunOpts {
             faults: ChannelFaults::default(),
-            // 5 ms base RTO: comfortably above in-process delivery latency
-            // (so fault-free runs never retransmit) while keeping
-            // fault-injection tests fast.
+            // 5 ms base RTO: well above in-process delivery latency while
+            // keeping fault-injection tests fast. Plans that cannot lose a
+            // copy never retransmit at all (see `Shared::ticker`).
             policy: RetransmitPolicy {
                 timeout: 5_000,
                 backoff: 2,
@@ -1036,7 +1048,7 @@ where
     let mut senders = Vec::with_capacity(n);
     let mut receivers = Vec::with_capacity(n);
     for _ in 0..n {
-        let (tx, rx) = unbounded::<Wire>();
+        let (tx, rx) = channel::<Wire>();
         senders.push(tx);
         receivers.push(rx);
     }
@@ -1118,13 +1130,13 @@ where
                         // reply) and cancels the retransmit timer;
                         // duplicates never reach the handler.
                         let now_us = shared.now_us();
-                        if !shared.rel.lock().delivered(pid, now_us) {
+                        if !guard(&shared.rel).delivered(pid, now_us) {
                             continue;
                         }
                     }
                     let cell = &shared.cells[id];
                     let sends = {
-                        let mut inner = cell.inner.lock();
+                        let mut inner = guard(&cell.inner);
                         // A message stamped before a rollback's restore
                         // must never touch restored state; the check sits
                         // under the cell lock, which recovery also holds
@@ -1204,16 +1216,16 @@ where
         panic!("{TEARDOWN}{msg}");
     }
 
-    let traffic = *shared.traffic.lock();
-    let reliability = *shared.rel.lock().stats();
+    let traffic = *guard(&shared.traffic);
+    let reliability = *guard(&shared.rel).stats();
     let mut stats = NodeStats::default();
     for cell in &shared.cells {
-        stats.merge(cell.inner.lock().node.stats());
+        stats.merge(guard(&cell.inner).node.stats());
     }
-    let mut recovery = *shared.recovery.lock();
+    let mut recovery = *guard(&shared.recovery);
     recovery.messages_severed = shared.severed.load(Ordering::Relaxed);
     let faults = {
-        let links = shared.links.lock();
+        let links = guard(&shared.links);
         let per_link: Vec<_> = links.iter().map(|(k, v)| (*k, *v)).collect();
         let mut sum = FaultSummary {
             per_link,
@@ -1246,6 +1258,21 @@ mod tests {
 
     fn small(n: usize) -> Config {
         Config::new(n).segment_pages(8).page_size(256)
+    }
+
+    #[test]
+    fn guard_ignores_poison() {
+        let m = Mutex::new(7);
+        let r = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = guard(&m);
+                panic!("poison the lock");
+            })
+            .join()
+        });
+        assert!(r.is_err() && m.is_poisoned());
+        *guard(&m) += 1;
+        assert_eq!(*guard(&m), 8);
     }
 
     #[test]
@@ -1413,22 +1440,15 @@ mod tests {
         // pure property is therefore checked per run: every link's counters
         // equal the tally of the fate function over the sequence numbers it
         // used (which makes any two runs agree on their common prefix).
-        // Only attempt-0 copies exist here: dups and delays never trigger
-        // retransmission, and the minute-long RTO keeps host-load-induced
-        // spurious retransmissions (timing-dependent attempts) out. Drop
-        // determinism is covered by the pure-hash fate tests and the repair
-        // test below.
+        // Only attempt-0 copies exist here: dups and delays cannot lose a
+        // copy, so the ticker never retransmits under this plan, however
+        // busy the host. Drop determinism is covered by the pure-hash fate
+        // tests and the repair test below.
         let faults = ChannelFaults::seeded(5)
             .dup_rate(0.10)
             .delay_rate(0.10, 200);
         let opts = RunOpts {
             faults: faults.clone(),
-            policy: RetransmitPolicy {
-                timeout: 60_000_000,
-                backoff: 2,
-                max_retries: 8,
-                adaptive: None,
-            },
             ..RunOpts::default()
         };
         let run = || {

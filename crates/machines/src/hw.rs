@@ -439,15 +439,16 @@ mod tests {
         let procs = params.procs;
         let machine = HwMachine::new(params, seg);
         let engine = CoopEngine::new(machine, procs);
-        let results: parking_lot::Mutex<Vec<Option<R>>> =
-            parking_lot::Mutex::new((0..procs).map(|_| None).collect());
+        let results: std::sync::Mutex<Vec<Option<R>>> =
+            std::sync::Mutex::new((0..procs).map(|_| None).collect());
         let r = engine.run(|ctx| {
             let sys = HwSys::new(ctx);
             let out = body(&sys);
-            results.lock()[ctx.id()] = Some(out);
+            results.lock().unwrap()[ctx.id()] = Some(out);
         });
         let results = results
             .into_inner()
+            .unwrap()
             .into_iter()
             .map(|o| o.unwrap())
             .collect();

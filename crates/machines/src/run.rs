@@ -1,9 +1,7 @@
 //! One entry point to run an application on any of the five platforms.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-use parking_lot::Mutex;
 
 use tmk_core::DsmProtocol;
 use tmk_net::SoftwareOverhead;
@@ -421,6 +419,7 @@ fn audit(report: &RunReport, buf: &Option<Arc<TraceBuf>>) {
 fn collect<R>(results: Mutex<Vec<Option<R>>>) -> Vec<R> {
     results
         .into_inner()
+        .expect("no processor panics while storing its result")
         .into_iter()
         .map(|r| r.expect("every processor returned"))
         .collect()
@@ -466,7 +465,7 @@ fn run_machine<M: Send + 'static, R: Send>(
     let started = Instant::now();
     let run = engine.run(|ctx| {
         let out = body(ctx);
-        results.lock()[ctx.id()] = Some(out);
+        results.lock().unwrap()[ctx.id()] = Some(out);
     });
     let host_ms = started.elapsed().as_secs_f64() * 1e3;
     let mut report = RunReport {

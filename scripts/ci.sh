@@ -8,6 +8,24 @@ cd "$(dirname "$0")/.."
 echo "== fmt: the workspace and its path dependencies are rustfmt-clean =="
 cargo fmt --all --check
 
+echo "== deps: every manifest dependency is named by its crate's sources =="
+# For each `[dependencies]` and `[dev-dependencies]` entry of the root,
+# `crates/*` and `vendor/*` manifests, the crate's `.rs` files must mention
+# the dependency's identifier (`-` read as `_`); an edge nothing uses is
+# named and fails the stage. `benchmark/` is its own workspace.
+unused=""
+for manifest in Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml; do
+    dir="$(dirname "$manifest")"
+    if [ "$dir" = . ]; then src="src tests examples"; else src="$dir"; fi
+    for dep in $(awk '/^\[/ { on = ($0 == "[dependencies]" || $0 == "[dev-dependencies]"); next }
+                      on && /^[A-Za-z0-9_-]+[ .=]/ { sub(/[ .=].*/, ""); print }' "$manifest"); do
+        grep -rqw --include='*.rs' "$(echo "$dep" | tr - _)" $src \
+            || unused="$unused $manifest:$dep"
+    done
+done
+for edge in $unused; do echo "unused dependency: ${edge%%:*} -> ${edge#*:}"; done
+[ -z "$unused" ] || exit 1
+
 echo "== tier-1: build + tests (whole workspace, warnings are errors) =="
 export RUSTFLAGS="-D warnings"
 cargo build --release --workspace
