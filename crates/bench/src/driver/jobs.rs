@@ -178,7 +178,7 @@ fn execute(req: &JobRequest, opts: &RunOpts) -> JobResult {
     let ring_cap = opts.trace.unwrap_or(0);
     // A service run has no simulated cycles to attribute, only the
     // runtime's recovery events: it records them whenever events are
-    // recorded at all (`--trace`), and its ledger rows stay zero.
+    // recorded at all (`--trace`), and its record's breakdown is null.
     let service = matches!(req.workload, WorkloadSpec::Service(_));
     let opts = RunOpts {
         trace: (req.traced || service && ring_cap > 0).then_some(ring_cap),

@@ -280,7 +280,14 @@ fn run_json(r: &JobResult) -> Json {
         Ok(d) => j
             .set("checksum", d.checksums.iter().sum::<f64>())
             .set("report", d.report.to_json())
-            .set("breakdown", d.trace.as_ref().map(breakdown_json)),
+            // A service run has no simulated cycles, so no ledger to show.
+            .set(
+                "breakdown",
+                d.trace
+                    .as_ref()
+                    .filter(|_| d.report.service.is_none())
+                    .map(breakdown_json),
+            ),
         Err(e) => j.set("error", e.as_str()),
     }
 }

@@ -302,9 +302,8 @@ fn run_service(spec: &ServiceSpec, opts: &RunOpts) -> (Outcome<f64>, Option<Arc<
         ..Default::default()
     };
     let started = std::time::Instant::now();
-    let out = tmk_core::service::run_service(&spec.config(), run_opts);
+    let report = tmk_core::service::run_service(&spec.config(), run_opts);
     let host_ms = started.elapsed().as_secs_f64() * 1e3;
-    let report = out.report;
 
     let results: Vec<f64> = report
         .tenants
@@ -317,10 +316,9 @@ fn run_service(spec: &ServiceSpec, opts: &RunOpts) -> (Outcome<f64>, Option<Arc<
         host_ms,
         cycles: report.makespan_us,
         proc_cycles: vec![report.makespan_us; spec.nodes],
-        // The record takes the service report's timing-independent
-        // counters, not `out.recovery`: its severed-message, token and page
-        // counts depend on what was in flight at crash time, and service
-        // records must be byte-identical run to run.
+        // The service report carries only the runtime's timing-independent
+        // recovery counters, so service records stay byte-identical run to
+        // run.
         recovery: tmk_machines::RecoveryStats {
             checkpoints: report.checkpoints,
             suspected: report.suspected,

@@ -231,3 +231,32 @@ fn service_experiment_recovers_and_sheds_loudly() {
         "every service run reports tenants"
     );
 }
+
+#[test]
+fn traced_service_runs_record_no_breakdown() {
+    // `suite --trace` gives every service run its recovery events, but a
+    // service run has no simulated cycles: its breakdown block is null.
+    let suite = run_suite(&Options {
+        tier: Tier::Quick,
+        jobs: 2,
+        experiments: vec!["service".into()],
+        trace_dir: Some("unwritten".into()),
+        ..Default::default()
+    })
+    .unwrap();
+    assert!(suite.ok(), "failed: {:?}", suite.failed_sections());
+    let j = Json::parse(&suite.bench_json().render_pretty(2)).unwrap();
+    let runs = j.get("runs").and_then(Json::as_arr).unwrap();
+    assert!(!runs.is_empty());
+    for run in runs {
+        assert_eq!(run.get("breakdown"), Some(&Json::Null), "{run:?}");
+    }
+    for r in &suite.runs {
+        let chrome = r
+            .data
+            .as_ref()
+            .ok()
+            .and_then(|d| d.trace.as_ref()?.chrome.as_ref());
+        assert!(chrome.is_some(), "{}: no recovery events recorded", r.key);
+    }
+}

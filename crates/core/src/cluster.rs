@@ -412,7 +412,7 @@ impl Cluster {
     /// always the case on an IVY cluster (see [`checkpoint`](Self::checkpoint)).
     pub fn crash_recover(&mut self, crashed: NodeId) -> RecoveryStats {
         let ckpt = self.ckpt.as_ref().unwrap_or_else(|| {
-            panic!("node {crashed} crashed with no checkpoint armed: unrecoverable")
+            panic!("node {crashed} crashed with no checkpoint armed, so it is unrecoverable")
         });
         let tokens_regenerated = self
             .nodes

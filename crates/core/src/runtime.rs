@@ -19,14 +19,15 @@
 //!   [`RetransmitPolicy`] (timeouts in microseconds here) with exponential
 //!   backoff, under any plan that can lose a copy (drops or crashes);
 //!   exhaustion against a dead peer is the failure detector.
-//! * [`Dsm::run_epochs`] structures the application into *epochs* separated
-//!   by barrier-consistent checkpoints. A recoverable crash rolls every
-//!   node back to the last checkpoint (re-minting lock tokens exactly like
-//!   the sans-io [`Cluster::crash_recover`](crate::Cluster::crash_recover))
-//!   and replays; replay from the consistent cut is deterministic, so
+//! * Every run is a sequence of *epochs* ([`Dsm::run_epochs`]; a
+//!   [`Dsm::run`] body is the one epoch 0) separated by barrier-consistent
+//!   checkpoints, the first taken at start-up. A crash is therefore always
+//!   recoverable: every node rolls back to the last checkpoint (re-minting
+//!   lock tokens exactly like the sans-io
+//!   [`Cluster::crash_recover`](crate::Cluster::crash_recover)) and the
+//!   epoch replays; replay from the consistent cut is deterministic, so
 //!   results are byte-identical to a crash-free run. `poison` teardown
-//!   remains only for unrecoverable states (application panics, crashes
-//!   with no checkpoint armed).
+//!   remains only for application and service-thread panics.
 //! * Recovery is counted in the same [`RecoveryStats`] the simulators
 //!   report, and its `node_crash`, `node_suspected`, `checkpoint_take`,
 //!   `rollback` and `token_regen` events go straight to the `tmk-trace`
@@ -34,26 +35,29 @@
 //!   started.
 //!
 //! ```
-//! use tmk_core::runtime::{Dsm, DsmConfig};
+//! use tmk_core::runtime::{Dsm, DsmConfig, EpochStep, RunOpts};
 //!
 //! // Four nodes privately sum slices of a shared array.
 //! let cfg = DsmConfig::new(4).segment_pages(4);
-//! let sums = Dsm::run_with_init(
+//! let out = Dsm::run_epochs(
 //!     cfg,
+//!     RunOpts::default(),
 //!     |master| {
 //!         for i in 0..32u64 {
 //!             master.write_u64((i * 8) as usize, i);
 //!         }
 //!     },
-//!     |node, ()| {
+//!     |node, _epoch, ()| {
 //!         let me = node.id();
 //!         node.barrier(0);
-//!         (0..8u64)
-//!             .map(|i| node.read_u64(((me as u64 * 8 + i) * 8) as usize))
-//!             .sum::<u64>()
+//!         EpochStep::Done(
+//!             (0..8u64)
+//!                 .map(|i| node.read_u64(((me as u64 * 8 + i) * 8) as usize))
+//!                 .sum::<u64>(),
+//!         )
 //!     },
 //! );
-//! assert_eq!(sums.iter().sum::<u64>(), (0..32).sum());
+//! assert_eq!(out.results.iter().sum::<u64>(), (0..32).sum());
 //! ```
 
 use std::collections::BTreeMap;
@@ -141,15 +145,30 @@ struct Fence {
     cv: Condvar,
 }
 
+/// The wire's shared state, all behind [`Shared::channel`]'s one lock.
+///
+/// Lock order: the fence state before the channel; the channel before the
+/// recovery counters and the cell locks. Nothing takes the channel while
+/// holding a cell lock, so the ticker may suspect a peer (which wakes every
+/// cell) without releasing it.
+struct Channel {
+    /// Every copy a sender put on the wire, retransmissions included.
+    traffic: Traffic,
+    /// Sequence numbers, duplicate suppression and retransmit flights, in
+    /// microseconds since `t0`; each flight is stamped with the generation
+    /// its packet was sent under.
+    rel: Reliability,
+    /// What the fault plan did to each copy, per `(src, dst)` link.
+    links: BTreeMap<(NodeId, NodeId), LinkFaults>,
+    /// Copies the fault plan holds back until they are due.
+    delayed: Vec<Delayed>,
+}
+
 struct Shared {
     cells: Vec<Arc<NodeCell>>,
     senders: Vec<Sender<Wire>>,
-    traffic: Mutex<Traffic>,
+    channel: Mutex<Channel>,
     header_bytes: usize,
-    /// Sequence numbers, duplicate suppression and retransmit flights on
-    /// the channel path, in microseconds since `t0`; each flight is stamped
-    /// with the generation its packet was sent under.
-    rel: Mutex<Reliability>,
     faults: ChannelFaults,
     /// How often the ticker looks for overdue packets and ripe delays.
     tick: Duration,
@@ -157,8 +176,6 @@ struct Shared {
     /// cluster so blocked peers abort instead of waiting forever.
     poison: Mutex<Option<String>>,
     // --- crash recovery ---
-    /// Whether epoch checkpointing (and thus crash recovery) is armed.
-    armed: bool,
     grace: Duration,
     t0: Instant,
     /// Cluster generation: bumped on rollback so messages stamped before a
@@ -176,13 +193,11 @@ struct Shared {
     ops: Vec<AtomicU64>,
     /// Per-node current epoch (for crash-point matching).
     epochs_now: Vec<AtomicU64>,
-    links: Mutex<BTreeMap<(NodeId, NodeId), LinkFaults>>,
-    delayed: Mutex<Vec<Delayed>>,
     recovery: Mutex<RecoveryStats>,
-    severed: AtomicU64,
     /// Where the recovery events go, on the `t0` microsecond clock.
     trace: Sink,
-    ckpt: Mutex<Option<(u64, Vec<NodeCheckpoint>)>>,
+    /// The last checkpoint and the epoch it precedes; start-up's is epoch 0.
+    ckpt: Mutex<(u64, Vec<NodeCheckpoint>)>,
     fence: Fence,
 }
 
@@ -222,27 +237,32 @@ impl Shared {
                 let _ = self.senders[env.to].send(Wire::Env(env, None, gen));
                 continue;
             }
-            if self.is_down(env.from) || self.is_down(env.to) {
-                // The wire to/from a crashed node eats the message.
-                self.severed.fetch_add(1, Ordering::Relaxed);
+            if self.sever(&env) {
                 continue;
             }
-            guard(&self.traffic).record(&env, self.header_bytes);
-            let now_us = self.now_us();
-            let (pid, _) = guard(&self.rel).send(&env, now_us, gen);
-            self.launch(env, pid, gen, 0);
+            let mut ch = guard(&self.channel);
+            let (pid, _) = ch.rel.send(&env, self.now_us(), gen);
+            self.launch(&mut ch, env, pid, gen, 0);
         }
     }
 
-    /// Puts one copy of a registered packet on the wire, applying the
-    /// seeded fault plan. A dropped copy leaves the flight armed for the
-    /// retransmission ticker to repair.
-    fn launch(&self, env: Envelope, pid: PacketId, gen: u64, attempt: u32) {
+    /// Whether the wire eats `env` because an end of it is down; a severed
+    /// copy is counted in the recovery stats.
+    fn sever(&self, env: &Envelope) -> bool {
+        let down = self.is_down(env.from) || self.is_down(env.to);
+        if down {
+            guard(&self.recovery).messages_severed += 1;
+        }
+        down
+    }
+
+    /// Puts one copy of a registered packet on the wire, counting it and
+    /// applying the seeded fault plan. A dropped copy leaves the flight
+    /// armed for the retransmission ticker to repair.
+    fn launch(&self, ch: &mut Channel, env: Envelope, pid: PacketId, gen: u64, attempt: u32) {
+        ch.traffic.record(&env, self.header_bytes);
         let fate = roll_fate(&self.faults, pid, attempt);
-        guard(&self.links)
-            .entry((env.from, env.to))
-            .or_default()
-            .record(fate);
+        ch.links.entry((env.from, env.to)).or_default().record(fate);
         match fate {
             LinkFate::Deliver => {
                 let _ = self.senders[env.to].send(Wire::Env(env, Some(pid), gen));
@@ -253,7 +273,7 @@ impl Shared {
             }
             LinkFate::Drop => {}
             LinkFate::Delay => {
-                guard(&self.delayed).push(Delayed {
+                ch.delayed.push(Delayed {
                     env,
                     pid,
                     gen,
@@ -304,7 +324,7 @@ impl Shared {
 
     /// Gives `node` up for dead (once per incident) and raises a rollback.
     fn suspect(&self, node: NodeId) {
-        if !self.armed || self.suspected[node].swap(true, Ordering::SeqCst) {
+        if self.suspected[node].swap(true, Ordering::SeqCst) {
             return;
         }
         guard(&self.recovery).suspected += 1;
@@ -337,7 +357,7 @@ impl Shared {
             pages += ck.pages_resident();
             snaps.push(ck);
         }
-        *guard(&self.ckpt) = Some((epoch, snaps));
+        *guard(&self.ckpt) = (epoch, snaps);
         guard(&self.recovery).checkpoints += 1;
         self.emit(0, EventKind::CheckpointTake { pages });
     }
@@ -358,9 +378,7 @@ impl Shared {
         self.gen.fetch_add(1, Ordering::SeqCst);
         let crashed = std::mem::take(&mut st.crashed);
         let ckpt = guard(&self.ckpt);
-        let (ck_epoch, snaps) = ckpt
-            .as_ref()
-            .expect("recovery requires an armed checkpoint");
+        let (ck_epoch, snaps) = &*ckpt;
         let mut regen = 0u64;
         for (id, cell) in self.cells.iter().enumerate() {
             let mut inner = guard(&cell.inner);
@@ -369,10 +387,11 @@ impl Shared {
             inner.completions.clear();
         }
         {
-            // Under the rel lock so the ticker cannot suspect a stale
+            // Under the channel lock so the ticker cannot suspect a stale
             // flight of an already-revived node.
-            let mut rel = guard(&self.rel);
-            rel.abandon_in_flight();
+            let mut ch = guard(&self.channel);
+            ch.rel.abandon_in_flight();
+            ch.delayed.clear();
             for &c in &crashed {
                 self.down[c].store(false, Ordering::SeqCst);
             }
@@ -380,7 +399,6 @@ impl Shared {
                 s.store(false, Ordering::SeqCst);
             }
         }
-        guard(&self.delayed).clear();
         let mut restored = 0;
         for &c in &crashed {
             let pages = snaps[c].pages_resident();
@@ -432,7 +450,10 @@ impl Shared {
             } else if st.done == n {
                 Verdict::Finish
             } else if st.done > 0 {
-                self.poison(format!(
+                // Every application thread is at this fence, so setting the
+                // cause is all the poisoning needed (`poison` would re-take
+                // the fence lock held here).
+                guard(&self.poison).get_or_insert(format!(
                     "epoch bodies disagree: {} of {n} nodes finished at epoch {}",
                     st.done, st.epoch
                 ));
@@ -464,59 +485,57 @@ impl Shared {
             if self.stop_ticker.load(Ordering::Acquire) {
                 return;
             }
-            let now = Instant::now();
-            let due: Vec<Delayed> = {
-                let mut dl = guard(&self.delayed);
+            {
+                let mut ch = guard(&self.channel);
+                let now = Instant::now();
                 let (ripe, hold): (Vec<Delayed>, Vec<Delayed>) =
-                    dl.drain(..).partition(|d| d.due <= now);
-                *dl = hold;
-                ripe
-            };
-            for d in due {
-                let _ = self.senders[d.env.to].send(Wire::Env(d.env, Some(d.pid), d.gen));
-            }
-            let mut resend: Vec<(Envelope, PacketId, u64, u32)> = Vec::new();
-            if lossy {
+                    ch.delayed.drain(..).partition(|d| d.due <= now);
+                ch.delayed = hold;
+                for d in ripe {
+                    let _ = self.senders[d.env.to].send(Wire::Env(d.env, Some(d.pid), d.gen));
+                }
                 let now_us = self.now_us();
-                let mut rel = guard(&self.rel);
-                for pid in rel.overdue(now_us) {
-                    let fired = rel.timeout(pid, now_us);
-                    if matches!(fired, Timeout::Exhausted { .. }) {
-                        // Only a peer that is actually down is given up for
-                        // dead: a live one this slow means the host is
-                        // overloaded (in-process channels lose nothing), so
-                        // it is nudged again. Suspicion is raised under the
-                        // rel lock: recovery abandons flights and clears
-                        // down flags atomically with respect to this scan,
-                        // so a stale flight can never re-suspect a revived
-                        // node.
-                        if let Some(dead) = [pid.1, pid.0].into_iter().find(|&n| self.is_down(n)) {
-                            self.suspect(dead);
+                let overdue = if lossy {
+                    ch.rel.overdue(now_us)
+                } else {
+                    Vec::new()
+                };
+                for pid in overdue {
+                    let (env, gen, attempt) = match ch.rel.timeout(pid, now_us) {
+                        Timeout::Stale => continue,
+                        Timeout::Resend {
+                            env,
+                            stamp,
+                            attempt,
+                            ..
+                        } => (env, stamp, attempt),
+                        Timeout::Exhausted {
+                            env,
+                            stamp,
+                            attempt,
+                            ..
+                        } => {
+                            // Only a peer that is actually down is given up
+                            // for dead: a live one this slow means the host
+                            // is overloaded (in-process channels lose
+                            // nothing), so it is nudged again. Suspicion is
+                            // raised under the channel lock: recovery
+                            // abandons flights and clears down flags
+                            // atomically with respect to this scan, so a
+                            // stale flight can never re-suspect a revived
+                            // node.
+                            if let Some(dead) =
+                                [pid.1, pid.0].into_iter().find(|&n| self.is_down(n))
+                            {
+                                self.suspect(dead);
+                            }
+                            (env, stamp, attempt)
                         }
-                    }
-                    if let Timeout::Resend {
-                        env,
-                        stamp,
-                        attempt,
-                        ..
-                    }
-                    | Timeout::Exhausted {
-                        env,
-                        stamp,
-                        attempt,
-                        ..
-                    } = fired
-                    {
-                        resend.push((env, pid, stamp, attempt));
+                    };
+                    if !self.sever(&env) {
+                        self.launch(&mut ch, env, pid, gen, attempt);
                     }
                 }
-            }
-            for (env, pid, gen, attempt) in resend {
-                if self.is_down(env.from) || self.is_down(env.to) {
-                    self.severed.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                self.launch(env, pid, gen, attempt);
             }
             std::thread::sleep(self.tick);
         }
@@ -612,7 +631,7 @@ impl DsmNode {
     /// comes up.
     fn op_tick(&self) {
         let sh = &*self.shared;
-        if sh.armed && sh.rollback.load(Ordering::Acquire) {
+        if sh.rollback.load(Ordering::Acquire) {
             panic!("{ROLLBACK_MARK}");
         }
         if sh.faults.crashes.is_empty() {
@@ -627,15 +646,7 @@ impl DsmNode {
                 && !sh.crash_fired[i].swap(true, Ordering::SeqCst)
             {
                 sh.note_crash(self.id);
-                if sh.armed {
-                    panic!("{CRASH_MARK}");
-                }
-                let msg = format!(
-                    "node {} crashed with no checkpoint armed: unrecoverable",
-                    self.id
-                );
-                sh.poison(msg.clone());
-                panic!("{TEARDOWN}{msg}");
+                panic!("{CRASH_MARK}");
             }
         }
     }
@@ -651,7 +662,7 @@ impl DsmNode {
             if let Some(msg) = self.shared.poison_text() {
                 panic!("{TEARDOWN}{msg}");
             }
-            if self.shared.armed && self.shared.rollback.load(Ordering::Acquire) {
+            if self.shared.rollback.load(Ordering::Acquire) {
                 panic!("{ROLLBACK_MARK}");
             }
             inner = cell.cv.wait(inner).unwrap_or_else(PoisonError::into_inner);
@@ -803,7 +814,7 @@ impl Default for RunOpts {
 #[derive(Debug)]
 pub struct Dsm;
 
-/// Results of [`Dsm::run_full`]: per-node return values plus aggregate
+/// Results of [`Dsm::run_epochs`]: per-node return values plus aggregate
 /// statistics.
 #[derive(Debug)]
 pub struct RunOutput<R> {
@@ -811,7 +822,7 @@ pub struct RunOutput<R> {
     pub results: Vec<R>,
     /// Summed protocol statistics.
     pub stats: NodeStats,
-    /// Message traffic totals.
+    /// Message traffic: every copy put on the wire, re-sends included.
     pub traffic: Traffic,
     /// Reliability-layer counters for the channel path.
     pub reliability: RelStats,
@@ -822,83 +833,39 @@ pub struct RunOutput<R> {
 }
 
 impl Dsm {
-    /// Runs `body` on every node of a fresh cluster; shared memory starts
-    /// zeroed.
+    /// Runs `body` on every node of a fresh cluster, as the one epoch of
+    /// [`run_epochs`](Self::run_epochs) under the default [`RunOpts`];
+    /// shared memory starts zeroed.
     pub fn run<R, F>(cfg: Config, body: F) -> Vec<R>
     where
         R: Send,
         F: Fn(&DsmNode) -> R + Send + Sync,
     {
-        Self::run_with_init(cfg, |_| (), move |node, ()| body(node))
+        let body = move |node: &DsmNode, _epoch, _: &()| EpochStep::Done(body(node));
+        Self::run_epochs(cfg, RunOpts::default(), |_| (), body).results
     }
 
-    /// Runs `init` on the master pre-fork, then `body` on every node. The
-    /// value `init` returns is shared (by reference) with every body —
-    /// typically the addresses of allocated data structures.
-    pub fn run_with_init<T, R, I, F>(cfg: Config, init: I, body: F) -> Vec<R>
-    where
-        T: Send + Sync,
-        R: Send,
-        I: FnOnce(&mut Master<'_>) -> T,
-        F: Fn(&DsmNode, &T) -> R + Send + Sync,
-    {
-        Self::run_full(cfg, init, body).results
-    }
-
-    /// Like [`run_with_init`](Self::run_with_init) but also returns
-    /// aggregate statistics.
-    pub fn run_full<T, R, I, F>(cfg: Config, init: I, body: F) -> RunOutput<R>
-    where
-        T: Send + Sync,
-        R: Send,
-        I: FnOnce(&mut Master<'_>) -> T,
-        F: Fn(&DsmNode, &T) -> R + Send + Sync,
-    {
-        Self::run_faulty(cfg, ChannelFaults::default(), init, body)
-    }
-
-    /// Like [`run_full`](Self::run_full) but with deterministic channel
-    /// faults injected at transmit time: seeded drops and delays are
-    /// repaired by host-time retransmission, duplicates are suppressed by
-    /// the reliability layer. Scheduled crashes are *unrecoverable* here
-    /// (no checkpoints are armed) — use [`run_epochs`](Self::run_epochs)
-    /// for crash recovery.
-    pub fn run_faulty<T, R, I, F>(
-        cfg: Config,
-        faults: ChannelFaults,
-        init: I,
-        body: F,
-    ) -> RunOutput<R>
-    where
-        T: Send + Sync,
-        R: Send,
-        I: FnOnce(&mut Master<'_>) -> T,
-        F: Fn(&DsmNode, &T) -> R + Send + Sync,
-    {
-        let opts = RunOpts {
-            faults,
-            ..RunOpts::default()
-        };
-        engine(cfg, opts, false, init, move |node, _epoch, plan| {
-            EpochStep::Done(body(node, plan))
-        })
-    }
-
-    /// Runs an epoch-structured program with crash recovery armed.
+    /// Runs `init` on the master pre-fork, then an epoch-structured program
+    /// on every node, with crash recovery armed. The value `init` returns
+    /// is shared (by reference) with every body — typically the addresses
+    /// of allocated data structures.
     ///
     /// `body(node, epoch, plan)` runs one epoch and returns whether to
     /// continue; after each epoch the cluster synchronizes on a reserved
     /// barrier (see [`EPOCH_BARRIER_BASE`]) and takes a barrier-consistent
-    /// checkpoint of every node. A crashed node (scheduled via
-    /// [`ChannelFaults::crash`], detected by retransmission exhaustion or
-    /// crash-site self-report after `grace_ms`) rolls the whole cluster
-    /// back to the last checkpoint — lock tokens re-mint at their managers,
-    /// page copies restore from the snapshot — and the epoch replays.
-    /// Replay from the consistent cut is deterministic, so results are
-    /// byte-identical to a crash-free run.
+    /// checkpoint of every node (the first is taken at start-up). A crashed
+    /// node (scheduled via [`ChannelFaults::crash`], detected by
+    /// retransmission exhaustion or crash-site self-report after
+    /// `grace_ms`) rolls the whole cluster back to the last checkpoint —
+    /// lock tokens re-mint at their managers, page copies restore from the
+    /// snapshot — and the epoch replays. Replay from the consistent cut is
+    /// deterministic, so results are byte-identical to a crash-free run.
+    /// Seeded drops and delays are repaired by host-time retransmission,
+    /// duplicates are suppressed by the reliability layer.
     ///
-    /// Every node's body must return [`EpochStep::Done`] at the same epoch.
-    /// Barrier-time GC is not supported while checkpointing.
+    /// Every node's body must return [`EpochStep::Done`] at the same epoch,
+    /// or the cluster is torn down. Barrier-time GC is not supported while
+    /// checkpointing.
     pub fn run_epochs<T, R, I, F>(cfg: Config, opts: RunOpts, init: I, body: F) -> RunOutput<R>
     where
         T: Send + Sync,
@@ -910,7 +877,209 @@ impl Dsm {
             cfg.gc.is_none(),
             "run_epochs: barrier-time GC is not supported with checkpointing"
         );
-        engine(cfg, opts, true, init, body)
+        install_quiet_hook();
+        let n = cfg.nodes;
+        let header_bytes = cfg.header_bytes;
+        let mut nodes: Vec<Node> = (0..n).map(|i| Node::new(i, cfg.clone())).collect();
+
+        let plan = {
+            let mut master = Master {
+                node0: &mut nodes[0],
+                next: 0,
+            };
+            init(&mut master)
+        };
+
+        let mut senders = Vec::with_capacity(n);
+        let mut receivers = Vec::with_capacity(n);
+        for _ in 0..n {
+            let (tx, rx) = channel::<Wire>();
+            senders.push(tx);
+            receivers.push(rx);
+        }
+        let cells: Vec<Arc<NodeCell>> = nodes
+            .into_iter()
+            .map(|node| {
+                Arc::new(NodeCell {
+                    inner: Mutex::new(NodeInner {
+                        node,
+                        completions: Vec::new(),
+                    }),
+                    cv: Condvar::new(),
+                })
+            })
+            .collect();
+        let crash_count = opts.faults.crashes.len();
+        let shared = Arc::new(Shared {
+            cells,
+            senders,
+            channel: Mutex::new(Channel {
+                traffic: Traffic::default(),
+                rel: Reliability::new(opts.policy),
+                links: BTreeMap::new(),
+                delayed: Vec::new(),
+            }),
+            header_bytes,
+            faults: opts.faults,
+            tick: Duration::from_micros((opts.policy.timeout / 4).clamp(100, 1_000)),
+            poison: Mutex::new(None),
+            grace: Duration::from_millis(opts.grace_ms),
+            t0: Instant::now(),
+            gen: AtomicU64::new(0),
+            rollback: AtomicBool::new(false),
+            stop_ticker: AtomicBool::new(false),
+            down: (0..n).map(|_| AtomicBool::new(false)).collect(),
+            suspected: (0..n).map(|_| AtomicBool::new(false)).collect(),
+            crash_fired: (0..crash_count).map(|_| AtomicBool::new(false)).collect(),
+            ops: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            epochs_now: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            recovery: Mutex::new(RecoveryStats::default()),
+            trace: opts.trace,
+            ckpt: Mutex::new((0, Vec::new())),
+            fence: Fence {
+                state: Mutex::new(FenceState {
+                    arrived: 0,
+                    done: 0,
+                    crashed: Vec::new(),
+                    round: 0,
+                    epoch: 0,
+                    verdict: None,
+                }),
+                cv: Condvar::new(),
+            },
+        });
+
+        // The initial checkpoint: cluster start-up is trivially consistent.
+        shared.take_checkpoint(0);
+
+        let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
+        std::thread::scope(|scope| {
+            // Retransmission / delayed-delivery ticker.
+            {
+                let shared = Arc::clone(&shared);
+                scope.spawn(move || shared.ticker());
+            }
+            // Service threads: deliver protocol messages.
+            for (id, rx) in receivers.into_iter().enumerate() {
+                let shared = Arc::clone(&shared);
+                scope.spawn(move || {
+                    while let Ok(wire) = rx.recv() {
+                        let (env, pid, mgen) = match wire {
+                            Wire::Env(e, p, g) => (e, p, g),
+                            Wire::Stop => return,
+                        };
+                        if let Some(pid) = pid {
+                            // Delivery confirms receipt (the ack rides the
+                            // reply) and cancels the retransmit timer;
+                            // duplicates never reach the handler.
+                            let now_us = shared.now_us();
+                            if !guard(&shared.channel).rel.delivered(pid, now_us) {
+                                continue;
+                            }
+                        }
+                        let cell = &shared.cells[id];
+                        let sends = {
+                            let mut inner = guard(&cell.inner);
+                            // A message stamped before a rollback's restore
+                            // must never touch restored state; the check sits
+                            // under the cell lock, which recovery also holds
+                            // to restore, so it cannot race the restore.
+                            if mgen != shared.gen.load(Ordering::Acquire) {
+                                continue;
+                            }
+                            match catch_unwind(AssertUnwindSafe(|| inner.node.handle(env))) {
+                                Ok(h) => {
+                                    if !h.actions.is_empty() {
+                                        inner.completions.extend(h.actions.iter().copied());
+                                        cell.cv.notify_all();
+                                    }
+                                    h.sends
+                                }
+                                Err(p) => {
+                                    // A service-thread panic would deadlock
+                                    // every peer waiting on this node: tear
+                                    // down.
+                                    drop(inner);
+                                    shared.poison(format!(
+                                        "service thread of node {id} panicked: {}",
+                                        panic_text(p.as_ref())
+                                    ));
+                                    return;
+                                }
+                            }
+                        };
+                        // Derived sends inherit the triggering message's
+                        // generation: work derived from stale state stays
+                        // stale.
+                        shared.transmit_as(mgen, sends);
+                    }
+                });
+            }
+            // Application threads: epoch drivers.
+            let body = &body;
+            let plan = &plan;
+            let mut apps = Vec::with_capacity(n);
+            for (id, slot) in results.iter_mut().enumerate() {
+                let shared = Arc::clone(&shared);
+                apps.push(scope.spawn(move || {
+                    let handle = DsmNode {
+                        id,
+                        shared: Arc::clone(&shared),
+                    };
+                    *slot = Some(drive(&shared, &handle, body, plan));
+                }));
+            }
+            // Join the application threads, then release the service threads
+            // and the ticker (the scope would otherwise wait on them forever).
+            // Secondary teardown panics (peers woken from a poisoned cluster)
+            // lose to the originating panic.
+            let mut panicked: Option<Box<dyn std::any::Any + Send>> = None;
+            let mut panicked_secondary = false;
+            for h in apps {
+                if let Err(p) = h.join() {
+                    let secondary = panic_text(p.as_ref()).starts_with(TEARDOWN);
+                    if panicked.is_none() || (panicked_secondary && !secondary) {
+                        panicked = Some(p);
+                        panicked_secondary = secondary;
+                    }
+                }
+            }
+            shared.stop_ticker.store(true, Ordering::Release);
+            for tx in &shared.senders {
+                let _ = tx.send(Wire::Stop);
+            }
+            if let Some(p) = panicked {
+                std::panic::resume_unwind(p);
+            }
+        });
+
+        // A service thread may have died without any app thread noticing
+        // (its panic must still surface, not vanish).
+        if let Some(msg) = shared.poison_text() {
+            panic!("{TEARDOWN}{msg}");
+        }
+
+        let mut stats = NodeStats::default();
+        for cell in &shared.cells {
+            stats.merge(guard(&cell.inner).node.stats());
+        }
+        let recovery = *guard(&shared.recovery);
+        let ch = guard(&shared.channel);
+        let per_link: Vec<_> = ch.links.iter().map(|(k, v)| (*k, *v)).collect();
+        let total = |f: fn(&LinkFaults) -> u64| per_link.iter().map(|(_, l)| f(l)).sum();
+        RunOutput {
+            results: results.into_iter().map(|r| r.expect("body ran")).collect(),
+            stats,
+            traffic: ch.traffic,
+            reliability: *ch.rel.stats(),
+            recovery,
+            faults: FaultSummary {
+                drops: total(|l| l.drops),
+                dups: total(|l| l.dups),
+                delays: total(|l| l.delays),
+                per_link,
+            },
+        }
     }
 }
 
@@ -928,9 +1097,7 @@ where
         shared.ops[id].store(0, Ordering::Relaxed);
         let r = catch_unwind(AssertUnwindSafe(|| {
             let step = body(handle, epoch, plan);
-            if shared.armed {
-                handle.barrier(EPOCH_BARRIER_BASE + (epoch % 8) as usize);
-            }
+            handle.barrier(EPOCH_BARRIER_BASE + (epoch % 8) as usize);
             step
         }));
         let arrival = match r {
@@ -976,12 +1143,6 @@ where
                 }
             }
         };
-        if !shared.armed {
-            return match arrival {
-                Arrival::Done => result.expect("plain body returns Done"),
-                _ => unreachable!("plain runs are single-epoch"),
-            };
-        }
         match shared.fence(arrival) {
             Verdict::Proceed(e) => epoch = e,
             Verdict::Replay(e) => {
@@ -997,8 +1158,6 @@ where
     }
 }
 
-/// The shared engine behind [`Dsm::run_faulty`] (plain, single-epoch) and
-/// [`Dsm::run_epochs`] (checkpointed, recoverable).
 /// Silences the default panic-hook report for the runtime's control-flow
 /// panics (crash marks, rollback marks, teardown echoes) — they are always
 /// caught, and their backtraces would drown real diagnostics. Every other
@@ -1023,233 +1182,6 @@ fn install_quiet_hook() {
             prev(info);
         }));
     });
-}
-
-fn engine<T, R, I, F>(cfg: Config, opts: RunOpts, armed: bool, init: I, body: F) -> RunOutput<R>
-where
-    T: Send + Sync,
-    R: Send,
-    I: FnOnce(&mut Master<'_>) -> T,
-    F: Fn(&DsmNode, u64, &T) -> EpochStep<R> + Send + Sync,
-{
-    install_quiet_hook();
-    let n = cfg.nodes;
-    let header_bytes = cfg.header_bytes;
-    let mut nodes: Vec<Node> = (0..n).map(|i| Node::new(i, cfg.clone())).collect();
-
-    let plan = {
-        let mut master = Master {
-            node0: &mut nodes[0],
-            next: 0,
-        };
-        init(&mut master)
-    };
-
-    let mut senders = Vec::with_capacity(n);
-    let mut receivers = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = channel::<Wire>();
-        senders.push(tx);
-        receivers.push(rx);
-    }
-    let cells: Vec<Arc<NodeCell>> = nodes
-        .into_iter()
-        .map(|node| {
-            Arc::new(NodeCell {
-                inner: Mutex::new(NodeInner {
-                    node,
-                    completions: Vec::new(),
-                }),
-                cv: Condvar::new(),
-            })
-        })
-        .collect();
-    let crash_count = opts.faults.crashes.len();
-    let shared = Arc::new(Shared {
-        cells,
-        senders,
-        traffic: Mutex::new(Traffic::default()),
-        header_bytes,
-        rel: Mutex::new(Reliability::new(opts.policy)),
-        faults: opts.faults,
-        tick: Duration::from_micros((opts.policy.timeout / 4).clamp(100, 1_000)),
-        poison: Mutex::new(None),
-        armed,
-        grace: Duration::from_millis(opts.grace_ms),
-        t0: Instant::now(),
-        gen: AtomicU64::new(0),
-        rollback: AtomicBool::new(false),
-        stop_ticker: AtomicBool::new(false),
-        down: (0..n).map(|_| AtomicBool::new(false)).collect(),
-        suspected: (0..n).map(|_| AtomicBool::new(false)).collect(),
-        crash_fired: (0..crash_count).map(|_| AtomicBool::new(false)).collect(),
-        ops: (0..n).map(|_| AtomicU64::new(0)).collect(),
-        epochs_now: (0..n).map(|_| AtomicU64::new(0)).collect(),
-        links: Mutex::new(BTreeMap::new()),
-        delayed: Mutex::new(Vec::new()),
-        recovery: Mutex::new(RecoveryStats::default()),
-        severed: AtomicU64::new(0),
-        trace: opts.trace,
-        ckpt: Mutex::new(None),
-        fence: Fence {
-            state: Mutex::new(FenceState {
-                arrived: 0,
-                done: 0,
-                crashed: Vec::new(),
-                round: 0,
-                epoch: 0,
-                verdict: None,
-            }),
-            cv: Condvar::new(),
-        },
-    });
-
-    // The initial checkpoint: cluster start-up is trivially consistent.
-    if armed {
-        shared.take_checkpoint(0);
-    }
-
-    let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        // Retransmission / delayed-delivery ticker.
-        {
-            let shared = Arc::clone(&shared);
-            scope.spawn(move || shared.ticker());
-        }
-        // Service threads: deliver protocol messages.
-        for (id, rx) in receivers.into_iter().enumerate() {
-            let shared = Arc::clone(&shared);
-            scope.spawn(move || {
-                while let Ok(wire) = rx.recv() {
-                    let (env, pid, mgen) = match wire {
-                        Wire::Env(e, p, g) => (e, p, g),
-                        Wire::Stop => return,
-                    };
-                    if let Some(pid) = pid {
-                        // Delivery confirms receipt (the ack rides the
-                        // reply) and cancels the retransmit timer;
-                        // duplicates never reach the handler.
-                        let now_us = shared.now_us();
-                        if !guard(&shared.rel).delivered(pid, now_us) {
-                            continue;
-                        }
-                    }
-                    let cell = &shared.cells[id];
-                    let sends = {
-                        let mut inner = guard(&cell.inner);
-                        // A message stamped before a rollback's restore
-                        // must never touch restored state; the check sits
-                        // under the cell lock, which recovery also holds
-                        // to restore, so it cannot race the restore.
-                        if shared.armed && mgen != shared.gen.load(Ordering::Acquire) {
-                            continue;
-                        }
-                        match catch_unwind(AssertUnwindSafe(|| inner.node.handle(env))) {
-                            Ok(h) => {
-                                if !h.actions.is_empty() {
-                                    inner.completions.extend(h.actions.iter().copied());
-                                    cell.cv.notify_all();
-                                }
-                                h.sends
-                            }
-                            Err(p) => {
-                                // A service-thread panic would deadlock
-                                // every peer waiting on this node: tear
-                                // down.
-                                drop(inner);
-                                shared.poison(format!(
-                                    "service thread of node {id} panicked: {}",
-                                    panic_text(p.as_ref())
-                                ));
-                                return;
-                            }
-                        }
-                    };
-                    // Derived sends inherit the triggering message's
-                    // generation: work derived from stale state stays
-                    // stale.
-                    shared.transmit_as(mgen, sends);
-                }
-            });
-        }
-        // Application threads: epoch drivers.
-        let body = &body;
-        let plan = &plan;
-        let mut apps = Vec::with_capacity(n);
-        for (id, slot) in results.iter_mut().enumerate() {
-            let shared = Arc::clone(&shared);
-            apps.push(scope.spawn(move || {
-                let handle = DsmNode {
-                    id,
-                    shared: Arc::clone(&shared),
-                };
-                *slot = Some(drive(&shared, &handle, body, plan));
-            }));
-        }
-        // Join the application threads, then release the service threads
-        // and the ticker (the scope would otherwise wait on them forever).
-        // Secondary teardown panics (peers woken from a poisoned cluster)
-        // lose to the originating panic.
-        let mut panicked: Option<Box<dyn std::any::Any + Send>> = None;
-        let mut panicked_secondary = false;
-        for h in apps {
-            if let Err(p) = h.join() {
-                let secondary = panic_text(p.as_ref()).starts_with(TEARDOWN);
-                if panicked.is_none() || (panicked_secondary && !secondary) {
-                    panicked = Some(p);
-                    panicked_secondary = secondary;
-                }
-            }
-        }
-        shared.stop_ticker.store(true, Ordering::Release);
-        for tx in &shared.senders {
-            let _ = tx.send(Wire::Stop);
-        }
-        if let Some(p) = panicked {
-            std::panic::resume_unwind(p);
-        }
-    });
-
-    // A service thread may have died without any app thread noticing
-    // (its panic must still surface, not vanish).
-    if let Some(msg) = shared.poison_text() {
-        panic!("{TEARDOWN}{msg}");
-    }
-
-    let traffic = *guard(&shared.traffic);
-    let reliability = *guard(&shared.rel).stats();
-    let mut stats = NodeStats::default();
-    for cell in &shared.cells {
-        stats.merge(guard(&cell.inner).node.stats());
-    }
-    let mut recovery = *guard(&shared.recovery);
-    recovery.messages_severed = shared.severed.load(Ordering::Relaxed);
-    let faults = {
-        let links = guard(&shared.links);
-        let per_link: Vec<_> = links.iter().map(|(k, v)| (*k, *v)).collect();
-        let mut sum = FaultSummary {
-            per_link,
-            ..Default::default()
-        };
-        let (mut drops, mut dups, mut delays) = (0, 0, 0);
-        for (_, l) in &sum.per_link {
-            drops += l.drops;
-            dups += l.dups;
-            delays += l.delays;
-        }
-        sum.drops = drops;
-        sum.dups = dups;
-        sum.delays = delays;
-        sum
-    };
-    RunOutput {
-        results: results.into_iter().map(|r| r.expect("body ran")).collect(),
-        stats,
-        traffic,
-        reliability,
-        recovery,
-        faults,
-    }
 }
 
 #[cfg(test)]
@@ -1316,10 +1248,27 @@ mod tests {
         assert_eq!(out, expect);
     }
 
+    /// [`Dsm::run_epochs`] with the default options, `body` as epoch 0.
+    fn run_once<T: Send + Sync, R: Send>(
+        cfg: Config,
+        faults: ChannelFaults,
+        init: impl FnOnce(&mut Master<'_>) -> T,
+        body: impl Fn(&DsmNode, &T) -> R + Send + Sync,
+    ) -> RunOutput<R> {
+        let opts = RunOpts {
+            faults,
+            ..RunOpts::default()
+        };
+        Dsm::run_epochs(cfg, opts, init, |node, _, plan| {
+            EpochStep::Done(body(node, plan))
+        })
+    }
+
     #[test]
     fn init_plan_shared_with_bodies() {
-        let out = Dsm::run_with_init(
+        let out = run_once(
             small(3),
+            ChannelFaults::default(),
             |master| {
                 let addr = master.alloc(24, 8);
                 for i in 0..3 {
@@ -1329,13 +1278,14 @@ mod tests {
             },
             |node, &addr| node.read_u64(addr + node.id() * 8),
         );
-        assert_eq!(out, vec![11, 22, 33]);
+        assert_eq!(out.results, vec![11, 22, 33]);
     }
 
     #[test]
     fn stats_and_traffic_collected() {
-        let out = Dsm::run_full(
+        let out = run_once(
             small(2),
+            ChannelFaults::default(),
             |_| (),
             |node, ()| {
                 node.lock(1);
@@ -1344,7 +1294,8 @@ mod tests {
                 node.barrier(0);
             },
         );
-        assert_eq!(out.stats.barriers, 2);
+        // Two application arrivals and two at the epoch fence.
+        assert_eq!(out.stats.barriers, 4);
         assert!(out.stats.lock_releases == 2);
         assert!(out.traffic.total_msgs() > 0);
     }
@@ -1390,7 +1341,7 @@ mod tests {
         // Duplicate about every other cross-node message: the protocol must
         // be unaffected (effectively-once handlers) and the reliability
         // layer must report the suppressed copies.
-        let out = Dsm::run_faulty(
+        let out = run_once(
             small(4),
             ChannelFaults::seeded(2).dup_rate(0.5),
             |_| (),
@@ -1447,17 +1398,12 @@ mod tests {
         let faults = ChannelFaults::seeded(5)
             .dup_rate(0.10)
             .delay_rate(0.10, 200);
-        let opts = RunOpts {
-            faults: faults.clone(),
-            ..RunOpts::default()
-        };
         let run = || {
-            engine(
+            run_once(
                 small(4),
-                opts.clone(),
-                false,
+                faults.clone(),
                 |_| (),
-                |node, _, ()| EpochStep::Done(publish_sum(node, 4)),
+                |node, ()| publish_sum(node, 4),
             )
         };
         let a = run();
@@ -1485,7 +1431,7 @@ mod tests {
 
     #[test]
     fn retransmissions_repair_seeded_drops() {
-        let out = Dsm::run_faulty(
+        let out = run_once(
             small(4),
             ChannelFaults::seeded(21).drop_rate(0.08),
             |_| (),
@@ -1501,18 +1447,34 @@ mod tests {
             "drops must be repaired by retransmission: {:?}",
             out.reliability
         );
+        // Nothing is severed without crashes: every first send and every
+        // re-send put one copy on the wire, and each is counted.
+        assert_eq!(
+            out.traffic.total_msgs(),
+            out.reliability.data_msgs + out.reliability.retransmissions,
+            "{:?}",
+            out.reliability
+        );
     }
 
     #[test]
     fn fault_free_runs_never_retransmit() {
-        let out = Dsm::run_full(small(4), |_| (), |node, ()| publish_sum(node, 4));
+        let out = run_once(
+            small(4),
+            ChannelFaults::default(),
+            |_| (),
+            |node, ()| publish_sum(node, 4),
+        );
         assert_eq!(out.reliability.retransmissions, 0);
         assert_eq!(out.reliability.timeouts, 0);
         assert_eq!(out.faults.drops + out.faults.dups + out.faults.delays, 0);
+        let startup_only = RecoveryStats {
+            checkpoints: 1,
+            ..RecoveryStats::default()
+        };
         assert_eq!(
-            out.recovery,
-            RecoveryStats::default(),
-            "plain runs do no recovery work"
+            out.recovery, startup_only,
+            "a crash-free run does no recovery work past the start-up checkpoint"
         );
     }
 
@@ -1595,24 +1557,49 @@ mod tests {
     }
 
     #[test]
-    fn crash_without_checkpoint_is_unrecoverable() {
+    fn crash_in_the_only_epoch_rolls_back_to_start_up() {
+        // Node 0 crashes at its barrier (op 2) of epoch 0: the cluster
+        // rolls back to the start-up checkpoint and replays the epoch.
+        let body = |node: &DsmNode, _: &()| {
+            node.write_u64(node.id() * 8, node.id() as u64 + 1);
+            node.barrier(0);
+            (0..node.nodes()).map(|q| node.read_u64(q * 8)).sum::<u64>()
+        };
+        let clean = run_once(small(3), ChannelFaults::default(), |_| (), body);
+        let crashed = run_once(
+            small(3),
+            ChannelFaults::default().crash(0, 0, 2),
+            |_| (),
+            body,
+        );
+        assert_eq!(clean.results, vec![6; 3]);
+        assert_eq!(crashed.results, clean.results, "recovery must be exact");
+        assert_eq!(
+            (crashed.recovery.crashes, crashed.recovery.rollbacks),
+            (1, 1)
+        );
+        assert_eq!(crashed.recovery.checkpoints, 1, "only the start-up one");
+    }
+
+    #[test]
+    fn epoch_bodies_that_disagree_tear_down() {
         let r = std::panic::catch_unwind(|| {
-            Dsm::run_faulty(
+            Dsm::run_epochs(
                 small(3),
-                ChannelFaults::default().crash(0, 0, 2),
+                RunOpts::default(),
                 |_| (),
-                |node, ()| {
-                    node.write_u64(node.id() * 8, 1);
-                    node.barrier(0);
+                |node, _, ()| {
+                    if node.id() == 0 {
+                        EpochStep::Done(())
+                    } else {
+                        EpochStep::Continue
+                    }
                 },
             )
         });
-        let p = r.expect_err("an unarmed crash must tear the cluster down");
+        let p = r.expect_err("a split finish must tear the cluster down");
         let text = panic_text(p.as_ref());
-        assert!(
-            text.contains("no checkpoint armed: unrecoverable"),
-            "got: {text}"
-        );
+        assert!(text.contains("epoch bodies disagree"), "got: {text}");
     }
 
     #[test]

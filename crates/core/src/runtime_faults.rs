@@ -47,9 +47,8 @@ pub struct ChannelFaults {
     pub delay: f64,
     /// Host-time hold applied to delayed copies, in microseconds.
     pub delay_us: u64,
-    /// Scheduled node crashes (recoverable only under
-    /// [`Dsm::run_epochs`](crate::runtime::Dsm::run_epochs), which arms
-    /// epoch checkpoints).
+    /// Scheduled node crashes (the runtime, which checkpoints every run,
+    /// always recovers them; [`Cluster`](crate::Cluster) takes none).
     pub crashes: Vec<CrashPoint>,
 }
 

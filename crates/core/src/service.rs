@@ -27,10 +27,9 @@
 //! byte-identical between a fault-free solo run ([`ServiceConfig::solo`])
 //! and a faulty multi-tenant run, as long as nothing was shed.
 
-use crate::reliable::RelStats;
-use crate::runtime::{Dsm, EpochStep, FaultSummary, RunOpts};
+use crate::runtime::{Dsm, EpochStep, RunOpts};
 use crate::runtime_faults::splitmix;
-use crate::{Config, NodeId, RecoveryStats};
+use crate::{Config, NodeId};
 
 /// FNV-1a offset basis / prime: the request-application fold and the
 /// checksum fold both use the FNV constants.
@@ -329,7 +328,9 @@ pub struct TenantReport {
     pub checksum: u64,
 }
 
-/// Deterministic summary of one service run.
+/// Deterministic summary of one service run. Of the runtime's recovery
+/// counters it keeps the timing-independent ones: severed-message, token and
+/// page counts depend on what was in flight at crash time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceReport {
     /// Per-tenant metrics (only the solo tenant when [`ServiceConfig::solo`]
@@ -354,28 +355,11 @@ pub struct ServiceReport {
     pub rollbacks: u64,
 }
 
-/// Everything a service run produces: the deterministic report plus the
-/// host-timing-dependent runtime counters (useful for inspection, excluded
-/// from reproducible records).
-#[derive(Debug)]
-pub struct ServiceOutcome {
-    /// Deterministic per-tenant metrics and recovery counts.
-    pub report: ServiceReport,
-    /// All the runtime's recovery counters (severed-message, token and page
-    /// counts depend on host timing).
-    pub recovery: RecoveryStats,
-    /// What the fault plan did on each link.
-    pub faults: FaultSummary,
-    /// Channel reliability counters (retransmissions depend on host
-    /// timing).
-    pub reliability: RelStats,
-}
-
 /// Runs the service: precomputes the admission schedule, executes the
 /// admitted batches as DSM epochs on a real-thread cluster (crash recovery
 /// armed), and folds per-tenant checksums on node 0 in a final epoch.
 /// `opts` carries the channel fault plan and the recovery-event sink.
-pub fn run_service(cfg: &ServiceConfig, opts: RunOpts) -> ServiceOutcome {
+pub fn run_service(cfg: &ServiceConfig, opts: RunOpts) -> ServiceReport {
     assert!(cfg.nodes > 0 && cfg.tenants > 0 && cfg.keys_per_tenant > 0);
     assert!(cfg.batch_cap > 0, "a zero-capacity gate admits nothing");
     if let Some(t) = cfg.solo {
@@ -478,7 +462,7 @@ pub fn run_service(cfg: &ServiceConfig, opts: RunOpts) -> ServiceOutcome {
         })
         .collect::<Vec<_>>();
     let total_shed = tenants.iter().map(|t| t.shed).sum();
-    let report = ServiceReport {
+    ServiceReport {
         tenants,
         epochs: plan.windows_total + 1,
         makespan_us,
@@ -488,12 +472,6 @@ pub fn run_service(cfg: &ServiceConfig, opts: RunOpts) -> ServiceOutcome {
         crashes: out.recovery.crashes,
         suspected: out.recovery.suspected,
         rollbacks: out.recovery.rollbacks,
-    };
-    ServiceOutcome {
-        report,
-        recovery: out.recovery,
-        faults: out.faults,
-        reliability: out.reliability,
     }
 }
 
@@ -523,15 +501,15 @@ mod tests {
         let cfg = small();
         let a = run_service(&cfg, RunOpts::default());
         let b = run_service(&cfg, RunOpts::default());
-        assert_eq!(a.report, b.report);
-        assert!(a.report.lock_counter > 0, "requests were applied");
+        assert_eq!(a, b);
+        assert!(a.lock_counter > 0, "requests were applied");
     }
 
     #[test]
     fn solo_baseline_matches_multi_tenant_checksums() {
         let cfg = small();
         let multi = run_service(&cfg, RunOpts::default());
-        assert_eq!(multi.report.total_shed, 0, "ample capacity must not shed");
+        assert_eq!(multi.total_shed, 0, "ample capacity must not shed");
         for t in 0..cfg.tenants {
             let solo = run_service(
                 &ServiceConfig {
@@ -540,9 +518,9 @@ mod tests {
                 },
                 RunOpts::default(),
             );
-            assert_eq!(solo.report.tenants.len(), 1);
+            assert_eq!(solo.tenants.len(), 1);
             assert_eq!(
-                solo.report.tenants[0].checksum, multi.report.tenants[t].checksum,
+                solo.tenants[0].checksum, multi.tenants[t].checksum,
                 "tenant {t} diverges from its solo baseline"
             );
         }
@@ -562,14 +540,14 @@ mod tests {
                 ..RunOpts::default()
             },
         );
-        assert_eq!(faulty.report.crashes, 1);
-        assert_eq!(faulty.report.rollbacks, 1, "one crash, one rollback");
-        for (a, b) in clean.report.tenants.iter().zip(&faulty.report.tenants) {
+        assert_eq!(faulty.crashes, 1);
+        assert_eq!(faulty.rollbacks, 1, "one crash, one rollback");
+        for (a, b) in clean.tenants.iter().zip(&faulty.tenants) {
             assert_eq!(a.checksum, b.checksum, "tenant {} corrupted", a.tenant);
             assert_eq!(a.completed, b.completed);
             assert_eq!(a.shed, b.shed);
         }
-        assert_eq!(clean.report.lock_counter, faulty.report.lock_counter);
+        assert_eq!(clean.lock_counter, faulty.lock_counter);
     }
 
     #[test]
@@ -581,11 +559,11 @@ mod tests {
             ..small()
         };
         let a = run_service(&cfg, RunOpts::default());
-        assert!(a.report.total_shed > 0, "overload must shed");
+        assert!(a.total_shed > 0, "overload must shed");
         let b = run_service(&cfg, RunOpts::default());
-        assert_eq!(a.report, b.report, "shedding must be deterministic");
+        assert_eq!(a, b, "shedding must be deterministic");
         // Degradation is graceful: admitted work still completes exactly.
-        let applied: u64 = a.report.tenants.iter().map(|t| t.completed).sum();
-        assert_eq!(a.report.lock_counter, applied);
+        let applied: u64 = a.tenants.iter().map(|t| t.completed).sum();
+        assert_eq!(a.lock_counter, applied);
     }
 }

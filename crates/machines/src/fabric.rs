@@ -33,8 +33,8 @@ struct CrashState {
     /// cycle at which recovery completed, once the failure detector fired.
     recovered: Vec<Option<Cycle>>,
     /// Cycle of the last checkpoint cut. `Some(0)` as soon as
-    /// checkpointing is armed: the initial memory image is always
-    /// replayable, so a crash before the first barrier restarts the run.
+    /// checkpointing is armed, since the initial memory image is always
+    /// replayable: a crash before the first barrier restarts the run.
     ckpt_at: Option<Cycle>,
     /// Pages resident per node at the cut (what a restore re-fetches).
     ckpt_pages: Vec<u64>,

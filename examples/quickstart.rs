@@ -5,10 +5,12 @@
 //! thread with a message-service thread) share a lazily-consistent paged
 //! address space: they increment a lock-protected counter, then fill a
 //! barrier-synchronized array, and finally each verifies the whole result.
+//! The program is one epoch of `Dsm::run_epochs`, checkpointed at start-up,
+//! so even a crashed node would roll back and replay to the same result.
 //!
 //! Run with: `cargo run --example quickstart`
 
-use tmk::dsm::runtime::{Dsm, DsmConfig};
+use tmk::dsm::runtime::{Dsm, DsmConfig, EpochStep, RunOpts};
 
 fn main() {
     const NODES: usize = 4;
@@ -16,8 +18,9 @@ fn main() {
     const ROUNDS: usize = 100;
 
     let cfg = DsmConfig::new(NODES).segment_pages(16);
-    let outputs = Dsm::run_with_init(
+    let out = Dsm::run_epochs(
         cfg,
+        RunOpts::default(),
         |master| {
             // Shared layout: one counter, then a slot array.
             let counter = master.alloc(8, 8);
@@ -25,7 +28,7 @@ fn main() {
             master.write_u64(counter, 1000);
             (counter, slots)
         },
-        |node, &(counter, slots)| {
+        |node, _epoch, &(counter, slots)| {
             let me = node.id();
 
             // Lock-protected shared counter: classic mutual exclusion over
@@ -48,13 +51,13 @@ fn main() {
 
             let total: u64 = (0..SLOTS).map(|s| node.read_u64(slots + s * 8)).sum();
             let count = node.read_u64(counter);
-            (count, total)
+            EpochStep::Done((count, total))
         },
     );
 
     let expect_count = 1000 + (NODES * ROUNDS) as u64;
     let expect_total: u64 = (0..SLOTS).map(|s| (s * s) as u64).sum();
-    for (node, (count, total)) in outputs.iter().enumerate() {
+    for (node, (count, total)) in out.results.iter().enumerate() {
         println!("node {node}: counter={count} slot-sum={total}");
         assert_eq!(*count, expect_count);
         assert_eq!(*total, expect_total);

@@ -65,6 +65,27 @@ grep -q "rollbacks=1" target/smoke/service.txt \
 grep -q "shed=0" target/smoke/service.txt \
     || { echo "service smoke lost the zero-shed baseline"; exit 1; }
 
+echo "== runtime-loop: the real-thread runtime's tests, 50 times on a busy host =="
+# The runtime's ticker, locks and crash detection run on host time, so a
+# race can pass one run and fail the next. Its and the service's tests run
+# 50 times while quick-tier suites keep the host busy; the first failing
+# pass fails the stage.
+rm -f target/runtime-loop.stop
+( while [ ! -e target/runtime-loop.stop ]; do
+    ./target/release/suite --quick --jobs 4 > /dev/null 2>&1
+  done ) &
+load=$!
+pass=0
+while [ "$pass" -lt 50 ] \
+    && cargo test -q --offline -p tmk-core --lib -- runtime:: service:: \
+        > target/runtime-loop.txt 2>&1; do
+    pass=$((pass + 1))
+done
+touch target/runtime-loop.stop
+wait "$load" || { echo "the background quick tier failed"; exit 1; }
+[ "$pass" -eq 50 ] \
+    || { cat target/runtime-loop.txt; echo "runtime tests failed on pass $((pass + 1)) of 50"; exit 1; }
+
 echo "== debug: the quick tier with the engine's turn tree checked against the scan =="
 # A debug build's event loop asserts at every pick that the turn tree chose
 # the processor the linear scan over processor states would have; the quick
