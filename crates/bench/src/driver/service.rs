@@ -2,7 +2,7 @@
 
 use std::fmt::Write as _;
 
-use tmk_core::service::ServiceReport;
+use tmk_core::service::{ServiceConfig, ServiceReport};
 use tmk_machines::Platform;
 
 use super::jobs::RunData;
@@ -11,7 +11,10 @@ use super::workload::{ServiceSpec, WorkloadSpec};
 use super::Tier;
 
 fn plan_service(p: &mut Plan, spec: ServiceSpec) -> Run {
-    p.run(Platform::as_sim(spec.nodes), &WorkloadSpec::Service(spec))
+    p.run(
+        Platform::as_sim(spec.config.nodes),
+        &WorkloadSpec::Service(spec),
+    )
 }
 
 fn service_block(d: &RunData) -> Result<&ServiceReport, String> {
@@ -24,18 +27,14 @@ pub(super) fn service(tier: Tier) -> Experiment {
     let nodes: usize = if quick { 2 } else { 4 };
     let tenant_counts: &[usize] = if quick { &[2, 3] } else { &[2, 4, 8] };
     let (keys, windows, offered): (usize, u64, u64) = if quick { (16, 3, 6) } else { (64, 8, 16) };
-    let seed: u64 = 0x5e71_ce00;
 
     let base = |tenants: usize| ServiceSpec {
-        nodes,
-        tenants,
-        solo: None,
-        keys,
-        windows,
-        offered,
-        queue_cap: 256,
-        batch_cap: 1024,
-        seed,
+        config: ServiceConfig {
+            keys_per_tenant: keys,
+            windows,
+            offered_per_window: offered,
+            ..ServiceConfig::new(nodes, tenants)
+        },
         drop_pm: 0,
         delay_pm: 0,
         crash: false,
@@ -56,8 +55,9 @@ pub(super) fn service(tier: Tier) -> Experiment {
             .map(|&tc| {
                 let multi = plan_service(p, base(tc));
                 let solos = (0..tc).map(|t| {
-                    let solo = Some(t);
-                    plan_service(p, ServiceSpec { solo, ..base(tc) })
+                    let mut spec = base(tc);
+                    spec.config.solo = Some(t);
+                    plan_service(p, spec)
                 });
                 (tc, multi, solos.collect())
             })
@@ -189,13 +189,16 @@ pub(super) fn service(tier: Tier) -> Experiment {
 
     // --- overload: bounded queues shed loudly and deterministically -------
     let overload = Section::plan("overload", |p| {
-        let overload = |drop_pm: u64, crash: bool| ServiceSpec {
-            offered: 40,
-            queue_cap: 4,
-            batch_cap: 3,
-            drop_pm,
-            crash,
-            ..base(tenant_counts[0])
+        let overload = |drop_pm: u64, crash: bool| {
+            let mut spec = ServiceSpec {
+                drop_pm,
+                crash,
+                ..base(tenant_counts[0])
+            };
+            spec.config.offered_per_window = 40;
+            spec.config.queue_cap = 4;
+            spec.config.batch_cap = 3;
+            spec
         };
         let clean = plan_service(p, overload(0, false));
         let faulty = plan_service(p, overload(50, true));

@@ -4,6 +4,7 @@
 use std::sync::Arc;
 
 use tmk_apps::{ilink, sor, tsp, water};
+use tmk_core::service::ServiceConfig;
 use tmk_machines::{run_workload_with, Outcome, Platform, RunOpts, RunReport};
 use tmk_parmacs::Workload;
 use tmk_trace::{Sink, TraceBuf};
@@ -55,28 +56,13 @@ pub enum WorkloadSpec {
     PanicProbe,
 }
 
-/// Identity of one service run: every knob is an integer (rates in
+/// Identity of one service run: the service's configuration plus the
+/// channel faults it runs under. Every knob is an integer (rates in
 /// per-mille) so the spec derives `Eq` for memoization.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceSpec {
-    /// DSM nodes in the long-lived cluster.
-    pub nodes: usize,
-    /// Concurrent tenant applications.
-    pub tenants: usize,
-    /// Run only this tenant: the fault-free solo baseline.
-    pub solo: Option<usize>,
-    /// Shared slots per tenant.
-    pub keys: usize,
-    /// Open-loop generation horizon in admission windows.
-    pub windows: u64,
-    /// Mean arrivals per tenant per window.
-    pub offered: u64,
-    /// Bounded per-tenant queue depth.
-    pub queue_cap: usize,
-    /// Cluster-wide admissions per window.
-    pub batch_cap: usize,
-    /// Client-plan seed.
-    pub seed: u64,
+    /// The service: cluster, tenants, client plan and admission gate.
+    pub config: ServiceConfig,
     /// Per-copy channel drop probability, per-mille.
     pub drop_pm: u64,
     /// Per-copy channel delay probability, per-mille (200 µs holds).
@@ -86,24 +72,8 @@ pub struct ServiceSpec {
 }
 
 impl ServiceSpec {
-    fn config(&self) -> tmk_core::service::ServiceConfig {
-        tmk_core::service::ServiceConfig {
-            nodes: self.nodes,
-            tenants: self.tenants,
-            keys_per_tenant: self.keys,
-            windows: self.windows,
-            window_us: 1_000,
-            offered_per_window: self.offered,
-            zipf_milli: 900,
-            queue_cap: self.queue_cap,
-            batch_cap: self.batch_cap,
-            seed: self.seed,
-            solo: self.solo,
-        }
-    }
-
     fn faults(&self) -> tmk_core::runtime::ChannelFaults {
-        let mut f = tmk_core::runtime::ChannelFaults::seeded(self.seed ^ 0xfa17);
+        let mut f = tmk_core::runtime::ChannelFaults::seeded(self.config.seed ^ 0xfa17);
         if self.drop_pm > 0 {
             f = f.drop_rate(self.drop_pm as f64 / 1000.0);
         }
@@ -111,7 +81,7 @@ impl ServiceSpec {
             f = f.delay_rate(self.delay_pm as f64 / 1000.0, 200);
         }
         if self.crash {
-            f = f.crash(1 % self.nodes, 1, 1);
+            f = f.crash(1 % self.config.nodes, 1, 1);
         }
         f
     }
@@ -140,18 +110,19 @@ impl WorkloadSpec {
                 }
             }
             WorkloadSpec::Service(s) => {
+                let c = &s.config;
                 let mut id = format!(
                     "service-n{}t{}k{}w{}o{}q{}b{}s{:x}",
-                    s.nodes,
-                    s.tenants,
-                    s.keys,
-                    s.windows,
-                    s.offered,
-                    s.queue_cap,
-                    s.batch_cap,
-                    s.seed,
+                    c.nodes,
+                    c.tenants,
+                    c.keys_per_tenant,
+                    c.windows,
+                    c.offered_per_window,
+                    c.queue_cap,
+                    c.batch_cap,
+                    c.seed,
                 );
-                if let Some(t) = s.solo {
+                if let Some(t) = c.solo {
                     id.push_str(&format!("-solo{t}"));
                 }
                 if s.drop_pm > 0 {
@@ -237,7 +208,13 @@ impl WorkloadSpec {
                 "service".to_string(),
                 format!(
                     "tenants={} keys={} windows={} offered={}/win drop={}pm delay={}pm crash={}",
-                    s.tenants, s.keys, s.windows, s.offered, s.drop_pm, s.delay_pm, s.crash,
+                    s.config.tenants,
+                    s.config.keys_per_tenant,
+                    s.config.windows,
+                    s.config.offered_per_window,
+                    s.drop_pm,
+                    s.delay_pm,
+                    s.crash,
                 ),
             ),
             WorkloadSpec::PanicProbe => ("panic-probe".to_string(), String::new()),
@@ -295,14 +272,13 @@ pub(super) fn water(modified: bool, tiny: bool) -> WorkloadSpec {
 fn run_service(spec: &ServiceSpec, opts: &RunOpts) -> (Outcome<f64>, Option<Arc<TraceBuf>>) {
     let buf = opts
         .trace
-        .map(|cap| Arc::new(TraceBuf::new(spec.nodes, cap)));
+        .map(|cap| Arc::new(TraceBuf::new(spec.config.nodes, cap)));
     let run_opts = tmk_core::runtime::RunOpts {
         faults: spec.faults(),
         trace: buf.clone().map(Sink::new).unwrap_or_default(),
-        ..Default::default()
     };
     let started = std::time::Instant::now();
-    let report = tmk_core::service::run_service(&spec.config(), run_opts);
+    let report = tmk_core::service::run_service(&spec.config, run_opts);
     let host_ms = started.elapsed().as_secs_f64() * 1e3;
 
     let results: Vec<f64> = report
@@ -311,11 +287,11 @@ fn run_service(spec: &ServiceSpec, opts: &RunOpts) -> (Outcome<f64>, Option<Arc<
         .map(|t| (t.checksum >> 11) as f64)
         .collect();
     let run = RunReport {
-        procs: spec.nodes,
+        procs: spec.config.nodes,
         clock_hz: 1_000_000,
         host_ms,
         cycles: report.makespan_us,
-        proc_cycles: vec![report.makespan_us; spec.nodes],
+        proc_cycles: vec![report.makespan_us; spec.config.nodes],
         // The service report carries only the runtime's timing-independent
         // recovery counters, so service records stay byte-identical run to
         // run.

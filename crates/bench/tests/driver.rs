@@ -260,3 +260,37 @@ fn traced_service_runs_record_no_breakdown() {
         assert!(chrome.is_some(), "{}: no recovery events recorded", r.key);
     }
 }
+
+#[test]
+fn bench_diff_fails_on_any_simulated_difference() {
+    // Two one-run records; `twins` is the only simulated value, `host_ms`
+    // the host times. Host time alone may move; nothing else may.
+    let record = |twins: u64, host_ms: f64| {
+        format!(
+            "{{\"runs\": [{{\"key\": \"as/p2|sor-tiny\", \"workload\": \"sor\", \
+             \"status\": \"ok\", \"host_ms\": {host_ms}, \"checksum\": 1.5, \
+             \"report\": {{\"host_ms\": {host_ms}, \"cycles\": 9, \
+             \"dsm\": {{\"twins_created\": {twins}}}}}, \"breakdown\": null}}]}}"
+        )
+    };
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let write = |name: &str, text: String| {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        path
+    };
+    let old = write("bench-diff-old.json", record(3, 1.0));
+    let slower = write("bench-diff-slower.json", record(3, 2.0));
+    let twins = write("bench-diff-twins.json", record(4, 1.0));
+    let status = |new: &std::path::Path| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_suite"))
+            .arg("bench-diff")
+            .args([&old, new])
+            .output()
+            .unwrap()
+            .status
+            .code()
+    };
+    assert_eq!(status(&slower), Some(0), "host time alone may move");
+    assert_eq!(status(&twins), Some(1), "a changed twin count must fail");
+}

@@ -150,16 +150,17 @@ impl Cluster {
     /// Arms [`route`](Self::route)'s fault stage: each cross-node copy's
     /// fate is drawn from `plan`'s drop / duplicate / delay rates as a pure
     /// function of the packet's identity, and a [`Reliability`] layer under
-    /// `policy` repairs the losses. A delayed copy goes behind everything
-    /// queued; once the queue drains, every armed timer expires (after every
-    /// in-queue delivery, as in the timed router, but without a clock).
+    /// the default [`RetransmitPolicy`] repairs the losses. A delayed copy
+    /// goes behind everything queued; once the queue drains, every armed
+    /// timer expires (after every in-queue delivery, as in the timed router,
+    /// but without a clock), so of the policy only `max_retries` matters.
     ///
     /// # Panics
     ///
     /// Panics if `plan` schedules crashes, which a cascade has no point for.
-    pub fn with_faults(mut self, plan: &ChannelFaults, policy: RetransmitPolicy) -> Cluster {
+    pub fn with_faults(mut self, plan: &ChannelFaults) -> Cluster {
         assert!(plan.crashes.is_empty(), "link faults only, no crashes");
-        self.faults = Some((plan.clone(), Reliability::new(policy)));
+        self.faults = Some((plan.clone(), Reliability::new(RetransmitPolicy::default())));
         self
     }
 
@@ -853,8 +854,8 @@ mod tests {
         for protocol in [DsmProtocol::Lrc, DsmProtocol::Ivy] {
             let cfg = Config::new(3).segment_pages(8).page_size(256);
             let plain = logged_run(Cluster::with_protocol(cfg.clone(), protocol));
-            let armed = Cluster::with_protocol(cfg, protocol)
-                .with_faults(&ChannelFaults::seeded(42), RetransmitPolicy::default());
+            let armed =
+                Cluster::with_protocol(cfg, protocol).with_faults(&ChannelFaults::seeded(42));
             assert_eq!(plain, logged_run(armed), "{protocol:?}");
             assert!(plain.0.iter().any(|step| !step.is_empty()));
             assert_eq!(plain.2, vec![3; 9]);
@@ -870,10 +871,7 @@ mod tests {
                 .drop_rate(0.3)
                 .dup_rate(0.1)
                 .delay_rate(0.1, 0);
-            let lossy = logged_run(
-                Cluster::with_protocol(cfg, protocol)
-                    .with_faults(&plan, RetransmitPolicy::default()),
-            );
+            let lossy = logged_run(Cluster::with_protocol(cfg, protocol).with_faults(&plan));
             assert_eq!(plain.2, lossy.2, "{protocol:?}: same final memory");
             assert!(
                 lossy.1.total_msgs() > plain.1.total_msgs(),

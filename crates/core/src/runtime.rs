@@ -15,10 +15,11 @@
 //!
 //! * [`ChannelFaults`] injects a seeded plan of per-link drops, duplicates
 //!   and delays at the transmit hook, plus scheduled node crashes.
-//! * A retransmission ticker re-sends unacked packets on a host-time
-//!   [`RetransmitPolicy`] (timeouts in microseconds here) with exponential
-//!   backoff, under any plan that can lose a copy (drops or crashes);
-//!   exhaustion against a dead peer is the failure detector.
+//! * A retransmission ticker re-sends unacked packets on a fixed host-time
+//!   [`RetransmitPolicy`] (a 5 ms base RTO, doubling, 8 retries) under any
+//!   plan that can lose a copy (drops or crashes); exhaustion against a
+//!   dead peer is the failure detector. A crashed node that no
+//!   retransmission discovers reports itself after a 50 ms grace.
 //! * Every run is a sequence of *epochs* ([`Dsm::run_epochs`]; a
 //!   [`Dsm::run`] body is the one epoch 0) separated by barrier-consistent
 //!   checkpoints, the first taken at start-up. A crash is therefore always
@@ -170,13 +171,10 @@ struct Shared {
     channel: Mutex<Channel>,
     header_bytes: usize,
     faults: ChannelFaults,
-    /// How often the ticker looks for overdue packets and ripe delays.
-    tick: Duration,
     /// First fatal error: any node/service-thread panic poisons the whole
     /// cluster so blocked peers abort instead of waiting forever.
     poison: Mutex<Option<String>>,
     // --- crash recovery ---
-    grace: Duration,
     t0: Instant,
     /// Cluster generation: bumped on rollback so messages stamped before a
     /// restore can never be delivered into restored state.
@@ -537,7 +535,7 @@ impl Shared {
                     }
                 }
             }
-            std::thread::sleep(self.tick);
+            std::thread::sleep(TICK);
         }
     }
 }
@@ -772,42 +770,36 @@ pub enum EpochStep<R> {
     Done(R),
 }
 
+/// The runtime's retransmission policy. Unlike the cycle-based simulators,
+/// the runtime reads `timeout` (and its backoff products) in host
+/// **microseconds**: a 5 ms base RTO, well above in-process delivery
+/// latency while keeping fault-injection tests fast. Plans that cannot lose
+/// a copy never retransmit at all (see `Shared::ticker`).
+const POLICY: RetransmitPolicy = RetransmitPolicy {
+    timeout: 5_000,
+    backoff: 2,
+    max_retries: 8,
+    adaptive: None,
+};
+
+/// How often the ticker looks for overdue packets and ripe delays: a
+/// quarter of [`POLICY`]'s base RTO, capped at 1 ms.
+const TICK: Duration = Duration::from_millis(1);
+
+/// How long a crashed node waits for a peer to suspect it before
+/// self-reporting at the fence (covers crashes no retransmission can
+/// discover because no traffic was in flight).
+const GRACE: Duration = Duration::from_millis(50);
+
 /// Knobs of the hardened runtime (see [`Dsm::run_epochs`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunOpts {
     /// Channel fault plan.
     pub faults: ChannelFaults,
-    /// Retransmission policy. Unlike the cycle-based simulators, the
-    /// runtime interprets `timeout` (and its backoff products) in host
-    /// **microseconds**.
-    pub policy: RetransmitPolicy,
-    /// How long a crashed node waits for a peer to suspect it before
-    /// self-reporting at the fence (covers crashes no retransmission can
-    /// discover because no traffic was in flight).
-    pub grace_ms: u64,
     /// Sink for the recovery events (`node_crash`, `node_suspected`,
     /// `checkpoint_take`, `rollback`, `token_regen`), timestamped in host
     /// microseconds since the run started; disabled by default.
     pub trace: Sink,
-}
-
-impl Default for RunOpts {
-    fn default() -> Self {
-        RunOpts {
-            faults: ChannelFaults::default(),
-            // 5 ms base RTO: well above in-process delivery latency while
-            // keeping fault-injection tests fast. Plans that cannot lose a
-            // copy never retransmit at all (see `Shared::ticker`).
-            policy: RetransmitPolicy {
-                timeout: 5_000,
-                backoff: 2,
-                max_retries: 8,
-                adaptive: None,
-            },
-            grace_ms: 50,
-            trace: Sink::default(),
-        }
-    }
 }
 
 /// Entry points for running DSM programs on real threads.
@@ -855,8 +847,8 @@ impl Dsm {
     /// barrier (see [`EPOCH_BARRIER_BASE`]) and takes a barrier-consistent
     /// checkpoint of every node (the first is taken at start-up). A crashed
     /// node (scheduled via [`ChannelFaults::crash`], detected by
-    /// retransmission exhaustion or crash-site self-report after
-    /// `grace_ms`) rolls the whole cluster back to the last checkpoint —
+    /// retransmission exhaustion or crash-site self-report after a 50 ms
+    /// grace) rolls the whole cluster back to the last checkpoint —
     /// lock tokens re-mint at their managers, page copies restore from the
     /// snapshot — and the epoch replays. Replay from the consistent cut is
     /// deterministic, so results are byte-identical to a crash-free run.
@@ -915,15 +907,13 @@ impl Dsm {
             senders,
             channel: Mutex::new(Channel {
                 traffic: Traffic::default(),
-                rel: Reliability::new(opts.policy),
+                rel: Reliability::new(POLICY),
                 links: BTreeMap::new(),
                 delayed: Vec::new(),
             }),
             header_bytes,
             faults: opts.faults,
-            tick: Duration::from_micros((opts.policy.timeout / 4).clamp(100, 1_000)),
             poison: Mutex::new(None),
-            grace: Duration::from_millis(opts.grace_ms),
             t0: Instant::now(),
             gen: AtomicU64::new(0),
             rollback: AtomicBool::new(false),
@@ -1112,7 +1102,7 @@ where
                     // Crash site: wait for a peer to suspect us (by
                     // retransmission exhaustion); self-report if nothing
                     // was in flight to discover the death.
-                    let deadline = Instant::now() + shared.grace;
+                    let deadline = Instant::now() + GRACE;
                     while !shared.rollback.load(Ordering::Acquire)
                         && shared.poison_text().is_none()
                         && Instant::now() < deadline

@@ -36,9 +36,15 @@ use crate::{Config, NodeId};
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// Virtual admission-window length in microseconds (one window = one DSM
+/// epoch).
+const WINDOW_US: u64 = 1_000;
+
+/// Zipf skew of the per-tenant key popularity.
+const ZIPF_SKEW: f64 = 0.9;
+
 /// Static configuration of a service run. All fields are integers so
-/// driver-level workload specs can derive `Eq`/`Hash`; real-valued knobs
-/// (Zipf skew) are scaled by 1000.
+/// driver-level workload specs can derive `Eq`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceConfig {
     /// Cluster size (DSM nodes the tenants multiplex over).
@@ -49,14 +55,8 @@ pub struct ServiceConfig {
     pub keys_per_tenant: usize,
     /// Open-loop generation horizon, in admission windows.
     pub windows: u64,
-    /// Virtual admission-window length in microseconds (one window = one
-    /// DSM epoch).
-    pub window_us: u64,
     /// Mean arrivals per tenant per window (exponential inter-arrivals).
     pub offered_per_window: u64,
-    /// Zipf skew of the per-tenant key popularity, scaled by 1000
-    /// (0 = uniform, 900 = 0.9, 1200 = 1.2).
-    pub zipf_milli: u64,
     /// Bounded per-tenant admission queue; arrivals beyond this are shed
     /// at the tail.
     pub queue_cap: usize,
@@ -78,9 +78,7 @@ impl ServiceConfig {
             tenants,
             keys_per_tenant: 64,
             windows: 8,
-            window_us: 1_000,
             offered_per_window: 16,
-            zipf_milli: 900,
             queue_cap: 256,
             batch_cap: 1024,
             seed: 0x5e71_ce00,
@@ -138,19 +136,18 @@ impl Rng {
     }
 }
 
-/// Cumulative Zipf distribution over `keys` ranks with skew `s`
-/// (`zipf_milli / 1000`); sampled by binary search on a uniform draw.
+/// Cumulative Zipf distribution over `keys` ranks with skew
+/// [`ZIPF_SKEW`]; sampled by binary search on a uniform draw.
 struct Zipf {
     cdf: Vec<f64>,
 }
 
 impl Zipf {
-    fn new(keys: usize, zipf_milli: u64) -> Self {
-        let s = zipf_milli as f64 / 1000.0;
+    fn new(keys: usize) -> Self {
         let mut cdf = Vec::with_capacity(keys);
         let mut acc = 0.0f64;
         for k in 0..keys {
-            acc += 1.0 / ((k + 1) as f64).powf(s);
+            acc += 1.0 / ((k + 1) as f64).powf(ZIPF_SKEW);
             cdf.push(acc);
         }
         let total = acc;
@@ -169,9 +166,9 @@ impl Zipf {
 /// inter-arrivals at the offered rate, Zipf-skewed keys, random payloads.
 fn tenant_stream(cfg: &ServiceConfig, tenant: usize) -> Vec<Req> {
     let mut rng = Rng::new(splitmix(cfg.seed ^ splitmix(tenant as u64 ^ 0x7e4a_47)));
-    let zipf = Zipf::new(cfg.keys_per_tenant, cfg.zipf_milli);
-    let horizon = cfg.windows * cfg.window_us;
-    let mean_gap = cfg.window_us as f64 / cfg.offered_per_window.max(1) as f64;
+    let zipf = Zipf::new(cfg.keys_per_tenant);
+    let horizon = cfg.windows * WINDOW_US;
+    let mean_gap = WINDOW_US as f64 / cfg.offered_per_window.max(1) as f64;
     let mut t = 0.0f64;
     let mut out = Vec::new();
     loop {
@@ -214,7 +211,7 @@ fn plan(cfg: &ServiceConfig) -> Plan {
         // horizon; later windows just drain the backlog).
         if w < cfg.windows {
             for (i, stream) in streams.iter().enumerate() {
-                let until = (w + 1) * cfg.window_us;
+                let until = (w + 1) * WINDOW_US;
                 while cursors[i] < stream.len() && stream[cursors[i]].arrival_us < until {
                     let req = stream[cursors[i]];
                     cursors[i] += 1;
@@ -238,7 +235,7 @@ fn plan(cfg: &ServiceConfig) -> Plan {
                         empty_streak = 0;
                         // Admitted in window w, executed by epoch w,
                         // completed at the epoch boundary.
-                        let done = (w + 1) * cfg.window_us;
+                        let done = (w + 1) * WINDOW_US;
                         sched[req.tenant]
                             .latencies_us
                             .push(done.saturating_sub(req.arrival_us));
@@ -429,7 +426,7 @@ pub fn run_service(cfg: &ServiceConfig, opts: RunOpts) -> ServiceReport {
         },
     );
     let (checksums, lock_counter) = out.results.into_iter().next().expect("node 0 result");
-    let makespan_us = (plan.windows_total + 1) * cfg.window_us;
+    let makespan_us = (plan.windows_total + 1) * WINDOW_US;
     let active: Vec<usize> = match cfg.solo {
         Some(t) => vec![t],
         None => (0..cfg.tenants).collect(),
@@ -486,9 +483,7 @@ mod tests {
             tenants: 2,
             keys_per_tenant: 16,
             windows: 3,
-            window_us: 1_000,
             offered_per_window: 6,
-            zipf_milli: 900,
             queue_cap: 64,
             batch_cap: 64,
             seed: 11,

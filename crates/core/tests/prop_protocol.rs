@@ -4,8 +4,8 @@ use proptest::prelude::*;
 
 use tmk_core::runtime::ChannelFaults;
 use tmk_core::{
-    Action, Cluster, Config, Diff, DsmProtocol, Envelope, IntervalMsg, Msg, Node, RetransmitPolicy,
-    StartAcquire, VTime, WORD,
+    Action, Cluster, Config, Diff, DsmProtocol, Envelope, IntervalMsg, Msg, Node, StartAcquire,
+    VTime, WORD,
 };
 
 // ---------------------------------------------------------------------
@@ -158,7 +158,7 @@ fn chaos_plan_strategy() -> impl Strategy<Value = ChannelFaults> {
 fn cluster(cfg: Config, protocol: DsmProtocol, plan: Option<&ChannelFaults>) -> Cluster {
     let c = Cluster::with_protocol(cfg, protocol);
     match plan {
-        Some(plan) => c.with_faults(plan, RetransmitPolicy::default()),
+        Some(plan) => c.with_faults(plan),
         None => c,
     }
 }

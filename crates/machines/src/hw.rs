@@ -196,18 +196,6 @@ impl HwMachine {
         }
     }
 
-    /// Arms the seeded flaky-fabric model: each struck coherence
-    /// transaction is NACKed and retried (masked by hardware, never
-    /// changing results — it only costs time). A no-op on a uniprocessor,
-    /// which has no coherence fabric to strike.
-    pub fn set_fabric_faults(&mut self, faults: tmk_mem::FabricFaults) {
-        match &mut self.fabric {
-            Fabric::Uni { .. } => {}
-            Fabric::Bus(b) => b.set_faults(faults),
-            Fabric::Dir(d) => d.set_faults(faults),
-        }
-    }
-
     /// Charges the memory-system cost of `proc` touching `[addr, addr+len)`
     /// starting at `now`; returns the completion time.
     fn charge_access(

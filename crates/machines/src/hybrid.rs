@@ -91,8 +91,18 @@ pub struct HsMachine {
 
 impl HsMachine {
     /// Builds the machine with a `segment_bytes` shared segment. The
-    /// hybrid always runs LRC between nodes (`tuning.protocol` is ignored).
+    /// hybrid runs LRC between nodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tuning.protocol` is [`DsmProtocol::Ivy`]: no HS run
+    /// simulates IVY, so none may be keyed and recorded as one.
     pub fn new(params: HsParams, segment_bytes: usize, tuning: &crate::DsmTuning) -> Self {
+        assert!(
+            tuning.protocol == DsmProtocol::Lrc,
+            "HS runs only LRC between nodes; {:?} is not available on HS",
+            tuning.protocol
+        );
         HsMachine {
             fabric: Fabric::new(
                 params.nodes,
@@ -104,22 +114,7 @@ impl HsMachine {
                 tuning,
             ),
             buses: (0..params.nodes)
-                .map(|node| {
-                    let mut bus = SnoopBus::new(params.per_node, params.cache, params.bus);
-                    // The fault plan's drop rate doubles as the per-node
-                    // flaky-bus strike rate (a struck transaction retries:
-                    // masked, slower, never a changed result). Each node's
-                    // bus draws from its own seed stream.
-                    if let Some(plan) = &tuning.faults {
-                        if plan.drop > 0.0 {
-                            bus.set_faults(tmk_mem::FabricFaults::new(
-                                plan.seed ^ node as u64,
-                                plan.drop,
-                            ));
-                        }
-                    }
-                    bus
-                })
+                .map(|_| SnoopBus::new(params.per_node, params.cache, params.bus))
                 .collect(),
             lock_holder: HashMap::new(),
             lock_local_q: HashMap::new(),
@@ -476,7 +471,6 @@ impl HsMachine {
             bus.invalidations += s.invalidations;
             bus.writebacks += s.writebacks;
             bus.data_bytes += s.data_bytes;
-            bus.retries += s.retries;
         }
         report.bus = Some(bus);
         for c in self.buses.iter().flat_map(|b| b.caches()) {

@@ -159,7 +159,6 @@ impl RunReport {
                         .set("invalidations", b.invalidations)
                         .set("writebacks", b.writebacks)
                         .set("data_bytes", b.data_bytes)
-                        .set("retries", b.retries)
                 }),
             )
             .set(
@@ -172,7 +171,6 @@ impl RunReport {
                         .set("upgrades", d.upgrades)
                         .set("invalidations", d.invalidations)
                         .set("remote_bytes", d.remote_bytes)
-                        .set("retries", d.retries)
                 }),
             )
     }

@@ -40,14 +40,14 @@ pub struct DsmTuning {
     pub eager_locks: Vec<usize>,
     /// Every lock releases eagerly.
     pub eager_all: bool,
-    /// Which protocol the AS cluster runs (the hybrid always runs LRC).
+    /// Which protocol the AS cluster runs. The hybrid runs only LRC and
+    /// rejects [`DsmProtocol::Ivy`].
     pub protocol: DsmProtocol,
     /// Seeded fault injection on the links between nodes
     /// (drop/duplicate/delay, plus scheduled node crashes — on the hybrid
     /// a crash entry's `node` is an SMP node); `None` = a perfect network.
-    /// On the hybrid the plan additionally seeds each node's flaky bus,
-    /// with the drop rate as the strike rate (struck transactions retry:
-    /// masked by hardware, costing only time).
+    /// Only packets between nodes are faulted: the hybrid's node buses
+    /// never are.
     pub faults: Option<tmk_net::FaultPlan>,
     /// Arms the end-to-end retransmission layer (per-message sequence
     /// numbers, piggybacked acks, timeout + exponential backoff,
@@ -102,11 +102,6 @@ pub enum Platform {
     Ah {
         /// Processor count (≤ 64).
         procs: usize,
-        /// Seeded flaky-fabric injection: `drop` is reused as the per-
-        /// transaction strike rate (a struck directory request is NACKed
-        /// and retried — masked by hardware, it only costs time). `None`
-        /// = a fault-free fabric.
-        faults: Option<tmk_net::FaultPlan>,
     },
     /// The hardware–software hybrid: `nodes` bus-based SMPs of `per_node`
     /// processors each.
@@ -127,7 +122,7 @@ impl Platform {
     pub fn procs(&self) -> usize {
         match self {
             Platform::Dec => 1,
-            Platform::Sgi { procs } | Platform::Ah { procs, .. } => *procs,
+            Platform::Sgi { procs } | Platform::Ah { procs } => *procs,
             Platform::AsCluster { procs, .. } => *procs,
             Platform::Hs {
                 nodes, per_node, ..
@@ -208,13 +203,7 @@ impl Platform {
         match self {
             Platform::Dec => "dec".to_string(),
             Platform::Sgi { procs } => format!("sgi/p{procs}"),
-            Platform::Ah { procs, faults } => {
-                let mut s = format!("ah/p{procs}");
-                if let Some(f) = faults {
-                    s.push_str(&format!("/fb{}d{}", f.seed, f.drop));
-                }
-                s
-            }
+            Platform::Ah { procs } => format!("ah/p{procs}"),
             Platform::AsCluster {
                 procs,
                 part1,
@@ -253,12 +242,9 @@ impl Platform {
         }
     }
 
-    /// Convenience constructor for the fault-free AH design.
+    /// Convenience constructor for the AH design.
     pub fn ah(procs: usize) -> Platform {
-        Platform::Ah {
-            procs,
-            faults: None,
-        }
+        Platform::Ah { procs }
     }
 
     /// Convenience constructor for the simulated HS design.
@@ -327,11 +313,8 @@ where
         .map(|cap| Arc::new(TraceBuf::new(platform.procs(), cap)));
 
     let procs = platform.procs();
-    let hw = |params: HwParams, faults: &Option<tmk_net::FaultPlan>, init: FI, body: FB| {
+    let hw = |params: HwParams, init: FI, body: FB| {
         let mut machine = HwMachine::new(params, segment_bytes);
-        if let Some(f) = faults {
-            machine.set_fabric_faults(tmk_mem::FabricFaults::new(f.seed, f.drop));
-        }
         init(&p, &mut machine);
         let hooks = Hooks {
             set_tracer: HwMachine::set_tracer,
@@ -344,9 +327,9 @@ where
         })
     };
     let out = match platform {
-        Platform::Dec => hw(HwParams::dec_5000_240(), &None, init, body),
-        Platform::Sgi { procs } => hw(HwParams::sgi_4d480(*procs), &None, init, body),
-        Platform::Ah { procs, faults } => hw(HwParams::ah(*procs), faults, init, body),
+        Platform::Dec => hw(HwParams::dec_5000_240(), init, body),
+        Platform::Sgi { procs } => hw(HwParams::sgi_4d480(*procs), init, body),
+        Platform::Ah { procs } => hw(HwParams::ah(*procs), init, body),
         Platform::AsCluster {
             procs,
             part1,
@@ -719,50 +702,20 @@ mod tests {
         };
         assert_eq!(transient.key(), "as/p8/fs5d0u0y0c0mff/cr3@100000+50000");
         assert_eq!(Platform::ah(16).key(), "ah/p16");
-        let flaky_ah = Platform::Ah {
-            procs: 16,
-            faults: Some(tmk_net::FaultPlan::drop_rate(9, 0.01)),
-        };
-        assert_eq!(flaky_ah.key(), "ah/p16/fb9d0.01");
     }
 
     #[test]
-    fn flaky_ah_fabric_retries_without_changing_results() {
-        let clean = exercise(Platform::ah(16));
-        let flaky = exercise(Platform::Ah {
-            procs: 16,
-            faults: Some(tmk_net::FaultPlan::drop_rate(9, 0.05)),
-        });
-        assert_eq!(clean.0, flaky.0, "fabric faults are masked by retries");
-        let d_clean = clean.1.directory.unwrap();
-        let d_flaky = flaky.1.directory.unwrap();
-        assert_eq!(d_clean.retries, 0);
-        assert!(d_flaky.retries > 0, "{d_flaky:?}");
-        assert!(flaky.1.cycles > clean.1.cycles, "retries cost time");
-    }
-
-    #[test]
-    fn flaky_hs_buses_retry_without_changing_results() {
-        let clean = exercise(Platform::hs_sim(4, 4));
-        let flaky = exercise(Platform::Hs {
-            nodes: 4,
-            per_node: 4,
+    #[should_panic(expected = "HS runs only LRC")]
+    fn hs_rejects_ivy_rather_than_run_lrc_under_its_key() {
+        exercise(Platform::Hs {
+            nodes: 2,
+            per_node: 2,
             so: None,
             tuning: DsmTuning {
-                faults: Some(tmk_net::FaultPlan::drop_rate(9, 0.05)),
-                reliability: Some(tmk_core::RetransmitPolicy::default()),
+                protocol: DsmProtocol::Ivy,
                 ..Default::default()
             },
         });
-        assert_eq!(clean.0, flaky.0, "bus faults are masked by retries");
-        let b_clean = clean.1.bus.unwrap();
-        let b_flaky = flaky.1.bus.unwrap();
-        assert_eq!(b_clean.retries, 0);
-        assert!(b_flaky.retries > 0, "{b_flaky:?}");
-        // The same plan drives the inter-node links, masked by the armed
-        // retransmission layer.
-        assert!(flaky.1.net_faults.drops > 0, "{:?}", flaky.1.net_faults);
-        assert!(flaky.1.reliability.retransmissions > 0);
     }
 
     #[test]

@@ -55,9 +55,6 @@ pub struct DirectoryStats {
     pub invalidations: u64,
     /// Bytes moved between nodes (block transfers).
     pub remote_bytes: u64,
-    /// Requests NACKed and retried by the fault-injection model (zero
-    /// unless a [`FabricFaults`](crate::FabricFaults) schedule is armed).
-    pub retries: u64,
 }
 
 /// One line's directory state, `(sharers, owner)`: the bitmask of nodes
@@ -93,7 +90,6 @@ pub struct Directory {
     cache: CacheParams,
     params: DirectoryParams,
     stats: DirectoryStats,
-    faults: Option<crate::FabricFaults>,
     sink: Sink,
 }
 
@@ -111,7 +107,6 @@ impl Directory {
             cache,
             params,
             stats: DirectoryStats::default(),
-            faults: None,
             sink: Sink::default(),
         }
     }
@@ -123,15 +118,6 @@ impl Directory {
             self.entries = vec![UNCACHED; bytes.div_ceil(self.cache.block)];
         }
         self
-    }
-
-    /// Arms transaction-level fault injection on the interconnect: each
-    /// directory miss independently suffers a NACK-and-retry (one extra
-    /// traversal of its latency band) per the seeded schedule. Faults are
-    /// masked by the retry — results never change, only timing and the
-    /// `retries` counter.
-    pub fn set_faults(&mut self, faults: crate::FabricFaults) {
-        self.faults = Some(faults);
     }
 
     /// Attaches a trace sink; directory transactions (misses and upgrades)
@@ -223,7 +209,7 @@ impl Directory {
         let (sharers, owner) = *self.entry(line);
 
         let mut invalidated = 0;
-        let mut latency = match (owner as usize).checked_sub(1) {
+        let latency = match (owner as usize).checked_sub(1) {
             Some(owner) if owner != node => {
                 // Three-hop: fetch from the dirty owner.
                 self.stats.remote_dirty_misses += 1;
@@ -278,14 +264,6 @@ impl Directory {
         };
         if let Some((victim, vstate)) = self.caches[node].fill(line, fill_state) {
             self.drop_from_entry(victim, node, vstate);
-        }
-
-        if let Some(f) = &mut self.faults {
-            if f.strike() {
-                // NACKed at the home: the request re-traverses its band.
-                latency *= 2;
-                self.stats.retries += 1;
-            }
         }
 
         self.trace_txn(write, now, latency);
@@ -372,19 +350,6 @@ mod tests {
         // And the directory still knows node 0 owns it.
         let r = d.access(1, 4, false, 20);
         assert_eq!(r.done, 20 + 130, "dirty path taken after silent upgrade");
-    }
-
-    #[test]
-    fn faulted_requests_retry_their_band() {
-        let mut clean = dir(4);
-        let mut flaky = dir(4);
-        flaky.set_faults(crate::FabricFaults::new(11, 1.0)); // every miss NACKs
-        let rc = clean.access(0, 1, false, 0);
-        let rf = flaky.access(0, 1, false, 0);
-        assert_eq!(rf.done, rc.done + 90, "remote-clean band traversed twice");
-        assert_eq!(flaky.stats().retries, 1);
-        // Coherence outcomes are identical: faults are masked by the retry.
-        assert_eq!(rc.invalidated, rf.invalidated);
     }
 
     #[test]

@@ -12,15 +12,17 @@
 //!   of the HS machines;
 //! * [`Directory`] — a full-map directory protocol over a low-latency
 //!   crossbar (DASH/FLASH-like): the paper's all-hardware (AH) design.
+//!
+//! The models are fault-free: hardware masks its faults below the coherence
+//! protocol, and fault injection lives on the wire between DSM nodes
+//! (`tmk-net`'s `FaultPlan`).
 
 mod cache;
 mod directory;
-mod fault;
 mod snoop;
 
 pub use cache::{CacheParams, CacheStats, DirectCache, LineState, Probe};
 pub use directory::{DirAccess, Directory, DirectoryParams, DirectoryStats};
-pub use fault::FabricFaults;
 pub use snoop::{BusParams, BusStats, SnoopAccess, SnoopBus};
 
 /// A cache-line address (byte address divided by the block size).

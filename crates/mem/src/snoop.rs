@@ -70,9 +70,6 @@ pub struct BusStats {
     pub writebacks: u64,
     /// Bytes moved across the bus.
     pub data_bytes: u64,
-    /// Transactions retried by the fault-injection model (zero unless a
-    /// [`FabricFaults`](crate::FabricFaults) schedule is armed).
-    pub retries: u64,
 }
 
 /// Outcome of one coherent access.
@@ -96,7 +93,6 @@ pub struct SnoopBus {
     params: BusParams,
     free_at: Cycle,
     stats: BusStats,
-    faults: Option<crate::FabricFaults>,
     sink: Sink,
     track: u32,
 }
@@ -118,18 +114,9 @@ impl SnoopBus {
             params,
             free_at: 0,
             stats: BusStats::default(),
-            faults: None,
             sink: Sink::default(),
             track: 0,
         }
-    }
-
-    /// Arms transaction-level fault injection: each bus miss independently
-    /// suffers a retry (re-arbitration plus a second data phase) per the
-    /// seeded schedule. Faults are masked by the retry — results never
-    /// change, only timing and the `retries` counter.
-    pub fn set_faults(&mut self, faults: crate::FabricFaults) {
-        self.faults = Some(faults);
     }
 
     /// Attaches a trace sink; bus transactions (misses and upgrades — hits
@@ -256,16 +243,6 @@ impl SnoopBus {
         }
         self.stats.data_bytes += self.cache.block as u64;
 
-        if let Some(f) = &mut self.faults {
-            if f.strike() {
-                // The transaction NACKs and retries: a second
-                // arbitration/address phase plus another data phase.
-                latency += p.transaction + p.block_transfer;
-                occupancy += p.transaction + p.block_transfer;
-                self.stats.retries += 1;
-            }
-        }
-
         let start = self.grab_bus(now, occupancy);
         self.trace_txn(write, start, occupancy);
         SnoopAccess {
@@ -367,23 +344,6 @@ mod tests {
         let r1 = b.access(1, 2, false, 0);
         // Same bus: the second transaction waits for the first's occupancy.
         assert!(r1.done > r0.done);
-    }
-
-    #[test]
-    fn faulted_transactions_retry_and_cost_time() {
-        let mut clean = bus(1);
-        let mut flaky = bus(1);
-        flaky.set_faults(crate::FabricFaults::new(11, 1.0)); // every miss faults
-        let rc = clean.access(0, 5, false, 0);
-        let rf = flaky.access(0, 5, false, 0);
-        assert!(rf.done > rc.done, "retry must cost latency");
-        assert_eq!(flaky.stats().retries, 1);
-        assert!(flaky.stats().busy_cycles > clean.stats().busy_cycles);
-        // Hits never fault: no draw, no retry.
-        let before = flaky.stats().retries;
-        let r = flaky.access(0, 5, false, rf.done);
-        assert!(r.hit);
-        assert_eq!(flaky.stats().retries, before);
     }
 
     #[test]

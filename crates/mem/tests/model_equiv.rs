@@ -4,21 +4,21 @@
 //! `Vec<(node, line)>` invalidation lists — kept here as the reference
 //! model. Both sides see the same random streams; every access must agree
 //! on completion time, hit and invalidated set, and every run on all
-//! counters, every line's state in every cache, the fault stream position
-//! and the emitted trace.
+//! counters, every line's state in every cache and the emitted trace.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use tmk_mem::{
     set_bits, BusParams, BusStats, CacheParams, CacheStats, DirectCache, Directory,
-    DirectoryParams, DirectoryStats, FabricFaults, LineAddr, LineState, Probe, SnoopBus,
+    DirectoryParams, DirectoryStats, LineAddr, LineState, Probe, SnoopBus,
 };
 use tmk_trace::{Event, EventKind, Sink, TraceBuf, Track};
 
 type Cycle = u64;
 
-/// The parent commit's models, verbatim but for names and visibility.
+/// The replaced models, verbatim but for names, visibility and the deleted
+/// fault-injection branch.
 mod model {
     use std::collections::HashMap;
 
@@ -165,25 +165,17 @@ mod model {
         entries: HashMap<LineAddr, Entry>,
         params: DirectoryParams,
         pub stats: DirectoryStats,
-        pub faults: FabricFaults,
         sink: Sink,
         block: u64,
     }
 
     impl Dir {
-        pub fn new(
-            nodes: usize,
-            cache: CacheParams,
-            params: DirectoryParams,
-            faults: FabricFaults,
-            sink: Sink,
-        ) -> Self {
+        pub fn new(nodes: usize, cache: CacheParams, params: DirectoryParams, sink: Sink) -> Self {
             Dir {
                 caches: (0..nodes).map(|_| Cache::new(cache)).collect(),
                 entries: HashMap::new(),
                 params,
                 stats: DirectoryStats::default(),
-                faults,
                 sink,
                 block: cache.block as u64,
             }
@@ -235,7 +227,7 @@ mod model {
             let entry = self.entries.get(&line).copied().unwrap_or_default();
 
             let mut invalidated = Vec::new();
-            let mut latency = match entry.owner {
+            let latency = match entry.owner {
                 Some(owner) if owner != node => {
                     self.stats.remote_dirty_misses += 1;
                     self.stats.remote_bytes += 2 * self.block;
@@ -307,11 +299,6 @@ mod model {
                 }
             }
 
-            if self.faults.strike() {
-                latency *= 2;
-                self.stats.retries += 1;
-            }
-
             self.trace_txn(write, now, latency);
             Access {
                 done: now + latency,
@@ -343,7 +330,6 @@ mod model {
         params: BusParams,
         free_at: Cycle,
         pub stats: BusStats,
-        pub faults: FabricFaults,
         sink: Sink,
         track: u32,
         block: u64,
@@ -354,7 +340,6 @@ mod model {
             procs: usize,
             cache: CacheParams,
             params: BusParams,
-            faults: FabricFaults,
             sink: Sink,
             track: u32,
         ) -> Self {
@@ -363,7 +348,6 @@ mod model {
                 params,
                 free_at: 0,
                 stats: BusStats::default(),
-                faults,
                 sink,
                 track,
                 block: cache.block as u64,
@@ -452,12 +436,6 @@ mod model {
             }
             self.stats.data_bytes += self.block;
 
-            if self.faults.strike() {
-                latency += p.transaction + p.block_transfer;
-                occupancy += p.transaction + p.block_transfer;
-                self.stats.retries += 1;
-            }
-
             let start = self.grab_bus(now, occupancy);
             self.trace_txn(write, start, occupancy);
             Access {
@@ -518,10 +496,6 @@ fn steps() -> impl Strategy<Value = Vec<Step>> {
     proptest::collection::vec(step, 1..250)
 }
 
-fn faults(seed: u64, rate_ix: usize) -> FabricFaults {
-    FabricFaults::new(seed, [0.0, 0.3, 1.0][rate_ix])
-}
-
 fn traced() -> (Arc<TraceBuf>, Sink) {
     let buf = Arc::new(TraceBuf::new(1, 4096));
     (buf.clone(), Sink::new(buf))
@@ -566,18 +540,15 @@ proptest! {
     fn directory_matches_the_hashmap_model(
         nodes in 1..65usize,
         sets_log2 in 2..5u32,
-        rate_ix in 0..3usize,
-        seed in any::<u64>(),
         steps in steps(),
     ) {
         let cache = CacheParams::new(BLOCK << sets_log2, BLOCK);
         let (model_buf, model_sink) = traced();
         let (real_buf, real_sink) = traced();
         let mut model =
-            model::Dir::new(nodes, cache, DirectoryParams::isca94(), faults(seed, rate_ix), model_sink);
+            model::Dir::new(nodes, cache, DirectoryParams::isca94(), model_sink);
         // Sized for half the span: the other half exercises growth.
         let mut real = Directory::new(nodes, cache, DirectoryParams::isca94()).with_memory(SPAN / 2);
-        real.set_faults(faults(seed, rate_ix));
         real.set_tracer(real_sink);
 
         let mut now = 0;
@@ -601,9 +572,6 @@ proptest! {
         }
 
         prop_assert_eq!(model.stats, real.stats());
-        // One draw per miss, on both sides: at rate 1 `retries` *is* the
-        // draw count, at 0.3 a stream one draw out of step diverges above.
-        prop_assert_eq!(model.faults.retries(), real.stats().retries);
         same_caches(&model.caches, real.caches())?;
         prop_assert_eq!(model_buf.chrome_trace(), real_buf.chrome_trace());
     }
@@ -612,8 +580,6 @@ proptest! {
     fn snoop_bus_matches_the_list_returning_model(
         procs in 1..65usize,
         sets_log2 in 2..5u32,
-        rate_ix in 0..3usize,
-        seed in any::<u64>(),
         sgi in any::<bool>(),
         steps in steps(),
     ) {
@@ -621,9 +587,8 @@ proptest! {
         let params = if sgi { BusParams::sgi_4d480() } else { BusParams::hs_node() };
         let (model_buf, model_sink) = traced();
         let (real_buf, real_sink) = traced();
-        let mut model = model::Bus::new(procs, cache, params, faults(seed, rate_ix), model_sink, 3);
+        let mut model = model::Bus::new(procs, cache, params, model_sink, 3);
         let mut real = SnoopBus::new(procs, cache, params);
-        real.set_faults(faults(seed, rate_ix));
         real.set_tracer(real_sink, 3);
 
         let mut now = 0;
@@ -656,7 +621,6 @@ proptest! {
         let fresh = (4 * SPAN / BLOCK) as LineAddr;
         prop_assert_eq!(model.access(0, fresh, false, 0).done, real.access(0, fresh, false, 0).done);
         prop_assert_eq!(model.stats, real.stats());
-        prop_assert_eq!(model.faults.retries(), real.stats().retries);
         same_caches(&model.caches, real.caches())?;
         prop_assert_eq!(model_buf.chrome_trace(), real_buf.chrome_trace());
     }

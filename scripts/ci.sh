@@ -201,7 +201,7 @@ for committed in results/*.txt; do
         || { echo "$t.json differs from results/"; exit 1; }
 done
 # The committed suite summary must list exactly today's runs, each with the
-# status, checksum, cycles and traffic it has now (host times may move).
+# status, checksum, breakdown and report it has now (host times may move).
 ./target/release/suite bench-diff BENCH_results.json target/records/BENCH_results.json \
     > target/records/bench-diff.txt \
     || { cat target/records/bench-diff.txt; echo "BENCH_results.json differs from the tree"; exit 1; }
