@@ -119,7 +119,6 @@ pub struct Cluster {
     cfg: Config,
     nodes: Vec<ProtoNode>,
     traffic: Traffic,
-    alloc_next: SharedAddr,
     /// The optional fault stage of [`route`](Self::route): link faults
     /// drawn from the plan, repaired by the reliability layer.
     faults: Option<(ChannelFaults, Reliability)>,
@@ -140,7 +139,6 @@ impl Cluster {
                 .map(|i| ProtoNode::new(protocol, i, cfg.clone()))
                 .collect(),
             traffic: Traffic::default(),
-            alloc_next: 0,
             faults: None,
             ckpt: None,
             cfg,
@@ -187,25 +185,6 @@ impl Cluster {
             s.merge(n.stats());
         }
         s
-    }
-
-    /// Bump-allocates `bytes` of shared memory with `align` alignment.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the segment is exhausted or `align` is not a power of
-    /// two.
-    pub fn alloc(&mut self, bytes: usize, align: usize) -> SharedAddr {
-        assert!(align.is_power_of_two());
-        let addr = (self.alloc_next + align - 1) & !(align - 1);
-        assert!(
-            addr + bytes <= self.cfg.segment_bytes(),
-            "shared segment exhausted: need {} bytes at {addr}, segment is {}",
-            bytes,
-            self.cfg.segment_bytes()
-        );
-        self.alloc_next = addr + bytes;
-        addr
     }
 
     /// Pre-parallel initialization write by the master (node 0).
@@ -451,15 +430,21 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tmk_parmacs::Alloc;
 
     fn cluster(n: usize) -> Cluster {
         Cluster::new(Config::new(n).segment_pages(8).page_size(256))
     }
 
+    /// A fresh layout of `c`'s shared segment.
+    fn layout(c: &Cluster) -> Alloc {
+        Alloc::new(c.config().segment_bytes())
+    }
+
     #[test]
     fn master_init_visible_everywhere() {
         let mut c = cluster(4);
-        let addr = c.alloc(8, 8);
+        let addr = layout(&c).bytes(8, 8);
         c.master_write(addr, &7u64.to_le_bytes());
         for node in 0..4 {
             assert_eq!(c.read_u64(node, addr), 7);
@@ -469,7 +454,7 @@ mod tests {
     #[test]
     fn lock_protected_counter_is_coherent() {
         let mut c = cluster(3);
-        let addr = c.alloc(8, 8);
+        let addr = layout(&c).bytes(8, 8);
         for round in 0..5 {
             for node in 0..3 {
                 c.lock(node, 1);
@@ -493,7 +478,7 @@ mod tests {
         use crate::Msg;
 
         let mut c = cluster(2);
-        let addr = c.alloc(8, 8);
+        let addr = layout(&c).bytes(8, 8);
         let page = c.config().page_of(addr);
         c.lock(0, 0);
         c.write_u64(0, addr, 1);
@@ -550,7 +535,7 @@ mod tests {
     #[test]
     fn contended_lock_transfers_on_release() {
         let mut c = cluster(2);
-        let addr = c.alloc(8, 8);
+        let addr = layout(&c).bytes(8, 8);
         c.lock(0, 0);
         c.write_u64(0, addr, 42);
         assert!(!c.try_lock(1, 0), "lock is held by node 0");
@@ -562,7 +547,7 @@ mod tests {
     #[test]
     fn barrier_propagates_writes() {
         let mut c = cluster(4);
-        let addr = c.alloc(4 * 8, 8);
+        let addr = layout(&c).bytes(4 * 8, 8);
         // Each node writes its slot, then a barrier, then everyone reads all.
         for node in 0..4 {
             c.write_u64(node, addr + node * 8, (node as u64 + 1) * 100);
@@ -579,7 +564,7 @@ mod tests {
     fn multiple_writers_of_one_page_merge() {
         let mut c = cluster(4);
         // All four slots share a 256-byte page: classic false sharing.
-        let addr = c.alloc(4 * 8, 8);
+        let addr = layout(&c).bytes(4 * 8, 8);
         assert_eq!(c.node(0).pages_in(addr, 32).len(), 1);
         for node in 0..4 {
             c.write_u64(node, addr + node * 8, node as u64 + 1);
@@ -595,7 +580,7 @@ mod tests {
     #[test]
     fn unsynchronized_read_may_be_stale_until_acquire() {
         let mut c = cluster(2);
-        let addr = c.alloc(8, 8);
+        let addr = layout(&c).bytes(8, 8);
         c.master_write(addr, &1u64.to_le_bytes());
         assert_eq!(c.read_u64(1, addr), 1); // node 1 caches the page
         c.lock(0, 3);
@@ -615,7 +600,7 @@ mod tests {
             .page_size(256)
             .eager_release_lock(3);
         let mut c = Cluster::new(cfg);
-        let addr = c.alloc(8, 8);
+        let addr = layout(&c).bytes(8, 8);
         c.master_write(addr, &1u64.to_le_bytes());
         assert_eq!(c.read_u64(1, addr), 1);
         c.lock(0, 3);
@@ -627,7 +612,7 @@ mod tests {
     #[test]
     fn diffs_move_only_changed_words() {
         let mut c = cluster(2);
-        let addr = c.alloc(256, 256); // one whole page
+        let addr = layout(&c).bytes(256, 256); // one whole page
         c.master_write(addr, &[0xAA; 256]);
         assert_eq!(c.read_u64(1, addr), u64::from_le_bytes([0xAA; 8]));
         let full_fetch_bytes = c.traffic().miss_bytes;
@@ -651,7 +636,7 @@ mod tests {
     #[test]
     fn lock_chain_through_three_nodes() {
         let mut c = cluster(3);
-        let addr = c.alloc(8, 8);
+        let addr = layout(&c).bytes(8, 8);
         c.lock(1, 5);
         c.write_u64(1, addr, 10);
         assert!(!c.try_lock(2, 5));
@@ -667,7 +652,7 @@ mod tests {
     #[test]
     fn traffic_accounting_is_nonzero_and_classified() {
         let mut c = cluster(2);
-        let addr = c.alloc(8, 8);
+        let addr = layout(&c).bytes(8, 8);
         c.lock(1, 0);
         c.write_u64(1, addr, 3);
         c.unlock(1, 0);
@@ -687,7 +672,7 @@ mod tests {
     #[test]
     fn single_node_cluster_needs_no_messages() {
         let mut c = cluster(1);
-        let addr = c.alloc(8, 8);
+        let addr = layout(&c).bytes(8, 8);
         c.lock(0, 0);
         c.write_u64(0, addr, 9);
         c.unlock(0, 0);
@@ -714,7 +699,7 @@ mod tests {
     #[test]
     fn checkpoint_restore_replays_byte_identically() {
         let mut c = cluster(4);
-        let addr = c.alloc(8, 8);
+        let addr = layout(&c).bytes(8, 8);
         c.write_u64(0, addr, 5);
         // Warm every node's copy so the cut snapshots resident pages.
         run_section(&mut c, addr, 1);
@@ -731,7 +716,7 @@ mod tests {
     #[test]
     fn migrated_token_is_regenerated_at_the_manager() {
         let mut c = cluster(4);
-        let addr = c.alloc(8, 8);
+        let addr = layout(&c).bytes(8, 8);
         c.barrier(0);
         c.checkpoint();
         // Lock 2's manager is node 2; migrate its token to node 3 and leave
@@ -819,7 +804,7 @@ mod tests {
     /// view of the written slots.
     fn logged_run(mut c: Cluster) -> (Log, Traffic, Vec<u64>) {
         let n = c.config().nodes;
-        let addr = c.alloc(n * 8, 8);
+        let addr = layout(&c).bytes(n * 8, 8);
         let page = c.config().page_of(addr);
         let mut log = Vec::new();
         for round in 0..3u64 {
@@ -883,7 +868,7 @@ mod tests {
     #[test]
     fn write_read_roundtrip_across_page_boundary() {
         let mut c = cluster(2);
-        let addr = c.alloc(512, 256); // spans two 256-byte pages
+        let addr = layout(&c).bytes(512, 256); // spans two 256-byte pages
         let data: Vec<u8> = (0..512).map(|i| (i % 251) as u8).collect();
         c.write(0, addr, &data);
         c.barrier(0);

@@ -5,7 +5,8 @@
 //! multiple-writer DSM with the full TreadMarks protocol machinery —
 //! vector timestamps, interval records, write notices, twins, word-level
 //! run-length diffs, a token-forwarding distributed lock manager, and
-//! centralized barriers — as described in Keleher et al. (USENIX'94) and
+//! barriers with a static manager per barrier (`barrier % nodes`) — as
+//! described in Keleher et al. (USENIX'94) and
 //! evaluated in the ISCA'94 case study this repository reproduces.
 //!
 //! # Architecture
@@ -41,8 +42,12 @@
 //!
 //! # Example: real threads, real shared memory
 //!
+//! A runtime node is a [`tmk_parmacs::System`], like every simulated
+//! platform.
+//!
 //! ```
 //! use tmk_core::runtime::{Dsm, DsmConfig};
+//! use tmk_parmacs::{System, SystemExt};
 //!
 //! let cfg = DsmConfig::new(4).segment_pages(16);
 //! let total = Dsm::run(cfg, |node| {
@@ -50,12 +55,12 @@
 //!     let lock = 0;
 //!     for _ in 0..100 {
 //!         node.lock(lock);
-//!         let v = node.read_u64(0);
-//!         node.write_u64(0, v + 1);
+//!         let v: u64 = node.read(0);
+//!         node.write(0, v + 1);
 //!         node.unlock(lock);
 //!     }
 //!     node.barrier(0);
-//!     node.read_u64(0)
+//!     node.read::<u64>(0)
 //! });
 //! assert!(total.into_iter().all(|v| v == 400));
 //! ```

@@ -123,6 +123,11 @@ pub struct Node {
     /// A `GcDone` that overtook its `BarrierDepart` (possible under
     /// network-fault delays); consumed when the departure arrives.
     pending_gc_done: Option<BarrierId>,
+    /// Barrier arrivals that overtook the departure carrying their sender's
+    /// previous interval: consecutive barriers have different managers, so
+    /// a node's arrival at one can beat the previous barrier's departure to
+    /// this manager. Replayed when a departure lands.
+    parked_arrivals: Vec<(BarrierId, NodeId, VTime, Vec<IntervalMsg>, bool)>,
     /// Wire bytes of diffs currently cached in `pages[*].my_diffs`
     /// (maintained incrementally; part of the GC trigger and the ledger).
     cached_diff_bytes: u64,
@@ -198,6 +203,7 @@ impl Node {
             last_reported: 0,
             gc: None,
             pending_gc_done: None,
+            parked_arrivals: Vec::new(),
             cached_diff_bytes: 0,
             diff_scratch: Vec::new(),
             stats: NodeStats::default(),
@@ -284,6 +290,10 @@ impl Node {
             self.pages.iter().all(|p| !p.fetching()),
             "checkpoint with a fetch in flight"
         );
+        debug_assert!(
+            self.parked_arrivals.is_empty(),
+            "checkpoint with a parked arrival"
+        );
         NodeCheckpoint {
             vt: self.vt.clone(),
             store: self.store.clone(),
@@ -311,6 +321,7 @@ impl Node {
         self.barriers.clear();
         self.gc = None;
         self.pending_gc_done = None;
+        self.parked_arrivals.clear();
         self.ledger_note();
     }
 
@@ -1194,6 +1205,16 @@ impl Node {
         gc_wanted: bool,
     ) -> Handled {
         debug_assert_eq!(self.cfg.barrier_manager(barrier), self.id);
+        if intervals
+            .first()
+            .is_some_and(|m| m.seq() > self.store.frontier(from) + 1)
+        {
+            // The interval before these is still on its way in another
+            // barrier's departure: integrate the arrival once it lands.
+            self.parked_arrivals
+                .push((barrier, from, vt, intervals, gc_wanted));
+            return Handled::default();
+        }
         for m in &intervals {
             self.integrate_interval(m);
         }
@@ -1216,13 +1237,16 @@ impl Node {
             self.integrate_interval(m);
         }
         self.vt.merge(&vt);
-        if !gc {
-            return Handled {
-                sends: Vec::new(),
-                actions: vec![Action::BarrierDone(barrier)],
-            };
-        }
         let mut out = Handled::default();
+        for (b, from, vt, ivs, gc_wanted) in std::mem::take(&mut self.parked_arrivals) {
+            let h = self.on_barrier_arrive(b, from, vt, ivs, gc_wanted);
+            out.sends.extend(h.sends);
+            out.actions.extend(h.actions);
+        }
+        if !gc {
+            out.actions.push(Action::BarrierDone(barrier));
+            return out;
+        }
         let mut done = self.begin_gc(barrier, vt, &mut out.sends);
         if !done {
             if let Some(b) = self.pending_gc_done.take() {
@@ -1477,6 +1501,82 @@ mod tests {
             let got: Vec<(NodeId, Seq)> =
                 order.iter().map(|&i| (diffs[i].0.node(), diffs[i].0.seq())).collect();
             prop_assert_eq!(got, want);
+        }
+    }
+
+    /// Writes one `u64` on `node`, whose copy of the page must be valid.
+    fn write_local(node: &mut Node, addr: SharedAddr, v: u64) {
+        let page = addr / node.config().page_size;
+        if !node.page_writable(page) {
+            assert!(node.fault(page, true).ready, "page {page} is valid here");
+        }
+        node.write_from(addr, &v.to_le_bytes());
+    }
+
+    /// Delivers `env` to its destination and returns what that produced.
+    fn deliver(nodes: &mut [Node], env: Envelope) -> Handled {
+        let to = env.to;
+        nodes[to].handle(env)
+    }
+
+    /// The one message in `sends` addressed to `to`.
+    fn to_node(sends: &[Envelope], to: NodeId) -> Envelope {
+        let mut it = sends.iter().filter(|e| e.to == to);
+        let env = it.next().expect("a message for the node").clone();
+        assert!(it.next().is_none(), "one message for node {to}");
+        env
+    }
+
+    /// Consecutive barriers have different managers (`barrier % nodes`), so
+    /// a node's arrival at barrier 2 can reach node 2 before barrier 1's
+    /// departure, which carries the arriver's previous interval. The
+    /// arrival waits for that departure instead of tearing the manager down
+    /// with an interval gap.
+    #[test]
+    fn an_arrival_that_overtakes_the_previous_departure_waits_for_it() {
+        let cfg = Config::new(3).segment_pages(4);
+        let mut nodes: Vec<Node> = (0..3).map(|i| Node::new(i, cfg.clone())).collect();
+        assert_eq!((cfg.barrier_manager(1), cfg.barrier_manager(2)), (1, 2));
+
+        // Barrier 1, managed by node 1: node 0 reports its interval 1.
+        write_local(&mut nodes[0], 0, 7);
+        let a0 = nodes[0].barrier_arrive(1);
+        let a2 = nodes[2].barrier_arrive(1);
+        assert!(deliver(&mut nodes, to_node(&a0.sends, 1))
+            .actions
+            .is_empty());
+        assert!(deliver(&mut nodes, to_node(&a2.sends, 1))
+            .actions
+            .is_empty());
+        let a1 = nodes[1].barrier_arrive(1);
+        assert!(a1.ready, "node 1 arrives last at its own barrier");
+        let done = deliver(&mut nodes, to_node(&a1.sends, 0));
+        assert_eq!(done.actions, vec![Action::BarrierDone(1)]);
+
+        // Node 0 writes again and arrives at barrier 2 with interval 2,
+        // which reaches node 2 before node 1's departure with interval 1.
+        write_local(&mut nodes[0], 8, 9);
+        let b0 = nodes[0].barrier_arrive(2);
+        let early = deliver(&mut nodes, to_node(&b0.sends, 2));
+        assert!(early.actions.is_empty() && early.sends.is_empty());
+        let done = deliver(&mut nodes, to_node(&a1.sends, 2));
+        assert_eq!(done.actions, vec![Action::BarrierDone(1)]);
+        assert!(done.sends.is_empty());
+        assert_eq!(nodes[2].intervals().frontier(0), 2);
+
+        // Barrier 2 completes everywhere.
+        let b2 = nodes[2].barrier_arrive(2);
+        assert!(!b2.ready && b2.sends.is_empty());
+        let b1 = nodes[1].barrier_arrive(2);
+        let last = deliver(&mut nodes, to_node(&b1.sends, 2));
+        assert_eq!(last.actions, vec![Action::BarrierDone(2)]);
+        for q in [0, 1] {
+            let done = deliver(&mut nodes, to_node(&last.sends, q));
+            assert_eq!(done.actions, vec![Action::BarrierDone(2)], "node {q}");
+        }
+        for node in &nodes {
+            assert_eq!(node.vt().get(0), 2, "node {} saw both intervals", node.id());
+            assert_eq!(node.intervals().frontier(0), 2);
         }
     }
 

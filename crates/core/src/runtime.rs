@@ -37,25 +37,24 @@
 //!
 //! ```
 //! use tmk_core::runtime::{Dsm, DsmConfig, EpochStep, RunOpts};
+//! use tmk_parmacs::{InitExt, SharedSlice, System};
 //!
 //! // Four nodes privately sum slices of a shared array.
 //! let cfg = DsmConfig::new(4).segment_pages(4);
 //! let out = Dsm::run_epochs(
 //!     cfg,
 //!     RunOpts::default(),
-//!     |master| {
-//!         for i in 0..32u64 {
-//!             master.write_u64((i * 8) as usize, i);
+//!     |alloc, master| {
+//!         let xs: SharedSlice<u64> = alloc.slice(32);
+//!         for i in 0..32 {
+//!             master.init(xs.addr_of(i), i as u64);
 //!         }
+//!         xs
 //!     },
-//!     |node, _epoch, ()| {
-//!         let me = node.id();
+//!     |node, _epoch, xs| {
+//!         let me = node.pid();
 //!         node.barrier(0);
-//!         EpochStep::Done(
-//!             (0..8u64)
-//!                 .map(|i| node.read_u64(((me as u64 * 8 + i) * 8) as usize))
-//!                 .sum::<u64>(),
-//!         )
+//!         EpochStep::Done((0..8).map(|i| xs.get(node, me * 8 + i)).sum::<u64>())
 //!     },
 //! );
 //! assert_eq!(out.results.iter().sum::<u64>(), (0..32).sum());
@@ -68,6 +67,7 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
+use tmk_parmacs::{Alloc, Cycle, InitWriter, System};
 use tmk_trace::{Event, EventKind, Sink, Track};
 
 use crate::cluster::Traffic;
@@ -570,36 +570,16 @@ const ROLLBACK_MARK: &str = "__dsm_rollback__";
 /// [`Dsm::run_epochs`]; application code must not use ids at or above this.
 pub const EPOCH_BARRIER_BASE: BarrierId = usize::MAX - 8;
 
-/// Pre-parallel master handle: allocates and initializes shared memory
-/// before the node bodies start (the PARMACS "master initializes, then
-/// forks" idiom).
+/// Pre-parallel master handle: writes initial shared data on node 0 before
+/// the node bodies start (the PARMACS "master initializes, then forks"
+/// idiom); `init` gets it beside an [`Alloc`] for the layout.
 pub struct Master<'a> {
     node0: &'a mut Node,
-    next: SharedAddr,
 }
 
-impl Master<'_> {
-    /// Bump-allocates shared memory.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the segment is exhausted or `align` is not a power of two.
-    pub fn alloc(&mut self, bytes: usize, align: usize) -> SharedAddr {
-        assert!(align.is_power_of_two());
-        let addr = (self.next + align - 1) & !(align - 1);
-        assert!(addr + bytes <= self.node0.config().segment_bytes());
-        self.next = addr + bytes;
-        addr
-    }
-
-    /// Writes initial data.
-    pub fn write(&mut self, addr: SharedAddr, bytes: &[u8]) {
+impl InitWriter for Master<'_> {
+    fn write_init(&mut self, addr: SharedAddr, bytes: &[u8]) {
         self.node0.master_write(addr, bytes);
-    }
-
-    /// Writes an initial little-endian `u64`.
-    pub fn write_u64(&mut self, addr: SharedAddr, v: u64) {
-        self.write(addr, &v.to_le_bytes());
     }
 }
 
@@ -610,16 +590,6 @@ pub struct DsmNode {
 }
 
 impl DsmNode {
-    /// This node's id.
-    pub fn id(&self) -> NodeId {
-        self.id
-    }
-
-    /// Number of nodes in the cluster.
-    pub fn nodes(&self) -> usize {
-        self.shared.cells.len()
-    }
-
     fn cell(&self) -> &NodeCell {
         &self.shared.cells[self.id]
     }
@@ -667,47 +637,6 @@ impl DsmNode {
         }
     }
 
-    /// Acquires a distributed lock (blocking).
-    pub fn lock(&self, lock: LockId) {
-        self.op_tick();
-        let sends = {
-            let mut inner = guard(&self.cell().inner);
-            match inner.node.acquire(lock) {
-                StartAcquire::Granted => return,
-                StartAcquire::Wait(sends) => sends,
-            }
-        };
-        self.shared.transmit(sends);
-        self.wait_for(Action::LockGranted(lock));
-    }
-
-    /// Releases a distributed lock.
-    pub fn unlock(&self, lock: LockId) {
-        self.op_tick();
-        let sends = guard(&self.cell().inner).node.release(lock);
-        self.shared.transmit(sends);
-    }
-
-    /// Waits at a barrier until every node arrives.
-    pub fn barrier(&self, barrier: BarrierId) {
-        self.op_tick();
-        let start = guard(&self.cell().inner).node.barrier_arrive(barrier);
-        self.shared.transmit(start.sends);
-        if !start.ready {
-            self.wait_for(Action::BarrierDone(barrier));
-        }
-    }
-
-    /// Reads shared memory (taking page faults as needed).
-    pub fn read_bytes(&self, addr: SharedAddr, buf: &mut [u8]) {
-        self.access(addr, buf.len(), false, |node| node.read_into(addr, buf));
-    }
-
-    /// Writes shared memory (taking page faults and twinning as needed).
-    pub fn write_bytes(&self, addr: SharedAddr, bytes: &[u8]) {
-        self.access(addr, bytes.len(), true, |node| node.write_from(addr, bytes));
-    }
-
     /// Validates all pages of `[addr, addr+len)` then runs `f` under the
     /// node mutex, retrying if a concurrent invalidation slips in between.
     fn access(&self, addr: SharedAddr, len: usize, write: bool, f: impl FnOnce(&mut Node)) {
@@ -743,22 +672,54 @@ impl DsmNode {
         }
     }
 
-    /// Reads a little-endian `u64`.
-    pub fn read_u64(&self, addr: SharedAddr) -> u64 {
-        let mut b = [0u8; 8];
-        self.read_bytes(addr, &mut b);
-        u64::from_le_bytes(b)
-    }
-
-    /// Writes a little-endian `u64`.
-    pub fn write_u64(&self, addr: SharedAddr, v: u64) {
-        self.write_bytes(addr, &v.to_le_bytes());
-    }
-
     /// This node's protocol statistics so far.
     pub fn stats(&self) -> NodeStats {
         *guard(&self.cell().inner).node.stats()
     }
+}
+
+/// The runtime is one more PARMACS platform: shared accesses take page
+/// faults and twin pages as needed, locks and barriers block the calling
+/// thread, and `compute` does nothing because host time is real.
+impl System for DsmNode {
+    fn nprocs(&self) -> usize {
+        self.shared.cells.len()
+    }
+    fn pid(&self) -> usize {
+        self.id
+    }
+    fn read_bytes(&self, addr: SharedAddr, buf: &mut [u8]) {
+        self.access(addr, buf.len(), false, |node| node.read_into(addr, buf));
+    }
+    fn write_bytes(&self, addr: SharedAddr, bytes: &[u8]) {
+        self.access(addr, bytes.len(), true, |node| node.write_from(addr, bytes));
+    }
+    fn lock(&self, lock: LockId) {
+        self.op_tick();
+        let sends = {
+            let mut inner = guard(&self.cell().inner);
+            match inner.node.acquire(lock) {
+                StartAcquire::Granted => return,
+                StartAcquire::Wait(sends) => sends,
+            }
+        };
+        self.shared.transmit(sends);
+        self.wait_for(Action::LockGranted(lock));
+    }
+    fn unlock(&self, lock: LockId) {
+        self.op_tick();
+        let sends = guard(&self.cell().inner).node.release(lock);
+        self.shared.transmit(sends);
+    }
+    fn barrier(&self, barrier: BarrierId) {
+        self.op_tick();
+        let start = guard(&self.cell().inner).node.barrier_arrive(barrier);
+        self.shared.transmit(start.sends);
+        if !start.ready {
+            self.wait_for(Action::BarrierDone(barrier));
+        }
+    }
+    fn compute(&self, _cycles: Cycle) {}
 }
 
 /// What an epoch body tells the driver after each epoch.
@@ -834,13 +795,17 @@ impl Dsm {
         F: Fn(&DsmNode) -> R + Send + Sync,
     {
         let body = move |node: &DsmNode, _epoch, _: &()| EpochStep::Done(body(node));
-        Self::run_epochs(cfg, RunOpts::default(), |_| (), body).results
+        Self::run_epochs(cfg, RunOpts::default(), |_, _| (), body).results
     }
 
     /// Runs `init` on the master pre-fork, then an epoch-structured program
-    /// on every node, with crash recovery armed. The value `init` returns
-    /// is shared (by reference) with every body — typically the addresses
-    /// of allocated data structures.
+    /// on every node, with crash recovery armed. `init` lays shared data out
+    /// with an [`Alloc`] over the whole segment and writes its initial
+    /// values through the [`Master`]; the value it returns is shared (by
+    /// reference) with every body — typically the addresses of the
+    /// allocated data structures. A PARMACS [`Workload`](tmk_parmacs::Workload)
+    /// `w` runs as `init = |a, m| { let p = w.plan(a); w.init(&p, m); p }`
+    /// and `body = |node, _, p| EpochStep::Done(w.body(node, p))`.
     ///
     /// `body(node, epoch, plan)` runs one epoch and returns whether to
     /// continue; after each epoch the cluster synchronizes on a reserved
@@ -862,7 +827,7 @@ impl Dsm {
     where
         T: Send + Sync,
         R: Send,
-        I: FnOnce(&mut Master<'_>) -> T,
+        I: FnOnce(&mut Alloc, &mut Master<'_>) -> T,
         F: Fn(&DsmNode, u64, &T) -> EpochStep<R> + Send + Sync,
     {
         assert!(
@@ -874,13 +839,12 @@ impl Dsm {
         let header_bytes = cfg.header_bytes;
         let mut nodes: Vec<Node> = (0..n).map(|i| Node::new(i, cfg.clone())).collect();
 
-        let plan = {
-            let mut master = Master {
+        let plan = init(
+            &mut Alloc::new(cfg.segment_bytes()),
+            &mut Master {
                 node0: &mut nodes[0],
-                next: 0,
-            };
-            init(&mut master)
-        };
+            },
+        );
 
         let mut senders = Vec::with_capacity(n);
         let mut receivers = Vec::with_capacity(n);
@@ -1079,7 +1043,7 @@ fn drive<T, R, F>(shared: &Arc<Shared>, handle: &DsmNode, body: &F, plan: &T) ->
 where
     F: Fn(&DsmNode, u64, &T) -> EpochStep<R> + Send + Sync,
 {
-    let id = handle.id();
+    let id = handle.pid();
     let mut epoch = 0u64;
     let mut result: Option<R> = None;
     loop {
@@ -1177,6 +1141,7 @@ fn install_quiet_hook() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tmk_parmacs::{SharedSlice, SystemExt};
 
     fn small(n: usize) -> Config {
         Config::new(n).segment_pages(8).page_size(256)
@@ -1202,12 +1167,12 @@ mod tests {
         let out = Dsm::run(small(4), |node| {
             for _ in 0..50 {
                 node.lock(0);
-                let v = node.read_u64(0);
-                node.write_u64(0, v + 1);
+                let v = node.read::<u64>(0);
+                node.write(0, v + 1);
                 node.unlock(0);
             }
             node.barrier(0);
-            node.read_u64(0)
+            node.read::<u64>(0)
         });
         assert!(out.into_iter().all(|v| v == 200));
     }
@@ -1218,13 +1183,13 @@ mod tests {
         let n = 4;
         let rounds = 10u64;
         let out = Dsm::run(small(n), move |node| {
-            let me = node.id();
+            let me = node.pid();
             let right = (me + 1) % n;
             let mut seen = 0u64;
             for r in 0..rounds {
-                node.write_u64(me * 8, r * 100 + me as u64);
+                node.write(me * 8, r * 100 + me as u64);
                 node.barrier(1);
-                seen += node.read_u64(right * 8);
+                seen += node.read::<u64>(right * 8);
                 node.barrier(2);
             }
             seen
@@ -1242,7 +1207,7 @@ mod tests {
     fn run_once<T: Send + Sync, R: Send>(
         cfg: Config,
         faults: ChannelFaults,
-        init: impl FnOnce(&mut Master<'_>) -> T,
+        init: impl FnOnce(&mut Alloc, &mut Master<'_>) -> T,
         body: impl Fn(&DsmNode, &T) -> R + Send + Sync,
     ) -> RunOutput<R> {
         let opts = RunOpts {
@@ -1259,14 +1224,12 @@ mod tests {
         let out = run_once(
             small(3),
             ChannelFaults::default(),
-            |master| {
-                let addr = master.alloc(24, 8);
-                for i in 0..3 {
-                    master.write_u64(addr + i * 8, (i as u64 + 1) * 11);
-                }
-                addr
+            |alloc, master| {
+                let slots: SharedSlice<u64> = alloc.slice(3);
+                slots.init_range(master, 0, &[11, 22, 33]);
+                slots
             },
-            |node, &addr| node.read_u64(addr + node.id() * 8),
+            |node, slots| slots.get(node, node.pid()),
         );
         assert_eq!(out.results, vec![11, 22, 33]);
     }
@@ -1276,10 +1239,10 @@ mod tests {
         let out = run_once(
             small(2),
             ChannelFaults::default(),
-            |_| (),
+            |_, _| (),
             |node, ()| {
                 node.lock(1);
-                node.write_u64(0, node.id() as u64);
+                node.write(0, node.pid() as u64);
                 node.unlock(1);
                 node.barrier(0);
             },
@@ -1296,7 +1259,7 @@ mod tests {
         // complete. Without teardown this test hangs forever.
         let r = std::panic::catch_unwind(|| {
             Dsm::run(small(3), |node| {
-                if node.id() == 0 {
+                if node.pid() == 0 {
                     panic!("application exploded");
                 }
                 node.barrier(0);
@@ -1314,7 +1277,7 @@ mod tests {
     fn blocked_peers_report_the_teardown_cause() {
         let r = std::panic::catch_unwind(|| {
             Dsm::run(small(4), |node| {
-                if node.id() == 3 {
+                if node.pid() == 3 {
                     panic!("node three gave up");
                 }
                 // Lock 3 is managed (and held) by nobody after node 3 dies;
@@ -1334,16 +1297,16 @@ mod tests {
         let out = run_once(
             small(4),
             ChannelFaults::seeded(2).dup_rate(0.5),
-            |_| (),
+            |_, _| (),
             |node, ()| {
                 for _ in 0..25 {
                     node.lock(0);
-                    let v = node.read_u64(0);
-                    node.write_u64(0, v + 1);
+                    let v = node.read::<u64>(0);
+                    node.write(0, v + 1);
                     node.unlock(0);
                 }
                 node.barrier(0);
-                node.read_u64(0)
+                node.read::<u64>(0)
             },
         );
         assert!(out.results.into_iter().all(|v| v == 100));
@@ -1359,13 +1322,13 @@ mod tests {
     /// round and reads everyone's; the message stream (and thus each
     /// packet's `(src, dst, seq)`) does not depend on thread interleaving.
     fn publish_sum(node: &DsmNode, rounds: u64) -> u64 {
-        let n = node.nodes();
-        let me = node.id();
+        let n = node.nprocs();
+        let me = node.pid();
         let mut acc = 0u64;
         for r in 0..rounds {
-            node.write_u64(me * 8, r * 1000 + me as u64);
+            node.write(me * 8, r * 1000 + me as u64);
             node.barrier(3);
-            acc += (0..n).map(|q| node.read_u64(q * 8)).sum::<u64>();
+            acc += (0..n).map(|q| node.read::<u64>(q * 8)).sum::<u64>();
             node.barrier(4);
         }
         acc
@@ -1392,7 +1355,7 @@ mod tests {
             run_once(
                 small(4),
                 faults.clone(),
-                |_| (),
+                |_, _| (),
                 |node, ()| publish_sum(node, 4),
             )
         };
@@ -1424,7 +1387,7 @@ mod tests {
         let out = run_once(
             small(4),
             ChannelFaults::seeded(21).drop_rate(0.08),
-            |_| (),
+            |_, _| (),
             |node, ()| publish_sum(node, 4),
         );
         let expect: u64 = (0..4u64)
@@ -1452,7 +1415,7 @@ mod tests {
         let out = run_once(
             small(4),
             ChannelFaults::default(),
-            |_| (),
+            |_, _| (),
             |node, ()| publish_sum(node, 4),
         );
         assert_eq!(out.reliability.retransmissions, 0);
@@ -1477,7 +1440,7 @@ mod tests {
         for _ in 0..20 {
             let r = std::panic::catch_unwind(|| {
                 Dsm::run(small(4), |node| {
-                    panic!("boom {}", node.id());
+                    panic!("boom {}", node.pid());
                 })
             });
             let p = r.expect_err("panic must propagate");
@@ -1494,27 +1457,31 @@ mod tests {
     /// and a rollback must re-mint it), then a fourth that sums all slots.
     fn three_epochs(node: &DsmNode, epoch: u64, _: &()) -> EpochStep<u64> {
         if epoch < 3 {
-            let addr = node.id() * 8;
-            node.lock(node.id() + 1);
-            let v = node.read_u64(addr);
-            node.write_u64(addr, v + (epoch + 1) * (node.id() as u64 + 1));
-            node.unlock(node.id() + 1);
+            let addr = node.pid() * 8;
+            node.lock(node.pid() + 1);
+            let v = node.read::<u64>(addr);
+            node.write(addr, v + (epoch + 1) * (node.pid() as u64 + 1));
+            node.unlock(node.pid() + 1);
             EpochStep::Continue
         } else {
             // Prior epochs all ended at a barrier, so every write is
             // visible here.
-            EpochStep::Done((0..node.nodes()).map(|q| node.read_u64(q * 8)).sum::<u64>())
+            EpochStep::Done(
+                (0..node.nprocs())
+                    .map(|q| node.read::<u64>(q * 8))
+                    .sum::<u64>(),
+            )
         }
     }
 
     #[test]
     fn crash_recovery_replays_to_identical_results() {
-        let clean = Dsm::run_epochs(small(3), RunOpts::default(), |_| (), three_epochs);
+        let clean = Dsm::run_epochs(small(3), RunOpts::default(), |_, _| (), three_epochs);
         let opts = RunOpts {
             faults: ChannelFaults::default().crash(1, 1, 1),
             ..RunOpts::default()
         };
-        let crashed = Dsm::run_epochs(small(3), opts, |_| (), three_epochs);
+        let crashed = Dsm::run_epochs(small(3), opts, |_, _| (), three_epochs);
         let expect: u64 = (0..3u64).map(|id| (1 + 2 + 3) * (id + 1)).sum();
         assert!(clean.results.iter().all(|&v| v == expect));
         assert_eq!(clean.results, crashed.results, "recovery must be exact");
@@ -1533,7 +1500,7 @@ mod tests {
             trace: Sink::new(Arc::clone(&buf)),
             ..RunOpts::default()
         };
-        let out = Dsm::run_epochs(small(3), opts, |_| (), three_epochs);
+        let out = Dsm::run_epochs(small(3), opts, |_, _| (), three_epochs);
         let trace = buf.chrome_trace();
         let count = |kind: &str| trace.matches(&format!("{{\"name\":\"{kind}\"")).count() as u64;
         let rec = out.recovery;
@@ -1551,15 +1518,17 @@ mod tests {
         // Node 0 crashes at its barrier (op 2) of epoch 0: the cluster
         // rolls back to the start-up checkpoint and replays the epoch.
         let body = |node: &DsmNode, _: &()| {
-            node.write_u64(node.id() * 8, node.id() as u64 + 1);
+            node.write(node.pid() * 8, node.pid() as u64 + 1);
             node.barrier(0);
-            (0..node.nodes()).map(|q| node.read_u64(q * 8)).sum::<u64>()
+            (0..node.nprocs())
+                .map(|q| node.read::<u64>(q * 8))
+                .sum::<u64>()
         };
-        let clean = run_once(small(3), ChannelFaults::default(), |_| (), body);
+        let clean = run_once(small(3), ChannelFaults::default(), |_, _| (), body);
         let crashed = run_once(
             small(3),
             ChannelFaults::default().crash(0, 0, 2),
-            |_| (),
+            |_, _| (),
             body,
         );
         assert_eq!(clean.results, vec![6; 3]);
@@ -1577,9 +1546,9 @@ mod tests {
             Dsm::run_epochs(
                 small(3),
                 RunOpts::default(),
-                |_| (),
+                |_, _| (),
                 |node, _, ()| {
-                    if node.id() == 0 {
+                    if node.pid() == 0 {
                         EpochStep::Done(())
                     } else {
                         EpochStep::Continue
@@ -1596,11 +1565,11 @@ mod tests {
     fn false_sharing_merges_under_threads() {
         let n = 4;
         let out = Dsm::run(small(n), move |node| {
-            let me = node.id();
+            let me = node.pid();
             // All slots in one 256-byte page.
-            node.write_u64(me * 8, me as u64 + 1);
+            node.write(me * 8, me as u64 + 1);
             node.barrier(0);
-            (0..n).map(|q| node.read_u64(q * 8)).sum::<u64>()
+            (0..n).map(|q| node.read::<u64>(q * 8)).sum::<u64>()
         });
         assert!(out.into_iter().all(|v| v == 1 + 2 + 3 + 4));
     }

@@ -27,6 +27,8 @@
 //! byte-identical between a fault-free solo run ([`ServiceConfig::solo`])
 //! and a faulty multi-tenant run, as long as nothing was shed.
 
+use tmk_parmacs::{System, SystemExt};
+
 use crate::runtime::{Dsm, EpochStep, RunOpts};
 use crate::runtime_faults::splitmix;
 use crate::{Config, NodeId};
@@ -373,27 +375,27 @@ pub fn run_service(cfg: &ServiceConfig, opts: RunOpts) -> ServiceReport {
     let out = Dsm::run_epochs(
         dsm_cfg,
         opts,
-        |_master| (),
+        |_, _| (),
         move |node, epoch, ()| {
             if epoch < fold_epoch {
                 // Apply this epoch's admitted batch: each node applies the
                 // requests whose key it owns, in admission order.
                 let mut applied = 0u64;
                 for req in &plan_ref.batches[epoch as usize] {
-                    if owner(cfg, req.tenant, req.key) != node.id() {
+                    if owner(cfg, req.tenant, req.key) != node.pid() {
                         continue;
                     }
                     let addr = layout_ref.key_addr(req.tenant, req.key);
-                    let v = node.read_u64(addr);
-                    node.write_u64(addr, v.wrapping_mul(FNV_PRIME) ^ req.payload);
+                    let v = node.read::<u64>(addr);
+                    node.write(addr, v.wrapping_mul(FNV_PRIME) ^ req.payload);
                     applied += 1;
                 }
                 if applied > 0 {
                     // The one cross-node word: a commutative sum under a
                     // lock (exercises the token path under faults).
                     node.lock(0);
-                    let c = node.read_u64(layout_ref.counter_addr());
-                    node.write_u64(layout_ref.counter_addr(), c + applied);
+                    let c = node.read::<u64>(layout_ref.counter_addr());
+                    node.write(layout_ref.counter_addr(), c + applied);
                     node.unlock(0);
                 }
                 return EpochStep::Continue;
@@ -401,7 +403,7 @@ pub fn run_service(cfg: &ServiceConfig, opts: RunOpts) -> ServiceReport {
             // Final epoch: node 0 folds every tenant region into a
             // checksum (all prior epochs ended at a barrier, so every
             // write is visible here).
-            if node.id() != 0 {
+            if node.pid() != 0 {
                 return EpochStep::Done((Vec::new(), 0));
             }
             let active: Vec<usize> = match cfg.solo {
@@ -413,14 +415,14 @@ pub fn run_service(cfg: &ServiceConfig, opts: RunOpts) -> ServiceReport {
                 .map(|&t| {
                     let mut h = FNV_OFFSET;
                     for k in 0..cfg.keys_per_tenant {
-                        let v = node.read_u64(layout_ref.key_addr(t, k));
+                        let v = node.read::<u64>(layout_ref.key_addr(t, k));
                         h = (h ^ v).wrapping_mul(FNV_PRIME);
                     }
                     h
                 })
                 .collect();
             node.lock(0);
-            let counter = node.read_u64(layout_ref.counter_addr());
+            let counter = node.read::<u64>(layout_ref.counter_addr());
             node.unlock(0);
             EpochStep::Done((sums, counter))
         },

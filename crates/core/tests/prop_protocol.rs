@@ -7,6 +7,7 @@ use tmk_core::{
     Action, Cluster, Config, Diff, DsmProtocol, Envelope, IntervalMsg, Msg, Node, StartAcquire,
     VTime, WORD,
 };
+use tmk_parmacs::Alloc;
 
 // ---------------------------------------------------------------------
 // Diffs
@@ -182,8 +183,9 @@ fn run_program_checked(
     check: impl Fn(&Cluster) -> Result<(), TestCaseError>,
 ) -> Result<(), TestCaseError> {
     let n = c.config().nodes;
-    let base = c.alloc(SLOTS * 8, 8);
-    let own = c.alloc(n * 8, 8);
+    let mut layout = Alloc::new(c.config().segment_bytes());
+    let base = layout.bytes(SLOTS * 8, 8);
+    let own = layout.bytes(n * 8, 8);
     let mut slots = [0u64; SLOTS];
     let mut owned = vec![0u64; n];
     for op in ops {
@@ -358,7 +360,7 @@ proptest! {
 fn barrier_gc_retires_metadata_and_preserves_data() {
     let nodes = 4;
     let mut c = Cluster::new(Config::new(nodes).page_size(256).segment_pages(8).gc(0));
-    let base = c.alloc(nodes * 8, 8);
+    let base = Alloc::new(c.config().segment_bytes()).bytes(nodes * 8, 8);
     let rounds = 5u64;
     for round in 0..rounds {
         for node in 0..nodes {
@@ -404,7 +406,7 @@ fn ledger_only_mode_tracks_without_collecting() {
             .segment_pages(8)
             .gc(u64::MAX),
     );
-    let base = c.alloc(nodes * 8, 8);
+    let base = Alloc::new(c.config().segment_bytes()).bytes(nodes * 8, 8);
     for _ in 0..3 {
         for node in 0..nodes {
             c.lock(node, 0);
@@ -431,7 +433,7 @@ fn ledger_only_mode_tracks_without_collecting() {
 fn gc_off_keeps_ledger_zero() {
     let nodes = 4;
     let mut c = Cluster::new(Config::new(nodes).page_size(256).segment_pages(8));
-    let base = c.alloc(nodes * 8, 8);
+    let base = Alloc::new(c.config().segment_bytes()).bytes(nodes * 8, 8);
     for node in 0..nodes {
         c.lock(node, 0);
         let v = c.read_u64(node, base);

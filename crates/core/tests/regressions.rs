@@ -16,6 +16,7 @@
 //!    would overwrite the newer words.
 
 use tmk_core::{Cluster, Config};
+use tmk_parmacs::Alloc;
 
 fn locked_add(c: &mut Cluster, base: usize, node: usize, slot: usize, delta: u64) -> u64 {
     c.lock(node, 0);
@@ -30,8 +31,9 @@ fn lost_write_unknown_interval_order() {
     let nodes = 4usize;
     let cfg = Config::new(nodes).page_size(256).segment_pages(8);
     let mut c = Cluster::new(cfg);
-    let base = c.alloc(8 * 8, 8);
-    let own = c.alloc(nodes * 8, 8);
+    let mut layout = Alloc::new(c.config().segment_bytes());
+    let base = layout.bytes(8 * 8, 8);
+    let own = layout.bytes(nodes * 8, 8);
 
     c.write_u64(2, own + 2 * 8, 0);
     assert_eq!(locked_add(&mut c, base, 1, 6, 1), 0);
@@ -59,8 +61,9 @@ fn stale_clobber_without_interval_record() {
     let nodes = 4usize;
     let cfg = Config::new(nodes).page_size(256).segment_pages(8);
     let mut c = Cluster::new(cfg);
-    let base = c.alloc(8 * 8, 8);
-    let own = c.alloc(nodes * 8, 8);
+    let mut layout = Alloc::new(c.config().segment_bytes());
+    let base = layout.bytes(8 * 8, 8);
+    let own = layout.bytes(nodes * 8, 8);
 
     assert_eq!(locked_add(&mut c, base, 2, 3, 1), 0);
     c.write_u64(1, own + 8, 0);
@@ -86,8 +89,9 @@ fn eager_update_regression() {
         .segment_pages(8)
         .eager_release_all();
     let mut c = Cluster::new(cfg);
-    let base = c.alloc(4 * 8, 8);
-    let own = c.alloc(nodes * 8, 8);
+    let mut layout = Alloc::new(c.config().segment_bytes());
+    let base = layout.bytes(4 * 8, 8);
+    let own = layout.bytes(nodes * 8, 8);
 
     c.write_u64(1, own + 8, 0);
     c.write_u64(0, own, 0);

@@ -8,14 +8,16 @@
 //! Run with: `cargo run --example protocol_anatomy`
 
 use tmk::dsm::{Cluster, Config};
+use tmk::parmacs::Alloc;
 
 fn main() {
     // Three nodes, small pages so the output is easy to follow.
     let cfg = Config::new(3).page_size(256).segment_pages(8);
     let mut c = Cluster::new(cfg);
 
-    let x = c.alloc(8, 8); // a shared u64 on page 0
-    let y = c.alloc(8, 256); // next allocation
+    let mut layout = Alloc::new(c.config().segment_bytes());
+    let x = layout.bytes(8, 8); // a shared u64 on page 0
+    let y = layout.bytes(8, 256); // next allocation
 
     println!("== master initialization (pre-parallel, node 0)");
     c.master_write(x, &1u64.to_le_bytes());

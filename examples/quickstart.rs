@@ -11,6 +11,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use tmk::dsm::runtime::{Dsm, DsmConfig, EpochStep, RunOpts};
+use tmk::parmacs::{InitExt, SharedSlice, System};
 
 fn main() {
     const NODES: usize = 4;
@@ -21,23 +22,23 @@ fn main() {
     let out = Dsm::run_epochs(
         cfg,
         RunOpts::default(),
-        |master| {
-            // Shared layout: one counter, then a slot array.
-            let counter = master.alloc(8, 8);
-            let slots = master.alloc(SLOTS * 8, 4096);
-            master.write_u64(counter, 1000);
+        |alloc, master| {
+            // Shared layout: one counter, then a slot array on its own page.
+            let counter: SharedSlice<u64> = alloc.slice(1);
+            let slots: SharedSlice<u64> = alloc.slice_aligned(SLOTS, 4096);
+            master.init(counter.addr(), 1000u64);
             (counter, slots)
         },
         |node, _epoch, &(counter, slots)| {
-            let me = node.id();
+            let me = node.pid();
 
             // Lock-protected shared counter: classic mutual exclusion over
             // lazy release consistency — the acquirer always sees the
             // latest release's writes.
             for _ in 0..ROUNDS {
                 node.lock(0);
-                let v = node.read_u64(counter);
-                node.write_u64(counter, v + 1);
+                let v = counter.get(node, 0);
+                counter.set(node, 0, v + 1);
                 node.unlock(0);
             }
 
@@ -45,12 +46,12 @@ fn main() {
             // after the barrier everyone sees everything (write notices
             // invalidate, faults fetch diffs).
             for s in (me..SLOTS).step_by(NODES) {
-                node.write_u64(slots + s * 8, (s * s) as u64);
+                slots.set(node, s, (s * s) as u64);
             }
             node.barrier(0);
 
-            let total: u64 = (0..SLOTS).map(|s| node.read_u64(slots + s * 8)).sum();
-            let count = node.read_u64(counter);
+            let total: u64 = (0..SLOTS).map(|s| slots.get(node, s)).sum();
+            let count = counter.get(node, 0);
             EpochStep::Done((count, total))
         },
     );

@@ -67,9 +67,11 @@ grep -q "shed=0" target/smoke/service.txt \
 
 echo "== runtime-loop: the real-thread runtime's tests, 50 times on a busy host =="
 # The runtime's ticker, locks and crash detection run on host time, so a
-# race can pass one run and fail the next. Its and the service's tests run
-# 50 times while quick-tier suites keep the host busy; the first failing
-# pass fails the stage.
+# race can pass one run and fail the next. Its and the service's tests, and
+# the paper's five applications on threads (`apps_on_threads`, built
+# --release), run 50 times while quick-tier suites keep the host busy; the
+# first failing pass fails the stage.
+cargo test -q --offline --release --test apps_on_threads --no-run
 rm -f target/runtime-loop.stop
 ( while [ ! -e target/runtime-loop.stop ]; do
     ./target/release/suite --quick --jobs 4 > /dev/null 2>&1
@@ -78,7 +80,9 @@ load=$!
 pass=0
 while [ "$pass" -lt 50 ] \
     && cargo test -q --offline -p tmk-core --lib -- runtime:: service:: \
-        > target/runtime-loop.txt 2>&1; do
+        > target/runtime-loop.txt 2>&1 \
+    && cargo test -q --offline --release --test apps_on_threads \
+        >> target/runtime-loop.txt 2>&1; do
     pass=$((pass + 1))
 done
 touch target/runtime-loop.stop
