@@ -497,7 +497,7 @@ mod tests {
                     if let (Msg::DiffReq { from, to, .. }, Msg::DiffReply { diffs, .. }) =
                         (msg, &reply.msg)
                     {
-                        let cached = c.node(server).lrc().cached_diffs(page);
+                        let cached = c.node(server).lrc().page(page).my_diffs();
                         let seqs: Vec<_> = diffs.iter().map(|(iv, _)| iv.seq()).collect();
                         assert_eq!(seqs, linear_diffs_between(cached, from, to));
                         for (iv, d) in diffs {
@@ -516,8 +516,9 @@ mod tests {
             c.unlock(me, 0);
         }
         assert_eq!(c.read_u64(0, addr), 3001);
-        let cached =
-            c.node(0).lrc().cached_diffs(page).len() + c.node(1).lrc().cached_diffs(page).len();
+        let cached = (0..2)
+            .map(|q| c.node(q).lrc().page(page).my_diffs().len())
+            .sum::<usize>();
         assert!(cached >= 3000, "the history must be long: {cached} diffs");
     }
 
@@ -711,6 +712,101 @@ mod tests {
         assert!(summary.pages_refetched > 0, "node 2 cached the page");
         let replayed = run_section(&mut c, addr, 3);
         assert_eq!(baseline, replayed, "replay from the cut is deterministic");
+    }
+
+    /// A checkpoint shares every page buffer with the live node. A write
+    /// after it copies the live page, so the snapshot keeps the bytes of
+    /// the cut, and a rollback brings them back.
+    #[test]
+    fn checkpoints_share_page_buffers_until_written() {
+        use crate::page::same_buffer;
+
+        let mut c = cluster(4);
+        let addr = layout(&c).bytes(8, 8);
+        let page = c.config().page_of(addr);
+        c.write_u64(0, addr, 5);
+        run_section(&mut c, addr, 1);
+        c.barrier(0);
+        c.checkpoint();
+        let ckpt = c.ckpt.as_ref().expect("checkpoint taken");
+        for (q, ck) in ckpt.iter().enumerate() {
+            let node = c.node(q).lrc();
+            assert_eq!(node.pages_resident(), ck.pages_resident());
+            for page in 0..c.config().segment_pages {
+                let (live, snap) = (node.page(page), ck.page(page));
+                assert_eq!(live.data.is_some(), snap.data.is_some());
+                if live.data.is_some() {
+                    assert!(same_buffer(live.data.as_ref(), snap.data.as_ref()));
+                }
+                if live.twin().is_some() {
+                    assert!(same_buffer(live.twin(), snap.twin()));
+                }
+            }
+        }
+        let cut = |c: &Cluster| {
+            let data = c.ckpt.as_ref().unwrap()[1].page(page).data.clone();
+            let off = addr % c.config().page_size;
+            u64::from_le_bytes(data.expect("resident")[off..off + 8].try_into().unwrap())
+        };
+        assert_eq!(cut(&c), 9);
+        c.lock(1, 2);
+        c.write_u64(1, addr, 99);
+        c.unlock(1, 2);
+        assert_eq!(c.read_u64(1, addr), 99);
+        assert_eq!(cut(&c), 9, "the write reached the snapshot");
+        c.crash_recover(1);
+        assert_eq!(c.read_u64(1, addr), 9);
+    }
+
+    /// SOR's sharing: each node writes its own band of pages and reads its
+    /// neighbours' edge pages between barriers, with GC off. A band page
+    /// whose diff no neighbour ever asked for keeps, as its twin, the
+    /// buffer the origin served: the node's writes copied its own copy.
+    #[test]
+    fn sor_band_twins_share_the_origins_buffers() {
+        use crate::page::same_buffer;
+
+        const NODES: usize = 4;
+        const BAND: usize = 4;
+        let ps = 256;
+        let mut c = Cluster::new(Config::new(NODES).segment_pages(NODES * BAND).page_size(ps));
+        for page in 0..NODES * BAND {
+            c.master_write(page * ps, &(page as u64).to_le_bytes());
+        }
+        for sweep in 1..=4u64 {
+            for q in 0..NODES {
+                let band = q * BAND..(q + 1) * BAND;
+                let edges = [band.start.checked_sub(1), Some(band.end)];
+                let halo: u64 = edges
+                    .into_iter()
+                    .flatten()
+                    .filter(|&page| page < NODES * BAND)
+                    .map(|page| c.read_u64(q, page * ps))
+                    .sum();
+                for page in band {
+                    for word in 0..ps / 8 {
+                        c.write_u64(q, page * ps + word * 8, sweep + halo);
+                    }
+                }
+            }
+            c.barrier(0);
+        }
+        let origin = c.node(crate::node::ORIGIN).lrc();
+        for q in 1..NODES {
+            let node = c.node(q).lrc();
+            let mut shared = 0;
+            for page in q * BAND..(q + 1) * BAND {
+                let p = node.page(page);
+                if p.my_diffs().is_empty() {
+                    assert!(
+                        same_buffer(p.twin(), origin.page(page).data.as_ref()),
+                        "node {q}'s twin of page {page} is a copy"
+                    );
+                    shared += 1;
+                }
+            }
+            assert!(shared >= 2, "node {q} shares {shared} twins");
+        }
     }
 
     #[test]

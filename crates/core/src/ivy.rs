@@ -15,8 +15,10 @@
 //! consistency needs none).
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 use crate::node::ORIGIN;
+use crate::page::zero_page;
 use crate::{
     Action, BarrierId, Config, Envelope, FaultStart, Handled, LockId, Msg, NodeId, NodeStats,
     PageId, SharedAddr, StartAcquire, VTime,
@@ -50,7 +52,9 @@ pub struct IvyNode {
     id: NodeId,
     cfg: Config,
     access: Vec<Access>,
-    data: Vec<Option<Box<[u8]>>>,
+    /// Page copies, written only through `Arc::make_mut`: a read transfer
+    /// shares the owner's buffer, an exclusive one moves it.
+    data: Vec<Option<Arc<[u8]>>>,
     /// Directory entries for the pages this node manages.
     dir: HashMap<PageId, PageDir>,
     /// Lock directory entries for the locks this node manages.
@@ -173,7 +177,7 @@ impl IvyNode {
 
     fn ensure_origin_data(&mut self, page: PageId) {
         if self.id == ORIGIN && self.data[page].is_none() && self.access[page] != Access::None {
-            self.data[page] = Some(vec![0u8; self.cfg.page_size].into_boxed_slice());
+            self.data[page] = Some(zero_page(self.cfg.page_size));
         }
     }
 
@@ -214,7 +218,7 @@ impl IvyNode {
             let in_page = a % ps;
             let chunk = (ps - in_page).min(bytes.len() - off);
             self.ensure_origin_data(page);
-            let data = self.data[page].as_mut().expect("origin page materialized");
+            let data = Arc::make_mut(self.data[page].as_mut().expect("origin page materialized"));
             data[in_page..in_page + chunk].copy_from_slice(&bytes[off..off + chunk]);
             off += chunk;
         }
@@ -264,7 +268,7 @@ impl IvyNode {
                 "write to non-writable page {page} on node {}",
                 self.id
             );
-            let data = self.data[page].as_mut().expect("writable page has data");
+            let data = Arc::make_mut(self.data[page].as_mut().expect("writable page has data"));
             data[in_page..in_page + chunk].copy_from_slice(&bytes[off..off + chunk]);
             off += chunk;
         }
@@ -563,17 +567,17 @@ impl IvyNode {
             };
         }
 
-        let data = self.data[page]
-            .as_ref()
-            .expect("owner holds the page data")
-            .to_vec();
-        if write {
+        let data = if write {
             // Single writer: we lose the page entirely.
             self.access[page] = Access::None;
-            self.data[page] = None;
-        } else if self.access[page] == Access::Write {
-            self.access[page] = Access::Read;
+            self.data[page].take()
+        } else {
+            if self.access[page] == Access::Write {
+                self.access[page] = Access::Read;
+            }
+            self.data[page].clone()
         }
+        .expect("owner holds the page data");
         sends.push(Envelope {
             from: self.id,
             to: requester,
@@ -589,8 +593,8 @@ impl IvyNode {
         }
     }
 
-    fn on_send(&mut self, page: PageId, data: Vec<u8>, exclusive: bool) -> Handled {
-        self.data[page] = Some(data.into_boxed_slice());
+    fn on_send(&mut self, page: PageId, data: Arc<[u8]>, exclusive: bool) -> Handled {
+        self.data[page] = Some(data);
         self.access[page] = if exclusive {
             Access::Write
         } else {
@@ -634,11 +638,67 @@ impl IvyNode {
 
 #[cfg(test)]
 mod tests {
-    use crate::{Cluster, Config, DsmProtocol};
+    use std::collections::VecDeque;
+
+    use super::IvyNode;
+    use crate::page::same_buffer;
+    use crate::{Cluster, Config, DsmProtocol, Envelope};
 
     fn cluster(n: usize) -> Cluster {
         let cfg = Config::new(n).page_size(256).segment_pages(4);
         Cluster::with_protocol(cfg, DsmProtocol::Ivy)
+    }
+
+    /// `n` IVY nodes driven by hand; node 0 has written page 0.
+    fn nodes(n: usize) -> Vec<IvyNode> {
+        let cfg = Config::new(n).page_size(256).segment_pages(4);
+        let mut nodes: Vec<IvyNode> = (0..n).map(|i| IvyNode::new(i, cfg.clone())).collect();
+        nodes[0].master_write(0, &7u64.to_le_bytes());
+        nodes
+    }
+
+    /// Faults `page` on `node` and delivers everything it causes, first in
+    /// first out.
+    fn fault(nodes: &mut [IvyNode], node: usize, page: usize, write: bool) {
+        let mut queue: VecDeque<Envelope> = nodes[node].fault(page, write).sends.into();
+        while let Some(env) = queue.pop_front() {
+            let to = env.to;
+            queue.extend(nodes[to].handle(env).sends);
+        }
+    }
+
+    #[test]
+    fn an_exclusive_transfer_moves_the_owners_buffer() {
+        let mut nodes = nodes(2);
+        let owned = nodes[0].data[0].clone();
+        fault(&mut nodes, 1, 0, true);
+        assert!(nodes[1].page_writable(0));
+        assert!(same_buffer(nodes[1].data[0].as_ref(), owned.as_ref()));
+        assert!(nodes[0].data[0].is_none(), "the sender keeps no copy");
+    }
+
+    #[test]
+    fn read_copies_share_the_owners_buffer() {
+        let mut nodes = nodes(3);
+        fault(&mut nodes, 1, 0, false);
+        fault(&mut nodes, 2, 0, false);
+        for q in 1..3 {
+            assert!(nodes[q].page_valid(0) && !nodes[q].page_writable(0));
+            assert!(same_buffer(
+                nodes[q].data[0].as_ref(),
+                nodes[0].data[0].as_ref()
+            ));
+        }
+        // A read copy taken before the owner's write keeps the old bytes:
+        // the write copies the shared buffer instead of changing it.
+        let read_copy = nodes[1].data[0].clone().unwrap();
+        fault(&mut nodes, 0, 0, true);
+        nodes[0].write_from(0, &9u64.to_le_bytes());
+        assert!(!nodes[1].page_valid(0), "the invalidation has landed");
+        assert_eq!(read_copy[..8], 7u64.to_le_bytes());
+        let mut b = [0u8; 8];
+        nodes[0].read_into(0, &mut b);
+        assert_eq!(u64::from_le_bytes(b), 9);
     }
 
     #[test]

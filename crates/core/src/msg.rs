@@ -1,5 +1,7 @@
 //! Protocol messages and their statistics accounting.
 
+use std::sync::Arc;
+
 use crate::{BarrierId, Diff, IntervalMsg, LockId, NodeId, PageId, Seq, VTime};
 
 /// A protocol message in flight between two nodes.
@@ -150,8 +152,8 @@ pub enum Msg {
     PageReply {
         /// The page.
         page: PageId,
-        /// Page contents as held by the provider.
-        data: Vec<u8>,
+        /// Page contents as held by the provider: its buffer, shared.
+        data: Arc<[u8]>,
         /// Per-writer interval sequence already applied to `data`, so the
         /// requester knows which diffs the copy subsumes.
         version: Vec<Seq>,
@@ -214,8 +216,8 @@ pub enum Msg {
     IvySend {
         /// The page.
         page: PageId,
-        /// Page contents.
-        data: Vec<u8>,
+        /// Page contents: the owner's buffer, moved (exclusive) or shared.
+        data: Arc<[u8]>,
         /// Whether the requester now owns the page exclusively.
         exclusive: bool,
     },
@@ -381,7 +383,7 @@ mod tests {
     fn page_reply_counts_data_as_miss_bytes() {
         let m = Msg::PageReply {
             page: 0,
-            data: vec![0; 4096],
+            data: crate::page::zero_page(4096),
             version: vec![0; 8],
         };
         let b = m.body_bytes();

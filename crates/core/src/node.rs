@@ -6,8 +6,10 @@
 //! transport and timing (see [`crate::Cluster`], [`crate::runtime`], and the
 //! machine models in `tmk-machines`).
 
+use std::sync::Arc;
+
 use crate::interval::IntervalMsg;
-use crate::page::{FetchState, PageMeta};
+use crate::page::{zero_page, FetchState, PageMeta};
 use crate::{
     Action, BarrierId, Config, Diff, Envelope, IntMap, IntervalStore, LockId, Msg, NodeId,
     NodeStats, PageId, ReleaseMode, Seq, SharedAddr, VTime,
@@ -99,6 +101,12 @@ impl NodeCheckpoint {
     /// node must re-materialize from stable storage).
     pub fn pages_resident(&self) -> u64 {
         self.pages.iter().filter(|p| p.data.is_some()).count() as u64
+    }
+
+    /// The snapshot of `page`.
+    #[cfg(test)]
+    pub(crate) fn page(&self, page: PageId) -> &PageMeta {
+        &self.pages[page]
     }
 }
 
@@ -337,10 +345,10 @@ impl Node {
             .count() as u64
     }
 
-    /// The diffs this node has materialized and still caches for `page`.
+    /// This node's state for `page`.
     #[cfg(test)]
-    pub(crate) fn cached_diffs(&self, page: PageId) -> &[(Seq, Diff)] {
-        self.pages[page].my_diffs()
+    pub(crate) fn page(&self, page: PageId) -> &PageMeta {
+        &self.pages[page]
     }
 
     /// Pages with a resident local copy (valid or awaiting notices).
@@ -407,18 +415,16 @@ impl Node {
             let page = a / ps;
             let in_page = a % ps;
             let chunk = (ps - in_page).min(bytes.len() - off);
-            let data = self.origin_page_data(page);
+            let data = Arc::make_mut(self.origin_page_data(page));
             data[in_page..in_page + chunk].copy_from_slice(&bytes[off..off + chunk]);
             off += chunk;
         }
     }
 
-    fn origin_page_data(&mut self, page: PageId) -> &mut [u8] {
+    fn origin_page_data(&mut self, page: PageId) -> &mut Arc<[u8]> {
         debug_assert_eq!(self.id, ORIGIN);
         let ps = self.cfg.page_size;
-        self.pages[page]
-            .data
-            .get_or_insert_with(|| vec![0u8; ps].into_boxed_slice())
+        self.pages[page].data.get_or_insert_with(|| zero_page(ps))
     }
 
     /// Reads shared memory into `buf`.
@@ -467,7 +473,7 @@ impl Node {
                 p.is_valid() && (p.open_dirty || self.cfg.nodes == 1),
                 "write to non-writable page {page} on node {id}"
             );
-            let data = p.data.as_mut().expect("valid page has data");
+            let data = Arc::make_mut(p.data.as_mut().expect("valid page has data"));
             data[in_page..in_page + chunk].copy_from_slice(&bytes[off..off + chunk]);
             off += chunk;
         }
@@ -553,7 +559,9 @@ impl Node {
 
     /// Notes the first write of the open interval to `page`: twins it if no
     /// twin is live (lazy diffing keeps twins across interval closes, so a
-    /// page usually re-enters the dirty set without a new copy).
+    /// page usually re-enters the dirty set without a new copy). The twin
+    /// is a second reference to the copy's buffer; the write that follows
+    /// copies the copy, so a fetched page's twin stays its provider's.
     fn begin_write(&mut self, page: PageId) {
         if self.cfg.nodes == 1 {
             return; // no other node can ever need a diff
@@ -567,7 +575,7 @@ impl Node {
         let cold = p.cold.get_or_insert_default();
         if cold.twin.is_none() {
             let data = p.data.as_ref().expect("twin of page with data");
-            cold.twin = Some(data.clone());
+            cold.twin = Some(Arc::clone(data));
             self.stats.twins_created += 1;
         }
     }
@@ -587,7 +595,7 @@ impl Node {
         if let Some((bytes, version)) = base {
             let p = &mut self.pages[page];
             debug_assert!(p.data.is_none());
-            p.data = Some(bytes.into_boxed_slice());
+            p.data = Some(bytes);
             for (q, &seq) in version.iter().enumerate() {
                 p.mark_applied(q, seq);
             }
@@ -599,11 +607,7 @@ impl Node {
             if seq <= p.applied(q) {
                 continue; // subsumed by the base copy
             }
-            let data = p.data.as_mut().expect("base present before diffs");
-            diff.apply(data);
-            if let Some(twin) = p.twin_mut() {
-                diff.apply(twin);
-            }
+            p.apply_diff(diff);
             p.mark_applied(q, seq);
             self.stats.diffs_applied += 1;
         }
@@ -756,7 +760,7 @@ impl Node {
         let twin = if p.open_dirty {
             // Re-baseline the twin so the open interval's later writes
             // still diff correctly at its close.
-            let old = std::mem::replace(cold.twin.as_mut().expect("twin live"), data.clone());
+            let old = std::mem::replace(cold.twin.as_mut().expect("twin live"), Arc::clone(data));
             self.stats.twins_created += 1;
             old
         } else {
@@ -1267,11 +1271,11 @@ impl Node {
             self.origin_page_data(page);
         }
         let p = &self.pages[page];
-        let data = p
-            .data
-            .as_ref()
-            .expect("page request sent to a node without a copy")
-            .to_vec();
+        let data = Arc::clone(
+            p.data
+                .as_ref()
+                .expect("page request sent to a node without a copy"),
+        );
         let version = p.version(self.cfg.nodes);
         Handled {
             sends: vec![Envelope {
@@ -1287,7 +1291,7 @@ impl Node {
         }
     }
 
-    fn on_page_reply(&mut self, page: PageId, data: Vec<u8>, version: Vec<Seq>) -> Handled {
+    fn on_page_reply(&mut self, page: PageId, data: Arc<[u8]>, version: Vec<Seq>) -> Handled {
         {
             let fetch = self.pages[page]
                 .fetch_mut()
@@ -1393,11 +1397,7 @@ impl Node {
                 .all(|(q, &s)| q == writer || p.applied(q) >= s);
             let fetching = p.fetching();
             if p.is_valid() && in_order && causally_ready && !fetching {
-                let data = p.data.as_mut().expect("checked above");
-                diff.apply(data);
-                if let Some(twin) = p.twin_mut() {
-                    diff.apply(twin);
-                }
+                p.apply_diff(&diff);
                 p.mark_applied(writer, seq);
                 self.stats.diffs_applied += 1;
             } else {
@@ -1525,6 +1525,41 @@ mod tests {
         let env = it.next().expect("a message for the node").clone();
         assert!(it.next().is_none(), "one message for node {to}");
         env
+    }
+
+    /// A page reply hands the fetcher the origin's buffer itself. The
+    /// fetcher's first write copies its own copy, not the twin it just
+    /// took, so the twin stays the origin's buffer and the origin's bytes
+    /// never see the write.
+    #[test]
+    fn a_fetched_page_is_the_providers_buffer_until_written() {
+        use crate::page::same_buffer;
+
+        let cfg = Config::new(2).segment_pages(4);
+        let mut nodes: Vec<Node> = (0..2).map(|i| Node::new(i, cfg.clone())).collect();
+        nodes[ORIGIN].master_write(0, &7u64.to_le_bytes());
+        let start = nodes[1].fault(0, false);
+        assert!(!start.ready);
+        let reply = deliver(&mut nodes, to_node(&start.sends, ORIGIN));
+        let done = deliver(&mut nodes, to_node(&reply.sends, 1));
+        assert_eq!(done.actions, vec![Action::PageReady(0)]);
+        let origin = nodes[ORIGIN].page(0).data.as_ref();
+        assert!(same_buffer(nodes[1].page(0).data.as_ref(), origin));
+
+        write_local(&mut nodes[1], 8, 9);
+        let (fetched, origin) = (nodes[1].page(0), nodes[ORIGIN].page(0).data.as_ref());
+        assert!(same_buffer(fetched.twin(), origin), "the twin was copied");
+        assert!(
+            !same_buffer(fetched.data.as_ref(), origin),
+            "written in place"
+        );
+        let read = |node: &Node, addr| {
+            let mut b = [0u8; 8];
+            node.read_into(addr, &mut b);
+            u64::from_le_bytes(b)
+        };
+        assert_eq!((read(&nodes[ORIGIN], 0), read(&nodes[ORIGIN], 8)), (7, 0));
+        assert_eq!((read(&nodes[1], 0), read(&nodes[1], 8)), (7, 9));
     }
 
     /// Consecutive barriers have different managers (`barrier % nodes`), so

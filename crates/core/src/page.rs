@@ -1,6 +1,13 @@
 //! Per-node, per-page protocol state.
 
+use std::sync::Arc;
+
 use crate::{Diff, IntervalMsg, NodeId, Seq};
+
+/// A zero-filled page, built straight into its shared allocation.
+pub(crate) fn zero_page(page_size: usize) -> Arc<[u8]> {
+    std::iter::repeat_n(0u8, page_size).collect()
+}
 
 /// What a node knows about one remote (or its own) writer of one page.
 #[derive(Debug, Clone, Copy)]
@@ -91,7 +98,9 @@ impl Writers {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PageMeta {
     /// Local copy of the page, if the node ever fetched or originated one.
-    pub data: Option<Box<[u8]>>,
+    /// Shared with whichever twin, page reply, checkpoint or other node's
+    /// copy holds the same bytes; written only through `Arc::make_mut`.
+    pub data: Option<Arc<[u8]>>,
     /// Known writers, ascending by node. A writer without an entry has
     /// `applied == 0` and no pending notices.
     writers: Writers,
@@ -111,8 +120,9 @@ const _: () = assert!(size_of::<PageMeta>() <= 64);
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PageCold {
     /// Twin taken at the first write of the current interval; present iff
-    /// the page is dirty in the open interval.
-    pub twin: Option<Box<[u8]>>,
+    /// the page is dirty in the open interval. A reference to the copy as
+    /// it was: the write that follows copies `data`, not the twin.
+    pub twin: Option<Arc<[u8]>>,
     /// Diffs this node itself materialized for the page, keyed by its own
     /// interval sequence (ascending). Kept for serving remote requests.
     /// Each diff is *cumulative*: it covers every own interval after the
@@ -133,7 +143,7 @@ pub(crate) struct FetchState {
     /// Replies still expected.
     pub outstanding: usize,
     /// Full-page copy received, with the provider's applied-version vector.
-    pub base: Option<(Vec<u8>, Vec<Seq>)>,
+    pub base: Option<(Arc<[u8]>, Vec<Seq>)>,
     /// Diffs received so far, each with the writer's record of the
     /// interval it belongs to (the host's one shared copy).
     pub diffs: Vec<(IntervalMsg, Diff)>,
@@ -167,8 +177,20 @@ impl PageMeta {
     }
 
     /// The twin, if one is live.
-    pub fn twin_mut(&mut self) -> Option<&mut Box<[u8]>> {
-        self.cold.as_mut()?.twin.as_mut()
+    #[cfg(test)]
+    pub(crate) fn twin(&self) -> Option<&Arc<[u8]>> {
+        self.cold.as_ref()?.twin.as_ref()
+    }
+
+    /// Applies another writer's `diff` to the copy and, if one is live, to
+    /// the twin, so the twin-vs-copy delta stays this node's own writes.
+    /// Either buffer is copied first if anything else still shares it.
+    pub fn apply_diff(&mut self, diff: &Diff) {
+        let data = self.data.as_mut().expect("diff applied to a resident copy");
+        diff.apply(Arc::make_mut(data));
+        if let Some(twin) = self.cold.as_mut().and_then(|c| c.twin.as_mut()) {
+            diff.apply(Arc::make_mut(twin));
+        }
     }
 
     /// The in-flight fetch, if any.
@@ -269,6 +291,12 @@ impl PageMeta {
         let below = after.partition_point(|(s, _)| *s < to);
         &after[..after.len().min(below + 1)]
     }
+}
+
+/// Whether two page buffers are present and one allocation.
+#[cfg(test)]
+pub(crate) fn same_buffer(a: Option<&Arc<[u8]>>, b: Option<&Arc<[u8]>>) -> bool {
+    matches!((a, b), (Some(a), Some(b)) if Arc::ptr_eq(a, b))
 }
 
 /// The scan from index 0 that [`PageMeta::my_diffs_between`] replaced, kept
@@ -439,7 +467,7 @@ mod tests {
                         }
                     }
                     Step::GotData => {
-                        p.data = Some(vec![0u8; 4].into_boxed_slice());
+                        p.data = Some(zero_page(4));
                         m.has_data = true;
                     }
                     Step::Clear => {
@@ -510,7 +538,7 @@ mod tests {
     fn validity_requires_data_and_no_pending() {
         let mut p = PageMeta::default();
         assert!(!p.is_valid());
-        p.data = Some(vec![0u8; 16].into_boxed_slice());
+        p.data = Some(zero_page(16));
         assert!(p.is_valid());
         p.add_notice(1, 1);
         assert!(!p.is_valid());

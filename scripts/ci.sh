@@ -212,6 +212,22 @@ done
 grep -qx "only in old: 0, only in new: 0" target/records/bench-diff.txt \
     || { cat target/records/bench-diff.txt; echo "BENCH_results.json lists other runs"; exit 1; }
 
+echo "== ab: the before/after harness, run A/A on HEAD =="
+# `scripts/ab.sh` is how a perf change is measured (ROADMAP direction 4).
+# One pair of tiny runs per workload, HEAD against itself: the export, the
+# offline build, the quiet-host wait, the summary and the traced pair whose
+# counts must be identical all run, so the harness cannot rot. One pair
+# gets no bound verdict: a single run's host time is mostly host noise.
+# Exit 3 is the script refusing a host that stayed busy for 300 s: the
+# stage still fails, but says the machine, not the harness, stopped it.
+ab=0
+bash scripts/ab.sh --pairs 1 --tiny HEAD > target/ab.txt 2>&1 || ab=$?
+case "$ab" in
+    0) ;;
+    3) cat target/ab.txt; echo "ab.sh refused a busy host; rerun on a quiet one"; exit 3 ;;
+    *) cat target/ab.txt; echo "A/A run of scripts/ab.sh failed"; exit 1 ;;
+esac
+
 echo "== size: non-test Rust lines per crate, release suite binary =="
 sh scripts/loc.sh
 
