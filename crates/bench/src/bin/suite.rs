@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
-use tmk_bench::driver::{registry, run_suite, Options, Tier};
+use tmk_bench::driver::{registry, run_suite, Options, Progress, Tier};
 use tmk_machines::Json;
 
 const USAGE: &str = "\
@@ -31,6 +31,9 @@ usage: suite [OPTIONS]
                     chrome://tracing
   --op-trace DIR    record the engine op trace — one `pid clock` line per
                     sync operation — into DIR/<run>.ops.txt
+  --progress        print one stderr line per finished run: its key, host
+                    seconds, runs left and an ETA from the host times in
+                    ./BENCH_results.json (a run it lacks counts at its median)
   --list            list experiments and sections, then exit
   -h, --help        this help
 
@@ -218,6 +221,16 @@ fn main() {
             "--bench-json" => bench_json = Some(value("--bench-json")),
             "--trace" => opts.trace_dir = Some(value("--trace")),
             "--op-trace" => opts.op_trace_dir = Some(value("--op-trace")),
+            "--progress" => {
+                let record = std::fs::read_to_string("BENCH_results.json")
+                    .map_err(|e| e.to_string())
+                    .and_then(|text| Json::parse(&text).map_err(|e| e.to_string()));
+                let record = record.unwrap_or_else(|e| {
+                    eprintln!("--progress: no host times from BENCH_results.json ({e}); no ETA");
+                    Json::Null
+                });
+                opts.progress = Some(Progress::from_record(&record));
+            }
             "--list" => list = true,
             "-h" | "--help" => {
                 print!("{USAGE}");

@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use tmk_machines::{Platform, RunOpts, RunReport};
+use tmk_machines::{Json, Platform, RunOpts, RunReport};
 use tmk_sim::Cycle;
 use tmk_trace::NCAT;
 
@@ -162,6 +162,55 @@ pub fn sim_record(r: &JobResult) -> String {
     }
 }
 
+/// What `suite --progress` expects each run to cost: the host time of the
+/// same key in an earlier `--json` record (the committed
+/// `BENCH_results.json`), or the record's median for a key it lacks.
+#[derive(Debug, Clone, Default)]
+pub struct Progress {
+    host_ms: HashMap<String, f64>,
+    median_ms: f64,
+}
+
+impl Progress {
+    /// The estimates of a `--json` record's `runs`; a record without any
+    /// gives none, and no ETA.
+    pub fn from_record(record: &Json) -> Progress {
+        let runs = record.get("runs").and_then(Json::as_arr).unwrap_or(&[]);
+        let host_ms: HashMap<String, f64> = runs
+            .iter()
+            .filter_map(|r| {
+                Some((
+                    r.get("key")?.as_str()?.to_string(),
+                    r.get("host_ms")?.as_f64()?,
+                ))
+            })
+            .collect();
+        let mut sorted: Vec<f64> = host_ms.values().copied().collect();
+        sorted.sort_by(f64::total_cmp);
+        let median_ms = sorted.get(sorted.len() / 2).copied().unwrap_or(0.0);
+        Progress { host_ms, median_ms }
+    }
+
+    fn expected_ms(&self, key: &str) -> f64 {
+        self.host_ms.get(key).copied().unwrap_or(self.median_ms)
+    }
+
+    /// The stderr line for a finished run, with the expected host time of
+    /// the runs still to finish spread over `jobs` workers.
+    fn line(&self, done: &JobResult, left: usize, left_ms: f64, jobs: usize) -> String {
+        let eta = if self.host_ms.is_empty() {
+            "?".to_string()
+        } else {
+            format!("{:.0} s", left_ms.max(0.0) / 1e3 / jobs as f64)
+        };
+        format!(
+            "progress: {} {:.2} s, {left} left, eta {eta}",
+            done.key,
+            done.host_ms / 1e3
+        )
+    }
+}
+
 fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -218,7 +267,15 @@ fn execute(req: &JobRequest, opts: &RunOpts) -> JobResult {
 /// [`JobRequest::traced`] requests trace: for those `opts.trace` is the
 /// per-processor event-ring capacity (`None` or 0 keeps only the cycle
 /// ledger, a nonzero capacity also records Chrome-trace events).
-pub fn run_jobs(requests: &[JobRequest], jobs: usize, opts: &RunOpts) -> MemoTable {
+///
+/// With `progress`, each finished run prints one stderr line
+/// ([`Progress`]); nothing else changes.
+pub fn run_jobs(
+    requests: &[JobRequest],
+    jobs: usize,
+    opts: &RunOpts,
+    progress: Option<&Progress>,
+) -> MemoTable {
     let mut unique: Vec<JobRequest> = Vec::new();
     let mut seen: HashMap<String, ()> = HashMap::new();
     let mut hits = 0;
@@ -233,6 +290,10 @@ pub fn run_jobs(requests: &[JobRequest], jobs: usize, opts: &RunOpts) -> MemoTab
     let jobs = resolve_jobs(jobs).min(unique.len().max(1));
     let next = AtomicUsize::new(0);
     let (tx, rx) = std::sync::mpsc::channel();
+    let mut map = HashMap::with_capacity(unique.len());
+    let mut left_ms: f64 = progress.map_or(0.0, |p| {
+        unique.iter().map(|r| p.expected_ms(&r.key())).sum()
+    });
     std::thread::scope(|s| {
         for _ in 0..jobs {
             let tx = tx.clone();
@@ -248,10 +309,18 @@ pub fn run_jobs(requests: &[JobRequest], jobs: usize, opts: &RunOpts) -> MemoTab
                 let _ = tx.send(execute(&unique[i], opts));
             });
         }
+        drop(tx);
+        for r in rx {
+            if let Some(p) = progress {
+                left_ms -= p.expected_ms(&r.key);
+                eprintln!(
+                    "{}",
+                    p.line(&r, unique.len() - map.len() - 1, left_ms, jobs)
+                );
+            }
+            map.insert(r.key.clone(), r);
+        }
     });
-    drop(tx);
-
-    let map = rx.iter().map(|r| (r.key.clone(), r)).collect();
     MemoTable { map, hits }
 }
 

@@ -44,7 +44,8 @@ use tmk_sim::EngineKind;
 use tmk_trace::{Category, NCAT};
 
 pub use jobs::{
-    resolve_jobs, run_jobs, sim_record, JobRequest, JobResult, MemoTable, RunData, TraceData,
+    resolve_jobs, run_jobs, sim_record, JobRequest, JobResult, MemoTable, Progress, RunData,
+    TraceData,
 };
 pub use plan::{Ctx, Experiment, Plan, Run, Section};
 pub use workload::{ServiceSpec, WorkloadSpec};
@@ -111,6 +112,8 @@ pub struct Options {
     /// Directory for engine op-trace text files (`suite --op-trace`); also
     /// arms op tracing on every run.
     pub op_trace_dir: Option<String>,
+    /// Report each finished run on stderr (`suite --progress`).
+    pub progress: Option<Progress>,
 }
 
 impl Default for Tier {
@@ -365,7 +368,7 @@ pub fn run_suite(opts: &Options) -> Result<SuiteResult, String> {
         trace: opts.trace_dir.is_some().then_some(1 << 16),
         op_trace: opts.op_trace_dir.is_some(),
     };
-    let memo = run_jobs(&requests, jobs, &run_opts);
+    let memo = run_jobs(&requests, jobs, &run_opts, opts.progress.as_ref());
 
     let mut experiments = Vec::new();
     for exp in &registry {

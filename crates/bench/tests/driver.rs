@@ -45,6 +45,7 @@ fn baseline_runs_are_memoized() {
         &[a.clone(), a.clone(), b.clone(), a.clone()],
         2,
         &RunOpts::default(),
+        None,
     );
     assert_eq!(memo.hits, 2);
     assert_eq!(memo.unique_runs(), 2);
@@ -56,7 +57,7 @@ fn baseline_runs_are_memoized() {
 fn panicking_job_fails_alone() {
     let probe = JobRequest::new(Platform::Dec, WorkloadSpec::PanicProbe);
     let good = JobRequest::new(Platform::Dec, WorkloadSpec::SorTiny);
-    let memo = run_jobs(&[probe.clone(), good.clone()], 2, &RunOpts::default());
+    let memo = run_jobs(&[probe.clone(), good.clone()], 2, &RunOpts::default(), None);
     let failed = memo.get(&probe).unwrap();
     let err = failed.data.as_ref().unwrap_err();
     assert!(err.contains("deliberate panic probe"), "got: {err}");
@@ -293,4 +294,50 @@ fn bench_diff_fails_on_any_simulated_difference() {
     };
     assert_eq!(status(&slower), Some(0), "host time alone may move");
     assert_eq!(status(&twins), Some(1), "a changed twin count must fail");
+}
+
+/// `--progress` adds one stderr line per unique run and changes nothing
+/// on stdout.
+#[test]
+fn progress_reports_each_unique_run_once() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("progress");
+    let suite = |extra: &[&str]| {
+        let run = std::process::Command::new(env!("CARGO_BIN_EXE_suite"))
+            .current_dir(&root)
+            .args(["--quick", "--jobs", "2"])
+            .args(extra)
+            .output()
+            .unwrap();
+        assert!(
+            run.status.success(),
+            "{}",
+            String::from_utf8_lossy(&run.stderr)
+        );
+        (run.stdout, String::from_utf8(run.stderr).unwrap())
+    };
+    let (plain, plain_err) = suite(&[]);
+    let out_dir = out.to_str().unwrap();
+    let (shown, shown_err) = suite(&["--progress", "--json", "--out", out_dir]);
+    assert_eq!(plain, shown, "--progress changed stdout");
+    let record =
+        Json::parse(&std::fs::read_to_string(out.join("BENCH_results.json")).unwrap()).unwrap();
+    let runs = record.get("runs").and_then(Json::as_arr).unwrap();
+    let lines: Vec<&str> = shown_err
+        .lines()
+        .filter(|l| l.starts_with("progress: "))
+        .collect();
+    assert_eq!(lines.len(), runs.len(), "one line per unique run");
+    assert_eq!(
+        shown_err.lines().count() - lines.len(),
+        plain_err.lines().count()
+    );
+    for run in runs {
+        let key = run.get("key").and_then(Json::as_str).unwrap();
+        let prefix = format!("progress: {key} ");
+        assert!(
+            lines.iter().any(|l| l.starts_with(&prefix)),
+            "no line for {key}"
+        );
+    }
 }

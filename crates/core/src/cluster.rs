@@ -758,6 +758,42 @@ mod tests {
         assert_eq!(c.read_u64(1, addr), 9);
     }
 
+    const SOR_NODES: usize = 4;
+    const SOR_BAND: usize = 4;
+    const SOR_PAGE: usize = 256;
+
+    /// A cluster laid out for [`sor_sweep`]: `SOR_BAND` pages per node,
+    /// each page's first word initialised to its number.
+    fn sor_cluster(cfg: Config) -> Cluster {
+        let ps = SOR_PAGE;
+        let mut c = Cluster::new(cfg.segment_pages(SOR_NODES * SOR_BAND).page_size(ps));
+        for page in 0..SOR_NODES * SOR_BAND {
+            c.master_write(page * ps, &(page as u64).to_le_bytes());
+        }
+        c
+    }
+
+    /// One SOR sweep without its barrier: each node reads its neighbours'
+    /// edge pages, then writes every word of its own band.
+    fn sor_sweep(c: &mut Cluster, sweep: u64) {
+        let ps = SOR_PAGE;
+        for q in 0..SOR_NODES {
+            let band = q * SOR_BAND..(q + 1) * SOR_BAND;
+            let edges = [band.start.checked_sub(1), Some(band.end)];
+            let halo: u64 = edges
+                .into_iter()
+                .flatten()
+                .filter(|&page| page < SOR_NODES * SOR_BAND)
+                .map(|page| c.read_u64(q, page * ps))
+                .sum();
+            for page in band {
+                for word in 0..ps / 8 {
+                    c.write_u64(q, page * ps + word * 8, sweep + halo);
+                }
+            }
+        }
+    }
+
     /// SOR's sharing: each node writes its own band of pages and reads its
     /// neighbours' edge pages between barriers, with GC off. A band page
     /// whose diff no neighbour ever asked for keeps, as its twin, the
@@ -766,29 +802,11 @@ mod tests {
     fn sor_band_twins_share_the_origins_buffers() {
         use crate::page::same_buffer;
 
-        const NODES: usize = 4;
-        const BAND: usize = 4;
-        let ps = 256;
-        let mut c = Cluster::new(Config::new(NODES).segment_pages(NODES * BAND).page_size(ps));
-        for page in 0..NODES * BAND {
-            c.master_write(page * ps, &(page as u64).to_le_bytes());
-        }
+        const NODES: usize = SOR_NODES;
+        const BAND: usize = SOR_BAND;
+        let mut c = sor_cluster(Config::new(NODES));
         for sweep in 1..=4u64 {
-            for q in 0..NODES {
-                let band = q * BAND..(q + 1) * BAND;
-                let edges = [band.start.checked_sub(1), Some(band.end)];
-                let halo: u64 = edges
-                    .into_iter()
-                    .flatten()
-                    .filter(|&page| page < NODES * BAND)
-                    .map(|page| c.read_u64(q, page * ps))
-                    .sum();
-                for page in band {
-                    for word in 0..ps / 8 {
-                        c.write_u64(q, page * ps + word * 8, sweep + halo);
-                    }
-                }
-            }
+            sor_sweep(&mut c, sweep);
             c.barrier(0);
         }
         let origin = c.node(crate::node::ORIGIN).lrc();
@@ -807,6 +825,63 @@ mod tests {
             }
             assert!(shared >= 2, "node {q} shares {shared} twins");
         }
+    }
+
+    /// SOR under barrier-time GC. The origin validates every band page of
+    /// the other nodes from that page's one writer, and keeps the writer's
+    /// buffer, not a second one with the same bytes. The writer's next
+    /// write twins that buffer and copies its own, so the origin's copy is
+    /// the twin until the next collection.
+    #[test]
+    fn gc_validation_keeps_the_writers_buffer() {
+        use crate::node::ORIGIN;
+        use crate::page::same_buffer;
+
+        const NODES: usize = SOR_NODES;
+        const BAND: usize = SOR_BAND;
+        let mut c = sor_cluster(Config::new(NODES).gc(1024));
+        let collections = |c: &Cluster| c.node(ORIGIN).lrc().stats().gc_collections;
+        let (mut just_collected, mut twin_checks) = (false, 0);
+        for sweep in 1..=8u64 {
+            sor_sweep(&mut c, sweep);
+            if just_collected {
+                twin_checks += 1;
+                let origin = c.node(ORIGIN).lrc();
+                for q in 1..NODES {
+                    let node = c.node(q).lrc();
+                    for page in q * BAND..(q + 1) * BAND {
+                        assert!(
+                            same_buffer(origin.page(page).data.as_ref(), node.page(page).twin()),
+                            "sweep {sweep}: the origin's page {page} is not node {q}'s twin"
+                        );
+                    }
+                }
+            }
+            let before = collections(&c);
+            c.barrier(0);
+            just_collected = collections(&c) > before;
+            if !just_collected {
+                continue;
+            }
+            let origin = c.node(ORIGIN).lrc();
+            for q in 1..NODES {
+                let node = c.node(q).lrc();
+                for page in 0..NODES * BAND {
+                    let (mine, theirs) = (origin.page(page), node.page(page));
+                    if theirs.is_valid() {
+                        assert_eq!(mine.data, theirs.data, "node {q}'s page {page} after GC");
+                    }
+                    if (q * BAND..(q + 1) * BAND).contains(&page) {
+                        assert!(
+                            same_buffer(mine.data.as_ref(), theirs.data.as_ref()),
+                            "sweep {sweep}: the origin's page {page} is not node {q}'s buffer"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(collections(&c) >= 2, "{} collections", collections(&c));
+        assert!(twin_checks >= 2, "{twin_checks} sweeps after a collection");
     }
 
     #[test]

@@ -179,6 +179,10 @@ pub enum Msg {
         /// on the wire that is the vector time alone (the host shares the
         /// sender's record rather than copying it).
         diffs: Vec<(IntervalMsg, Diff)>,
+        /// Host-only, and no wire bytes: the sender's valid page copy,
+        /// attached only while a collection is in flight, so the origin can
+        /// keep that buffer instead of a second one with the same bytes.
+        copy: Option<Arc<[u8]>>,
     },
     /// Eager-release broadcast: the releaser's just-closed interval together
     /// with its diffs, applied immediately by every receiver.

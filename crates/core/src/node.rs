@@ -516,6 +516,7 @@ impl Node {
             outstanding: 0,
             base: None,
             diffs: Vec::new(),
+            copy: None,
             want_write: write,
             gc: false,
         };
@@ -591,6 +592,7 @@ impl Node {
         let was_gc = fetch.gc;
         let base = fetch.base.take();
         let mut diffs = std::mem::take(&mut fetch.diffs);
+        let copy = fetch.copy.take();
 
         if let Some((bytes, version)) = base {
             let p = &mut self.pages[page];
@@ -613,7 +615,13 @@ impl Node {
         }
 
         if self.pages[page].is_valid() {
-            self.pages[page].cold_mut().fetch = None;
+            let p = &mut self.pages[page];
+            p.cold_mut().fetch = None;
+            // A writer's copy with exactly these bytes replaces ours, so the
+            // two nodes hold one buffer; one that differs is never adopted.
+            if copy.is_some() && p.data == copy {
+                p.data = copy;
+            }
             if was_gc {
                 // A GC validation fetch: no processor is blocked on it. When
                 // the last one lands, the origin collects and releases the
@@ -996,6 +1004,7 @@ impl Node {
                 outstanding: 0,
                 base: None,
                 diffs: Vec::new(),
+                copy: None,
                 want_write: false,
                 gc: true,
             }));
@@ -1128,7 +1137,7 @@ impl Node {
                 version,
             } => self.on_page_reply(page, data, version),
             Msg::DiffReq { page, from: lo, to } => self.on_diff_req(page, from, lo, to),
-            Msg::DiffReply { page, diffs } => self.on_diff_reply(page, from, diffs),
+            Msg::DiffReply { page, diffs, copy } => self.on_diff_reply(page, from, diffs, copy),
             Msg::Update { interval, diffs } => self.on_update(interval, diffs),
             other @ (Msg::IvyReq { .. }
             | Msg::IvyFwd { .. }
@@ -1345,11 +1354,19 @@ impl Node {
                 self.ledger_note();
             }
         }
+        // The origin validating its copy may keep ours: no node writes
+        // until `GcDone`, and a later write copies the buffer first.
+        let p = &self.pages[page];
+        let copy = if self.gc.is_some() && p.is_valid() {
+            p.data.clone()
+        } else {
+            None
+        };
         Handled {
             sends: vec![Envelope {
                 from: self.id,
                 to: from,
-                msg: Msg::DiffReply { page, diffs },
+                msg: Msg::DiffReply { page, diffs, copy },
             }],
             actions: Vec::new(),
         }
@@ -1360,6 +1377,7 @@ impl Node {
         page: PageId,
         from: NodeId,
         diffs: Vec<(IntervalMsg, Diff)>,
+        copy: Option<Arc<[u8]>>,
     ) -> Handled {
         {
             let fetch = self.pages[page]
@@ -1367,6 +1385,9 @@ impl Node {
                 .expect("unsolicited diff reply");
             debug_assert!(diffs.iter().all(|(iv, _)| iv.node() == from));
             fetch.diffs.extend(diffs);
+            if copy.is_some() {
+                fetch.copy = copy;
+            }
             fetch.outstanding -= 1;
         }
         self.try_complete_fetch(page)
@@ -1519,6 +1540,13 @@ mod tests {
         nodes[to].handle(env)
     }
 
+    /// The `u64` at `addr` in `node`'s valid copy.
+    fn read_u64(node: &Node, addr: SharedAddr) -> u64 {
+        let mut b = [0u8; 8];
+        node.read_into(addr, &mut b);
+        u64::from_le_bytes(b)
+    }
+
     /// The one message in `sends` addressed to `to`.
     fn to_node(sends: &[Envelope], to: NodeId) -> Envelope {
         let mut it = sends.iter().filter(|e| e.to == to);
@@ -1553,13 +1581,104 @@ mod tests {
             !same_buffer(fetched.data.as_ref(), origin),
             "written in place"
         );
-        let read = |node: &Node, addr| {
-            let mut b = [0u8; 8];
-            node.read_into(addr, &mut b);
-            u64::from_le_bytes(b)
+        assert_eq!(
+            (read_u64(&nodes[ORIGIN], 0), read_u64(&nodes[ORIGIN], 8)),
+            (7, 0)
+        );
+        assert_eq!((read_u64(&nodes[1], 0), read_u64(&nodes[1], 8)), (7, 9));
+    }
+
+    /// Node 1 fetches page 0 from the origin and writes its second word;
+    /// then both nodes arrive at barrier 0, which the origin manages.
+    /// Returns the origin's arrival.
+    fn node1_writes_then_both_arrive(nodes: &mut [Node]) -> FaultStart {
+        nodes[ORIGIN].master_write(0, &7u64.to_le_bytes());
+        let start = nodes[1].fault(0, true);
+        let reply = deliver(nodes, to_node(&start.sends, ORIGIN));
+        assert_eq!(
+            deliver(nodes, to_node(&reply.sends, 1)).actions,
+            vec![Action::PageReady(0)]
+        );
+        nodes[1].write_from(8, &9u64.to_le_bytes());
+        let a1 = nodes[1].barrier_arrive(0);
+        assert!(deliver(nodes, to_node(&a1.sends, ORIGIN))
+            .actions
+            .is_empty());
+        nodes[ORIGIN].barrier_arrive(0)
+    }
+
+    /// The origin validates node 1's page at a collection. Node 1's reply
+    /// carries its copy; one byte of it is changed on the way. The origin
+    /// keeps the bytes it computed from the diff, in its own buffer.
+    #[test]
+    fn a_gc_copy_that_differs_from_the_validated_page_is_not_adopted() {
+        use crate::page::same_buffer;
+
+        let cfg = Config::new(2).segment_pages(4).gc(0);
+        let mut nodes: Vec<Node> = (0..2).map(|i| Node::new(i, cfg.clone())).collect();
+        let a0 = node1_writes_then_both_arrive(&mut nodes);
+        assert!(
+            !a0.ready,
+            "the origin validates before the barrier completes"
+        );
+        let [depart, req] = &a0.sends[..] else {
+            panic!("a departure and a diff request: {:?}", a0.sends)
         };
-        assert_eq!((read(&nodes[ORIGIN], 0), read(&nodes[ORIGIN], 8)), (7, 0));
-        assert_eq!((read(&nodes[1], 0), read(&nodes[1], 8)), (7, 9));
+        assert!(matches!(depart.msg, Msg::BarrierDepart { gc: true, .. }));
+        assert!(deliver(&mut nodes, depart.clone()).actions.is_empty());
+        let mut reply = to_node(&deliver(&mut nodes, req.clone()).sends, ORIGIN);
+        let Msg::DiffReply {
+            copy: Some(copy), ..
+        } = &mut reply.msg
+        else {
+            panic!("a GC diff reply carries the writer's copy: {reply:?}")
+        };
+        assert!(same_buffer(Some(&*copy), nodes[1].page(0).data.as_ref()));
+        let mut bytes = copy.to_vec();
+        bytes[100] ^= 1;
+        let tampered: Arc<[u8]> = bytes.into();
+        *copy = Arc::clone(&tampered);
+
+        let done = deliver(&mut nodes, reply);
+        assert_eq!(done.actions, vec![Action::BarrierDone(0)]);
+        let mine = nodes[ORIGIN].page(0).data.as_ref();
+        assert!(
+            !same_buffer(mine, Some(&tampered)),
+            "adopted a copy that differs"
+        );
+        assert!(!same_buffer(mine, nodes[1].page(0).data.as_ref()));
+        assert_eq!(
+            mine,
+            nodes[1].page(0).data.as_ref(),
+            "the origin's bytes moved"
+        );
+        let gc_done = deliver(&mut nodes, to_node(&done.sends, 1));
+        assert_eq!(gc_done.actions, vec![Action::BarrierDone(0)]);
+        for node in &nodes {
+            assert_eq!((read_u64(node, 0), read_u64(node, 8)), (7, 9));
+        }
+    }
+
+    /// Outside a collection no diff reply carries a copy, even from a
+    /// writer whose copy is valid.
+    #[test]
+    fn a_diff_reply_outside_gc_carries_no_copy() {
+        let cfg = Config::new(2).segment_pages(4);
+        let mut nodes: Vec<Node> = (0..2).map(|i| Node::new(i, cfg.clone())).collect();
+        let a0 = node1_writes_then_both_arrive(&mut nodes);
+        assert!(a0.ready);
+        let done = deliver(&mut nodes, to_node(&a0.sends, 1));
+        assert_eq!(done.actions, vec![Action::BarrierDone(0)]);
+        assert!(nodes[1].page_valid(0));
+
+        let start = nodes[ORIGIN].fault(0, false);
+        let reply = to_node(&deliver(&mut nodes, to_node(&start.sends, 1)).sends, ORIGIN);
+        assert!(
+            matches!(reply.msg, Msg::DiffReply { copy: None, .. }),
+            "{reply:?}"
+        );
+        deliver(&mut nodes, reply);
+        assert_eq!(read_u64(&nodes[ORIGIN], 8), 9);
     }
 
     /// Consecutive barriers have different managers (`barrier % nodes`), so

@@ -147,6 +147,9 @@ pub(crate) struct FetchState {
     /// Diffs received so far, each with the writer's record of the
     /// interval it belongs to (the host's one shared copy).
     pub diffs: Vec<(IntervalMsg, Diff)>,
+    /// A writer's copy attached to a diff reply during a collection: the
+    /// fetch keeps it in place of its own buffer if the bytes match.
+    pub copy: Option<Arc<[u8]>>,
     /// Whether the faulting access was a write (twin needed on completion).
     pub want_write: bool,
     /// This is a GC validation fetch by the origin: no processor is blocked

@@ -2,7 +2,7 @@
 # Before/after of the host benchmark in one command: REV (side A) against
 # HEAD (side B), on the committed files of each.
 #
-# usage: scripts/ab.sh [--pairs N] [--seconds N] [--seed N] [--tiny] REV [WORKLOAD...]
+# usage: scripts/ab.sh [--pairs N] [--seconds N] [--seed N] [--tiny] [--prof] REV [WORKLOAD...]
 #
 #   REV        the "before" commit; HEAD is the "after" (REV = HEAD is an A/A run)
 #   WORKLOAD   any of BENCHMARK.json's workloads (default: all of them)
@@ -10,6 +10,7 @@
 #   --seconds  passed to tmk-perfbench (default 8)
 #   --seed N   passed to tmk-perfbench (default 1994)
 #   --tiny     passed to tmk-perfbench: seconds-long inputs
+#   --prof     add a differential profile per workload (see below)
 #
 # Each side is exported with `git archive` into a scratch directory under
 # ${TMPDIR:-/tmp} and its `benchmark/` package is built offline into its own
@@ -27,20 +28,27 @@
 # Then one `--trace 1` pair per workload: every count and every `ledger.*`
 # metric must be identical on both sides.
 #
+# With --prof each side is built a second time with frame pointers, into
+# its own target directory, and one more `--trace 0` run per side and
+# workload runs under scripts/prof/sampler.c (LD_PRELOAD). The two
+# symbolize.py self-time tables are joined by function and printed as A %,
+# B % and the change, largest first. The profile never counts towards the
+# verdict or the exit status.
+#
 # Exit status: 0 when every run is correct, no verdict is FAIL and every
 # traced count agrees; 1 otherwise; 2 on bad usage; 3 on a busy host.
-# The differential profile (ROADMAP direction 4's `--prof`) is not built.
 set -euo pipefail
 
 usage() { sed -n '2,/^set /s/^# \{0,1\}//p' "$0" >&2; exit 2; }
 
-pairs=10 seconds=8 seed=1994 tiny=()
+pairs=10 seconds=8 seed=1994 tiny=() prof=0
 while [ $# -gt 0 ]; do
     case "$1" in
         --pairs) pairs="${2:?}"; shift 2 ;;
         --seconds) seconds="${2:?}"; shift 2 ;;
         --seed) seed="${2:?}"; shift 2 ;;
         --tiny) tiny=(--tiny); shift ;;
+        --prof) prof=1; shift ;;
         -h|--help) usage ;;
         -*) echo "ab.sh: unknown option $1" >&2; usage ;;
         *) break ;;
@@ -59,12 +67,13 @@ if [ ${#workloads[@]} -eq 0 ]; then
 fi
 busy="$(sed -n 's/^const BUSY_LOADAVG: f64 = \([0-9.]*\);$/\1/p' benchmark/src/aa.rs)"
 [ -n "$busy" ] || { echo "ab.sh: no BUSY_LOADAVG in benchmark/src/aa.rs" >&2; exit 2; }
-spec="$PWD/BENCHMARK.json"
+spec="$PWD/BENCHMARK.json" prof_dir="$PWD/scripts/prof"
 
 work="$(mktemp -d "${TMPDIR:-/tmp}/ab.XXXXXX")"
 trap 'rm -rf "$work"' EXIT
 
-# Exports `rev` into $work/<side> and builds its tmk-perfbench there.
+# Exports `rev` into $work/<side> and builds its tmk-perfbench there (and,
+# with --prof, a frame-pointer build of it in $work/<side>-prof-target).
 build() {
     local side="$1" rev="$2"
     mkdir -p "$work/$side"
@@ -72,12 +81,19 @@ build() {
     echo "ab.sh: building $side = ${rev:0:12}" >&2
     CARGO_TARGET_DIR="$work/$side-target" cargo build --release --offline --quiet \
         --manifest-path "$work/$side/benchmark/Cargo.toml"
+    if ((prof)); then
+        RUSTFLAGS="-C force-frame-pointers=yes" CARGO_TARGET_DIR="$work/$side-prof-target" \
+            cargo build --release --offline --quiet --manifest-path "$work/$side/benchmark/Cargo.toml"
+    fi
 }
 build a "$rev_a"
 if [ "$rev_a" = "$rev_b" ]; then
-    ln -s a "$work/b" && ln -s a-target "$work/b-target"
+    ln -s a "$work/b" && ln -s a-target "$work/b-target" && ln -s a-prof-target "$work/b-prof-target"
 else
     build b "$rev_b"
+fi
+if ((prof)); then
+    cc -O2 -shared -fPIC -o "$work/sampler.so" "$prof_dir/sampler.c"
 fi
 
 # Waits for a quiet host, then runs one measurement of side $1 and appends
@@ -103,6 +119,23 @@ measure() {
         echo '{"correct":false,"attempted":0,"failed":1,"metrics":{}}' > "$work/out"
     fi
     tail -n 1 "$work/out" >> "$work/$workload.$trace.$side"
+}
+
+# One `--trace 0` run of side $1's frame-pointer build under the sampler;
+# its whole self-time table goes to $work/<workload>.prof.<side>.
+profile() {
+    local side="$1" workload="$2" raw
+    rm -f "$work/$side"/prof.*.txt
+    if ! (cd "$work/$side" && LD_PRELOAD="$work/sampler.so" \
+        "$work/$side-prof-target/release/tmk-perfbench" --workload "$workload" --seed "$seed" \
+        --seconds "$seconds" --trace 0 "${tiny[@]}") > /dev/null 2> "$work/err"; then
+        tail -n 5 "$work/err" >&2
+    fi
+    raw="$(ls -S "$work/$side"/prof.*.txt 2> /dev/null | head -n 1)"
+    if [ -n "$raw" ]; then
+        python3 "$prof_dir/symbolize.py" "$raw" --top 1000000 > "$work/$workload.prof.$side"
+        rm -f "$work/$side"/prof.*.txt
+    fi
 }
 
 status=0
@@ -182,5 +215,24 @@ else:
           " and ledger shares identical")
 sys.exit(0 if ok else 1)
 EOF
+    if ((prof)); then
+        for side in a b; do profile "$side" "$workload" || true; done
+        python3 - "$work/$workload" <<'EOF' || echo "  profile: no differential profile"
+import re, sys
+
+def table(side):
+    """(samples, {function: self %}) of one side's symbolize.py output."""
+    lines = open(f"{sys.argv[1]}.prof.{side}").read().splitlines()
+    rows = (re.fullmatch(r"\s*([\d.]+)%\s+[\d.]+%  (.*)", line) for line in lines[2:])
+    return int(lines[0].split()[0]), {m[2]: float(m[1]) for m in rows if m}
+
+(na, a), (nb, b) = table("a"), table("b")
+print(f"  profile: self time, % of samples (A {na}, B {nb}), largest change first")
+print(f"  {'A %':>6} {'B %':>6} {'change':>7}  function")
+for name in sorted(a.keys() | b.keys(), key=lambda f: -abs(b.get(f, 0) - a.get(f, 0)))[:20]:
+    x, y = a.get(name, 0.0), b.get(name, 0.0)
+    print(f"  {x:6.1f} {y:6.1f} {y - x:+7.1f}  {name}")
+EOF
+    fi
 done
 exit "$status"
