@@ -33,7 +33,8 @@ usage: suite [OPTIONS]
                     sync operation — into DIR/<run>.ops.txt
   --progress        print one stderr line per finished run: its key, host
                     seconds, runs left and an ETA from the host times in
-                    ./BENCH_results.json (a run it lacks counts at its median)
+                    ./BENCH_results.json (a run it lacks counts at its median),
+                    scaled by the pace of the runs already finished
   --list            list experiments and sections, then exit
   -h, --help        this help
 

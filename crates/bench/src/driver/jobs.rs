@@ -164,7 +164,9 @@ pub fn sim_record(r: &JobResult) -> String {
 
 /// What `suite --progress` expects each run to cost: the host time of the
 /// same key in an earlier `--json` record (the committed
-/// `BENCH_results.json`), or the record's median for a key it lacks.
+/// `BENCH_results.json`), or the record's median for a key it lacks. The
+/// ETA scales these by the pace of the runs already finished, so a tier or
+/// a host the record does not describe still gets a meaningful one.
 #[derive(Debug, Clone, Default)]
 pub struct Progress {
     host_ms: HashMap<String, f64>,
@@ -201,13 +203,45 @@ impl Progress {
         let eta = if self.host_ms.is_empty() {
             "?".to_string()
         } else {
-            format!("{:.0} s", left_ms.max(0.0) / 1e3 / jobs as f64)
+            format!("{:.0} s", left_ms / 1e3 / jobs as f64)
         };
         format!(
             "progress: {} {:.2} s, {left} left, eta {eta}",
             done.key,
             done.host_ms / 1e3
         )
+    }
+}
+
+/// The host time a suite still has to spend, as `--progress` estimates it.
+#[derive(Debug, Default)]
+struct Remaining {
+    /// Recorded host time of the runs still to finish.
+    recorded_ms: f64,
+    /// Measured host time of the runs finished so far.
+    done_ms: f64,
+    /// Recorded host time of the runs finished so far.
+    done_recorded_ms: f64,
+}
+
+impl Remaining {
+    /// Marks a run finished in `measured_ms` that the record priced at
+    /// `recorded_ms`.
+    fn finish(&mut self, recorded_ms: f64, measured_ms: f64) {
+        self.recorded_ms -= recorded_ms;
+        self.done_recorded_ms += recorded_ms;
+        self.done_ms += measured_ms;
+    }
+
+    /// The recorded host time still to spend, scaled by the measured over
+    /// the recorded time of the runs already finished.
+    fn eta_ms(&self) -> f64 {
+        let pace = if self.done_recorded_ms > 0.0 {
+            self.done_ms / self.done_recorded_ms
+        } else {
+            1.0
+        };
+        self.recorded_ms.max(0.0) * pace
     }
 }
 
@@ -291,9 +325,12 @@ pub fn run_jobs(
     let next = AtomicUsize::new(0);
     let (tx, rx) = std::sync::mpsc::channel();
     let mut map = HashMap::with_capacity(unique.len());
-    let mut left_ms: f64 = progress.map_or(0.0, |p| {
-        unique.iter().map(|r| p.expected_ms(&r.key())).sum()
-    });
+    let mut remaining = Remaining {
+        recorded_ms: progress.map_or(0.0, |p| {
+            unique.iter().map(|r| p.expected_ms(&r.key())).sum()
+        }),
+        ..Remaining::default()
+    };
     std::thread::scope(|s| {
         for _ in 0..jobs {
             let tx = tx.clone();
@@ -312,11 +349,9 @@ pub fn run_jobs(
         drop(tx);
         for r in rx {
             if let Some(p) = progress {
-                left_ms -= p.expected_ms(&r.key);
-                eprintln!(
-                    "{}",
-                    p.line(&r, unique.len() - map.len() - 1, left_ms, jobs)
-                );
+                remaining.finish(p.expected_ms(&r.key), r.host_ms);
+                let left = unique.len() - map.len() - 1;
+                eprintln!("{}", p.line(&r, left, remaining.eta_ms(), jobs));
             }
             map.insert(r.key.clone(), r);
         }
@@ -332,5 +367,33 @@ pub fn resolve_jobs(jobs: usize) -> usize {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Runs finishing at a tenth of their recorded host time (a quick tier
+    /// priced from a full-tier record) bring the ETA to a tenth of the
+    /// recorded time left.
+    #[test]
+    fn eta_scales_by_the_pace_of_the_finished_runs() {
+        let mut left = Remaining {
+            recorded_ms: 10.0 * 400.0,
+            ..Remaining::default()
+        };
+        assert_eq!(left.eta_ms(), 4000.0, "no run finished: the record");
+        for _ in 0..4 {
+            left.finish(400.0, 40.0);
+        }
+        assert!(
+            (left.eta_ms() - 6.0 * 40.0).abs() < 1e-9,
+            "{}",
+            left.eta_ms()
+        );
+        // A slow run pulls the pace up: 1000 ms for 2000 recorded.
+        left.finish(400.0, 840.0);
+        assert!((left.eta_ms() - 5.0 * 400.0 * 0.5).abs() < 1e-9);
     }
 }

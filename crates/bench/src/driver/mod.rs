@@ -55,9 +55,10 @@ pub use workload::{ServiceSpec, WorkloadSpec};
 const SCHEMA: &str = "tmk-bench/2";
 
 /// Which scale of inputs the registry instantiates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Tier {
     /// Paper-scale inputs and processor counts (the `results/` files).
+    #[default]
     Full,
     /// Tiny inputs at 1–4 processors: the CI smoke tier.
     Quick,
@@ -114,12 +115,6 @@ pub struct Options {
     pub op_trace_dir: Option<String>,
     /// Report each finished run on stderr (`suite --progress`).
     pub progress: Option<Progress>,
-}
-
-impl Default for Tier {
-    fn default() -> Self {
-        Tier::Full
-    }
 }
 
 /// One section after rendering.

@@ -884,6 +884,44 @@ mod tests {
         assert!(twin_checks >= 2, "{twin_checks} sweeps after a collection");
     }
 
+    /// After every barrier of SOR, with and without collections, a node
+    /// holds no handle to another node's record at or below the departure
+    /// time, holds every own live record, and still counts every live
+    /// record.
+    #[test]
+    fn barriers_forget_foreign_intervals_below_the_departure() {
+        for gc in [None, Some(1024)] {
+            let mut cfg = Config::new(SOR_NODES);
+            cfg.gc = gc;
+            let mut c = sor_cluster(cfg);
+            for sweep in 1..=6u64 {
+                sor_sweep(&mut c, sweep);
+                c.barrier(0);
+                let dep = c.node(0).lrc().vt().clone();
+                for id in 0..SOR_NODES {
+                    let node = c.node(id).lrc();
+                    assert_eq!(node.vt(), &dep, "sweep {sweep}: node {id}'s time");
+                    let store = node.intervals();
+                    for m in store.iter() {
+                        assert!(
+                            m.node() == id || m.seq() > dep.get(m.node()),
+                            "sweep {sweep}: node {id} holds ({}, {})",
+                            m.node(),
+                            m.seq()
+                        );
+                    }
+                    for seq in store.floor(id) + 1..=dep.get(id) {
+                        assert!(store.own(id, seq).is_some(), "node {id}'s own {seq}");
+                    }
+                    let live = (0..SOR_NODES).map(|q| (dep.get(q) - store.floor(q)) as usize);
+                    assert_eq!(store.len(), live.sum(), "sweep {sweep}: node {id}");
+                }
+            }
+            let collections = c.node(0).lrc().stats().gc_collections;
+            assert_eq!(collections > 0, gc.is_some(), "{collections} collections");
+        }
+    }
+
     #[test]
     fn migrated_token_is_regenerated_at_the_manager() {
         let mut c = cluster(4);

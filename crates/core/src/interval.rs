@@ -3,9 +3,11 @@
 //! A node's execution is divided into *intervals*, delimited by releases
 //! (lock releases and barrier arrivals). Each interval carries the set of
 //! pages the node dirtied during it — the *write notices* — plus the vector
-//! time at which it closed. A node's interval store holds every interval it
-//! has learned about, from any node, until barrier-time garbage collection
-//! retires the prefix every node's vector time dominates.
+//! time at which it closed. A node's interval store models every interval
+//! it has learned about, from any node, until barrier-time garbage
+//! collection retires the prefix every node's vector time dominates; the
+//! host keeps handles to other nodes' records only above the last barrier
+//! departure the node merged.
 
 use std::fmt;
 use std::sync::Arc;
@@ -23,9 +25,9 @@ use crate::{NodeId, PageId, Seq, VTime};
 ///
 /// The record is two heap blocks: the shared header and one word slice
 /// holding the vector time followed by the sorted write notices. The handle
-/// itself stays one thin pointer: stores hold hundreds of thousands of
-/// handles (AS-128 SOR: about 4 400 records in each of 128 stores), and a
-/// fat `Arc<[u32]>` handle measured `dsm_scale`'s peak RSS 10 % higher.
+/// itself stays one thin pointer: a cluster's stores and in-flight
+/// messages hold many handles per record, and a fat `Arc<[u32]>` handle
+/// measured `dsm_scale`'s peak RSS 10 % higher.
 #[derive(Clone, PartialEq, Eq)]
 pub struct IntervalMsg(Arc<Record>);
 
@@ -158,18 +160,23 @@ fn rec_bytes(rec: &IntervalMsg) -> usize {
 
 /// All intervals a node knows about, indexed by `(creator, seq)`.
 ///
-/// Per creator, intervals are stored densely above a garbage-collection
-/// floor: position `i` holds sequence number `retired + i + 1`. Lazy release
-/// consistency guarantees intervals are learned contiguously (a grant or
-/// barrier departure carries exactly the gap between two vector times),
-/// which [`insert`](Self::insert) asserts. [`retire_below`](Self::retire_below)
-/// advances the floor at barrier-time GC.
+/// Per creator, sequence numbers above a garbage-collection floor are
+/// *live*: the simulated node holds them, and [`len`](Self::len),
+/// [`approx_bytes`](Self::approx_bytes) and [`floor`](Self::floor) count
+/// them. Lazy release consistency guarantees intervals are learned
+/// contiguously (a grant or barrier departure carries exactly the gap
+/// between two vector times), which [`insert`](Self::insert) asserts.
+/// [`retire_below`](Self::retire_below) advances the floor at barrier-time
+/// GC.
+///
+/// The host holds a handle to every live record of the store's own node,
+/// but only to the other creators' records above the last barrier
+/// departure time the node merged ([`forget_below`](Self::forget_below)):
+/// once every node has them, no correct request can ask this node for them
+/// again. Forgetting moves no modelled count.
 #[derive(Debug, Clone, Default)]
 pub struct IntervalStore {
-    by_node: Vec<Vec<IntervalMsg>>,
-    /// Per creator: highest retired sequence (records `<= retired[q]` are
-    /// gone; lookups below the floor return `None`).
-    retired: Vec<Seq>,
+    by_node: Vec<Creator>,
     /// Approximate resident bytes of the live records as the simulated node
     /// holds them (its own full copy of each, although the host shares
     /// them), maintained incrementally for the memory ledger and the GC
@@ -179,12 +186,47 @@ pub struct IntervalStore {
     live: usize,
 }
 
+/// One creator's records in an [`IntervalStore`]: `retired <= base <=
+/// frontier`, sequences `(retired, base]` live but forgotten.
+#[derive(Debug, Clone, Default)]
+struct Creator {
+    /// Handles to sequences `base + 1 ..= base + held.len()`.
+    held: Vec<IntervalMsg>,
+    /// Highest retired (garbage-collected) sequence.
+    retired: Seq,
+    /// Highest sequence whose handle the store no longer holds.
+    base: Seq,
+    /// Modelled bytes of the forgotten live records `(retired, base]`.
+    forgotten_bytes: usize,
+}
+
+impl Creator {
+    fn frontier(&self) -> Seq {
+        self.base + self.held.len() as Seq
+    }
+
+    /// Drops the handles at or below `seq` (clamped to the held range),
+    /// returning their modelled bytes. Capacity more than four times the
+    /// remaining length goes back to the allocator.
+    fn drop_through(&mut self, seq: Seq) -> usize {
+        let cut = (seq.saturating_sub(self.base) as usize).min(self.held.len());
+        if cut == 0 {
+            return 0;
+        }
+        let bytes = self.held.drain(..cut).map(|r| rec_bytes(&r)).sum();
+        self.base += cut as Seq;
+        if self.held.capacity() > 4 * self.held.len() {
+            self.held.shrink_to_fit();
+        }
+        bytes
+    }
+}
+
 impl IntervalStore {
     /// An empty store for an `n`-node cluster.
     pub fn new(n: usize) -> Self {
         IntervalStore {
-            by_node: vec![Vec::new(); n],
-            retired: vec![0; n],
+            by_node: vec![Creator::default(); n],
             bytes: 0,
             live: 0,
         }
@@ -192,21 +234,33 @@ impl IntervalStore {
 
     /// Highest sequence number known for `node` (0 when none).
     pub fn frontier(&self, node: NodeId) -> Seq {
-        self.retired[node] + self.by_node[node].len() as Seq
+        self.by_node[node].frontier()
     }
 
     /// Highest retired (garbage-collected) sequence for `node`.
     pub fn floor(&self, node: NodeId) -> Seq {
-        self.retired[node]
+        self.by_node[node].retired
     }
 
-    /// Looks up interval `(node, seq)`. Returns `None` below the GC floor.
-    pub fn get(&self, node: NodeId, seq: Seq) -> Option<&IntervalMsg> {
+    /// Looks up the store's own interval `(me, seq)`. Returns `None` below
+    /// the GC floor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `(me, seq)` was forgotten: only a node's own records are
+    /// held until GC.
+    pub fn own(&self, me: NodeId, seq: Seq) -> Option<&IntervalMsg> {
         debug_assert!(seq >= 1);
-        if seq <= self.retired[node] {
+        let c = &self.by_node[me];
+        if seq <= c.retired {
             return None;
         }
-        self.by_node[node].get((seq - self.retired[node]) as usize - 1)
+        assert!(
+            seq > c.base,
+            "interval ({me}, {seq}) was forgotten (held from {})",
+            c.base + 1
+        );
+        c.held.get((seq - c.base) as usize - 1)
     }
 
     /// Records an interval learned from the wire (idempotent: re-delivery of
@@ -246,59 +300,95 @@ impl IntervalStore {
     fn push(&mut self, msg: &IntervalMsg) {
         self.bytes += rec_bytes(msg);
         self.live += 1;
-        self.by_node[msg.node()].push(msg.clone());
+        self.by_node[msg.node()].held.push(msg.clone());
     }
 
     /// All intervals covered by `upto` but not by `from`, as wire messages —
     /// exactly what a lock grant or barrier departure must carry. Retired
     /// sequences are never delivered (every node's time already dominates
     /// them, so no correct request can span below the floor).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range reaches into a forgotten prefix: every request a
+    /// node serves comes from a node that has merged the same barrier
+    /// departure time, so `from` is at or above it.
     pub fn between(&self, from: &VTime, upto: &VTime) -> Vec<IntervalMsg> {
         let mut out = Vec::new();
-        for q in 0..self.by_node.len() {
-            let lo = from.get(q).max(self.retired[q]);
-            let hi = upto.get(q).min(self.frontier(q));
+        for (q, c) in self.by_node.iter().enumerate() {
+            let lo = from.get(q).max(c.retired);
+            let hi = upto.get(q).min(c.frontier());
             if lo < hi {
-                let base = self.retired[q];
-                out.extend_from_slice(&self.by_node[q][(lo - base) as usize..(hi - base) as usize]);
+                assert!(
+                    lo >= c.base,
+                    "intervals of node {q} from {} were forgotten (held from {})",
+                    lo + 1,
+                    c.base + 1
+                );
+                out.extend_from_slice(&c.held[(lo - c.base) as usize..(hi - c.base) as usize]);
             }
         }
         out
     }
 
+    /// Drops the handles to other creators' records at or below `upto`, the
+    /// barrier departure time node `me` has just merged. Every node has
+    /// those records, so no correct request asks `me` for them again. The
+    /// records stay live for [`len`](Self::len),
+    /// [`approx_bytes`](Self::approx_bytes) and [`floor`](Self::floor)
+    /// until a collection retires them.
+    pub fn forget_below(&mut self, upto: &VTime, me: NodeId) {
+        for (q, c) in self.by_node.iter_mut().enumerate() {
+            if q != me {
+                c.forgotten_bytes += c.drop_through(upto.get(q));
+            }
+        }
+    }
+
     /// Retires every record at or below `floor`, advancing the per-creator
     /// GC floors. Returns `(records retired, approximate bytes reclaimed)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `floor` cuts inside a forgotten prefix: a collection's
+    /// floor is its barrier's departure time, at or above every departure
+    /// time merged before it.
     pub fn retire_below(&mut self, floor: &VTime) -> (u64, u64) {
         let mut records = 0u64;
         let mut freed = 0u64;
-        for q in 0..self.by_node.len() {
-            let cut =
-                (floor.get(q).saturating_sub(self.retired[q]) as usize).min(self.by_node[q].len());
-            if cut == 0 {
+        for (q, c) in self.by_node.iter_mut().enumerate() {
+            let cut = floor.get(q).min(c.frontier());
+            if cut <= c.retired {
                 continue;
             }
-            for rec in self.by_node[q].drain(..cut) {
-                freed += rec_bytes(&rec) as u64;
-            }
-            records += cut as u64;
-            self.retired[q] += cut as Seq;
+            assert!(
+                cut >= c.base,
+                "GC floor {cut} of node {q} cuts inside its forgotten records ({}, {}]",
+                c.retired,
+                c.base
+            );
+            freed += (std::mem::take(&mut c.forgotten_bytes) + c.drop_through(cut)) as u64;
+            records += u64::from(cut - c.retired);
+            c.retired = cut;
         }
         self.bytes -= freed as usize;
         self.live -= records as usize;
         (records, freed)
     }
 
-    /// Every live (unretired) interval, by creator then sequence.
+    /// Every interval this store holds a handle to, by creator then
+    /// sequence: the live records minus the forgotten ones.
     pub fn iter(&self) -> impl Iterator<Item = &IntervalMsg> {
-        self.by_node.iter().flatten()
+        self.by_node.iter().flat_map(|c| &c.held)
     }
 
-    /// Total number of live (unretired) intervals.
+    /// Total number of live (unretired) intervals, forgotten ones included.
     pub fn len(&self) -> usize {
         self.live
     }
 
-    /// Approximate resident bytes of the live interval records.
+    /// Approximate resident bytes of the live interval records, forgotten
+    /// ones included.
     pub fn approx_bytes(&self) -> usize {
         self.bytes
     }
@@ -314,9 +404,9 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The live count as the sum over creators it replaced.
+    /// The handles held: the live count while nothing is forgotten.
     fn summed_len(s: &IntervalStore) -> usize {
-        s.by_node.iter().map(Vec::len).sum()
+        s.by_node.iter().map(|c| c.held.len()).sum()
     }
 
     fn msg(node: NodeId, seq: Seq, n: usize, pages: &[PageId]) -> IntervalMsg {
@@ -336,7 +426,7 @@ mod tests {
         s.insert(&msg(1, 2, 2, &[4, 5]));
         s.insert(&msg(1, 1, 2, &[3])); // duplicate, ignored
         assert_eq!(s.frontier(1), 2);
-        assert_eq!(pages(s.get(1, 2).unwrap()), vec![4, 5]);
+        assert_eq!(pages(s.own(1, 2).unwrap()), vec![4, 5]);
     }
 
     #[test]
@@ -378,7 +468,7 @@ mod tests {
         assert_eq!(got.len(), 2);
         assert!(IntervalMsg::ptr_eq(&got[0], &own));
         assert!(IntervalMsg::ptr_eq(&got[1], &theirs));
-        assert!(IntervalMsg::ptr_eq(s.get(1, 1).unwrap(), &theirs));
+        assert!(IntervalMsg::ptr_eq(s.iter().nth(1).unwrap(), &theirs));
         // An equal but separately built message is a different allocation.
         assert_eq!(got[0], msg(0, 1, 2, &[1]));
         assert!(!IntervalMsg::ptr_eq(&got[0], &msg(0, 1, 2, &[1])));
@@ -545,9 +635,9 @@ mod tests {
         // Retired sequences are gone; the frontier is unchanged.
         assert_eq!(s.floor(0), 2);
         assert_eq!(s.frontier(0), 4);
-        assert!(s.get(0, 1).is_none());
-        assert!(s.get(0, 2).is_none());
-        assert_eq!(pages(s.get(0, 3).unwrap()), vec![3]);
+        assert!(s.own(0, 1).is_none());
+        assert!(s.own(0, 2).is_none());
+        assert_eq!(pages(s.own(0, 3).unwrap()), vec![3]);
         assert_eq!((s.len(), summed_len(&s)), (3, 3));
 
         // between() never resurrects retired intervals even when asked from
@@ -564,7 +654,7 @@ mod tests {
         assert_eq!(s.frontier(0), 4);
         s.insert(&msg(0, 5, 2, &[5]));
         assert_eq!(s.frontier(0), 5);
-        assert_eq!(pages(s.get(0, 5).unwrap()), vec![5]);
+        assert_eq!(pages(s.own(0, 5).unwrap()), vec![5]);
         assert_eq!((s.len(), summed_len(&s)), (4, 4));
     }
 
@@ -581,5 +671,151 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.approx_bytes(), 0);
         assert_eq!(s.frontier(0), 1, "frontier survives retirement");
+    }
+
+    /// A store of node 0 holding node 1's records 1..=3, forgotten up to
+    /// `dep`.
+    fn forgotten_to(dep: Seq) -> IntervalStore {
+        let mut s = IntervalStore::new(2);
+        for seq in 1..=3 {
+            s.insert(&msg(1, seq, 2, &[seq as PageId]));
+        }
+        let mut vt = VTime::zero(2);
+        vt.set(1, dep);
+        s.forget_below(&vt, 0);
+        s
+    }
+
+    #[test]
+    fn forget_below_drops_foreign_handles_and_their_capacity() {
+        let mut s = forgotten_to(3);
+        s.record_own(&msg(0, 1, 2, &[7]));
+        let mut all = VTime::zero(2);
+        all.set(0, 1);
+        all.set(1, 3);
+        s.forget_below(&all, 0);
+        assert_eq!((s.len(), s.frontier(1), s.floor(1)), (4, 3, 0));
+        let held: Vec<_> = s.iter().map(|m| (m.node(), m.seq())).collect();
+        assert_eq!(held, vec![(0, 1)], "own records stay");
+        assert_eq!(s.by_node[1].held.capacity(), 0);
+        // Learning continues above the forgotten prefix.
+        s.insert(&msg(1, 3, 2, &[])); // re-delivery, ignored
+        s.insert(&msg(1, 4, 2, &[9]));
+        let mut upto = all.clone();
+        upto.set(1, 4);
+        let keys: Vec<_> = s.between(&all, &upto).iter().map(|m| m.seq()).collect();
+        assert_eq!(keys, vec![4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "were forgotten")]
+    fn between_below_the_forgotten_prefix_panics() {
+        let s = forgotten_to(2);
+        let mut upto = VTime::zero(2);
+        upto.set(1, 3);
+        s.between(&VTime::zero(2), &upto);
+    }
+
+    #[test]
+    #[should_panic(expected = "cuts inside its forgotten records")]
+    fn retire_below_inside_the_forgotten_prefix_panics() {
+        let mut s = forgotten_to(3);
+        let mut floor = VTime::zero(2);
+        floor.set(1, 2);
+        s.retire_below(&floor);
+    }
+
+    #[test]
+    #[should_panic(expected = "was forgotten")]
+    fn own_lookup_of_a_forgotten_record_panics() {
+        forgotten_to(2).own(1, 2);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// Forgetting moves no modelled count. Under random schedules of
+        /// inserts, barrier departures and collections, a store that forgets
+        /// agrees with one that never does on every count, on what each
+        /// collection returns, on its own records and on every request from
+        /// at or above the last departure time; and it holds no other
+        /// creator's handle at or below that time.
+        #[test]
+        fn forgetting_store_matches_one_that_never_forgets(
+            width in 1usize..6,
+            pick in any::<usize>(),
+            ops in proptest::collection::vec((0u8..4, any::<u64>()), 1..120),
+        ) {
+            let me = pick % width;
+            let (mut s, mut all) = (IntervalStore::new(width), IntervalStore::new(width));
+            // The last departure time merged.
+            let mut dep = VTime::zero(width);
+            for (kind, bits) in ops {
+                // A draw in `0..=span` per creator from this op's bits.
+                let draw = |q: usize, span: Seq| {
+                    let x = bits.rotate_left(11 * q as u32) ^ (q as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                    (x % (u64::from(span) + 1)) as Seq
+                };
+                let above = |v: &VTime, q: usize, s: &IntervalStore| v.get(q) + draw(q, s.frontier(q) - v.get(q));
+                match kind {
+                    0 => {
+                        let q = bits as usize % width;
+                        let seq = all.frontier(q) + 1;
+                        let pages: Vec<PageId> = (0..(bits >> 8) as usize % 5).map(|i| 2 * i).collect();
+                        let m = msg(q, seq, width, &pages);
+                        if q == me {
+                            s.record_own(&m);
+                            all.record_own(&m);
+                        } else {
+                            s.insert(&m);
+                            all.insert(&m);
+                            s.insert(&m); // re-delivery
+                        }
+                    }
+                    1 => {
+                        for q in 0..width {
+                            let d = above(&dep, q, &all);
+                            dep.set(q, d);
+                        }
+                        s.forget_below(&dep, me);
+                    }
+                    2 => {
+                        // A collection at or above the departure time, or
+                        // none for a creator.
+                        let mut floor = VTime::zero(width);
+                        for q in 0..width {
+                            if (bits >> (40 + q)) & 1 == 0 {
+                                floor.set(q, above(&dep, q, &all));
+                                dep.set(q, floor.get(q));
+                            }
+                        }
+                        prop_assert_eq!(s.retire_below(&floor), all.retire_below(&floor));
+                    }
+                    _ => {
+                        let (mut from, mut upto) = (VTime::zero(width), VTime::zero(width));
+                        for q in 0..width {
+                            let lo = if q == me { draw(q, all.frontier(q)) } else { above(&dep, q, &all) };
+                            from.set(q, lo);
+                            upto.set(q, draw(q + width, all.frontier(q) + 2));
+                        }
+                        let (got, want) = (s.between(&from, &upto), all.between(&from, &upto));
+                        prop_assert_eq!(got.len(), want.len());
+                        for (a, b) in got.iter().zip(&want) {
+                            prop_assert!(IntervalMsg::ptr_eq(a, b));
+                        }
+                    }
+                }
+                prop_assert_eq!((s.len(), s.approx_bytes()), (all.len(), all.approx_bytes()));
+                for q in 0..width {
+                    prop_assert_eq!((s.frontier(q), s.floor(q)), (all.frontier(q), all.floor(q)));
+                }
+                for seq in 1..=all.frontier(me) {
+                    match (s.own(me, seq), all.own(me, seq)) {
+                        (Some(a), Some(b)) => prop_assert!(IntervalMsg::ptr_eq(a, b)),
+                        (a, b) => prop_assert_eq!(a.is_none(), b.is_none()),
+                    }
+                }
+                prop_assert!(s.iter().all(|m| m.node() == me || m.seq() > dep.get(m.node())));
+            }
+        }
     }
 }

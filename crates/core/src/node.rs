@@ -234,7 +234,9 @@ impl Node {
         &self.vt
     }
 
-    /// Every interval record this node holds.
+    /// This node's interval store: every live record in its counts, and
+    /// handles to its own records and to other nodes' records above the
+    /// last barrier departure it merged.
     pub fn intervals(&self) -> &IntervalStore {
         &self.store
     }
@@ -890,7 +892,7 @@ impl Node {
     }
 
     fn own_intervals_since(&self, from: Seq) -> Vec<IntervalMsg> {
-        let own = |seq| self.store.get(self.id, seq).expect("own interval recorded");
+        let own = |seq| self.store.own(self.id, seq).expect("own interval recorded");
         ((from + 1)..=self.vt.get(self.id))
             .map(|seq| own(seq).clone())
             .collect()
@@ -939,6 +941,7 @@ impl Node {
             });
         }
         self.vt.merge(&dvt);
+        self.store.forget_below(&dvt, self.id);
         if do_gc {
             self.begin_gc(barrier, dvt, sends)
         } else {
@@ -1250,6 +1253,7 @@ impl Node {
             self.integrate_interval(m);
         }
         self.vt.merge(&vt);
+        self.store.forget_below(&vt, self.id);
         let mut out = Handled::default();
         for (b, from, vt, ivs, gc_wanted) in std::mem::take(&mut self.parked_arrivals) {
             let h = self.on_barrier_arrive(b, from, vt, ivs, gc_wanted);
@@ -1326,7 +1330,7 @@ impl Node {
             .my_diffs_between(lo, hi)
             .iter()
             .map(|(s, d)| {
-                let own = self.store.get(self.id, *s).expect("own interval recorded");
+                let own = self.store.own(self.id, *s).expect("own interval recorded");
                 (own.clone(), d.clone())
             })
             .collect();
@@ -1732,6 +1736,65 @@ mod tests {
             assert_eq!(node.vt().get(0), 2, "node {} saw both intervals", node.id());
             assert_eq!(node.intervals().frontier(0), 2);
         }
+    }
+
+    /// A manager can take an interval from an arrival at the next barrier
+    /// before it merges the previous departure, when the arrival follows on
+    /// from what it holds. Forgetting at that departure stops at the
+    /// departure time, so the next departure still serves the early
+    /// interval to a node that lacks it.
+    #[test]
+    fn forgetting_at_a_departure_keeps_an_early_arrivals_interval() {
+        let cfg = Config::new(3).segment_pages(4);
+        let ps = cfg.page_size;
+        let mut nodes: Vec<Node> = (0..3).map(|i| Node::new(i, cfg.clone())).collect();
+        assert_eq!((cfg.barrier_manager(1), cfg.barrier_manager(2)), (1, 2));
+
+        // Barrier 1, managed by node 1: only node 0 has written.
+        write_local(&mut nodes[0], 0, 7);
+        let arrive0 = nodes[0].barrier_arrive(1);
+        let arrive2 = nodes[2].barrier_arrive(1);
+        deliver(&mut nodes, to_node(&arrive0.sends, 1));
+        deliver(&mut nodes, to_node(&arrive2.sends, 1));
+        let depart = nodes[1].barrier_arrive(1);
+        assert!(depart.ready, "node 1 arrives last at its own barrier");
+
+        // Node 1 closes its first interval at barrier 2. Node 2 holds all
+        // of node 1's earlier ones (none), so it takes the interval before
+        // barrier 1's departure reaches it.
+        let fetch = nodes[1].fault(1, true);
+        let reply = deliver(&mut nodes, to_node(&fetch.sends, ORIGIN));
+        deliver(&mut nodes, to_node(&reply.sends, 1));
+        nodes[1].write_from(ps, &5u64.to_le_bytes());
+        let early = nodes[1].barrier_arrive(2);
+        let h = deliver(&mut nodes, to_node(&early.sends, 2));
+        assert!(h.actions.is_empty() && h.sends.is_empty());
+        assert_eq!(nodes[2].intervals().frontier(1), 1);
+
+        // Barrier 1's departure: node 2 drops node 0's interval 1 and keeps
+        // node 1's, which is above the departure time.
+        for q in [0, 2] {
+            let done = deliver(&mut nodes, to_node(&depart.sends, q));
+            assert_eq!(done.actions, vec![Action::BarrierDone(1)], "node {q}");
+        }
+        let held: Vec<_> = nodes[2]
+            .intervals()
+            .iter()
+            .map(|m| (m.node(), m.seq()))
+            .collect();
+        assert_eq!(held, vec![(1, 1)]);
+
+        // Barrier 2: node 0 arrives without node 1's interval and gets it.
+        let late = nodes[0].barrier_arrive(2);
+        deliver(&mut nodes, to_node(&late.sends, 2));
+        let last = nodes[2].barrier_arrive(2);
+        assert!(last.ready, "node 2 arrives last at its own barrier");
+        for q in [0, 1] {
+            let done = deliver(&mut nodes, to_node(&last.sends, q));
+            assert_eq!(done.actions, vec![Action::BarrierDone(2)], "node {q}");
+        }
+        assert_eq!(nodes[0].intervals().frontier(1), 1);
+        assert_eq!(nodes[0].vt(), nodes[2].vt());
     }
 
     /// The lock and barrier tables hash with a fixed function, so nothing a

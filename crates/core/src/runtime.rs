@@ -1498,7 +1498,6 @@ mod tests {
         let opts = RunOpts {
             faults: ChannelFaults::default().crash(1, 1, 1),
             trace: Sink::new(Arc::clone(&buf)),
-            ..RunOpts::default()
         };
         let out = Dsm::run_epochs(small(3), opts, |_, _| (), three_epochs);
         let trace = buf.chrome_trace();

@@ -167,7 +167,7 @@ impl Zipf {
 /// Generates one tenant's open-loop request stream: exponential
 /// inter-arrivals at the offered rate, Zipf-skewed keys, random payloads.
 fn tenant_stream(cfg: &ServiceConfig, tenant: usize) -> Vec<Req> {
-    let mut rng = Rng::new(splitmix(cfg.seed ^ splitmix(tenant as u64 ^ 0x7e4a_47)));
+    let mut rng = Rng::new(splitmix(cfg.seed ^ splitmix(tenant as u64 ^ 0x7e_4a47)));
     let zipf = Zipf::new(cfg.keys_per_tenant);
     let horizon = cfg.windows * WINDOW_US;
     let mean_gap = WINDOW_US as f64 / cfg.offered_per_window.max(1) as f64;

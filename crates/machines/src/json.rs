@@ -171,14 +171,14 @@ fn write_seq(
         }
         if let Some(n) = indent {
             out.push('\n');
-            out.extend(std::iter::repeat(' ').take(n * (depth + 1)));
+            out.extend(std::iter::repeat_n(' ', n * (depth + 1)));
         }
         item(out, i);
     }
     if len > 0 {
         if let Some(n) = indent {
             out.push('\n');
-            out.extend(std::iter::repeat(' ').take(n * depth));
+            out.extend(std::iter::repeat_n(' ', n * depth));
         }
     }
     out.push(close);

@@ -26,6 +26,11 @@ done
 for edge in $unused; do echo "unused dependency: ${edge%%:*} -> ${edge#*:}"; done
 [ -z "$unused" ] || exit 1
 
+echo "== clippy: the workspace's lints, warnings are errors =="
+# rustc's -D warnings below does not run clippy's lints, so without this
+# stage they accumulate unseen. Every target: tests, examples, vendor/.
+cargo clippy --workspace --all-targets --offline -- -D warnings
+
 echo "== tier-1: build + tests (whole workspace, warnings are errors) =="
 export RUSTFLAGS="-D warnings"
 cargo build --release --workspace
