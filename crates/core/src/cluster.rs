@@ -9,7 +9,7 @@ use crate::node::NodeCheckpoint;
 use crate::runtime_faults::{roll_fate, ChannelFaults, LinkFate};
 use crate::{
     Action, BarrierId, Config, DsmProtocol, Envelope, LockId, MsgClass, NodeId, NodeStats,
-    ProtoNode, RecoveryStats, Reliability, RetransmitPolicy, SharedAddr, StartAcquire, Timeout,
+    PacketId, ProtoNode, RecoveryStats, Reliability, RetransmitPolicy, SharedAddr, Timeout,
 };
 
 /// Aggregate message/byte counters, split the way the paper's Figures 12–13
@@ -108,23 +108,35 @@ impl Traffic {
 /// A whole DSM cluster driven synchronously from one thread, running either
 /// protocol ([`Cluster::with_protocol`]).
 ///
-/// Every operation routes all induced protocol messages to quiescence before
-/// returning, so data-plane calls ([`read`](Self::read),
-/// [`write`](Self::write)) always complete. Lock contention is surfaced via
-/// [`try_lock`](Self::try_lock) (the grant is routed to the waiter
-/// automatically when the holder releases); barriers complete when the last
-/// participant calls [`arrive`](Self::arrive).
+/// The cluster holds the queue of copies in flight, and its step surface
+/// lets the caller pick the schedule: start an operation on a node
+/// ([`node_mut`](Self::node_mut)), [`post`](Self::post) its sends,
+/// [`deliver`](Self::deliver) any [`queued`](Self::queued) copy, and
+/// [`expire`](Self::expire) the timers once the queue is empty. Every other
+/// operation routes its cascade to quiescence by one policy,
+/// [`route`](Self::route), so data-plane calls always complete. Lock
+/// contention is surfaced via [`try_lock`](Self::try_lock) (the grant is
+/// routed to the waiter when the holder releases); barriers complete when
+/// the last participant calls [`arrive`](Self::arrive).
 #[derive(Debug)]
 pub struct Cluster {
     cfg: Config,
     nodes: Vec<ProtoNode>,
     traffic: Traffic,
-    /// The optional fault stage of [`route`](Self::route): link faults
+    /// The copies in flight, oldest first. Under a fault stage each carries
+    /// its [`Tracked`] identity, and whether its fate is already drawn: the
+    /// late half of a duplicate, a delayed copy.
+    queue: VecDeque<(Envelope, Tracked, bool)>,
+    /// The optional fault stage of [`deliver`](Self::deliver): link faults
     /// drawn from the plan, repaired by the reliability layer.
     faults: Option<(ChannelFaults, Reliability)>,
     /// Last barrier-consistent checkpoint, one snapshot per node.
     ckpt: Option<Vec<NodeCheckpoint>>,
 }
+
+/// A copy's packet id and transmission attempt (0 = the original send),
+/// under a fault stage.
+type Tracked = Option<(PacketId, u32)>;
 
 impl Cluster {
     /// Builds a fault-free TreadMarks (LRC) cluster from a configuration.
@@ -139,19 +151,21 @@ impl Cluster {
                 .map(|i| ProtoNode::new(protocol, i, cfg.clone()))
                 .collect(),
             traffic: Traffic::default(),
+            queue: VecDeque::new(),
             faults: None,
             ckpt: None,
             cfg,
         }
     }
 
-    /// Arms [`route`](Self::route)'s fault stage: each cross-node copy's
-    /// fate is drawn from `plan`'s drop / duplicate / delay rates as a pure
-    /// function of the packet's identity, and a [`Reliability`] layer under
-    /// the default [`RetransmitPolicy`] repairs the losses. A delayed copy
-    /// goes behind everything queued; once the queue drains, every armed
-    /// timer expires (after every in-queue delivery, as in the timed router,
-    /// but without a clock), so of the policy only `max_retries` matters.
+    /// Arms [`deliver`](Self::deliver)'s fault stage: each cross-node
+    /// copy's fate is drawn from `plan`'s drop / duplicate / delay rates as
+    /// a pure function of the packet's identity, and a [`Reliability`]
+    /// layer under the default [`RetransmitPolicy`] repairs the losses. A
+    /// delayed copy goes behind everything queued; once the queue drains,
+    /// [`expire`](Self::expire) fires every armed timer (after every
+    /// in-queue delivery, as in the timed router, but without a clock), so
+    /// of the policy only `max_retries` matters.
     ///
     /// # Panics
     ///
@@ -170,6 +184,12 @@ impl Cluster {
     /// Immutable access to a node.
     pub fn node(&self, id: NodeId) -> &ProtoNode {
         &self.nodes[id]
+    }
+
+    /// Mutable access to a node, to start an operation on it by hand; the
+    /// caller [`post`](Self::post)s what the operation sends.
+    pub fn node_mut(&mut self, id: NodeId) -> &mut ProtoNode {
+        &mut self.nodes[id]
     }
 
     /// Message traffic so far: every copy a sender put on the wire,
@@ -192,77 +212,112 @@ impl Cluster {
         self.nodes[0].master_write(addr, bytes);
     }
 
-    /// Routes envelopes until quiescence, returning completed actions as
-    /// `(node, action)` pairs in delivery order. Without a fault stage
-    /// every envelope is delivered once, first in first out.
+    /// Puts `sends` on the wire behind every queued copy, without
+    /// delivering any: each cross-node copy is counted in
+    /// [`traffic`](Self::traffic) and, under a fault stage, tracked by the
+    /// reliability layer.
+    pub fn post(&mut self, sends: Vec<Envelope>) {
+        for env in sends {
+            let wire = env.from != env.to;
+            if wire {
+                self.traffic.record(&env, self.cfg.header_bytes);
+            }
+            let tracked = match &mut self.faults {
+                Some((_, rel)) if wire => Some((rel.send(&env, 0, 0).0, 0)),
+                _ => None,
+            };
+            self.queue.push_back((env, tracked, false));
+        }
+    }
+
+    /// The copies in flight, oldest first; [`deliver`](Self::deliver)
+    /// takes an index into this order.
+    pub fn queued(&self) -> impl ExactSizeIterator<Item = &Envelope> + '_ {
+        self.queue.iter().map(|(env, ..)| env)
+    }
+
+    /// Takes the `i`-th queued copy off the wire and delivers it, posting
+    /// what its destination sends in response. Returns the operations that
+    /// completed, as `(node, action)` pairs. Under a fault stage the copy's
+    /// fate is drawn first: a dropped copy vanishes (its flight stays armed
+    /// for [`expire`](Self::expire)), a delayed one goes to the back of the
+    /// queue, a duplicated one leaves its twin at the back; a copy of a
+    /// packet already delivered is discarded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if nothing is queued at `i`.
+    pub fn deliver(&mut self, i: usize) -> Vec<(NodeId, Action)> {
+        let (env, tracked, rolled) = self.queue.remove(i).expect("a queued copy at that index");
+        if let (Some((plan, rel)), Some((pid, attempt))) = (&mut self.faults, tracked) {
+            if !rolled {
+                match roll_fate(plan, pid, attempt) {
+                    // The flight stays armed in the layer.
+                    LinkFate::Drop => return Vec::new(),
+                    LinkFate::Duplicate => self.queue.push_back((env.clone(), tracked, true)),
+                    LinkFate::Delay => {
+                        self.queue.push_back((env, tracked, true));
+                        return Vec::new();
+                    }
+                    LinkFate::Deliver => {}
+                }
+            }
+            // Delivery is the ack; a duplicate stops here.
+            if !rel.delivered(pid, 0) {
+                return Vec::new();
+            }
+        }
+        let to = env.to;
+        let handled = self.nodes[to].handle(env);
+        self.post(handled.sends);
+        handled.actions.into_iter().map(|a| (to, a)).collect()
+    }
+
+    /// Once the queue is empty, every retransmit timer still armed
+    /// expires: each packet lost on the way is sent again. Does nothing
+    /// without a fault stage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if copies are still queued, or if the reliability layer
+    /// gives a packet up.
+    pub fn expire(&mut self) {
+        assert!(self.queue.is_empty(), "copies are still queued");
+        let Some((_, rel)) = &mut self.faults else {
+            return;
+        };
+        for pid in rel.overdue(u64::MAX) {
+            let (env, attempt) = match rel.timeout(pid, 0) {
+                Timeout::Resend { env, attempt, .. } => (env, attempt),
+                Timeout::Exhausted { attempt, .. } => {
+                    panic!("reliability gave up on {pid:?} at retransmission {attempt}")
+                }
+                Timeout::Stale => unreachable!("overdue packets are in flight"),
+            };
+            self.traffic.record(&env, self.cfg.header_bytes);
+            self.queue.push_back((env, Some((pid, attempt)), false));
+        }
+    }
+
+    /// Posts `sends`, then delivers the oldest queued copy until the queue
+    /// is empty and no timer brings a copy back. Returns the completed
+    /// actions as `(node, action)` pairs in delivery order.
     ///
     /// # Panics
     ///
     /// Panics if the fault stage's reliability layer gives a packet up.
-    pub fn route(&mut self, mut sends: Vec<Envelope>) -> Vec<(NodeId, Action)> {
-        // Each queued copy carries, under a fault stage, its packet id and
-        // transmission attempt (0 = the original send), and whether its fate
-        // is already drawn: the late half of a duplicate, a delayed copy.
-        let mut queue = VecDeque::new();
+    pub fn route(&mut self, sends: Vec<Envelope>) -> Vec<(NodeId, Action)> {
+        self.post(sends);
         let mut done = Vec::new();
         loop {
-            for env in sends.drain(..) {
-                let wire = env.from != env.to;
-                if wire {
-                    self.traffic.record(&env, self.cfg.header_bytes);
-                }
-                let tracked = match &mut self.faults {
-                    Some((_, rel)) if wire => Some((rel.send(&env, 0, 0).0, 0)),
-                    _ => None,
-                };
-                queue.push_back((env, tracked, false));
+            while !self.queue.is_empty() {
+                done.extend(self.deliver(0));
             }
-            let Some((env, tracked, rolled)) = queue.pop_front() else {
-                // Drained: every retransmit timer still armed expires.
-                let Some((_, rel)) = &mut self.faults else {
-                    break;
-                };
-                let lost = rel.overdue(u64::MAX);
-                if lost.is_empty() {
-                    break;
-                }
-                for pid in lost {
-                    let (env, attempt) = match rel.timeout(pid, 0) {
-                        Timeout::Resend { env, attempt, .. } => (env, attempt),
-                        Timeout::Exhausted { attempt, .. } => {
-                            panic!("reliability gave up on {pid:?} at retransmission {attempt}")
-                        }
-                        Timeout::Stale => unreachable!("overdue packets are in flight"),
-                    };
-                    self.traffic.record(&env, self.cfg.header_bytes);
-                    queue.push_back((env, Some((pid, attempt)), false));
-                }
-                continue;
-            };
-            if let (Some((plan, rel)), Some((pid, attempt))) = (&mut self.faults, tracked) {
-                if !rolled {
-                    match roll_fate(plan, pid, attempt) {
-                        // The flight stays armed in the layer.
-                        LinkFate::Drop => continue,
-                        LinkFate::Duplicate => queue.push_back((env.clone(), tracked, true)),
-                        LinkFate::Delay => {
-                            queue.push_back((env, tracked, true));
-                            continue;
-                        }
-                        LinkFate::Deliver => {}
-                    }
-                }
-                // Delivery is the ack; a duplicate stops here.
-                if !rel.delivered(pid, 0) {
-                    continue;
-                }
+            self.expire();
+            if self.queue.is_empty() {
+                return done;
             }
-            let to = env.to;
-            let handled = self.nodes[to].handle(env);
-            sends = handled.sends;
-            done.extend(handled.actions.into_iter().map(|a| (to, a)));
         }
-        done
     }
 
     /// Validates every page `len` bytes at `addr` touch, taking faults as
@@ -279,20 +334,11 @@ impl Cluster {
     }
 
     fn validate(&mut self, node: NodeId, addr: SharedAddr, len: usize, write: bool) {
-        for page in self.nodes[node].pages_in(addr, len) {
-            let ok = if write {
-                self.nodes[node].page_writable(page)
-            } else {
-                self.nodes[node].page_valid(page)
-            };
-            if ok {
-                continue;
-            }
+        while let Some(page) = self.nodes[node].next_fault(addr, len, write) {
             let start = self.nodes[node].fault(page, write);
-            let ready = start.ready;
             let done = self.route(start.sends);
             assert!(
-                ready || done.contains(&(node, Action::PageReady(page))),
+                start.ready || done.contains(&(node, Action::PageReady(page))),
                 "fault on page {page} did not complete synchronously"
             );
         }
@@ -302,13 +348,11 @@ impl Cluster {
     /// enqueues and returns `false`; the node will hold the lock as soon as
     /// the current holder releases.
     pub fn try_lock(&mut self, node: NodeId, lock: LockId) -> bool {
-        match self.nodes[node].acquire(lock) {
-            StartAcquire::Granted => true,
-            StartAcquire::Wait(sends) => {
-                let done = self.route(sends);
-                done.contains(&(node, Action::LockGranted(lock)))
-            }
-        }
+        let start = self.nodes[node].acquire(lock);
+        start.ready
+            || self
+                .route(start.sends)
+                .contains(&(node, Action::LockGranted(lock)))
     }
 
     /// Acquires `lock` on `node`.
@@ -335,19 +379,9 @@ impl Cluster {
     /// Arrives at `barrier` on `node`; returns `true` when this arrival
     /// completed the barrier for everyone.
     pub fn arrive(&mut self, node: NodeId, barrier: BarrierId) -> bool {
-        !self.arrive_completing(node, barrier).is_empty()
-    }
-
-    /// [`arrive`](Self::arrive), returning the nodes this arrival completed
-    /// the barrier on, in delivery order: empty unless it was the last.
-    pub(crate) fn arrive_completing(&mut self, node: NodeId, barrier: BarrierId) -> Vec<NodeId> {
         let start = self.nodes[node].barrier_arrive(barrier);
         let done = self.route(start.sends);
-        let departed = done
-            .into_iter()
-            .filter_map(|(q, a)| (a == Action::BarrierDone(barrier)).then_some(q));
-        let at_once = start.ready.then_some(node);
-        at_once.into_iter().chain(departed).collect()
+        start.ready || done.iter().any(|&(_, a)| a == Action::BarrierDone(barrier))
     }
 
     /// Runs a full barrier episode by arriving on every node in id order.
@@ -488,26 +522,32 @@ mod tests {
             c.lock(me, 0);
             if [1, 1500, 3000].contains(&handoff) {
                 // Take the fault by hand to see each request and its reply.
-                let start = c.nodes[me].fault(page, false);
+                let start = c.node_mut(me).fault(page, false);
                 assert!(!start.ready);
-                let mut served = 0;
-                for req in start.sends {
-                    let (server, msg) = (req.to, req.msg.clone());
-                    let reply = c.nodes[server].handle(req).sends.remove(0);
-                    if let (Msg::DiffReq { from, to, .. }, Msg::DiffReply { diffs, .. }) =
-                        (msg, &reply.msg)
-                    {
-                        let cached = c.node(server).lrc().page(page).my_diffs();
-                        let seqs: Vec<_> = diffs.iter().map(|(iv, _)| iv.seq()).collect();
-                        assert_eq!(seqs, linear_diffs_between(cached, from, to));
-                        for (iv, d) in diffs {
-                            let s = iv.seq();
-                            let (_, kept) = cached.iter().find(|(c, _)| *c == s).expect("cached");
-                            assert!(d.shares_buffer_with(kept), "diff @{s} was copied");
+                c.post(start.sends);
+                let (mut asked, mut served) = (Vec::new(), 0);
+                loop {
+                    let Some(env) = c.queued().next().cloned() else {
+                        break;
+                    };
+                    match &env.msg {
+                        Msg::DiffReq { from, to, .. } => asked.push((env.to, *from, *to)),
+                        Msg::DiffReply { diffs, .. } => {
+                            let server = env.from;
+                            let &(_, from, to) = asked.iter().find(|a| a.0 == server).unwrap();
+                            let cached = c.node(server).lrc().page(page).my_diffs();
+                            let seqs: Vec<_> = diffs.iter().map(|(iv, _)| iv.seq()).collect();
+                            assert_eq!(seqs, linear_diffs_between(cached, from, to));
+                            for (iv, d) in diffs {
+                                let s = iv.seq();
+                                let (_, kept) = cached.iter().find(|(c, _)| *c == s).unwrap();
+                                assert!(d.shares_buffer_with(kept), "diff @{s} was copied");
+                            }
+                            served += diffs.len();
                         }
-                        served += diffs.len();
+                        _ => {}
                     }
-                    c.nodes[me].handle(reply);
+                    c.deliver(0);
                 }
                 assert!(served > 0, "hand-off {handoff} fetched no diff");
             }
@@ -566,7 +606,7 @@ mod tests {
         let mut c = cluster(4);
         // All four slots share a 256-byte page: classic false sharing.
         let addr = layout(&c).bytes(4 * 8, 8);
-        assert_eq!(c.node(0).pages_in(addr, 32).len(), 1);
+        assert_eq!(c.config().pages_in(addr, 32).len(), 1);
         for node in 0..4 {
             c.write_u64(node, addr + node * 8, node as u64 + 1);
         }
@@ -986,6 +1026,24 @@ mod tests {
         Cluster::with_protocol(cfg, DsmProtocol::Ivy).checkpoint();
     }
 
+    /// The nodes an arrival of `node` at `barrier` completes the barrier
+    /// on, sorted: empty unless it was the last.
+    fn arrive_completing(c: &mut Cluster, node: NodeId, barrier: BarrierId) -> Vec<NodeId> {
+        let start = c.node_mut(node).barrier_arrive(barrier);
+        let done = c.route(start.sends);
+        let departed = done
+            .into_iter()
+            .filter_map(|(q, a)| (a == Action::BarrierDone(barrier)).then_some(q));
+        let mut all: Vec<NodeId> = start
+            .ready
+            .then_some(node)
+            .into_iter()
+            .chain(departed)
+            .collect();
+        all.sort_unstable();
+        all
+    }
+
     #[test]
     fn arrive_reports_exactly_the_completing_arrival() {
         for protocol in [DsmProtocol::Lrc, DsmProtocol::Ivy] {
@@ -995,10 +1053,9 @@ mod tests {
             // then in the middle. Only the last arrival completes the
             // barrier, and it completes it on every node exactly once.
             for episode in 0..4 {
-                let mut done: Vec<Vec<NodeId>> = (0..3)
-                    .map(|i| c.arrive_completing((i + episode) % 3, 0))
+                let done: Vec<Vec<NodeId>> = (0..3)
+                    .map(|i| arrive_completing(&mut c, (i + episode) % 3, 0))
                     .collect();
-                done[2].sort_unstable();
                 let want = [vec![], vec![], vec![0, 1, 2]];
                 assert_eq!(done, want, "{protocol:?} episode {episode}");
             }
@@ -1018,19 +1075,21 @@ mod tests {
         let mut log = Vec::new();
         for round in 0..3u64 {
             for node in 0..n {
-                if let StartAcquire::Wait(sends) = c.nodes[node].acquire(0) {
+                let start = c.node_mut(node).acquire(0);
+                if !start.ready {
+                    log.push(c.route(start.sends));
+                }
+                if !c.node(node).page_writable(page) {
+                    let sends = c.node_mut(node).fault(page, true).sends;
                     log.push(c.route(sends));
                 }
-                if !c.nodes[node].page_writable(page) {
-                    let sends = c.nodes[node].fault(page, true).sends;
-                    log.push(c.route(sends));
-                }
-                c.nodes[node].write_from(addr + node * 8, &(round + 1).to_le_bytes());
-                let sends = c.nodes[node].release(0);
+                c.node_mut(node)
+                    .write_from(addr + node * 8, &(round + 1).to_le_bytes());
+                let sends = c.node_mut(node).release(0);
                 log.push(c.route(sends));
             }
             for node in 0..n {
-                let sends = c.nodes[node].barrier_arrive(0).sends;
+                let sends = c.node_mut(node).barrier_arrive(0).sends;
                 log.push(c.route(sends));
             }
         }

@@ -20,8 +20,8 @@ use std::sync::Arc;
 use crate::node::ORIGIN;
 use crate::page::zero_page;
 use crate::{
-    Action, BarrierId, Config, Envelope, FaultStart, Handled, LockId, Msg, NodeId, NodeStats,
-    PageId, SharedAddr, StartAcquire, VTime,
+    Action, BarrierId, Config, Envelope, Handled, LockId, Msg, NodeId, NodeStats, PageId,
+    SharedAddr, Start, VTime,
 };
 
 /// A node's access right to a page.
@@ -195,16 +195,16 @@ impl IvyNode {
         self.access[page] == Access::Write
     }
 
-    /// The pages overlapped by `len` bytes at `addr`.
-    pub fn pages_in(&self, addr: SharedAddr, len: usize) -> std::ops::Range<PageId> {
-        let ps = self.cfg.page_size;
-        let first = addr / ps;
-        let last = if len == 0 {
-            first
-        } else {
-            (addr + len - 1) / ps
-        };
-        first..last + 1
+    /// The first page, in ascending order, that an access of `len` bytes at
+    /// `addr` must [`fault`](Self::fault) on: see [`Node::next_fault`](crate::Node::next_fault).
+    pub fn next_fault(&self, addr: SharedAddr, len: usize, write: bool) -> Option<PageId> {
+        self.cfg.pages_in(addr, len).find(|&p| {
+            if write {
+                !self.page_writable(p)
+            } else {
+                !self.page_valid(p)
+            }
+        })
     }
 
     /// Pre-parallel initialization write by the master (node 0).
@@ -275,7 +275,7 @@ impl IvyNode {
     }
 
     /// Begins resolving an access fault on `page`.
-    pub fn fault(&mut self, page: PageId, write: bool) -> FaultStart {
+    pub fn fault(&mut self, page: PageId, write: bool) -> Start {
         if write {
             self.stats.write_faults += 1;
         } else {
@@ -288,24 +288,18 @@ impl IvyNode {
             self.access[page] != Access::None
         };
         if ok {
-            return FaultStart {
-                ready: true,
-                sends: Vec::new(),
-            };
+            return Start::ready(Vec::new());
         }
         self.stats.full_page_fetches += 1;
-        FaultStart {
-            ready: false,
-            sends: vec![Envelope {
-                from: self.id,
-                to: self.manager_of(page),
-                msg: Msg::IvyReq {
-                    page,
-                    requester: self.id,
-                    write,
-                },
-            }],
-        }
+        Start::waiting(vec![Envelope {
+            from: self.id,
+            to: self.manager_of(page),
+            msg: Msg::IvyReq {
+                page,
+                requester: self.id,
+                write,
+            },
+        }])
     }
 
     // ------------------------------------------------------------------
@@ -317,7 +311,7 @@ impl IvyNode {
     }
 
     /// Begins acquiring `lock`.
-    pub fn acquire(&mut self, lock: LockId) -> StartAcquire {
+    pub fn acquire(&mut self, lock: LockId) -> Start {
         assert!(!self.holds(lock), "recursive lock acquire of lock {lock}");
         let mgr = self.lock_manager(lock);
         if mgr == self.id {
@@ -326,11 +320,11 @@ impl IvyNode {
                 e.holder = Some(self.id);
                 self.held.push(lock);
                 self.stats.local_lock_acquires += 1;
-                return StartAcquire::Granted;
+                return Start::ready(Vec::new());
             }
         }
         self.stats.remote_lock_acquires += 1;
-        StartAcquire::Wait(vec![Envelope {
+        Start::waiting(vec![Envelope {
             from: self.id,
             to: mgr,
             msg: Msg::LockReq {
@@ -388,34 +382,28 @@ impl IvyNode {
     }
 
     /// Arrives at `barrier`.
-    pub fn barrier_arrive(&mut self, barrier: BarrierId) -> FaultStart {
+    pub fn barrier_arrive(&mut self, barrier: BarrierId) -> Start {
         self.stats.barriers += 1;
         let mgr = self.cfg.barrier_manager(barrier);
         if mgr == self.id {
             let done = self.record_arrival(barrier, self.id);
             if done {
                 let sends = self.depart(barrier);
-                FaultStart { ready: true, sends }
+                Start::ready(sends)
             } else {
-                FaultStart {
-                    ready: false,
-                    sends: Vec::new(),
-                }
+                Start::waiting(Vec::new())
             }
         } else {
-            FaultStart {
-                ready: false,
-                sends: vec![Envelope {
-                    from: self.id,
-                    to: mgr,
-                    msg: Msg::BarrierArrive {
-                        barrier,
-                        vt: VTime::zero(self.cfg.nodes),
-                        intervals: Vec::new(),
-                        gc_wanted: false,
-                    },
-                }],
-            }
+            Start::waiting(vec![Envelope {
+                from: self.id,
+                to: mgr,
+                msg: Msg::BarrierArrive {
+                    barrier,
+                    vt: VTime::zero(self.cfg.nodes),
+                    intervals: Vec::new(),
+                    gc_wanted: false,
+                },
+            }])
         }
     }
 
@@ -642,7 +630,7 @@ mod tests {
 
     use super::IvyNode;
     use crate::page::same_buffer;
-    use crate::{Cluster, Config, DsmProtocol, Envelope};
+    use crate::{Action, Cluster, Config, DsmProtocol, Envelope};
 
     fn cluster(n: usize) -> Cluster {
         let cfg = Config::new(n).page_size(256).segment_pages(4);
@@ -776,11 +764,14 @@ mod tests {
     fn barrier_completes_for_everyone() {
         let mut c = cluster(3);
         // Barrier 0's manager is node 0.
-        assert!(c.arrive_completing(0, 0).is_empty());
-        assert!(c.arrive_completing(1, 0).is_empty());
+        assert!(!c.arrive(0, 0));
+        assert!(!c.arrive(1, 0));
         // The last arrival completes it at the manager and, by departure,
         // at both other nodes.
-        assert_eq!(c.arrive_completing(2, 0), [0, 1, 2]);
+        let start = c.node_mut(2).barrier_arrive(0);
+        assert!(!start.ready);
+        let done = c.route(start.sends);
+        assert_eq!(done, [0, 1, 2].map(|q| (q, Action::BarrierDone(0))));
         // Two arrivals in, one departure out to each other node.
         assert_eq!(c.traffic().barrier_msgs, 4);
     }

@@ -87,7 +87,7 @@ pub use hash::{IntHasher, IntMap};
 pub use interval::{IntervalMsg, IntervalStore};
 pub use ivy::IvyNode;
 pub use msg::{Action, BodyBytes, Envelope, Msg, MsgClass};
-pub use node::{FaultStart, Handled, Node, NodeCheckpoint, StartAcquire};
+pub use node::{Handled, Node, NodeCheckpoint, Start};
 pub use proto::{DsmProtocol, ProtoNode};
 pub use reliable::{AdaptiveRto, PacketId, RelStats, Reliability, RetransmitPolicy, Timeout};
 pub use stats::{NodeStats, RecoveryStats};
@@ -230,5 +230,11 @@ impl Config {
     /// The page containing a shared address.
     pub fn page_of(&self, addr: SharedAddr) -> PageId {
         addr / self.page_size
+    }
+
+    /// The pages overlapped by `len` bytes at `addr` (`addr`'s page when
+    /// `len` is 0).
+    pub fn pages_in(&self, addr: SharedAddr, len: usize) -> std::ops::Range<PageId> {
+        self.page_of(addr)..self.page_of(addr + len.max(1) - 1) + 1
     }
 }

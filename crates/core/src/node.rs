@@ -19,23 +19,32 @@ use crate::{
 /// that ran the sequential initialization phase.
 pub const ORIGIN: NodeId = 0;
 
-/// Result of starting a lock acquire.
+/// Result of starting an operation: a page fault, a lock acquire or a
+/// barrier arrival.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StartAcquire {
-    /// The token was already here and free: acquired without communication.
-    Granted,
-    /// Messages must be sent; the acquire completes when a
-    /// [`Action::LockGranted`] is produced by a later [`Node::handle`].
-    Wait(Vec<Envelope>),
+pub struct Start {
+    /// The operation completed immediately; otherwise it completes when a
+    /// later [`Node::handle`] produces its [`Action`].
+    pub ready: bool,
+    /// Messages to transmit, whether or not the operation is ready: a
+    /// barrier manager's last arrival completes at once and still sends
+    /// the departures.
+    pub sends: Vec<Envelope>,
 }
 
-/// Result of starting a page fault or barrier episode.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultStart {
-    /// The operation completed immediately (no replies needed).
-    pub ready: bool,
-    /// Messages to transmit.
-    pub sends: Vec<Envelope>,
+impl Start {
+    /// Completed at once; `sends` still go out.
+    pub fn ready(sends: Vec<Envelope>) -> Start {
+        Start { ready: true, sends }
+    }
+
+    /// Completes with a later [`Action`], once `sends` are delivered.
+    pub fn waiting(sends: Vec<Envelope>) -> Start {
+        Start {
+            ready: false,
+            sends,
+        }
+    }
 }
 
 /// Result of delivering a message to a node.
@@ -386,16 +395,18 @@ impl Node {
         p.is_valid() && (p.open_dirty || self.cfg.nodes == 1)
     }
 
-    /// The pages overlapped by `len` bytes at `addr`.
-    pub fn pages_in(&self, addr: SharedAddr, len: usize) -> std::ops::Range<PageId> {
-        let ps = self.cfg.page_size;
-        let first = addr / ps;
-        let last = if len == 0 {
-            first
-        } else {
-            (addr + len - 1) / ps
-        };
-        first..last + 1
+    /// The first page, in ascending order, that an access of `len` bytes at
+    /// `addr` must [`fault`](Self::fault) on before it can proceed: one that
+    /// is not valid, or for a write not writable. `None` when the access can
+    /// go ahead.
+    pub fn next_fault(&self, addr: SharedAddr, len: usize, write: bool) -> Option<PageId> {
+        self.cfg.pages_in(addr, len).find(|&p| {
+            if write {
+                !self.page_writable(p)
+            } else {
+                !self.page_valid(p)
+            }
+        })
     }
 
     /// Pre-parallel initialization write by the master (node 0). Does not
@@ -491,7 +502,7 @@ impl Node {
     /// (e.g. only a twin was needed); otherwise the returned envelopes must
     /// be delivered and the fault completes when a [`Action::PageReady`]
     /// is produced.
-    pub fn fault(&mut self, page: PageId, write: bool) -> FaultStart {
+    pub fn fault(&mut self, page: PageId, write: bool) -> Start {
         if write {
             self.stats.write_faults += 1;
         } else {
@@ -505,10 +516,7 @@ impl Node {
             if write {
                 self.begin_write(page);
             }
-            return FaultStart {
-                ready: true,
-                sends: Vec::new(),
-            };
+            return Start::ready(Vec::new());
         }
         assert!(
             !self.pages[page].fetching(),
@@ -525,10 +533,7 @@ impl Node {
         self.pages[page].cold_mut().fetch = Some(Box::new(fetch));
         let sends = self.issue_fetch_requests(page);
         debug_assert!(!sends.is_empty(), "invalid page must need something");
-        FaultStart {
-            ready: false,
-            sends,
-        }
+        Start::waiting(sends)
     }
 
     /// Builds the request set for the current pending state of `page`.
@@ -708,19 +713,20 @@ impl Node {
     // Locks
     // ------------------------------------------------------------------
 
-    /// Begins acquiring `lock`.
-    pub fn acquire(&mut self, lock: LockId) -> StartAcquire {
+    /// Begins acquiring `lock`: ready at once when the token is here and
+    /// free, else completed by an [`Action::LockGranted`].
+    pub fn acquire(&mut self, lock: LockId) -> Start {
         let me = self.id;
         let view = self.lock_view(lock);
         assert!(!view.held, "recursive lock acquire of lock {lock}");
         if view.have_token && view.next.is_none() {
             view.held = true;
             self.stats.local_lock_acquires += 1;
-            return StartAcquire::Granted;
+            return Start::ready(Vec::new());
         }
         self.stats.remote_lock_acquires += 1;
         let mgr = self.cfg.lock_manager(lock);
-        StartAcquire::Wait(vec![Envelope {
+        Start::waiting(vec![Envelope {
             from: me,
             to: mgr,
             msg: Msg::LockReq {
@@ -849,7 +855,7 @@ impl Node {
     /// Completes immediately on a single-node cluster or when this arrival
     /// is the last one at the manager; otherwise completes via
     /// [`Action::BarrierDone`].
-    pub fn barrier_arrive(&mut self, barrier: BarrierId) -> FaultStart {
+    pub fn barrier_arrive(&mut self, barrier: BarrierId) -> Start {
         self.close_interval();
         self.stats.barriers += 1;
         let mgr = self.cfg.barrier_manager(barrier);
@@ -863,31 +869,22 @@ impl Node {
             let done = self.record_arrival(barrier, self.id, self.vt.clone(), gc_wanted);
             if done {
                 let mut sends = Vec::new();
-                let done_now = self.depart(barrier, &mut sends);
-                FaultStart {
-                    ready: done_now,
-                    sends,
-                }
+                let ready = self.depart(barrier, &mut sends);
+                Start { ready, sends }
             } else {
-                FaultStart {
-                    ready: false,
-                    sends: Vec::new(),
-                }
+                Start::waiting(Vec::new())
             }
         } else {
-            FaultStart {
-                ready: false,
-                sends: vec![Envelope {
-                    from: self.id,
-                    to: mgr,
-                    msg: Msg::BarrierArrive {
-                        barrier,
-                        vt: self.vt.clone(),
-                        intervals: my_new,
-                        gc_wanted,
-                    },
-                }],
-            }
+            Start::waiting(vec![Envelope {
+                from: self.id,
+                to: mgr,
+                msg: Msg::BarrierArrive {
+                    barrier,
+                    vt: self.vt.clone(),
+                    intervals: my_new,
+                    gc_wanted,
+                },
+            }])
         }
     }
 
@@ -1595,7 +1592,7 @@ mod tests {
     /// Node 1 fetches page 0 from the origin and writes its second word;
     /// then both nodes arrive at barrier 0, which the origin manages.
     /// Returns the origin's arrival.
-    fn node1_writes_then_both_arrive(nodes: &mut [Node]) -> FaultStart {
+    fn node1_writes_then_both_arrive(nodes: &mut [Node]) -> Start {
         nodes[ORIGIN].master_write(0, &7u64.to_le_bytes());
         let start = nodes[1].fault(0, true);
         let reply = deliver(nodes, to_node(&start.sends, ORIGIN));
@@ -1685,118 +1682,6 @@ mod tests {
         assert_eq!(read_u64(&nodes[ORIGIN], 8), 9);
     }
 
-    /// Consecutive barriers have different managers (`barrier % nodes`), so
-    /// a node's arrival at barrier 2 can reach node 2 before barrier 1's
-    /// departure, which carries the arriver's previous interval. The
-    /// arrival waits for that departure instead of tearing the manager down
-    /// with an interval gap.
-    #[test]
-    fn an_arrival_that_overtakes_the_previous_departure_waits_for_it() {
-        let cfg = Config::new(3).segment_pages(4);
-        let mut nodes: Vec<Node> = (0..3).map(|i| Node::new(i, cfg.clone())).collect();
-        assert_eq!((cfg.barrier_manager(1), cfg.barrier_manager(2)), (1, 2));
-
-        // Barrier 1, managed by node 1: node 0 reports its interval 1.
-        write_local(&mut nodes[0], 0, 7);
-        let a0 = nodes[0].barrier_arrive(1);
-        let a2 = nodes[2].barrier_arrive(1);
-        assert!(deliver(&mut nodes, to_node(&a0.sends, 1))
-            .actions
-            .is_empty());
-        assert!(deliver(&mut nodes, to_node(&a2.sends, 1))
-            .actions
-            .is_empty());
-        let a1 = nodes[1].barrier_arrive(1);
-        assert!(a1.ready, "node 1 arrives last at its own barrier");
-        let done = deliver(&mut nodes, to_node(&a1.sends, 0));
-        assert_eq!(done.actions, vec![Action::BarrierDone(1)]);
-
-        // Node 0 writes again and arrives at barrier 2 with interval 2,
-        // which reaches node 2 before node 1's departure with interval 1.
-        write_local(&mut nodes[0], 8, 9);
-        let b0 = nodes[0].barrier_arrive(2);
-        let early = deliver(&mut nodes, to_node(&b0.sends, 2));
-        assert!(early.actions.is_empty() && early.sends.is_empty());
-        let done = deliver(&mut nodes, to_node(&a1.sends, 2));
-        assert_eq!(done.actions, vec![Action::BarrierDone(1)]);
-        assert!(done.sends.is_empty());
-        assert_eq!(nodes[2].intervals().frontier(0), 2);
-
-        // Barrier 2 completes everywhere.
-        let b2 = nodes[2].barrier_arrive(2);
-        assert!(!b2.ready && b2.sends.is_empty());
-        let b1 = nodes[1].barrier_arrive(2);
-        let last = deliver(&mut nodes, to_node(&b1.sends, 2));
-        assert_eq!(last.actions, vec![Action::BarrierDone(2)]);
-        for q in [0, 1] {
-            let done = deliver(&mut nodes, to_node(&last.sends, q));
-            assert_eq!(done.actions, vec![Action::BarrierDone(2)], "node {q}");
-        }
-        for node in &nodes {
-            assert_eq!(node.vt().get(0), 2, "node {} saw both intervals", node.id());
-            assert_eq!(node.intervals().frontier(0), 2);
-        }
-    }
-
-    /// A manager can take an interval from an arrival at the next barrier
-    /// before it merges the previous departure, when the arrival follows on
-    /// from what it holds. Forgetting at that departure stops at the
-    /// departure time, so the next departure still serves the early
-    /// interval to a node that lacks it.
-    #[test]
-    fn forgetting_at_a_departure_keeps_an_early_arrivals_interval() {
-        let cfg = Config::new(3).segment_pages(4);
-        let ps = cfg.page_size;
-        let mut nodes: Vec<Node> = (0..3).map(|i| Node::new(i, cfg.clone())).collect();
-        assert_eq!((cfg.barrier_manager(1), cfg.barrier_manager(2)), (1, 2));
-
-        // Barrier 1, managed by node 1: only node 0 has written.
-        write_local(&mut nodes[0], 0, 7);
-        let arrive0 = nodes[0].barrier_arrive(1);
-        let arrive2 = nodes[2].barrier_arrive(1);
-        deliver(&mut nodes, to_node(&arrive0.sends, 1));
-        deliver(&mut nodes, to_node(&arrive2.sends, 1));
-        let depart = nodes[1].barrier_arrive(1);
-        assert!(depart.ready, "node 1 arrives last at its own barrier");
-
-        // Node 1 closes its first interval at barrier 2. Node 2 holds all
-        // of node 1's earlier ones (none), so it takes the interval before
-        // barrier 1's departure reaches it.
-        let fetch = nodes[1].fault(1, true);
-        let reply = deliver(&mut nodes, to_node(&fetch.sends, ORIGIN));
-        deliver(&mut nodes, to_node(&reply.sends, 1));
-        nodes[1].write_from(ps, &5u64.to_le_bytes());
-        let early = nodes[1].barrier_arrive(2);
-        let h = deliver(&mut nodes, to_node(&early.sends, 2));
-        assert!(h.actions.is_empty() && h.sends.is_empty());
-        assert_eq!(nodes[2].intervals().frontier(1), 1);
-
-        // Barrier 1's departure: node 2 drops node 0's interval 1 and keeps
-        // node 1's, which is above the departure time.
-        for q in [0, 2] {
-            let done = deliver(&mut nodes, to_node(&depart.sends, q));
-            assert_eq!(done.actions, vec![Action::BarrierDone(1)], "node {q}");
-        }
-        let held: Vec<_> = nodes[2]
-            .intervals()
-            .iter()
-            .map(|m| (m.node(), m.seq()))
-            .collect();
-        assert_eq!(held, vec![(1, 1)]);
-
-        // Barrier 2: node 0 arrives without node 1's interval and gets it.
-        let late = nodes[0].barrier_arrive(2);
-        deliver(&mut nodes, to_node(&late.sends, 2));
-        let last = nodes[2].barrier_arrive(2);
-        assert!(last.ready, "node 2 arrives last at its own barrier");
-        for q in [0, 1] {
-            let done = deliver(&mut nodes, to_node(&last.sends, q));
-            assert_eq!(done.actions, vec![Action::BarrierDone(2)], "node {q}");
-        }
-        assert_eq!(nodes[0].intervals().frontier(1), 1);
-        assert_eq!(nodes[0].vt(), nodes[2].vt());
-    }
-
     /// The lock and barrier tables hash with a fixed function, so nothing a
     /// node reports may depend on the order their entries went in.
     #[test]
@@ -1805,7 +1690,7 @@ mod tests {
             let mut node = Node::new(0, Config::new(4).segment_pages(4));
             for &lock in locks {
                 // Locks 0, 4, 8, ... are managed here and granted at once.
-                if node.acquire(lock) == StartAcquire::Granted && lock % 8 == 0 {
+                if node.acquire(lock).ready && lock % 8 == 0 {
                     node.release(lock);
                 }
             }

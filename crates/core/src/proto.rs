@@ -2,11 +2,9 @@
 //! driver — the synchronous [`Cluster`](crate::Cluster) and the timed fabric
 //! in `tmk-machines` — holds per node.
 
-use std::ops::Range;
-
 use crate::{
-    BarrierId, Config, Envelope, FaultStart, Handled, IvyNode, LockId, Node, NodeId, NodeStats,
-    PageId, SharedAddr, StartAcquire,
+    BarrierId, Config, Envelope, Handled, IvyNode, LockId, Node, NodeId, NodeStats, PageId,
+    SharedAddr, Start,
 };
 
 /// Which page-based DSM protocol a cluster runs.
@@ -72,17 +70,17 @@ impl ProtoNode {
         fn config(&self) -> &Config;
         fn stats(&self) -> &NodeStats;
         fn holds(&self, lock: LockId) -> bool;
-        fn pages_in(&self, addr: SharedAddr, len: usize) -> Range<PageId>;
+        fn next_fault(&self, addr: SharedAddr, len: usize, write: bool) -> Option<PageId>;
         fn page_valid(&self, page: PageId) -> bool;
         fn page_writable(&self, page: PageId) -> bool;
         fn pages_resident(&self) -> u64;
         fn forgotten_tokens(&self, crashed: bool) -> u64;
         fn sync_debug(&self) -> String;
         mut:
-        fn fault(&mut self, page: PageId, write: bool) -> FaultStart;
-        fn acquire(&mut self, lock: LockId) -> StartAcquire;
+        fn fault(&mut self, page: PageId, write: bool) -> Start;
+        fn acquire(&mut self, lock: LockId) -> Start;
         fn release(&mut self, lock: LockId) -> Vec<Envelope>;
-        fn barrier_arrive(&mut self, barrier: BarrierId) -> FaultStart;
+        fn barrier_arrive(&mut self, barrier: BarrierId) -> Start;
         fn handle(&mut self, env: Envelope) -> Handled;
         fn read_into(&mut self, addr: SharedAddr, buf: &mut [u8]);
         fn write_from(&mut self, addr: SharedAddr, bytes: &[u8]);

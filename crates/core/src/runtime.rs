@@ -75,7 +75,7 @@ use crate::reliable::{PacketId, RelStats, Reliability, RetransmitPolicy, Timeout
 use crate::runtime_faults::{roll_fate, LinkFate};
 use crate::{
     Action, BarrierId, Config, Envelope, LockId, Node, NodeCheckpoint, NodeId, NodeStats,
-    RecoveryStats, SharedAddr, StartAcquire,
+    RecoveryStats, SharedAddr,
 };
 
 pub use crate::runtime_faults::{ChannelFaults, CrashPoint, FaultSummary, LinkFaults};
@@ -645,14 +645,7 @@ impl DsmNode {
         loop {
             let (page, sends) = {
                 let mut inner = guard(&self.cell().inner);
-                let bad = inner.node.pages_in(addr, len).find(|&p| {
-                    if write {
-                        !inner.node.page_writable(p)
-                    } else {
-                        !inner.node.page_valid(p)
-                    }
-                });
-                match bad {
+                match inner.node.next_fault(addr, len, write) {
                     None => {
                         let f = f.take().expect("access completes once");
                         f(&mut inner.node);
@@ -696,15 +689,11 @@ impl System for DsmNode {
     }
     fn lock(&self, lock: LockId) {
         self.op_tick();
-        let sends = {
-            let mut inner = guard(&self.cell().inner);
-            match inner.node.acquire(lock) {
-                StartAcquire::Granted => return,
-                StartAcquire::Wait(sends) => sends,
-            }
-        };
-        self.shared.transmit(sends);
-        self.wait_for(Action::LockGranted(lock));
+        let start = guard(&self.cell().inner).node.acquire(lock);
+        self.shared.transmit(start.sends);
+        if !start.ready {
+            self.wait_for(Action::LockGranted(lock));
+        }
     }
     fn unlock(&self, lock: LockId) {
         self.op_tick();

@@ -4,8 +4,7 @@ use proptest::prelude::*;
 
 use tmk_core::runtime::ChannelFaults;
 use tmk_core::{
-    Action, Cluster, Config, Diff, DsmProtocol, Envelope, IntervalMsg, Msg, Node, StartAcquire,
-    VTime, WORD,
+    Action, Cluster, Config, Diff, DsmProtocol, Envelope, IntervalMsg, Msg, Node, VTime, WORD,
 };
 use tmk_parmacs::Alloc;
 
@@ -516,16 +515,15 @@ fn interval_record_survives_a_lock_grant_round_trip_uncopied() {
     let mut n1 = Node::new(1, cfg);
 
     // Node 0 (manager of lock 0, origin of every page) writes under the lock.
-    assert_eq!(n0.acquire(0), StartAcquire::Granted);
+    assert!(n0.acquire(0).ready);
     assert!(n0.fault(0, true).ready);
     n0.write_from(0, &[1, 2, 3, 4]);
     assert!(n0.release(0).is_empty());
 
     // Node 1's request makes node 0 close the interval and grant.
-    let StartAcquire::Wait(mut req) = n1.acquire(0) else {
-        panic!("remote acquire must wait");
-    };
-    let grant = n0.handle(req.pop().unwrap()).sends.pop().unwrap();
+    let mut req = n1.acquire(0);
+    assert!(!req.ready, "remote acquire must wait");
+    let grant = n0.handle(req.sends.pop().unwrap()).sends.pop().unwrap();
     let Msg::LockGrant { intervals, .. } = &grant.msg else {
         panic!("expected a grant, got {grant:?}");
     };

@@ -199,22 +199,18 @@ impl System for DsmSys<'_, '_> {
                     return true; // granted while we were blocked
                 }
                 let start = op.machine().fabric.nodes[me].acquire(lock);
-                match start {
-                    tmk_core::StartAcquire::Granted => {
-                        let c = op.machine().params.lock_local_cost;
-                        op.advance_as(Category::Protocol, c);
-                        true
-                    }
-                    tmk_core::StartAcquire::Wait(sends) => {
-                        let routed = op.machine().fabric.route_timed(me, now, sends);
-                        let mine = finish_cascade(op, me, routed, now, Category::SyncIdle);
-                        if mine.iter().any(|(a, _)| *a == Action::LockGranted(lock)) {
-                            true
-                        } else {
-                            op.block_on(format!("lock {lock} grant"));
-                            false
-                        }
-                    }
+                if start.ready {
+                    let c = op.machine().params.lock_local_cost;
+                    op.advance_as(Category::Protocol, c);
+                    return true;
+                }
+                let routed = op.machine().fabric.route_timed(me, now, start.sends);
+                let mine = finish_cascade(op, me, routed, now, Category::SyncIdle);
+                if mine.iter().any(|(a, _)| *a == Action::LockGranted(lock)) {
+                    true
+                } else {
+                    op.block_on(format!("lock {lock} grant"));
+                    false
                 }
             });
             if got {

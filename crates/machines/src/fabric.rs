@@ -890,15 +890,7 @@ pub(crate) fn access<M: NodeMachine>(
                 let m = op.machine();
                 let per_node = m.per_node();
                 let nd = me / per_node;
-                let node = &m.fabric().nodes[nd];
-                let bad = node.pages_in(addr, len).find(|&p| {
-                    if write {
-                        !node.page_writable(p)
-                    } else {
-                        !node.page_valid(p)
-                    }
-                });
-                let Some(page) = bad else {
+                let Some(page) = m.fabric().nodes[nd].next_fault(addr, len, write) else {
                     let done = m.charge(me, addr, len, write, now);
                     let node = &mut m.fabric().nodes[nd];
                     match &mut data {

@@ -262,33 +262,27 @@ impl System for HsSys<'_, '_> {
                     _ => {
                         // No processor holds it: bring the token here.
                         let start = op.machine().fabric.nodes[nd].acquire(lock);
-                        match start {
-                            tmk_core::StartAcquire::Granted => {
-                                let c = op.machine().params.lock_local_cost;
-                                op.machine().lock_holder.insert(lock, me);
-                                op.advance_as(Category::Protocol, c);
-                                true
-                            }
-                            tmk_core::StartAcquire::Wait(sends) => {
-                                let routed = op.machine().fabric.route_timed(nd, now, sends);
-                                let done =
-                                    settle(op, nd, per_node, routed, now, Category::SyncIdle);
-                                let granted =
-                                    done.iter().any(|(_, a, _)| *a == Action::LockGranted(lock));
-                                if granted {
-                                    op.machine().lock_holder.insert(lock, me);
-                                    true
-                                } else {
-                                    op.machine().lock_dsm_pending.insert((lock, nd));
-                                    op.machine()
-                                        .lock_local_q
-                                        .entry(lock)
-                                        .or_default()
-                                        .push_back(me);
-                                    op.block_on(format!("lock {lock} grant"));
-                                    false
-                                }
-                            }
+                        if start.ready {
+                            let c = op.machine().params.lock_local_cost;
+                            op.machine().lock_holder.insert(lock, me);
+                            op.advance_as(Category::Protocol, c);
+                            return true;
+                        }
+                        let routed = op.machine().fabric.route_timed(nd, now, start.sends);
+                        let done = settle(op, nd, per_node, routed, now, Category::SyncIdle);
+                        let granted = done.iter().any(|(_, a, _)| *a == Action::LockGranted(lock));
+                        if granted {
+                            op.machine().lock_holder.insert(lock, me);
+                            true
+                        } else {
+                            op.machine().lock_dsm_pending.insert((lock, nd));
+                            op.machine()
+                                .lock_local_q
+                                .entry(lock)
+                                .or_default()
+                                .push_back(me);
+                            op.block_on(format!("lock {lock} grant"));
+                            false
                         }
                     }
                 }

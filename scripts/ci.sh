@@ -38,6 +38,15 @@ cargo test -q --workspace
 # Rustdoc too: a stale intra-doc link (an item renamed or deleted) fails here.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
+echo "== explore: every message schedule of the large scripted worlds =="
+# crates/core/tests/explore.rs drives Cluster's step surface through every
+# schedule of small programs; tier-1 runs its small worlds in debug. The
+# #[ignore]d ones run here in release, bounded by a host timeout: all 512
+# write masks of 3 nodes x 3 barriers, the barrier and lazy lock-counter
+# worlds with any queued copy delivered next (not only a link's oldest),
+# and the three-node eager counter (about 5 minutes on 2 vCPUs).
+timeout 1800 cargo test -q --offline --release -p tmk-core --test explore -- --ignored
+
 echo "== benchmark: the benchmark package's own checks =="
 # Nothing else tests `benchmark/` (its own workspace, invisible to the root
 # build), so it could rot against the crate APIs it calls.
