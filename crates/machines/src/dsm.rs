@@ -14,11 +14,11 @@
 use tmk_core::{Action, NodeId};
 use tmk_mem::{CacheParams, DirectCache};
 use tmk_net::{NetParams, SoftwareOverhead};
-use tmk_parmacs::{InitWriter, System};
+use tmk_parmacs::System;
 use tmk_sim::{Ctx, Cycle, Op};
 use tmk_trace::{Category, Event, EventKind, Sink, Track};
 
-use crate::fabric::{access, gc_service_cycles, settle, AccessData, Fabric, NodeMachine, Routed};
+use crate::fabric::{self, access, AccessData, Completion, Fabric, NodeMachine};
 
 /// Parameters of a software-DSM cluster.
 #[derive(Debug, Clone)]
@@ -129,35 +129,8 @@ impl NodeMachine for DsmMachine {
     }
 
     /// A node *is* a processor here.
-    fn completed_elsewhere(op: &mut Op<'_, Self>, node: NodeId, at: Cycle) {
+    fn completed_elsewhere(op: &mut Op<'_, Self>, node: NodeId, _: Action, at: Cycle) {
         op.wake_at(node, at);
-    }
-}
-
-/// Applies node `me`'s routed cascade to the engine (see [`settle`]). On AS
-/// a node *is* a processor, so completions on other nodes wake them
-/// directly; the initiator's own are returned.
-fn finish_cascade(
-    op: &mut Op<'_, DsmMachine>,
-    me: NodeId,
-    routed: Routed,
-    local_done: Cycle,
-    wait: Category,
-) -> Vec<(Action, Cycle)> {
-    let mut mine = Vec::new();
-    for (node, action, t) in settle(op, me, 1, routed, local_done, wait) {
-        if node == me {
-            mine.push((action, t));
-        } else {
-            op.wake_at(node, t);
-        }
-    }
-    mine
-}
-
-impl InitWriter for DsmMachine {
-    fn write_init(&mut self, addr: usize, bytes: &[u8]) {
-        self.fabric.nodes[0].master_write(addr, bytes);
     }
 }
 
@@ -195,22 +168,20 @@ impl System for DsmSys<'_, '_> {
         loop {
             let got = self.ctx.sync(|op| {
                 let now = op.now();
-                if op.machine().fabric.nodes[me].holds(lock) {
+                if op.machine().fabric.holds(me, lock) {
                     return true; // granted while we were blocked
                 }
-                let start = op.machine().fabric.nodes[me].acquire(lock);
-                if start.ready {
-                    let c = op.machine().params.lock_local_cost;
-                    op.advance_as(Category::Protocol, c);
-                    return true;
-                }
-                let routed = op.machine().fabric.route_timed(me, now, start.sends);
-                let mine = finish_cascade(op, me, routed, now, Category::SyncIdle);
-                if mine.iter().any(|(a, _)| *a == Action::LockGranted(lock)) {
-                    true
-                } else {
-                    op.block_on(format!("lock {lock} grant"));
-                    false
+                match fabric::acquire(op, me, lock, now) {
+                    Completion::Local => {
+                        let c = op.machine().params.lock_local_cost;
+                        op.advance_as(Category::Protocol, c);
+                        true
+                    }
+                    Completion::At(_) => true,
+                    Completion::Pending => {
+                        op.block_on(format!("lock {lock} grant"));
+                        false
+                    }
                 }
             });
             if got {
@@ -223,22 +194,15 @@ impl System for DsmSys<'_, '_> {
         let me = self.ctx.id();
         self.ctx.sync(|op| {
             let now = op.now();
-            let m = op.machine();
-            let created_before = m.fabric.nodes[me].stats().diffs_created;
-            let sends = m.fabric.nodes[me].release(lock);
-            let created = m.fabric.nodes[me].stats().diffs_created - created_before;
-            let t = now + 2 + created * m.params.so.diff_cycles(m.fabric.page_size);
-            let routed = m.fabric.route_timed(me, t, sends);
-            finish_cascade(op, me, routed, t, Category::Network);
+            fabric::release(op, me, lock, now + 2);
         });
     }
 
     fn barrier(&self, barrier: usize) {
         let me = self.ctx.id();
-        let done = self.ctx.sync(|op| {
+        self.ctx.sync(|op| {
             let now = op.now();
-            let m = op.machine();
-            m.fabric.sink.emit(Event {
+            op.machine().fabric.sink.emit(Event {
                 track: Track::Cpu(me as u32),
                 at: now,
                 dur: 0,
@@ -246,47 +210,12 @@ impl System for DsmSys<'_, '_> {
                     barrier: barrier as u64,
                 },
             });
-            let before = *m.fabric.nodes[me].stats();
-            let start = m.fabric.nodes[me].barrier_arrive(barrier);
-            let after = *m.fabric.nodes[me].stats();
-            let created = after.diffs_created - before.diffs_created;
-            // A manager that is also the last arriver can depart — and
-            // collect — inside `barrier_arrive`; charge that work here.
-            let retired = after.gc_intervals_retired - before.gc_intervals_retired;
-            let freed = after.gc_diff_bytes_retired - before.gc_diff_bytes_retired;
-            if retired > 0 {
-                m.fabric.sink.emit(Event {
-                    track: Track::Node(me as u32),
-                    at: now,
-                    dur: 0,
-                    kind: EventKind::GcRetire {
-                        intervals: retired,
-                        bytes: freed,
-                    },
-                });
-            }
-            let t = now
-                + 10
-                + created * m.params.so.diff_cycles(m.fabric.page_size)
-                + gc_service_cycles(retired, freed);
-            let ready = start.ready;
-            let mut routed = m.fabric.route_timed(me, t, start.sends);
-            if ready {
-                // The manager was the last arriver: it departed inside
-                // `barrier_arrive`, so the checkpoint cut is taken here.
-                m.fabric.take_checkpoint(me, t, &mut routed.charges);
-            }
-            let mine = finish_cascade(op, me, routed, t, Category::SyncIdle);
-            if ready || mine.iter().any(|(a, _)| *a == Action::BarrierDone(barrier)) {
-                true
-            } else {
+            // If we block, the barrier completes when another processor's
+            // cascade wakes us; nothing more to do.
+            if fabric::arrive(op, me, barrier, now + 10) == Completion::Pending {
                 op.block_on(format!("barrier {barrier} release"));
-                false
             }
         });
-        // If we blocked, the barrier completed when another processor's
-        // cascade woke us; nothing more to do.
-        let _ = done;
     }
 
     fn compute(&self, cycles: Cycle) {

@@ -6,21 +6,27 @@
 //! between nodes lives here once: the protocol [`ProtoNode`]s, the lossy
 //! network, the software send/receive overheads, the reliability sublayer,
 //! the crash/checkpoint/recovery model, and the discrete-event router
-//! ([`Fabric::route_timed`]) that times a protocol cascade hop by hop. A
-//! machine adds only what sits *inside* a node (a processor cache on AS;
-//! a snooping bus plus node-local lock and barrier tables on HS) and tells
-//! [`settle`] which processor a node's protocol work steals cycles from; the
-//! one page-access path, [`access`], reaches that inside through the
-//! [`NodeMachine`] hook.
+//! ([`Fabric::route_timed`]) that times a protocol cascade hop by hop.
+//!
+//! The fabric is the only caller of a protocol node. A machine reaches one
+//! through [`access`], [`acquire`], [`release`] and [`arrive`] (and the
+//! master's initial writes through the fabric's [`InitWriter`]); each runs
+//! the node call through [`Fabric::on_node`], which measures the node's
+//! work and prices it with the one formula, routes the cascade, settles it
+//! on the engine and hands completions on other nodes back through the
+//! [`NodeMachine`] hook. A machine adds only what sits *inside* a node (a
+//! processor cache on AS; a snooping bus plus node-local lock and barrier
+//! tables on HS) and its fixed local costs.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use tmk_core::{
-    Action, Config, DsmProtocol, Envelope, IntMap, Msg, NodeId, PacketId, ProtoNode, Reliability,
-    Timeout, Traffic,
+    Action, BarrierId, Config, DsmProtocol, Envelope, IntMap, LockId, Msg, NodeId, NodeStats,
+    PacketId, ProtoNode, Reliability, Start, Timeout, Traffic,
 };
 use tmk_net::{Fate, LossyNet, NetParams, PointToPointNet, SoftwareOverhead};
+use tmk_parmacs::InitWriter;
 use tmk_sim::{Ctx, Cycle, Op};
 use tmk_trace::{Category, Event, EventKind, Sink, Track};
 
@@ -45,7 +51,7 @@ struct CrashState {
 /// Everything between the nodes of a DSM machine: the protocol instances,
 /// the network that connects them, and the fault/recovery models.
 pub(crate) struct Fabric {
-    pub(crate) nodes: Vec<ProtoNode>,
+    nodes: Vec<ProtoNode>,
     net: LossyNet,
     /// Communication software costs.
     so: SoftwareOverhead,
@@ -142,6 +148,64 @@ impl Fabric {
         self.mark = (now, self.traffic);
     }
 
+    /// Whether node `nd` holds `lock` (a grant may have landed while the
+    /// processor asking for it was blocked).
+    pub(crate) fn holds(&self, nd: NodeId, lock: LockId) -> bool {
+        self.nodes[nd].holds(lock)
+    }
+
+    /// Runs `call` on node `nd`'s protocol instance at `at`: every call into
+    /// a node goes through here. Emits the node-track instants of the work
+    /// the call did and returns its result with the cycles that work costs:
+    /// `diffs × diff_cycles(page) + twins × page/4` plus the retiring of
+    /// collected metadata ([`gc_service_cycles`]).
+    fn on_node<T>(
+        &mut self,
+        nd: NodeId,
+        at: Cycle,
+        call: impl FnOnce(&mut ProtoNode) -> T,
+    ) -> (T, Cycle) {
+        let before = work(self.nodes[nd].stats());
+        let out = call(&mut self.nodes[nd]);
+        let after = work(self.nodes[nd].stats());
+        let [diffs, diff_bytes, twins, applied, notices, gc_intervals, gc_bytes] =
+            std::array::from_fn(|i| after[i] - before[i]);
+        if self.sink.enabled() {
+            let instants = [
+                (twins, EventKind::TwinCreate { count: twins }),
+                (
+                    diffs,
+                    EventKind::DiffMake {
+                        count: diffs,
+                        bytes: diff_bytes,
+                    },
+                ),
+                (applied, EventKind::DiffApply { count: applied }),
+                (notices, EventKind::WriteNotice { count: notices }),
+                (
+                    gc_intervals,
+                    EventKind::GcRetire {
+                        intervals: gc_intervals,
+                        bytes: gc_bytes,
+                    },
+                ),
+            ];
+            for (_, kind) in instants.into_iter().filter(|&(n, _)| n > 0) {
+                self.sink.emit(Event {
+                    track: Track::Node(nd as u32),
+                    at,
+                    dur: 0,
+                    kind,
+                });
+            }
+        }
+        let ps = self.page_size;
+        let service = diffs * self.so.diff_cycles(ps)
+            + twins * (ps / 4) as Cycle
+            + gc_service_cycles(gc_intervals, gc_bytes);
+        (out, service)
+    }
+
     /// Whether `node` sits inside a scheduled crash window at `t` that
     /// recovery has not yet repaired.
     fn down_at(&self, node: NodeId, t: Cycle) -> bool {
@@ -172,12 +236,7 @@ impl Fabric {
     /// interval state is then closed — the same cut the metadata GC uses).
     /// Each node is charged the cycles to copy its resident pages aside.
     /// A no-op unless checkpointing is armed.
-    pub(crate) fn take_checkpoint(
-        &mut self,
-        by: NodeId,
-        t: Cycle,
-        charges: &mut Vec<(NodeId, Cycle)>,
-    ) {
+    fn take_checkpoint(&mut self, by: NodeId, t: Cycle, charges: &mut Vec<(NodeId, Cycle)>) {
         if !self.checkpoints {
             return;
         }
@@ -307,7 +366,7 @@ impl Fabric {
     /// suppressed before the protocol handler sees them. Without the layer,
     /// a dropped message is simply gone — the engine watchdog is what ends
     /// the run.
-    pub(crate) fn route_timed(&mut self, me: NodeId, t0: Cycle, sends: Vec<Envelope>) -> Routed {
+    fn route_timed(&mut self, me: NodeId, t0: Cycle, sends: Vec<Envelope>) -> Routed {
         let mut c = Cascade {
             s: std::mem::take(&mut self.scratch),
             f: self,
@@ -405,11 +464,33 @@ impl Fabric {
     }
 }
 
+/// The master's initial writes land on node 0, the segment's origin.
+impl InitWriter for Fabric {
+    fn write_init(&mut self, addr: usize, bytes: &[u8]) {
+        self.nodes[0].master_write(addr, bytes);
+    }
+}
+
+/// The counters of a node's protocol work that cost simulated time or show
+/// on its trace track: diffs made and their bytes, twins, diffs applied,
+/// write notices received, and GC interval records and diff bytes retired.
+fn work(s: &NodeStats) -> [u64; 7] {
+    [
+        s.diffs_created,
+        s.diff_bytes_created,
+        s.twins_created,
+        s.diffs_applied,
+        s.notices_received,
+        s.gc_intervals_retired,
+        s.gc_diff_bytes_retired,
+    ]
+}
+
 /// Cycles a node spends retiring collected metadata: list bookkeeping per
 /// interval record plus freeing cached diff storage. GC work is protocol
 /// work — it lands in [`Category::Protocol`] (or `Stolen` on remote nodes)
 /// like twin and diff service.
-pub(crate) fn gc_service_cycles(intervals: u64, freed_bytes: u64) -> Cycle {
+fn gc_service_cycles(intervals: u64, freed_bytes: u64) -> Cycle {
     intervals * 8 + freed_bytes / 64
 }
 
@@ -715,59 +796,19 @@ impl Cascade<'_> {
         let to = env.to;
         let begin = t.max(self.avail(to));
         let f = &mut *self.f;
-        let arrived = (f.sink.enabled() && env.from != to).then(|| EventKind::MsgArrive {
-            from: env.from as u32,
-            class: env.msg.class().bit(),
-            bytes: (f.header_bytes + env.msg.body_bytes().total()) as u64,
-        });
-        let before = *f.nodes[to].stats();
-        let handled = f.nodes[to].handle(env);
-        let after = f.nodes[to].stats();
-        let created = after.diffs_created - before.diffs_created;
-        let twinned = after.twins_created - before.twins_created;
-        let retired = after.gc_intervals_retired - before.gc_intervals_retired;
-        let freed = after.gc_diff_bytes_retired - before.gc_diff_bytes_retired;
-        if f.sink.enabled() {
-            let node = Track::Node(to as u32);
-            let instant = |kind| Event {
-                track: node,
+        if f.sink.enabled() && env.from != to {
+            f.sink.emit(Event {
+                track: Track::Node(to as u32),
                 at: begin,
                 dur: 0,
-                kind,
-            };
-            if let Some(kind) = arrived {
-                f.sink.emit(instant(kind));
-            }
-            if twinned > 0 {
-                f.sink
-                    .emit(instant(EventKind::TwinCreate { count: twinned }));
-            }
-            if created > 0 {
-                f.sink.emit(instant(EventKind::DiffMake {
-                    count: created,
-                    bytes: after.diff_bytes_created - before.diff_bytes_created,
-                }));
-            }
-            let applied = after.diffs_applied - before.diffs_applied;
-            if applied > 0 {
-                f.sink
-                    .emit(instant(EventKind::DiffApply { count: applied }));
-            }
-            let notices = after.notices_received - before.notices_received;
-            if notices > 0 {
-                f.sink
-                    .emit(instant(EventKind::WriteNotice { count: notices }));
-            }
-            if retired > 0 {
-                f.sink.emit(instant(EventKind::GcRetire {
-                    intervals: retired,
-                    bytes: freed,
-                }));
-            }
+                kind: EventKind::MsgArrive {
+                    from: env.from as u32,
+                    class: env.msg.class().bit(),
+                    bytes: (f.header_bytes + env.msg.body_bytes().total()) as u64,
+                },
+            });
         }
-        let service = created * f.so.diff_cycles(f.page_size)
-            + twinned * (f.page_size / 4) as u64
-            + gc_service_cycles(retired, freed);
+        let (handled, service) = f.on_node(to, begin, |n| n.handle(env));
         if service > 0 {
             self.out.charges.push((to, service));
         }
@@ -792,8 +833,7 @@ impl Cascade<'_> {
 
 /// Applies a cascade's side effects to the engine: charges the nodes that
 /// served it and advances the initiating processor to its completion time.
-/// Returns every completed `(node, action, cycle)`; which blocked
-/// processors those unblock is the machine's business.
+/// Returns every completed `(node, action, cycle)`.
 ///
 /// A node's protocol work steals cycles from its first processor,
 /// `node * per_node` (the node itself on AS, where `per_node` is 1).
@@ -806,7 +846,7 @@ impl Cascade<'_> {
 /// waiting on the wire and on other nodes — is charged to `wait` (network
 /// occupancy for data fetches, synchronization idle for lock/barrier
 /// waits).
-pub(crate) fn settle<M>(
+fn settle<M>(
     op: &mut Op<'_, M>,
     me: NodeId,
     per_node: usize,
@@ -841,8 +881,8 @@ pub(crate) fn settle<M>(
     routed.actions
 }
 
-/// What [`access`] needs from a machine built on the fabric: how many
-/// processors share a DSM node, and the memory system inside one.
+/// What the fabric needs from a machine built on it: how many processors
+/// share a DSM node, the memory system inside one, and who waits there.
 pub(crate) trait NodeMachine: Sized {
     fn fabric(&mut self) -> &mut Fabric;
 
@@ -857,9 +897,92 @@ pub(crate) trait NodeMachine: Sized {
     /// data arrived outside them.
     fn purge_page(&mut self, node: NodeId, page: usize);
 
-    /// A fault cascade completed an action on `node`, not the faulting one,
+    /// A cascade completed `action` on `node`, not the one that started it,
     /// at `at`: unblock whichever processor was waiting for it.
-    fn completed_elsewhere(op: &mut Op<'_, Self>, node: NodeId, at: Cycle);
+    fn completed_elsewhere(op: &mut Op<'_, Self>, node: NodeId, action: Action, at: Cycle);
+}
+
+/// How a node operation ended on the node that started it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Completion {
+    /// Completed inside the node call: no reply was needed.
+    Local,
+    /// The cascade brought back the completion at this cycle.
+    At(Cycle),
+    /// Still waiting on another node: a later cascade completes it, or the
+    /// request was lost and the watchdog ends the run.
+    Pending,
+}
+
+/// The one path of a node operation: runs `call` on node `nd` at `at`
+/// ([`Fabric::on_node`] prices the node's work), routes its sends from when
+/// that work ends, takes the checkpoint cut when a barrier manager departs
+/// inside the call, settles the cascade on the engine, and hands
+/// completions on other nodes to [`NodeMachine::completed_elsewhere`].
+/// `want` is the completion that ends the operation on `nd`.
+fn node_op<M: NodeMachine>(
+    op: &mut Op<'_, M>,
+    nd: NodeId,
+    at: Cycle,
+    wait: Category,
+    want: Option<Action>,
+    call: impl FnOnce(&mut ProtoNode) -> Start,
+) -> Completion {
+    let per_node = op.machine().per_node();
+    let f = op.machine().fabric();
+    let (start, service) = f.on_node(nd, at, call);
+    let local_done = at + service;
+    let mut routed = f.route_timed(nd, local_done, start.sends);
+    if start.ready && matches!(want, Some(Action::BarrierDone(_))) {
+        // The manager was the last arriver: it departed inside
+        // `barrier_arrive`, so the checkpoint cut is taken here.
+        f.take_checkpoint(nd, local_done, &mut routed.charges);
+    }
+    let mut done = Completion::Pending;
+    for (node, action, t) in settle(op, nd, per_node, routed, local_done, wait) {
+        if node != nd {
+            M::completed_elsewhere(op, node, action, t);
+        } else if Some(action) == want {
+            done = Completion::At(t);
+        }
+    }
+    if start.ready {
+        Completion::Local
+    } else {
+        done
+    }
+}
+
+/// Node `nd` acquires `lock`, starting at `at`.
+pub(crate) fn acquire<M: NodeMachine>(
+    op: &mut Op<'_, M>,
+    nd: NodeId,
+    lock: LockId,
+    at: Cycle,
+) -> Completion {
+    let want = Some(Action::LockGranted(lock));
+    node_op(op, nd, at, Category::SyncIdle, want, |n| n.acquire(lock))
+}
+
+/// Node `nd` releases `lock`, starting at `at`; a grant to a queued node
+/// reaches the machine through [`NodeMachine::completed_elsewhere`].
+pub(crate) fn release<M: NodeMachine>(op: &mut Op<'_, M>, nd: NodeId, lock: LockId, at: Cycle) {
+    node_op(op, nd, at, Category::Network, None, |n| {
+        Start::waiting(n.release(lock))
+    });
+}
+
+/// Node `nd` arrives at `barrier`, starting at `at`.
+pub(crate) fn arrive<M: NodeMachine>(
+    op: &mut Op<'_, M>,
+    nd: NodeId,
+    barrier: BarrierId,
+    at: Cycle,
+) -> Completion {
+    let want = Some(Action::BarrierDone(barrier));
+    node_op(op, nd, at, Category::SyncIdle, want, |n| {
+        n.barrier_arrive(barrier)
+    })
 }
 
 /// The bytes a shared access moves.
@@ -888,8 +1011,7 @@ pub(crate) fn access<M: NodeMachine>(
             loop {
                 let now = op.now();
                 let m = op.machine();
-                let per_node = m.per_node();
-                let nd = me / per_node;
+                let nd = me / m.per_node();
                 let Some(page) = m.fabric().nodes[nd].next_fault(addr, len, write) else {
                     let done = m.charge(me, addr, len, write, now);
                     let node = &mut m.fabric().nodes[nd];
@@ -911,33 +1033,20 @@ pub(crate) fn access<M: NodeMachine>(
                         write,
                     },
                 });
-                let twins_before = f.nodes[nd].stats().twins_created;
-                let start = f.nodes[nd].fault(page, write);
-                let mut t = now + f.so.handler;
-                if f.nodes[nd].stats().twins_created > twins_before {
-                    // Twinning copies the page.
-                    t += (f.page_size / 4) as Cycle;
+                let at = now + f.so.handler;
+                let want = Some(Action::PageReady(page));
+                let done = node_op(op, nd, at, Category::Network, want, |n| {
+                    n.fault(page, write)
+                });
+                if done != Completion::Local {
+                    op.machine().purge_page(nd, page);
                 }
-                if start.ready {
-                    op.advance_as(Category::Protocol, t - now);
-                } else {
-                    let routed = f.route_timed(nd, t, start.sends);
-                    m.purge_page(nd, page);
-                    let mut ready = false;
-                    for (node, action, at) in settle(op, nd, per_node, routed, t, Category::Network)
-                    {
-                        if node != nd {
-                            M::completed_elsewhere(op, node, at);
-                        } else if action == Action::PageReady(page) {
-                            ready = true;
-                        }
-                    }
-                    if !ready {
-                        // Should not happen (cascades complete
-                        // synchronously); re-enter via the outer loop
-                        // defensively.
-                        return false;
-                    }
+                if done == Completion::Pending {
+                    // The request or its reply was lost, with no
+                    // reliability layer to re-send it: nothing will
+                    // complete the fetch, and the watchdog names the page.
+                    op.block_on(format!("page {page} fetch"));
+                    return false;
                 }
                 // Loop: recheck remaining pages in this op.
             }
@@ -950,13 +1059,13 @@ pub(crate) fn access<M: NodeMachine>(
 
 #[cfg(test)]
 mod tests {
-    use tmk_core::RetransmitPolicy;
-    use tmk_net::FaultPlan;
+    use tmk_core::{MsgClass, RetransmitPolicy};
+    use tmk_net::{FaultPlan, SoftwareOverhead};
     use tmk_parmacs::{System, SystemExt};
     use tmk_sim::Cycle;
 
     use crate::run::run_body;
-    use crate::{DsmTuning, Platform, RunReport};
+    use crate::{run_on_with, DsmTuning, Platform, RunOpts, RunReport};
 
     /// The two machines built on the fabric, four nodes each: AS-4 and
     /// HS 4x2. Every test below runs on both.
@@ -1098,6 +1207,160 @@ mod tests {
                 "{msg}"
             );
             assert!(msg.contains("injected faults: 1 drops"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn lost_page_request_without_reliability_trips_the_watchdog() {
+        // Drop every access-miss message, with no retransmission layer to
+        // recover: the page fetch must end in the watchdog's diagnostic
+        // abort, not in a second fault on the page still being fetched.
+        for machine in MACHINES {
+            let p = machine(DsmTuning {
+                faults: Some(FaultPlan::drop_rate(3, 1.0).with_class_mask(MsgClass::Miss.bit())),
+                ..Default::default()
+            });
+            let node1 = p.procs() / 4; // first processor of node 1
+            let msg = abort_message(|| {
+                run_body(&p, |sys| {
+                    if sys.pid() == node1 {
+                        sys.read::<u64>(0); // page 0 starts at node 0: request dropped
+                    }
+                });
+            });
+            assert!(msg.contains("simulation deadlock"), "{msg}");
+            assert!(msg.contains("waiting on page 0 fetch"), "{msg}");
+            assert!(msg.contains("injected faults: 1 drops"), "{msg}");
+        }
+    }
+
+    /// `machine` with `so` as its communication software costs.
+    fn with_so(
+        machine: fn(DsmTuning) -> Platform,
+        tuning: DsmTuning,
+        so: SoftwareOverhead,
+    ) -> Platform {
+        match machine(tuning) {
+            Platform::AsCluster {
+                procs,
+                part1,
+                tuning,
+                ..
+            } => Platform::AsCluster {
+                procs,
+                part1,
+                so: Some(so),
+                tuning,
+            },
+            Platform::Hs {
+                nodes,
+                per_node,
+                tuning,
+                ..
+            } => Platform::Hs {
+                nodes,
+                per_node,
+                so: Some(so),
+                tuning,
+            },
+            other => unreachable!("{}", other.key()),
+        }
+    }
+
+    #[test]
+    fn local_protocol_work_costs_time_on_both_machines() {
+        // One eager release makes one diff on processor 0's node; its cost
+        // must show in the run's cycles on HS as on AS.
+        for machine in MACHINES {
+            let cycles = |diff_per_word| {
+                let so = SoftwareOverhead {
+                    diff_per_word,
+                    ..SoftwareOverhead::sim_baseline()
+                };
+                let eager = DsmTuning {
+                    eager_all: true,
+                    ..Default::default()
+                };
+                let p = with_so(machine, eager, so);
+                let (_, rep) = run_body(&p, |sys| {
+                    if sys.pid() == 0 {
+                        sys.lock(0);
+                        sys.write(0, 1u64);
+                        sys.unlock(0);
+                    }
+                    sys.barrier(0);
+                });
+                assert!(rep.dsm.diffs_created > 0, "{}: no diff made", p.key());
+                (p.key(), rep.cycles)
+            };
+            let (cheap, dear) = (cycles(1), cycles(1_000));
+            assert!(dear.1 > cheap.1, "{}: {} vs {}", cheap.0, cheap.1, dear.1);
+        }
+    }
+
+    /// Sums argument `arg` over every `name` instant of a Chrome trace.
+    fn trace_sum(trace: &str, name: &str, arg: &str) -> u64 {
+        let (name, arg) = (format!("\"name\":\"{name}\""), format!("\"{arg}\":"));
+        trace
+            .lines()
+            .filter(|l| l.contains(&name))
+            .map(|l| {
+                let rest = &l[l.find(&arg).expect("argument present") + arg.len()..];
+                let end = rest
+                    .find(|c: char| !c.is_ascii_digit())
+                    .unwrap_or(rest.len());
+                rest[..end].parse::<u64>().expect("a count")
+            })
+            .sum()
+    }
+
+    #[test]
+    fn traced_instants_account_for_all_protocol_work() {
+        // Eager release and a collection at every barrier: twins at faults
+        // and in handlers, diffs at releases, arrivals and diff requests,
+        // metadata retired at barriers. Every one must show on a node track.
+        for machine in MACHINES {
+            let p = machine(DsmTuning {
+                eager_all: true,
+                gc: Some(1),
+                ..Default::default()
+            });
+            let body = |sys: &dyn System, _: &()| {
+                for round in 0..3u64 {
+                    sys.lock(0);
+                    let v: u64 = sys.read(0);
+                    sys.write(0, v + 1);
+                    sys.unlock(0);
+                    sys.write(4096 * (1 + sys.pid() % 8), round);
+                    sys.barrier(0);
+                }
+            };
+            let opts = RunOpts {
+                trace: Some(1 << 16),
+                ..Default::default()
+            };
+            let (out, buf) = run_on_with(&p, 1 << 16, |_| (), |_, _| {}, body, &opts);
+            let trace = buf.expect("tracing armed").chrome_trace();
+            assert!(trace.contains("\"dropped_events\":0"), "{}", p.key());
+            let d = out.report.dsm;
+            assert!(d.twins_created > 0 && d.diffs_created > 0, "{d:?}");
+            assert!(d.gc_intervals_retired > 0, "{d:?}");
+            let key = p.key();
+            assert_eq!(
+                trace_sum(&trace, "twin_create", "count"),
+                d.twins_created,
+                "{key}"
+            );
+            assert_eq!(
+                trace_sum(&trace, "diff_make", "count"),
+                d.diffs_created,
+                "{key}"
+            );
+            assert_eq!(
+                trace_sum(&trace, "gc_retire", "intervals"),
+                d.gc_intervals_retired,
+                "{key}"
+            );
         }
     }
 

@@ -13,11 +13,11 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use tmk_core::{Action, DsmProtocol, NodeId};
 use tmk_mem::{BusParams, CacheParams, SnoopBus};
 use tmk_net::{NetParams, SoftwareOverhead};
-use tmk_parmacs::{InitWriter, System};
+use tmk_parmacs::System;
 use tmk_sim::{Ctx, Cycle, Op};
 use tmk_trace::{Category, Event, EventKind, Sink, Track};
 
-use crate::fabric::{access, settle, AccessData, Fabric, NodeMachine};
+use crate::fabric::{self, access, AccessData, Completion, Fabric, NodeMachine};
 
 /// Parameters of the hybrid machine.
 #[derive(Debug, Clone)]
@@ -87,6 +87,10 @@ pub struct HsMachine {
     /// Per-barrier, per-node arrival counts and blocked processors.
     barrier_count: HashMap<usize, Vec<usize>>,
     barrier_waiters: HashMap<usize, Vec<usize>>,
+    /// The latest cycle a barrier departure landed on a node other than
+    /// the arriving one, in the cascade being settled: every waiter leaves
+    /// when the last node's departure lands.
+    barrier_landed: Option<Cycle>,
 }
 
 impl HsMachine {
@@ -121,6 +125,7 @@ impl HsMachine {
             lock_dsm_pending: HashSet::new(),
             barrier_count: HashMap::new(),
             barrier_waiters: HashMap::new(),
+            barrier_landed: None,
             params,
         }
     }
@@ -137,6 +142,14 @@ impl HsMachine {
 
     fn node_of(&self, proc: usize) -> NodeId {
         proc / self.params.per_node
+    }
+
+    /// Takes the first processor of `node` queued for `lock`.
+    fn next_waiter(&mut self, lock: usize, node: NodeId) -> Option<usize> {
+        let per_node = self.params.per_node;
+        let q = self.lock_local_q.entry(lock).or_default();
+        let pos = q.iter().position(|&p| p / per_node == node)?;
+        q.remove(pos)
     }
 }
 
@@ -164,15 +177,23 @@ impl NodeMachine for HsMachine {
         }
     }
 
-    /// Nothing to wake: processors here block only in `lock` and `barrier`,
-    /// and are woken through the node-local tables by the `unlock` or
-    /// `barrier` cascade that carries their grant.
-    fn completed_elsewhere(_: &mut Op<'_, Self>, _: NodeId, _: Cycle) {}
-}
-
-impl InitWriter for HsMachine {
-    fn write_init(&mut self, addr: usize, bytes: &[u8]) {
-        self.fabric.nodes[0].master_write(addr, bytes);
+    /// Processors here block only in `lock` and `barrier`. A lock granted
+    /// to `node` goes to a processor queued for it there; a barrier
+    /// departure is noted, and the arriving processor wakes every waiter
+    /// once the cascade is settled.
+    fn completed_elsewhere(op: &mut Op<'_, Self>, node: NodeId, action: Action, at: Cycle) {
+        let m = op.machine();
+        match action {
+            Action::LockGranted(lock) => {
+                m.lock_dsm_pending.remove(&(lock, node));
+                if let Some(p) = m.next_waiter(lock, node) {
+                    m.lock_holder.insert(lock, p);
+                    op.wake_at(p, at);
+                }
+            }
+            Action::BarrierDone(_) => m.barrier_landed = m.barrier_landed.max(Some(at)),
+            Action::PageReady(_) => {}
+        }
     }
 }
 
@@ -239,7 +260,6 @@ impl System for HsSys<'_, '_> {
             let got = self.ctx.sync(|op| {
                 let now = op.now();
                 let nd = op.machine().node_of(me);
-                let per_node = op.machine().params.per_node;
                 // Handed to us directly (local pass or remote grant)?
                 if op.machine().lock_holder.get(&lock) == Some(&me) {
                     return true;
@@ -259,22 +279,19 @@ impl System for HsSys<'_, '_> {
                         op.block_on(format!("lock {lock} grant"));
                         false
                     }
-                    _ => {
-                        // No processor holds it: bring the token here.
-                        let start = op.machine().fabric.nodes[nd].acquire(lock);
-                        if start.ready {
+                    // No processor holds it: bring the token here.
+                    _ => match fabric::acquire(op, nd, lock, now) {
+                        Completion::Local => {
                             let c = op.machine().params.lock_local_cost;
                             op.machine().lock_holder.insert(lock, me);
                             op.advance_as(Category::Protocol, c);
-                            return true;
+                            true
                         }
-                        let routed = op.machine().fabric.route_timed(nd, now, start.sends);
-                        let done = settle(op, nd, per_node, routed, now, Category::SyncIdle);
-                        let granted = done.iter().any(|(_, a, _)| *a == Action::LockGranted(lock));
-                        if granted {
+                        Completion::At(_) => {
                             op.machine().lock_holder.insert(lock, me);
                             true
-                        } else {
+                        }
+                        Completion::Pending => {
                             op.machine().lock_dsm_pending.insert((lock, nd));
                             op.machine()
                                 .lock_local_q
@@ -284,7 +301,7 @@ impl System for HsSys<'_, '_> {
                             op.block_on(format!("lock {lock} grant"));
                             false
                         }
-                    }
+                    },
                 }
             });
             if got {
@@ -298,19 +315,12 @@ impl System for HsSys<'_, '_> {
         self.ctx.sync(|op| {
             let now = op.now();
             let nd = op.machine().node_of(me);
-            let per_node = op.machine().params.per_node;
             op.machine().lock_holder.remove(&lock);
 
             // Prefer passing to a co-resident waiter: no messages (the
             // paper's "if the token already resides at the node, no
             // messages are required").
-            let local_next = {
-                let m = op.machine();
-                let q = m.lock_local_q.entry(lock).or_default();
-                let pos = q.iter().position(|&p| p / per_node == nd);
-                pos.map(|i| q.remove(i).expect("position exists"))
-            };
-            if let Some(p) = local_next {
+            if let Some(p) = op.machine().next_waiter(lock, nd) {
                 let c = op.machine().params.lock_local_cost;
                 op.machine().lock_holder.insert(lock, p);
                 op.advance_as(Category::SyncIdle, 2);
@@ -320,26 +330,7 @@ impl System for HsSys<'_, '_> {
 
             // Otherwise release at the DSM level; a queued remote node gets
             // the token, and one of its waiters the lock.
-            let sends = op.machine().fabric.nodes[nd].release(lock);
-            let routed = op.machine().fabric.route_timed(nd, now + 2, sends);
-            let done = settle(op, nd, per_node, routed, now + 2, Category::Network);
-            for (granted_node, action, t) in done {
-                if let Action::LockGranted(l) = action {
-                    debug_assert_eq!(l, lock);
-                    // The grant landed on `granted_node`; find a waiter there.
-                    let next = {
-                        let m = op.machine();
-                        let q = m.lock_local_q.entry(lock).or_default();
-                        let pos = q.iter().position(|&p| p / per_node == granted_node);
-                        pos.map(|i| q.remove(i).expect("position exists"))
-                    };
-                    op.machine().lock_dsm_pending.remove(&(lock, granted_node));
-                    if let Some(p) = next {
-                        op.machine().lock_holder.insert(lock, p);
-                        op.wake_at(p, t);
-                    }
-                }
-            }
+            fabric::release(op, nd, lock, now + 2);
             op.advance_as(Category::SyncIdle, 2);
         });
     }
@@ -385,44 +376,15 @@ impl System for HsSys<'_, '_> {
                 return;
             }
             // Last processor on the node: node-level DSM arrival.
-            let t = now + local_cost;
-            let (ready, sends) = {
-                let m = op.machine();
-                let before = *m.fabric.nodes[nd].stats();
-                let start = m.fabric.nodes[nd].barrier_arrive(barrier);
-                let after = *m.fabric.nodes[nd].stats();
-                // Diff/GC service is charged via settle's initiator time;
-                // trace the collection for visibility.
-                let retired = after.gc_intervals_retired - before.gc_intervals_retired;
-                if retired > 0 {
-                    m.fabric.sink.emit(Event {
-                        track: Track::Node(nd as u32),
-                        at: t,
-                        dur: 0,
-                        kind: EventKind::GcRetire {
-                            intervals: retired,
-                            bytes: after.gc_diff_bytes_retired - before.gc_diff_bytes_retired,
-                        },
-                    });
-                }
-                (start.ready, start.sends)
-            };
-            let m = op.machine();
-            let mut routed = m.fabric.route_timed(nd, t, sends);
-            if ready {
-                // The manager was the last arriver: it departed inside
-                // `barrier_arrive`, so the checkpoint cut is taken here.
-                m.fabric.take_checkpoint(nd, t, &mut routed.charges);
-            }
-            let done = settle(op, nd, per_node, routed, t, Category::SyncIdle);
+            let done = fabric::arrive(op, nd, barrier, now + local_cost);
             // The departure reaches every node within this cascade; all
             // waiters leave together, when the last node's release lands.
-            let all_done = done
-                .iter()
-                .filter(|(_, a, _)| *a == Action::BarrierDone(barrier))
-                .map(|&(.., at)| at)
-                .max();
-            if ready || all_done.is_some() {
+            let mine = match done {
+                Completion::At(at) => Some(at),
+                _ => None,
+            };
+            let all_done = mine.max(op.machine().barrier_landed.take());
+            if done == Completion::Local || all_done.is_some() {
                 let t_done = all_done.unwrap_or(op.now());
                 for q in 0..nodes {
                     self.wake_barrier_waiters(op, barrier, q, t_done, me);

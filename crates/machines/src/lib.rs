@@ -28,7 +28,7 @@ pub use hybrid::{HsMachine, HsParams};
 pub use json::Json;
 pub use report::{Outcome, RunReport};
 pub use run::{
-    run_on, run_on_with, run_workload, run_workload_traced, run_workload_traced_with,
-    run_workload_with, DsmTuning, Platform, RunOpts,
+    run_on, run_on_with, run_workload, run_workload_traced_with, run_workload_with, DsmTuning,
+    Platform, RunOpts,
 };
 pub use tmk_core::{DsmProtocol, ProtoNode, RecoveryStats};

@@ -345,7 +345,7 @@ where
                 params.so = *so;
             }
             let mut machine = DsmMachine::new(params, segment_bytes, tuning);
-            init(&p, &mut machine);
+            init(&p, &mut machine.fabric);
             let hooks = Hooks {
                 set_tracer: DsmMachine::set_tracer,
                 fill_report: DsmMachine::fill_report,
@@ -367,7 +367,7 @@ where
                 params.so = *so;
             }
             let mut machine = HsMachine::new(params, segment_bytes, tuning);
-            init(&p, &mut machine);
+            init(&p, &mut machine.fabric);
             let hooks = Hooks {
                 set_tracer: HsMachine::set_tracer,
                 fill_report: HsMachine::fill_report,
@@ -471,19 +471,6 @@ fn run_machine<M: Send + 'static, R: Send>(
 /// per-processor checksums plus the measurement report.
 pub fn run_workload<W: tmk_parmacs::Workload>(platform: &Platform, w: &W) -> Outcome<f64> {
     run_workload_with(platform, w, &RunOpts::default()).0
-}
-
-/// [`run_workload`] with tracing (see [`RunOpts::trace`]).
-pub fn run_workload_traced<W: tmk_parmacs::Workload>(
-    platform: &Platform,
-    w: &W,
-    trace: Option<usize>,
-) -> (Outcome<f64>, Option<Arc<TraceBuf>>) {
-    let opts = RunOpts {
-        trace,
-        ..Default::default()
-    };
-    run_workload_with(platform, w, &opts)
 }
 
 /// [`run_workload`] with the execution spelled out (see [`run_on_with`]).

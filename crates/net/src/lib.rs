@@ -165,8 +165,6 @@ pub struct PointToPointNet {
     params: NetParams,
     tx_free: Vec<Cycle>,
     rx_free: Vec<Cycle>,
-    messages: u64,
-    bytes: u64,
     sink: Sink,
 }
 
@@ -177,8 +175,6 @@ impl PointToPointNet {
             params,
             tx_free: vec![0; hosts],
             rx_free: vec![0; hosts],
-            messages: 0,
-            bytes: 0,
             sink: Sink::default(),
         }
     }
@@ -220,8 +216,6 @@ impl PointToPointNet {
         let done = start + wire;
         self.tx_free[from] = done;
         self.rx_free[to] = done;
-        self.messages += 1;
-        self.bytes += bytes as u64;
         self.sink.emit(Event {
             track: Track::Link(from as u32),
             at: start,
@@ -234,16 +228,6 @@ impl PointToPointNet {
             },
         });
         done + self.params.latency
-    }
-
-    /// Messages carried so far.
-    pub fn messages(&self) -> u64 {
-        self.messages
-    }
-
-    /// Bytes carried so far.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
     }
 }
 
@@ -495,17 +479,6 @@ impl LossyNet {
         self.inner.params()
     }
 
-    /// Messages carried so far (physical transmissions, including
-    /// duplicates and retransmissions).
-    pub fn messages(&self) -> u64 {
-        self.inner.messages()
-    }
-
-    /// Bytes carried so far.
-    pub fn bytes(&self) -> u64 {
-        self.inner.bytes()
-    }
-
     /// Fault counters.
     pub fn fault_stats(&self) -> FaultStats {
         self.stats
@@ -548,8 +521,6 @@ mod tests {
         let mut net = PointToPointNet::new(4, NetParams::atm_40mhz());
         let arrive = net.transfer(0, 1, 100, 1000);
         assert_eq!(arrive, 1000 + 800 + 400);
-        assert_eq!(net.messages(), 1);
-        assert_eq!(net.bytes(), 100);
     }
 
     #[test]
@@ -573,17 +544,15 @@ mod tests {
     }
 
     #[test]
-    fn transfers_accumulate_stats() {
+    fn back_to_back_transfers_accumulate_occupancy() {
         let params = NetParams {
             cycles_per_byte: 0.05,
             latency: 10,
         };
         let mut net = PointToPointNet::new(3, params);
-        for i in 0..5 {
-            net.transfer(0, 1, 100 + i, 0);
-        }
-        assert_eq!(net.messages(), 5);
-        assert_eq!(net.bytes(), 100 + 101 + 102 + 103 + 104);
+        let last = (0..5).map(|i| net.transfer(0, 1, 100 + i, 0)).last();
+        // 5, 6, 6, 6 and 6 wire cycles queue on one link, then the latency.
+        assert_eq!(last, Some(29 + 10));
         assert_eq!(net.hosts(), 3);
     }
 

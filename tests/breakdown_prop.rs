@@ -8,7 +8,7 @@ use proptest::prelude::*;
 
 use tmk::apps::{sor, tsp};
 use tmk::dsm::RetransmitPolicy;
-use tmk::machines::{run_workload, run_workload_traced, DsmProtocol, DsmTuning, Platform};
+use tmk::machines::{run_workload, run_workload_with, DsmProtocol, DsmTuning, Platform, RunOpts};
 use tmk::net::FaultPlan;
 use tmk::parmacs::Workload;
 
@@ -35,7 +35,14 @@ fn dsm_platform(procs: usize, ivy: bool, seed: u64, drop_permille: u32) -> Platf
 }
 
 fn check_one<W: Workload>(p: &Platform, w: &W) -> Result<(), TestCaseError> {
-    let (traced, buf) = run_workload_traced(p, w, Some(0));
+    let (traced, buf) = run_workload_with(
+        p,
+        w,
+        &RunOpts {
+            trace: Some(0),
+            ..Default::default()
+        },
+    );
     let buf = buf.expect("tracing armed");
     // The invariant under test: categories sum to the final clocks.
     let ledgers = buf.check(&traced.report.proc_cycles);

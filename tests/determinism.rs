@@ -3,7 +3,7 @@
 //! (This is what makes the reproduction's numbers meaningful at all.)
 
 use tmk::apps::{sor, tsp, water};
-use tmk::machines::{run_workload, run_workload_traced, Platform};
+use tmk::machines::{run_workload, run_workload_with, Platform, RunOpts};
 use tmk::parmacs::Workload;
 
 fn fingerprint<W: Workload>(p: &Platform, w: &W) -> (u64, Vec<u64>, u64, u64) {
@@ -73,8 +73,12 @@ fn more_processors_change_the_clock_vector_not_the_answer() {
 fn traced_runs_record_byte_identical_traces() {
     let w = sor::Sor::tiny();
     let p = Platform::treadmarks(4);
-    let (out_a, buf_a) = run_workload_traced(&p, &w, Some(1 << 16));
-    let (out_b, buf_b) = run_workload_traced(&p, &w, Some(1 << 16));
+    let opts = RunOpts {
+        trace: Some(1 << 16),
+        ..Default::default()
+    };
+    let (out_a, buf_a) = run_workload_with(&p, &w, &opts);
+    let (out_b, buf_b) = run_workload_with(&p, &w, &opts);
     let (trace_a, trace_b) = (
         buf_a.expect("tracing armed").chrome_trace(),
         buf_b.expect("tracing armed").chrome_trace(),
@@ -99,7 +103,14 @@ fn tracing_never_alters_the_simulation() {
         Platform::Sgi { procs: 4 },
     ] {
         let plain = run_workload(&p, &w);
-        let (traced, buf) = run_workload_traced(&p, &w, Some(1 << 16));
+        let (traced, buf) = run_workload_with(
+            &p,
+            &w,
+            &RunOpts {
+                trace: Some(1 << 16),
+                ..Default::default()
+            },
+        );
         // Normalize the host-side wall time: it is the one field allowed
         // to differ between two runs of the same simulation.
         let sim_json = |r: &tmk::machines::RunReport| {

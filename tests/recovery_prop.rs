@@ -11,7 +11,7 @@ use proptest::prelude::*;
 
 use tmk::apps::{sor, tsp};
 use tmk::dsm::RetransmitPolicy;
-use tmk::machines::{run_workload, run_workload_traced, DsmProtocol, DsmTuning, Platform};
+use tmk::machines::{run_workload, run_workload_with, DsmProtocol, DsmTuning, Platform, RunOpts};
 use tmk::net::FaultPlan;
 use tmk::parmacs::Workload;
 
@@ -95,7 +95,14 @@ fn check_one<W: Workload>(
 ) -> Result<(), TestCaseError> {
     let base = run_workload(&platform(machine, seed, drop_permille, None), w);
     let p = platform(machine, seed, drop_permille, Some(crash));
-    let (run, buf) = run_workload_traced(&p, w, Some(0));
+    let (run, buf) = run_workload_with(
+        &p,
+        w,
+        &RunOpts {
+            trace: Some(0),
+            ..Default::default()
+        },
+    );
     let buf = buf.expect("tracing armed");
 
     // The headline property: the survivors reconstruct the crash-free
