@@ -195,6 +195,12 @@ impl IvyNode {
         self.access[page] == Access::Write
     }
 
+    /// Always false: an IVY node keeps no fetch state, so a second fault on
+    /// a page sends a second request.
+    pub fn fetch_in_flight(&self, _page: PageId) -> bool {
+        false
+    }
+
     /// The first page, in ascending order, that an access of `len` bytes at
     /// `addr` must [`fault`](Self::fault) on: see [`Node::next_fault`](crate::Node::next_fault).
     pub fn next_fault(&self, addr: SharedAddr, len: usize, write: bool) -> Option<PageId> {

@@ -385,6 +385,12 @@ impl Node {
         self.pages[page].is_valid()
     }
 
+    /// Whether a fault on `page` is still fetching it: a second fault on
+    /// the page must wait for that fetch, not start another.
+    pub fn fetch_in_flight(&self, page: PageId) -> bool {
+        self.pages[page].fetching()
+    }
+
     /// Is `page` writable without a fault?
     ///
     /// TreadMarks write-protects dirty pages when an interval closes, so

@@ -72,6 +72,7 @@ impl ProtoNode {
         fn holds(&self, lock: LockId) -> bool;
         fn next_fault(&self, addr: SharedAddr, len: usize, write: bool) -> Option<PageId>;
         fn page_valid(&self, page: PageId) -> bool;
+        fn fetch_in_flight(&self, page: PageId) -> bool;
         fn page_writable(&self, page: PageId) -> bool;
         fn pages_resident(&self) -> u64;
         fn forgotten_tokens(&self, crashed: bool) -> u64;

@@ -10,15 +10,21 @@
 //! and receiver's software overheads (receivers via stolen cycles, the
 //! interrupt-driven handler model), reserves link occupancy, and the
 //! resulting completion times drive processor clocks and wakeups.
+//!
+//! The machine is one [`Machine`] implementation behind the one PARMACS
+//! handle. It adds a processor cache per node and the fixed local costs: a
+//! lock whose token is already here, the store that releases a lock, and
+//! the counter update of a barrier arrival.
 
 use tmk_core::{Action, NodeId};
 use tmk_mem::{CacheParams, DirectCache};
 use tmk_net::{NetParams, SoftwareOverhead};
-use tmk_parmacs::System;
-use tmk_sim::{Ctx, Cycle, Op};
-use tmk_trace::{Category, Event, EventKind, Sink, Track};
+use tmk_sim::{Cycle, Op};
+use tmk_trace::{Category, Sink};
 
-use crate::fabric::{self, access, AccessData, Completion, Fabric, NodeMachine};
+use crate::fabric::{self, Completion, Fabric, NodeMachine};
+use crate::run::{AccessData, Machine};
+use crate::RunReport;
 
 /// Parameters of a software-DSM cluster.
 #[derive(Debug, Clone)]
@@ -100,12 +106,6 @@ impl DsmMachine {
             params,
         }
     }
-
-    /// Attaches a trace sink: protocol actions appear on node tracks, wire
-    /// transfers on link tracks. Tracing never alters timing.
-    pub fn set_tracer(&mut self, sink: Sink) {
-        self.fabric.set_tracer(sink);
-    }
 }
 
 impl NodeMachine for DsmMachine {
@@ -134,105 +134,58 @@ impl NodeMachine for DsmMachine {
     }
 }
 
-/// Per-processor [`System`] handle for the software-DSM machine.
-pub struct DsmSys<'a, 'e> {
-    ctx: &'a Ctx<'e, DsmMachine>,
-}
-
-impl<'a, 'e> DsmSys<'a, 'e> {
-    /// Wraps an engine context.
-    pub fn new(ctx: &'a Ctx<'e, DsmMachine>) -> Self {
-        DsmSys { ctx }
-    }
-}
-
-impl System for DsmSys<'_, '_> {
-    fn nprocs(&self) -> usize {
-        self.ctx.nprocs()
+/// A node is a processor: it takes a lock, and arrives at a barrier, at
+/// the DSM level. A trace sink shows protocol actions on node tracks and
+/// wire transfers on link tracks.
+impl Machine for DsmMachine {
+    fn access(op: &mut Op<'_, Self>, addr: usize, data: &mut AccessData<'_>) -> bool {
+        fabric::access(op, addr, data)
     }
 
-    fn pid(&self) -> usize {
-        self.ctx.id()
-    }
-
-    fn read_bytes(&self, addr: usize, buf: &mut [u8]) {
-        access(self.ctx, addr, buf.len(), false, AccessData::Read(buf));
-    }
-
-    fn write_bytes(&self, addr: usize, data: &[u8]) {
-        access(self.ctx, addr, data.len(), true, AccessData::Write(data));
-    }
-
-    fn lock(&self, lock: usize) {
-        let me = self.ctx.id();
-        loop {
-            let got = self.ctx.sync(|op| {
-                let now = op.now();
-                if op.machine().fabric.holds(me, lock) {
-                    return true; // granted while we were blocked
-                }
-                match fabric::acquire(op, me, lock, now) {
-                    Completion::Local => {
-                        let c = op.machine().params.lock_local_cost;
-                        op.advance_as(Category::Protocol, c);
-                        true
-                    }
-                    Completion::At(_) => true,
-                    Completion::Pending => {
-                        op.block_on(format!("lock {lock} grant"));
-                        false
-                    }
-                }
-            });
-            if got {
-                return;
+    fn lock(op: &mut Op<'_, Self>, lock: usize) -> bool {
+        let (me, now) = (op.id(), op.now());
+        if op.machine().fabric.holds(me, lock) {
+            return true; // granted while we were blocked
+        }
+        match fabric::acquire(op, me, lock, now) {
+            Completion::Local => {
+                let c = op.machine().params.lock_local_cost;
+                op.advance_as(Category::Protocol, c);
+                true
+            }
+            Completion::At(_) => true,
+            Completion::Pending => {
+                op.block_on(format!("lock {lock} grant"));
+                false
             }
         }
     }
 
-    fn unlock(&self, lock: usize) {
-        let me = self.ctx.id();
-        self.ctx.sync(|op| {
-            let now = op.now();
-            fabric::release(op, me, lock, now + 2);
-        });
+    fn unlock(op: &mut Op<'_, Self>, lock: usize) {
+        let (me, now) = (op.id(), op.now());
+        fabric::release(op, me, lock, now + 2);
     }
 
-    fn barrier(&self, barrier: usize) {
-        let me = self.ctx.id();
-        self.ctx.sync(|op| {
-            let now = op.now();
-            op.machine().fabric.sink.emit(Event {
-                track: Track::Cpu(me as u32),
-                at: now,
-                dur: 0,
-                kind: EventKind::BarrierEpoch {
-                    barrier: barrier as u64,
-                },
-            });
-            // If we block, the barrier completes when another processor's
-            // cascade wakes us; nothing more to do.
-            if fabric::arrive(op, me, barrier, now + 10) == Completion::Pending {
-                op.block_on(format!("barrier {barrier} release"));
-            }
-        });
+    fn barrier(op: &mut Op<'_, Self>, barrier: usize) {
+        let (me, now) = (op.id(), op.now());
+        op.machine().fabric.barrier_epoch(me, now, barrier);
+        // If we block, the barrier completes when another processor's
+        // cascade wakes us; nothing more to do.
+        if fabric::arrive(op, me, barrier, now + 10) == Completion::Pending {
+            op.block_on(format!("barrier {barrier} release"));
+        }
     }
 
-    fn compute(&self, cycles: Cycle) {
-        self.ctx.advance(cycles);
+    fn mark(&mut self, now: Cycle) {
+        self.fabric.mark(now);
     }
 
-    fn mark(&self) {
-        self.ctx.sync(|op| {
-            let now = op.now();
-            op.machine().fabric.mark(now);
-        });
+    fn set_tracer(&mut self, sink: Sink) {
+        self.fabric.set_tracer(sink);
     }
-}
 
-impl DsmMachine {
-    /// Finishing report: the fabric's half plus this machine's caches.
-    pub(crate) fn fill_report(&self, report: &mut crate::RunReport) {
+    /// The fabric's half plus this machine's caches.
+    fn fill_report(&self, report: &mut RunReport) {
         report.clock_hz = self.params.clock_hz;
         self.fabric.fill_report(report);
         for c in &self.caches {
@@ -241,6 +194,10 @@ impl DsmMachine {
             report.cache.misses += s.misses;
             report.cache.evictions += s.evictions;
         }
+    }
+
+    fn diagnostics(&self) -> String {
+        self.fabric.diagnostics()
     }
 }
 

@@ -15,8 +15,8 @@
 //! work and prices it with the one formula, routes the cascade, settles it
 //! on the engine and hands completions on other nodes back through the
 //! [`NodeMachine`] hook. A machine adds only what sits *inside* a node (a
-//! processor cache on AS; a snooping bus plus node-local lock and barrier
-//! tables on HS) and its fixed local costs.
+//! processor cache on AS; a snooping bus plus the hardware lock and barrier
+//! on HS) and its fixed local costs.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -27,8 +27,10 @@ use tmk_core::{
 };
 use tmk_net::{Fate, LossyNet, NetParams, PointToPointNet, SoftwareOverhead};
 use tmk_parmacs::InitWriter;
-use tmk_sim::{Ctx, Cycle, Op};
+use tmk_sim::{Cycle, Op};
 use tmk_trace::{Category, Event, EventKind, Sink, Track};
+
+use crate::run::AccessData;
 
 /// Runtime state of the node-crash fault model: which scheduled crashes
 /// recovery has repaired, the last barrier-consistent checkpoint cut, and
@@ -146,6 +148,18 @@ impl Fabric {
     /// Opens the measurement window at `now`.
     pub(crate) fn mark(&mut self, now: Cycle) {
         self.mark = (now, self.traffic);
+    }
+
+    /// Marks processor `proc`'s arrival at `barrier` on its trace track.
+    pub(crate) fn barrier_epoch(&self, proc: usize, at: Cycle, barrier: BarrierId) {
+        self.sink.emit(Event {
+            track: Track::Cpu(proc as u32),
+            at,
+            dur: 0,
+            kind: EventKind::BarrierEpoch {
+                barrier: barrier as u64,
+            },
+        });
     }
 
     /// Whether node `nd` holds `lock` (a grant may have landed while the
@@ -985,75 +999,69 @@ pub(crate) fn arrive<M: NodeMachine>(
     })
 }
 
-/// The bytes a shared access moves.
-pub(crate) enum AccessData<'b> {
-    Read(&'b mut [u8]),
-    Write(&'b [u8]),
-}
-
-/// One shared-memory access by the calling processor: page faults on its
-/// node are resolved through the fabric, then the node's memory system is
-/// charged and the bytes move.
+/// One shared-memory access by the operation's processor, inside its
+/// engine operation: page faults on its node are resolved through the
+/// fabric, then the node's memory system is charged and the bytes move.
+/// Returns false when the processor blocked on a page fetch.
 pub(crate) fn access<M: NodeMachine>(
-    ctx: &Ctx<'_, M>,
+    op: &mut Op<'_, M>,
     addr: usize,
-    len: usize,
-    write: bool,
-    mut data: AccessData<'_>,
-) {
-    let me = ctx.id();
+    data: &mut AccessData<'_>,
+) -> bool {
+    let me = op.id();
+    let (len, write) = (data.len(), data.is_write());
+    // Resolve faults and, once every page is usable, perform the access
+    // *within the same operation* — otherwise another node could steal a
+    // just-fetched page before we touch it (a livelock under single-writer
+    // protocols like IVY).
     loop {
-        let done = ctx.sync(|op| {
-            // Resolve faults and, once every page is usable, perform the
-            // access *within the same operation* — otherwise another
-            // node could steal a just-fetched page before we touch it
-            // (a livelock under single-writer protocols like IVY).
-            loop {
-                let now = op.now();
-                let m = op.machine();
-                let nd = me / m.per_node();
-                let Some(page) = m.fabric().nodes[nd].next_fault(addr, len, write) else {
-                    let done = m.charge(me, addr, len, write, now);
-                    let node = &mut m.fabric().nodes[nd];
-                    match &mut data {
-                        AccessData::Read(buf) => node.read_into(addr, buf),
-                        AccessData::Write(bytes) => node.write_from(addr, bytes),
-                    }
-                    op.advance_as(Category::MemStall, done - now);
-                    return true;
-                };
-                // Page fault: handler dispatch, then the protocol.
-                let f = m.fabric();
-                f.sink.emit(Event {
-                    track: Track::Cpu(me as u32),
-                    at: now,
-                    dur: 0,
-                    kind: EventKind::PageFault {
-                        page: page as u64,
-                        write,
-                    },
-                });
-                let at = now + f.so.handler;
-                let want = Some(Action::PageReady(page));
-                let done = node_op(op, nd, at, Category::Network, want, |n| {
-                    n.fault(page, write)
-                });
-                if done != Completion::Local {
-                    op.machine().purge_page(nd, page);
-                }
-                if done == Completion::Pending {
-                    // The request or its reply was lost, with no
-                    // reliability layer to re-send it: nothing will
-                    // complete the fetch, and the watchdog names the page.
-                    op.block_on(format!("page {page} fetch"));
-                    return false;
-                }
-                // Loop: recheck remaining pages in this op.
+        let now = op.now();
+        let m = op.machine();
+        let nd = me / m.per_node();
+        let node = &m.fabric().nodes[nd];
+        let Some(page) = node.next_fault(addr, len, write) else {
+            let done = m.charge(me, addr, len, write, now);
+            let node = &mut m.fabric().nodes[nd];
+            match data {
+                AccessData::Read(buf) => node.read_into(addr, buf),
+                AccessData::Write(bytes) => node.write_from(addr, bytes),
             }
-        });
-        if done {
-            return;
+            op.advance_as(Category::MemStall, done - now);
+            return true;
+        };
+        if node.fetch_in_flight(page) {
+            // A co-resident processor's fetch of the page was lost: this
+            // access waits on the same fetch.
+            op.block_on(format!("page {page} fetch"));
+            return false;
         }
+        // Page fault: handler dispatch, then the protocol.
+        let f = m.fabric();
+        f.sink.emit(Event {
+            track: Track::Cpu(me as u32),
+            at: now,
+            dur: 0,
+            kind: EventKind::PageFault {
+                page: page as u64,
+                write,
+            },
+        });
+        let at = now + f.so.handler;
+        let want = Some(Action::PageReady(page));
+        let done = node_op(op, nd, at, Category::Network, want, |n| {
+            n.fault(page, write)
+        });
+        if done != Completion::Local {
+            op.machine().purge_page(nd, page);
+        }
+        if done == Completion::Pending {
+            // The request or its reply was lost, with no reliability layer
+            // to re-send it: nothing will complete the fetch, and the
+            // watchdog names the page.
+            op.block_on(format!("page {page} fetch"));
+            return false;
+        }
+        // Loop: recheck remaining pages in this op.
     }
 }
 
@@ -1064,7 +1072,7 @@ mod tests {
     use tmk_parmacs::{System, SystemExt};
     use tmk_sim::Cycle;
 
-    use crate::run::run_body;
+    use crate::run::{abort_message, run_body};
     use crate::{run_on_with, DsmTuning, Platform, RunOpts, RunReport};
 
     /// The two machines built on the fabric, four nodes each: AS-4 and
@@ -1104,19 +1112,6 @@ mod tests {
             p.key()
         );
         rep
-    }
-
-    /// The panic message `f` dies with.
-    fn abort_message(f: impl FnOnce()) -> String {
-        let p = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
-            .expect_err("the run must abort instead of hanging");
-        match p.downcast::<String>() {
-            Ok(s) => *s,
-            Err(p) => p
-                .downcast::<&'static str>()
-                .map(|s| s.to_string())
-                .unwrap_or_else(|_| "non-string panic".into()),
-        }
     }
 
     fn chaos_tuning(seed: u64, drop: f64) -> DsmTuning {
@@ -1232,6 +1227,30 @@ mod tests {
             assert!(msg.contains("waiting on page 0 fetch"), "{msg}");
             assert!(msg.contains("injected faults: 1 drops"), "{msg}");
         }
+    }
+
+    #[test]
+    fn second_fault_on_a_lost_fetch_waits_on_the_same_fetch() {
+        // Both processors of HS node 1 read page 0, whose one fetch is
+        // lost: the second must wait on that fetch, not fault it again.
+        let p = Platform::Hs {
+            nodes: 4,
+            per_node: 2,
+            so: None,
+            tuning: DsmTuning {
+                faults: Some(FaultPlan::drop_rate(3, 1.0).with_class_mask(MsgClass::Miss.bit())),
+                ..Default::default()
+            },
+        };
+        let msg = abort_message(|| {
+            run_body(&p, |sys| {
+                if sys.pid() / 2 == 1 {
+                    sys.read::<u64>(0);
+                }
+            });
+        });
+        assert!(msg.contains("simulation deadlock"), "{msg}");
+        assert_eq!(msg.matches("waiting on page 0 fetch").count(), 2, "{msg}");
     }
 
     /// `machine` with `so` as its communication software costs.

@@ -6,7 +6,10 @@
 //! canonical memory image and simulate tags, coherence state and latency.
 //! Synchronization is modelled the way bus/directory machines implement it:
 //! a lock is a coherent read-modify-write on the lock's line (fast, tens of
-//! cycles), a barrier a shared counter.
+//! cycles), a barrier a shared counter. The FIFO [`Lock`] and the counting
+//! [`Barrier`] are written once, here: these machines keep one of each per
+//! id over all their processors, and every HS node keeps one per id over
+//! its own (`hybrid.rs`).
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -15,9 +18,12 @@ use tmk_mem::{
     set_bits, BusParams, CacheParams, DirectCache, Directory, DirectoryParams, LineState, Probe,
     SnoopBus,
 };
-use tmk_parmacs::{InitWriter, System};
-use tmk_sim::{Ctx, Cycle};
+use tmk_parmacs::InitWriter;
+use tmk_sim::{Cycle, Op};
 use tmk_trace::{Category, Sink};
+
+use crate::run::{AccessData, Machine};
+use crate::RunReport;
 
 /// Which coherence fabric backs the machine.
 #[derive(Debug, Clone)]
@@ -129,15 +135,72 @@ impl HwParams {
     }
 }
 
+/// A FIFO hardware lock (a coherent read-modify-write on the lock's line):
+/// the processor holding it and the processors queued behind it.
 #[derive(Debug, Default)]
-struct HwLock {
-    owner: Option<usize>,
+pub(crate) struct Lock {
+    holder: Option<usize>,
     queue: VecDeque<usize>,
 }
 
+/// How [`Lock::acquire`] answered a processor.
+pub(crate) enum Acquire {
+    /// A release handed it the lock while it was queued.
+    Handed,
+    /// The lock was free: it holds it now.
+    Took,
+    /// Another processor holds it: it waits at the end of the queue.
+    Queued,
+}
+
+impl Lock {
+    pub(crate) fn acquire(&mut self, p: usize) -> Acquire {
+        match self.holder {
+            None => {
+                self.holder = Some(p);
+                Acquire::Took
+            }
+            Some(h) if h == p => Acquire::Handed,
+            Some(_) => {
+                self.queue.push_back(p);
+                Acquire::Queued
+            }
+        }
+    }
+
+    /// Hands the lock to the first queued processor, which this returns,
+    /// or frees it.
+    pub(crate) fn release(&mut self) -> Option<usize> {
+        self.holder = self.queue.pop_front();
+        self.holder
+    }
+
+    pub(crate) fn holder(&self) -> Option<usize> {
+        self.holder
+    }
+}
+
+/// A counting hardware barrier (a shared counter): the processors that
+/// have arrived at this episode, in arrival order.
 #[derive(Debug, Default)]
-struct HwBarrier {
+pub(crate) struct Barrier {
     arrived: Vec<usize>,
+}
+
+impl Barrier {
+    /// Counts `p`'s arrival; whether `n` processors have now arrived.
+    pub(crate) fn arrive(&mut self, p: usize, n: usize) -> bool {
+        self.arrived.push(p);
+        self.arrived.len() == n
+    }
+
+    /// Empties the barrier for its next episode and returns the arrivals
+    /// other than `me`, in arrival order.
+    pub(crate) fn drain(&mut self, me: usize) -> Vec<usize> {
+        let mut others = std::mem::take(&mut self.arrived);
+        others.retain(|&p| p != me);
+        others
+    }
 }
 
 enum Fabric {
@@ -152,8 +215,8 @@ pub struct HwMachine {
     primary: Vec<DirectCache>,
     fabric: Fabric,
     params: HwParams,
-    locks: HashMap<usize, HwLock>,
-    barriers: HashMap<usize, HwBarrier>,
+    locks: HashMap<usize, Lock>,
+    barriers: HashMap<usize, Barrier>,
     mark_cycles: Cycle,
 }
 
@@ -183,16 +246,6 @@ impl HwMachine {
             barriers: HashMap::new(),
             mark_cycles: 0,
             params,
-        }
-    }
-
-    /// Attaches a trace sink: coherence transactions appear on bus track 0.
-    /// Tracing never alters timing.
-    pub fn set_tracer(&mut self, sink: Sink) {
-        match &mut self.fabric {
-            Fabric::Uni { .. } => {}
-            Fabric::Bus(b) => b.set_tracer(sink, 0),
-            Fabric::Dir(d) => d.set_tracer(sink),
         }
     }
 
@@ -243,149 +296,82 @@ impl InitWriter for HwMachine {
     }
 }
 
-/// The per-processor [`System`] handle for hardware machines.
-pub struct HwSys<'a, 'e> {
-    ctx: &'a Ctx<'e, HwMachine>,
-}
-
-impl<'a, 'e> HwSys<'a, 'e> {
-    /// Wraps an engine context.
-    pub fn new(ctx: &'a Ctx<'e, HwMachine>) -> Self {
-        HwSys { ctx }
-    }
-}
-
-impl System for HwSys<'_, '_> {
-    fn nprocs(&self) -> usize {
-        self.ctx.nprocs()
-    }
-
-    fn pid(&self) -> usize {
-        self.ctx.id()
+/// Synchronization is a lock or barrier per id over all processors. A
+/// trace sink shows coherence transactions on bus track 0.
+impl Machine for HwMachine {
+    fn access(op: &mut Op<'_, Self>, addr: usize, data: &mut AccessData<'_>) -> bool {
+        let (me, now, len) = (op.id(), op.now(), data.len());
+        let m = op.machine();
+        let done = m.charge_access(me, addr, len, data.is_write(), now);
+        let mem = &mut m.mem[addr..addr + len];
+        match data {
+            AccessData::Read(buf) => buf.copy_from_slice(mem),
+            AccessData::Write(bytes) => mem.copy_from_slice(bytes),
+        }
+        op.advance_as(Category::MemStall, done - now);
+        true
     }
 
-    fn read_bytes(&self, addr: usize, buf: &mut [u8]) {
-        let me = self.ctx.id();
-        self.ctx.sync(|op| {
-            let now = op.now();
-            let m = op.machine();
-            let done = m.charge_access(me, addr, buf.len(), false, now);
-            buf.copy_from_slice(&m.mem[addr..addr + buf.len()]);
-            op.advance_as(Category::MemStall, done - now);
-        });
-    }
-
-    fn write_bytes(&self, addr: usize, data: &[u8]) {
-        let me = self.ctx.id();
-        self.ctx.sync(|op| {
-            let now = op.now();
-            let m = op.machine();
-            let done = m.charge_access(me, addr, data.len(), true, now);
-            m.mem[addr..addr + data.len()].copy_from_slice(data);
-            op.advance_as(Category::MemStall, done - now);
-        });
-    }
-
-    fn lock(&self, lock: usize) {
-        let me = self.ctx.id();
-        loop {
-            let got = self.ctx.sync(|op| {
-                let cost = {
-                    let m = op.machine();
-                    let l = m.locks.entry(lock).or_default();
-                    match l.owner {
-                        None => {
-                            l.owner = Some(me);
-                            Some(m.params.lock_cost)
-                        }
-                        Some(p) if p == me => Some(0), // handed to us by a release
-                        Some(_) => {
-                            l.queue.push_back(me);
-                            None
-                        }
-                    }
-                };
-                match cost {
-                    Some(c) => {
-                        op.advance_as(Category::SyncIdle, c);
-                        true
-                    }
-                    None => {
-                        op.block();
-                        false
-                    }
-                }
-            });
-            if got {
-                return;
+    fn lock(op: &mut Op<'_, Self>, lock: usize) -> bool {
+        let me = op.id();
+        let m = op.machine();
+        let cost = match m.locks.entry(lock).or_default().acquire(me) {
+            Acquire::Took => m.params.lock_cost,
+            Acquire::Handed => 0,
+            Acquire::Queued => {
+                op.block_on(format!("lock {lock} grant"));
+                return false;
             }
+        };
+        op.advance_as(Category::SyncIdle, cost);
+        true
+    }
+
+    fn unlock(op: &mut Op<'_, Self>, lock: usize) {
+        let now = op.now();
+        let m = op.machine();
+        let transfer = m.params.lock_transfer;
+        let next = m
+            .locks
+            .get_mut(&lock)
+            .expect("unlock of unknown lock")
+            .release();
+        op.advance_as(Category::SyncIdle, 2); // store to release
+        if let Some(p) = next {
+            op.wake_at(p, now + transfer);
         }
     }
 
-    fn unlock(&self, lock: usize) {
-        self.ctx.sync(|op| {
-            let now = op.now();
-            let (next, transfer) = {
-                let m = op.machine();
-                let transfer = m.params.lock_transfer;
-                let l = m.locks.get_mut(&lock).expect("unlock of unknown lock");
-                l.owner = l.queue.pop_front();
-                (l.owner, transfer)
-            };
-            op.advance_as(Category::SyncIdle, 2); // store to release
-            if let Some(p) = next {
-                op.wake_at(p, now + transfer);
-            }
-        });
+    fn barrier(op: &mut Op<'_, Self>, barrier: usize) {
+        let (me, now, nprocs) = (op.id(), op.now(), op.nprocs());
+        let m = op.machine();
+        let (cost, release) = (m.params.barrier_cost, m.params.barrier_release);
+        let b = m.barriers.entry(barrier).or_default();
+        let waiters = b.arrive(me, nprocs).then(|| b.drain(me));
+        op.advance_as(Category::SyncIdle, cost);
+        let Some(waiters) = waiters else {
+            op.block_on(format!("barrier {barrier} release"));
+            return;
+        };
+        for q in waiters {
+            op.wake_at(q, now + cost + release);
+        }
+        op.advance_as(Category::SyncIdle, release);
     }
 
-    fn barrier(&self, barrier: usize) {
-        let me = self.ctx.id();
-        let nprocs = self.ctx.nprocs();
-        self.ctx.sync(|op| {
-            let now = op.now();
-            let (full, cost, release) = {
-                let m = op.machine();
-                let cost = m.params.barrier_cost;
-                let release = m.params.barrier_release;
-                let b = m.barriers.entry(barrier).or_default();
-                b.arrived.push(me);
-                (b.arrived.len() == nprocs, cost, release)
-            };
-            op.advance_as(Category::SyncIdle, cost);
-            if full {
-                let t = now + cost + release;
-                let waiters = {
-                    let m = op.machine();
-                    m.barriers.remove(&barrier).expect("barrier exists").arrived
-                };
-                for q in waiters {
-                    if q != me {
-                        op.wake_at(q, t);
-                    }
-                }
-                op.advance_as(Category::SyncIdle, release);
-            } else {
-                op.block();
-            }
-        });
+    fn mark(&mut self, now: Cycle) {
+        self.mark_cycles = now;
     }
 
-    fn compute(&self, cycles: Cycle) {
-        self.ctx.advance(cycles);
+    fn set_tracer(&mut self, sink: Sink) {
+        match &mut self.fabric {
+            Fabric::Uni { .. } => {}
+            Fabric::Bus(b) => b.set_tracer(sink, 0),
+            Fabric::Dir(d) => d.set_tracer(sink),
+        }
     }
 
-    fn mark(&self) {
-        self.ctx.sync(|op| {
-            let now = op.now();
-            op.machine().mark_cycles = now;
-        });
-    }
-}
-
-impl HwMachine {
-    /// Finishing report pieces specific to this machine.
-    pub(crate) fn fill_report(&self, report: &mut crate::RunReport) {
+    fn fill_report(&self, report: &mut RunReport) {
         report.clock_hz = self.params.clock_hz;
         report.mark_cycles = self.mark_cycles;
         for c in &self.primary {
@@ -412,17 +398,30 @@ impl HwMachine {
             report.cache.misses += c.stats().misses;
         }
     }
+
+    /// Every held lock, its holder and how many processors queue for it.
+    fn diagnostics(&self) -> String {
+        let mut held: Vec<_> = (self.locks.iter())
+            .filter_map(|(&id, l)| Some((id, l.holder?, l.queue.len())))
+            .collect();
+        held.sort_unstable();
+        (held.into_iter())
+            .map(|(id, p, queued)| format!("  lock {id}: held by p{p}, {queued} queued\n"))
+            .collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::Proc;
+    use tmk_parmacs::System;
     use tmk_sim::CoopEngine;
 
     fn run_on<R: Send>(
         params: HwParams,
         seg: usize,
-        body: impl Fn(&HwSys<'_, '_>) -> R + Send + Sync,
+        body: impl Fn(&dyn System) -> R + Send + Sync,
     ) -> (Vec<R>, HwMachine, Vec<Cycle>) {
         let procs = params.procs;
         let machine = HwMachine::new(params, seg);
@@ -430,8 +429,7 @@ mod tests {
         let results: std::sync::Mutex<Vec<Option<R>>> =
             std::sync::Mutex::new((0..procs).map(|_| None).collect());
         let r = engine.run(|ctx| {
-            let sys = HwSys::new(ctx);
-            let out = body(&sys);
+            let out = body(&Proc(ctx));
             results.lock().unwrap()[ctx.id()] = Some(out);
         });
         let results = results
@@ -523,6 +521,39 @@ mod tests {
         });
         // pid 3 arrived first (100 cycles), then 2, 1, 0.
         assert_eq!(order, vec![3, 2, 1, 0]);
+    }
+
+    #[test]
+    fn bus_lock_grants_in_arrival_order() {
+        // p0 holds the lock while the others ask for it out of pid order.
+        let (turns, _, _) = run_on(HwParams::sgi_4d480(4), 4096, |sys| {
+            use tmk_parmacs::SystemExt;
+            sys.compute([0, 200, 300, 100][sys.pid()]);
+            sys.lock(0);
+            let turn: u64 = sys.read(0);
+            sys.write(0, turn + 1);
+            if sys.pid() == 0 {
+                sys.compute(10_000);
+            }
+            sys.unlock(0);
+            turn
+        });
+        assert_eq!(turns, vec![0, 2, 3, 1]);
+    }
+
+    #[test]
+    fn blocked_lock_waiter_is_named_in_the_watchdog_dump() {
+        let msg = crate::run::abort_message(|| {
+            crate::run::run_body(&crate::Platform::Sgi { procs: 2 }, |sys| {
+                if sys.pid() == 1 {
+                    sys.compute(100);
+                }
+                sys.lock(0); // p0 never unlocks
+            });
+        });
+        assert!(msg.contains("simulation deadlock"), "{msg}");
+        assert!(msg.contains("waiting on lock 0 grant"), "{msg}");
+        assert!(msg.contains("lock 0: held by p0, 1 queued"), "{msg}");
     }
 
     #[test]

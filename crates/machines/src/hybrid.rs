@@ -7,17 +7,24 @@
 //! processors coalesce into a single diff, barriers use a local counter with
 //! one arrival message per node, and a lock needs no messages when its
 //! token already resides at the node.
+//!
+//! Inside a node, processors synchronize the way a bus machine's
+//! processors do: each node keeps the hardware lock and barrier of
+//! `hw.rs`, one per id, over its own processors. The machine is one
+//! [`Machine`] implementation behind the one PARMACS handle.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 
 use tmk_core::{Action, DsmProtocol, NodeId};
 use tmk_mem::{BusParams, CacheParams, SnoopBus};
 use tmk_net::{NetParams, SoftwareOverhead};
-use tmk_parmacs::System;
-use tmk_sim::{Ctx, Cycle, Op};
-use tmk_trace::{Category, Event, EventKind, Sink, Track};
+use tmk_sim::{Cycle, Op};
+use tmk_trace::{Category, Sink};
 
-use crate::fabric::{self, access, AccessData, Completion, Fabric, NodeMachine};
+use crate::fabric::{self, Completion, Fabric, NodeMachine};
+use crate::hw::{Acquire, Barrier, Lock};
+use crate::run::{AccessData, Machine};
+use crate::RunReport;
 
 /// Parameters of the hybrid machine.
 #[derive(Debug, Clone)]
@@ -70,23 +77,18 @@ impl HsParams {
 }
 
 /// Shared machine state: the inter-node fabric (one DSM instance per
-/// node), each node's snooping bus, and the node-local lock and barrier
-/// tables that let co-resident processors act as one.
+/// node), each node's snooping bus, and each node's hardware lock and
+/// barrier per id, over its own processors.
 pub struct HsMachine {
     pub(crate) fabric: Fabric,
     buses: Vec<SnoopBus>,
     pub(crate) params: HsParams,
-    /// Application-level lock state: which processor holds each lock, and
-    /// the co-resident processors queued behind it.
-    lock_holder: HashMap<usize, usize>,
-    lock_local_q: HashMap<usize, VecDeque<usize>>,
-    /// `(lock, node)` pairs with an outstanding node-level (DSM) acquire:
-    /// a second co-resident requester must queue locally, not re-acquire.
-    /// Several nodes can chase the same token concurrently.
-    lock_dsm_pending: HashSet<(usize, NodeId)>,
-    /// Per-barrier, per-node arrival counts and blocked processors.
-    barrier_count: HashMap<usize, Vec<usize>>,
-    barrier_waiters: HashMap<usize, Vec<usize>>,
+    /// Per (node, lock id): the node-level lock. Its holder holds the
+    /// application lock, or is the one processor bringing the DSM token
+    /// to the node; co-resident requesters queue behind it.
+    locks: HashMap<(NodeId, usize), Lock>,
+    /// Per (node, barrier id): the node's arrivals at this episode.
+    barriers: HashMap<(NodeId, usize), Barrier>,
     /// The latest cycle a barrier departure landed on a node other than
     /// the arriving one, in the cascade being settled: every waiter leaves
     /// when the last node's departure lands.
@@ -120,36 +122,15 @@ impl HsMachine {
             buses: (0..params.nodes)
                 .map(|_| SnoopBus::new(params.per_node, params.cache, params.bus))
                 .collect(),
-            lock_holder: HashMap::new(),
-            lock_local_q: HashMap::new(),
-            lock_dsm_pending: HashSet::new(),
-            barrier_count: HashMap::new(),
-            barrier_waiters: HashMap::new(),
+            locks: HashMap::new(),
+            barriers: HashMap::new(),
             barrier_landed: None,
             params,
         }
     }
 
-    /// Attaches a trace sink: DSM protocol actions appear on node tracks,
-    /// inter-node transfers on link tracks, and each node's snooping bus on
-    /// its own bus track. Tracing never alters timing.
-    pub fn set_tracer(&mut self, sink: Sink) {
-        for (node, b) in self.buses.iter_mut().enumerate() {
-            b.set_tracer(sink.clone(), node as u32);
-        }
-        self.fabric.set_tracer(sink);
-    }
-
     fn node_of(&self, proc: usize) -> NodeId {
         proc / self.params.per_node
-    }
-
-    /// Takes the first processor of `node` queued for `lock`.
-    fn next_waiter(&mut self, lock: usize, node: NodeId) -> Option<usize> {
-        let per_node = self.params.per_node;
-        let q = self.lock_local_q.entry(lock).or_default();
-        let pos = q.iter().position(|&p| p / per_node == node)?;
-        q.remove(pos)
     }
 }
 
@@ -178,16 +159,14 @@ impl NodeMachine for HsMachine {
     }
 
     /// Processors here block only in `lock` and `barrier`. A lock granted
-    /// to `node` goes to a processor queued for it there; a barrier
-    /// departure is noted, and the arriving processor wakes every waiter
-    /// once the cascade is settled.
+    /// to `node` wakes the holder of its node-level lock, the processor
+    /// that asked for the token; a barrier departure is noted, and the
+    /// arriving processor wakes every waiter once the cascade is settled.
     fn completed_elsewhere(op: &mut Op<'_, Self>, node: NodeId, action: Action, at: Cycle) {
         let m = op.machine();
         match action {
             Action::LockGranted(lock) => {
-                m.lock_dsm_pending.remove(&(lock, node));
-                if let Some(p) = m.next_waiter(lock, node) {
-                    m.lock_holder.insert(lock, p);
+                if let Some(p) = m.locks.get(&(node, lock)).and_then(Lock::holder) {
                     op.wake_at(p, at);
                 }
             }
@@ -197,224 +176,116 @@ impl NodeMachine for HsMachine {
     }
 }
 
-/// Per-processor [`System`] handle for the hybrid machine.
-pub struct HsSys<'a, 'e> {
-    ctx: &'a Ctx<'e, HsMachine>,
-}
-
-impl<'a, 'e> HsSys<'a, 'e> {
-    /// Wraps an engine context.
-    pub fn new(ctx: &'a Ctx<'e, HsMachine>) -> Self {
-        HsSys { ctx }
+/// Inside a node, processors synchronize the way a bus machine's do, on
+/// the node's [`Lock`] and [`Barrier`]; the node calls the fabric only to
+/// bring a lock's token here, to release it when no co-resident waiter is
+/// left, and to arrive at a barrier once every processor of the node has.
+/// A trace sink shows DSM protocol actions on node tracks, inter-node
+/// transfers on link tracks, and each node's snooping bus on its own bus
+/// track.
+impl Machine for HsMachine {
+    fn access(op: &mut Op<'_, Self>, addr: usize, data: &mut AccessData<'_>) -> bool {
+        fabric::access(op, addr, data)
     }
 
-    /// Wakes every processor of `node` blocked on `barrier`, at time `t`.
-    fn wake_barrier_waiters(
-        &self,
-        op: &mut Op<'_, HsMachine>,
-        barrier: usize,
-        node: NodeId,
-        t: Cycle,
-        skip: usize,
-    ) {
-        let procs: Vec<usize> = {
-            let m = op.machine();
-            let per_node = m.params.per_node;
-            let waiters = m.barrier_waiters.entry(barrier).or_default();
-            let (here, rest): (Vec<usize>, Vec<usize>) = waiters
-                .drain(..)
-                .partition(|&p| p / per_node == node && p != skip);
-            *waiters = rest;
-            // Reset the node's local counter for the next episode.
-            if let Some(counts) = m.barrier_count.get_mut(&barrier) {
-                counts[node] = 0;
+    fn lock(op: &mut Op<'_, Self>, lock: usize) -> bool {
+        let (me, now) = (op.id(), op.now());
+        let m = op.machine();
+        let nd = m.node_of(me);
+        match m.locks.entry((nd, lock)).or_default().acquire(me) {
+            // A co-resident release, or the token this processor asked for.
+            Acquire::Handed => true,
+            // The token is at (or already headed to) our node: wait for a
+            // local hand-off, no messages.
+            Acquire::Queued => {
+                op.block_on(format!("lock {lock} grant"));
+                false
             }
-            here
+            // No processor of ours holds it: bring the token here.
+            Acquire::Took => match fabric::acquire(op, nd, lock, now) {
+                Completion::Local => {
+                    let c = op.machine().params.lock_local_cost;
+                    op.advance_as(Category::Protocol, c);
+                    true
+                }
+                Completion::At(_) => true,
+                Completion::Pending => {
+                    op.block_on(format!("lock {lock} grant"));
+                    false
+                }
+            },
+        }
+    }
+
+    fn unlock(op: &mut Op<'_, Self>, lock: usize) {
+        let (me, now) = (op.id(), op.now());
+        let m = op.machine();
+        let nd = m.node_of(me);
+        let c = m.params.lock_local_cost;
+        let next = m
+            .locks
+            .get_mut(&(nd, lock))
+            .expect("unlock of unknown lock");
+        // Prefer passing to a co-resident waiter: no messages (the paper's
+        // "if the token already resides at the node, no messages are
+        // required"). Otherwise release at the DSM level; a queued remote
+        // node gets the token, and the holder there the lock.
+        match next.release() {
+            Some(p) => op.wake_at(p, now + c),
+            None => fabric::release(op, nd, lock, now + 2),
+        }
+        op.advance_as(Category::SyncIdle, 2);
+    }
+
+    fn barrier(op: &mut Op<'_, Self>, barrier: usize) {
+        let (me, now) = (op.id(), op.now());
+        let m = op.machine();
+        let (nd, nodes, local_cost) = (m.node_of(me), m.params.nodes, m.params.barrier_local_cost);
+        let b = m.barriers.entry((nd, barrier)).or_default();
+        let node_full = b.arrive(me, m.params.per_node);
+        m.fabric.barrier_epoch(me, now, barrier);
+        op.advance_as(Category::SyncIdle, local_cost);
+        if !node_full {
+            op.block_on(format!("barrier {barrier} release"));
+            return;
+        }
+        // Last processor on the node: node-level DSM arrival.
+        let done = fabric::arrive(op, nd, barrier, now + local_cost);
+        // The departure reaches every node within this cascade; all
+        // waiters leave together, when the last node's release lands.
+        let mine = match done {
+            Completion::At(at) => Some(at),
+            _ => None,
         };
-        for p in procs {
-            op.wake_at(p, t);
+        let all_done = mine.max(op.machine().barrier_landed.take());
+        if done != Completion::Local && all_done.is_none() {
+            op.block_on(format!("barrier {barrier} release"));
+            return;
         }
-    }
-}
-
-impl System for HsSys<'_, '_> {
-    fn nprocs(&self) -> usize {
-        self.ctx.nprocs()
-    }
-
-    fn pid(&self) -> usize {
-        self.ctx.id()
-    }
-
-    fn read_bytes(&self, addr: usize, buf: &mut [u8]) {
-        access(self.ctx, addr, buf.len(), false, AccessData::Read(buf));
-    }
-
-    fn write_bytes(&self, addr: usize, data: &[u8]) {
-        access(self.ctx, addr, data.len(), true, AccessData::Write(data));
-    }
-
-    fn lock(&self, lock: usize) {
-        let me = self.ctx.id();
-        loop {
-            let got = self.ctx.sync(|op| {
-                let now = op.now();
-                let nd = op.machine().node_of(me);
-                // Handed to us directly (local pass or remote grant)?
-                if op.machine().lock_holder.get(&lock) == Some(&me) {
-                    return true;
-                }
-                let pending_here = op.machine().lock_dsm_pending.contains(&(lock, nd));
-                let held_by = op.machine().lock_holder.get(&lock).copied();
-                let holder_here = held_by.is_some_and(|p| op.machine().node_of(p) == nd);
-                match held_by {
-                    _ if pending_here || holder_here => {
-                        // The token is at (or already headed to) our node:
-                        // wait for a local hand-off, no messages.
-                        op.machine()
-                            .lock_local_q
-                            .entry(lock)
-                            .or_default()
-                            .push_back(me);
-                        op.block_on(format!("lock {lock} grant"));
-                        false
-                    }
-                    // No processor holds it: bring the token here.
-                    _ => match fabric::acquire(op, nd, lock, now) {
-                        Completion::Local => {
-                            let c = op.machine().params.lock_local_cost;
-                            op.machine().lock_holder.insert(lock, me);
-                            op.advance_as(Category::Protocol, c);
-                            true
-                        }
-                        Completion::At(_) => {
-                            op.machine().lock_holder.insert(lock, me);
-                            true
-                        }
-                        Completion::Pending => {
-                            op.machine().lock_dsm_pending.insert((lock, nd));
-                            op.machine()
-                                .lock_local_q
-                                .entry(lock)
-                                .or_default()
-                                .push_back(me);
-                            op.block_on(format!("lock {lock} grant"));
-                            false
-                        }
-                    },
-                }
-            });
-            if got {
-                return;
-            }
+        let t_done = all_done.unwrap_or(op.now());
+        let m = op.machine();
+        let waiters: Vec<usize> = (0..nodes)
+            .flat_map(|q| m.barriers.get_mut(&(q, barrier)).map(|b| b.drain(me)))
+            .flatten()
+            .collect();
+        for p in waiters {
+            op.wake_at(p, t_done);
         }
     }
 
-    fn unlock(&self, lock: usize) {
-        let me = self.ctx.id();
-        self.ctx.sync(|op| {
-            let now = op.now();
-            let nd = op.machine().node_of(me);
-            op.machine().lock_holder.remove(&lock);
-
-            // Prefer passing to a co-resident waiter: no messages (the
-            // paper's "if the token already resides at the node, no
-            // messages are required").
-            if let Some(p) = op.machine().next_waiter(lock, nd) {
-                let c = op.machine().params.lock_local_cost;
-                op.machine().lock_holder.insert(lock, p);
-                op.advance_as(Category::SyncIdle, 2);
-                op.wake_at(p, now + c);
-                return;
-            }
-
-            // Otherwise release at the DSM level; a queued remote node gets
-            // the token, and one of its waiters the lock.
-            fabric::release(op, nd, lock, now + 2);
-            op.advance_as(Category::SyncIdle, 2);
-        });
+    fn mark(&mut self, now: Cycle) {
+        self.fabric.mark(now);
     }
 
-    fn barrier(&self, barrier: usize) {
-        let me = self.ctx.id();
-        self.ctx.sync(|op| {
-            let now = op.now();
-            let (nd, per_node, nodes, local_cost) = {
-                let m = op.machine();
-                (
-                    m.node_of(me),
-                    m.params.per_node,
-                    m.params.nodes,
-                    m.params.barrier_local_cost,
-                )
-            };
-            let node_full = {
-                let m = op.machine();
-                let counts = m
-                    .barrier_count
-                    .entry(barrier)
-                    .or_insert_with(|| vec![0; nodes]);
-                counts[nd] += 1;
-                counts[nd] == per_node
-            };
-            op.machine().fabric.sink.emit(Event {
-                track: Track::Cpu(me as u32),
-                at: now,
-                dur: 0,
-                kind: EventKind::BarrierEpoch {
-                    barrier: barrier as u64,
-                },
-            });
-            op.advance_as(Category::SyncIdle, local_cost);
-            if !node_full {
-                op.machine()
-                    .barrier_waiters
-                    .entry(barrier)
-                    .or_default()
-                    .push(me);
-                op.block_on(format!("barrier {barrier} release"));
-                return;
-            }
-            // Last processor on the node: node-level DSM arrival.
-            let done = fabric::arrive(op, nd, barrier, now + local_cost);
-            // The departure reaches every node within this cascade; all
-            // waiters leave together, when the last node's release lands.
-            let mine = match done {
-                Completion::At(at) => Some(at),
-                _ => None,
-            };
-            let all_done = mine.max(op.machine().barrier_landed.take());
-            if done == Completion::Local || all_done.is_some() {
-                let t_done = all_done.unwrap_or(op.now());
-                for q in 0..nodes {
-                    self.wake_barrier_waiters(op, barrier, q, t_done, me);
-                }
-            } else {
-                op.machine()
-                    .barrier_waiters
-                    .entry(barrier)
-                    .or_default()
-                    .push(me);
-                op.block_on(format!("barrier {barrier} release"));
-            }
-        });
+    fn set_tracer(&mut self, sink: Sink) {
+        for (node, b) in self.buses.iter_mut().enumerate() {
+            b.set_tracer(sink.clone(), node as u32);
+        }
+        self.fabric.set_tracer(sink);
     }
 
-    fn compute(&self, cycles: Cycle) {
-        self.ctx.advance(cycles);
-    }
-
-    fn mark(&self) {
-        self.ctx.sync(|op| {
-            let now = op.now();
-            op.machine().fabric.mark(now);
-        });
-    }
-}
-
-impl HsMachine {
-    /// Finishing report: the fabric's half plus this machine's buses.
-    pub(crate) fn fill_report(&self, report: &mut crate::RunReport) {
+    /// The fabric's half plus this machine's buses.
+    fn fill_report(&self, report: &mut RunReport) {
         report.clock_hz = self.params.clock_hz;
         self.fabric.fill_report(report);
         let mut bus = tmk_mem::BusStats::default();
@@ -433,5 +304,43 @@ impl HsMachine {
             report.cache.hits += c.stats().hits;
             report.cache.misses += c.stats().misses;
         }
+    }
+
+    fn diagnostics(&self) -> String {
+        self.fabric.diagnostics()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use tmk_parmacs::SystemExt;
+
+    use crate::run::run_body;
+    use crate::Platform;
+
+    #[test]
+    fn co_resident_waiter_takes_the_lock_before_the_token_leaves() {
+        // HS 2x2: p0 holds lock 0; remote p2 asks for it, then co-resident
+        // p1. Each logs its pid under the lock; p0's node serves p1 first.
+        let (logs, _) = run_body(&Platform::hs_sim(2, 2), |sys| {
+            let me = sys.pid();
+            if me != 3 {
+                sys.compute([0, 5_000, 1_000][me]);
+                sys.lock(0);
+                let n: u64 = sys.read(0);
+                sys.write(8 + 8 * n as usize, me as u64);
+                sys.write(0, n + 1);
+                if me == 0 {
+                    sys.compute(100_000);
+                }
+                sys.unlock(0);
+            }
+            sys.barrier(0);
+            let n: u64 = sys.read(0);
+            (0..n as usize)
+                .map(|i| sys.read::<u64>(8 + 8 * i))
+                .collect::<Vec<_>>()
+        });
+        assert!(logs.iter().all(|log| log == &[0, 1, 2]), "{logs:?}");
     }
 }

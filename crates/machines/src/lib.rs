@@ -22,7 +22,7 @@ pub mod json;
 mod report;
 mod run;
 
-pub use dsm::{DsmMachine, DsmParams, DsmSys};
+pub use dsm::{DsmMachine, DsmParams};
 pub use hw::{HwKind, HwMachine, HwParams};
 pub use hybrid::{HsMachine, HsParams};
 pub use json::Json;

@@ -6,12 +6,12 @@ use std::time::Instant;
 use tmk_core::DsmProtocol;
 use tmk_net::SoftwareOverhead;
 use tmk_parmacs::{Alloc, InitWriter, System};
-use tmk_sim::{CoopEngine, Ctx, Cycle, EngineKind};
+use tmk_sim::{CoopEngine, Ctx, Cycle, EngineKind, Op};
 use tmk_trace::{Sink, TraceBuf};
 
-use crate::dsm::{DsmMachine, DsmParams, DsmSys};
-use crate::hw::{HwMachine, HwParams, HwSys};
-use crate::hybrid::{HsMachine, HsParams, HsSys};
+use crate::dsm::{DsmMachine, DsmParams};
+use crate::hw::{HwMachine, HwParams};
+use crate::hybrid::{HsMachine, HsParams};
 use crate::{Outcome, RunReport};
 
 /// How a run executes, as opposed to what it simulates. None of these
@@ -313,23 +313,18 @@ where
         .map(|cap| Arc::new(TraceBuf::new(platform.procs(), cap)));
 
     let procs = platform.procs();
-    let hw = |params: HwParams, init: FI, body: FB| {
-        let mut machine = HwMachine::new(params, segment_bytes);
-        init(&p, &mut machine);
-        let hooks = Hooks {
-            set_tracer: HwMachine::set_tracer,
-            fill_report: HwMachine::fill_report,
-            diagnostics: None,
-            budget: None,
-        };
-        run_machine(opts, machine, procs, hooks, buf.clone(), |ctx| {
-            body(&HwSys::new(ctx), &p)
-        })
-    };
+    let each = |sys: &dyn System| body(sys, &p);
     let out = match platform {
-        Platform::Dec => hw(HwParams::dec_5000_240(), init, body),
-        Platform::Sgi { procs } => hw(HwParams::sgi_4d480(*procs), init, body),
-        Platform::Ah { procs } => hw(HwParams::ah(*procs), init, body),
+        Platform::Dec | Platform::Sgi { .. } | Platform::Ah { .. } => {
+            let params = match platform {
+                Platform::Sgi { procs } => HwParams::sgi_4d480(*procs),
+                Platform::Ah { procs } => HwParams::ah(*procs),
+                _ => HwParams::dec_5000_240(),
+            };
+            let mut machine = HwMachine::new(params, segment_bytes);
+            init(&p, &mut machine);
+            run_machine(opts, machine, procs, None, buf.clone(), each)
+        }
         Platform::AsCluster {
             procs,
             part1,
@@ -346,15 +341,8 @@ where
             }
             let mut machine = DsmMachine::new(params, segment_bytes, tuning);
             init(&p, &mut machine.fabric);
-            let hooks = Hooks {
-                set_tracer: DsmMachine::set_tracer,
-                fill_report: DsmMachine::fill_report,
-                diagnostics: Some(|m| m.fabric.diagnostics()),
-                budget: tuning.watchdog_budget,
-            };
-            run_machine(opts, machine, *procs, hooks, buf.clone(), |ctx| {
-                body(&DsmSys::new(ctx), &p)
-            })
+            let budget = tuning.watchdog_budget;
+            run_machine(opts, machine, *procs, budget, buf.clone(), each)
         }
         Platform::Hs {
             nodes,
@@ -368,15 +356,8 @@ where
             }
             let mut machine = HsMachine::new(params, segment_bytes, tuning);
             init(&p, &mut machine.fabric);
-            let hooks = Hooks {
-                set_tracer: HsMachine::set_tracer,
-                fill_report: HsMachine::fill_report,
-                diagnostics: Some(|m| m.fabric.diagnostics()),
-                budget: tuning.watchdog_budget,
-            };
-            run_machine(opts, machine, procs, hooks, buf.clone(), |ctx| {
-                body(&HsSys::new(ctx), &p)
-            })
+            let budget = tuning.watchdog_budget;
+            run_machine(opts, machine, procs, budget, buf.clone(), each)
         }
     };
     (out, buf)
@@ -408,37 +389,117 @@ fn collect<R>(results: Mutex<Vec<Option<R>>>) -> Vec<R> {
         .collect()
 }
 
-/// What the run loop needs to know about a platform's machine model.
-struct Hooks<M> {
-    set_tracer: fn(&mut M, Sink),
-    fill_report: fn(&M, &mut RunReport),
-    /// Machine-state renderer for the watchdog's dump.
-    diagnostics: Option<fn(&M) -> String>,
-    /// Per-processor cycle ceiling for the engine's watchdog.
-    budget: Option<Cycle>,
+/// A platform's machine model, as the one PARMACS handle ([`Proc`]) and
+/// the one run loop drive it. `access`, `lock`, `unlock` and `barrier` each
+/// run inside one engine operation of the calling processor; `access` and
+/// `lock` return whether they finished, and block the processor when they
+/// did not, so the handle retries once it is woken.
+pub(crate) trait Machine: Send + Sized + 'static {
+    /// One shared-memory access.
+    fn access(op: &mut Op<'_, Self>, addr: usize, data: &mut AccessData<'_>) -> bool;
+    /// Whether the processor now holds `lock`.
+    fn lock(op: &mut Op<'_, Self>, lock: usize) -> bool;
+    fn unlock(op: &mut Op<'_, Self>, lock: usize);
+    /// Arrives at `barrier`; unless this arrival completes the episode,
+    /// the processor blocks until the one that does wakes it.
+    fn barrier(op: &mut Op<'_, Self>, barrier: usize);
+    /// Opens the measurement window at `now`.
+    fn mark(&mut self, now: Cycle);
+    /// Attaches a trace sink. Tracing never alters timing.
+    fn set_tracer(&mut self, sink: Sink);
+    /// The machine's half of the finishing report.
+    fn fill_report(&self, report: &mut RunReport);
+    /// Machine state for the watchdog's dump.
+    fn diagnostics(&self) -> String;
 }
 
-/// Runs `body` on every simulated processor of `machine` and assembles the
+/// The bytes a shared access moves.
+pub(crate) enum AccessData<'b> {
+    Read(&'b mut [u8]),
+    Write(&'b [u8]),
+}
+
+impl AccessData<'_> {
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            AccessData::Read(buf) => buf.len(),
+            AccessData::Write(bytes) => bytes.len(),
+        }
+    }
+
+    pub(crate) fn is_write(&self) -> bool {
+        matches!(self, AccessData::Write(_))
+    }
+}
+
+/// The one PARMACS processor handle: a simulated processor of `M`.
+pub(crate) struct Proc<'a, 'e, M>(pub(crate) &'a Ctx<'e, M>);
+
+impl<M: Machine> Proc<'_, '_, M> {
+    fn access(&self, addr: usize, mut data: AccessData<'_>) {
+        while !self.0.sync(|op| M::access(op, addr, &mut data)) {}
+    }
+}
+
+impl<M: Machine> System for Proc<'_, '_, M> {
+    fn nprocs(&self) -> usize {
+        self.0.nprocs()
+    }
+
+    fn pid(&self) -> usize {
+        self.0.id()
+    }
+
+    fn read_bytes(&self, addr: usize, buf: &mut [u8]) {
+        self.access(addr, AccessData::Read(buf));
+    }
+
+    fn write_bytes(&self, addr: usize, data: &[u8]) {
+        self.access(addr, AccessData::Write(data));
+    }
+
+    fn lock(&self, lock: usize) {
+        while !self.0.sync(|op| M::lock(op, lock)) {}
+    }
+
+    fn unlock(&self, lock: usize) {
+        self.0.sync(|op| M::unlock(op, lock));
+    }
+
+    fn barrier(&self, barrier: usize) {
+        self.0.sync(|op| M::barrier(op, barrier));
+    }
+
+    fn compute(&self, cycles: Cycle) {
+        self.0.advance(cycles);
+    }
+
+    fn mark(&self) {
+        self.0.sync(|op| {
+            let now = op.now();
+            op.machine().mark(now);
+        });
+    }
+}
+
+/// Runs `body` on every simulated processor of `machine`, under the
+/// engine watchdog's per-processor cycle `budget`, and assembles the
 /// audited report. The one run loop behind every platform.
-fn run_machine<M: Send + 'static, R: Send>(
+fn run_machine<M: Machine, R: Send>(
     opts: &RunOpts,
     mut machine: M,
     procs: usize,
-    hooks: Hooks<M>,
+    budget: Option<Cycle>,
     trace: Option<Arc<TraceBuf>>,
-    body: impl Fn(&Ctx<'_, M>) -> R + Send + Sync,
+    body: impl Fn(&dyn System) -> R + Send + Sync,
 ) -> Outcome<R> {
     if let Some(buf) = &trace {
-        (hooks.set_tracer)(&mut machine, Sink::new(buf.clone()));
+        machine.set_tracer(Sink::new(buf.clone()));
     }
-    let mut engine = CoopEngine::new(machine, procs);
-    if let Some(diagnostics) = hooks.diagnostics {
-        engine = engine.with_diagnostics(diagnostics);
-    }
-    if opts.op_trace {
-        engine = engine.with_op_trace(true);
-    }
-    if let Some(b) = hooks.budget {
+    let mut engine = CoopEngine::new(machine, procs)
+        .with_diagnostics(M::diagnostics)
+        .with_op_trace(opts.op_trace);
+    if let Some(b) = budget {
         engine = engine.with_cycle_budget(b);
     }
     if let Some(buf) = &trace {
@@ -447,7 +508,7 @@ fn run_machine<M: Send + 'static, R: Send>(
     let results: Mutex<Vec<Option<R>>> = Mutex::new((0..procs).map(|_| None).collect());
     let started = Instant::now();
     let run = engine.run(|ctx| {
-        let out = body(ctx);
+        let out = body(&Proc(ctx));
         results.lock().unwrap()[ctx.id()] = Some(out);
     });
     let host_ms = started.elapsed().as_secs_f64() * 1e3;
@@ -458,7 +519,7 @@ fn run_machine<M: Send + 'static, R: Send>(
         proc_cycles: run.clocks.clone(),
         ..Default::default()
     };
-    (hooks.fill_report)(&run.machine, &mut report);
+    run.machine.fill_report(&mut report);
     audit(&report, &trace);
     Outcome {
         results: collect(results),
@@ -520,6 +581,20 @@ pub(crate) fn run_body<R: Send>(
     };
     let (out, _) = run_on_with(platform, 1 << 16, |_| (), |_, _| {}, run, &opts);
     (out.results, out.report)
+}
+
+/// The panic message `f` dies with.
+#[cfg(test)]
+pub(crate) fn abort_message(f: impl FnOnce()) -> String {
+    let p = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+        .expect_err("the run must abort instead of hanging");
+    match p.downcast::<String>() {
+        Ok(s) => *s,
+        Err(p) => p
+            .downcast::<&'static str>()
+            .map(|s| s.to_string())
+            .unwrap_or_else(|_| "non-string panic".into()),
+    }
 }
 
 #[cfg(test)]

@@ -242,6 +242,15 @@ case "$ab" in
     *) cat target/ab.txt; echo "A/A run of scripts/ab.sh failed"; exit 1 ;;
 esac
 
+echo "== same: the records-unchanged check, run A/A on HEAD =="
+# `scripts/same.sh REV` is how a change that should move nothing is
+# checked: REV and HEAD exported and built, then every quick op trace,
+# text, JSON record and breakdown trace diffed. Run here on HEAD against
+# itself (quick tier only), so the export, build, runs and every
+# comparison keep working.
+bash scripts/same.sh HEAD > target/same.txt 2>&1 \
+    || { cat target/same.txt; echo "A/A run of scripts/same.sh failed"; exit 1; }
+
 echo "== size: non-test Rust lines per crate, release suite binary =="
 sh scripts/loc.sh
 
