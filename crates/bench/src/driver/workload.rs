@@ -50,10 +50,6 @@ pub enum WorkloadSpec {
     /// cluster with crash recovery armed. The simulated platform of the
     /// request is ignored beyond its processor count.
     Service(ServiceSpec),
-    /// A job that always panics — exercises the scheduler's per-job
-    /// isolation in tests.
-    #[doc(hidden)]
-    PanicProbe,
 }
 
 /// Identity of one service run: the service's configuration plus the
@@ -136,16 +132,20 @@ impl WorkloadSpec {
                 }
                 id
             }
-            WorkloadSpec::PanicProbe => "panic-probe".to_string(),
         }
     }
 
-    fn sor(&self) -> Option<sor::Sor> {
+    /// The application this spec names, built from its input.
+    fn app(&self) -> Box<dyn App> {
+        let ilink = |pedigree| Box::new(ilink::Ilink { pedigree });
         match self {
-            WorkloadSpec::SorHuge => Some(sor::Sor::huge()),
-            WorkloadSpec::SorLarge => Some(sor::Sor::large()),
-            WorkloadSpec::SorSmall => Some(sor::Sor::small()),
-            WorkloadSpec::SorTiny => Some(sor::Sor::tiny()),
+            WorkloadSpec::IlinkClp => ilink(ilink::Pedigree::clp_like()),
+            WorkloadSpec::IlinkBad => ilink(ilink::Pedigree::bad_like()),
+            WorkloadSpec::IlinkTiny => ilink(ilink::Pedigree::tiny()),
+            WorkloadSpec::SorHuge => Box::new(sor::Sor::huge()),
+            WorkloadSpec::SorLarge => Box::new(sor::Sor::large()),
+            WorkloadSpec::SorSmall => Box::new(sor::Sor::small()),
+            WorkloadSpec::SorTiny => Box::new(sor::Sor::tiny()),
             WorkloadSpec::SorAllChanging { tiny } => {
                 let mut w = if *tiny {
                     sor::Sor::tiny()
@@ -153,80 +153,29 @@ impl WorkloadSpec {
                     sor::Sor::small()
                 };
                 w.init = sor::SorInit::AllChanging;
-                Some(w)
+                Box::new(w)
             }
-            _ => None,
-        }
-    }
-
-    fn ilink(&self) -> Option<ilink::Ilink> {
-        let pedigree = match self {
-            WorkloadSpec::IlinkClp => ilink::Pedigree::clp_like(),
-            WorkloadSpec::IlinkBad => ilink::Pedigree::bad_like(),
-            WorkloadSpec::IlinkTiny => ilink::Pedigree::tiny(),
-            _ => return None,
-        };
-        Some(ilink::Ilink { pedigree })
-    }
-
-    fn water(&self) -> Option<water::Water> {
-        match self {
+            WorkloadSpec::Tsp { cities } => Box::new(tsp::Tsp::new(*cities)),
             WorkloadSpec::Water { modified, tiny } => {
                 let mode = if *modified {
                     water::WaterMode::Modified
                 } else {
                     water::WaterMode::Original
                 };
-                Some(if *tiny {
+                Box::new(if *tiny {
                     water::Water::tiny(mode)
                 } else {
                     water::Water::paper(mode)
                 })
             }
-            _ => None,
+            WorkloadSpec::Service(s) => Box::new(s.clone()),
         }
     }
 
     /// Application name and parameter string, as the instantiated
-    /// [`Workload`] reports them.
+    /// application reports them.
     pub fn describe(&self) -> (String, String) {
-        fn d<W: Workload>(w: &W) -> (String, String) {
-            (w.name().to_string(), w.params())
-        }
-        if let Some(w) = self.sor() {
-            return d(&w);
-        }
-        if let Some(w) = self.ilink() {
-            return d(&w);
-        }
-        if let Some(w) = self.water() {
-            return d(&w);
-        }
-        match self {
-            WorkloadSpec::Tsp { .. } => d(&self.tsp_instance()),
-            WorkloadSpec::Service(s) => (
-                "service".to_string(),
-                format!(
-                    "tenants={} keys={} windows={} offered={}/win drop={}pm delay={}pm crash={}",
-                    s.config.tenants,
-                    s.config.keys_per_tenant,
-                    s.config.windows,
-                    s.config.offered_per_window,
-                    s.drop_pm,
-                    s.delay_pm,
-                    s.crash,
-                ),
-            ),
-            WorkloadSpec::PanicProbe => ("panic-probe".to_string(), String::new()),
-            _ => unreachable!("covered above"),
-        }
-    }
-
-    fn tsp_instance(&self) -> tsp::Tsp {
-        match self {
-            WorkloadSpec::Tsp { cities } => tsp::Tsp::new(*cities),
-            _ => unreachable!("tsp_instance on non-TSP spec"),
-        }
+        self.app().describe()
     }
 
     /// Instantiates and runs the workload on `platform`.
@@ -235,21 +184,98 @@ impl WorkloadSpec {
         platform: &Platform,
         opts: &RunOpts,
     ) -> (Outcome<f64>, Option<Arc<TraceBuf>>) {
-        if let Some(w) = self.sor() {
-            return run_workload_with(platform, &w, opts);
-        }
-        if let Some(w) = self.ilink() {
-            return run_workload_with(platform, &w, opts);
-        }
-        if let Some(w) = self.water() {
-            return run_workload_with(platform, &w, opts);
-        }
-        match self {
-            WorkloadSpec::Tsp { .. } => run_workload_with(platform, &self.tsp_instance(), opts),
-            WorkloadSpec::Service(s) => run_service(s, opts),
-            WorkloadSpec::PanicProbe => panic!("deliberate panic probe"),
-            _ => unreachable!("covered above"),
-        }
+        self.app().run(platform, opts)
+    }
+}
+
+/// What the suite does with an application: name it, and run it on a
+/// platform.
+trait App {
+    /// Application name and parameter string.
+    fn describe(&self) -> (String, String);
+    /// Runs the application on `platform`.
+    fn run(&self, platform: &Platform, opts: &RunOpts) -> (Outcome<f64>, Option<Arc<TraceBuf>>);
+}
+
+impl<W: Workload> App for W {
+    fn describe(&self) -> (String, String) {
+        (self.name().to_string(), self.params())
+    }
+
+    fn run(&self, platform: &Platform, opts: &RunOpts) -> (Outcome<f64>, Option<Arc<TraceBuf>>) {
+        run_workload_with(platform, self, opts)
+    }
+}
+
+/// The service runs on the real-thread runtime, so it ignores the
+/// simulated platform.
+impl App for ServiceSpec {
+    fn describe(&self) -> (String, String) {
+        let c = &self.config;
+        (
+            "service".to_string(),
+            format!(
+                "tenants={} keys={} windows={} offered={}/win drop={}pm delay={}pm crash={}",
+                c.tenants,
+                c.keys_per_tenant,
+                c.windows,
+                c.offered_per_window,
+                self.drop_pm,
+                self.delay_pm,
+                self.crash,
+            ),
+        )
+    }
+
+    /// Runs the multi-tenant DSM service on the real-thread runtime and
+    /// packages the outcome like a simulated run: the results vector carries
+    /// the per-tenant checksums (exactly representable in 53 bits) and the
+    /// report's service block carries the per-tenant schedule metrics. All of
+    /// it is deterministic, so service runs memoize and cross-check like any
+    /// simulated workload.
+    fn run(&self, _: &Platform, opts: &RunOpts) -> (Outcome<f64>, Option<Arc<TraceBuf>>) {
+        let buf = opts
+            .trace
+            .map(|cap| Arc::new(TraceBuf::new(self.config.nodes, cap)));
+        let run_opts = tmk_core::runtime::RunOpts {
+            faults: self.faults(),
+            trace: buf.clone().map(Sink::new).unwrap_or_default(),
+        };
+        let started = std::time::Instant::now();
+        let report = tmk_core::service::run_service(&self.config, run_opts);
+        let host_ms = started.elapsed().as_secs_f64() * 1e3;
+
+        let results: Vec<f64> = report
+            .tenants
+            .iter()
+            .map(|t| (t.checksum >> 11) as f64)
+            .collect();
+        let run = RunReport {
+            procs: self.config.nodes,
+            clock_hz: 1_000_000,
+            host_ms,
+            cycles: report.makespan_us,
+            proc_cycles: vec![report.makespan_us; self.config.nodes],
+            // The service report carries only the runtime's timing-independent
+            // recovery counters, so service records stay byte-identical run to
+            // run.
+            recovery: tmk_machines::RecoveryStats {
+                checkpoints: report.checkpoints,
+                suspected: report.suspected,
+                rollbacks: report.rollbacks,
+                ..Default::default()
+            },
+            service: Some(report),
+            ..Default::default()
+        };
+        (
+            Outcome {
+                results,
+                report: run,
+                op_trace: Vec::new(),
+            },
+            buf,
+        )
     }
 }
 
@@ -261,55 +287,4 @@ pub(super) fn tsp(cities: usize) -> WorkloadSpec {
 /// Water (`modified`: M-Water) on the paper's input or the tiny one.
 pub(super) fn water(modified: bool, tiny: bool) -> WorkloadSpec {
     WorkloadSpec::Water { modified, tiny }
-}
-
-/// Runs the multi-tenant DSM service on the real-thread runtime and
-/// packages the outcome like a simulated run: the results vector carries
-/// the per-tenant checksums (exactly representable in 53 bits) and the
-/// report's service block carries the per-tenant schedule metrics. All of
-/// it is deterministic, so service runs memoize and cross-check like any
-/// simulated workload.
-fn run_service(spec: &ServiceSpec, opts: &RunOpts) -> (Outcome<f64>, Option<Arc<TraceBuf>>) {
-    let buf = opts
-        .trace
-        .map(|cap| Arc::new(TraceBuf::new(spec.config.nodes, cap)));
-    let run_opts = tmk_core::runtime::RunOpts {
-        faults: spec.faults(),
-        trace: buf.clone().map(Sink::new).unwrap_or_default(),
-    };
-    let started = std::time::Instant::now();
-    let report = tmk_core::service::run_service(&spec.config, run_opts);
-    let host_ms = started.elapsed().as_secs_f64() * 1e3;
-
-    let results: Vec<f64> = report
-        .tenants
-        .iter()
-        .map(|t| (t.checksum >> 11) as f64)
-        .collect();
-    let run = RunReport {
-        procs: spec.config.nodes,
-        clock_hz: 1_000_000,
-        host_ms,
-        cycles: report.makespan_us,
-        proc_cycles: vec![report.makespan_us; spec.config.nodes],
-        // The service report carries only the runtime's timing-independent
-        // recovery counters, so service records stay byte-identical run to
-        // run.
-        recovery: tmk_machines::RecoveryStats {
-            checkpoints: report.checkpoints,
-            suspected: report.suspected,
-            rollbacks: report.rollbacks,
-            ..Default::default()
-        },
-        service: Some(report),
-        ..Default::default()
-    };
-    (
-        Outcome {
-            results,
-            report: run,
-            op_trace: Vec::new(),
-        },
-        buf,
-    )
 }

@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use tmk_bench::driver::{
     run_jobs, run_suite, sim_record, JobRequest, Options, SuiteResult, Tier, WorkloadSpec,
 };
-use tmk_machines::{Json, Platform, RunOpts};
+use tmk_machines::{DsmProtocol, DsmTuning, Json, Platform, RunOpts};
 
 fn quick_opts(jobs: usize) -> Options {
     Options {
@@ -55,12 +55,23 @@ fn baseline_runs_are_memoized() {
 
 #[test]
 fn panicking_job_fails_alone() {
-    let probe = JobRequest::new(Platform::Dec, WorkloadSpec::PanicProbe);
+    // HS runs only LRC between its nodes: building an HS machine for IVY
+    // panics inside the job.
+    let ivy_hs = Platform::Hs {
+        nodes: 2,
+        per_node: 2,
+        so: None,
+        tuning: DsmTuning {
+            protocol: DsmProtocol::Ivy,
+            ..Default::default()
+        },
+    };
+    let probe = JobRequest::new(ivy_hs, WorkloadSpec::SorTiny);
     let good = JobRequest::new(Platform::Dec, WorkloadSpec::SorTiny);
     let memo = run_jobs(&[probe.clone(), good.clone()], 2, &RunOpts::default(), None);
     let failed = memo.get(&probe).unwrap();
     let err = failed.data.as_ref().unwrap_err();
-    assert!(err.contains("deliberate panic probe"), "got: {err}");
+    assert!(err.contains("HS runs only LRC"), "got: {err}");
     assert!(memo.get(&good).unwrap().data.is_ok(), "bystander job died");
 }
 

@@ -10,6 +10,7 @@ use crate::runtime_faults::{roll_fate, ChannelFaults, LinkFate};
 use crate::{
     Action, BarrierId, Config, DsmProtocol, Envelope, LockId, MsgClass, NodeId, NodeStats,
     PacketId, ProtoNode, RecoveryStats, Reliability, RetransmitPolicy, SharedAddr, Timeout,
+    HEADER_BYTES,
 };
 
 /// Aggregate message/byte counters, split the way the paper's Figures 12–13
@@ -39,8 +40,8 @@ pub struct Traffic {
 }
 
 impl Traffic {
-    /// Records one transmitted envelope.
-    pub fn record(&mut self, env: &Envelope, header_bytes: usize) {
+    /// Records one transmitted envelope and its [`HEADER_BYTES`] header.
+    pub fn record(&mut self, env: &Envelope) {
         match env.msg.class() {
             MsgClass::Miss => self.miss_msgs += 1,
             MsgClass::SyncLock => self.lock_msgs += 1,
@@ -50,9 +51,9 @@ impl Traffic {
         let body = env.msg.body_bytes();
         self.miss_bytes += body.miss as u64;
         self.consistency_bytes += body.consistency as u64;
-        self.header_bytes += header_bytes as u64;
+        self.header_bytes += HEADER_BYTES as u64;
         self.msgs_recorded += 1;
-        self.bytes_recorded += (body.miss + body.consistency + header_bytes) as u64;
+        self.bytes_recorded += (body.miss + body.consistency + HEADER_BYTES) as u64;
     }
 
     /// Verifies the per-class split reconciles exactly with the raw counts
@@ -220,7 +221,7 @@ impl Cluster {
         for env in sends {
             let wire = env.from != env.to;
             if wire {
-                self.traffic.record(&env, self.cfg.header_bytes);
+                self.traffic.record(&env);
             }
             let tracked = match &mut self.faults {
                 Some((_, rel)) if wire => Some((rel.send(&env, 0, 0).0, 0)),
@@ -294,7 +295,7 @@ impl Cluster {
                 }
                 Timeout::Stale => unreachable!("overdue packets are in flight"),
             };
-            self.traffic.record(&env, self.cfg.header_bytes);
+            self.traffic.record(&env);
             self.queue.push_back((env, Some((pid, attempt)), false));
         }
     }
@@ -1133,15 +1134,35 @@ mod tests {
         }
     }
 
-    #[test]
-    fn write_read_roundtrip_across_page_boundary() {
-        let mut c = cluster(2);
-        let addr = layout(&c).bytes(512, 256); // spans two 256-byte pages
-        let data: Vec<u8> = (0..512).map(|i| (i % 251) as u8).collect();
+    /// Writes `len` bytes at `offset` into a page-aligned block on node 0,
+    /// first as the master's initial image and then as a parallel-phase
+    /// write, and reads each back on node 1.
+    fn roundtrip_across_pages(protocol: DsmProtocol, offset: usize, len: usize) {
+        let cfg = Config::new(2).segment_pages(8).page_size(256);
+        let mut c = Cluster::with_protocol(cfg, protocol);
+        let addr = layout(&c).bytes(offset + len, 256) + offset;
+        let init: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+        c.master_write(addr, &init);
+        let mut back = vec![0u8; len];
+        c.read(1, addr, &mut back);
+        assert_eq!(
+            back, init,
+            "{protocol:?} initial image, {len} bytes at +{offset}"
+        );
+        let data: Vec<u8> = init.iter().map(|b| b ^ 0x5a).collect();
         c.write(0, addr, &data);
         c.barrier(0);
-        let mut back = vec![0u8; 512];
         c.read(1, addr, &mut back);
-        assert_eq!(back, data);
+        assert_eq!(back, data, "{protocol:?} write, {len} bytes at +{offset}");
+    }
+
+    #[test]
+    fn write_read_roundtrip_across_page_boundary() {
+        for protocol in [DsmProtocol::Lrc, DsmProtocol::Ivy] {
+            // Two whole 256-byte pages.
+            roundtrip_across_pages(protocol, 0, 512);
+            // A partial first and last page around one whole page.
+            roundtrip_across_pages(protocol, 100, 600);
+        }
     }
 }

@@ -216,17 +216,10 @@ impl IvyNode {
     /// Pre-parallel initialization write by the master (node 0).
     pub fn master_write(&mut self, addr: SharedAddr, bytes: &[u8]) {
         assert_eq!(self.id, ORIGIN, "master_write is only valid on node 0");
-        let ps = self.cfg.page_size;
-        let mut off = 0;
-        while off < bytes.len() {
-            let a = addr + off;
-            let page = a / ps;
-            let in_page = a % ps;
-            let chunk = (ps - in_page).min(bytes.len() - off);
+        for (page, in_page, in_buf) in self.cfg.page_pieces(addr, bytes.len()) {
             self.ensure_origin_data(page);
             let data = Arc::make_mut(self.data[page].as_mut().expect("origin page materialized"));
-            data[in_page..in_page + chunk].copy_from_slice(&bytes[off..off + chunk]);
-            off += chunk;
+            data[in_page].copy_from_slice(&bytes[in_buf]);
         }
     }
 
@@ -236,13 +229,7 @@ impl IvyNode {
     ///
     /// Panics if a touched page is not readable (fault first).
     pub fn read_into(&mut self, addr: SharedAddr, buf: &mut [u8]) {
-        let ps = self.cfg.page_size;
-        let mut off = 0;
-        while off < buf.len() {
-            let a = addr + off;
-            let page = a / ps;
-            let in_page = a % ps;
-            let chunk = (ps - in_page).min(buf.len() - off);
+        for (page, in_page, in_buf) in self.cfg.page_pieces(addr, buf.len()) {
             self.ensure_origin_data(page);
             assert!(
                 self.access[page] != Access::None,
@@ -250,8 +237,7 @@ impl IvyNode {
                 self.id
             );
             let data = self.data[page].as_ref().expect("readable page has data");
-            buf[off..off + chunk].copy_from_slice(&data[in_page..in_page + chunk]);
-            off += chunk;
+            buf[in_buf].copy_from_slice(&data[in_page]);
         }
     }
 
@@ -261,13 +247,7 @@ impl IvyNode {
     ///
     /// Panics if a touched page is not writable (fault first).
     pub fn write_from(&mut self, addr: SharedAddr, bytes: &[u8]) {
-        let ps = self.cfg.page_size;
-        let mut off = 0;
-        while off < bytes.len() {
-            let a = addr + off;
-            let page = a / ps;
-            let in_page = a % ps;
-            let chunk = (ps - in_page).min(bytes.len() - off);
+        for (page, in_page, in_buf) in self.cfg.page_pieces(addr, bytes.len()) {
             self.ensure_origin_data(page);
             assert!(
                 self.access[page] == Access::Write,
@@ -275,8 +255,7 @@ impl IvyNode {
                 self.id
             );
             let data = Arc::make_mut(self.data[page].as_mut().expect("writable page has data"));
-            data[in_page..in_page + chunk].copy_from_slice(&bytes[off..off + chunk]);
-            off += chunk;
+            data[in_page].copy_from_slice(&bytes[in_buf]);
         }
     }
 

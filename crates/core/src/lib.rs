@@ -110,6 +110,10 @@ pub type Seq = u32;
 /// granularity (the 32-bit word of the paper's MIPS R3000 machines).
 pub const WORD: usize = 4;
 
+/// Fixed header bytes of every protocol message, charged by the traffic
+/// statistics on top of its body ([`BodyBytes`]).
+pub const HEADER_BYTES: usize = 32;
+
 /// How a lock's release propagates modifications.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReleaseMode {
@@ -134,8 +138,6 @@ pub struct Config {
     pub page_size: usize,
     /// Shared segment size in pages.
     pub segment_pages: usize,
-    /// Per-message header bytes charged by the statistics accounting.
-    pub header_bytes: usize,
     /// Every lock releases eagerly when set (see [`Config::release_mode`]).
     pub eager_all: bool,
     /// Locks that use [`ReleaseMode::Eager`] even when `eager_all` is off.
@@ -152,14 +154,13 @@ pub struct Config {
 
 impl Config {
     /// A configuration with the defaults used throughout the paper
-    /// reproduction: 4 KB pages and 32-byte message headers.
+    /// reproduction: 4 KB pages.
     pub fn new(nodes: usize) -> Self {
         assert!(nodes > 0, "a cluster needs at least one node");
         Config {
             nodes,
             page_size: 4096,
             segment_pages: 1024,
-            header_bytes: 32,
             eager_all: false,
             eager_locks: Vec::new(),
             gc: None,
@@ -236,5 +237,25 @@ impl Config {
     /// `len` is 0).
     pub fn pages_in(&self, addr: SharedAddr, len: usize) -> std::ops::Range<PageId> {
         self.page_of(addr)..self.page_of(addr + len.max(1) - 1) + 1
+    }
+
+    /// The pieces of `len` bytes at `addr`, one per page they overlap, in
+    /// ascending order: each piece's page, its range within the page, and
+    /// its range within the `len` bytes.
+    pub(crate) fn page_pieces(
+        &self,
+        addr: SharedAddr,
+        len: usize,
+    ) -> impl Iterator<Item = (PageId, std::ops::Range<usize>, std::ops::Range<usize>)> {
+        let ps = self.page_size;
+        let mut off = 0;
+        std::iter::from_fn(move || {
+            (off < len).then(|| {
+                let (page, start) = ((addr + off) / ps, (addr + off) % ps);
+                let chunk = (ps - start).min(len - off);
+                off += chunk;
+                (page, start..start + chunk, off - chunk..off)
+            })
+        })
     }
 }

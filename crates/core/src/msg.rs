@@ -56,7 +56,7 @@ impl MsgClass {
 
 /// Payload size of a message, split the way the paper's Figure 13 splits
 /// data totals. Headers are accounted separately (fixed bytes per message,
-/// [`crate::Config::header_bytes`]).
+/// [`crate::HEADER_BYTES`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BodyBytes {
     /// Application data moved to satisfy access misses (page contents and

@@ -427,16 +427,9 @@ impl Node {
             self.store.is_empty(),
             "master_write is only valid before the parallel phase"
         );
-        let ps = self.cfg.page_size;
-        let mut off = 0;
-        while off < bytes.len() {
-            let a = addr + off;
-            let page = a / ps;
-            let in_page = a % ps;
-            let chunk = (ps - in_page).min(bytes.len() - off);
+        for (page, in_page, in_buf) in self.cfg.page_pieces(addr, bytes.len()) {
             let data = Arc::make_mut(self.origin_page_data(page));
-            data[in_page..in_page + chunk].copy_from_slice(&bytes[off..off + chunk]);
-            off += chunk;
+            data[in_page].copy_from_slice(&bytes[in_buf]);
         }
     }
 
@@ -453,13 +446,7 @@ impl Node {
     /// Panics if any touched page is invalid — callers must
     /// [`fault`](Self::fault) first.
     pub fn read_into(&self, addr: SharedAddr, buf: &mut [u8]) {
-        let ps = self.cfg.page_size;
-        let mut off = 0;
-        while off < buf.len() {
-            let a = addr + off;
-            let page = a / ps;
-            let in_page = a % ps;
-            let chunk = (ps - in_page).min(buf.len() - off);
+        for (page, in_page, in_buf) in self.cfg.page_pieces(addr, buf.len()) {
             let p = &self.pages[page];
             assert!(
                 p.is_valid(),
@@ -467,8 +454,7 @@ impl Node {
                 self.id
             );
             let data = p.data.as_ref().expect("valid page has data");
-            buf[off..off + chunk].copy_from_slice(&data[in_page..in_page + chunk]);
-            off += chunk;
+            buf[in_buf].copy_from_slice(&data[in_page]);
         }
     }
 
@@ -479,22 +465,14 @@ impl Node {
     /// Panics if any touched page is not writable — callers must
     /// [`fault`](Self::fault) with `write = true` first.
     pub fn write_from(&mut self, addr: SharedAddr, bytes: &[u8]) {
-        let ps = self.cfg.page_size;
-        let mut off = 0;
-        while off < bytes.len() {
-            let a = addr + off;
-            let page = a / ps;
-            let in_page = a % ps;
-            let chunk = (ps - in_page).min(bytes.len() - off);
-            let id = self.id;
-            let p = &mut self.pages[page];
+        for (page, in_page, in_buf) in self.cfg.page_pieces(addr, bytes.len()) {
             assert!(
-                p.is_valid() && (p.open_dirty || self.cfg.nodes == 1),
-                "write to non-writable page {page} on node {id}"
+                self.page_writable(page),
+                "write to non-writable page {page} on node {}",
+                self.id
             );
-            let data = Arc::make_mut(p.data.as_mut().expect("valid page has data"));
-            data[in_page..in_page + chunk].copy_from_slice(&bytes[off..off + chunk]);
-            off += chunk;
+            let data = self.pages[page].data.as_mut().expect("valid page has data");
+            Arc::make_mut(data)[in_page].copy_from_slice(&bytes[in_buf]);
         }
     }
 

@@ -169,7 +169,6 @@ struct Shared {
     cells: Vec<Arc<NodeCell>>,
     senders: Vec<Sender<Wire>>,
     channel: Mutex<Channel>,
-    header_bytes: usize,
     faults: ChannelFaults,
     /// First fatal error: any node/service-thread panic poisons the whole
     /// cluster so blocked peers abort instead of waiting forever.
@@ -258,7 +257,7 @@ impl Shared {
     /// applying the seeded fault plan. A dropped copy leaves the flight
     /// armed for the retransmission ticker to repair.
     fn launch(&self, ch: &mut Channel, env: Envelope, pid: PacketId, gen: u64, attempt: u32) {
-        ch.traffic.record(&env, self.header_bytes);
+        ch.traffic.record(&env);
         let fate = roll_fate(&self.faults, pid, attempt);
         ch.links.entry((env.from, env.to)).or_default().record(fate);
         match fate {
@@ -825,7 +824,6 @@ impl Dsm {
         );
         install_quiet_hook();
         let n = cfg.nodes;
-        let header_bytes = cfg.header_bytes;
         let mut nodes: Vec<Node> = (0..n).map(|i| Node::new(i, cfg.clone())).collect();
 
         let plan = init(
@@ -864,7 +862,6 @@ impl Dsm {
                 links: BTreeMap::new(),
                 delayed: Vec::new(),
             }),
-            header_bytes,
             faults: opts.faults,
             poison: Mutex::new(None),
             t0: Instant::now(),

@@ -23,7 +23,7 @@ use std::collections::BinaryHeap;
 
 use tmk_core::{
     Action, BarrierId, Config, DsmProtocol, Envelope, IntMap, LockId, Msg, NodeId, NodeStats,
-    PacketId, ProtoNode, Reliability, Start, Timeout, Traffic,
+    PacketId, ProtoNode, Reliability, Start, Timeout, Traffic, HEADER_BYTES,
 };
 use tmk_net::{Fate, LossyNet, NetParams, PointToPointNet, SoftwareOverhead};
 use tmk_parmacs::InitWriter;
@@ -57,7 +57,6 @@ pub(crate) struct Fabric {
     net: LossyNet,
     /// Communication software costs.
     so: SoftwareOverhead,
-    header_bytes: usize,
     /// DSM page size in bytes (the tuning override already applied).
     pub(crate) page_size: usize,
     traffic: Traffic,
@@ -106,7 +105,6 @@ impl Fabric {
         }
         let wire = PointToPointNet::new(nodes, net);
         Fabric {
-            header_bytes: cfg.header_bytes,
             nodes: (0..nodes)
                 .map(|i| ProtoNode::new(protocol, i, cfg.clone()))
                 .collect(),
@@ -650,7 +648,7 @@ impl Cascade<'_> {
         let send_c = f.so.send_cycles(body);
         let recv_c = f.so.recv_cycles(body);
         let depart = t_out + send_c;
-        let wire = f.header_bytes + body;
+        let wire = HEADER_BYTES + body;
         // Scheduled node crashes sever the link *before* the fate draw, so
         // arming a crash plan never perturbs the drop/dup/delay streams.
         let from_down = f.down_at(from, depart);
@@ -658,7 +656,7 @@ impl Cascade<'_> {
         if !from_down {
             self.out.charges.push((from, send_c));
             self.s.set_avail(from, depart);
-            f.traffic.record(&env, f.header_bytes);
+            f.traffic.record(&env);
             f.sink.emit(Event {
                 track: Track::Node(from as u32),
                 at: depart,
@@ -818,7 +816,7 @@ impl Cascade<'_> {
                 kind: EventKind::MsgArrive {
                     from: env.from as u32,
                     class: env.msg.class().bit(),
-                    bytes: (f.header_bytes + env.msg.body_bytes().total()) as u64,
+                    bytes: (HEADER_BYTES + env.msg.body_bytes().total()) as u64,
                 },
             });
         }

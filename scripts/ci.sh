@@ -247,9 +247,15 @@ echo "== same: the records-unchanged check, run A/A on HEAD =="
 # checked: REV and HEAD exported and built, then every quick op trace,
 # text, JSON record and breakdown trace diffed. Run here on HEAD against
 # itself (quick tier only), so the export, build, runs and every
-# comparison keep working.
+# comparison keep working, and its closing size table must read +0 on
+# every row.
 bash scripts/same.sh HEAD > target/same.txt 2>&1 \
     || { cat target/same.txt; echo "A/A run of scripts/same.sh failed"; exit 1; }
+awk '/non-test Rust lines/ { t = 1; next }
+     t && NF == 4 && $4 != "+0" { bad = 1 }
+     t && $1 == "total" { total = 1 }
+     END { exit !(total && !bad) }' target/same.txt \
+    || { cat target/same.txt; echo "scripts/same.sh's A/A size table is not all +0"; exit 1; }
 
 echo "== size: non-test Rust lines per crate, release suite binary =="
 sh scripts/loc.sh

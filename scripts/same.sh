@@ -18,6 +18,8 @@
 #     lines (host time is the one thing allowed to move);
 #   - every Chrome trace, with `suite trace-diff`.
 # `--full` compares the full tier's text and records the same way.
+# At the end it prints each side's `scripts/loc.sh` table (non-test Rust
+# lines per crate) with the difference b - a per crate and in total.
 #
 # Exit status: 0 when both sides match everywhere; 1 on any difference or
 # failed run; 2 on bad usage.
@@ -108,6 +110,18 @@ done
 [ "$(ls "$b/trace" | wc -l)" -eq "$traces" ] || fail "the sides recorded different traces"
 
 ops="$(ls "$a/ops" | wc -l)"
+echo "same.sh: non-test Rust lines (scripts/loc.sh): a, b, b - a"
+awk '$1 == "suite" { next }
+     !($1 in seen) { seen[$1]; if ($1 != "total") order[++n] = $1 }
+     NR == FNR { a[$1] = $2; next }
+     { b[$1] = $2 }
+     END {
+         order[++n] = "total"
+         for (i = 1; i <= n; i++) {
+             k = order[i]
+             printf "%-22s %6d %6d %+6d\n", k, a[k], b[k], b[k] - a[k]
+         }
+     }' <(sh "$work/a/scripts/loc.sh") <(sh "$work/b/scripts/loc.sh")
 if ((differ)); then
     echo "same.sh: ${rev_a:0:12} and ${rev_b:0:12} differ"
     exit 1
