@@ -5,6 +5,7 @@ use std::sync::Arc;
 
 use tmk_apps::{ilink, sor, tsp, water};
 use tmk_core::service::ServiceConfig;
+use tmk_core::{CrashPoint, FaultPlan};
 use tmk_machines::{run_workload_with, Outcome, Platform, RunOpts, RunReport};
 use tmk_parmacs::Workload;
 use tmk_trace::{Sink, TraceBuf};
@@ -68,18 +69,21 @@ pub struct ServiceSpec {
 }
 
 impl ServiceSpec {
-    fn faults(&self) -> tmk_core::runtime::ChannelFaults {
-        let mut f = tmk_core::runtime::ChannelFaults::seeded(self.config.seed ^ 0xfa17);
-        if self.drop_pm > 0 {
-            f = f.drop_rate(self.drop_pm as f64 / 1000.0);
+    /// The runtime options: the link fault plan and the crash point.
+    fn run_opts(&self, trace: Sink) -> tmk_core::runtime::RunOpts {
+        let per_mille = |pm: u64| pm as f64 / 1000.0;
+        let plan = FaultPlan::drop_rate(self.config.seed ^ 0xfa17, per_mille(self.drop_pm))
+            .with_delay(per_mille(self.delay_pm), 200);
+        let crash = CrashPoint {
+            node: 1 % self.config.nodes,
+            epoch: 1,
+            op: 1,
+        };
+        tmk_core::runtime::RunOpts {
+            faults: Some(plan),
+            crashes: if self.crash { vec![crash] } else { Vec::new() },
+            trace,
         }
-        if self.delay_pm > 0 {
-            f = f.delay_rate(self.delay_pm as f64 / 1000.0, 200);
-        }
-        if self.crash {
-            f = f.crash(1 % self.config.nodes, 1, 1);
-        }
-        f
     }
 }
 
@@ -237,10 +241,7 @@ impl App for ServiceSpec {
         let buf = opts
             .trace
             .map(|cap| Arc::new(TraceBuf::new(self.config.nodes, cap)));
-        let run_opts = tmk_core::runtime::RunOpts {
-            faults: self.faults(),
-            trace: buf.clone().map(Sink::new).unwrap_or_default(),
-        };
+        let run_opts = self.run_opts(buf.clone().map(Sink::new).unwrap_or_default());
         let started = std::time::Instant::now();
         let report = tmk_core::service::run_service(&self.config, run_opts);
         let host_ms = started.elapsed().as_secs_f64() * 1e3;

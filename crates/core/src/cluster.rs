@@ -5,12 +5,12 @@
 
 use std::collections::VecDeque;
 
+use crate::faults::roll_fate;
 use crate::node::NodeCheckpoint;
-use crate::runtime_faults::{roll_fate, ChannelFaults, LinkFate};
 use crate::{
-    Action, BarrierId, Config, DsmProtocol, Envelope, LockId, MsgClass, NodeId, NodeStats,
-    PacketId, ProtoNode, RecoveryStats, Reliability, RetransmitPolicy, SharedAddr, Timeout,
-    HEADER_BYTES,
+    Action, BarrierId, Config, DsmProtocol, Envelope, Fate, FaultPlan, LockId, MsgClass, NodeId,
+    NodeStats, PacketId, ProtoNode, RecoveryStats, Reliability, RetransmitPolicy, SharedAddr,
+    Timeout, HEADER_BYTES,
 };
 
 /// Aggregate message/byte counters, split the way the paper's Figures 12–13
@@ -130,7 +130,7 @@ pub struct Cluster {
     queue: VecDeque<(Envelope, Tracked, bool)>,
     /// The optional fault stage of [`deliver`](Self::deliver): link faults
     /// drawn from the plan, repaired by the reliability layer.
-    faults: Option<(ChannelFaults, Reliability)>,
+    faults: Option<(FaultPlan, Reliability)>,
     /// Last barrier-consistent checkpoint, one snapshot per node.
     ckpt: Option<Vec<NodeCheckpoint>>,
 }
@@ -160,8 +160,9 @@ impl Cluster {
     }
 
     /// Arms [`deliver`](Self::deliver)'s fault stage: each cross-node
-    /// copy's fate is drawn from `plan`'s drop / duplicate / delay rates as
-    /// a pure function of the packet's identity, and a [`Reliability`]
+    /// copy of a class in `plan`'s `class_mask` has its fate drawn from the
+    /// plan's drop / duplicate / delay rates as a pure function of the
+    /// packet's identity (the hold is ignored), and a [`Reliability`]
     /// layer under the default [`RetransmitPolicy`] repairs the losses. A
     /// delayed copy goes behind everything queued; once the queue drains,
     /// [`expire`](Self::expire) fires every armed timer (after every
@@ -171,7 +172,7 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics if `plan` schedules crashes, which a cascade has no point for.
-    pub fn with_faults(mut self, plan: &ChannelFaults) -> Cluster {
+    pub fn with_faults(mut self, plan: &FaultPlan) -> Cluster {
         assert!(plan.crashes.is_empty(), "link faults only, no crashes");
         self.faults = Some((plan.clone(), Reliability::new(RetransmitPolicy::default())));
         self
@@ -252,15 +253,15 @@ impl Cluster {
         let (env, tracked, rolled) = self.queue.remove(i).expect("a queued copy at that index");
         if let (Some((plan, rel)), Some((pid, attempt))) = (&mut self.faults, tracked) {
             if !rolled {
-                match roll_fate(plan, pid, attempt) {
+                match roll_fate(plan, pid, attempt, env.msg.class().bit()) {
                     // The flight stays armed in the layer.
-                    LinkFate::Drop => return Vec::new(),
-                    LinkFate::Duplicate => self.queue.push_back((env.clone(), tracked, true)),
-                    LinkFate::Delay => {
+                    Fate::Drop => return Vec::new(),
+                    Fate::Duplicate => self.queue.push_back((env.clone(), tracked, true)),
+                    Fate::Delay(_) => {
                         self.queue.push_back((env, tracked, true));
                         return Vec::new();
                     }
-                    LinkFate::Deliver => {}
+                    Fate::Deliver => {}
                 }
             }
             // Delivery is the ack; a duplicate stops here.
@@ -1109,7 +1110,7 @@ mod tests {
             let cfg = Config::new(3).segment_pages(8).page_size(256);
             let plain = logged_run(Cluster::with_protocol(cfg.clone(), protocol));
             let armed =
-                Cluster::with_protocol(cfg, protocol).with_faults(&ChannelFaults::seeded(42));
+                Cluster::with_protocol(cfg, protocol).with_faults(&FaultPlan::crash_schedule(42));
             assert_eq!(plain, logged_run(armed), "{protocol:?}");
             assert!(plain.0.iter().any(|step| !step.is_empty()));
             assert_eq!(plain.2, vec![3; 9]);
@@ -1121,15 +1122,30 @@ mod tests {
         for protocol in [DsmProtocol::Lrc, DsmProtocol::Ivy] {
             let cfg = Config::new(3).segment_pages(8).page_size(256);
             let plain = logged_run(Cluster::with_protocol(cfg.clone(), protocol));
-            let plan = ChannelFaults::seeded(7)
-                .drop_rate(0.3)
-                .dup_rate(0.1)
-                .delay_rate(0.1, 0);
-            let lossy = logged_run(Cluster::with_protocol(cfg, protocol).with_faults(&plan));
+            let plan = FaultPlan::drop_rate(7, 0.3)
+                .with_dup(0.1)
+                .with_delay(0.1, 0);
+            let lossy =
+                logged_run(Cluster::with_protocol(cfg.clone(), protocol).with_faults(&plan));
             assert_eq!(plain.2, lossy.2, "{protocol:?}: same final memory");
             assert!(
                 lossy.1.total_msgs() > plain.1.total_msgs(),
                 "{protocol:?}: dropped copies are sent again"
+            );
+            // A class mask means the same here as on the simulated machines:
+            // only lock messages are lost and re-sent.
+            let locks_only = FaultPlan::drop_rate(7, 0.5).with_class_mask(MsgClass::SyncLock.bit());
+            let (_, traffic, image) =
+                logged_run(Cluster::with_protocol(cfg, protocol).with_faults(&locks_only));
+            assert_eq!(plain.2, image, "{protocol:?}: same final memory");
+            assert_eq!(
+                (traffic.miss_msgs, traffic.barrier_msgs),
+                (plain.1.miss_msgs, plain.1.barrier_msgs),
+                "{protocol:?}: only lock messages are faulted"
+            );
+            assert!(
+                traffic.lock_msgs > plain.1.lock_msgs,
+                "{protocol:?}: dropped lock messages are sent again"
             );
         }
     }

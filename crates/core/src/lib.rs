@@ -67,6 +67,7 @@
 
 mod cluster;
 mod diff;
+mod faults;
 mod hash;
 mod interval;
 pub mod ivy;
@@ -76,13 +77,13 @@ mod page;
 mod proto;
 pub mod reliable;
 pub mod runtime;
-mod runtime_faults;
 pub mod service;
 mod stats;
 mod vt;
 
 pub use cluster::{Cluster, Traffic};
 pub use diff::Diff;
+pub use faults::{Crash, CrashPoint, Fate, FaultPlan, FaultStats, ALL_CLASSES};
 pub use hash::{IntHasher, IntMap};
 pub use interval::{IntervalMsg, IntervalStore};
 pub use ivy::IvyNode;

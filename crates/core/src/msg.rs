@@ -42,8 +42,7 @@ pub enum MsgClass {
 }
 
 impl MsgClass {
-    /// This class's bit in a fault-plan class mask (`tmk-net`'s
-    /// `FaultPlan::class_mask` is protocol-agnostic; this is the mapping).
+    /// This class's bit in a [`FaultPlan::class_mask`](crate::FaultPlan::class_mask).
     pub fn bit(self) -> u8 {
         match self {
             MsgClass::Miss => 1 << 0,

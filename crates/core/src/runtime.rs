@@ -13,8 +13,9 @@
 //! The runtime survives an imperfect channel, like the paper's system had
 //! to over UDP:
 //!
-//! * [`ChannelFaults`] injects a seeded plan of per-link drops, duplicates
-//!   and delays at the transmit hook, plus scheduled node crashes.
+//! * A [`FaultPlan`] injects seeded per-link drops, duplicates and delays
+//!   at the transmit hook, and [`RunOpts::crashes`] schedules node
+//!   crashes.
 //! * A retransmission ticker re-sends unacked packets on a fixed host-time
 //!   [`RetransmitPolicy`] (a 5 ms base RTO, doubling, 8 retries) under any
 //!   plan that can lose a copy (drops or crashes); exhaustion against a
@@ -71,14 +72,13 @@ use tmk_parmacs::{Alloc, Cycle, InitWriter, System};
 use tmk_trace::{Event, EventKind, Sink, Track};
 
 use crate::cluster::Traffic;
+use crate::faults::roll_fate;
 use crate::reliable::{PacketId, RelStats, Reliability, RetransmitPolicy, Timeout};
-use crate::runtime_faults::{roll_fate, LinkFate};
 use crate::{
-    Action, BarrierId, Config, Envelope, LockId, Node, NodeCheckpoint, NodeId, NodeStats,
-    RecoveryStats, SharedAddr,
+    Action, BarrierId, Config, CrashPoint, Envelope, Fate, FaultPlan, FaultStats, LockId, Node,
+    NodeCheckpoint, NodeId, NodeStats, RecoveryStats, SharedAddr,
 };
 
-pub use crate::runtime_faults::{ChannelFaults, CrashPoint, FaultSummary, LinkFaults};
 pub use crate::Config as DsmConfig;
 
 enum Wire {
@@ -159,8 +159,10 @@ struct Channel {
     /// microseconds since `t0`; each flight is stamped with the generation
     /// its packet was sent under.
     rel: Reliability,
-    /// What the fault plan did to each copy, per `(src, dst)` link.
-    links: BTreeMap<(NodeId, NodeId), LinkFaults>,
+    /// What the fault plan did to each copy, in all and per `(src, dst)`
+    /// link.
+    faults: FaultStats,
+    links: BTreeMap<(NodeId, NodeId), FaultStats>,
     /// Copies the fault plan holds back until they are due.
     delayed: Vec<Delayed>,
 }
@@ -169,7 +171,8 @@ struct Shared {
     cells: Vec<Arc<NodeCell>>,
     senders: Vec<Sender<Wire>>,
     channel: Mutex<Channel>,
-    faults: ChannelFaults,
+    faults: Option<FaultPlan>,
+    crashes: Vec<CrashPoint>,
     /// First fatal error: any node/service-thread panic poisons the whole
     /// cluster so blocked peers abort instead of waiting forever.
     poison: Mutex<Option<String>>,
@@ -258,23 +261,30 @@ impl Shared {
     /// armed for the retransmission ticker to repair.
     fn launch(&self, ch: &mut Channel, env: Envelope, pid: PacketId, gen: u64, attempt: u32) {
         ch.traffic.record(&env);
-        let fate = roll_fate(&self.faults, pid, attempt);
-        ch.links.entry((env.from, env.to)).or_default().record(fate);
+        let fate = match &self.faults {
+            Some(plan) => {
+                let fate = roll_fate(plan, pid, attempt, env.msg.class().bit());
+                ch.faults.record(fate);
+                ch.links.entry((env.from, env.to)).or_default().record(fate);
+                fate
+            }
+            None => Fate::Deliver,
+        };
         match fate {
-            LinkFate::Deliver => {
+            Fate::Deliver => {
                 let _ = self.senders[env.to].send(Wire::Env(env, Some(pid), gen));
             }
-            LinkFate::Duplicate => {
+            Fate::Duplicate => {
                 let _ = self.senders[env.to].send(Wire::Env(env.clone(), Some(pid), gen));
                 let _ = self.senders[env.to].send(Wire::Env(env, Some(pid), gen));
             }
-            LinkFate::Drop => {}
-            LinkFate::Delay => {
+            Fate::Drop => {}
+            Fate::Delay(hold_us) => {
                 ch.delayed.push(Delayed {
                     env,
                     pid,
                     gen,
-                    due: Instant::now() + Duration::from_micros(self.faults.delay_us),
+                    due: Instant::now() + Duration::from_micros(hold_us),
                 });
             }
         }
@@ -477,7 +487,7 @@ impl Shared {
         // always deliver. Without either, every flight is acked in time and
         // a host-time RTO could only fire because the host is busy, so the
         // overdue scan is skipped.
-        let lossy = self.faults.drop > 0.0 || !self.faults.crashes.is_empty();
+        let lossy = self.faults.as_ref().is_some_and(|p| p.drop > 0.0) || !self.crashes.is_empty();
         loop {
             if self.stop_ticker.load(Ordering::Acquire) {
                 return;
@@ -601,12 +611,12 @@ impl DsmNode {
         if sh.rollback.load(Ordering::Acquire) {
             panic!("{ROLLBACK_MARK}");
         }
-        if sh.faults.crashes.is_empty() {
+        if sh.crashes.is_empty() {
             return;
         }
         let epoch = sh.epochs_now[self.id].load(Ordering::Relaxed);
         let op = sh.ops[self.id].fetch_add(1, Ordering::Relaxed) + 1;
-        for (i, cp) in sh.faults.crashes.iter().enumerate() {
+        for (i, cp) in sh.crashes.iter().enumerate() {
             if cp.node == self.id
                 && cp.epoch == epoch
                 && cp.op == op
@@ -743,8 +753,15 @@ const GRACE: Duration = Duration::from_millis(50);
 /// Knobs of the hardened runtime (see [`Dsm::run_epochs`]).
 #[derive(Debug, Clone, Default)]
 pub struct RunOpts {
-    /// Channel fault plan.
-    pub faults: ChannelFaults,
+    /// Link fault plan: its rates apply to every copy put on the wire,
+    /// rolled from each packet's identity, and a delayed copy is held for
+    /// [`FaultPlan::hold`] host microseconds. It must schedule no
+    /// [`Crash`](crate::Crash) (the simulated machines' form, timed in
+    /// cycles); the runtime's crashes are [`crashes`](Self::crashes).
+    pub faults: Option<FaultPlan>,
+    /// Scheduled node crashes, each at a node's `(epoch, op)`; the runtime,
+    /// which checkpoints every run, always recovers them.
+    pub crashes: Vec<CrashPoint>,
     /// Sink for the recovery events (`node_crash`, `node_suspected`,
     /// `checkpoint_take`, `rollback`, `token_regen`), timestamped in host
     /// microseconds since the run started; disabled by default.
@@ -769,8 +786,10 @@ pub struct RunOutput<R> {
     pub reliability: RelStats,
     /// Crash-recovery counters.
     pub recovery: RecoveryStats,
-    /// What the fault plan did, aggregated and per link.
-    pub faults: FaultSummary,
+    /// What the fault plan did, in all.
+    pub faults: FaultStats,
+    /// What the fault plan did per `(src, dst)` link, sorted by link.
+    pub links: Vec<((NodeId, NodeId), FaultStats)>,
 }
 
 impl Dsm {
@@ -799,7 +818,7 @@ impl Dsm {
     /// continue; after each epoch the cluster synchronizes on a reserved
     /// barrier (see [`EPOCH_BARRIER_BASE`]) and takes a barrier-consistent
     /// checkpoint of every node (the first is taken at start-up). A crashed
-    /// node (scheduled via [`ChannelFaults::crash`], detected by
+    /// node (scheduled in [`RunOpts::crashes`], detected by
     /// retransmission exhaustion or crash-site self-report after a 50 ms
     /// grace) rolls the whole cluster back to the last checkpoint —
     /// lock tokens re-mint at their managers, page copies restore from the
@@ -809,8 +828,13 @@ impl Dsm {
     /// duplicates are suppressed by the reliability layer.
     ///
     /// Every node's body must return [`EpochStep::Done`] at the same epoch,
-    /// or the cluster is torn down. Barrier-time GC is not supported while
-    /// checkpointing.
+    /// or the cluster is torn down.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` arms barrier-time GC, which checkpointing does not
+    /// support, or if `opts.faults` schedules a [`Crash`](crate::Crash),
+    /// which is timed in simulated cycles.
     pub fn run_epochs<T, R, I, F>(cfg: Config, opts: RunOpts, init: I, body: F) -> RunOutput<R>
     where
         T: Send + Sync,
@@ -821,6 +845,10 @@ impl Dsm {
         assert!(
             cfg.gc.is_none(),
             "run_epochs: barrier-time GC is not supported with checkpointing"
+        );
+        assert!(
+            opts.faults.as_ref().is_none_or(|p| p.crashes.is_empty()),
+            "run_epochs: a FaultPlan crash is timed in cycles; schedule RunOpts::crashes instead"
         );
         install_quiet_hook();
         let n = cfg.nodes;
@@ -852,17 +880,19 @@ impl Dsm {
                 })
             })
             .collect();
-        let crash_count = opts.faults.crashes.len();
+        let crash_count = opts.crashes.len();
         let shared = Arc::new(Shared {
             cells,
             senders,
             channel: Mutex::new(Channel {
                 traffic: Traffic::default(),
                 rel: Reliability::new(POLICY),
+                faults: FaultStats::default(),
                 links: BTreeMap::new(),
                 delayed: Vec::new(),
             }),
             faults: opts.faults,
+            crashes: opts.crashes,
             poison: Mutex::new(None),
             t0: Instant::now(),
             gen: AtomicU64::new(0),
@@ -1005,20 +1035,14 @@ impl Dsm {
         }
         let recovery = *guard(&shared.recovery);
         let ch = guard(&shared.channel);
-        let per_link: Vec<_> = ch.links.iter().map(|(k, v)| (*k, *v)).collect();
-        let total = |f: fn(&LinkFaults) -> u64| per_link.iter().map(|(_, l)| f(l)).sum();
         RunOutput {
             results: results.into_iter().map(|r| r.expect("body ran")).collect(),
             stats,
             traffic: ch.traffic,
             reliability: *ch.rel.stats(),
             recovery,
-            faults: FaultSummary {
-                drops: total(|l| l.drops),
-                dups: total(|l| l.dups),
-                delays: total(|l| l.delays),
-                per_link,
-            },
+            faults: ch.faults,
+            links: ch.links.iter().map(|(k, v)| (*k, *v)).collect(),
         }
     }
 }
@@ -1127,6 +1151,7 @@ fn install_quiet_hook() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ALL_CLASSES;
     use tmk_parmacs::{SharedSlice, SystemExt};
 
     fn small(n: usize) -> Config {
@@ -1189,27 +1214,40 @@ mod tests {
         assert_eq!(out, expect);
     }
 
-    /// [`Dsm::run_epochs`] with the default options, `body` as epoch 0.
+    /// [`Dsm::run_epochs`] with `body` as epoch 0.
     fn run_once<T: Send + Sync, R: Send>(
         cfg: Config,
-        faults: ChannelFaults,
+        opts: RunOpts,
         init: impl FnOnce(&mut Alloc, &mut Master<'_>) -> T,
         body: impl Fn(&DsmNode, &T) -> R + Send + Sync,
     ) -> RunOutput<R> {
-        let opts = RunOpts {
-            faults,
-            ..RunOpts::default()
-        };
         Dsm::run_epochs(cfg, opts, init, |node, _, plan| {
             EpochStep::Done(body(node, plan))
         })
+    }
+
+    /// Options arming `plan`'s link faults.
+    fn faulty(plan: FaultPlan) -> RunOpts {
+        RunOpts {
+            faults: Some(plan),
+            ..RunOpts::default()
+        }
+    }
+
+    /// Options scheduling one crash of `node` at its `op`-th operation of
+    /// `epoch`.
+    fn crash_at(node: NodeId, epoch: u64, op: u64) -> RunOpts {
+        RunOpts {
+            crashes: vec![CrashPoint { node, epoch, op }],
+            ..RunOpts::default()
+        }
     }
 
     #[test]
     fn init_plan_shared_with_bodies() {
         let out = run_once(
             small(3),
-            ChannelFaults::default(),
+            RunOpts::default(),
             |alloc, master| {
                 let slots: SharedSlice<u64> = alloc.slice(3);
                 slots.init_range(master, 0, &[11, 22, 33]);
@@ -1224,7 +1262,7 @@ mod tests {
     fn stats_and_traffic_collected() {
         let out = run_once(
             small(2),
-            ChannelFaults::default(),
+            RunOpts::default(),
             |_, _| (),
             |node, ()| {
                 node.lock(1);
@@ -1282,7 +1320,7 @@ mod tests {
         // layer must report the suppressed copies.
         let out = run_once(
             small(4),
-            ChannelFaults::seeded(2).dup_rate(0.5),
+            faulty(FaultPlan::crash_schedule(2).with_dup(0.5)),
             |_, _| (),
             |node, ()| {
                 for _ in 0..25 {
@@ -1334,13 +1372,13 @@ mod tests {
         // copy, so the ticker never retransmits under this plan, however
         // busy the host. Drop determinism is covered by the pure-hash fate
         // tests and the repair test below.
-        let faults = ChannelFaults::seeded(5)
-            .dup_rate(0.10)
-            .delay_rate(0.10, 200);
+        let plan = FaultPlan::crash_schedule(5)
+            .with_dup(0.10)
+            .with_delay(0.10, 200);
         let run = || {
             run_once(
                 small(4),
-                faults.clone(),
+                faulty(plan.clone()),
                 |_, _| (),
                 |node, ()| publish_sum(node, 4),
             )
@@ -1350,10 +1388,10 @@ mod tests {
         assert_eq!(a.results, b.results);
         for out in [&a, &b] {
             assert_eq!(out.reliability.retransmissions, 0, "attempt-0 copies only");
-            for &((src, dst), seen) in &out.faults.per_link {
-                let mut want = LinkFaults::default();
-                for seq in 1..=seen.delivered + seen.drops + seen.delays {
-                    want.record(roll_fate(&faults, (src, dst, seq), 0));
+            for &((src, dst), seen) in &out.links {
+                let mut want = FaultStats::default();
+                for seq in 1..=seen.decisions {
+                    want.record(roll_fate(&plan, (src, dst, seq), 0, ALL_CLASSES));
                 }
                 assert_eq!(
                     seen, want,
@@ -1372,7 +1410,7 @@ mod tests {
     fn retransmissions_repair_seeded_drops() {
         let out = run_once(
             small(4),
-            ChannelFaults::seeded(21).drop_rate(0.08),
+            faulty(FaultPlan::drop_rate(21, 0.08)),
             |_, _| (),
             |node, ()| publish_sum(node, 4),
         );
@@ -1400,7 +1438,7 @@ mod tests {
     fn fault_free_runs_never_retransmit() {
         let out = run_once(
             small(4),
-            ChannelFaults::default(),
+            RunOpts::default(),
             |_, _| (),
             |node, ()| publish_sum(node, 4),
         );
@@ -1463,11 +1501,7 @@ mod tests {
     #[test]
     fn crash_recovery_replays_to_identical_results() {
         let clean = Dsm::run_epochs(small(3), RunOpts::default(), |_, _| (), three_epochs);
-        let opts = RunOpts {
-            faults: ChannelFaults::default().crash(1, 1, 1),
-            ..RunOpts::default()
-        };
-        let crashed = Dsm::run_epochs(small(3), opts, |_, _| (), three_epochs);
+        let crashed = Dsm::run_epochs(small(3), crash_at(1, 1, 1), |_, _| (), three_epochs);
         let expect: u64 = (0..3u64).map(|id| (1 + 2 + 3) * (id + 1)).sum();
         assert!(clean.results.iter().all(|&v| v == expect));
         assert_eq!(clean.results, crashed.results, "recovery must be exact");
@@ -1482,8 +1516,8 @@ mod tests {
     fn recovery_events_are_traced_on_the_runtime_clock() {
         let buf = Arc::new(tmk_trace::TraceBuf::new(3, 1024));
         let opts = RunOpts {
-            faults: ChannelFaults::default().crash(1, 1, 1),
             trace: Sink::new(Arc::clone(&buf)),
+            ..crash_at(1, 1, 1)
         };
         let out = Dsm::run_epochs(small(3), opts, |_, _| (), three_epochs);
         let trace = buf.chrome_trace();
@@ -1509,13 +1543,8 @@ mod tests {
                 .map(|q| node.read::<u64>(q * 8))
                 .sum::<u64>()
         };
-        let clean = run_once(small(3), ChannelFaults::default(), |_, _| (), body);
-        let crashed = run_once(
-            small(3),
-            ChannelFaults::default().crash(0, 0, 2),
-            |_, _| (),
-            body,
-        );
+        let clean = run_once(small(3), RunOpts::default(), |_, _| (), body);
+        let crashed = run_once(small(3), crash_at(0, 0, 2), |_, _| (), body);
         assert_eq!(clean.results, vec![6; 3]);
         assert_eq!(crashed.results, clean.results, "recovery must be exact");
         assert_eq!(
@@ -1523,6 +1552,13 @@ mod tests {
             (1, 1)
         );
         assert_eq!(crashed.recovery.checkpoints, 1, "only the start-up one");
+    }
+
+    #[test]
+    #[should_panic(expected = "a FaultPlan crash is timed in cycles")]
+    fn a_crash_timed_in_cycles_is_refused() {
+        let plan = FaultPlan::crash_schedule(1).with_crash(1, 1_000, None);
+        run_once(small(2), faulty(plan), |_, _| (), |_, ()| ());
     }
 
     #[test]

@@ -29,8 +29,8 @@
 
 use tmk_parmacs::{System, SystemExt};
 
+use crate::faults::splitmix;
 use crate::runtime::{Dsm, EpochStep, RunOpts};
-use crate::runtime_faults::splitmix;
 use crate::{Config, NodeId};
 
 /// FNV-1a offset basis / prime: the request-application fold and the
@@ -477,7 +477,7 @@ pub fn run_service(cfg: &ServiceConfig, opts: RunOpts) -> ServiceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::ChannelFaults;
+    use crate::{CrashPoint, FaultPlan};
 
     fn small() -> ServiceConfig {
         ServiceConfig {
@@ -530,10 +530,12 @@ mod tests {
         let faulty = run_service(
             &cfg,
             RunOpts {
-                faults: ChannelFaults::seeded(77)
-                    .drop_rate(0.05)
-                    .delay_rate(0.05, 300)
-                    .crash(1, 1, 1),
+                faults: Some(FaultPlan::drop_rate(77, 0.05).with_delay(0.05, 300)),
+                crashes: vec![CrashPoint {
+                    node: 1,
+                    epoch: 1,
+                    op: 1,
+                }],
                 ..RunOpts::default()
             },
         );

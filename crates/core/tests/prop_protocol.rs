@@ -2,9 +2,9 @@
 
 use proptest::prelude::*;
 
-use tmk_core::runtime::ChannelFaults;
 use tmk_core::{
-    Action, Cluster, Config, Diff, DsmProtocol, Envelope, IntervalMsg, Msg, Node, VTime, WORD,
+    Action, Cluster, Config, Diff, DsmProtocol, Envelope, FaultPlan, IntervalMsg, Msg, Node, VTime,
+    WORD,
 };
 use tmk_parmacs::Alloc;
 
@@ -143,19 +143,18 @@ fn op_strategy(nodes: usize) -> impl Strategy<Value = Op> {
     ]
 }
 
-fn chaos_plan_strategy() -> impl Strategy<Value = ChannelFaults> {
+fn chaos_plan_strategy() -> impl Strategy<Value = FaultPlan> {
     // The vendored proptest has no f64 range strategy; draw permille values.
     (any::<u64>(), 0u32..300, 0u32..200, 0u32..200).prop_map(|(seed, drop, dup, delay)| {
-        ChannelFaults::seeded(seed)
-            .drop_rate(f64::from(drop) / 1000.0)
-            .dup_rate(f64::from(dup) / 1000.0)
-            .delay_rate(f64::from(delay) / 1000.0, 0)
+        FaultPlan::drop_rate(seed, f64::from(drop) / 1000.0)
+            .with_dup(f64::from(dup) / 1000.0)
+            .with_delay(f64::from(delay) / 1000.0, 0)
     })
 }
 
 /// A cluster of `protocol` built from `cfg`, with `plan`'s link faults
 /// armed when given.
-fn cluster(cfg: Config, protocol: DsmProtocol, plan: Option<&ChannelFaults>) -> Cluster {
+fn cluster(cfg: Config, protocol: DsmProtocol, plan: Option<&FaultPlan>) -> Cluster {
     let c = Cluster::with_protocol(cfg, protocol);
     match plan {
         Some(plan) => c.with_faults(plan),

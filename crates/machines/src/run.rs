@@ -169,7 +169,7 @@ impl Platform {
             if let Some(f) = &tuning.faults {
                 s.push_str(&format!(
                     "/fs{}d{}u{}y{}c{}m{:02x}",
-                    f.seed, f.drop, f.dup, f.delay, f.delay_cycles, f.class_mask
+                    f.seed, f.drop, f.dup, f.delay, f.hold, f.class_mask
                 ));
                 if !f.crashes.is_empty() {
                     let cs: Vec<String> = f

@@ -15,7 +15,7 @@
 //!
 //! The models are fault-free: hardware masks its faults below the coherence
 //! protocol, and fault injection lives on the wire between DSM nodes
-//! (`tmk-net`'s `FaultPlan`).
+//! (`tmk-core`'s `FaultPlan`, applied by `tmk-net`'s `LossyNet`).
 
 mod cache;
 mod directory;

@@ -14,17 +14,17 @@
 //! All parameters are in processor cycles; see `DESIGN.md` §4 for how each
 //! value was reconstructed (the paper scrape lost its numerals).
 //!
-//! The wire can also be made *unreliable on purpose*: [`FaultPlan`]
-//! describes a seeded, deterministic schedule of drops, duplicates and
-//! delays, and [`LossyNet`] applies it on top of a [`PointToPointNet`].
-//! TreadMarks ran over UDP and carried its own timeout/retransmit
-//! machinery; the fault layer is what lets the reproduction exercise that
-//! path (see `DESIGN.md` §4).
+//! The wire can also be made *unreliable on purpose*: [`LossyNet`] applies
+//! a [`FaultPlan`] (`tmk-core`'s one fault plan, re-exported here with its
+//! types) on top of a [`PointToPointNet`], drawing each message's roll from
+//! a stream seeded by the plan (see `DESIGN.md` §4).
 
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 use tmk_sim::Cycle;
 use tmk_trace::{Event, EventKind, Sink, Track};
+
+pub use tmk_core::{Crash, Fate, FaultPlan, FaultStats, ALL_CLASSES};
 
 /// Word size used for per-word software costs (32-bit MIPS word).
 pub const WORD_BYTES: usize = 4;
@@ -231,174 +231,6 @@ impl PointToPointNet {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Deterministic fault injection
-// ---------------------------------------------------------------------------
-
-/// What the (faulty) wire does to one message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fate {
-    /// Delivered normally.
-    Deliver,
-    /// Silently lost.
-    Drop,
-    /// Delivered twice (the second copy re-occupies the link).
-    Duplicate,
-    /// Delivered with this many extra cycles of flight time (reordering it
-    /// behind later traffic).
-    Delay(Cycle),
-}
-
-/// A scheduled node crash: at cycle `at`, every link touching `node` is
-/// severed. With `restart_after = Some(d)` the node's links come back at
-/// `at + d` (the node rebooted on its own); with `None` the node stays dark
-/// until a recovery layer above the network declares it restored.
-///
-/// Crashes are *not* randomized: the schedule is an explicit list, and the
-/// severing decision consumes no randomness, so arming a crash never
-/// perturbs the drop/dup/delay streams of the same plan.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Crash {
-    /// The node whose links are severed.
-    pub node: usize,
-    /// The cycle the crash takes effect.
-    pub at: Cycle,
-    /// Optional self-restart delay; `None` means down until recovered.
-    pub restart_after: Option<Cycle>,
-}
-
-impl Crash {
-    /// Whether the node's links are severed at cycle `t` (ignoring any
-    /// recovery the layers above may have performed).
-    pub fn down_at(&self, t: Cycle) -> bool {
-        t >= self.at && self.restart_after.is_none_or(|d| t < self.at + d)
-    }
-}
-
-/// A seeded, deterministic schedule of network faults.
-///
-/// Rates are independent per-message probabilities, rolled in delivery
-/// order from `SmallRng::seed_from_u64(seed)`, so a plan replays
-/// bit-exactly: the same seed and the same traffic produce the same drops.
-/// Faults can be restricted to a subset of message classes (`class_mask`, a
-/// bitmask the protocol layer derives from its `MsgClass`). Node crashes
-/// ride in the same plan as an explicit schedule ([`Crash`]) rather than a
-/// probability.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultPlan {
-    /// Seed for the fault schedule.
-    pub seed: u64,
-    /// Probability a message is lost.
-    pub drop: f64,
-    /// Probability a message is delivered twice.
-    pub dup: f64,
-    /// Probability a message is delayed by `delay_cycles`.
-    pub delay: f64,
-    /// Extra flight cycles added to a delayed message.
-    pub delay_cycles: Cycle,
-    /// Bitmask of fault-eligible message classes (bit n = class n);
-    /// `ALL_CLASSES` faults everything.
-    pub class_mask: u8,
-    /// Scheduled node crashes, applied on top of the probabilistic faults.
-    pub crashes: Vec<Crash>,
-}
-
-/// `class_mask` value faulting every message class.
-pub const ALL_CLASSES: u8 = 0xff;
-
-impl FaultPlan {
-    /// A plan that drops messages with probability `drop` on every link and
-    /// class, with no duplication or delay.
-    pub fn drop_rate(seed: u64, drop: f64) -> Self {
-        FaultPlan {
-            seed,
-            drop,
-            dup: 0.0,
-            delay: 0.0,
-            delay_cycles: 0,
-            class_mask: ALL_CLASSES,
-            crashes: Vec::new(),
-        }
-    }
-
-    /// A plan with no probabilistic faults at all, only scheduled crashes
-    /// (added with [`with_crash`](Self::with_crash)). The seed still
-    /// matters when drop/dup/delay rates are layered on afterwards.
-    pub fn crash_schedule(seed: u64) -> Self {
-        FaultPlan::drop_rate(seed, 0.0)
-    }
-
-    /// Schedules a crash of `node` at cycle `at`, with an optional
-    /// self-restart delay.
-    pub fn with_crash(mut self, node: usize, at: Cycle, restart_after: Option<Cycle>) -> Self {
-        self.crashes.push(Crash {
-            node,
-            at,
-            restart_after,
-        });
-        self
-    }
-
-    /// Sets the duplication probability.
-    pub fn with_dup(mut self, dup: f64) -> Self {
-        self.dup = dup;
-        self
-    }
-
-    /// Sets the delay probability and magnitude.
-    pub fn with_delay(mut self, delay: f64, cycles: Cycle) -> Self {
-        self.delay = delay;
-        self.delay_cycles = cycles;
-        self
-    }
-
-    /// Restricts faults to message classes in `mask`.
-    pub fn with_class_mask(mut self, mask: u8) -> Self {
-        self.class_mask = mask;
-        self
-    }
-
-    /// The `[drop | dup | delay | deliver]` band `roll` lands in: the `u64`
-    /// range split as wide as the three probabilities, `p >= 1.0` taking
-    /// all that is left, `p <= 0` and NaN nothing, a sum past 1.0
-    /// saturating rather than wrapping. (`tmk_core::runtime_faults::fate`
-    /// is the same arithmetic; see the boundary-table test.)
-    fn verdict(&self, roll: u64) -> Fate {
-        let band = |p: f64| -> u64 {
-            if p >= 1.0 {
-                u64::MAX
-            } else {
-                (p.max(0.0) * (u64::MAX as f64)) as u64
-            }
-        };
-        let d = band(self.drop);
-        let du = d.saturating_add(band(self.dup));
-        let de = du.saturating_add(band(self.delay));
-        if roll < d {
-            Fate::Drop
-        } else if roll < du {
-            Fate::Duplicate
-        } else if roll < de {
-            Fate::Delay(self.delay_cycles)
-        } else {
-            Fate::Deliver
-        }
-    }
-}
-
-/// Counters for what a [`LossyNet`] actually did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Messages the fault plan was consulted about.
-    pub decisions: u64,
-    /// Messages dropped.
-    pub drops: u64,
-    /// Messages duplicated.
-    pub dups: u64,
-    /// Messages delayed.
-    pub delays: u64,
-}
-
 /// A [`PointToPointNet`] behind a deterministic fault injector.
 ///
 /// Timing (occupancy, latency) is delegated to the inner network untouched;
@@ -450,16 +282,10 @@ impl LossyNet {
             return Fate::Deliver;
         }
         let rng = self.rng.as_mut().expect("faulty net has an rng");
-        self.stats.decisions += 1;
         // One u64 draw per eligible message: cheap, deterministic, and
         // exactly one stream position per message regardless of outcome.
         let fate = plan.verdict(rng.next_u64());
-        match fate {
-            Fate::Drop => self.stats.drops += 1,
-            Fate::Duplicate => self.stats.dups += 1,
-            Fate::Delay(_) => self.stats.delays += 1,
-            Fate::Deliver => {}
-        }
+        self.stats.record(fate);
         fate
     }
 
@@ -663,50 +489,10 @@ mod tests {
         );
     }
 
-    /// `tmk_core::runtime_faults::fate`'s boundary table, row for row: the
-    /// two crates keep separate copies of the band arithmetic (no crate
-    /// edge joins them yet), and this is what stops them drifting apart.
+    /// `LossyNet::fate` is the plan's verdict on the next draw of its
+    /// seeded stream, for every class when the mask is `ALL_CLASSES`.
     #[test]
-    fn fate_bands_saturate_and_have_exact_edges() {
-        use Fate::{Deliver, Drop, Duplicate};
-        const HALF: u64 = 1 << 63; // band(0.5), exactly
-        const QUARTER: u64 = 1 << 62;
-        let delay = Fate::Delay(50);
-        let table: [(f64, f64, f64, u64, Fate); 16] = [
-            // p = 1.0 always hits, even on the last roll but one.
-            (1.0, 0.0, 0.0, 0, Drop),
-            (1.0, 0.0, 0.0, u64::MAX - 1, Drop),
-            (0.0, 1.0, 0.0, u64::MAX - 1, Duplicate),
-            // p <= 0 and NaN never hit, even on roll 0.
-            (0.0, 0.0, 0.0, 0, Deliver),
-            (-1.0, 0.0, 0.0, 0, Deliver),
-            (f64::NAN, f64::NAN, f64::NAN, 0, Deliver),
-            (f64::NAN, 1.0, 0.0, 0, Duplicate),
-            // Bands summing past 1.0 saturate: the earlier band keeps its
-            // width and the later ones get what is left, never a wrap.
-            (0.5, 1.0, 1.0, HALF - 1, Drop),
-            (0.5, 1.0, 1.0, HALF, Duplicate),
-            (0.5, 1.0, 1.0, u64::MAX - 1, Duplicate),
-            (1.0, 1.0, 1.0, u64::MAX - 1, Drop),
-            // Exact edges: a band of width w covers rolls [start, start + w).
-            (0.5, 0.25, 0.0, HALF - 1, Drop),
-            (0.5, 0.25, 0.0, HALF, Duplicate),
-            (0.5, 0.25, 0.0, HALF + QUARTER - 1, Duplicate),
-            (0.5, 0.25, 0.0, HALF + QUARTER, Deliver),
-            (0.0, 0.0, 0.25, QUARTER - 1, delay),
-        ];
-        for (drop, dup, delay, roll, want) in table {
-            let plan = FaultPlan::drop_rate(0, drop)
-                .with_dup(dup)
-                .with_delay(delay, 50);
-            assert_eq!(
-                plan.verdict(roll),
-                want,
-                "drop={drop} dup={dup} delay={delay} roll={roll}"
-            );
-        }
-        // `LossyNet::fate` is that verdict on the next draw of the seeded
-        // stream, for every class when the mask is `ALL_CLASSES`.
+    fn fate_is_the_verdict_of_the_next_stream_draw() {
         let plan = FaultPlan::drop_rate(7, 0.3)
             .with_dup(0.2)
             .with_delay(0.1, 50);

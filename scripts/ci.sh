@@ -246,9 +246,9 @@ echo "== same: the records-unchanged check, run A/A on HEAD =="
 # `scripts/same.sh REV` is how a change that should move nothing is
 # checked: REV and HEAD exported and built, then every quick op trace,
 # text, JSON record and breakdown trace diffed. Run here on HEAD against
-# itself (quick tier only), so the export, build, runs and every
-# comparison keep working, and its closing size table must read +0 on
-# every row.
+# itself (quick tier only), so the export, build, runs, every comparison
+# and the benchmark smoke check keep working, and its closing size table
+# must read +0 on every row.
 bash scripts/same.sh HEAD > target/same.txt 2>&1 \
     || { cat target/same.txt; echo "A/A run of scripts/same.sh failed"; exit 1; }
 awk '/non-test Rust lines/ { t = 1; next }

@@ -18,11 +18,15 @@
 #     lines (host time is the one thing allowed to move);
 #   - every Chrome trace, with `suite trace-diff`.
 # `--full` compares the full tier's text and records the same way.
+# Then it builds side B's `benchmark/` (its own workspace, so nothing else
+# builds it against B's crates) into a target directory of its own and
+# runs `tmk-perfbench --smoke` from B's checkout: every workload's output
+# must still match the fingerprints in B's `benchmark/expected.json`.
 # At the end it prints each side's `scripts/loc.sh` table (non-test Rust
 # lines per crate) with the difference b - a per crate and in total.
 #
-# Exit status: 0 when both sides match everywhere; 1 on any difference or
-# failed run; 2 on bad usage.
+# Exit status: 0 when both sides match everywhere and B's benchmark smoke
+# passes; 1 on any difference or failed run; 2 on bad usage.
 set -euo pipefail
 
 usage() { sed -n '2,/^set /s/^# \{0,1\}//p' "$0" >&2; exit 2; }
@@ -109,6 +113,12 @@ for f in "$a/trace"/*.trace.json; do
 done
 [ "$(ls "$b/trace" | wc -l)" -eq "$traces" ] || fail "the sides recorded different traces"
 
+echo "same.sh: building b's benchmark and running its smoke check" >&2
+if ! { CARGO_TARGET_DIR="$work/b-bench-target" cargo build --release --offline --quiet         --manifest-path "$work/b/benchmark/Cargo.toml"     && (cd "$work/b" && "$work/b-bench-target/release/tmk-perfbench" --smoke); }     > "$work/smoke.txt" 2>&1; then
+    cat "$work/smoke.txt"
+    fail "b's benchmark does not build or its --smoke check fails"
+fi
+
 ops="$(ls "$a/ops" | wc -l)"
 echo "same.sh: non-test Rust lines (scripts/loc.sh): a, b, b - a"
 awk '$1 == "suite" { next }
@@ -127,4 +137,4 @@ if ((differ)); then
     exit 1
 fi
 echo "same.sh: ${rev_a:0:12} and ${rev_b:0:12} match: $ops op traces, $traces traces," \
-    "quick$( ((full)) && echo ' and full' ) tier text and records"
+    "quick$( ((full)) && echo ' and full' ) tier text and records; b's benchmark smoke passes"
