@@ -300,9 +300,9 @@ impl Machine for HsMachine {
             bus.data_bytes += s.data_bytes;
         }
         report.bus = Some(bus);
-        for c in self.buses.iter().flat_map(|b| b.caches()) {
-            report.cache.hits += c.stats().hits;
-            report.cache.misses += c.stats().misses;
+        for s in self.buses.iter().flat_map(|b| b.cache_stats()) {
+            report.cache.hits += s.hits;
+            report.cache.misses += s.misses;
         }
     }
 

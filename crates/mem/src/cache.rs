@@ -110,6 +110,121 @@ fn unpack(word: u64) -> (LineAddr, LineState) {
     )
 }
 
+// One set's tag word, shared by [`DirectCache`] (one word per set) and the
+// snooping bus (one word per set and cache, set-major): every state change
+// of a cache line is written once, here.
+
+/// The state of `line` in a set holding `word` (`Invalid` if another line
+/// or none is resident).
+pub(crate) fn state_in(word: u64, line: LineAddr) -> LineState {
+    match unpack(word) {
+        (resident, state) if resident == line => state,
+        _ => LineState::Invalid,
+    }
+}
+
+/// Whether `word` holds `line` in a valid state: the tag bits equal and the
+/// state bits not `Invalid` (0), which is `word ^ line << 2` in `1..=3`.
+pub(crate) fn holds(word: u64, line: LineAddr) -> bool {
+    (word ^ line << STATE_BITS).wrapping_sub(1) < 3
+}
+
+/// [`DirectCache::probe`] on one set's word and its cache's counters.
+pub(crate) fn probe_word(
+    word: &mut u64,
+    stats: &mut CacheStats,
+    line: LineAddr,
+    write: bool,
+) -> Probe {
+    match state_in(*word, line) {
+        LineState::Invalid => {
+            stats.misses += 1;
+            Probe::Miss
+        }
+        LineState::Shared if write => {
+            stats.upgrades += 1;
+            Probe::UpgradeMiss
+        }
+        _ => {
+            stats.hits += 1;
+            if write {
+                // A write to an Exclusive line silently becomes Modified.
+                *word = pack(line, LineState::Modified);
+            }
+            Probe::Hit
+        }
+    }
+}
+
+/// [`DirectCache::fill`] on one set's word and its cache's counters.
+pub(crate) fn fill_word(
+    word: &mut u64,
+    stats: &mut CacheStats,
+    line: LineAddr,
+    state: LineState,
+) -> Option<(LineAddr, LineState)> {
+    debug_assert_ne!(state, LineState::Invalid);
+    let (old, vstate) = unpack(*word);
+    *word = pack(line, state);
+    if vstate == LineState::Invalid || old == line {
+        return None;
+    }
+    stats.evictions += 1;
+    if vstate == LineState::Modified {
+        stats.dirty_evictions += 1;
+    }
+    Some((old, vstate))
+}
+
+/// [`DirectCache::set_state`] on one set's word.
+pub(crate) fn set_state_in(word: &mut u64, line: LineAddr, state: LineState) {
+    if state_in(*word, line) != LineState::Invalid {
+        *word = pack(line, state);
+    }
+}
+
+/// [`DirectCache::hit_run`] over the words of one cache: set `s`'s word is
+/// `words[s * stride + lane]`, and `mask` is the set count less one.
+#[inline]
+pub(crate) fn hit_run_in(
+    words: &mut [u64],
+    stride: usize,
+    lane: usize,
+    mask: usize,
+    stats: &mut CacheStats,
+    lines: Range<LineAddr>,
+    write: bool,
+) -> u64 {
+    // A read hits in any valid state (`x` in 1..=3), a write only in
+    // Exclusive or Modified (2..=3), where the word becomes Modified. The
+    // run walks the window of sets its lines map to, in at most two slices
+    // (it wraps past the last set at most once: a run of hits is never
+    // longer than the cache).
+    let lowest = if write { 2 } else { 1 };
+    let mut line = lines.start;
+    'run: while line < lines.end {
+        let s = line as usize & mask;
+        let take = ((lines.end - line) as usize).min(mask + 1 - s);
+        for word in words[s * stride + lane..]
+            .iter_mut()
+            .step_by(stride)
+            .take(take)
+        {
+            let x = *word ^ line << STATE_BITS;
+            if x.wrapping_sub(lowest) > 3 - lowest {
+                break 'run;
+            }
+            if write {
+                *word |= LineState::Modified as u64;
+            }
+            line += 1;
+        }
+    }
+    let n = line - lines.start;
+    stats.hits += n;
+    n
+}
+
 /// Result of a [`DirectCache::probe`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Probe {
@@ -154,60 +269,45 @@ impl DirectCache {
 
     /// The current state of `line` (`Invalid` if absent).
     pub fn state_of(&self, line: LineAddr) -> LineState {
-        match unpack(self.sets[self.set_of(line)]) {
-            (resident, state) if resident == line => state,
-            _ => LineState::Invalid,
-        }
+        state_in(self.sets[self.set_of(line)], line)
     }
 
     /// Classifies an access and updates hit/miss counters. Does not change
     /// tag state; callers follow up with [`fill`](Self::fill) /
     /// [`set_state`](Self::set_state) according to the coherence protocol.
     pub fn probe(&mut self, line: LineAddr, write: bool) -> Probe {
-        match self.state_of(line) {
-            LineState::Invalid => {
-                self.stats.misses += 1;
-                Probe::Miss
-            }
-            LineState::Shared if write => {
-                self.stats.upgrades += 1;
-                Probe::UpgradeMiss
-            }
-            _ => {
-                self.stats.hits += 1;
-                if write {
-                    // A write to an Exclusive line silently becomes Modified.
-                    let s = self.set_of(line);
-                    self.sets[s] = pack(line, LineState::Modified);
-                }
-                Probe::Hit
-            }
-        }
+        let s = self.set_of(line);
+        probe_word(&mut self.sets[s], &mut self.stats, line, write)
+    }
+
+    /// Probes `lines` in order while each hits and returns how many did:
+    /// exactly [`probe`](Self::probe)'s effect on the counters and tags of
+    /// those lines (a write to an Exclusive line leaves it Modified; a write
+    /// to a Shared line is not a hit). The first line that does not hit is
+    /// left unprobed.
+    pub fn hit_run(&mut self, lines: Range<LineAddr>, write: bool) -> u64 {
+        hit_run_in(
+            &mut self.sets,
+            1,
+            0,
+            self.mask,
+            &mut self.stats,
+            lines,
+            write,
+        )
     }
 
     /// Installs `line` in `state`, returning the displaced line (and its
     /// state) if the set was occupied by a different line.
     pub fn fill(&mut self, line: LineAddr, state: LineState) -> Option<(LineAddr, LineState)> {
-        debug_assert_ne!(state, LineState::Invalid);
         let s = self.set_of(line);
-        let (old, vstate) = unpack(self.sets[s]);
-        self.sets[s] = pack(line, state);
-        if vstate == LineState::Invalid || old == line {
-            return None;
-        }
-        self.stats.evictions += 1;
-        if vstate == LineState::Modified {
-            self.stats.dirty_evictions += 1;
-        }
-        Some((old, vstate))
+        fill_word(&mut self.sets[s], &mut self.stats, line, state)
     }
 
     /// Changes the state of a present line (no-op if absent).
     pub fn set_state(&mut self, line: LineAddr, state: LineState) {
-        if self.state_of(line) != LineState::Invalid {
-            let s = self.set_of(line);
-            self.sets[s] = pack(line, state);
-        }
+        let s = self.set_of(line);
+        set_state_in(&mut self.sets[s], line, state);
     }
 
     /// Removes a line (snoop invalidation).

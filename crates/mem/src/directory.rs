@@ -7,6 +7,8 @@
 //! contention", so latencies here are fixed bands — local miss, remote
 //! clean miss, remote dirty (three-hop) miss — rather than occupancy-based.
 
+use std::ops::Range;
+
 use tmk_sim::Cycle;
 use tmk_trace::{Event, EventKind, Sink, Track};
 
@@ -150,12 +152,17 @@ impl Directory {
         &self.caches
     }
 
+    /// The entries of a run of lines, growing the directory to hold them.
+    fn entries(&mut self, lines: Range<usize>) -> &mut [Entry] {
+        if lines.end > self.entries.len() {
+            self.entries.resize(lines.end, UNCACHED);
+        }
+        &mut self.entries[lines]
+    }
+
     fn entry(&mut self, line: LineAddr) -> &mut Entry {
         let i = line as usize;
-        if i >= self.entries.len() {
-            self.entries.resize(i + 1, UNCACHED);
-        }
-        &mut self.entries[i]
+        &mut self.entries(i..i + 1)[0]
     }
 
     /// Charges `node` touching `len` bytes at `addr` from `now`: one
@@ -169,8 +176,22 @@ impl Directory {
         write: bool,
         now: Cycle,
     ) -> Cycle {
-        let lines = self.cache.lines_of(addr, len);
-        lines.fold(now, |t, line| self.access(node, line, write, t).done + 1)
+        let mut lines = self.cache.lines_of(addr, len);
+        let mut t = now;
+        loop {
+            let hits = self.caches[node].hit_run(lines.clone(), write);
+            if write && hits > 0 {
+                // Each silent E→M transition of the run reaches the owner
+                // field, as in `access`.
+                let run = lines.start as usize..(lines.start + hits) as usize;
+                self.entries(run).fill(owned_by(node));
+            }
+            (t, lines.start) = (t + hits, lines.start + hits);
+            let Some(line) = lines.next() else {
+                return t;
+            };
+            t = self.access(node, line, write, t).done + 1;
+        }
     }
 
     /// Performs a coherent access by `node` to `line` at `now`.
@@ -188,22 +209,26 @@ impl Directory {
                     invalidated: 0,
                 }
             }
-            Probe::UpgradeMiss => {
-                self.stats.upgrades += 1;
-                self.trace_txn(true, now, self.params.upgrade);
-                let invalidated = self.invalidate_sharers(line, node);
-                *self.entry(line) = owned_by(node);
-                self.caches[node].set_state(line, LineState::Modified);
-                DirAccess {
-                    done: now + self.params.upgrade,
-                    hit: false,
-                    invalidated,
-                }
-            }
+            Probe::UpgradeMiss => self.upgrade(node, line, now),
             Probe::Miss => self.miss(node, line, write, now),
         }
     }
 
+    #[inline(never)]
+    fn upgrade(&mut self, node: usize, line: LineAddr, now: Cycle) -> DirAccess {
+        self.stats.upgrades += 1;
+        self.trace_txn(true, now, self.params.upgrade);
+        let invalidated = self.invalidate_sharers(line, node);
+        *self.entry(line) = owned_by(node);
+        self.caches[node].set_state(line, LineState::Modified);
+        DirAccess {
+            done: now + self.params.upgrade,
+            hit: false,
+            invalidated,
+        }
+    }
+
+    #[inline(never)]
     fn miss(&mut self, node: usize, line: LineAddr, write: bool, now: Cycle) -> DirAccess {
         let home = self.home_of(line);
         let (sharers, owner) = *self.entry(line);

@@ -4,10 +4,11 @@
 //! memory image (hardware keeps data coherent by construction, so only tags,
 //! states and latencies need simulating):
 //!
-//! * [`DirectCache`] — a direct-mapped cache tag/state array, used for both
-//!   primary and secondary caches;
+//! * [`DirectCache`] — a direct-mapped cache tag/state array: the primary
+//!   caches and the directory machine's caches;
 //! * [`SnoopBus`] — an Illinois-protocol (MESI with cache-to-cache supply)
-//!   snooping bus connecting per-processor caches, with occupancy-based bus
+//!   snooping bus connecting per-processor caches (their tags kept
+//!   set-major, in [`DirectCache`]'s word format), with occupancy-based bus
 //!   contention: the SGI 4D/480 side of the paper and the intra-node fabric
 //!   of the HS machines;
 //! * [`Directory`] — a full-map directory protocol over a low-latency

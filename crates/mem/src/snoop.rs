@@ -6,11 +6,16 @@
 //! Bus contention — the effect that lets TreadMarks beat the SGI on SOR —
 //! is modelled by occupancy reservation on the one shared resource.
 
+use std::ops::Range;
+
 use tmk_sim::Cycle;
 use tmk_trace::{Event, EventKind, Sink, Track};
 
-use crate::cache::{DirectCache, LineState, Probe};
-use crate::{CacheParams, LineAddr};
+use crate::cache::{
+    fill_word, hit_run_in, holds, probe_word, set_state_in, state_in, CacheStats, DirectCache,
+    LineState, Probe,
+};
+use crate::{set_bits, CacheParams, LineAddr};
 
 /// Latency/occupancy parameters of the bus, in processor cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,9 +91,18 @@ pub struct SnoopAccess {
 }
 
 /// The shared bus plus the per-processor caches snooping it.
+///
+/// The caches' tags are one set-major array of [`DirectCache`]'s tag words
+/// (the line address above its [`LineState`]): cache `q`'s copy of set `s`
+/// is `tags[s * procs + q]`, so a snoop reads one row of adjacent words.
 #[derive(Debug, Clone)]
 pub struct SnoopBus {
-    caches: Vec<DirectCache>,
+    tags: Vec<u64>,
+    /// Each cache's counters, by processor.
+    cache_stats: Vec<CacheStats>,
+    procs: usize,
+    /// The set count less one (a power of two).
+    mask: usize,
     cache: CacheParams,
     params: BusParams,
     free_at: Cycle,
@@ -109,7 +123,10 @@ impl SnoopBus {
             "invalidation bitmask supports up to 64 processors"
         );
         SnoopBus {
-            caches: (0..procs).map(|_| DirectCache::new(cache)).collect(),
+            tags: vec![0; cache.sets() * procs],
+            cache_stats: vec![CacheStats::default(); procs],
+            procs,
+            mask: cache.sets() - 1,
             cache,
             params,
             free_at: 0,
@@ -146,9 +163,43 @@ impl SnoopBus {
         self.stats
     }
 
-    /// The processors' caches, by processor.
-    pub fn caches(&self) -> &[DirectCache] {
-        &self.caches
+    /// The processors' cache counters, by processor.
+    pub fn cache_stats(&self) -> &[CacheStats] {
+        &self.cache_stats
+    }
+
+    /// The state of `line` in `proc`'s cache (`Invalid` if absent).
+    pub fn state_of(&self, proc: usize, line: LineAddr) -> LineState {
+        state_in(self.tags[self.row(line) + proc], line)
+    }
+
+    /// The index of `line`'s set's row in `tags`.
+    fn row(&self, line: LineAddr) -> usize {
+        (line as usize & self.mask) * self.procs
+    }
+
+    /// The caches holding `line` in a valid state, as a mask: one pass
+    /// over the set's row comparing raw tag words.
+    fn holders(&self, row: usize, line: LineAddr) -> u64 {
+        (self.tags[row..row + self.procs].iter())
+            .enumerate()
+            .fold(0, |mask, (q, &word)| {
+                mask | u64::from(holds(word, line)) << q
+            })
+    }
+
+    /// [`DirectCache::hit_run`] on `proc`'s cache.
+    fn hit_run(&mut self, proc: usize, lines: Range<LineAddr>, write: bool) -> u64 {
+        let stats = &mut self.cache_stats[proc];
+        hit_run_in(
+            &mut self.tags,
+            self.procs,
+            proc,
+            self.mask,
+            stats,
+            lines,
+            write,
+        )
     }
 
     /// Charges `proc` touching `len` bytes at `addr` from `now`: one
@@ -162,84 +213,146 @@ impl SnoopBus {
         write: bool,
         now: Cycle,
     ) -> Cycle {
-        let lines = self.cache.lines_of(addr, len);
-        lines.fold(now, |t, line| self.access(proc, line, write, t).done + 1)
+        let mut lines = self.cache.lines_of(addr, len);
+        let mut t = now;
+        loop {
+            let hits = self.hit_run(proc, lines.clone(), write);
+            (t, lines.start) = (t + hits, lines.start + hits);
+            let Some(line) = lines.next() else {
+                return t;
+            };
+            t = self.access(proc, line, write, t).done + 1;
+        }
+    }
+
+    /// Charges `proc` touching `len` bytes at `addr` from `now` through a
+    /// write-through primary cache (with a write buffer) in front of its
+    /// cache on this bus: the SGI 4D/480's two levels. Every write reaches
+    /// the bus cache, where ownership is established, and costs one cycle
+    /// once that access is done; a read reaches it only when it misses in
+    /// the primary, which it then fills, and costs `next_hit` cycles more.
+    /// A write that invalidates another processor's copy invalidates that
+    /// processor's primary copy too. `primaries` are indexed by processor
+    /// and line addresses are this bus's. Returns the completion time.
+    #[allow(clippy::too_many_arguments)]
+    pub fn charge_two_level(
+        &mut self,
+        primaries: &mut [DirectCache],
+        proc: usize,
+        addr: usize,
+        len: usize,
+        write: bool,
+        next_hit: Cycle,
+        now: Cycle,
+    ) -> Cycle {
+        let mut lines = self.cache.lines_of(addr, len);
+        let mut t = now;
+        loop {
+            let hits = if write {
+                self.hit_run(proc, lines.clone(), true)
+            } else {
+                primaries[proc].hit_run(lines.clone(), false)
+            };
+            (t, lines.start) = (t + hits, lines.start + hits);
+            let Some(line) = lines.next() else {
+                return t;
+            };
+            if !write {
+                primaries[proc].probe(line, false);
+            }
+            let r = self.access(proc, line, write, t);
+            for q in set_bits(r.invalidated) {
+                primaries[q].invalidate(line);
+            }
+            t = if write {
+                r.done + 1
+            } else {
+                primaries[proc].fill(line, LineState::Shared);
+                r.done + next_hit
+            };
+        }
     }
 
     /// Performs a coherent access by `proc` to `line` at time `now`.
     pub fn access(&mut self, proc: usize, line: LineAddr, write: bool, now: Cycle) -> SnoopAccess {
-        match self.caches[proc].probe(line, write) {
+        let i = self.row(line) + proc;
+        match probe_word(&mut self.tags[i], &mut self.cache_stats[proc], line, write) {
             Probe::Hit => SnoopAccess {
                 done: now,
                 hit: true,
                 invalidated: 0,
             },
-            Probe::UpgradeMiss => {
-                let start = self.grab_bus(now, self.params.transaction);
-                self.trace_txn(true, start, self.params.transaction);
-                let invalidated = self.invalidate_others(proc, line);
-                self.caches[proc].set_state(line, LineState::Modified);
-                SnoopAccess {
-                    done: start + self.params.transaction,
-                    hit: false,
-                    invalidated,
-                }
-            }
+            Probe::UpgradeMiss => self.upgrade(proc, line, now),
             Probe::Miss => self.miss(proc, line, write, now),
         }
     }
 
+    #[inline(never)]
+    fn upgrade(&mut self, proc: usize, line: LineAddr, now: Cycle) -> SnoopAccess {
+        let start = self.grab_bus(now, self.params.transaction);
+        self.trace_txn(true, start, self.params.transaction);
+        let row = self.row(line);
+        let invalidated = self.invalidate(row, line, self.holders(row, line) & !(1 << proc));
+        set_state_in(&mut self.tags[row + proc], line, LineState::Modified);
+        SnoopAccess {
+            done: start + self.params.transaction,
+            hit: false,
+            invalidated,
+        }
+    }
+
+    #[inline(never)]
     fn miss(&mut self, proc: usize, line: LineAddr, write: bool, now: Cycle) -> SnoopAccess {
         let p = self.params;
         let mut occupancy = p.transaction + p.block_transfer;
 
-        // Snoop: does any other cache hold the line? (The requester's own
-        // probe just missed, so the first holder found is another cache.)
-        let holder = self
-            .caches
-            .iter()
-            .map(|c| c.state_of(line))
-            .find(|&s| s != LineState::Invalid);
+        // Snoop: which other caches hold the line? (The requester's own
+        // probe just missed, so it is not among them.)
+        let row = self.row(line);
+        let held = self.holders(row, line);
 
         let mut latency = p.transaction + p.block_transfer;
         let mut invalidated = 0;
-        match holder {
-            Some(state) => {
-                latency += p.cache_to_cache;
-                self.stats.cache_supplies += 1;
-                if write {
-                    invalidated = self.invalidate_others(proc, line);
-                } else {
-                    // Illinois: supplier (and everyone else) downgrades to
-                    // Shared; a dirty supplier writes memory back too.
-                    for c in &mut self.caches {
-                        c.set_state(line, LineState::Shared);
-                    }
-                }
-                if state == LineState::Modified {
-                    self.stats.writebacks += 1;
-                    occupancy += p.block_transfer;
+        if held != 0 {
+            // The lowest-numbered holder supplies the block.
+            let supplier = state_in(self.tags[row + held.trailing_zeros() as usize], line);
+            latency += p.cache_to_cache;
+            self.stats.cache_supplies += 1;
+            if write {
+                invalidated = self.invalidate(row, line, held);
+            } else {
+                // Illinois: supplier (and everyone else) downgrades to
+                // Shared; a dirty supplier writes memory back too.
+                for q in set_bits(held) {
+                    set_state_in(&mut self.tags[row + q], line, LineState::Shared);
                 }
             }
-            None => {
-                latency += p.memory;
-                self.stats.memory_supplies += 1;
+            if supplier == LineState::Modified {
+                self.stats.writebacks += 1;
+                occupancy += p.block_transfer;
             }
+        } else {
+            latency += p.memory;
+            self.stats.memory_supplies += 1;
         }
 
         let fill_state = if write {
             LineState::Modified
-        } else if holder.is_some() {
+        } else if held != 0 {
             LineState::Shared
         } else {
             LineState::Exclusive
         };
-        if let Some((_victim, vstate)) = self.caches[proc].fill(line, fill_state) {
-            if vstate == LineState::Modified {
-                self.stats.writebacks += 1;
-                occupancy += p.block_transfer;
-                self.stats.data_bytes += self.cache.block as u64;
-            }
+        let victim = fill_word(
+            &mut self.tags[row + proc],
+            &mut self.cache_stats[proc],
+            line,
+            fill_state,
+        );
+        if let Some((_, LineState::Modified)) = victim {
+            self.stats.writebacks += 1;
+            occupancy += p.block_transfer;
+            self.stats.data_bytes += self.cache.block as u64;
         }
         self.stats.data_bytes += self.cache.block as u64;
 
@@ -252,20 +365,17 @@ impl SnoopBus {
         }
     }
 
-    /// Invalidates `line` in every cache but `proc`'s; returns their mask.
-    fn invalidate_others(&mut self, proc: usize, line: LineAddr) -> u64 {
-        let mut mask = 0;
-        for (q, c) in self.caches.iter_mut().enumerate() {
-            let state = c.state_of(line);
-            if q != proc && state != LineState::Invalid {
-                if state == LineState::Modified {
-                    self.stats.writebacks += 1;
-                    self.stats.data_bytes += self.cache.block as u64;
-                }
-                c.invalidate(line);
-                self.stats.invalidations += 1;
-                mask |= 1 << q;
+    /// Invalidates `line` in the caches of `mask` (which all hold it) in
+    /// the set at `row`; returns `mask`.
+    fn invalidate(&mut self, row: usize, line: LineAddr, mask: u64) -> u64 {
+        for q in set_bits(mask) {
+            let word = &mut self.tags[row + q];
+            if state_in(*word, line) == LineState::Modified {
+                self.stats.writebacks += 1;
+                self.stats.data_bytes += self.cache.block as u64;
             }
+            set_state_in(word, line, LineState::Invalid);
+            self.stats.invalidations += 1;
         }
         mask
     }
@@ -274,8 +384,9 @@ impl SnoopBus {
     /// the hybrid machine when DSM traffic rewrites node memory underneath
     /// the caches (the paper assumes intra-node cache/TLB coherence).
     pub fn purge_line(&mut self, line: LineAddr) {
-        for c in &mut self.caches {
-            c.invalidate(line);
+        let row = self.row(line);
+        for word in &mut self.tags[row..row + self.procs] {
+            set_state_in(word, line, LineState::Invalid);
         }
     }
 

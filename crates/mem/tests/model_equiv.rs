@@ -2,9 +2,15 @@
 //! access results against the representations they replaced — `Option`
 //! tags beside a state vector, a `HashMap` directory walked `0..nodes`,
 //! `Vec<(node, line)>` invalidation lists — kept here as the reference
-//! model. Both sides see the same random streams; every access must agree
-//! on completion time, hit and invalidated set, and every run on all
-//! counters, every line's state in every cache and the emitted trace.
+//! model, as are the per-line loops that the ranged charges replaced (they
+//! now take runs of hits in one pass). Both sides see the same random
+//! streams; every access must agree on completion time, hit and
+//! invalidated set, and every run on all counters, every line's state in
+//! every cache and the emitted trace.
+//!
+//! Each property runs twice: at a tier-1 case count, and as an `#[ignore]`d
+//! high-case variant (more cases, larger set counts) that `scripts/ci.sh`'s
+//! `models` stage runs in release.
 
 use std::sync::Arc;
 
@@ -24,6 +30,7 @@ mod model {
 
     use super::*;
 
+    #[derive(Clone)]
     pub struct Cache {
         params: CacheParams,
         tags: Vec<Option<LineAddr>>,
@@ -108,8 +115,8 @@ mod model {
             self.set_state(line, LineState::Invalid);
         }
 
-        /// `HwMachine::charge_line`'s `Uni` arm (and `DsmMachine::charge_cache`)
-        /// under `HwMachine::charge_access`'s line loop.
+        /// `DirectCache::charge_range` as a per-line loop: the `Uni` arm of
+        /// `HwMachine::charge_access` and every AS node's `DsmMachine::charge`.
         pub fn charge_range(
             &mut self,
             addr: usize,
@@ -515,15 +522,21 @@ fn mask_of(pairs: &[(usize, LineAddr)], line: LineAddr) -> u64 {
     mask
 }
 
-fn same_caches(model: &[model::Cache], real: &[DirectCache]) -> Result<(), TestCaseError> {
-    prop_assert_eq!(model.len(), real.len());
-    for (q, (m, r)) in model.iter().zip(real).enumerate() {
-        prop_assert_eq!(m.stats, r.stats(), "cache {} counters", q);
+/// The model's caches against the implementation's counters (by cache)
+/// and line states (by cache and line).
+fn same_caches(
+    model: &[model::Cache],
+    stats: &[CacheStats],
+    state_of: impl Fn(usize, LineAddr) -> LineState,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(model.len(), stats.len());
+    for (q, (m, r)) in model.iter().zip(stats).enumerate() {
+        prop_assert_eq!(m.stats, *r, "cache {} counters", q);
         // Past the accessed span too: lines that alias into the same sets.
         for line in 0..(2 * SPAN / BLOCK) as LineAddr {
             prop_assert_eq!(
                 m.state_of(line),
-                r.state_of(line),
+                state_of(q, line),
                 "cache {} line {}",
                 q,
                 line
@@ -531,6 +544,295 @@ fn same_caches(model: &[model::Cache], real: &[DirectCache]) -> Result<(), TestC
         }
     }
     Ok(())
+}
+
+fn same_direct_caches(model: &[model::Cache], real: &[DirectCache]) -> Result<(), TestCaseError> {
+    let stats: Vec<_> = real.iter().map(DirectCache::stats).collect();
+    same_caches(model, &stats, |q, line| real[q].state_of(line))
+}
+
+/// `HwMachine::charge_access`'s `Bus` arm as it was before
+/// `SnoopBus::charge_two_level`: one primary probe (reads) and one bus
+/// access per line.
+#[allow(clippy::too_many_arguments)]
+fn two_level_per_line(
+    bus: &mut model::Bus,
+    primaries: &mut [model::Cache],
+    proc: usize,
+    addr: usize,
+    len: usize,
+    write: bool,
+    next_hit: Cycle,
+    now: Cycle,
+) -> Cycle {
+    let mut t = now;
+    for line in model::lines(BLOCK, addr, len) {
+        // Every write reaches the secondary (write-through primary), where
+        // ownership is established; a read only when it misses in the
+        // primary.
+        if !write && primaries[proc].probe(line, false) == Probe::Hit {
+            t += 1;
+            continue;
+        }
+        let r = bus.access(proc, line, write, t);
+        for &(q, l) in &r.invalidated {
+            primaries[q].invalidate(l);
+        }
+        t = if write {
+            r.done + 1 // a hit is absorbed by the write buffer
+        } else {
+            primaries[proc].fill(line, LineState::Shared);
+            r.done + next_hit
+        };
+    }
+    t
+}
+
+fn check_directory(nodes: usize, sets_log2: u32, steps: Vec<Step>) -> Result<(), TestCaseError> {
+    let cache = CacheParams::new(BLOCK << sets_log2, BLOCK);
+    let (model_buf, model_sink) = traced();
+    let (real_buf, real_sink) = traced();
+    let mut model = model::Dir::new(nodes, cache, DirectoryParams::isca94(), model_sink);
+    // Sized for half the span: the other half exercises growth.
+    let mut real = Directory::new(nodes, cache, DirectoryParams::isca94()).with_memory(SPAN / 2);
+    real.set_tracer(real_sink);
+
+    let mut now = 0;
+    for ((who, addr, len), (write, dt, ranged)) in steps {
+        let node = who % nodes;
+        now += dt;
+        if ranged {
+            // `Directory::charge_range` (`HwMachine::charge_access`'s `Dir`
+            // arm) as a per-line loop.
+            let mut t = now;
+            for line in model::lines(BLOCK, addr, len) {
+                let r = model.access(node, line, write, t);
+                t = if r.hit { t + 1 } else { r.done + 1 };
+            }
+            prop_assert_eq!(real.charge_range(node, addr, len, write, now), t);
+        } else {
+            let line = cache.line_of(addr);
+            let m = model.access(node, line, write, now);
+            let r = real.access(node, line, write, now);
+            prop_assert_eq!(
+                (m.done, m.hit, mask_of(&m.invalidated, line)),
+                (r.done, r.hit, r.invalidated)
+            );
+        }
+    }
+
+    prop_assert_eq!(model.stats, real.stats());
+    same_direct_caches(&model.caches, real.caches())?;
+    prop_assert_eq!(model_buf.chrome_trace(), real_buf.chrome_trace());
+    Ok(())
+}
+
+fn check_snoop_bus(
+    procs: usize,
+    sets_log2: u32,
+    sgi: bool,
+    steps: Vec<Step>,
+) -> Result<(), TestCaseError> {
+    let cache = CacheParams::new(BLOCK << sets_log2, BLOCK);
+    let params = if sgi {
+        BusParams::sgi_4d480()
+    } else {
+        BusParams::hs_node()
+    };
+    let (model_buf, model_sink) = traced();
+    let (real_buf, real_sink) = traced();
+    let mut model = model::Bus::new(procs, cache, params, model_sink, 3);
+    let mut real = SnoopBus::new(procs, cache, params);
+    real.set_tracer(real_sink, 3);
+
+    let mut now = 0;
+    for ((who, addr, len), (write, dt, ranged)) in steps {
+        let proc = who % procs;
+        now += dt;
+        if ranged {
+            // `SnoopBus::charge_range` (every HS node's `HsMachine::charge`)
+            // as a per-line loop.
+            let mut t = now;
+            for line in model::lines(BLOCK, addr, len) {
+                let r = model.access(proc, line, write, t);
+                t = if r.hit { t + 1 } else { r.done + 1 };
+            }
+            prop_assert_eq!(real.charge_range(proc, addr, len, write, now), t);
+        } else if dt == 0 {
+            // A DSM page arrival underneath the caches.
+            let line = cache.line_of(addr);
+            model.purge_line(line);
+            real.purge_line(line);
+        } else {
+            let line = cache.line_of(addr);
+            let m = model.access(proc, line, write, now);
+            let r = real.access(proc, line, write, now);
+            prop_assert_eq!(
+                (m.done, m.hit, mask_of(&m.invalidated, line)),
+                (r.done, r.hit, r.invalidated)
+            );
+        }
+    }
+
+    // A miss at time 0 starts when the bus falls idle: equal completion
+    // means equal `free_at`.
+    let fresh = (4 * SPAN / BLOCK) as LineAddr;
+    prop_assert_eq!(
+        model.access(0, fresh, false, 0).done,
+        real.access(0, fresh, false, 0).done
+    );
+    prop_assert_eq!(model.stats, real.stats());
+    same_caches(&model.caches, real.cache_stats(), |q, line| {
+        real.state_of(q, line)
+    })?;
+    prop_assert_eq!(model_buf.chrome_trace(), real_buf.chrome_trace());
+    Ok(())
+}
+
+fn check_two_level(
+    procs: usize,
+    (primary_log2, secondary_log2): (u32, u32),
+    (sgi, next_hit): (bool, Cycle),
+    steps: Vec<Step>,
+) -> Result<(), TestCaseError> {
+    let primary = CacheParams::new(BLOCK << primary_log2, BLOCK);
+    let secondary = CacheParams::new(BLOCK << secondary_log2, BLOCK);
+    let params = if sgi {
+        BusParams::sgi_4d480()
+    } else {
+        BusParams::hs_node()
+    };
+    let (model_buf, model_sink) = traced();
+    let (real_buf, real_sink) = traced();
+    let mut model = model::Bus::new(procs, secondary, params, model_sink, 0);
+    let mut model_primaries: Vec<_> = (0..procs).map(|_| model::Cache::new(primary)).collect();
+    let mut real = SnoopBus::new(procs, secondary, params);
+    real.set_tracer(real_sink, 0);
+    let mut real_primaries: Vec<_> = (0..procs).map(|_| DirectCache::new(primary)).collect();
+
+    let mut now = 0;
+    for ((who, addr, len), (write, dt, ranged)) in steps {
+        let proc = who % procs;
+        now += dt;
+        // Single-line accesses as well as ranges.
+        let len = if ranged { len } else { 0 };
+        let m = two_level_per_line(
+            &mut model,
+            &mut model_primaries,
+            proc,
+            addr,
+            len,
+            write,
+            next_hit,
+            now,
+        );
+        let r = real.charge_two_level(&mut real_primaries, proc, addr, len, write, next_hit, now);
+        prop_assert_eq!(m, r);
+    }
+
+    let fresh = (4 * SPAN / BLOCK) as LineAddr;
+    prop_assert_eq!(
+        model.access(0, fresh, false, 0).done,
+        real.access(0, fresh, false, 0).done
+    );
+    prop_assert_eq!(model.stats, real.stats());
+    same_caches(&model.caches, real.cache_stats(), |q, line| {
+        real.state_of(q, line)
+    })?;
+    same_direct_caches(&model_primaries, &real_primaries)?;
+    prop_assert_eq!(model_buf.chrome_trace(), real_buf.chrome_trace());
+    Ok(())
+}
+
+/// One operation on a lone cache: `(kind, addr, len, write, state)`.
+type CacheOp = (u8, usize, usize, bool, u8);
+
+/// Operations of `kinds` kinds.
+fn cache_ops(kinds: u8) -> impl Strategy<Value = Vec<CacheOp>> {
+    proptest::collection::vec(
+        (0..kinds, 0..SPAN, 0..4 * BLOCK, any::<bool>(), 1..4u8),
+        1..300,
+    )
+}
+
+const STATES: [LineState; 4] = [
+    LineState::Invalid,
+    LineState::Shared,
+    LineState::Exclusive,
+    LineState::Modified,
+];
+
+fn check_packed_cache(sets_log2: u32, lat: Cycle, ops: Vec<CacheOp>) -> Result<(), TestCaseError> {
+    let cache = CacheParams::new(BLOCK << sets_log2, BLOCK);
+    let mut model = model::Cache::new(cache);
+    let mut real = DirectCache::new(cache);
+    for (kind, addr, len, write, state) in ops {
+        let line = cache.line_of(addr);
+        prop_assert_eq!(line, (addr / BLOCK) as LineAddr);
+        prop_assert_eq!(
+            cache.lines_of(addr, len).collect::<Vec<_>>(),
+            model::lines(BLOCK, addr, len).collect::<Vec<_>>()
+        );
+        let state = STATES[state as usize];
+        match kind {
+            0 => prop_assert_eq!(model.probe(line, write), real.probe(line, write)),
+            1 => prop_assert_eq!(model.fill(line, state), real.fill(line, state)),
+            2 => {
+                // `Invalid` too: it must clear the tag, not store it.
+                let state = if write { LineState::Invalid } else { state };
+                model.set_state(line, state);
+                real.set_state(line, state);
+            }
+            3 => {
+                model.invalidate(line);
+                real.invalidate(line);
+            }
+            _ => prop_assert_eq!(
+                model.charge_range(addr, len, write, lat, 7),
+                real.charge_range(addr, len, write, lat, 7)
+            ),
+        }
+        prop_assert_eq!(model.state_of(line), real.state_of(line));
+    }
+    same_direct_caches(std::slice::from_ref(&model), std::slice::from_ref(&real))
+}
+
+/// `DirectCache::hit_run` against `probe` line by line, stopping before
+/// the first line that does not hit (that line's probe is undone, since
+/// `hit_run` leaves it unprobed). Fills of whole ranges make long runs.
+fn check_hit_run(sets_log2: u32, ops: Vec<CacheOp>) -> Result<(), TestCaseError> {
+    let cache = CacheParams::new(BLOCK << sets_log2, BLOCK);
+    let mut model = model::Cache::new(cache);
+    let mut real = DirectCache::new(cache);
+    for (kind, addr, len, write, state) in ops {
+        let lines = cache.lines_of(addr, len);
+        let state = STATES[state as usize];
+        match kind {
+            0 | 1 => {
+                for line in lines {
+                    prop_assert_eq!(model.fill(line, state), real.fill(line, state));
+                }
+            }
+            2 => {
+                let line = lines.start;
+                model.invalidate(line);
+                real.invalidate(line);
+            }
+            _ => {
+                let mut hits = 0;
+                for line in lines.clone() {
+                    let before = model.clone();
+                    if model.probe(line, write) != Probe::Hit {
+                        model = before;
+                        break;
+                    }
+                    hits += 1;
+                }
+                prop_assert_eq!(real.hit_run(lines, write), hits);
+            }
+        }
+    }
+    same_direct_caches(std::slice::from_ref(&model), std::slice::from_ref(&real))
 }
 
 proptest! {
@@ -542,38 +844,7 @@ proptest! {
         sets_log2 in 2..5u32,
         steps in steps(),
     ) {
-        let cache = CacheParams::new(BLOCK << sets_log2, BLOCK);
-        let (model_buf, model_sink) = traced();
-        let (real_buf, real_sink) = traced();
-        let mut model =
-            model::Dir::new(nodes, cache, DirectoryParams::isca94(), model_sink);
-        // Sized for half the span: the other half exercises growth.
-        let mut real = Directory::new(nodes, cache, DirectoryParams::isca94()).with_memory(SPAN / 2);
-        real.set_tracer(real_sink);
-
-        let mut now = 0;
-        for ((who, addr, len), (write, dt, ranged)) in steps {
-            let node = who % nodes;
-            now += dt;
-            if ranged {
-                // `HwMachine::charge_access` over `charge_line`'s `Dir` arm.
-                let mut t = now;
-                for line in model::lines(BLOCK, addr, len) {
-                    let r = model.access(node, line, write, t);
-                    t = if r.hit { t + 1 } else { r.done + 1 };
-                }
-                prop_assert_eq!(real.charge_range(node, addr, len, write, now), t);
-            } else {
-                let line = cache.line_of(addr);
-                let m = model.access(node, line, write, now);
-                let r = real.access(node, line, write, now);
-                prop_assert_eq!((m.done, m.hit, mask_of(&m.invalidated, line)), (r.done, r.hit, r.invalidated));
-            }
-        }
-
-        prop_assert_eq!(model.stats, real.stats());
-        same_caches(&model.caches, real.caches())?;
-        prop_assert_eq!(model_buf.chrome_trace(), real_buf.chrome_trace());
+        check_directory(nodes, sets_log2, steps)?;
     }
 
     #[test]
@@ -583,83 +854,84 @@ proptest! {
         sgi in any::<bool>(),
         steps in steps(),
     ) {
-        let cache = CacheParams::new(BLOCK << sets_log2, BLOCK);
-        let params = if sgi { BusParams::sgi_4d480() } else { BusParams::hs_node() };
-        let (model_buf, model_sink) = traced();
-        let (real_buf, real_sink) = traced();
-        let mut model = model::Bus::new(procs, cache, params, model_sink, 3);
-        let mut real = SnoopBus::new(procs, cache, params);
-        real.set_tracer(real_sink, 3);
+        check_snoop_bus(procs, sets_log2, sgi, steps)?;
+    }
 
-        let mut now = 0;
-        for ((who, addr, len), (write, dt, ranged)) in steps {
-            let proc = who % procs;
-            now += dt;
-            if ranged {
-                // `HsMachine::charge_bus`.
-                let mut t = now;
-                for line in model::lines(BLOCK, addr, len) {
-                    let r = model.access(proc, line, write, t);
-                    t = if r.hit { t + 1 } else { r.done + 1 };
-                }
-                prop_assert_eq!(real.charge_range(proc, addr, len, write, now), t);
-            } else if dt == 0 {
-                // A DSM page arrival underneath the caches.
-                let line = cache.line_of(addr);
-                model.purge_line(line);
-                real.purge_line(line);
-            } else {
-                let line = cache.line_of(addr);
-                let m = model.access(proc, line, write, now);
-                let r = real.access(proc, line, write, now);
-                prop_assert_eq!((m.done, m.hit, mask_of(&m.invalidated, line)), (r.done, r.hit, r.invalidated));
-            }
-        }
-
-        // A miss at time 0 starts when the bus falls idle: equal completion
-        // means equal `free_at`.
-        let fresh = (4 * SPAN / BLOCK) as LineAddr;
-        prop_assert_eq!(model.access(0, fresh, false, 0).done, real.access(0, fresh, false, 0).done);
-        prop_assert_eq!(model.stats, real.stats());
-        same_caches(&model.caches, real.caches())?;
-        prop_assert_eq!(model_buf.chrome_trace(), real_buf.chrome_trace());
+    #[test]
+    fn two_level_bus_matches_the_per_line_loop(
+        procs in 1..65usize,
+        sets_log2 in (2..5u32, 2..6u32),
+        timing in (any::<bool>(), 1..20u64),
+        steps in steps(),
+    ) {
+        check_two_level(procs, sets_log2, timing, steps)?;
     }
 
     #[test]
     fn packed_cache_matches_the_option_tag_model(
         sets_log2 in 2..5u32,
         lat in 0..30u64,
-        ops in proptest::collection::vec((0..6u8, 0..SPAN, 0..4 * BLOCK, any::<bool>(), 1..4u8), 1..300),
+        ops in cache_ops(6),
     ) {
-        let cache = CacheParams::new(BLOCK << sets_log2, BLOCK);
-        let mut model = model::Cache::new(cache);
-        let mut real = DirectCache::new(cache);
-        let states = [LineState::Invalid, LineState::Shared, LineState::Exclusive, LineState::Modified];
-        for (kind, addr, len, write, state) in ops {
-            let line = cache.line_of(addr);
-            prop_assert_eq!(line, (addr / BLOCK) as LineAddr);
-            prop_assert_eq!(cache.lines_of(addr, len).collect::<Vec<_>>(), model::lines(BLOCK, addr, len).collect::<Vec<_>>());
-            let state = states[state as usize];
-            match kind {
-                0 => prop_assert_eq!(model.probe(line, write), real.probe(line, write)),
-                1 => prop_assert_eq!(model.fill(line, state), real.fill(line, state)),
-                2 => {
-                    // `Invalid` too: it must clear the tag, not store it.
-                    let state = if write { LineState::Invalid } else { state };
-                    model.set_state(line, state);
-                    real.set_state(line, state);
-                }
-                3 => {
-                    model.invalidate(line);
-                    real.invalidate(line);
-                }
-                _ => prop_assert_eq!(
-                    model.charge_range(addr, len, write, lat, 7),
-                    real.charge_range(addr, len, write, lat, 7)
-                ),
-            }
-            prop_assert_eq!(model.state_of(line), real.state_of(line));
-        }
-        same_caches(std::slice::from_ref(&model), std::slice::from_ref(&real))?;
+        check_packed_cache(sets_log2, lat, ops)?;
+    }
+
+    #[test]
+    fn hit_run_matches_per_line_probes(sets_log2 in 2..5u32, ops in cache_ops(5)) {
+        check_hit_run(sets_log2, ops)?;
+    }
+}
+
+// The same properties at 2 048 cases and up to 256 sets, in release
+// (`cargo test --release -p tmk-mem --test model_equiv -- --ignored`).
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    #[ignore = "high-case variant; scripts/ci.sh runs it in release"]
+    fn directory_matches_the_hashmap_model_high(
+        nodes in 1..65usize,
+        sets_log2 in 2..9u32,
+        steps in steps(),
+    ) {
+        check_directory(nodes, sets_log2, steps)?;
+    }
+
+    #[test]
+    #[ignore = "high-case variant; scripts/ci.sh runs it in release"]
+    fn snoop_bus_matches_the_list_returning_model_high(
+        procs in 1..65usize,
+        sets_log2 in 2..9u32,
+        sgi in any::<bool>(),
+        steps in steps(),
+    ) {
+        check_snoop_bus(procs, sets_log2, sgi, steps)?;
+    }
+
+    #[test]
+    #[ignore = "high-case variant; scripts/ci.sh runs it in release"]
+    fn two_level_bus_matches_the_per_line_loop_high(
+        procs in 1..65usize,
+        sets_log2 in (2..8u32, 2..9u32),
+        timing in (any::<bool>(), 1..20u64),
+        steps in steps(),
+    ) {
+        check_two_level(procs, sets_log2, timing, steps)?;
+    }
+
+    #[test]
+    #[ignore = "high-case variant; scripts/ci.sh runs it in release"]
+    fn packed_cache_matches_the_option_tag_model_high(
+        sets_log2 in 2..9u32,
+        lat in 0..30u64,
+        ops in cache_ops(6),
+    ) {
+        check_packed_cache(sets_log2, lat, ops)?;
+    }
+
+    #[test]
+    #[ignore = "high-case variant; scripts/ci.sh runs it in release"]
+    fn hit_run_matches_per_line_probes_high(sets_log2 in 2..9u32, ops in cache_ops(5)) {
+        check_hit_run(sets_log2, ops)?;
     }
 }

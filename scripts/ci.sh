@@ -47,6 +47,13 @@ echo "== explore: every message schedule of the large scripted worlds =="
 # and the three-node eager counter (about 5 minutes on 2 vCPUs).
 timeout 1800 cargo test -q --offline --release -p tmk-core --test explore -- --ignored
 
+echo "== models: the memory models against their references, high case count =="
+# crates/mem/tests/model_equiv.rs holds the caches, the bus, the directory
+# and the ranged charges to the per-line reference models at 96 cases in
+# tier-1. The #[ignore]d variants run here in release: 2 048 cases each, up
+# to 64 processors and up to 256 sets (a few seconds on 2 vCPUs).
+timeout 600 cargo test -q --offline --release -p tmk-mem --test model_equiv -- --ignored
+
 echo "== benchmark: the benchmark package's own checks =="
 # Nothing else tests `benchmark/` (its own workspace, invisible to the root
 # build), so it could rot against the crate APIs it calls.
